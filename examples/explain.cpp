@@ -50,7 +50,7 @@ int main() {
   // 1. Streaming path: no index exists yet.
   auto scan = Unwrap(shop->Query(nullptr, query, opts), "scan query");
   std::printf("--- without an index ---\n%s\n",
-              scan.profile.PlanText().c_str());
+              scan.PlanText().c_str());
 
   // 2. Index path: same query after CreateValueIndex.
   Status st =
@@ -61,14 +61,14 @@ int main() {
   }
   auto probed = Unwrap(shop->Query(nullptr, query, opts), "index query");
   std::printf("--- with the price index ---\n%s\n",
-              probed.profile.PlanText().c_str());
+              probed.PlanText().c_str());
 
   // 3. Run it again: the plan is served from the compiled-plan cache
   // ("plan cache: hit", and the plan phase costs zero). Any insert or
   // index change bumps the stats epoch and retires the cached plan.
   auto cached = Unwrap(shop->Query(nullptr, query, opts), "cached query");
   std::printf("--- same query again (cached plan) ---\n%s\n",
-              cached.profile.PlanText().c_str());
+              cached.PlanText().c_str());
 
   // 4. The pre-statistics Section 4.3 rules are still there for comparison
   // (and as the automatic fallback when stats are missing after a crash).
@@ -76,7 +76,7 @@ int main() {
   heur.use_heuristic_planner = true;
   auto ruled = Unwrap(shop->Query(nullptr, query, heur), "heuristic query");
   std::printf("--- forced heuristic planner ---\n%s\n",
-              ruled.profile.PlanText().c_str());
+              ruled.PlanText().c_str());
 
   // 5. Structural (pre,post)-interval index: a descendant query has no
   // value predicate to probe, so it full-scans — until a structural index
@@ -93,7 +93,7 @@ int main() {
   auto deep_scan =
       Unwrap(shop->Query(nullptr, "//section//appendix", opts), "deep scan");
   std::printf("--- descendant query, no structural index ---\n%s\n",
-              deep_scan.profile.PlanText().c_str());
+              deep_scan.PlanText().c_str());
   st = shop->CreateStructuralIndex({"structure", ""});
   if (!st.ok()) {
     std::fprintf(stderr, "FATAL (create structural index): %s\n",
@@ -103,12 +103,12 @@ int main() {
   auto interval = Unwrap(shop->Query(nullptr, "//section//appendix", opts),
                          "structural query");
   std::printf("--- with the structural index (interval scan) ---\n%s\n",
-              interval.profile.PlanText().c_str());
+              interval.PlanText().c_str());
 
   // 6. trace=true adds per-step lines and phase timings (ToText).
   opts.trace = true;
   auto traced = Unwrap(shop->Query(nullptr, query, opts), "traced query");
-  std::printf("--- full trace ---\n%s\n", traced.profile.ToText().c_str());
+  std::printf("--- full trace ---\n%s\n", traced.ToText().c_str());
 
   // 7. The engine-wide metrics snapshot those queries fed — including
   // query.plan_cache.{hits,misses,evictions,invalidations}.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <set>
 
@@ -77,6 +78,66 @@ uint64_t CountStatNodes(Slice tokens) {
       n++;
   }
   return n;
+}
+
+/// The evaluation stage's one fan-out: runs eval(i, out) for every
+/// candidate i in [0, n) and appends to `result` in candidate order. Lists
+/// query::PartitionForParallelism leaves unsplit run serially on this
+/// thread. Otherwise each contiguous chunk is one pool task writing its own
+/// QueryResult, and the chunks merge in chunk order, which reproduces the
+/// serial output exactly; the lowest-index chunk's error wins, like a
+/// serial loop stopping at its first failure. Doc locks must already be
+/// held: the transaction's lock table is not safe for concurrent mutation.
+Status FanOut(util::ThreadPool* pool, size_t parallelism, size_t n,
+              QueryResult* result,
+              const std::function<Status(size_t, QueryResult*)>& eval) {
+  std::vector<query::WorkRange> ranges =
+      query::PartitionForParallelism(n, parallelism);
+  // Unconditional: two plain stores, and the always-on
+  // query.parallel_executions counter reads chunks afterwards.
+  result->profile.parallelism =
+      ranges.empty() ? 1 : static_cast<int>(parallelism);
+  result->profile.chunks = ranges.empty() ? 1 : ranges.size();
+  if (ranges.empty()) {
+    for (size_t i = 0; i < n; i++) XDB_RETURN_NOT_OK(eval(i, result));
+    return Status::OK();
+  }
+  std::vector<QueryResult> chunks(ranges.size());
+  std::vector<Status> chunk_status(ranges.size());
+  // Pool threads have no wait scope of their own; re-install this query's
+  // so per-chunk latch/buffer waits attribute to it (WaitStats is atomic,
+  // safe for concurrent Add from every chunk).
+  obs::WaitStats* query_waits = obs::QueryWaitScope::current();
+  pool->ParallelFor(ranges.size(), parallelism, [&](size_t c) {
+    obs::QueryWaitScope chunk_scope(query_waits);
+    for (size_t i = ranges[c].begin;
+         i < ranges[c].end && chunk_status[c].ok(); i++)
+      chunk_status[c] = eval(i, &chunks[c]);
+  });
+  for (const Status& st : chunk_status) XDB_RETURN_NOT_OK(st);
+  for (QueryResult& c : chunks) {
+    result->stats.Add(c.stats);
+    for (ResultNode& r : c.nodes) result->nodes.push_back(std::move(r));
+  }
+  return Status::OK();
+}
+
+/// Runs one QuickXScan of `tree` over `source` and appends its hits and
+/// work counters to `result`. On any failure, kNotFound included, nothing
+/// is appended.
+Status ScanInto(const xpath::QueryTree* tree, uint64_t doc_id,
+                StoredDocSource* source, QueryResult* result) {
+  xpath::QuickXScan scan(tree, doc_id);
+  NodeSequence hits;
+  XDB_RETURN_NOT_OK(scan.Run(source, &hits));
+  const xpath::QuickXScanStats& ss = scan.stats();
+  result->stats.records_fetched += source->records_fetched();
+  result->stats.scan_events += ss.events;
+  result->stats.scan_instances += ss.instances_created;
+  result->stats.scan_peak_live =
+      std::max(result->stats.scan_peak_live, ss.peak_live_instances);
+  for (ResultNode& r : hits) result->nodes.push_back(std::move(r));
+  return Status::OK();
 }
 
 }  // namespace
@@ -1094,36 +1155,6 @@ Result<QueryResult> Collection::Query(Transaction* txn, Slice xpath,
   return last;
 }
 
-Result<QueryResult> Collection::ExecutePath(Transaction* txn,
-                                            const xpath::Path& path,
-                                            const QueryOptions& options) {
-  XDB_RETURN_NOT_OK(GuardRepair());
-  if (options.min_csn > 0)
-    XDB_RETURN_NOT_OK(
-        engine_->WaitForFreshness(options.min_csn, options.freshness_timeout_us));
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < 3; attempt++) {
-    const auto plan_start = std::chrono::steady_clock::now();
-    xpath::Path copy;
-    copy.absolute = path.absolute;
-    copy.steps.reserve(path.steps.size());
-    for (const xpath::Step& s : path.steps)
-      copy.steps.push_back(xpath::CloneStep(s));
-    XDB_ASSIGN_OR_RETURN(std::shared_ptr<const query::CompiledPlan> cp,
-                         CompileForExecution(std::move(copy), options));
-    const uint64_t plan_wall_us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - plan_start)
-            .count());
-    bool plan_stale = false;
-    Result<QueryResult> res = ExecuteCompiled(txn, *cp, options, "off",
-                                              plan_wall_us, &plan_stale);
-    if (res.ok() || !plan_stale) return res;
-    last = res.status();
-  }
-  return last;
-}
-
 Result<std::shared_ptr<const query::CompiledPlan>>
 Collection::CompileForExecution(xpath::Path&& path,
                                 const QueryOptions& options) {
@@ -1182,7 +1213,6 @@ Collection::CompileForExecution(xpath::Path&& path,
     }
   }
   cp->stats_epoch = snap.epoch;
-  cp->stats_valid = cp->plan.cost_based;
   cp->doc_count = docs;
   cp->nodes_per_doc = snap.valid ? snap.avg_nodes_per_doc() : 0.0;
 
@@ -1192,11 +1222,7 @@ Collection::CompileForExecution(xpath::Path&& path,
       xpath::QueryTree::Compile(path, *engine_->dict(), options.want_values));
   cp->tree = std::move(tree);
 
-  const bool node_level =
-      cp->plan.method == query::AccessMethod::kNodeIdList ||
-      cp->plan.method == query::AccessMethod::kNodeIdAndOr ||
-      cp->plan.method == query::AccessMethod::kStructuralScan;
-  if (node_level) {
+  if (query::IsNodeLevel(cp->plan.method)) {
     const size_t anchor_step = cp->plan.anchor_step;
     // Residual relative path evaluated on each anchor's subtree:
     //   self-context [anchor predicates] / remaining steps...
@@ -1256,9 +1282,9 @@ Result<QueryResult> Collection::ExecuteCompiled(
   // Always-on wait attribution: every WaitSpan crossed while this scope is
   // installed (lock-manager waits, buffer-miss I/O, latch acquisitions,
   // index probes, WAL commits) adds to `waits`, on this thread and — via
-  // the per-chunk re-install in EvalDocsParallel/RecheckAnchors — on pool
-  // threads working for this query. Cost when nothing blocks: a TLS store
-  // here and two clock reads per span actually crossed.
+  // the per-chunk re-install in FanOut — on pool threads working for this
+  // query. Cost when nothing blocks: a TLS store here and two clock reads
+  // per span actually crossed.
   obs::WaitStats waits;
   obs::QueryWaitScope wait_scope(&waits);
   QueryResult result;
@@ -1282,7 +1308,7 @@ Result<QueryResult> Collection::ExecuteCompiled(
     prof.avg_records_per_doc = cp.avg_records_per_doc;
     prof.nodes_per_doc = cp.nodes_per_doc;
     prof.stats_epoch = cp.stats_epoch;
-    prof.stats_valid = cp.stats_valid;
+    prof.stats_valid = plan.cost_based;
     prof.plan_cache = cache_state;
     // Planning time attributed by the caller: parse+plan+compile on a miss,
     // 0 on a cache hit (the hit path skips all three).
@@ -1299,7 +1325,6 @@ Result<QueryResult> Collection::ExecuteCompiled(
   Status st = [&]() -> Status {
     result.stats.method = plan.method;
     result.stats.explain = plan.explain;
-    result.stats.rechecked = plan.need_recheck;
 
     // Snapshot vs locking read machinery.
     NodeLocator* locator = node_index_.get();
@@ -1313,180 +1338,46 @@ Result<QueryResult> Collection::ExecuteCompiled(
       locator = &snap;
     }
 
-    // Evaluates the full query over a candidate DocID list, fanning out to
-    // the engine's query pool when the list is big enough to pay for it.
-    // The chunked path appends results in exactly the order the serial loop
-    // would, so parallelism never changes the answer.
-    auto eval_docs = [&](const std::vector<uint64_t>& docs_list) -> Status {
-      obs::PhaseTimer timer(&prof, "eval");
-      Transaction* lock_txn = snapshot_read ? nullptr : at.get();
+    // Stage 1: "use indexes to quickly identify a small subset of
+    // candidates" — a DocID list or an anchor list.
+    std::vector<uint64_t> docs;
+    std::vector<Posting> anchors;
+    XDB_RETURN_NOT_OK(
+        FindCandidates(cp, &docs, &anchors, &result, plan_stale));
+    result.stats.candidate_docs = docs.size();
+    result.stats.candidate_anchors = anchors.size();
+
+    // Stage 2: "then perform further processing on them" — the full query
+    // over each candidate document, or the residual over each anchor.
+    const bool node_level = query::IsNodeLevel(plan.method);
+    {
+      obs::PhaseTimer timer(&prof, node_level ? "recheck" : "eval");
+      // Doc locks first, all on this thread: they can block, and the
+      // transaction's lock table is not safe for concurrent mutation. Locks
+      // are held until commit either way, so taking them before any
+      // evaluation is equivalent to taking each as its document is reached.
+      if (!snapshot_read) {
+        for (uint64_t doc_id : docs)
+          XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
+        for (uint64_t doc_id : query::DistinctDocIds(anchors))
+          XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
+      }
       const size_t parallelism =
           static_cast<size_t>(EffectiveParallelism(options));
-      std::vector<query::WorkRange> ranges =
-          query::PartitionForParallelism(docs_list.size(), parallelism);
-      // Unconditional: two plain stores, and the always-on
-      // query.parallel_executions counter reads chunks afterwards.
-      prof.parallelism = ranges.empty() ? 1 : static_cast<int>(parallelism);
-      prof.chunks = ranges.empty() ? 1 : ranges.size();
-      if (ranges.empty()) {
-        return EvalDocRange(lock_txn, docs_list, 0, docs_list.size(),
-                            cp.tree.get(), locator, &result);
+      if (node_level) {
+        XDB_RETURN_NOT_OK(FanOut(
+            engine_->query_pool(), parallelism, anchors.size(), &result,
+            [&](size_t i, QueryResult* out) {
+              return EvalAnchor(anchors[i], cp.residual_tree.get(),
+                                cp.prefix_pattern, locator, out);
+            }));
+      } else {
+        XDB_RETURN_NOT_OK(FanOut(
+            engine_->query_pool(), parallelism, docs.size(), &result,
+            [&](size_t i, QueryResult* out) {
+              return EvalDoc(docs[i], cp.tree.get(), locator, out);
+            }));
       }
-      return EvalDocsParallel(lock_txn, docs_list, ranges, parallelism,
-                              cp.tree.get(), locator, &result);
-    };
-
-    if (plan.method == query::AccessMethod::kFullScan) {
-      XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> all_docs, ListDocIds());
-      if (prof.enabled) prof.candidate_docs = all_docs.size();
-      result.stats.candidate_docs = all_docs.size();
-      XDB_RETURN_NOT_OK(eval_docs(all_docs));
-      NormalizeSequence(&result.nodes);
-      return Status::OK();
-    }
-
-    // Probe the indexes under the shared latch (no doc locks held yet, so
-    // this cannot invert the doc-lock-before-latch order).
-    std::vector<std::vector<Posting>> postings_per_probe;
-    std::vector<Posting> structural_postings;
-    {
-      obs::PhaseTimer timer(&prof, "probe");
-      obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
-      ReaderMutexLock latch(latch_);
-      latch_span.Finish();
-      // Structure-version gate: the plan's ValueIndex pointers are only safe
-      // to dereference while the index set is the one it was compiled
-      // against. A mismatch (index dropped, storage rebuilt) makes the plan
-      // stale — the caller replans; it is never served.
-      if (index_version_.load(std::memory_order_acquire) !=
-          cp.index_version) {
-        *plan_stale = true;
-        return Status::Busy("plan compiled against a changed index set");
-      }
-      for (size_t pi = 0; pi < plan.probes.size(); pi++) {
-        const query::PlannedProbe& probe = plan.probes[pi];
-        std::optional<KeyBound> lo, hi;
-        bool not_equal = false;
-        XDB_RETURN_NOT_OK(
-            query::ProbeBounds(*probe.index, probe.pred, &lo, &hi, &not_equal));
-        std::vector<Posting> postings;
-        obs::WaitSpan probe_span(engine_->wait_sink(),
-                                 obs::WaitState::kIndexProbe);
-        XDB_RETURN_NOT_OK(probe.index->Scan(lo, hi, &postings));
-        probe_span.Finish();
-        result.stats.index_postings += postings.size();
-        if (prof.trace)
-          prof.trace_lines.push_back(
-              "probe " + std::to_string(pi) + " index '" +
-              probe.index->def().name + "' -> " +
-              std::to_string(postings.size()) + " postings");
-        postings_per_probe.push_back(std::move(postings));
-      }
-      // Structural range scan, under the same latch + version gate as the
-      // value probes (the plan's StructuralIndex pointer has the same
-      // lifetime contract). A never-interned name scans nothing.
-      if (plan.structural_index != nullptr &&
-          cp.structural_name_id != NameDictionary::kInvalidNameId) {
-        std::vector<StructuralPosting> entries;
-        obs::WaitSpan probe_span(engine_->wait_sink(),
-                                 obs::WaitState::kIndexProbe);
-        XDB_RETURN_NOT_OK(
-            plan.structural_index->Scan(cp.structural_name_id, &entries));
-        probe_span.Finish();
-        structural_postings.reserve(entries.size());
-        for (StructuralPosting& e : entries)
-          structural_postings.push_back(
-              Posting{e.doc_id, std::move(e.node_id), Rid()});
-        result.stats.index_postings += structural_postings.size();
-        if (prof.trace)
-          prof.trace_lines.push_back(
-              "structural scan index '" +
-              plan.structural_index->def().name + "' element '" +
-              plan.structural_name + "' -> " +
-              std::to_string(structural_postings.size()) + " entries");
-      }
-    }
-
-    if (plan.method == query::AccessMethod::kStructuralScan) {
-      // The scan IS the anchor list: entries arrive ordered by (doc,
-      // document position), which is exactly the (doc, node-ID byte) order
-      // the recheck pipeline expects. The prefix pattern plus residual
-      // validate the full path around each instance.
-      std::vector<Posting> anchors = std::move(structural_postings);
-      result.stats.candidate_anchors = anchors.size();
-      if (prof.trace)
-        prof.trace_lines.push_back("structural anchors -> " +
-                                   std::to_string(anchors.size()) +
-                                   " candidates");
-      {
-        obs::PhaseTimer timer(&prof, "recheck");
-        XDB_RETURN_NOT_OK(RecheckAnchors(snapshot_read ? nullptr : at.get(),
-                                         cp.residual_tree.get(),
-                                         cp.prefix_pattern, anchors, options,
-                                         locator, &result));
-      }
-      NormalizeSequence(&result.nodes);
-      return Status::OK();
-    }
-
-    const bool node_level =
-        plan.method == query::AccessMethod::kNodeIdList ||
-        plan.method == query::AccessMethod::kNodeIdAndOr;
-
-    if (!node_level) {
-      // DocID list / ANDing / ORing, then per-document evaluation.
-      std::vector<uint64_t> docs_list;
-      {
-        obs::PhaseTimer timer(&prof, "merge");
-        docs_list =
-            query::MergeCandidateDocIds(postings_per_probe, plan.disjunctive);
-      }
-      result.stats.candidate_docs = docs_list.size();
-      if (prof.trace)
-        prof.trace_lines.push_back(
-            std::string(plan.disjunctive ? "union" : "intersection") +
-            " of doc lists -> " + std::to_string(docs_list.size()) +
-            " candidate docs");
-      XDB_RETURN_NOT_OK(eval_docs(docs_list));
-      NormalizeSequence(&result.nodes);
-      return Status::OK();
-    }
-
-    // NodeID-level: anchor each posting at the predicate step.
-    std::vector<Posting> anchors;
-    {
-      obs::PhaseTimer timer(&prof, "merge");
-      std::vector<std::vector<Posting>> anchored;
-      for (size_t i = 0; i < postings_per_probe.size(); i++) {
-        std::vector<Posting> a;
-        if (plan.structural_anchor &&
-            plan.probes[i].pred.strip_levels < 0) {
-          // Descendant branch: the value node's anchor ancestors come from
-          // the interval join instead of level-stripping.
-          XDB_RETURN_NOT_OK(query::StructuralAnchorJoin(
-              postings_per_probe[i], structural_postings, &a));
-        } else {
-          XDB_RETURN_NOT_OK(query::AnchorPostings(
-              postings_per_probe[i], plan.probes[i].pred.strip_levels, &a));
-        }
-        anchored.push_back(std::move(a));
-      }
-      anchors = plan.disjunctive
-                    ? query::UnionPostings(std::move(anchored))
-                    : query::IntersectPostings(std::move(anchored));
-    }
-    result.stats.candidate_anchors = anchors.size();
-    if (prof.trace)
-      prof.trace_lines.push_back(
-          std::string(plan.disjunctive ? "union" : "intersection") +
-          " of anchored postings -> " + std::to_string(anchors.size()) +
-          " candidate anchors");
-    {
-      obs::PhaseTimer timer(&prof, "recheck");
-      XDB_RETURN_NOT_OK(RecheckAnchors(snapshot_read ? nullptr : at.get(),
-                                       cp.residual_tree.get(),
-                                       cp.prefix_pattern, anchors, options,
-                                       locator, &result));
     }
     NormalizeSequence(&result.nodes);
     return Status::OK();
@@ -1505,16 +1396,6 @@ Result<QueryResult> Collection::ExecuteCompiled(
     if (qm.latency_us != nullptr) qm.latency_us->Observe(wall_us);
   }
   if (prof.enabled) {
-    prof.index_postings = result.stats.index_postings;
-    prof.candidate_anchors = result.stats.candidate_anchors;
-    if (prof.candidate_docs == 0)
-      prof.candidate_docs = result.stats.candidate_docs;
-    prof.docs_evaluated = result.stats.docs_evaluated;
-    prof.records_fetched = result.stats.records_fetched;
-    prof.results = result.nodes.size();
-    prof.scan_events = result.stats.scan_events;
-    prof.scan_instances = result.stats.scan_instances;
-    prof.scan_peak_live = result.stats.scan_peak_live;
     BufferManagerStats bs = buffer_->stats();
     prof.pages_fetched = bs.hits + bs.misses - pages_before;
     // "total" covers plan + execution, so the per-phase lines (plan, probe,
@@ -1557,66 +1438,125 @@ Result<QueryResult> Collection::ExecuteCompiled(
   return result;
 }
 
-Status Collection::RecheckAnchors(Transaction* txn,
-                                  const xpath::QueryTree* residual_tree,
-                                  const xpath::Path& prefix_pattern,
-                                  const std::vector<Posting>& anchors,
-                                  const QueryOptions& options,
-                                  NodeLocator* locator, QueryResult* result) {
-  // The residual tree (self[anchor predicates]/remaining steps) and the
-  // predicate-free main-path prefix arrive pre-compiled in the CompiledPlan
-  // (see CompileForExecution), so a plan-cache hit reaches this phase with
-  // nothing left to parse or compile.
-
-  // Doc locks first, all on this thread: they can block, and the
-  // transaction's lock table is not safe for concurrent mutation. Locks are
-  // held until commit either way, so taking them up front is equivalent.
-  if (txn != nullptr) {
-    std::set<uint64_t> locked_docs;
-    for (const Posting& anchor : anchors)
-      if (locked_docs.insert(anchor.doc_id).second)
-        XDB_RETURN_NOT_OK(ReadLockDoc(txn, anchor.doc_id));
-  }
-
-  const size_t parallelism =
-      static_cast<size_t>(EffectiveParallelism(options));
-  std::vector<query::WorkRange> ranges =
-      query::PartitionForParallelism(anchors.size(), parallelism);
-  result->profile.parallelism =
-      ranges.empty() ? 1 : static_cast<int>(parallelism);
-  result->profile.chunks = ranges.empty() ? 1 : ranges.size();
-  if (ranges.empty()) {
-    for (const Posting& anchor : anchors)
-      XDB_RETURN_NOT_OK(EvalAnchor(anchor, residual_tree, prefix_pattern,
-                                   locator, result));
+Status Collection::FindCandidates(const query::CompiledPlan& cp,
+                                  std::vector<uint64_t>* docs,
+                                  std::vector<Posting>* anchors,
+                                  QueryResult* result, bool* plan_stale) {
+  const query::QueryPlan& plan = cp.plan;
+  obs::QueryProfile& prof = result->profile;
+  if (plan.method == query::AccessMethod::kFullScan) {
+    XDB_ASSIGN_OR_RETURN(*docs, ListDocIds());
     return Status::OK();
   }
 
-  // Parallel recheck: one task per contiguous anchor chunk; per-chunk
-  // results merge in chunk order so the output matches the serial loop.
-  std::vector<QueryResult> chunks(ranges.size());
-  std::vector<Status> chunk_status(ranges.size());
-  // Pool threads have no wait scope of their own; re-install this query's
-  // so per-chunk latch/buffer waits attribute to it (WaitStats is atomic,
-  // safe for concurrent Add from every chunk).
-  obs::WaitStats* query_waits = obs::QueryWaitScope::current();
-  engine_->query_pool()->ParallelFor(
-      ranges.size(), parallelism, [&](size_t i) {
-        obs::QueryWaitScope chunk_scope(query_waits);
-        for (size_t j = ranges[i].begin;
-             j < ranges[i].end && chunk_status[i].ok(); j++) {
-          chunk_status[i] = EvalAnchor(anchors[j], residual_tree,
-                                       prefix_pattern, locator, &chunks[i]);
+  // Probe the indexes under the shared latch (no doc locks held yet, so
+  // this cannot invert the doc-lock-before-latch order).
+  std::vector<std::vector<Posting>> postings_per_probe;
+  std::vector<Posting> structural_postings;
+  {
+    obs::PhaseTimer timer(&prof, "probe");
+    obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
+    ReaderMutexLock latch(latch_);
+    latch_span.Finish();
+    // Structure-version gate: the plan's ValueIndex pointers are only safe
+    // to dereference while the index set is the one it was compiled
+    // against. A mismatch (index dropped, storage rebuilt) makes the plan
+    // stale — the caller replans; it is never served.
+    if (index_version_.load(std::memory_order_acquire) != cp.index_version) {
+      *plan_stale = true;
+      return Status::Busy("plan compiled against a changed index set");
+    }
+    for (size_t pi = 0; pi < plan.probes.size(); pi++) {
+      const query::PlannedProbe& probe = plan.probes[pi];
+      std::optional<KeyBound> lo, hi;
+      bool not_equal = false;
+      XDB_RETURN_NOT_OK(
+          query::ProbeBounds(*probe.index, probe.pred, &lo, &hi, &not_equal));
+      std::vector<Posting> postings;
+      obs::WaitSpan probe_span(engine_->wait_sink(),
+                               obs::WaitState::kIndexProbe);
+      XDB_RETURN_NOT_OK(probe.index->Scan(lo, hi, &postings));
+      probe_span.Finish();
+      result->stats.index_postings += postings.size();
+      if (prof.trace)
+        prof.trace_lines.push_back(
+            "probe " + std::to_string(pi) + " index '" +
+            probe.index->def().name + "' -> " +
+            std::to_string(postings.size()) + " postings");
+      postings_per_probe.push_back(std::move(postings));
+    }
+    // Structural range scan, under the same latch + version gate as the
+    // value probes (the plan's StructuralIndex pointer has the same
+    // lifetime contract). A never-interned name scans nothing.
+    if (plan.structural_index != nullptr &&
+        cp.structural_name_id != NameDictionary::kInvalidNameId) {
+      std::vector<StructuralPosting> entries;
+      obs::WaitSpan probe_span(engine_->wait_sink(),
+                               obs::WaitState::kIndexProbe);
+      XDB_RETURN_NOT_OK(
+          plan.structural_index->Scan(cp.structural_name_id, &entries));
+      probe_span.Finish();
+      structural_postings.reserve(entries.size());
+      for (StructuralPosting& e : entries)
+        structural_postings.push_back(
+            Posting{e.doc_id, std::move(e.node_id), Rid()});
+      result->stats.index_postings += structural_postings.size();
+      if (prof.trace)
+        prof.trace_lines.push_back(
+            "structural scan index '" + plan.structural_index->def().name +
+            "' element '" + plan.structural_name + "' -> " +
+            std::to_string(structural_postings.size()) + " entries");
+    }
+  }
+
+  const char* combine = plan.disjunctive ? "union" : "intersection";
+  if (plan.method == query::AccessMethod::kStructuralScan) {
+    // The scan IS the anchor list: entries arrive ordered by (doc,
+    // document position), which is exactly the (doc, node-ID byte) order
+    // the recheck pipeline expects. The prefix pattern plus residual
+    // validate the full path around each instance.
+    *anchors = std::move(structural_postings);
+    if (prof.trace)
+      prof.trace_lines.push_back("structural anchors -> " +
+                                 std::to_string(anchors->size()) +
+                                 " candidates");
+  } else if (!query::IsNodeLevel(plan.method)) {
+    // DocID list / ANDing / ORing.
+    {
+      obs::PhaseTimer timer(&prof, "merge");
+      *docs = query::MergeCandidateDocIds(postings_per_probe, plan.disjunctive);
+    }
+    if (prof.trace)
+      prof.trace_lines.push_back(std::string(combine) + " of doc lists -> " +
+                                 std::to_string(docs->size()) +
+                                 " candidate docs");
+  } else {
+    // NodeID-level: anchor each posting at the predicate step.
+    {
+      obs::PhaseTimer timer(&prof, "merge");
+      std::vector<std::vector<Posting>> anchored;
+      for (size_t i = 0; i < postings_per_probe.size(); i++) {
+        std::vector<Posting> a;
+        if (plan.structural_anchor && plan.probes[i].pred.strip_levels < 0) {
+          // Descendant branch: the value node's anchor ancestors come from
+          // the interval join instead of level-stripping.
+          XDB_RETURN_NOT_OK(query::StructuralAnchorJoin(
+              postings_per_probe[i], structural_postings, &a));
+        } else {
+          XDB_RETURN_NOT_OK(query::AnchorPostings(
+              postings_per_probe[i], plan.probes[i].pred.strip_levels, &a));
         }
-      });
-  for (const Status& st : chunk_status) XDB_RETURN_NOT_OK(st);
-  for (QueryResult& c : chunks) {
-    result->stats.records_fetched += c.stats.records_fetched;
-    result->stats.scan_events += c.stats.scan_events;
-    result->stats.scan_instances += c.stats.scan_instances;
-    result->stats.scan_peak_live =
-        std::max(result->stats.scan_peak_live, c.stats.scan_peak_live);
-    for (ResultNode& r : c.nodes) result->nodes.push_back(std::move(r));
+        anchored.push_back(std::move(a));
+      }
+      *anchors = plan.disjunctive
+                     ? query::UnionPostings(std::move(anchored))
+                     : query::IntersectPostings(std::move(anchored));
+    }
+    if (prof.trace)
+      prof.trace_lines.push_back(std::string(combine) +
+                                 " of anchored postings -> " +
+                                 std::to_string(anchors->size()) +
+                                 " candidate anchors");
   }
   return Status::OK();
 }
@@ -1628,13 +1568,18 @@ Status Collection::EvalAnchor(const Posting& anchor,
   obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
   ReaderMutexLock latch(latch_);
   latch_span.Finish();
-  // Verify the anchor's own path against the main-path prefix.
+  // Verify the anchor's own path against the main-path prefix. Only
+  // kNotFound is a benign miss (the anchor is invisible at this snapshot,
+  // or its posting is stale); any other failure — a damaged page above all
+  // — is returned, never read as "no match".
   {
     auto rid = locator->Lookup(anchor.doc_id, Slice(anchor.node_id));
-    if (!rid.ok()) return Status::OK();  // e.g. not visible at this snapshot
+    if (rid.status().IsNotFound()) return Status::OK();
+    XDB_RETURN_NOT_OK(rid.status());
     std::string record;
     Status st = records_->Get(rid.value(), &record);
-    if (!st.ok()) return Status::OK();
+    if (st.IsNotFound()) return Status::OK();
+    XDB_RETURN_NOT_OK(st);
     RecordWalker walker((Slice(record)));
     XDB_RETURN_NOT_OK(walker.Init());
     // Build the anchor's concrete path: header path + in-record names.
@@ -1643,20 +1588,14 @@ Status Collection::EvalAnchor(const Posting& anchor,
     const RecordHeader& header = walker.header();
     std::vector<Slice> levels;
     XDB_RETURN_NOT_OK(nodeid::SplitLevels(header.context_node_id, &levels));
-    bool bad = false;
     for (size_t i = 0; i < header.root_path.size(); i++) {
       xpath::Step step;
       step.axis = xpath::Axis::kChild;
       step.test = xpath::NodeTest::kName;
-      auto name = engine_->dict()->Name(header.root_path[i].local);
-      if (!name.ok()) {
-        bad = true;
-        break;
-      }
-      step.name = name.MoveValue();
+      XDB_ASSIGN_OR_RETURN(step.name,
+                           engine_->dict()->Name(header.root_path[i].local));
       concrete.steps.push_back(std::move(step));
     }
-    if (bad) return Status::OK();
     // Walk down to the anchor collecting element names.
     bool found = Slice(anchor.node_id) == header.context_node_id;
     while (!found) {
@@ -1678,36 +1617,21 @@ Status Collection::EvalAnchor(const Posting& anchor,
                         ? xpath::Axis::kAttribute
                         : xpath::Axis::kChild;
         step.test = xpath::NodeTest::kName;
-        auto name = engine_->dict()->Name(ev.entry.local);
-        if (!name.ok()) {
-          bad = true;
-          break;
-        }
-        step.name = name.MoveValue();
+        XDB_ASSIGN_OR_RETURN(step.name,
+                             engine_->dict()->Name(ev.entry.local));
         concrete.steps.push_back(std::move(step));
       }
       if (abs == Slice(anchor.node_id)) found = true;
     }
-    if (bad || !found) return Status::OK();
+    if (!found) return Status::OK();
     if (!xpath::PathContains(prefix_pattern, concrete)) return Status::OK();
   }
 
   // Evaluate the residual on the anchor subtree.
   StoredDocSource source(records_.get(), locator, anchor.doc_id,
                          anchor.node_id);
-  xpath::QuickXScan scan(residual, anchor.doc_id);
-  NodeSequence hits;
-  Status st = scan.Run(&source, &hits);
-  if (st.IsNotFound()) return Status::OK();
-  XDB_RETURN_NOT_OK(st);
-  result->stats.records_fetched += source.records_fetched();
-  const xpath::QuickXScanStats& ss = scan.stats();
-  result->stats.scan_events += ss.events;
-  result->stats.scan_instances += ss.instances_created;
-  result->stats.scan_peak_live =
-      std::max(result->stats.scan_peak_live, ss.peak_live_instances);
-  for (ResultNode& r : hits) result->nodes.push_back(std::move(r));
-  return Status::OK();
+  Status st = ScanInto(residual, anchor.doc_id, &source, result);
+  return st.IsNotFound() ? Status::OK() : st;
 }
 
 int Collection::EffectiveParallelism(const QueryOptions& options) const {
@@ -1718,71 +1642,16 @@ int Collection::EffectiveParallelism(const QueryOptions& options) const {
   return std::max(1, std::min(p, cap));
 }
 
-Status Collection::EvalDocRange(Transaction* txn,
-                                const std::vector<uint64_t>& docs,
-                                size_t begin, size_t end,
-                                const xpath::QueryTree* tree,
-                                NodeLocator* locator, QueryResult* result) {
-  for (size_t i = begin; i < end; i++) {
-    const uint64_t doc_id = docs[i];
-    // Doc lock first (it can block), then the shared latch for the reads.
-    if (txn != nullptr) XDB_RETURN_NOT_OK(ReadLockDoc(txn, doc_id));
-    obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
-    ReaderMutexLock latch(latch_);
-    latch_span.Finish();
-    StoredDocSource source(records_.get(), locator, doc_id);
-    xpath::QuickXScan scan(tree, doc_id);
-    NodeSequence hits;
-    Status est = scan.Run(&source, &hits);
-    if (est.IsNotFound()) continue;  // invisible at snapshot
-    XDB_RETURN_NOT_OK(est);
-    result->stats.records_fetched += source.records_fetched();
-    result->stats.docs_evaluated++;
-    const xpath::QuickXScanStats& ss = scan.stats();
-    result->stats.scan_events += ss.events;
-    result->stats.scan_instances += ss.instances_created;
-    result->stats.scan_peak_live =
-        std::max(result->stats.scan_peak_live, ss.peak_live_instances);
-    for (ResultNode& r : hits) result->nodes.push_back(std::move(r));
-  }
-  return Status::OK();
-}
-
-Status Collection::EvalDocsParallel(Transaction* txn,
-                                    const std::vector<uint64_t>& docs,
-                                    const std::vector<query::WorkRange>& ranges,
-                                    size_t parallelism,
-                                    const xpath::QueryTree* tree,
-                                    NodeLocator* locator,
-                                    QueryResult* result) {
-  // Doc locks first, all on this thread (see RecheckAnchors for why).
-  if (txn != nullptr)
-    for (uint64_t doc_id : docs) XDB_RETURN_NOT_OK(ReadLockDoc(txn, doc_id));
-  std::vector<QueryResult> chunks(ranges.size());
-  std::vector<Status> chunk_status(ranges.size());
-  // See RecheckAnchors: carry the query's wait scope onto pool threads.
-  obs::WaitStats* query_waits = obs::QueryWaitScope::current();
-  engine_->query_pool()->ParallelFor(
-      ranges.size(), parallelism, [&](size_t i) {
-        obs::QueryWaitScope chunk_scope(query_waits);
-        chunk_status[i] =
-            EvalDocRange(nullptr, docs, ranges[i].begin, ranges[i].end, tree,
-                         locator, &chunks[i]);
-      });
-  // Merge in chunk order: chunk i holds exactly the results the serial loop
-  // would have appended for docs[ranges[i]], so concatenation reproduces the
-  // serial sequence. The lowest-index chunk's error wins, like a serial
-  // loop stopping at the first failure.
-  for (const Status& st : chunk_status) XDB_RETURN_NOT_OK(st);
-  for (QueryResult& c : chunks) {
-    result->stats.records_fetched += c.stats.records_fetched;
-    result->stats.docs_evaluated += c.stats.docs_evaluated;
-    result->stats.scan_events += c.stats.scan_events;
-    result->stats.scan_instances += c.stats.scan_instances;
-    result->stats.scan_peak_live =
-        std::max(result->stats.scan_peak_live, c.stats.scan_peak_live);
-    for (ResultNode& r : c.nodes) result->nodes.push_back(std::move(r));
-  }
+Status Collection::EvalDoc(uint64_t doc_id, const xpath::QueryTree* tree,
+                           NodeLocator* locator, QueryResult* result) {
+  obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
+  ReaderMutexLock latch(latch_);
+  latch_span.Finish();
+  StoredDocSource source(records_.get(), locator, doc_id);
+  Status st = ScanInto(tree, doc_id, &source, result);
+  if (st.IsNotFound()) return Status::OK();  // invisible at snapshot
+  XDB_RETURN_NOT_OK(st);
+  result->stats.docs_evaluated++;
   return Status::OK();
 }
 

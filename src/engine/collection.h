@@ -51,19 +51,10 @@ struct CollectionOptions {
   uint32_t page_size = kDefaultPageSize;
 };
 
-/// How the executor accessed the data, plus its work counters — benches and
-/// EXPERIMENTS.md report these.
-struct QueryStats {
+/// How the executor accessed the data, plus its work counters — benches,
+/// EXPERIMENTS.md and EXPLAIN all report these.
+struct QueryStats : obs::QueryCounters {
   query::AccessMethod method = query::AccessMethod::kFullScan;
-  uint64_t index_postings = 0;    // entries read from value indexes
-  uint64_t candidate_docs = 0;    // docs identified before recheck
-  uint64_t candidate_anchors = 0; // node anchors identified before recheck
-  uint64_t docs_evaluated = 0;    // documents QuickXScan actually ran over
-  uint64_t records_fetched = 0;   // XML records fetched from storage
-  uint64_t scan_events = 0;       // QuickXScan events pumped (all scans)
-  uint64_t scan_instances = 0;    // pattern instances created (all scans)
-  uint64_t scan_peak_live = 0;    // max live instances in any one scan
-  bool rechecked = false;
   std::string explain;
 };
 
@@ -73,6 +64,10 @@ struct QueryResult {
   /// Populated when QueryOptions::explain/trace was set (profile.enabled
   /// says so); default-constructed and empty otherwise.
   obs::QueryProfile profile;
+
+  /// EXPLAIN text: the profile rendered over this result's counters.
+  std::string PlanText() const { return profile.PlanText(stats, nodes.size()); }
+  std::string ToText() const { return profile.ToText(stats, nodes.size()); }
 };
 
 using query::ForceMethod;
@@ -105,11 +100,6 @@ struct QueryOptions {
   /// Microseconds WaitForFreshness may block for min_csn (0 = fail
   /// immediately when the replica is behind).
   uint64_t freshness_timeout_us = 0;
-};
-
-/// Plan plus planner narration — what Plan() hands to the executor.
-struct QueryPlanExec {
-  query::QueryPlan plan;
 };
 
 /// Per-collection outcome of Engine::Scrub() — what was scanned, what was
@@ -208,10 +198,6 @@ class Collection {
   /// planning and QueryTree compilation entirely.
   Result<QueryResult> Query(Transaction* txn, Slice xpath,
                             const QueryOptions& options = {});
-  /// Like Query but for an already-parsed path; never consults the cache.
-  Result<QueryResult> ExecutePath(Transaction* txn, const xpath::Path& path,
-                                  const QueryOptions& options)
-      XDB_EXCLUDES(latch_);
 
   Result<std::vector<uint64_t>> ListDocIds() XDB_EXCLUDES(latch_);
   Result<uint64_t> DocCount() XDB_EXCLUDES(latch_);
@@ -302,12 +288,14 @@ class Collection {
   Result<std::shared_ptr<const query::CompiledPlan>> CompileForExecution(
       xpath::Path&& path, const QueryOptions& options) XDB_EXCLUDES(latch_);
 
-  /// Runs a compiled plan. `cache_state` ("hit"/"miss"/"off") is surfaced in
-  /// EXPLAIN; `plan_wall_us` is the planning time to attribute (0 on a cache
-  /// hit). When the plan's index-structure version no longer matches (an
-  /// index was dropped or the storage rebuilt since compile), sets
-  /// *plan_stale and fails — callers replan and retry; the stale check is
-  /// what distinguishes this from other kBusy failures (pinned buffer
+  /// Runs a compiled plan in the paper's two stages: FindCandidates, then
+  /// one fanned-out evaluation of the candidate list (EvalDoc per document
+  /// or EvalAnchor per anchor). `cache_state` ("hit"/"miss"/"off") is
+  /// surfaced in EXPLAIN; `plan_wall_us` is the planning time to attribute
+  /// (0 on a cache hit). When the plan's index-structure version no longer
+  /// matches (an index was dropped or the storage rebuilt since compile),
+  /// sets *plan_stale and fails — callers replan and retry; the stale check
+  /// is what distinguishes this from other kBusy failures (pinned buffer
   /// frames), which must NOT be retried with a fresh plan.
   Result<QueryResult> ExecuteCompiled(Transaction* txn,
                                       const query::CompiledPlan& cp,
@@ -316,42 +304,33 @@ class Collection {
                                       uint64_t plan_wall_us, bool* plan_stale)
       XDB_EXCLUDES(latch_);
 
-  Status RecheckAnchors(Transaction* txn,
-                        const xpath::QueryTree* residual_tree,
-                        const xpath::Path& prefix_pattern,
-                        const std::vector<Posting>& anchors,
-                        const QueryOptions& options, NodeLocator* locator,
-                        QueryResult* result) XDB_EXCLUDES(latch_);
+  /// Candidate stage: fills `docs` (full scan, DocID list, DocID AND/OR) or
+  /// `anchors` (NodeID list, NodeID AND/OR, structural scan; see
+  /// query::IsNodeLevel), counting index postings read. Probes run under
+  /// the shared latch behind the index-version gate (*plan_stale on
+  /// mismatch); no doc lock is taken here.
+  Status FindCandidates(const query::CompiledPlan& cp,
+                        std::vector<uint64_t>* docs,
+                        std::vector<Posting>* anchors, QueryResult* result,
+                        bool* plan_stale) XDB_EXCLUDES(latch_);
 
   /// Effective thread count for one query: options.parallelism, falling back
   /// to the engine default, clamped to 1 when the engine has no pool.
   int EffectiveParallelism(const QueryOptions& options) const;
 
-  /// Evaluates QuickXScan over `docs[begin, end)` serially, appending
-  /// matches to `result` in list order. A non-null `txn` S-locks each doc
-  /// first (the serial executor); the parallel executor pre-locks on the
-  /// caller's thread and passes null. Takes latch_ shared per document.
-  Status EvalDocRange(Transaction* txn, const std::vector<uint64_t>& docs,
-                      size_t begin, size_t end, const xpath::QueryTree* tree,
-                      NodeLocator* locator, QueryResult* result)
-      XDB_EXCLUDES(latch_);
-
-  /// Fans EvalDocRange out over the engine's query pool (one task per chunk
-  /// from query::PartitionForParallelism) and merges per-chunk results in
-  /// chunk order, reproducing the serial append order exactly. Doc S-locks
-  /// are all taken on the calling thread first (the transaction's lock table
-  /// is not thread-safe, and the locks are held to commit anyway). Returns
-  /// the lowest-index chunk's error when any chunk fails.
-  Status EvalDocsParallel(Transaction* txn, const std::vector<uint64_t>& docs,
-                          const std::vector<query::WorkRange>& ranges,
-                          size_t parallelism, const xpath::QueryTree* tree,
-                          NodeLocator* locator, QueryResult* result)
+  /// Evaluates the full query over one candidate document, appending its
+  /// matches and work counters to `result`. A document invisible at the
+  /// read's snapshot returns OK with no output. The doc lock must already
+  /// be held; takes latch_ shared.
+  Status EvalDoc(uint64_t doc_id, const xpath::QueryTree* tree,
+                 NodeLocator* locator, QueryResult* result)
       XDB_EXCLUDES(latch_);
 
   /// One anchor's recheck: verifies the anchor path against the main-path
   /// prefix, then evaluates the residual tree over the anchor subtree.
-  /// Benign misses (invisible at snapshot, stale posting) return OK with no
-  /// output. The anchor's doc lock must already be held.
+  /// Benign misses (kNotFound: invisible at snapshot, stale posting) return
+  /// OK with no output; any other failure, damage included, is returned.
+  /// The anchor's doc lock must already be held.
   Status EvalAnchor(const Posting& anchor, const xpath::QueryTree* residual,
                     const xpath::Path& prefix_pattern, NodeLocator* locator,
                     QueryResult* result) XDB_EXCLUDES(latch_);

@@ -40,7 +40,19 @@ uint64_t WallMicros() {
 }
 }  // namespace
 
-std::string QueryProfile::PlanText() const {
+void QueryCounters::Add(const QueryCounters& chunk) {
+  index_postings += chunk.index_postings;
+  candidate_docs += chunk.candidate_docs;
+  candidate_anchors += chunk.candidate_anchors;
+  docs_evaluated += chunk.docs_evaluated;
+  records_fetched += chunk.records_fetched;
+  scan_events += chunk.scan_events;
+  scan_instances += chunk.scan_instances;
+  scan_peak_live = std::max(scan_peak_live, chunk.scan_peak_live);
+}
+
+std::string QueryProfile::PlanText(const QueryCounters& counters,
+                                   uint64_t results) const {
   std::string out;
   Appendf(&out, "query: %s\n", query.c_str());
   Appendf(&out, "access path: %s (%s)\n", access_method.c_str(),
@@ -62,18 +74,21 @@ std::string QueryProfile::PlanText() const {
           "cardinality: postings=%" PRIu64 " candidate_docs=%" PRIu64
           " candidate_anchors=%" PRIu64 " docs_evaluated=%" PRIu64
           " records_fetched=%" PRIu64 " results=%" PRIu64 "\n",
-          index_postings, candidate_docs, candidate_anchors, docs_evaluated,
-          records_fetched, results);
+          counters.index_postings, counters.candidate_docs,
+          counters.candidate_anchors, counters.docs_evaluated,
+          counters.records_fetched, results);
   Appendf(&out,
           "scan: events=%" PRIu64 " instances=%" PRIu64 " peak_live=%" PRIu64
           "\n",
-          scan_events, scan_instances, scan_peak_live);
+          counters.scan_events, counters.scan_instances,
+          counters.scan_peak_live);
   Appendf(&out, "parallelism: %d (chunks=%zu)\n", parallelism, chunks);
   return out;
 }
 
-std::string QueryProfile::ToText() const {
-  std::string out = PlanText();
+std::string QueryProfile::ToText(const QueryCounters& counters,
+                                 uint64_t results) const {
+  std::string out = PlanText(counters, results);
   Appendf(&out, "pages fetched: %" PRIu64 "\n", pages_fetched);
   for (const QueryPhase& ph : phases)
     Appendf(&out, "phase %-8s wall=%" PRIu64 "us cpu=%" PRIu64 "us\n",

@@ -7,7 +7,8 @@
 // and reports the cardinality funnel (index postings -> candidates ->
 // anchors -> evaluated -> results) per phase with wall/CPU timings.
 //
-// Two renderings:
+// Two renderings, both over the query's one counters struct (QueryCounters,
+// carried to the caller as QueryResult::stats):
 //  * PlanText(): deterministic — no timings, no pointers — so golden tests
 //    can pin the exact format.
 //  * ToText(): PlanText() plus the timing/fan-out section for humans.
@@ -28,11 +29,30 @@ struct QueryPhase {
   uint64_t cpu_us = 0;
 };
 
-/// Everything EXPLAIN/trace knows about one execution. Filled by
-/// Collection::ExecutePath when enabled; always default-constructed (cheap)
-/// when not.
+/// The per-query work counters: the cardinality funnel (index postings ->
+/// candidates -> evaluated) and the QuickXScan work. The executor fills one
+/// copy per query (QueryResult::stats) and EXPLAIN renders that same copy.
+struct QueryCounters {
+  uint64_t index_postings = 0;    // entries read from value/structural indexes
+  uint64_t candidate_docs = 0;    // docs identified before evaluation
+  uint64_t candidate_anchors = 0; // node anchors identified before recheck
+  uint64_t docs_evaluated = 0;    // documents QuickXScan actually ran over
+  uint64_t records_fetched = 0;   // XML records fetched from storage
+  uint64_t scan_events = 0;       // QuickXScan events pumped (all scans)
+  uint64_t scan_instances = 0;    // pattern instances created (all scans)
+  uint64_t scan_peak_live = 0;    // max live instances in any one scan
+
+  /// Folds in one parallel chunk's counters: sums, and the max for the peak.
+  void Add(const QueryCounters& chunk);
+
+  bool operator==(const QueryCounters&) const = default;
+};
+
+/// Everything else EXPLAIN/trace knows about one execution: the plan, its
+/// inputs, fan-out, timings and waits. Filled by Collection::ExecuteCompiled
+/// when enabled; always default-constructed (cheap) when not.
 struct QueryProfile {
-  bool enabled = false;  // explain requested: plan + counters populated
+  bool enabled = false;  // explain requested: plan, phases, waits populated
   bool trace = false;    // trace requested: per-step trace_lines too
 
   std::string collection;
@@ -55,19 +75,6 @@ struct QueryProfile {
   /// "hit", "miss", or "off" — whether this execution reused a compiled
   /// plan from the per-collection plan cache.
   std::string plan_cache = "off";
-
-  // --- cardinality funnel ---
-  uint64_t index_postings = 0;
-  uint64_t candidate_docs = 0;
-  uint64_t candidate_anchors = 0;
-  uint64_t docs_evaluated = 0;
-  uint64_t records_fetched = 0;
-  uint64_t results = 0;
-
-  // --- QuickXScan work ---
-  uint64_t scan_events = 0;         // parse/storage events pumped
-  uint64_t scan_instances = 0;      // pattern instances created
-  uint64_t scan_peak_live = 0;      // max live instances in any one doc
 
   // --- parallel fan-out ---
   int parallelism = 1;
@@ -96,7 +103,8 @@ struct QueryProfile {
     phases.push_back(QueryPhase{name, wall_us, cpu_us});
   }
 
-  /// Deterministic plan text (golden-tested). Layout:
+  /// Deterministic plan text (golden-tested) of this profile plus the
+  /// query's `counters` and result count. Layout:
   ///   query: <xpath>
   ///   access path: <method> (<reason>)
   ///     probe: <index> <op> <value> [containment]
@@ -106,10 +114,10 @@ struct QueryProfile {
   ///   cardinality: postings=.. candidates=.. evaluated=.. results=..
   ///   scan: events=.. instances=.. peak_live=..
   ///   parallelism: N (chunks=M)
-  std::string PlanText() const;
+  std::string PlanText(const QueryCounters& counters, uint64_t results) const;
 
   /// PlanText() plus timings, pages fetched, and trace lines.
-  std::string ToText() const;
+  std::string ToText(const QueryCounters& counters, uint64_t results) const;
 };
 
 /// Scoped wall+CPU timer appending one QueryPhase on destruction (or Stop()).

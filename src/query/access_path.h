@@ -68,6 +68,14 @@ enum class AccessMethod : uint8_t {
 
 const char* AccessMethodName(AccessMethod m);
 
+/// True for the methods whose candidates are (doc, node) anchors rechecked
+/// with the residual path (NodeID list, NodeID AND/OR, structural scan);
+/// false for those whose candidates are whole documents.
+inline bool IsNodeLevel(AccessMethod m) {
+  return m == AccessMethod::kNodeIdList || m == AccessMethod::kNodeIdAndOr ||
+         m == AccessMethod::kStructuralScan;
+}
+
 /// Planner override used by experiments (kAuto = Section 4.3 heuristics).
 enum class ForceMethod : uint8_t {
   kAuto = 0,

@@ -64,7 +64,6 @@ struct CompiledPlan {
   /// Collection's index-structure version at plan time; the executor
   /// refuses to probe when it no longer matches (see header comment).
   uint64_t index_version = 0;
-  bool stats_valid = false;  // plan was cost-based (vs heuristic fallback)
   // Pre-rendered EXPLAIN fields so cache hits fill QueryProfile without
   // touching the planner.
   std::vector<std::string> probe_lines;

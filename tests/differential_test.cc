@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "engine/engine.h"
 #include "repl/replica_applier.h"
@@ -173,11 +174,33 @@ TEST(DifferentialTest, HandPickedAdversarialCases) {
 
 // --- parallel execution determinism: the fan-out must be invisible ---
 
+// True when `m` is the plan `force` asks for (kAuto accepts any), so a
+// forced index plan that fell back to a full scan is not counted as that
+// plan fanning out.
+bool Serves(ForceMethod force, query::AccessMethod m) {
+  switch (force) {
+    case ForceMethod::kAuto:
+      return true;
+    case ForceMethod::kScan:
+      return m == query::AccessMethod::kFullScan;
+    case ForceMethod::kDocIdList:
+      return m == query::AccessMethod::kDocIdList ||
+             m == query::AccessMethod::kDocIdAndOr;
+    case ForceMethod::kNodeIdList:
+      return m == query::AccessMethod::kNodeIdList ||
+             m == query::AccessMethod::kNodeIdAndOr;
+    case ForceMethod::kStructural:
+      return m == query::AccessMethod::kStructuralScan;
+  }
+  return false;
+}
+
 // The same query over the same multi-document collection, parallelism=1 vs
 // parallelism=8, must produce byte-identical (doc_id, node_id, string_value)
-// sequences. The executor evaluates contiguous candidate chunks on worker
-// threads and merges them in chunk order before normalization, so any
-// divergence here is an executor bug, not nondeterminism to tolerate.
+// sequences and identical work counters. The executor evaluates contiguous
+// candidate chunks — documents or anchors — on worker threads and merges
+// them in chunk order before normalization, so any divergence here is an
+// executor bug, not nondeterminism to tolerate.
 TEST(DifferentialTest, ParallelExecutionMatchesSerial) {
   EngineOptions eopts;
   eopts.in_memory = true;
@@ -185,6 +208,11 @@ TEST(DifferentialTest, ParallelExecutionMatchesSerial) {
   eopts.num_query_threads = 8;
   auto engine = Engine::Open(eopts).MoveValue();
   Collection* coll = engine->CreateCollection("diff").value();
+  // Every generated "@v" comparison can probe the value index, and every
+  // name test can scan the structural index, so the forced index plans run
+  // real DocID and anchor lists rather than their full-scan fallbacks.
+  ASSERT_TRUE(coll->CreateValueIndex({"v", "//@v", ValueType::kDouble}).ok());
+  ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
 
   DiffOptions opts;
   constexpr uint64_t kDocs = 32;
@@ -196,38 +224,56 @@ TEST(DifferentialTest, ParallelExecutionMatchesSerial) {
 
   // The generated queries share the generators' tag alphabet, so they hit a
   // varying subset of the 32 documents — small sets take the serial
-  // fallback, large ones the parallel path; both must agree.
-  constexpr ForceMethod kForces[] = {ForceMethod::kAuto, ForceMethod::kScan};
-  for (uint64_t qseed = 1; qseed <= 60; qseed++) {
-    DiffCase c = GenCase(flags()->base_seed + 1000 + qseed, opts);
-    for (ForceMethod force : kForces) {
+  // fallback, large ones the parallel path; both must agree. Two fixed
+  // queries come first: a probe and an ORing of two probes on the value
+  // index, whose candidate lists are long enough to fan out for any seed.
+  std::vector<std::string> queries = {"//*[@v >= 0]",
+                                      "//b[@v > 100 or @v < 50]"};
+  for (uint64_t qseed = 1; qseed <= 60; qseed++)
+    queries.push_back(GenCase(flags()->base_seed + 1000 + qseed, opts).query);
+  constexpr ForceMethod kForces[] = {
+      ForceMethod::kAuto, ForceMethod::kScan, ForceMethod::kDocIdList,
+      ForceMethod::kNodeIdList, ForceMethod::kStructural};
+  size_t fanned_out[std::size(kForces)] = {};
+  for (const std::string& query : queries) {
+    for (size_t f = 0; f < std::size(kForces); f++) {
       QueryOptions serial;
-      serial.force = force;
+      serial.force = kForces[f];
       serial.want_values = true;
+      serial.explain = true;
       serial.parallelism = 1;
       QueryOptions par = serial;
       par.parallelism = 8;
-      auto rs = coll->Query(nullptr, c.query, serial);
-      auto rp = coll->Query(nullptr, c.query, par);
+      auto rs = coll->Query(nullptr, query, serial);
+      auto rp = coll->Query(nullptr, query, par);
       ASSERT_EQ(rs.ok(), rp.ok())
-          << "query " << c.query << " serial=" << rs.status().ToString()
+          << "query " << query << " serial=" << rs.status().ToString()
           << " parallel=" << rp.status().ToString();
       if (!rs.ok()) continue;
       const NodeSequence& a = rs.value().nodes;
       const NodeSequence& b = rp.value().nodes;
-      ASSERT_EQ(a.size(), b.size()) << "query " << c.query;
+      ASSERT_EQ(a.size(), b.size()) << "query " << query;
       for (size_t i = 0; i < a.size(); i++) {
         ASSERT_EQ(a[i].doc_id, b[i].doc_id)
-            << "query " << c.query << " position " << i;
+            << "query " << query << " position " << i;
         ASSERT_EQ(a[i].node_id, b[i].node_id)
-            << "query " << c.query << " position " << i;
+            << "query " << query << " position " << i;
         ASSERT_EQ(a[i].string_value, b[i].string_value)
-            << "query " << c.query << " position " << i;
+            << "query " << query << " position " << i;
       }
-      EXPECT_EQ(rs.value().stats.docs_evaluated, rp.value().stats.docs_evaluated)
-          << "query " << c.query;
+      const QueryStats& ss = rs.value().stats;
+      const QueryStats& ps = rp.value().stats;
+      EXPECT_EQ(ss.method, ps.method) << "query " << query;
+      EXPECT_TRUE(ss == ps) << "serial:\n"
+                            << rs.value().PlanText() << "parallel:\n"
+                            << rp.value().PlanText();
+      if (rp.value().profile.chunks > 1 && Serves(kForces[f], ps.method))
+        fanned_out[f]++;
     }
   }
+  for (size_t f = 0; f < std::size(kForces); f++)
+    EXPECT_GT(fanned_out[f], 0u)
+        << "force " << static_cast<int>(kForces[f]) << " never fanned out";
 }
 
 // --- plan-cache transparency: cached plans must change nothing but time ---

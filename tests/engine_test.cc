@@ -777,7 +777,7 @@ TEST(ExplainTest, FullScanPlanGolden) {
   // "(heuristic)" because no index covers the predicates — the plan came
   // from a structural rule, not the cost model; "plan cache: miss" because
   // this query text was never compiled before.
-  EXPECT_EQ(res.profile.PlanText(),
+  EXPECT_EQ(res.PlanText(),
             "query: /cat/p[price > 5.000000]\n"
             "access path: full-scan (no index covers the predicates)\n"
             "stats: epoch=2 docs=2 records/doc=1.00 nodes/doc=4.00"
@@ -789,7 +789,7 @@ TEST(ExplainTest, FullScanPlanGolden) {
             "scan: events=18 instances=8 peak_live=4\n"
             "parallelism: 1 (chunks=1)\n");
   // The timed rendering adds phases; "total" is always last.
-  std::string text = res.profile.ToText();
+  std::string text = res.ToText();
   EXPECT_NE(text.find("pages fetched:"), std::string::npos);
   EXPECT_NE(text.find("phase total"), std::string::npos);
   ASSERT_FALSE(res.profile.phases.empty());
@@ -827,7 +827,7 @@ TEST(ExplainTest, IndexAndingPlanGolden) {
   auto res =
       coll->Query(nullptr, "/cat/p[price = 10 and qty = 5]", o).MoveValue();
   ASSERT_EQ(res.nodes.size(), 1u);
-  EXPECT_EQ(res.profile.PlanText(),
+  EXPECT_EQ(res.PlanText(),
             "query: /cat/p[price = 10.000000 and qty = 5.000000]\n"
             "access path: docid-anding/oring (avg records/doc 1.00 <= 2.00)\n"
             "  probe: /cat/p/qty = ... index 'qty' (exact)\n"
@@ -876,7 +876,7 @@ TEST(ExplainTest, TraceAddsStepLines) {
   ASSERT_FALSE(res.profile.trace_lines.empty());
   EXPECT_NE(res.profile.trace_lines[0].find("index 'price'"),
             std::string::npos);
-  EXPECT_NE(res.profile.ToText().find("trace: "), std::string::npos);
+  EXPECT_NE(res.ToText().find("trace: "), std::string::npos);
 }
 
 // Plain queries must not pay for profiling: the profile stays disabled and
@@ -1015,10 +1015,10 @@ TEST(WaitAttributionTest, ColdCacheExplainShowsWaitBreakdown) {
       line_sum += w.total_us;
       if (std::string(w.state) == "buffer_io") buffer_io = &w;
     }
-    ASSERT_NE(buffer_io, nullptr) << prof.ToText();
+    ASSERT_NE(buffer_io, nullptr) << res.ToText();
     EXPECT_GT(buffer_io->count, 0u);
     EXPECT_EQ(prof.wait_total_us, line_sum);
-    std::string text = prof.ToText();
+    std::string text = res.ToText();
     EXPECT_NE(text.find("wait  buffer_io"), std::string::npos) << text;
     EXPECT_NE(text.find("wait total: "), std::string::npos) << text;
 
@@ -1031,8 +1031,8 @@ TEST(WaitAttributionTest, ColdCacheExplainShowsWaitBreakdown) {
     uint64_t phase_sum = 0;
     for (const auto& ph : prof.phases)
       if (ph.name != "total") phase_sum += ph.wall_us;
-    EXPECT_LE(phase_sum, total + total / 10 + 200) << prof.ToText();
-    EXPECT_GE(phase_sum + total / 10 + 200, total) << prof.ToText();
+    EXPECT_LE(phase_sum, total + total / 10 + 200) << res.ToText();
+    EXPECT_GE(phase_sum + total / 10 + 200, total) << res.ToText();
     // The attributed waits are part of the measured wall time, never more.
     EXPECT_LE(prof.wait_total_us, total + total / 10 + 200);
   }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -562,6 +563,30 @@ class EngineFaultTest : public ::testing::Test {
     return opts;
   }
 
+  /// The bit-flip sweep: for each of `pages` pages of `space` (a table
+  /// space under dir_), restores dir_ from a pristine copy of its state at
+  /// the call, flips one bit of that page and runs `check`. The offset
+  /// within the page varies so headers, payload bytes, and slot directories
+  /// all get hit across the sweep.
+  void SweepPageBitFlips(const std::string& space, uint64_t pages,
+                         const std::function<void()>& check) {
+    const std::string pristine = dir_ + "_pristine";
+    std::filesystem::remove_all(pristine);
+    std::filesystem::copy(dir_, pristine,
+                          std::filesystem::copy_options::recursive);
+    for (uint64_t page = 0; page < pages && !HasFatalFailure(); page++) {
+      SCOPED_TRACE("page=" + std::to_string(page));
+      std::filesystem::remove_all(dir_);
+      std::filesystem::copy(pristine, dir_,
+                            std::filesystem::copy_options::recursive);
+      uint64_t off =
+          page * kDefaultPageSize + (page * 997 + 13) % kDefaultPageSize;
+      FlipByte(space, off, 1u << (page % 8));
+      check();
+    }
+    std::filesystem::remove_all(pristine);
+  }
+
   std::string dir_;
   static int counter_;
 };
@@ -784,9 +809,9 @@ TEST_F(EngineFaultTest, StatsSurviveCheckpointAndCrashReplay) {
   auto res = coll->Query(nullptr, "/doc[k = \"a3\"]", o);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res.value().nodes.size(), 1u);
-  EXPECT_NE(res.value().profile.PlanText().find("(cost-based)"),
+  EXPECT_NE(res.value().PlanText().find("(cost-based)"),
             std::string::npos)
-      << res.value().profile.PlanText();
+      << res.value().PlanText();
 }
 
 // Structural-index DDL through the full durability matrix: a create that
@@ -904,9 +929,9 @@ TEST_F(EngineFaultTest, MissingOrCorruptStatsFileDegradesToHeuristic) {
     auto res = coll->Query(nullptr, "/doc[k = \"v2\"]", o);
     ASSERT_TRUE(res.ok()) << res.status().ToString();
     EXPECT_EQ(res.value().nodes.size(), 1u);
-    EXPECT_NE(res.value().profile.PlanText().find("(heuristic)"),
+    EXPECT_NE(res.value().PlanText().find("(heuristic)"),
               std::string::npos)
-        << res.value().profile.PlanText();
+        << res.value().PlanText();
     // Writes revalidate nothing by themselves, but the next checkpoint
     // persists fresh (partially rebuilt) stats without tripping anything.
     ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>new</k></doc>").ok());
@@ -980,9 +1005,9 @@ TEST_F(EngineFaultTest, PreStatsCatalogWithDocumentsDegradesToHeuristic) {
   auto res = coll->Query(nullptr, "/doc[k = \"v2\"]", o);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res.value().nodes.size(), 1u);
-  EXPECT_NE(res.value().profile.PlanText().find("(heuristic)"),
+  EXPECT_NE(res.value().PlanText().find("(heuristic)"),
             std::string::npos)
-      << res.value().profile.PlanText();
+      << res.value().PlanText();
 }
 
 // --- corruption scrub & repair ---
@@ -1116,21 +1141,7 @@ TEST_F(EngineFaultTest, BitFlipSweepNeverWrongNeverLost) {
       std::filesystem::file_size(space) / kDefaultPageSize;
   ASSERT_GT(pages, 8u) << "workload too small to be a meaningful sweep";
 
-  const std::string pristine = dir_ + "_pristine";
-  std::filesystem::remove_all(pristine);
-  std::filesystem::copy(dir_, pristine,
-                        std::filesystem::copy_options::recursive);
-
-  for (uint64_t page = 0; page < pages; page++) {
-    SCOPED_TRACE("page=" + std::to_string(page));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::copy(pristine, dir_,
-                          std::filesystem::copy_options::recursive);
-    // Vary the offset within the page so headers, payload bytes, and slot
-    // directories all get hit across the sweep.
-    uint64_t off = page * kDefaultPageSize + (page * 997 + 13) % kDefaultPageSize;
-    FlipByte(space, off, 1u << (page % 8));
-
+  SweepPageBitFlips(space, pages, [&] {
     auto opened = Engine::Open(FileOptions());
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     auto engine = opened.MoveValue();
@@ -1172,8 +1183,91 @@ TEST_F(EngineFaultTest, BitFlipSweepNeverWrongNeverLost) {
     auto rep2 = engine->Scrub();
     ASSERT_TRUE(rep2.ok()) << rep2.status().ToString();
     EXPECT_TRUE(rep2.value().clean);
+  });
+}
+
+// The same sweep through the node-level read path. Whole-document reads
+// above go through StoredDocSource; NodeID-list and structural-scan plans
+// instead look each anchor up in the NodeID index and fetch its record,
+// and that recheck once read any failure as "no match", answering OK with
+// the damaged anchors silently missing. Every forced node-level run must
+// return the pristine answer or kCorruption, and the parallel recheck must
+// refuse exactly when the serial one does.
+TEST_F(EngineFaultTest, NodeLevelBitFlipSweepNeverWrong) {
+  const char* kQuery = "/doc/item[price > 10]/name";
+  EngineOptions opts = FileOptions();
+  opts.num_query_threads = 4;
+  NodeSequence expected;
+  {
+    auto engine = Engine::Open(opts).MoveValue();
+    CollectionOptions co;
+    co.record_budget = 200;  // several records per document
+    Collection* coll = engine->CreateCollection("docs", co).value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"price", "/doc/item/price", ValueType::kDouble})
+            .ok());
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    for (int d = 0; d < 6; d++) {
+      std::string xml = "<doc>";
+      for (int i = d * 40; i < d * 40 + 40; i++)
+        xml += "<item><name>n" + std::to_string(i) + "</name><price>" +
+               std::to_string(i % 37) + "</price></item>";
+      ASSERT_TRUE(coll->InsertDocument(nullptr, xml + "</doc>").ok());
+    }
+    QueryOptions scan;
+    scan.force = ForceMethod::kScan;
+    scan.want_values = true;
+    expected = coll->Query(nullptr, kQuery, scan).value().nodes;
+    ASSERT_GT(expected.size(), 100u);
+    // A clean checkpoint: reopening redoes nothing over the damage.
+    ASSERT_TRUE(engine->Checkpoint().ok());
   }
-  std::filesystem::remove_all(pristine);
+  const std::string space = dir_ + "/docs.xts";
+  const uint64_t pages =
+      std::filesystem::file_size(space) / kDefaultPageSize;
+  ASSERT_GT(pages, 8u) << "workload too small to be a meaningful sweep";
+
+  size_t refused = 0;
+  SweepPageBitFlips(space, pages, [&] {
+    auto opened = Engine::Open(opts);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto engine = opened.MoveValue();
+    Collection* coll = engine->GetCollection("docs").value();
+    const std::pair<ForceMethod, query::AccessMethod> kPlans[] = {
+        {ForceMethod::kNodeIdList, query::AccessMethod::kNodeIdList},
+        {ForceMethod::kStructural, query::AccessMethod::kStructuralScan}};
+    for (const auto& [force, method] : kPlans) {
+      Status serial;
+      for (int parallelism : {1, 4}) {
+        SCOPED_TRACE("force=" + std::to_string(static_cast<int>(force)) +
+                     " parallelism=" + std::to_string(parallelism));
+        QueryOptions o;
+        o.force = force;
+        o.want_values = true;
+        o.parallelism = parallelism;
+        auto res = coll->Query(nullptr, kQuery, o);
+        if (parallelism == 1) serial = res.status();
+        EXPECT_EQ(res.status().code(), serial.code())
+            << "serial=" << serial.ToString()
+            << " parallel=" << res.status().ToString();
+        if (!res.ok()) {
+          EXPECT_TRUE(res.status().IsCorruption()) << res.status().ToString();
+          refused++;
+          continue;
+        }
+        const QueryResult& r = res.value();
+        EXPECT_EQ(r.stats.method, method);
+        EXPECT_EQ(r.profile.chunks > 1, parallelism > 1);
+        ASSERT_EQ(r.nodes.size(), expected.size()) << "silent wrong answer";
+        for (size_t i = 0; i < expected.size(); i++) {
+          EXPECT_EQ(r.nodes[i].doc_id, expected[i].doc_id);
+          EXPECT_EQ(r.nodes[i].node_id, expected[i].node_id);
+          EXPECT_EQ(r.nodes[i].string_value, expected[i].string_value);
+        }
+      }
+    }
+  });
+  EXPECT_GT(refused, 0u) << "no damaged page was ever read";
 }
 
 // ---------------------------------------------------------------------------

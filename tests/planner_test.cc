@@ -41,7 +41,7 @@ std::string Explain(Collection* coll, const std::string& xpath) {
   auto res = coll->Query(nullptr, xpath, o);
   EXPECT_TRUE(res.ok()) << res.status().ToString();
   if (!res.ok()) return "";
-  return res.value().profile.PlanText();
+  return res.value().PlanText();
 }
 
 // Crossover 1: collection size. Two documents -> the full scan is cheaper
@@ -252,7 +252,7 @@ TEST(PlannerCrossoverTest, StructuralIndexFlipsScanForSelectiveDescendant) {
   auto h = coll->Query(nullptr, "//t", heur);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h.value().profile.access_method, "full-scan");
-  EXPECT_EQ(h.value().profile.PlanText().find("structural"),
+  EXPECT_EQ(h.value().PlanText().find("structural"),
             std::string::npos);
 
   // Whatever the access path, the answer is the scan's answer.
@@ -296,7 +296,7 @@ TEST(PlannerCrossoverTest, DescendantConjunctAnchorsThroughStructuralIndex) {
   o.force = ForceMethod::kNodeIdList;
   auto res = coll->Query(nullptr, "//book[.//price = 7]", o);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res.value().profile.PlanText(),
+  EXPECT_EQ(res.value().PlanText(),
             "query: //book[self::node()//price = 7.000000]\n"
             "access path: nodeid-list (forced)\n"
             "  probe: //book//price = ... index 'price' (filtering)\n"

@@ -266,9 +266,9 @@ TEST(StructuralEngineTest, CreateBackfillQueryDrop) {
   o.force = ForceMethod::kStructural;
   auto res = coll->Query(nullptr, "//book", o);
   ASSERT_TRUE(res.ok());
-  EXPECT_NE(res.value().profile.PlanText().find("structural-scan"),
+  EXPECT_NE(res.value().PlanText().find("structural-scan"),
             std::string::npos)
-      << res.value().profile.PlanText();
+      << res.value().PlanText();
 
   ASSERT_TRUE(coll->DropStructuralIndex("structure").ok());
   EXPECT_EQ(coll->FindStructuralIndex("structure"), nullptr);
@@ -280,7 +280,7 @@ TEST(StructuralEngineTest, CreateBackfillQueryDrop) {
   ASSERT_TRUE(after.ok());
   EXPECT_NE(after.value().profile.reason.find("no covering index"),
             std::string::npos)
-      << after.value().profile.PlanText();
+      << after.value().PlanText();
 }
 
 TEST(StructuralEngineTest, PerNameIndexCoversOnlyItsElement) {
