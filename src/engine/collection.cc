@@ -209,11 +209,10 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   });
   XDB_RETURN_NOT_OK(st);
   XDB_RETURN_NOT_OK(docid_tree_->Insert(DocKey(doc_id), Slice()));
-  // Value-index maintenance stays under the exclusive latch: dropping it
-  // here would let concurrent queries scan the index while this document's
-  // postings are half-written.
-  XDB_RETURN_NOT_OK(AddValueIndexEntries(doc_id, tokens, nullptr));
-  XDB_RETURN_NOT_OK(AddStructuralIndexEntries(doc_id, tokens, nullptr));
+  // Index maintenance stays under the exclusive latch: dropping it here
+  // would let concurrent queries scan an index while this document's
+  // entries are half-written.
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/false, tokens));
   // Statistics last, so a failed insert never counts. Runs for every insert
   // path — client writes, WAL replay, scrub salvage — which is what keeps
   // the incremental counters in step with the data.
@@ -221,91 +220,51 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   return doc_id;
 }
 
-Status Collection::AddValueIndexEntries(uint64_t doc_id, Slice tokens,
-                                        ValueIndex* only_index) {
+Status Collection::IndexDocument(uint64_t doc_id, bool remove,
+                                 Slice fresh_tokens, IndexScope scope) {
   // "Index keys for the node ID index and XPath value indexes are generated
   // per record" in the paper; here keys are generated in one streaming pass
-  // per index over the document, then mapped to record RIDs through the
-  // NodeID index.
+  // per value index over the document, then mapped to record RIDs through
+  // the NodeID index. Only a fresh insert may read its token stream: a
+  // token round trip of a stored document renumbers Between()-allocated IDs
+  // canonically, naming nodes the document does not have.
+  auto open_source = [&]() -> std::unique_ptr<XmlEventSource> {
+    if (!fresh_tokens.empty())
+      return std::make_unique<TokenStreamSource>(fresh_tokens);
+    return std::make_unique<StoredDocSource>(records_.get(), node_index_.get(),
+                                             doc_id);
+  };
   for (auto& owned : value_indexes_) {
     ValueIndex* index = owned.index.get();
-    if (only_index != nullptr && index != only_index) continue;
-    TokenStreamSource source(tokens);
+    if (!scope.all() && index != scope.value) continue;
+    std::unique_ptr<XmlEventSource> source = open_source();
     XDB_ASSIGN_OR_RETURN(
         NodeSequence hits,
-        xpath::EvaluateXPath(index->def().path, *engine_->dict(), &source,
+        xpath::EvaluateXPath(index->def().path, *engine_->dict(), source.get(),
                              doc_id, /*want_values=*/true));
     for (const ResultNode& hit : hits) {
       XDB_ASSIGN_OR_RETURN(Rid rid,
                            node_index_->Lookup(doc_id, Slice(hit.node_id)));
-      XDB_RETURN_NOT_OK(index->Add(Slice(hit.string_value), doc_id,
-                                   Slice(hit.node_id), rid));
+      Slice key(hit.string_value), node_id(hit.node_id);
+      XDB_RETURN_NOT_OK(remove ? index->Remove(key, doc_id, node_id, rid)
+                               : index->Add(key, doc_id, node_id, rid));
     }
   }
-  return Status::OK();
-}
-
-Status Collection::RemoveValueIndexEntries(Transaction* txn, uint64_t doc_id) {
-  (void)txn;
-  for (auto& owned : value_indexes_) {
-    ValueIndex* index = owned.index.get();
-    StoredDocSource source(records_.get(), node_index_.get(), doc_id);
-    XDB_ASSIGN_OR_RETURN(
-        NodeSequence hits,
-        xpath::EvaluateXPath(index->def().path, *engine_->dict(), &source,
-                             doc_id, /*want_values=*/true));
-    for (const ResultNode& hit : hits) {
-      XDB_ASSIGN_OR_RETURN(Rid rid,
-                           node_index_->Lookup(doc_id, Slice(hit.node_id)));
-      XDB_RETURN_NOT_OK(index->Remove(Slice(hit.string_value), doc_id,
-                                      Slice(hit.node_id), rid));
-    }
-  }
-  return Status::OK();
-}
-
-Status Collection::AddStructuralIndexEntries(uint64_t doc_id, Slice tokens,
-                                             StructuralIndex* only_index) {
-  if (structural_indexes_.empty()) return Status::OK();
-  // One derivation pass serves every structural index: the (pre, post,
-  // level) numbering falls out of the same canonical Dewey walk the record
-  // builder performs, so there is no second parse of the document.
-  TokenStreamSource source(tokens);
-  std::vector<StructuralEntry> entries;
-  XDB_RETURN_NOT_OK(DeriveStructuralEntries(&source, &entries));
+  // One derivation pass serves every structural index: (pre, post, level)
+  // fall out of the same document-order walk.
+  std::vector<StructuralIndex*> structural;
   for (auto& owned : structural_indexes_) {
-    StructuralIndex* index = owned.index.get();
-    if (only_index != nullptr && index != only_index) continue;
-    XDB_RETURN_NOT_OK(index->AddEntries(*engine_->dict(), doc_id, entries));
+    if (scope.all() || owned.index.get() == scope.structural)
+      structural.push_back(owned.index.get());
   }
-  return Status::OK();
-}
-
-Status Collection::AddStructuralIndexEntriesFromStorage(
-    uint64_t doc_id, StructuralIndex* only_index) {
-  if (structural_indexes_.empty()) return Status::OK();
-  StoredDocSource source(records_.get(), node_index_.get(), doc_id);
+  if (structural.empty()) return Status::OK();
+  std::unique_ptr<XmlEventSource> source = open_source();
   std::vector<StructuralEntry> entries;
-  XDB_RETURN_NOT_OK(DeriveStructuralEntries(&source, &entries));
-  for (auto& owned : structural_indexes_) {
-    StructuralIndex* index = owned.index.get();
-    if (only_index != nullptr && index != only_index) continue;
-    XDB_RETURN_NOT_OK(index->AddEntries(*engine_->dict(), doc_id, entries));
-  }
-  return Status::OK();
-}
-
-Status Collection::RemoveStructuralIndexEntries(uint64_t doc_id) {
-  if (structural_indexes_.empty()) return Status::OK();
-  // Derive from stored records, not a token round-trip: the entries to
-  // delete must carry the exact node IDs (and the (pre, post) numbering
-  // implied by their document order) that AddEntries previously wrote.
-  StoredDocSource source(records_.get(), node_index_.get(), doc_id);
-  std::vector<StructuralEntry> entries;
-  XDB_RETURN_NOT_OK(DeriveStructuralEntries(&source, &entries));
-  for (auto& owned : structural_indexes_) {
+  XDB_RETURN_NOT_OK(DeriveStructuralEntries(source.get(), &entries));
+  for (StructuralIndex* index : structural) {
     XDB_RETURN_NOT_OK(
-        owned.index->RemoveEntries(*engine_->dict(), doc_id, entries));
+        remove ? index->RemoveEntries(*engine_->dict(), doc_id, entries)
+               : index->AddEntries(*engine_->dict(), doc_id, entries));
   }
   return Status::OK();
 }
@@ -357,15 +316,13 @@ Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
     // latch section so queries never observe postings pointing at freed
     // records.
     WriterMutexLock latch(latch_);
-    XDB_RETURN_NOT_OK(RemoveValueIndexEntries(at.get(), doc_id));
-    XDB_RETURN_NOT_OK(RemoveStructuralIndexEntries(doc_id));
-    return DeleteDocumentLocked(at.get(), doc_id);
+    XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/true));
+    return DeleteDocumentLocked(doc_id);
   }();
   return at.Finish(st);
 }
 
-Status Collection::DeleteDocumentLocked(Transaction* txn, uint64_t doc_id) {
-  (void)txn;
+Status Collection::DeleteDocumentLocked(uint64_t doc_id) {
   std::set<uint64_t> rids;
   std::vector<Rid> current;
   XDB_RETURN_NOT_OK(node_index_->ListDocRecords(doc_id, &current));
@@ -387,16 +344,12 @@ Status Collection::DeleteDocumentLocked(Transaction* txn, uint64_t doc_id) {
 
 Status Collection::MaintainValueIndexesForTextUpdate(uint64_t doc_id,
                                                      Slice text_node_id,
-                                                     NodeLocator* locator,
-                                                     Slice old_text,
                                                      Slice new_text) {
   if (value_indexes_.empty()) return Status::OK();
-  (void)old_text;
-  (void)new_text;
   // Collect the ancestor elements of the text node with their concrete
   // name paths: in-record names come from a walk; out-of-record ancestors
   // from the record header's root path.
-  XDB_ASSIGN_OR_RETURN(Rid rid, locator->Lookup(doc_id, text_node_id));
+  XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, text_node_id));
   std::string record;
   XDB_RETURN_NOT_OK(records_->Get(rid, &record));
   RecordWalker walker((Slice(record)));
@@ -504,8 +457,8 @@ Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
     XDB_RETURN_NOT_OK(records_->Get(rid, &old_record));
 
     // Value-index maintenance runs against the pre-update image.
-    XDB_RETURN_NOT_OK(MaintainValueIndexesForTextUpdate(
-        doc_id, node_id, node_index_.get(), Slice(), new_text));
+    XDB_RETURN_NOT_OK(
+        MaintainValueIndexesForTextUpdate(doc_id, node_id, new_text));
 
     XDB_ASSIGN_OR_RETURN(std::string new_record,
                          ReplaceTextValue(old_record, node_id, new_text));
@@ -539,20 +492,6 @@ Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
     return Status::OK();
   }();
   return at.Finish(st);
-}
-
-Status Collection::ReindexDocument(uint64_t doc_id) {
-  if (!value_indexes_.empty()) {
-    StoredDocSource source(records_.get(), node_index_.get(), doc_id);
-    TokenWriter tokens;
-    XDB_RETURN_NOT_OK(EventsToTokens(&source, &tokens));
-    XDB_RETURN_NOT_OK(AddValueIndexEntries(doc_id, tokens.data(), nullptr));
-  }
-  // Structural entries are re-derived straight from storage: the stored
-  // node IDs (Between()-allocated after a subtree edit) are what queries
-  // see, and the token round-trip above re-synthesizes ordinal IDs that no
-  // longer match them.
-  return AddStructuralIndexEntriesFromStorage(doc_id, nullptr);
 }
 
 Status Collection::CollectSubtreeRecords(uint64_t doc_id, Slice node_id,
@@ -629,27 +568,24 @@ Result<std::string> Collection::InsertSubtree(Transaction* txn,
     XDB_RETURN_NOT_OK(engine_->LogInsertSubtree(
         meta_.name, doc_id, parent_id, after_sibling_id, tokens.data()));
     WriterMutexLock latch(latch_);
-    XDB_ASSIGN_OR_RETURN(
-        new_id, InsertSubtreeLocked(at.get(), doc_id, parent_id,
-                                    after_sibling_id, tokens.data()));
+    XDB_ASSIGN_OR_RETURN(new_id, InsertSubtreeLocked(doc_id, parent_id,
+                                                     after_sibling_id,
+                                                     tokens.data()));
     return Status::OK();
   }();
   XDB_RETURN_NOT_OK(at.Finish(st));
   return new_id;
 }
 
-Result<std::string> Collection::InsertSubtreeLocked(Transaction* txn,
-                                                    uint64_t doc_id,
+Result<std::string> Collection::InsertSubtreeLocked(uint64_t doc_id,
                                                     Slice parent_id,
                                                     Slice after_sibling_id,
                                                     Slice fragment_tokens) {
-  (void)txn;
-  // Value index entries are rebuilt from scratch around the change (ancestor
-  // string values change too, so per-entry surgery would be error-prone).
-  // Structural entries likewise: the insert renumbers (pre, post) for every
-  // node after the splice point, so removal must see the pre-mutation IDs.
-  XDB_RETURN_NOT_OK(RemoveValueIndexEntries(nullptr, doc_id));
-  XDB_RETURN_NOT_OK(RemoveStructuralIndexEntries(doc_id));
+  // The document's index entries are re-derived around the change: ancestor
+  // string values change too (per-entry surgery would be error-prone), and
+  // the insert renumbers (pre, post) for every node after the splice point,
+  // so removal must read the pre-mutation records.
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/true));
 
   XDB_ASSIGN_OR_RETURN(Rid parent_rid,
                        node_index_->Lookup(doc_id, parent_id));
@@ -769,7 +705,7 @@ Result<std::string> Collection::InsertSubtreeLocked(Transaction* txn,
   XDB_RETURN_NOT_OK(
       node_index_->AddRecord(doc_id, new_parent_record, parent_rid));
 
-  XDB_RETURN_NOT_OK(ReindexDocument(doc_id));
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/false));
   stats_.NoteDocumentMutated();
   return new_abs;
 }
@@ -791,19 +727,16 @@ Status Collection::DeleteSubtree(Transaction* txn, uint64_t doc_id,
     XDB_RETURN_NOT_OK(
         engine_->LogDeleteSubtree(meta_.name, doc_id, node_id));
     WriterMutexLock latch(latch_);
-    return DeleteSubtreeLocked(at.get(), doc_id, node_id);
+    return DeleteSubtreeLocked(doc_id, node_id);
   }();
   return at.Finish(st);
 }
 
-Status Collection::DeleteSubtreeLocked(Transaction* txn, uint64_t doc_id,
-                                       Slice node_id) {
-  (void)txn;
+Status Collection::DeleteSubtreeLocked(uint64_t doc_id, Slice node_id) {
   XDB_ASSIGN_OR_RETURN(Slice parent_id, nodeid::Parent(node_id));
   if (parent_id.empty())
     return Status::InvalidArgument("cannot delete the root element");
-  XDB_RETURN_NOT_OK(RemoveValueIndexEntries(nullptr, doc_id));
-  XDB_RETURN_NOT_OK(RemoveStructuralIndexEntries(doc_id));
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/true));
 
   // The record holding the parent's child list holds either the subtree
   // inline or a proxy for it.
@@ -832,7 +765,7 @@ Status Collection::DeleteSubtreeLocked(Transaction* txn, uint64_t doc_id,
     XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, bytes, rid));
     XDB_RETURN_NOT_OK(records_->Delete(rid));
   }
-  XDB_RETURN_NOT_OK(ReindexDocument(doc_id));
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/false));
   stats_.NoteDocumentMutated();
   return Status::OK();
 }
@@ -875,12 +808,9 @@ Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
     // Backfill from existing documents, still under the exclusive latch so a
     // concurrent query never plans against a half-backfilled index.
     XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
-    for (uint64_t doc_id : docs) {
-      StoredDocSource source(records_.get(), node_index_.get(), doc_id);
-      TokenWriter tokens;
-      XDB_RETURN_NOT_OK(EventsToTokens(&source, &tokens));
-      XDB_RETURN_NOT_OK(AddValueIndexEntries(doc_id, tokens.data(), raw));
-    }
+    for (uint64_t doc_id : docs)
+      XDB_RETURN_NOT_OK(
+          IndexDocument(doc_id, /*remove=*/false, {}, {.value = raw}));
     index_version_.fetch_add(1, std::memory_order_acq_rel);
     plan_cache_.Invalidate("index created");
   }
@@ -965,12 +895,11 @@ Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
     structural_indexes_.push_back(
         OwnedStructuralIndex{std::move(tree), std::move(index)});
 
-    // Backfill from existing documents under the exclusive latch, deriving
-    // from stored records so documents reshaped by subtree edits index
-    // their real node IDs.
+    // Backfill from existing documents under the exclusive latch.
     XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
     for (uint64_t doc_id : docs)
-      XDB_RETURN_NOT_OK(AddStructuralIndexEntriesFromStorage(doc_id, raw));
+      XDB_RETURN_NOT_OK(
+          IndexDocument(doc_id, /*remove=*/false, {}, {.structural = raw}));
     index_version_.fetch_add(1, std::memory_order_acq_rel);
     plan_cache_.Invalidate("structural index created");
   }
@@ -1678,6 +1607,54 @@ Result<std::string> Collection::ReadDocTokensForScrub(uint64_t doc_id) {
   return tokens.data().ToString();
 }
 
+Status Collection::BuildStorage(bool create) {
+  buffer_ = std::make_unique<BufferManager>(space_.get(), buffer_pages_,
+                                            buffer_shards_);
+  buffer_->set_event_log(engine_->events());
+  buffer_->set_wait_sink(engine_->wait_sink());
+  Engine* eng = engine_;
+  buffer_->set_lsn_source(
+      [eng] { return eng->wal_ != nullptr ? eng->wal_->size() : 0; });
+  records_ = std::make_unique<RecordManager>(buffer_.get());
+  if (!create) XDB_RETURN_NOT_OK(records_->Recover());
+
+  // Opens the tree at *root (a new one when creating or when no root was
+  // ever recorded) and records its root back into meta_.
+  auto open_tree = [&](PageId* root) -> Result<std::unique_ptr<BTree>> {
+    auto tree = create || *root == kInvalidPageId
+                    ? BTree::Create(buffer_.get())
+                    : BTree::Open(buffer_.get(), *root);
+    if (tree.ok()) *root = tree.value()->root();
+    return tree;
+  };
+  XDB_ASSIGN_OR_RETURN(docid_tree_, open_tree(&meta_.docid_index_root));
+  XDB_ASSIGN_OR_RETURN(nodeid_tree_, open_tree(&meta_.nodeid_index_root));
+  node_index_ = std::make_unique<NodeIdIndex>(nodeid_tree_.get());
+  if (meta_.mvcc_enabled) {
+    XDB_ASSIGN_OR_RETURN(versioned_tree_,
+                         open_tree(&meta_.versioned_index_root));
+    versions_ = std::make_unique<VersionManager>(versioned_tree_.get());
+    versions_->InitCounters(meta_.last_version);
+  }
+  // ListenerFor / StructuralListenerFor, not the Note*Created pair: wiring
+  // indexes the stats epoch already accounts for must not bump it.
+  for (ValueIndexMeta& vi : meta_.value_indexes) {
+    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, open_tree(&vi.root));
+    auto index = std::make_unique<ValueIndex>(vi.def, tree.get());
+    index->set_stats_listener(stats_.ListenerFor(vi.def.name));
+    value_indexes_.push_back(
+        OwnedValueIndex{std::move(tree), std::move(index)});
+  }
+  for (StructuralIndexMeta& si : meta_.structural_indexes) {
+    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, open_tree(&si.root));
+    auto index = std::make_unique<StructuralIndex>(si.def, tree.get());
+    index->set_stats_listener(stats_.StructuralListenerFor(si.def.name));
+    structural_indexes_.push_back(
+        OwnedStructuralIndex{std::move(tree), std::move(index)});
+  }
+  return Status::OK();
+}
+
 Status Collection::RebuildStorage() {
   WriterMutexLock latch(latch_);
   // Tear down top-down so nothing flushes into the space after it is reset.
@@ -1703,44 +1680,7 @@ Status Collection::RebuildStorage() {
     space_->set_event_log(engine_->events());
   }
 
-  buffer_ =
-      std::make_unique<BufferManager>(space_.get(), buffer_pages_, buffer_shards_);
-  buffer_->set_event_log(engine_->events());
-  buffer_->set_wait_sink(engine_->wait_sink());
-  Engine* eng = engine_;
-  buffer_->set_lsn_source(
-      [eng] { return eng->wal_ != nullptr ? eng->wal_->size() : 0; });
-  records_ = std::make_unique<RecordManager>(buffer_.get());
-
-  XDB_ASSIGN_OR_RETURN(docid_tree_, BTree::Create(buffer_.get()));
-  XDB_ASSIGN_OR_RETURN(nodeid_tree_, BTree::Create(buffer_.get()));
-  meta_.docid_index_root = docid_tree_->root();
-  meta_.nodeid_index_root = nodeid_tree_->root();
-  node_index_ = std::make_unique<NodeIdIndex>(nodeid_tree_.get());
-  if (meta_.mvcc_enabled) {
-    XDB_ASSIGN_OR_RETURN(versioned_tree_, BTree::Create(buffer_.get()));
-    meta_.versioned_index_root = versioned_tree_->root();
-    versions_ = std::make_unique<VersionManager>(versioned_tree_.get());
-    versions_->InitCounters(meta_.last_version);
-  }
-  for (ValueIndexMeta& vi : meta_.value_indexes) {
-    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                         BTree::Create(buffer_.get()));
-    vi.root = tree->root();
-    auto index = std::make_unique<ValueIndex>(vi.def, tree.get());
-    index->set_stats_listener(stats_.ListenerFor(vi.def.name));
-    value_indexes_.push_back(
-        OwnedValueIndex{std::move(tree), std::move(index)});
-  }
-  for (StructuralIndexMeta& si : meta_.structural_indexes) {
-    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                         BTree::Create(buffer_.get()));
-    si.root = tree->root();
-    auto index = std::make_unique<StructuralIndex>(si.def, tree.get());
-    index->set_stats_listener(stats_.StructuralListenerFor(si.def.name));
-    structural_indexes_.push_back(
-        OwnedStructuralIndex{std::move(tree), std::move(index)});
-  }
+  XDB_RETURN_NOT_OK(BuildStorage(/*create=*/true));
   // Empty storage, empty (but valid) statistics; the epoch stays monotonic
   // so cached-plan keys from before the rebuild can never match again.
   stats_.ResetEmpty(stats_.epoch());

@@ -116,6 +116,14 @@ struct CollectionScrubReport {
   std::vector<std::string> notes;
 };
 
+/// The indexes Collection::IndexDocument touches: every index (both members
+/// null), or only the one a DDL backfill is filling.
+struct IndexScope {
+  const ValueIndex* value = nullptr;
+  const StructuralIndex* structural = nullptr;
+  bool all() const { return value == nullptr && structural == nullptr; }
+};
+
 class Collection {
  public:
   ~Collection() = default;
@@ -157,18 +165,20 @@ class Collection {
   /// Subdocument insert: parses `fragment` (one root element) and grafts it
   /// as a new child of `parent_id`, immediately after `after_sibling_id`
   /// (empty = append as last child). The new subtree gets a node ID from
-  /// Between(), so existing IDs — and therefore all index entries for other
-  /// nodes — are untouched ("there is always space for insertion in the
-  /// middle by extending the node ID length"). Returns the new subtree
-  /// root's absolute node ID. Locking collections only (kNotSupported under
-  /// MVCC).
+  /// Between(), so every existing node keeps its ID ("there is always space
+  /// for insertion in the middle by extending the node ID length") and the
+  /// record work is O(subtree). With value or structural indexes the edit
+  /// also re-derives all of the document's entries from its stored records
+  /// (ancestor string values and (pre, post) numbers change), which costs
+  /// O(document). Returns the new subtree root's absolute node ID. Locking
+  /// collections only (kNotSupported under MVCC).
   Result<std::string> InsertSubtree(Transaction* txn, uint64_t doc_id,
                                     Slice parent_id, Slice after_sibling_id,
                                     Slice fragment) XDB_EXCLUDES(latch_);
 
   /// Subdocument delete: removes the subtree rooted at `node_id` (any
-  /// non-root node), including all records it spans. Locking collections
-  /// only.
+  /// non-root node), including all records it spans. Index upkeep is as for
+  /// InsertSubtree. Locking collections only.
   Status DeleteSubtree(Transaction* txn, uint64_t doc_id, Slice node_id)
       XDB_EXCLUDES(latch_);
 
@@ -240,41 +250,29 @@ class Collection {
   Result<uint64_t> InsertTokensLocked(Transaction* txn, Slice tokens,
                                       uint64_t forced_doc_id)
       XDB_EXCLUDES(latch_);
-  Status DeleteDocumentLocked(Transaction* txn, uint64_t doc_id)
-      XDB_REQUIRES(latch_);
-  Status AddValueIndexEntries(uint64_t doc_id, Slice tokens,
-                              ValueIndex* only_index) XDB_REQUIRES(latch_);
-  Status RemoveValueIndexEntries(Transaction* txn, uint64_t doc_id)
-      XDB_REQUIRES(latch_);
-  /// Adds one document's structural entries to every (or one) structural
-  /// index, deriving (pre, post, level) from the freshly-inserted token
-  /// stream's canonical Dewey walk.
-  Status AddStructuralIndexEntries(uint64_t doc_id, Slice tokens,
-                                   StructuralIndex* only_index)
-      XDB_REQUIRES(latch_);
-  /// Re-derives entries from stored records (real node IDs, so documents
-  /// reshaped by Between()-allocated subtree inserts stay faithful) and
-  /// adds them to every (or one) structural index.
-  Status AddStructuralIndexEntriesFromStorage(uint64_t doc_id,
-                                              StructuralIndex* only_index)
-      XDB_REQUIRES(latch_);
-  /// Removes one document's structural entries (derived from stored
-  /// records) from every structural index.
-  Status RemoveStructuralIndexEntries(uint64_t doc_id) XDB_REQUIRES(latch_);
-  Status MaintainValueIndexesForTextUpdate(uint64_t doc_id, Slice text_node_id,
-                                           NodeLocator* locator,
-                                           Slice old_text, Slice new_text)
-      XDB_REQUIRES(latch_);
+  Status DeleteDocumentLocked(uint64_t doc_id) XDB_REQUIRES(latch_);
 
-  Result<std::string> InsertSubtreeLocked(Transaction* txn, uint64_t doc_id,
-                                          Slice parent_id,
+  /// The one index-maintenance path: adds (or, with `remove`, deletes) one
+  /// document's value postings and structural entries. `fresh_tokens` is
+  /// the token stream of a document RecordBuilder has just stored, whose
+  /// canonical node IDs are exactly the stored ones; empty, the entries
+  /// come from the stored records (StoredDocSource), so documents reshaped
+  /// by Between()-allocated subtree edits index their real node IDs and a
+  /// remove always finds what the add wrote.
+  Status IndexDocument(uint64_t doc_id, bool remove, Slice fresh_tokens = {},
+                       IndexScope scope = {}) XDB_REQUIRES(latch_);
+  /// UpdateTextNode's targeted value-index maintenance: swaps the postings
+  /// of the text node's indexed ancestors only (a whole-document remove and
+  /// add costs several times more per update).
+  Status MaintainValueIndexesForTextUpdate(uint64_t doc_id, Slice text_node_id,
+                                           Slice new_text) XDB_REQUIRES(latch_);
+
+  Result<std::string> InsertSubtreeLocked(uint64_t doc_id, Slice parent_id,
                                           Slice after_sibling_id,
                                           Slice fragment_tokens)
       XDB_REQUIRES(latch_);
-  Status DeleteSubtreeLocked(Transaction* txn, uint64_t doc_id, Slice node_id)
+  Status DeleteSubtreeLocked(uint64_t doc_id, Slice node_id)
       XDB_REQUIRES(latch_);
-  /// Re-derives all value index entries of one document from stored data.
-  Status ReindexDocument(uint64_t doc_id) XDB_REQUIRES(latch_);
   /// RIDs of all records fully contained in the subtree at `node_id`,
   /// starting from proxies inside `record` (recursive across records).
   Status CollectSubtreeRecords(uint64_t doc_id, Slice node_id, Slice record,
@@ -366,6 +364,14 @@ class Collection {
   Status ScrubAndRepair(CollectionScrubReport* report,
                         std::set<uint64_t>* salvaged_ids,
                         std::set<uint64_t>* lost_ids) XDB_EXCLUDES(latch_);
+
+  /// Builds every storage component over space_: the buffer pool, the
+  /// record manager, the DocID, NodeID and (MVCC) version trees, and each
+  /// value and structural index in meta_ with its stats listener. `create`
+  /// makes them new and empty; otherwise they open at meta_'s roots after
+  /// RecordManager::Recover. Either way meta_ records the roots. Called by
+  /// Engine::OpenCollection and RebuildStorage; the latter holds latch_.
+  Status BuildStorage(bool create);
 
   /// Resets the table space and recreates every storage component (records,
   /// trees, indexes) empty, updating meta_ roots. Destroys components

@@ -288,62 +288,7 @@ Result<std::unique_ptr<Collection>> Engine::OpenCollection(
       XDB_ASSIGN_OR_RETURN(coll->space_, TableSpace::Open(path, ts_options));
     }
     coll->space_->set_event_log(&events_);
-    coll->buffer_ = std::make_unique<BufferManager>(
-        coll->space_.get(), options.buffer_pages, coll->buffer_shards_);
-    coll->buffer_->set_event_log(&events_);
-    coll->buffer_->set_wait_sink(&wait_sink_);
-    coll->buffer_->set_lsn_source(
-        [this] { return wal_ != nullptr ? wal_->size() : 0; });
-    coll->records_ = std::make_unique<RecordManager>(coll->buffer_.get());
-    if (!create) XDB_RETURN_NOT_OK(coll->records_->Recover());
-
-    auto open_tree = [&](PageId root) -> Result<std::unique_ptr<BTree>> {
-      if (create || root == kInvalidPageId)
-        return BTree::Create(coll->buffer_.get());
-      return BTree::Open(coll->buffer_.get(), root);
-    };
-    XDB_ASSIGN_OR_RETURN(coll->docid_tree_, open_tree(meta.docid_index_root));
-    XDB_ASSIGN_OR_RETURN(coll->nodeid_tree_, open_tree(meta.nodeid_index_root));
-    coll->meta_.docid_index_root = coll->docid_tree_->root();
-    coll->meta_.nodeid_index_root = coll->nodeid_tree_->root();
-    coll->node_index_ =
-        std::make_unique<NodeIdIndex>(coll->nodeid_tree_.get());
-
-    if (meta.mvcc_enabled) {
-      XDB_ASSIGN_OR_RETURN(coll->versioned_tree_,
-                           open_tree(meta.versioned_index_root));
-      coll->meta_.versioned_index_root = coll->versioned_tree_->root();
-      coll->versions_ =
-          std::make_unique<VersionManager>(coll->versioned_tree_.get());
-      coll->versions_->InitCounters(meta.last_version);
-    }
-
-    for (const ValueIndexMeta& vi : meta.value_indexes) {
-      XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, open_tree(vi.root));
-      auto index = std::make_unique<ValueIndex>(vi.def, tree.get());
-      // ListenerFor (not NoteIndexCreated): open-time wiring of indexes the
-      // persisted stats epoch already accounts for must not bump it.
-      index->set_stats_listener(coll->stats_.ListenerFor(vi.def.name));
-      coll->value_indexes_.push_back(
-          Collection::OwnedValueIndex{std::move(tree), std::move(index)});
-    }
-    for (size_t i = 0; i < coll->value_indexes_.size(); i++)
-      coll->meta_.value_indexes[i].root = coll->value_indexes_[i].tree->root();
-
-    for (const StructuralIndexMeta& si : meta.structural_indexes) {
-      XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, open_tree(si.root));
-      auto index = std::make_unique<StructuralIndex>(si.def, tree.get());
-      // StructuralListenerFor, not NoteStructuralIndexCreated: same
-      // no-epoch-bump rule as the value indexes above.
-      index->set_stats_listener(
-          coll->stats_.StructuralListenerFor(si.def.name));
-      coll->structural_indexes_.push_back(
-          Collection::OwnedStructuralIndex{std::move(tree), std::move(index)});
-    }
-    for (size_t i = 0; i < coll->structural_indexes_.size(); i++)
-      coll->meta_.structural_indexes[i].root =
-          coll->structural_indexes_[i].tree->root();
-    return Status::OK();
+    return coll->BuildStorage(create);
   }();
   if (!st.ok()) {
     if (!create && (st.IsCorruption() || st.IsIOError())) {
@@ -875,19 +820,14 @@ Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
         if (!GetLengthPrefixed(&payload, &parent_id) ||
             !GetLengthPrefixed(&payload, &after_id))
           return Status::Corruption("bad wal subtree payload");
-        Transaction txn = Begin(IsolationMode::kLocking);
-        auto res = [&]() -> Result<std::string> {
-          WriterMutexLock latch(coll->latch_);
-          return coll->InsertSubtreeLocked(&txn, doc_id, parent_id, after_id,
-                                           payload);
-        }();
-        Status st = res.ok() ? Status::OK() : res.status();
         // Idempotency: if the subtree is already present (the operation hit
         // the data pages before the crash), the Between() ID may collide —
         // re-running is still safe because replay starts from the last
         // checkpointed image, which cannot contain post-checkpoint work.
-        if (st.ok()) st = Commit(&txn);
-        else (void)Abort(&txn);
+        WriterMutexLock latch(coll->latch_);
+        Status st = coll->InsertSubtreeLocked(doc_id, parent_id, after_id,
+                                              payload)
+                        .status();
         if (st.IsNotFound()) return Status::OK();
         return st;
       }

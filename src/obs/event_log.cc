@@ -1,10 +1,8 @@
 #include "obs/event_log.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 namespace xdb {
 namespace obs {
@@ -65,12 +63,6 @@ std::string Event::ToString() const {
 }
 
 namespace {
-size_t RoundUpPow2(size_t v) {
-  size_t p = 8;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 uint64_t NowMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -79,71 +71,27 @@ uint64_t NowMicros() {
 }
 }  // namespace
 
-EventLog::EventLog(size_t capacity)
-    : slots_(RoundUpPow2(capacity)), mask_(slots_.size() - 1) {}
-
 void EventLog::Emit(EventKind kind, uint64_t arg0, uint64_t arg1,
                     const std::string& message) {
-  const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & mask_];
-  // Odd stamp marks the slot as mid-write; readers that see it (or see a
-  // stamp change across their copy) discard the slot. Release ordering on
-  // the publish store makes every relaxed field store below visible to a
-  // reader that acquires the published stamp.
-  slot.stamp.store(ticket * 2 + 1, std::memory_order_release);
-  slot.timestamp_us.store(NowMicros(), std::memory_order_relaxed);
-  slot.kind.store(static_cast<uint64_t>(kind), std::memory_order_relaxed);
-  slot.arg0.store(arg0, std::memory_order_relaxed);
-  slot.arg1.store(arg1, std::memory_order_relaxed);
-  const size_t len = message.size() < kMaxMessage ? message.size()
-                                                  : kMaxMessage;
-  slot.msg_len.store(len, std::memory_order_relaxed);
-  for (size_t i = 0; i * 8 < len; ++i) {
-    uint64_t word = 0;
-    std::memcpy(&word, message.data() + i * 8,
-                std::min<size_t>(8, len - i * 8));
-    slot.msg[i].store(word, std::memory_order_relaxed);
-  }
-  slot.stamp.store(ticket * 2 + 2, std::memory_order_release);
+  ring_.Write([&](Slot& slot) {
+    slot.timestamp_us.store(NowMicros(), std::memory_order_relaxed);
+    slot.kind.store(static_cast<uint64_t>(kind), std::memory_order_relaxed);
+    slot.arg0.store(arg0, std::memory_order_relaxed);
+    slot.arg1.store(arg1, std::memory_order_relaxed);
+    slot.message.Store(message);
+  });
 }
 
 std::vector<Event> EventLog::Recent(size_t max) const {
-  const uint64_t head = next_.load(std::memory_order_acquire);
-  uint64_t first = head > slots_.size() ? head - slots_.size() : 0;
-  if (head - first > max) first = head - max;
-  std::vector<Event> out;
-  out.reserve(static_cast<size_t>(head - first));
-  for (uint64_t ticket = first; ticket < head; ++ticket) {
-    const Slot& slot = slots_[ticket & mask_];
-    const uint64_t want = ticket * 2 + 2;
-    if (slot.stamp.load(std::memory_order_acquire) != want) continue;
+  return ring_.Recent<Event>(max, [](const Slot& slot) {
     Event e;
-    e.seq = ticket;
     e.timestamp_us = slot.timestamp_us.load(std::memory_order_relaxed);
     e.kind = static_cast<EventKind>(slot.kind.load(std::memory_order_relaxed));
     e.arg0 = slot.arg0.load(std::memory_order_relaxed);
     e.arg1 = slot.arg1.load(std::memory_order_relaxed);
-    size_t len = static_cast<size_t>(
-        slot.msg_len.load(std::memory_order_relaxed));
-    if (len > kMaxMessage) len = kMaxMessage;  // torn slot; recheck catches it
-    char msg[kMaxMessage];
-    for (size_t i = 0; i * 8 < len; ++i) {
-      uint64_t word = slot.msg[i].load(std::memory_order_relaxed);
-      std::memcpy(msg + i * 8, &word, std::min<size_t>(8, len - i * 8));
-    }
-    // Re-validate after the copy: if a writer lapped us mid-read, the stamp
-    // has moved on (it is monotone per slot) and the copy is garbage.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.stamp.load(std::memory_order_relaxed) != want) continue;
-    e.message.assign(msg, len);
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-uint64_t EventLog::overwritten() const {
-  const uint64_t head = next_.load(std::memory_order_relaxed);
-  return head > slots_.size() ? head - slots_.size() : 0;
+    e.message = slot.message.Load();
+    return e;
+  });
 }
 
 }  // namespace obs

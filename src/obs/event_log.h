@@ -12,17 +12,19 @@
 //  * Bounded memory: a fixed ring, overwrite-oldest. Readers learn how many
 //    events they missed via overwritten().
 //  * TSan-clean without locks: every slot byte readers can observe is an
-//    atomic word. A per-slot stamp is odd while a writer owns the slot and
-//    even (ticket-tagged) once published; Recent() re-validates the stamp
-//    after copying and discards torn slots instead of blocking.
+//    atomic word, under the slot protocol of obs/seqlock_ring.h. Recent()
+//    re-validates the stamp after copying and discards torn slots instead
+//    of blocking; a writer that finds its slot still owned by a lapped
+//    writer drops its event.
 #ifndef XDB_OBS_EVENT_LOG_H_
 #define XDB_OBS_EVENT_LOG_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/seqlock_ring.h"
 
 namespace xdb {
 namespace obs {
@@ -69,7 +71,7 @@ struct Event {
 class EventLog {
  public:
   /// `capacity` is rounded up to a power of two (minimum 8).
-  explicit EventLog(size_t capacity = 1024);
+  explicit EventLog(size_t capacity = 1024) : ring_(capacity) {}
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
 
@@ -82,39 +84,30 @@ class EventLog {
   }
 
   /// The most recent events in emit order (oldest first), at most `max`.
-  /// Slots a writer is concurrently overwriting are skipped, so under heavy
-  /// write load the result can be slightly shorter than the ring.
+  /// Slots a writer is concurrently overwriting, and events dropped because
+  /// their slot was still being written, are skipped, so under heavy write
+  /// load the result can be slightly shorter than the ring.
   std::vector<Event> Recent(size_t max = SIZE_MAX) const;
 
   /// How many events have been pushed out of the ring since construction.
-  uint64_t overwritten() const;
-  /// Total events ever emitted.
-  uint64_t emitted() const {
-    return next_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return slots_.size(); }
+  uint64_t overwritten() const { return ring_.overwritten(); }
+  /// Total events ever emitted (dropped ones included).
+  uint64_t emitted() const { return ring_.written(); }
+  size_t capacity() const { return ring_.capacity(); }
 
   static constexpr size_t kMaxMessage = 104;
 
  private:
-  static constexpr size_t kMsgWords = kMaxMessage / 8;  // 13 words
-
-  /// All fields atomic words: readers race with overwriting writers by
-  /// design, and the stamp protocol (odd = claimed, ticket*2+2 = published)
-  /// detects torn reads without the reader ever writing shared state.
   struct Slot {
     std::atomic<uint64_t> stamp{0};
     std::atomic<uint64_t> timestamp_us{0};
     std::atomic<uint64_t> kind{0};
     std::atomic<uint64_t> arg0{0};
     std::atomic<uint64_t> arg1{0};
-    std::atomic<uint64_t> msg_len{0};
-    std::array<std::atomic<uint64_t>, kMsgWords> msg{};
+    InlineString<kMaxMessage> message;
   };
 
-  std::vector<Slot> slots_;
-  size_t mask_;
-  std::atomic<uint64_t> next_{0};  // next ticket == total emitted
+  SeqlockRing<Slot> ring_;
 };
 
 }  // namespace obs

@@ -1,45 +1,10 @@
 #include "obs/slow_query_log.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 namespace xdb {
 namespace obs {
-
-namespace {
-size_t RoundUpPow2(size_t v) {
-  size_t p = 8;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-void StoreString(std::atomic<uint64_t>* words, std::atomic<uint64_t>* len_word,
-                 const std::string& s, size_t cap) {
-  const size_t len = s.size() < cap ? s.size() : cap;
-  len_word->store(len, std::memory_order_relaxed);
-  for (size_t i = 0; i * 8 < len; ++i) {
-    uint64_t word = 0;
-    std::memcpy(&word, s.data() + i * 8, std::min<size_t>(8, len - i * 8));
-    words[i].store(word, std::memory_order_relaxed);
-  }
-}
-
-void LoadString(const std::atomic<uint64_t>* words,
-                const std::atomic<uint64_t>* len_word, size_t cap,
-                std::string* out) {
-  size_t len = static_cast<size_t>(len_word->load(std::memory_order_relaxed));
-  if (len > cap) len = cap;  // torn slot; the stamp recheck catches it
-  char buf[SlowQueryLog::kMaxQuery];
-  for (size_t i = 0; i * 8 < len; ++i) {
-    uint64_t word = words[i].load(std::memory_order_relaxed);
-    std::memcpy(buf + i * 8, &word, std::min<size_t>(8, len - i * 8));
-  }
-  out->assign(buf, len);
-}
-}  // namespace
 
 std::string SlowQueryRecord::ToString() const {
   char buf[256];
@@ -65,43 +30,25 @@ std::string SlowQueryRecord::ToString() const {
   return out;
 }
 
-SlowQueryLog::SlowQueryLog(size_t capacity)
-    : slots_(RoundUpPow2(capacity)), mask_(slots_.size() - 1) {}
-
 void SlowQueryLog::Record(const SlowQueryRecord& rec) {
-  const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & mask_];
-  // Odd stamp = writer owns the slot; the release publish below makes every
-  // relaxed field store visible to a reader that acquires the final stamp.
-  slot.stamp.store(ticket * 2 + 1, std::memory_order_release);
-  slot.timestamp_us.store(rec.timestamp_us, std::memory_order_relaxed);
-  slot.wall_us.store(rec.wall_us, std::memory_order_relaxed);
-  slot.results.store(rec.results, std::memory_order_relaxed);
-  slot.parallelism.store(rec.parallelism, std::memory_order_relaxed);
-  for (size_t i = 0; i < kWaitStateCount; ++i) {
-    slot.wait_us[i].store(rec.wait_us[i], std::memory_order_relaxed);
-    slot.wait_count[i].store(rec.wait_count[i], std::memory_order_relaxed);
-  }
-  StoreString(slot.collection.data(), &slot.collection_len, rec.collection,
-              kMaxCollection);
-  StoreString(slot.query.data(), &slot.query_len, rec.query, kMaxQuery);
-  StoreString(slot.method.data(), &slot.method_len, rec.access_method,
-              kMaxAccessMethod);
-  slot.stamp.store(ticket * 2 + 2, std::memory_order_release);
+  ring_.Write([&](Slot& slot) {
+    slot.timestamp_us.store(rec.timestamp_us, std::memory_order_relaxed);
+    slot.wall_us.store(rec.wall_us, std::memory_order_relaxed);
+    slot.results.store(rec.results, std::memory_order_relaxed);
+    slot.parallelism.store(rec.parallelism, std::memory_order_relaxed);
+    for (size_t i = 0; i < kWaitStateCount; ++i) {
+      slot.wait_us[i].store(rec.wait_us[i], std::memory_order_relaxed);
+      slot.wait_count[i].store(rec.wait_count[i], std::memory_order_relaxed);
+    }
+    slot.collection.Store(rec.collection);
+    slot.query.Store(rec.query);
+    slot.method.Store(rec.access_method);
+  });
 }
 
 std::vector<SlowQueryRecord> SlowQueryLog::Recent(size_t max) const {
-  const uint64_t head = next_.load(std::memory_order_acquire);
-  uint64_t first = head > slots_.size() ? head - slots_.size() : 0;
-  if (head - first > max) first = head - max;
-  std::vector<SlowQueryRecord> out;
-  out.reserve(static_cast<size_t>(head - first));
-  for (uint64_t ticket = first; ticket < head; ++ticket) {
-    const Slot& slot = slots_[ticket & mask_];
-    const uint64_t want = ticket * 2 + 2;
-    if (slot.stamp.load(std::memory_order_acquire) != want) continue;
+  return ring_.Recent<SlowQueryRecord>(max, [](const Slot& slot) {
     SlowQueryRecord r;
-    r.seq = ticket;
     r.timestamp_us = slot.timestamp_us.load(std::memory_order_relaxed);
     r.wall_us = slot.wall_us.load(std::memory_order_relaxed);
     r.results = slot.results.load(std::memory_order_relaxed);
@@ -110,23 +57,11 @@ std::vector<SlowQueryRecord> SlowQueryLog::Recent(size_t max) const {
       r.wait_us[i] = slot.wait_us[i].load(std::memory_order_relaxed);
       r.wait_count[i] = slot.wait_count[i].load(std::memory_order_relaxed);
     }
-    LoadString(slot.collection.data(), &slot.collection_len, kMaxCollection,
-               &r.collection);
-    LoadString(slot.query.data(), &slot.query_len, kMaxQuery, &r.query);
-    LoadString(slot.method.data(), &slot.method_len, kMaxAccessMethod,
-               &r.access_method);
-    // Re-validate after the copy: a writer lapping us moved the stamp on
-    // (it is monotone per slot), making the copy garbage.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.stamp.load(std::memory_order_relaxed) != want) continue;
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
-uint64_t SlowQueryLog::overwritten() const {
-  const uint64_t head = next_.load(std::memory_order_relaxed);
-  return head > slots_.size() ? head - slots_.size() : 0;
+    r.collection = slot.collection.Load();
+    r.query = slot.query.Load();
+    r.access_method = slot.method.Load();
+    return r;
+  });
 }
 
 }  // namespace obs

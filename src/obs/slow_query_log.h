@@ -1,9 +1,7 @@
 // Slow-query log: a bounded lock-free ring of completed query profiles that
 // crossed EngineOptions::slow_query_us. The concurrent sibling of the
-// EventLog — same seqlock slot protocol (every reader-visible byte is an
-// atomic word; a per-slot stamp is odd while a writer owns the slot and
-// ticket-tagged even once published; readers re-validate after copying and
-// discard torn slots) with larger inline string capacity for the query text.
+// EventLog: the same ring (obs/seqlock_ring.h) with larger inline string
+// capacity for the query text.
 //
 // Record() is wait-free and called from the query path after the result is
 // assembled, so it must never block or allocate shared state; Recent() is
@@ -18,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/seqlock_ring.h"
 #include "obs/wait_state.h"
 
 namespace xdb {
@@ -52,7 +51,7 @@ struct SlowQueryRecord {
 class SlowQueryLog {
  public:
   /// `capacity` is rounded up to a power of two (minimum 8).
-  explicit SlowQueryLog(size_t capacity = 128);
+  explicit SlowQueryLog(size_t capacity = 128) : ring_(capacity) {}
   SlowQueryLog(const SlowQueryLog&) = delete;
   SlowQueryLog& operator=(const SlowQueryLog&) = delete;
 
@@ -61,25 +60,21 @@ class SlowQueryLog {
   void Record(const SlowQueryRecord& rec);
 
   /// The most recent records in record order (oldest first), at most `max`.
-  /// Slots a writer is concurrently overwriting are skipped.
+  /// Slots a writer is concurrently overwriting, and records dropped because
+  /// their slot was still being written, are skipped.
   std::vector<SlowQueryRecord> Recent(size_t max = SIZE_MAX) const;
 
   /// How many records have been pushed out of the ring since construction.
-  uint64_t overwritten() const;
-  /// Total records ever written.
-  uint64_t recorded() const { return next_.load(std::memory_order_relaxed); }
-  size_t capacity() const { return slots_.size(); }
+  uint64_t overwritten() const { return ring_.overwritten(); }
+  /// Total records ever written (dropped ones included).
+  uint64_t recorded() const { return ring_.written(); }
+  size_t capacity() const { return ring_.capacity(); }
 
   static constexpr size_t kMaxQuery = 184;
   static constexpr size_t kMaxCollection = 40;
   static constexpr size_t kMaxAccessMethod = 24;
 
  private:
-  static constexpr size_t kQueryWords = kMaxQuery / 8;            // 23
-  static constexpr size_t kCollectionWords = kMaxCollection / 8;  // 5
-  static constexpr size_t kMethodWords = kMaxAccessMethod / 8;    // 3
-
-  /// All fields atomic words; see EventLog::Slot for the stamp protocol.
   struct Slot {
     std::atomic<uint64_t> stamp{0};
     std::atomic<uint64_t> timestamp_us{0};
@@ -88,17 +83,12 @@ class SlowQueryLog {
     std::atomic<uint64_t> parallelism{0};
     std::array<std::atomic<uint64_t>, kWaitStateCount> wait_us{};
     std::array<std::atomic<uint64_t>, kWaitStateCount> wait_count{};
-    std::atomic<uint64_t> collection_len{0};
-    std::atomic<uint64_t> query_len{0};
-    std::atomic<uint64_t> method_len{0};
-    std::array<std::atomic<uint64_t>, kCollectionWords> collection{};
-    std::array<std::atomic<uint64_t>, kQueryWords> query{};
-    std::array<std::atomic<uint64_t>, kMethodWords> method{};
+    InlineString<kMaxCollection> collection;
+    InlineString<kMaxQuery> query;
+    InlineString<kMaxAccessMethod> method;
   };
 
-  std::vector<Slot> slots_;
-  size_t mask_;
-  std::atomic<uint64_t> next_{0};  // next ticket == total recorded
+  SeqlockRing<Slot> ring_;
 };
 
 }  // namespace obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <vector>
 
 #include "engine/collection.h"
@@ -43,17 +44,113 @@ bool SameNodes(const NodeSequence& a, const NodeSequence& b) {
   return true;
 }
 
-std::string Diverged(const char* engine, const NodeSequence& got,
-                     const NodeSequence& want) {
-  return std::string(engine) + " returned " + RenderSeq(got) +
-         " but the DOM reference returned " + RenderSeq(want);
+std::string Diverged(const std::string& engine, const NodeSequence& got,
+                     const NodeSequence& want,
+                     const char* want_name = "the DOM reference") {
+  return engine + " returned " + RenderSeq(got) + " but " + want_name +
+         " returned " + RenderSeq(want);
 }
 
 struct SweepCounters {
   uint64_t quickxscan = 0;
   uint64_t naive = 0;
   uint64_t plans = 0;
+  uint64_t edited = 0;
 };
+
+/// Runs `query` over `coll` under seven planner flavors: the five force
+/// modes (structural included), the cost-based auto plan re-run so the
+/// second execution is served from the compiled-plan cache, and the forced
+/// Section 4.3 heuristic. Returns "" when every flavor returns `want`, else
+/// the first failure or divergence, prefixed by `label`. Counts executions
+/// in *runs when given.
+std::string CheckFlavors(Collection* coll, const std::string& query,
+                         const NodeSequence& want, const char* want_name,
+                         const std::string& label, uint64_t* runs) {
+  static const ForceMethod kForces[] = {
+      ForceMethod::kAuto,       ForceMethod::kScan,
+      ForceMethod::kDocIdList,  ForceMethod::kNodeIdList,
+      ForceMethod::kStructural, ForceMethod::kAuto,
+      ForceMethod::kAuto};
+  static const char* kForceNames[] = {
+      "plan:auto",        "plan:scan",        "plan:docid-list",
+      "plan:nodeid-list", "plan:structural",  "plan:auto-cached",
+      "plan:heuristic"};
+  for (size_t f = 0; f < 7; f++) {
+    QueryOptions qo;
+    qo.force = kForces[f];
+    qo.use_heuristic_planner = (f == 6);
+    auto res_r = coll->Query(nullptr, query, qo);
+    if (!res_r.ok())
+      return label + kForceNames[f] + " failed: " + res_r.status().ToString();
+    NodeSequence got = std::move(res_r.value().nodes);
+    NormalizeSequence(&got);
+    if (runs != nullptr) (*runs)++;
+    if (!SameNodes(got, want)) {
+      return Diverged(label + kForceNames[f], got, want, want_name) + " [" +
+             res_r.value().stats.explain + "]";
+    }
+  }
+  return "";
+}
+
+/// The post-edit leg. Edits the stored document: deletes the first element
+/// child of the first element with the most element children, then
+/// re-inserts its serialized text after the new first child, so the
+/// document keeps IDs no canonical numbering would assign. Then backfills
+/// string value indexes on every generator name, and requires every flavor
+/// to equal a forced scan of the edited document (the node IDs are the
+/// stored ones, not the DOM reference's) and the document to stay
+/// deletable. The edit is chosen from the document alone, so --seed=
+/// replay and the minimizer still work. Sets *edited to false, and checks
+/// nothing, when no element has two element children.
+std::string CheckAfterEdit(Collection* coll, uint64_t doc_id,
+                           const std::string& query, bool* edited) {
+  QueryOptions scan;
+  scan.force = ForceMethod::kScan;
+  auto elems = coll->Query(nullptr, "//*", scan);
+  if (!elems.ok()) return "post-edit //* failed: " + elems.status().ToString();
+  NormalizeSequence(&elems.value().nodes);
+  // Element children by parent; node-ID order is document order.
+  std::map<std::string, std::vector<std::string>> kids;
+  for (const ResultNode& e : elems.value().nodes) {
+    auto parent = nodeid::Parent(e.node_id);
+    if (parent.ok()) kids[parent.value().ToString()].push_back(e.node_id);
+  }
+  const std::pair<const std::string, std::vector<std::string>>* pick =
+      nullptr;
+  for (const auto& entry : kids) {
+    if (entry.second.size() >= 2 &&
+        (pick == nullptr || entry.second.size() > pick->second.size()))
+      pick = &entry;
+  }
+  *edited = pick != nullptr;
+  if (pick == nullptr) return "";
+  const std::vector<std::string>& children = pick->second;
+
+  auto text = coll->SerializeSubtree(nullptr, doc_id, children[0]);
+  if (!text.ok()) return "post-edit serialize: " + text.status().ToString();
+  Status st = coll->DeleteSubtree(nullptr, doc_id, children[0]);
+  if (!st.ok()) return "post-edit first-child delete: " + st.ToString();
+  st = coll->InsertSubtree(nullptr, doc_id, pick->first, children[1],
+                           text.value())
+           .status();
+  if (!st.ok()) return "post-edit positional insert: " + st.ToString();
+  for (std::string name : {"a", "b", "c", "d", "e", "@v", "@w", "@x"}) {
+    st = coll->CreateValueIndex({"edit" + name, "//" + name});
+    if (!st.ok()) return "post-edit index //" + name + ": " + st.ToString();
+  }
+
+  auto want = coll->Query(nullptr, query, scan);
+  if (!want.ok()) return "post-edit scan failed: " + want.status().ToString();
+  NormalizeSequence(&want.value().nodes);
+  std::string err = CheckFlavors(coll, query, want.value().nodes,
+                                 "the forced scan", "post-edit ", nullptr);
+  if (!err.empty()) return err;
+  st = coll->DeleteDocument(nullptr, doc_id);
+  if (!st.ok()) return "post-edit document delete: " + st.ToString();
+  return "";
+}
 
 std::string CompareEnginesCounted(const std::string& doc,
                                   const std::string& query,
@@ -152,37 +249,17 @@ std::string CompareEnginesCounted(const std::string& doc,
   if (!ins_r.ok())
     return "stored insert failed: " + ins_r.status().ToString();
 
-  // Seven planner flavors: the five force modes (structural included), the
-  // cost-based auto plan re-run so the second execution is served from the
-  // compiled-plan cache, and the forced Section 4.3 heuristic. Any stats-,
-  // cache- or interval-induced divergence from the DOM reference surfaces
-  // here.
-  static const ForceMethod kForces[] = {
-      ForceMethod::kAuto,       ForceMethod::kScan,
-      ForceMethod::kDocIdList,  ForceMethod::kNodeIdList,
-      ForceMethod::kStructural, ForceMethod::kAuto,
-      ForceMethod::kAuto};
-  static const char* kForceNames[] = {
-      "plan:auto",        "plan:scan",        "plan:docid-list",
-      "plan:nodeid-list", "plan:structural",  "plan:auto-cached",
-      "plan:heuristic"};
-  for (size_t f = 0; f < 7; f++) {
-    QueryOptions qo;
-    qo.force = kForces[f];
-    qo.use_heuristic_planner = (f == 6);
-    auto res_r = coll->Query(nullptr, query, qo);
-    if (!res_r.ok())
-      return std::string(kForceNames[f]) +
-             " failed: " + res_r.status().ToString();
-    NodeSequence got = std::move(res_r.value().nodes);
-    NormalizeSequence(&got);
-    if (counters != nullptr) counters->plans++;
-    if (!SameNodes(got, ref)) {
-      return Diverged(kForceNames[f], got, ref) + " [" +
-             res_r.value().stats.explain + "]";
-    }
-  }
-  return "";
+  // Any stats-, cache- or interval-induced divergence from the DOM
+  // reference surfaces here.
+  std::string err =
+      CheckFlavors(coll, query, ref, "the DOM reference", "",
+                   counters != nullptr ? &counters->plans : nullptr);
+  if (!err.empty()) return err;
+
+  bool edited = false;
+  err = CheckAfterEdit(coll, ins_r.value(), query, &edited);
+  if (edited && counters != nullptr) counters->edited++;
+  return err;
 }
 
 // --- text-level document reduction (generator-shaped XML) ---
@@ -421,6 +498,7 @@ SweepResult RunSweep(uint64_t base_seed, uint64_t iters,
   res.quickxscan_runs = counters.quickxscan;
   res.naive_stream_runs = counters.naive;
   res.plan_runs = counters.plans;
+  res.edited_runs = counters.edited;
   return res;
 }
 

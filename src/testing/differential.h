@@ -15,9 +15,12 @@
 //     predicates and an all-names structural index, so the index-backed
 //     plans actually probe.
 //
-// All engines must produce the same node-ID result set. On divergence the
-// harness reports the seed (a one-line repro: rerun with --seed=N) and a
-// greedily minimized document/query pair.
+// All engines must produce the same node-ID result set. A post-edit leg then
+// reshapes the stored document with a subtree delete and a positional
+// insert, backfills more value indexes, and requires every plan to equal a
+// forced scan of the edited document, which must stay deletable. On
+// divergence the harness reports the seed (a one-line repro: rerun with
+// --seed=N) and a greedily minimized document/query pair.
 #ifndef XDB_TESTING_DIFFERENTIAL_H_
 #define XDB_TESTING_DIFFERENTIAL_H_
 
@@ -72,6 +75,7 @@ struct SweepResult {
   uint64_t quickxscan_runs = 0;     // always == cases_run
   uint64_t naive_stream_runs = 0;   // linear-subset queries only
   uint64_t plan_runs = 0;           // stored-engine executions
+  uint64_t edited_runs = 0;         // cases that also ran the post-edit leg
   DiffOutcome first_failure;
 };
 

@@ -56,6 +56,8 @@ TEST(DifferentialTest, SweepAgreesAcrossEngines) {
   // Five force modes (structural interval scan included) + cached re-run
   // of the auto plan + forced heuristic.
   EXPECT_EQ(res.plan_runs, res.cases_run * 7);
+  // Some documents are edited and re-checked after the edit.
+  EXPECT_GT(res.edited_runs, 0u);
 }
 
 // The same sweep in deep-document mode: every document gains a 20–60 level

@@ -3,6 +3,7 @@
 // MVCC snapshot isolation, persistence, and WAL crash recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -451,34 +452,116 @@ TEST_F(SubtreeOpsTest, RepeatedInsertsBetweenSameSiblings) {
   }
 }
 
+// Index entries must name the node IDs the records store. A positional
+// insert or a non-last delete leaves IDs that a canonical renumbering of the
+// document would not reproduce, so after each edit (and after a backfill
+// over an edited document) every access path must agree with a full scan,
+// and the document must stay updatable and deletable.
 TEST_F(SubtreeOpsTest, ValueIndexesFollowSubtreeChanges) {
-  ASSERT_TRUE(
-      coll_->CreateValueIndex({"pidx", "//price", ValueType::kDouble, 64})
-          .ok());
-  uint64_t doc =
-      coll_->InsertDocument(nullptr,
-                            "<shop><p><price>10</price></p></shop>")
-          .value();
-  std::string shop_id = nodeid::ChildId(1);
-  ASSERT_TRUE(coll_->InsertSubtree(nullptr, doc, shop_id, Slice(),
-                                   "<p><price>20</price></p>")
-                  .ok());
-  for (ForceMethod m : {ForceMethod::kScan, ForceMethod::kDocIdList}) {
-    QueryOptions o;
-    o.force = m;
-    auto res = coll_->Query(nullptr, "//p[price = 20]", o).MoveValue();
-    EXPECT_EQ(res.nodes.size(), 1u) << static_cast<int>(m);
-  }
-  // Delete the original <p>: its index entry disappears.
-  auto p1 = coll_->Query(nullptr, "//p[price = 10]").MoveValue();
-  ASSERT_EQ(p1.nodes.size(), 1u);
-  ASSERT_TRUE(coll_->DeleteSubtree(nullptr, doc, p1.nodes[0].node_id).ok());
-  QueryOptions o;
-  o.force = ForceMethod::kDocIdList;
-  EXPECT_TRUE(coll_->Query(nullptr, "//p[price = 10]", o)
-                  .MoveValue()
-                  .nodes.empty());
-  EXPECT_EQ(Text(doc), "<shop><p><price>20</price></p></shop>");
+  const ValueIndexDef kPriceIndex{"pidx", "/shop/p/price", ValueType::kDouble,
+                                  64};
+  const StructuralIndexDef kStructure{"structure", ""};
+  ASSERT_TRUE(coll_->CreateValueIndex(kPriceIndex).ok());
+  ASSERT_TRUE(coll_->CreateStructuralIndex(kStructure).ok());
+  const std::string shop_id = nodeid::ChildId(1);
+  QueryOptions scan;
+  scan.force = ForceMethod::kScan;
+  auto p_ids = [&](Collection* coll) {
+    QueryResult ps = coll->Query(nullptr, "/shop/p", scan).MoveValue();
+    std::vector<std::string> ids;
+    for (const ResultNode& n : ps.nodes) ids.push_back(n.node_id);
+    return ids;
+  };
+
+  // `prices` in any order; each plan must return exactly these values.
+  auto expect_agree = [&](Collection* coll, std::vector<std::string> prices,
+                          const std::string& step) {
+    std::sort(prices.begin(), prices.end());
+    const std::pair<ForceMethod, query::AccessMethod> kPlans[] = {
+        {ForceMethod::kScan, query::AccessMethod::kFullScan},
+        {ForceMethod::kDocIdList, query::AccessMethod::kDocIdList},
+        {ForceMethod::kNodeIdList, query::AccessMethod::kNodeIdList},
+        {ForceMethod::kStructural, query::AccessMethod::kStructuralScan}};
+    for (const auto& [force, method] : kPlans) {
+      const std::string where =
+          step + ", " + query::AccessMethodName(method) + ": ";
+      QueryOptions o;
+      o.force = force;
+      o.want_values = true;
+      auto all = coll->Query(nullptr, "/shop/p[price > 0]/price", o);
+      ASSERT_TRUE(all.ok()) << where << all.status().ToString();
+      EXPECT_EQ(all.value().stats.method, method) << where;
+      std::vector<std::string> got;
+      for (const ResultNode& n : all.value().nodes)
+        got.push_back(n.string_value);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, prices) << where;
+      for (const std::string& price : prices) {
+        auto one = coll->Query(nullptr,
+                               "/shop/p[price = " + price + "]/price", o);
+        ASSERT_TRUE(one.ok()) << where << one.status().ToString();
+        EXPECT_EQ(one.value().nodes.size(), 1u) << where << "price " << price;
+      }
+    }
+  };
+
+  // A text update, a subtree delete and the document delete all find the
+  // entries the edits left behind. `prices` in document order.
+  auto expect_writable = [&](Collection* coll, uint64_t doc,
+                             std::vector<std::string> prices,
+                             const std::string& step) {
+    auto texts = coll->Query(nullptr, "/shop/p/price/text()", scan);
+    ASSERT_TRUE(texts.ok()) << step << ": " << texts.status().ToString();
+    ASSERT_EQ(texts.value().nodes.size(), prices.size()) << step;
+    Status st = coll->UpdateTextNode(nullptr, doc,
+                                     texts.value().nodes[0].node_id, "99");
+    ASSERT_TRUE(st.ok()) << step << ", text update: " << st.ToString();
+    prices[0] = "99";
+    expect_agree(coll, prices, step + ", text update");
+    st = coll->DeleteSubtree(nullptr, doc, p_ids(coll)[0]);
+    ASSERT_TRUE(st.ok()) << step << ", subtree delete: " << st.ToString();
+    prices.erase(prices.begin());
+    expect_agree(coll, prices, step + ", subtree delete");
+    const uint64_t before = coll->DocCount().value();
+    st = coll->DeleteDocument(nullptr, doc);
+    ASSERT_TRUE(st.ok()) << step << ", document delete: " << st.ToString();
+    EXPECT_EQ(coll->DocCount().value(), before - 1) << step;
+  };
+
+  // (a) Insert a <p> between two siblings.
+  uint64_t doc = coll_->InsertDocument(nullptr,
+                                       "<shop><p><price>10</price></p>"
+                                       "<p><price>30</price></p></shop>")
+                     .value();
+  auto mid = coll_->InsertSubtree(nullptr, doc, shop_id, p_ids(coll_)[0],
+                                  "<p><price>20</price></p>");
+  ASSERT_TRUE(mid.ok()) << mid.status().ToString();
+  EXPECT_EQ(Text(doc),
+            "<shop><p><price>10</price></p><p><price>20</price></p>"
+            "<p><price>30</price></p></shop>");
+  expect_agree(coll_, {"10", "20", "30"}, "positional insert");
+  expect_writable(coll_, doc, {"10", "20", "30"}, "positional insert");
+
+  // (b) Delete the first of three <p>s.
+  const std::string three =
+      "<shop><p><price>10</price></p><p><price>20</price></p>"
+      "<p><price>30</price></p></shop>";
+  doc = coll_->InsertDocument(nullptr, three).value();
+  ASSERT_TRUE(coll_->DeleteSubtree(nullptr, doc, p_ids(coll_)[0]).ok());
+  expect_agree(coll_, {"20", "30"}, "first-child delete");
+  expect_writable(coll_, doc, {"20", "30"}, "first-child delete");
+
+  // (c) Delete a non-last <p> before any index exists; creating the indexes
+  // then backfills from the edited document.
+  CollectionOptions copts;
+  copts.record_budget = 150;
+  Collection* plain = engine_->CreateCollection("plain", copts).value();
+  doc = plain->InsertDocument(nullptr, three).value();
+  ASSERT_TRUE(plain->DeleteSubtree(nullptr, doc, p_ids(plain)[1]).ok());
+  ASSERT_TRUE(plain->CreateValueIndex(kPriceIndex).ok());
+  ASSERT_TRUE(plain->CreateStructuralIndex(kStructure).ok());
+  expect_agree(plain, {"10", "30"}, "backfill");
+  expect_writable(plain, doc, {"10", "30"}, "backfill");
 }
 
 TEST_F(SubtreeOpsTest, MultiRecordSubtreeInsertAndDelete) {

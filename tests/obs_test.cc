@@ -233,6 +233,16 @@ TEST(EventLogTest, LongMessagesTruncate) {
   EXPECT_EQ(events[0].message, big.substr(0, EventLog::kMaxMessage));
 }
 
+// Every field of a concurrent-test event derives from arg0, so a torn slot
+// (two writers' stores mixed) fails the reader's checks. The message length
+// varies across word boundaries.
+EventKind EventKindFor(uint64_t v) {
+  return static_cast<EventKind>(1 + v % 20);
+}
+std::string EventMessageFor(uint64_t v) {
+  return "w" + std::to_string(v) + std::string(v % 23, '.');
+}
+
 TEST(EventLogTest, ConcurrentEmittersAndReaders) {
   EventLog log(64);
   constexpr int kWriters = 4;
@@ -246,17 +256,19 @@ TEST(EventLogTest, ConcurrentEmittersAndReaders) {
       for (size_t i = 1; i < events.size(); i++)
         ASSERT_LT(events[i - 1].seq, events[i].seq);
       for (const Event& e : events) {
-        ASSERT_EQ(e.kind, EventKind::kGroupCommitRound);
-        ASSERT_EQ(e.message, "w");
+        ASSERT_EQ(e.kind, EventKindFor(e.arg0));
+        ASSERT_EQ(e.arg1, e.arg0 * 3 + 1);
+        ASSERT_EQ(e.message, EventMessageFor(e.arg0));
       }
     }
   });
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; w++)
-    writers.emplace_back([&log] {
-      for (int i = 0; i < kPerWriter; i++)
-        log.Emit(EventKind::kGroupCommitRound, static_cast<uint64_t>(i), 0,
-                 "w");
+    writers.emplace_back([&log, w] {
+      for (int i = 0; i < kPerWriter; i++) {
+        const uint64_t v = static_cast<uint64_t>(w * kPerWriter + i);
+        log.Emit(EventKindFor(v), v, v * 3 + 1, EventMessageFor(v));
+      }
     });
   for (auto& th : writers) th.join();
   stop.store(true, std::memory_order_release);
