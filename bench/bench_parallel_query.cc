@@ -62,6 +62,19 @@ ParallelQueryFixture* Fixture() {
   return fx;
 }
 
+/// When environment variable `env` names a path, writes the ToJson() of
+/// `take()`'s snapshot there verbatim.
+template <typename TakeSnapshot>
+void WriteSnapshot(const char* env, TakeSnapshot take) {
+  const char* path = std::getenv(env);
+  if (path == nullptr || path[0] == '\0') return;
+  const std::string json = take().ToJson();
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) return;
+  std::fwrite(json.data(), 1, json.size(), f);
+  std::fclose(f);
+}
+
 void RunQuery(benchmark::State& state, const char* xpath,
               query::ForceMethod force) {
   ParallelQueryFixture* fx = Fixture();
@@ -84,32 +97,15 @@ void RunQuery(benchmark::State& state, const char* xpath,
   // snapshot after every bench; the last write covers the whole run. CI
   // uploads it next to BENCH_RESULTS.json so counter deltas across commits
   // are diffable (buffer traffic, group-commit batches, query fan-out).
-  const char* metrics_path = std::getenv("XDB_METRICS_JSON");
-  if (metrics_path != nullptr && metrics_path[0] != '\0') {
-    std::string json = fx->engine->MetricsSnapshot().ToJson();
-    std::FILE* f = std::fopen(metrics_path, "w");
-    if (f != nullptr) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-    }
-  }
+  WriteSnapshot("XDB_METRICS_JSON",
+                [fx] { return fx->engine->MetricsSnapshot(); });
   // Likewise XDB_SNAPSHOT_JSON=<path> dumps the full DebugSnapshot (the
   // xdb_top payload: metrics + wait histograms + events + slow queries +
   // per-collection residency). CI feeds it back through `xdb_top --json
-  // --file` as a schema round-trip smoke-test.
-  const char* snapshot_path = std::getenv("XDB_SNAPSHOT_JSON");
-  if (snapshot_path != nullptr && snapshot_path[0] != '\0') {
-    std::string json = fx->engine->DebugSnapshot().ToJson();
-    std::FILE* f = std::fopen(snapshot_path, "w");
-    if (f != nullptr) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      // ToJson ends with a newline; keep the file byte-identical to what
-      // `xdb_top --json --file` re-emits so CI can plain-diff the two.
-      if (json.empty() || json.back() != '\n') std::fputc('\n', f);
-      std::fclose(f);
-    }
-  }
+  // --file` as a schema round-trip smoke-test, so the file must be exactly
+  // ToJson()'s bytes.
+  WriteSnapshot("XDB_SNAPSHOT_JSON",
+                [fx] { return fx->engine->DebugSnapshot(); });
 }
 
 // Scan-heavy: full QuickXScan over all 48 documents per query.

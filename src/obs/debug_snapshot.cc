@@ -2,53 +2,21 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
+
+#include "common/format.h"
 
 namespace xdb {
 namespace obs {
 
 namespace {
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
 void AppendKeyU64(std::string* out, const char* key, uint64_t v, bool comma) {
   if (comma) out->append(", ");
   out->push_back('"');
   out->append(key);
   out->append("\": ");
-  AppendU64(out, v);
+  json::AppendU64(out, v);
 }
 
 void AppendKeyString(std::string* out, const char* key, const std::string& v,
@@ -57,366 +25,74 @@ void AppendKeyString(std::string* out, const char* key, const std::string& v,
   out->push_back('"');
   out->append(key);
   out->append("\": ");
-  AppendJsonString(out, v);
+  json::AppendString(out, v);
 }
 
 void AppendWaitArray(std::string* out, const char* key, const uint64_t* vs) {
   out->append(", \"");
   out->append(key);
-  out->append("\": [");
-  for (size_t i = 0; i < kWaitStateCount; ++i) {
-    if (i) out->push_back(',');
-    AppendU64(out, vs[i]);
-  }
-  out->push_back(']');
+  out->append("\": ");
+  json::AppendU64Array(out, std::span(vs, kWaitStateCount));
 }
 
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0)
-    out->append(buf,
-                std::min<size_t>(static_cast<size_t>(n), sizeof(buf) - 1));
+Status ReadWaitArray(json::Reader* in, uint64_t* vs) {
+  std::vector<uint64_t> read;
+  XDB_RETURN_NOT_OK(in->ReadU64Array(&read));
+  if (read.size() != kWaitStateCount)
+    return in->Error("wait array needs " + std::to_string(kWaitStateCount) +
+                     " entries");
+  std::copy(read.begin(), read.end(), vs);
+  return Status::OK();
 }
 
-/// Minimal recursive-descent parser for exactly the JSON ToJson() emits
-/// (the same contract as MetricsSnapshot::FromJson; the nested metrics
-/// object is delegated to that parser by balanced-brace capture).
-class Parser {
- public:
-  explicit Parser(const std::string& in) : in_(in) {}
+Status ReadCollection(json::Reader* in, DebugSnapshot::CollectionInfo* ci) {
+  return in->ReadObject([&](const std::string& key) -> Status {
+    if (key == "name") return in->ReadString(&ci->name);
+    if (key == "doc_count") return in->ReadU64(&ci->doc_count);
+    if (key == "node_count") return in->ReadU64(&ci->node_count);
+    if (key == "stats_epoch") return in->ReadU64(&ci->stats_epoch);
+    if (key == "stats_valid") return in->ReadBool(&ci->stats_valid);
+    if (key == "buffer_resident") return in->ReadU64(&ci->buffer_resident);
+    if (key == "buffer_capacity") return in->ReadU64(&ci->buffer_capacity);
+    if (key == "buffer_hits") return in->ReadU64(&ci->buffer_hits);
+    if (key == "buffer_misses") return in->ReadU64(&ci->buffer_misses);
+    return in->Error("unknown collection key " + key);
+  });
+}
 
-  Result<DebugSnapshot> Parse() {
-    DebugSnapshot snap;
-    XDB_RETURN_NOT_OK(Expect('{'));
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return snap;
-    }
-    for (;;) {
-      std::string key;
-      XDB_RETURN_NOT_OK(ParseString(&key));
-      XDB_RETURN_NOT_OK(Expect(':'));
-      if (key == "captured_at_us") {
-        XDB_RETURN_NOT_OK(ParseU64(&snap.captured_at_us));
-      } else if (key == "role") {
-        XDB_RETURN_NOT_OK(ParseString(&snap.role));
-      } else if (key == "applied_csn") {
-        XDB_RETURN_NOT_OK(ParseU64(&snap.applied_csn));
-      } else if (key == "wal_size") {
-        XDB_RETURN_NOT_OK(ParseU64(&snap.wal_size));
-      } else if (key == "wal_durable_upto") {
-        XDB_RETURN_NOT_OK(ParseU64(&snap.wal_durable_upto));
-      } else if (key == "collections") {
-        XDB_RETURN_NOT_OK(ParseCollections(&snap.collections));
-      } else if (key == "metrics") {
-        std::string sub;
-        XDB_RETURN_NOT_OK(CaptureObject(&sub));
-        XDB_ASSIGN_OR_RETURN(snap.metrics, MetricsSnapshot::FromJson(sub));
-      } else if (key == "events") {
-        XDB_RETURN_NOT_OK(ParseEvents(&snap.events));
-      } else if (key == "slow_queries") {
-        XDB_RETURN_NOT_OK(ParseSlowQueries(&snap.slow_queries));
-      } else {
-        return Status::InvalidArgument("debug snapshot json: unknown key " +
-                                       key);
-      }
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        SkipWs();
-        continue;
-      }
-      XDB_RETURN_NOT_OK(Expect('}'));
-      return snap;
-    }
-  }
-
- private:
-  char Peek() const { return pos_ < in_.size() ? in_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < in_.size() &&
-           (in_[pos_] == ' ' || in_[pos_] == '\n' || in_[pos_] == '\t' ||
-            in_[pos_] == '\r'))
-      ++pos_;
-  }
-  Status Expect(char c) {
-    SkipWs();
-    if (Peek() != c)
-      return Status::InvalidArgument(
-          std::string("debug snapshot json: expected '") + c + "' at offset " +
-          std::to_string(pos_));
-    ++pos_;
+Status ReadEvent(json::Reader* in, Event* e) {
+  return in->ReadObject([&](const std::string& key) -> Status {
+    if (key == "seq") return in->ReadU64(&e->seq);
+    if (key == "timestamp_us") return in->ReadU64(&e->timestamp_us);
+    if (key == "arg0") return in->ReadU64(&e->arg0);
+    if (key == "arg1") return in->ReadU64(&e->arg1);
+    if (key == "message") return in->ReadString(&e->message);
+    if (key != "kind") return in->Error("unknown event key " + key);
+    uint64_t kind = 0;
+    XDB_RETURN_NOT_OK(in->ReadU64(&kind));
+    e->kind = static_cast<EventKind>(kind);
+    if (kind > UINT8_MAX ||
+        std::strcmp(EventKindName(e->kind), "unknown") == 0)
+      return in->Error("unknown event kind " + std::to_string(kind));
     return Status::OK();
-  }
-  Status ParseString(std::string* out) {
-    SkipWs();
-    XDB_RETURN_NOT_OK(Expect('"'));
-    out->clear();
-    while (pos_ < in_.size() && in_[pos_] != '"') {
-      char c = in_[pos_++];
-      if (c == '\\' && pos_ < in_.size()) {
-        char e = in_[pos_++];
-        switch (e) {
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 'u': {
-            if (pos_ + 4 > in_.size())
-              return Status::InvalidArgument(
-                  "debug snapshot json: bad \\u escape");
-            unsigned v = 0;
-            std::sscanf(in_.c_str() + pos_, "%4x", &v);
-            pos_ += 4;
-            out->push_back(static_cast<char>(v));
-            break;
-          }
-          default:
-            out->push_back(e);
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return Expect('"');
-  }
-  Status ParseU64(uint64_t* out) {
-    SkipWs();
-    if (Peek() < '0' || Peek() > '9')
-      return Status::InvalidArgument(
-          "debug snapshot json: expected number at " + std::to_string(pos_));
-    uint64_t v = 0;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9')
-      v = v * 10 + static_cast<uint64_t>(in_[pos_++] - '0');
-    *out = v;
-    return Status::OK();
-  }
-  Status ParseBool(bool* out) {
-    SkipWs();
-    if (in_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      *out = true;
-      return Status::OK();
-    }
-    if (in_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      *out = false;
-      return Status::OK();
-    }
-    return Status::InvalidArgument("debug snapshot json: expected bool at " +
-                                   std::to_string(pos_));
-  }
-  Status ParseWaitArray(uint64_t* vs) {
-    XDB_RETURN_NOT_OK(Expect('['));
-    for (size_t i = 0; i < kWaitStateCount; ++i) {
-      if (i) XDB_RETURN_NOT_OK(Expect(','));
-      XDB_RETURN_NOT_OK(ParseU64(&vs[i]));
-    }
-    return Expect(']');
-  }
-  /// Captures one balanced `{...}` object verbatim (string-aware), leaving
-  /// pos_ just past its closing brace.
-  Status CaptureObject(std::string* out) {
-    SkipWs();
-    if (Peek() != '{')
-      return Status::InvalidArgument(
-          "debug snapshot json: expected object at " + std::to_string(pos_));
-    size_t start = pos_;
-    int depth = 0;
-    bool in_string = false;
-    while (pos_ < in_.size()) {
-      char c = in_[pos_++];
-      if (in_string) {
-        if (c == '\\' && pos_ < in_.size())
-          ++pos_;
-        else if (c == '"')
-          in_string = false;
-        continue;
-      }
-      if (c == '"') {
-        in_string = true;
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        if (--depth == 0) {
-          out->assign(in_, start, pos_ - start);
-          return Status::OK();
-        }
-      }
-    }
-    return Status::InvalidArgument("debug snapshot json: unterminated object");
-  }
-  Status ParseCollections(std::vector<DebugSnapshot::CollectionInfo>* out) {
-    XDB_RETURN_NOT_OK(Expect('['));
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    for (;;) {
-      DebugSnapshot::CollectionInfo ci;
-      XDB_RETURN_NOT_OK(Expect('{'));
-      for (;;) {
-        std::string key;
-        XDB_RETURN_NOT_OK(ParseString(&key));
-        XDB_RETURN_NOT_OK(Expect(':'));
-        if (key == "name") {
-          XDB_RETURN_NOT_OK(ParseString(&ci.name));
-        } else if (key == "doc_count") {
-          XDB_RETURN_NOT_OK(ParseU64(&ci.doc_count));
-        } else if (key == "node_count") {
-          XDB_RETURN_NOT_OK(ParseU64(&ci.node_count));
-        } else if (key == "stats_epoch") {
-          XDB_RETURN_NOT_OK(ParseU64(&ci.stats_epoch));
-        } else if (key == "stats_valid") {
-          XDB_RETURN_NOT_OK(ParseBool(&ci.stats_valid));
-        } else if (key == "buffer_resident") {
-          XDB_RETURN_NOT_OK(ParseU64(&ci.buffer_resident));
-        } else if (key == "buffer_capacity") {
-          XDB_RETURN_NOT_OK(ParseU64(&ci.buffer_capacity));
-        } else if (key == "buffer_hits") {
-          XDB_RETURN_NOT_OK(ParseU64(&ci.buffer_hits));
-        } else if (key == "buffer_misses") {
-          XDB_RETURN_NOT_OK(ParseU64(&ci.buffer_misses));
-        } else {
-          return Status::InvalidArgument(
-              "debug snapshot json: unknown collection key " + key);
-        }
-        SkipWs();
-        if (Peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        XDB_RETURN_NOT_OK(Expect('}'));
-        break;
-      }
-      out->push_back(std::move(ci));
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        SkipWs();
-        continue;
-      }
-      return Expect(']');
-    }
-  }
-  Status ParseEvents(std::vector<Event>* out) {
-    XDB_RETURN_NOT_OK(Expect('['));
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    for (;;) {
-      Event e;
-      XDB_RETURN_NOT_OK(Expect('{'));
-      for (;;) {
-        std::string key;
-        XDB_RETURN_NOT_OK(ParseString(&key));
-        XDB_RETURN_NOT_OK(Expect(':'));
-        if (key == "seq") {
-          XDB_RETURN_NOT_OK(ParseU64(&e.seq));
-        } else if (key == "timestamp_us") {
-          XDB_RETURN_NOT_OK(ParseU64(&e.timestamp_us));
-        } else if (key == "kind") {
-          uint64_t k = 0;
-          XDB_RETURN_NOT_OK(ParseU64(&k));
-          e.kind = static_cast<EventKind>(k);
-        } else if (key == "arg0") {
-          XDB_RETURN_NOT_OK(ParseU64(&e.arg0));
-        } else if (key == "arg1") {
-          XDB_RETURN_NOT_OK(ParseU64(&e.arg1));
-        } else if (key == "message") {
-          XDB_RETURN_NOT_OK(ParseString(&e.message));
-        } else {
-          return Status::InvalidArgument(
-              "debug snapshot json: unknown event key " + key);
-        }
-        SkipWs();
-        if (Peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        XDB_RETURN_NOT_OK(Expect('}'));
-        break;
-      }
-      out->push_back(std::move(e));
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        SkipWs();
-        continue;
-      }
-      return Expect(']');
-    }
-  }
-  Status ParseSlowQueries(std::vector<SlowQueryRecord>* out) {
-    XDB_RETURN_NOT_OK(Expect('['));
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    for (;;) {
-      SlowQueryRecord r;
-      XDB_RETURN_NOT_OK(Expect('{'));
-      for (;;) {
-        std::string key;
-        XDB_RETURN_NOT_OK(ParseString(&key));
-        XDB_RETURN_NOT_OK(Expect(':'));
-        if (key == "seq") {
-          XDB_RETURN_NOT_OK(ParseU64(&r.seq));
-        } else if (key == "timestamp_us") {
-          XDB_RETURN_NOT_OK(ParseU64(&r.timestamp_us));
-        } else if (key == "wall_us") {
-          XDB_RETURN_NOT_OK(ParseU64(&r.wall_us));
-        } else if (key == "results") {
-          XDB_RETURN_NOT_OK(ParseU64(&r.results));
-        } else if (key == "parallelism") {
-          XDB_RETURN_NOT_OK(ParseU64(&r.parallelism));
-        } else if (key == "collection") {
-          XDB_RETURN_NOT_OK(ParseString(&r.collection));
-        } else if (key == "query") {
-          XDB_RETURN_NOT_OK(ParseString(&r.query));
-        } else if (key == "access_method") {
-          XDB_RETURN_NOT_OK(ParseString(&r.access_method));
-        } else if (key == "wait_us") {
-          XDB_RETURN_NOT_OK(ParseWaitArray(r.wait_us));
-        } else if (key == "wait_count") {
-          XDB_RETURN_NOT_OK(ParseWaitArray(r.wait_count));
-        } else {
-          return Status::InvalidArgument(
-              "debug snapshot json: unknown slow-query key " + key);
-        }
-        SkipWs();
-        if (Peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        XDB_RETURN_NOT_OK(Expect('}'));
-        break;
-      }
-      out->push_back(std::move(r));
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        SkipWs();
-        continue;
-      }
-      return Expect(']');
-    }
-  }
+  });
+}
 
-  const std::string& in_;
-  size_t pos_ = 0;
-};
+Status ReadSlowQuery(json::Reader* in, SlowQueryRecord* r) {
+  return in->ReadObject([&](const std::string& key) -> Status {
+    if (key == "seq") return in->ReadU64(&r->seq);
+    if (key == "timestamp_us") return in->ReadU64(&r->timestamp_us);
+    if (key == "wall_us") return in->ReadU64(&r->wall_us);
+    if (key == "results") return in->ReadU64(&r->results);
+    if (key == "parallelism") return in->ReadU64(&r->parallelism);
+    if (key == "collection") return in->ReadString(&r->collection);
+    if (key == "query") return in->ReadString(&r->query);
+    if (key == "access_method") return in->ReadString(&r->access_method);
+    if (key == "wait_us") return ReadWaitArray(in, r->wait_us);
+    if (key == "wait_count") return ReadWaitArray(in, r->wait_count);
+    return in->Error("unknown slow-query key " + key);
+  });
+}
 
 }  // namespace
 
@@ -424,7 +100,7 @@ std::string DebugSnapshot::ToJson() const {
   std::string out;
   out.reserve(4096);
   out.append("{\n\"captured_at_us\": ");
-  AppendU64(&out, captured_at_us);
+  json::AppendU64(&out, captured_at_us);
   AppendKeyString(&out, "role", role, true);
   AppendKeyU64(&out, "applied_csn", applied_csn, true);
   AppendKeyU64(&out, "wal_size", wal_size, true);
@@ -545,7 +221,31 @@ std::string DebugSnapshot::ToText() const {
 }
 
 Result<DebugSnapshot> DebugSnapshot::FromJson(const std::string& json) {
-  return Parser(json).Parse();
+  json::Reader in(json);
+  DebugSnapshot snap;
+  XDB_RETURN_NOT_OK(in.ReadObject([&](const std::string& key) -> Status {
+    if (key == "captured_at_us") return in.ReadU64(&snap.captured_at_us);
+    if (key == "role") return in.ReadString(&snap.role);
+    if (key == "applied_csn") return in.ReadU64(&snap.applied_csn);
+    if (key == "wal_size") return in.ReadU64(&snap.wal_size);
+    if (key == "wal_durable_upto") return in.ReadU64(&snap.wal_durable_upto);
+    if (key == "collections")
+      return in.ReadArray([&] {
+        return ReadCollection(&in, &snap.collections.emplace_back());
+      });
+    if (key == "events")
+      return in.ReadArray(
+          [&] { return ReadEvent(&in, &snap.events.emplace_back()); });
+    if (key == "slow_queries")
+      return in.ReadArray([&] {
+        return ReadSlowQuery(&in, &snap.slow_queries.emplace_back());
+      });
+    if (key != "metrics") return in.Error("unknown key " + key);
+    XDB_ASSIGN_OR_RETURN(snap.metrics, MetricsSnapshot::ReadJson(&in));
+    return Status::OK();
+  }));
+  XDB_RETURN_NOT_OK(in.ExpectEnd());
+  return snap;
 }
 
 }  // namespace obs

@@ -62,8 +62,9 @@ struct DebugSnapshot {
   /// Human rendering: header, collections, wait profile, slow queries,
   /// recent events (what xdb_top prints without --json).
   std::string ToText() const;
-  /// Parses ToJson() output back. Only the subset this serializer emits is
-  /// understood (same contract as MetricsSnapshot::FromJson).
+  /// Parses ToJson() output back. Anything else — an unknown key, an event
+  /// kind EventKindName cannot name, a wait array whose length is not
+  /// kWaitStateCount, or what json::Reader rejects — returns InvalidArgument.
   static Result<DebugSnapshot> FromJson(const std::string& json);
 };
 

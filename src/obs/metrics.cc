@@ -111,209 +111,6 @@ uint64_t MetricsSnapshot::Value(const std::string& name) const {
   return m == nullptr ? 0 : m->value;
 }
 
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
-void AppendU64Array(std::string* out, const std::vector<uint64_t>& vs) {
-  out->push_back('[');
-  for (size_t i = 0; i < vs.size(); ++i) {
-    if (i) out->push_back(',');
-    AppendU64(out, vs[i]);
-  }
-  out->push_back(']');
-}
-
-/// Minimal recursive-descent parser for exactly the JSON ToJson() emits.
-/// Not a general-purpose JSON library — FromJson() documents that contract.
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& in) : in_(in) {}
-
-  Result<MetricsSnapshot> Parse() {
-    MetricsSnapshot snap;
-    SkipWs();
-    XDB_RETURN_NOT_OK(Expect('{'));
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return snap;
-    }
-    for (;;) {
-      Metric m;
-      XDB_RETURN_NOT_OK(ParseString(&m.name));
-      SkipWs();
-      XDB_RETURN_NOT_OK(Expect(':'));
-      XDB_RETURN_NOT_OK(ParseMetricBody(&m));
-      snap.metrics.push_back(std::move(m));
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        SkipWs();
-        continue;
-      }
-      XDB_RETURN_NOT_OK(Expect('}'));
-      return snap;
-    }
-  }
-
- private:
-  char Peek() const { return pos_ < in_.size() ? in_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < in_.size() &&
-           (in_[pos_] == ' ' || in_[pos_] == '\n' || in_[pos_] == '\t' ||
-            in_[pos_] == '\r'))
-      ++pos_;
-  }
-  Status Expect(char c) {
-    SkipWs();
-    if (Peek() != c)
-      return Status::InvalidArgument(std::string("metrics json: expected '") +
-                                     c + "' at offset " +
-                                     std::to_string(pos_));
-    ++pos_;
-    return Status::OK();
-  }
-  Status ParseString(std::string* out) {
-    SkipWs();
-    XDB_RETURN_NOT_OK(Expect('"'));
-    out->clear();
-    while (pos_ < in_.size() && in_[pos_] != '"') {
-      char c = in_[pos_++];
-      if (c == '\\' && pos_ < in_.size()) {
-        char e = in_[pos_++];
-        switch (e) {
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 'u': {
-            if (pos_ + 4 > in_.size())
-              return Status::InvalidArgument("metrics json: bad \\u escape");
-            unsigned v = 0;
-            std::sscanf(in_.c_str() + pos_, "%4x", &v);
-            pos_ += 4;
-            out->push_back(static_cast<char>(v));
-            break;
-          }
-          default:
-            out->push_back(e);
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return Expect('"');
-  }
-  Status ParseU64(uint64_t* out) {
-    SkipWs();
-    if (Peek() < '0' || Peek() > '9')
-      return Status::InvalidArgument("metrics json: expected number at " +
-                                     std::to_string(pos_));
-    uint64_t v = 0;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9')
-      v = v * 10 + static_cast<uint64_t>(in_[pos_++] - '0');
-    *out = v;
-    return Status::OK();
-  }
-  Status ParseU64Array(std::vector<uint64_t>* out) {
-    XDB_RETURN_NOT_OK(Expect('['));
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    for (;;) {
-      uint64_t v;
-      XDB_RETURN_NOT_OK(ParseU64(&v));
-      out->push_back(v);
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return Expect(']');
-    }
-  }
-  Status ParseMetricBody(Metric* m) {
-    XDB_RETURN_NOT_OK(Expect('{'));
-    for (;;) {
-      std::string key;
-      XDB_RETURN_NOT_OK(ParseString(&key));
-      XDB_RETURN_NOT_OK(Expect(':'));
-      if (key == "kind") {
-        std::string kind;
-        XDB_RETURN_NOT_OK(ParseString(&kind));
-        if (kind == "counter") {
-          m->kind = MetricKind::kCounter;
-        } else if (kind == "gauge") {
-          m->kind = MetricKind::kGauge;
-        } else if (kind == "histogram") {
-          m->kind = MetricKind::kHistogram;
-        } else {
-          return Status::InvalidArgument("metrics json: unknown kind " + kind);
-        }
-      } else if (key == "value") {
-        XDB_RETURN_NOT_OK(ParseU64(&m->value));
-      } else if (key == "bounds") {
-        XDB_RETURN_NOT_OK(ParseU64Array(&m->hist.bounds));
-      } else if (key == "counts") {
-        XDB_RETURN_NOT_OK(ParseU64Array(&m->hist.counts));
-      } else if (key == "count") {
-        XDB_RETURN_NOT_OK(ParseU64(&m->hist.count));
-      } else if (key == "sum") {
-        XDB_RETURN_NOT_OK(ParseU64(&m->hist.sum));
-      } else if (key == "min") {
-        XDB_RETURN_NOT_OK(ParseU64(&m->hist.min));
-      } else if (key == "max") {
-        XDB_RETURN_NOT_OK(ParseU64(&m->hist.max));
-      } else {
-        return Status::InvalidArgument("metrics json: unknown key " + key);
-      }
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return Expect('}');
-    }
-  }
-
-  const std::string& in_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string MetricsSnapshot::ToJson() const {
   std::string out;
   out.reserve(metrics.size() * 64 + 2);
@@ -322,26 +119,26 @@ std::string MetricsSnapshot::ToJson() const {
     const Metric& m = metrics[i];
     if (i) out.push_back(',');
     out.append("\n  ");
-    AppendJsonString(&out, m.name);
+    json::AppendString(&out, m.name);
     out.append(": {\"kind\": \"");
     out.append(MetricKindName(m.kind));
     out.append("\"");
     if (m.kind == MetricKind::kHistogram) {
       out.append(", \"count\": ");
-      AppendU64(&out, m.hist.count);
+      json::AppendU64(&out, m.hist.count);
       out.append(", \"sum\": ");
-      AppendU64(&out, m.hist.sum);
+      json::AppendU64(&out, m.hist.sum);
       out.append(", \"min\": ");
-      AppendU64(&out, m.hist.min);
+      json::AppendU64(&out, m.hist.min);
       out.append(", \"max\": ");
-      AppendU64(&out, m.hist.max);
+      json::AppendU64(&out, m.hist.max);
       out.append(", \"bounds\": ");
-      AppendU64Array(&out, m.hist.bounds);
+      json::AppendU64Array(&out, m.hist.bounds);
       out.append(", \"counts\": ");
-      AppendU64Array(&out, m.hist.counts);
+      json::AppendU64Array(&out, m.hist.counts);
     } else {
       out.append(", \"value\": ");
-      AppendU64(&out, m.value);
+      json::AppendU64(&out, m.value);
     }
     out.push_back('}');
   }
@@ -420,8 +217,48 @@ std::string MetricsSnapshot::ToText() const {
   return out;
 }
 
+namespace {
+
+Status ReadKind(json::Reader* in, MetricKind* kind) {
+  std::string name;
+  XDB_RETURN_NOT_OK(in->ReadString(&name));
+  for (MetricKind k :
+       {MetricKind::kCounter, MetricKind::kGauge, MetricKind::kHistogram}) {
+    if (name == MetricKindName(k)) {
+      *kind = k;
+      return Status::OK();
+    }
+  }
+  return in->Error("unknown metric kind " + name);
+}
+
+}  // namespace
+
+Result<MetricsSnapshot> MetricsSnapshot::ReadJson(json::Reader* in) {
+  MetricsSnapshot snap;
+  XDB_RETURN_NOT_OK(in->ReadObject([&](const std::string& name) {
+    Metric& m = snap.metrics.emplace_back();
+    m.name = name;
+    return in->ReadObject([&](const std::string& key) -> Status {
+      if (key == "kind") return ReadKind(in, &m.kind);
+      if (key == "value") return in->ReadU64(&m.value);
+      if (key == "count") return in->ReadU64(&m.hist.count);
+      if (key == "sum") return in->ReadU64(&m.hist.sum);
+      if (key == "min") return in->ReadU64(&m.hist.min);
+      if (key == "max") return in->ReadU64(&m.hist.max);
+      if (key == "bounds") return in->ReadU64Array(&m.hist.bounds);
+      if (key == "counts") return in->ReadU64Array(&m.hist.counts);
+      return in->Error("unknown metric key " + key);
+    });
+  }));
+  return snap;
+}
+
 Result<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json) {
-  return JsonParser(json).Parse();
+  json::Reader in(json);
+  XDB_ASSIGN_OR_RETURN(MetricsSnapshot snap, ReadJson(&in));
+  XDB_RETURN_NOT_OK(in.ExpectEnd());
+  return snap;
 }
 
 Counter* MetricsRegistry::AddCounter(const std::string& name) {

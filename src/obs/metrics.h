@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -165,9 +166,12 @@ struct MetricsSnapshot {
   std::string ToJson() const;
   /// Aligned human-readable table; histograms render count/avg/p50/p99/max.
   std::string ToText() const;
-  /// Parses ToJson() output back (round-trip tested). Only the subset this
-  /// serializer emits is understood.
+  /// Parses ToJson() output back (round-trip tested). Anything else returns
+  /// InvalidArgument.
   static Result<MetricsSnapshot> FromJson(const std::string& json);
+  /// Reads one ToJson() object from `in` and leaves `in` just past it: the
+  /// body of FromJson, and how DebugSnapshot reads its embedded metrics.
+  static Result<MetricsSnapshot> ReadJson(json::Reader* in);
 };
 
 /// The registry: owns native metric objects, keeps collector callbacks, and

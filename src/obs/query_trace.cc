@@ -5,26 +5,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+
+#include "common/format.h"
 
 namespace xdb {
 namespace obs {
 
 namespace {
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, std::min<size_t>(static_cast<size_t>(n),
-                                               sizeof(buf) - 1));
-}
-
 uint64_t ThreadCpuMicros() {
   struct timespec ts;
   if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;

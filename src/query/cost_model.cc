@@ -1,26 +1,13 @@
 #include "query/cost_model.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
+
+#include "common/format.h"
 
 namespace xdb {
 namespace query {
 
 namespace {
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[160];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0)
-    out->append(buf, std::min<size_t>(static_cast<size_t>(n), sizeof(buf) - 1));
-}
 
 /// Fraction of sampled distinct keys inside [lo, hi] (either bound may be
 /// absent). The sample is uniform over distinct keys (KMV), and encoded

@@ -7,9 +7,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "obs/debug_snapshot.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/query_trace.h"
 #include "obs/slow_query_log.h"
 #include "obs/wait_state.h"
 
@@ -170,6 +172,24 @@ TEST(SnapshotTest, JsonRoundTrip) {
 TEST(SnapshotTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(MetricsSnapshot::FromJson("not json").ok());
   EXPECT_FALSE(MetricsSnapshot::FromJson("{\"x\": [1,2}").ok());
+  auto counter = [](const std::string& name, const std::string& value) {
+    return "{\"" + name + "\": {\"kind\": \"counter\", \"value\": " + value +
+           "}}";
+  };
+  EXPECT_TRUE(MetricsSnapshot::FromJson(counter("a", "18446744073709551615"))
+                  .ok());
+  EXPECT_FALSE(MetricsSnapshot::FromJson(counter("a", "1") + "trailing").ok());
+  EXPECT_FALSE(
+      MetricsSnapshot::FromJson(counter("a", "18446744073709551616")).ok());
+  EXPECT_FALSE(
+      MetricsSnapshot::FromJson(counter("a", "99999999999999999999999")).ok());
+  for (const char* escape : {"\\uZZZZ", "\\u0141", "\\q"})
+    EXPECT_FALSE(MetricsSnapshot::FromJson(counter(escape, "1")).ok())
+        << escape;
+  auto tab = MetricsSnapshot::FromJson(counter("a\\tb", "1"));
+  ASSERT_TRUE(tab.ok()) << tab.status().ToString();
+  ASSERT_EQ(tab.value().metrics.size(), 1u);
+  EXPECT_EQ(tab.value().metrics[0].name, "a\tb");
 }
 
 TEST(SnapshotTest, ToTextMentionsEveryMetric) {
@@ -615,6 +635,114 @@ TEST(DebugSnapshotTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(DebugSnapshot::FromJson("not json").ok());
   EXPECT_FALSE(DebugSnapshot::FromJson("{\"role\": \"primary\"").ok());
   EXPECT_FALSE(DebugSnapshot::FromJson("").ok());
+  // Each case edits one token of a canonical snapshot.
+  const std::string json = MakeDebugSnapshot().ToJson();
+  auto edited = [&json](const std::string& from, const std::string& to) {
+    std::string out = json;
+    const size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  EXPECT_FALSE(DebugSnapshot::FromJson(json + "trailing").ok());
+  for (const std::string csn :
+       {"18446744073709551616", "99999999999999999999999"}) {
+    const std::string bad =
+        edited("\"applied_csn\": 4242", "\"applied_csn\": " + csn);
+    EXPECT_FALSE(DebugSnapshot::FromJson(bad).ok()) << csn;
+  }
+  for (const std::string escape : {"\\uZZZZ", "\\u0141", "\\q"}) {
+    const std::string bad = edited("\"replica\"", "\"re" + escape + "\"");
+    EXPECT_FALSE(DebugSnapshot::FromJson(bad).ok()) << escape;
+  }
+  for (const std::string kind : {"0", "300"}) {
+    const std::string bad = edited("\"kind\": 3,", "\"kind\": " + kind + ",");
+    EXPECT_FALSE(DebugSnapshot::FromJson(bad).ok()) << kind;
+  }
+  auto tab = DebugSnapshot::FromJson(edited("\"replica\"", "\"a\\tb\""));
+  ASSERT_TRUE(tab.ok()) << tab.status().ToString();
+  EXPECT_EQ(tab.value().role, "a\tb");
+}
+
+/// One seeded edit of `json`: replace a byte, insert a byte, delete a run,
+/// or truncate. Bytes come from a JSON-ish alphabet or are fully random.
+void Mutate(Random* rng, std::string* json) {
+  static constexpr char kAlphabet[] = "{}[]:,\"\\/ 0123456789-+.eEtrufalsbn\n";
+  auto byte = [rng] {
+    return rng->OneIn(2) ? kAlphabet[rng->Uniform(sizeof(kAlphabet) - 1)]
+                         : static_cast<char>(rng->Uniform(256));
+  };
+  const size_t at = rng->Uniform(json->size() + 1);
+  switch (rng->Uniform(4)) {
+    case 0:
+      if (at < json->size()) (*json)[at] = byte();
+      break;
+    case 1:
+      json->insert(json->begin() + static_cast<ptrdiff_t>(at), byte());
+      break;
+    case 2:
+      json->erase(at, 1 + rng->Uniform(16));
+      break;
+    default:
+      json->resize(at);
+  }
+}
+
+/// Every mutant must come back as a Status. An accepted one must render,
+/// and re-serializing it must be a fixed point. Returns whether `mutant`
+/// was accepted.
+template <typename Snapshot>
+bool CheckMutant(const std::string& mutant, uint64_t seed) {
+  auto parsed = Snapshot::FromJson(mutant);
+  if (!parsed.ok()) return false;
+  parsed.value().ToText();
+  const std::string json = parsed.value().ToJson();
+  auto again = Snapshot::FromJson(json);
+  EXPECT_TRUE(again.ok()) << "seed=" << seed << " "
+                          << again.status().ToString();
+  if (again.ok()) {
+    EXPECT_EQ(again.value().ToJson(), json) << "seed=" << seed;
+  }
+  return true;
+}
+
+TEST(SnapshotJsonTest, SeededMutantsReturnStatusAndRoundTrip) {
+  const DebugSnapshot snap = MakeDebugSnapshot();
+  const std::string debug_json = snap.ToJson();
+  const std::string metrics_json = snap.metrics.ToJson();
+  constexpr uint64_t kBaseSeed = 20051024;
+  constexpr uint64_t kMutants = 20000;
+  uint64_t accepted = 0;
+  for (uint64_t i = 0; i < kMutants; ++i) {
+    const uint64_t seed = kBaseSeed + i;
+    Random rng(seed);
+    const bool debug = i % 2 == 0;
+    std::string mutant = debug ? debug_json : metrics_json;
+    for (uint64_t edits = 1 + rng.Uniform(3); edits > 0; --edits)
+      Mutate(&rng, &mutant);
+    accepted += debug ? CheckMutant<DebugSnapshot>(mutant, seed)
+                      : CheckMutant<MetricsSnapshot>(mutant, seed);
+    if (HasFailure()) FAIL() << "first failing seed=" << seed;
+  }
+  // Some mutants (digit swaps, string bytes) stay valid, so the round-trip
+  // half of the contract is exercised too.
+  EXPECT_GT(accepted, 0u);
+}
+
+// --- QueryProfile (obs/query_trace.h) ---
+
+TEST(QueryProfileTest, PlanTextKeepsLongLinesWhole) {
+  QueryProfile profile;
+  profile.query = "/a[b = \"" + std::string(600, 'x') + "\"]/b";
+  profile.access_method = "docid-list";
+  profile.probes.push_back(std::string(600, 'p'));
+  const std::string text = profile.PlanText(QueryCounters{}, 0);
+  EXPECT_NE(text.find("query: " + profile.query + "\naccess path: "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("  probe: " + profile.probes[0] + "\n"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace
