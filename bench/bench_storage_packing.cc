@@ -5,9 +5,13 @@
 // NodeID index needs <= 2k/p entries instead of k. Sweep the record budget
 // (the packing-factor knob) and report bytes and entry counts for packed
 // storage vs the shredded baseline.
+//
+// E20 — page-checksum cost: BM_ChecksumReadOverhead (cold-pool scan, v2 vs
+// v1 pages) and BM_Crc32 (raw checksum throughput).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "common/coding.h"
 
 namespace xdb {
 namespace bench {
@@ -197,6 +201,20 @@ void BM_ChecksumReadOverhead(benchmark::State& state) {
                           space->page_size());
 }
 BENCHMARK(BM_ChecksumReadOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Raw Crc32 throughput — the checksum behind page verify and stamp, WAL
+// records, shipped segments and the stats file — over a small record, one
+// 4 KiB page and a 1 MiB buffer.
+void BM_Crc32(benchmark::State& state) {
+  std::string buf(static_cast<size_t>(state.range(0)), '\0');
+  Random rng(11);
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(Crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 }  // namespace
 }  // namespace bench

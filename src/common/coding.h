@@ -50,8 +50,9 @@ bool GetLengthPrefixed(Slice* input, Slice* out);
 void PutOrderedDouble(std::string* dst, double v);
 double DecodeOrderedDouble(const char* p);
 
-/// CRC-32 (polynomial 0xEDB88320) over `n` bytes — shared by WAL records and
-/// page checksums.
+/// CRC-32 (reflected polynomial 0xEDB88320) over `n` bytes — shared by page
+/// checksums, WAL records, shipped segments and the stats file. Computed
+/// slicing-by-8; the values are those of the byte-at-a-time definition.
 uint32_t Crc32(const char* data, size_t n);
 
 }  // namespace xdb

@@ -59,14 +59,17 @@
 //                                                     fixes (page search +
 //                                                     insert are one critical
 //                                                     section)
-//   kBufferShard          BufferManager::Shard::mu    held across page I/O;
+//   kBufferShard          BufferManager::Shard::mu    held across dirty-
+//                                                     victim writeback (a miss
+//                                                     reads with it dropped);
 //                                                     never two shards at once
 //                                                     (BorrowFrame re-homes
 //                                                     one donor at a time)
 //   kBufferLsn            BufferManager::lsn_mu_      taken inside a shard
 //                                                     lock during write-back
-//   kTableSpace           TableSpace::mu_             page alloc/free under a
-//                                                     shard lock (NewPage)
+//   kTableSpace           TableSpace::mu_             in-memory page writes
+//                                                     under a shard lock
+//                                                     (writeback)
 //   kCollectionDocId      Collection::docid_mu_       doc-id allocation; leaf
 //   kNameDictionary       NameDictionary::mu_         interning under the
 //                                                     exclusive latch and

@@ -38,7 +38,8 @@ namespace xdb {
 namespace obs {
 
 enum class WaitState : uint8_t {
-  kBufferIo = 0,   // buffer-pool miss: page read + checksum verify
+  kBufferIo = 0,   // buffer-pool miss: page read + checksum verify, or a
+                   // wait for another fixer's in-flight read of the page
   kLockWait = 1,   // LockManager blocking (document/node lock conflicts)
   kWalCommit = 2,  // WAL group-commit: fsync leadership or follower wait
   kLatch = 3,      // collection structure-latch acquisition

@@ -104,9 +104,11 @@ Result<internal::Frame*> BufferManager::GetFreeFrame(Shard& shard) {
   if (shard.lru.empty())
     return Status::Busy("all buffer frames of the shard are pinned");
   internal::Frame* victim = shard.lru.front();
+  // Write back before unlinking: a failed writeback leaves the victim at the
+  // LRU front, evictable again, instead of stranding it outside both lists.
+  XDB_RETURN_NOT_OK(WriteBack(shard, victim));
   shard.lru.pop_front();
   victim->in_lru = false;
-  XDB_RETURN_NOT_OK(WriteBack(shard, victim));
   shard.table.erase(victim->page_id);
   shard.stats.evictions++;
   return victim;
@@ -130,8 +132,8 @@ Result<internal::Frame*> BufferManager::BorrowFrame(size_t dst) {
 Result<PageHandle> BufferManager::FixPage(PageId id) {
   const size_t shard_idx = ShardIndex(id);
   Shard& shard = *shards_[shard_idx];
-  bool counted_miss = false;
   for (;;) {
+    internal::Frame* f = nullptr;
     {
       MutexLock lock(shard.mu);
       if (shard.quarantined.count(id) != 0)
@@ -139,7 +141,14 @@ Result<PageHandle> BufferManager::FixPage(PageId id) {
                                   " is quarantined");
       auto it = shard.table.find(id);
       if (it != shard.table.end()) {
-        internal::Frame* f = it->second;
+        f = it->second;
+        if (f->loading) {
+          // Another fixer is reading this page in: wait for its read, then
+          // retry — it may have failed (frame freed, maybe quarantined).
+          obs::WaitSpan wait(wait_sink_, obs::WaitState::kBufferIo);
+          while (f->loading && f->page_id == id) shard.loaded.Wait(lock);
+          continue;
+        }
         if (f->in_lru) {
           shard.lru.erase(f->lru_pos);
           f->in_lru = false;
@@ -148,41 +157,23 @@ Result<PageHandle> BufferManager::FixPage(PageId id) {
         shard.stats.hits++;
         return PageHandle(this, f, id, data_offset_);
       }
-      if (!counted_miss) {
-        shard.stats.misses++;
-        counted_miss = true;
-      }
       auto free = GetFreeFrame(shard);
       if (free.ok()) {
-        internal::Frame* f = free.value();
-        // The miss-path read is the pool's dominant wait; attribute it as
-        // kBufferIo (the hit path above never starts a span).
-        obs::WaitSpan io_span(wait_sink_, obs::WaitState::kBufferIo);
-        Status read = space_->ReadPage(id, f->data.get());
-        if (read.ok() && checksums_)
-          read = VerifyPageChecksum(f->data.get(), space_->page_size(), id);
-        io_span.Finish();
-        if (!read.ok()) {
-          // The frame was never published in the table; hand it back so a
-          // failed read doesn't shrink the pool.
-          shard.free_frames.push_back(f);
-          if (read.IsCorruption()) {
-            shard.quarantined.insert(id);
-            shard.stats.checksum_failures++;
-            if (events_ != nullptr)
-              events_->Emit(obs::EventKind::kPageQuarantined, id, 0,
-                            "page checksum failed on fetch");
-          }
-          return read;
-        }
+        // Publish the frame pinned and loading, so concurrent fixers of this
+        // page wait for the read instead of reading it twice, and do the
+        // read itself without the shard lock.
+        f = free.value();
         f->page_id = id;
         f->pin_count = 1;
         f->dirty = false;
+        f->loading = true;
         shard.table[id] = f;
-        return PageHandle(this, f, id, data_offset_);
+        shard.stats.misses++;
+      } else if (!free.status().IsBusy()) {
+        return free.status();
       }
-      if (!free.status().IsBusy()) return free.status();
     }
+    if (f != nullptr) return LoadPage(shard, f, id);
     // Every frame of this shard is pinned: borrow one from another shard
     // (with no shard lock held), donate it to this shard's free list, and
     // retry — the retry re-checks the table because a concurrent caller may
@@ -191,6 +182,35 @@ Result<PageHandle> BufferManager::FixPage(PageId id) {
     MutexLock lock(shard.mu);
     shard.free_frames.push_back(borrowed);
   }
+}
+
+Result<PageHandle> BufferManager::LoadPage(Shard& shard, internal::Frame* f,
+                                           PageId id) {
+  // The miss-path read is the pool's dominant wait; attribute it as
+  // kBufferIo (the hit path never starts a span).
+  obs::WaitSpan io_span(wait_sink_, obs::WaitState::kBufferIo);
+  Status read = space_->ReadPage(id, f->data.get());
+  if (read.ok() && checksums_)
+    read = VerifyPageChecksum(f->data.get(), space_->page_size(), id);
+  io_span.Finish();
+  MutexLock lock(shard.mu);
+  f->loading = false;
+  shard.loaded.NotifyAll();
+  if (read.ok()) return PageHandle(this, f, id, data_offset_);
+  // Unpublish the frame and hand it back so a failed read doesn't shrink
+  // the pool; woken waiters retry and find the page gone or quarantined.
+  shard.table.erase(id);
+  f->page_id = kInvalidPageId;
+  f->pin_count = 0;
+  shard.free_frames.push_back(f);
+  if (read.IsCorruption()) {
+    shard.quarantined.insert(id);
+    shard.stats.checksum_failures++;
+    if (events_ != nullptr)
+      events_->Emit(obs::EventKind::kPageQuarantined, id, 0,
+                    "page checksum failed on fetch");
+  }
+  return read;
 }
 
 Result<PageHandle> BufferManager::NewPage() {

@@ -9,6 +9,12 @@
 // aggregates across shards; checksum verification and quarantine stay
 // per-shard (a corrupt page poisons only its own shard's table).
 //
+// A miss reads its page without the shard lock: the frame is published in
+// the table pinned and marked loading, the read and checksum verify run
+// unlocked, and fixers of the same page wait on the shard's condition
+// variable meanwhile, so hits and misses on other pages of the shard go on.
+// Dirty-victim writeback and FlushAll still write under the shard lock.
+//
 // For format-v2 table spaces this layer owns page integrity: every fetch
 // verifies the page checksum (failures quarantine the page and surface
 // kCorruption), every writeback stamps the header with the current CRC and
@@ -40,9 +46,9 @@ namespace xdb {
 class BufferManager;
 
 namespace internal {
-// Frame bookkeeping (page_id, pin_count, in_lru, lru_pos) is protected by the
-// owning shard's mutex; `shard` is fixed at construction. `data` and `dirty`
-// belong exclusively to the pinning thread between FixPage and Unpin; once
+// Frame bookkeeping (page_id, pin_count, in_lru, lru_pos, loading) is
+// protected by the owning shard's mutex. `data` and `dirty` belong
+// exclusively to the pinning thread between FixPage and Unpin; once
 // the frame is unpinned, the shard mutex hands them over to
 // eviction/writeback (Unpin's lock release is the synchronization point).
 // Concurrent pinners of one page may read `data` together; mutation requires
@@ -54,6 +60,10 @@ struct Frame {
   std::unique_ptr<char[]> data;
   std::list<Frame*>::iterator lru_pos;
   bool in_lru = false;
+  /// Published in the table while a miss reads the page in, unlocked, into
+  /// `data`; the reader holds the pin. Other fixers of the page wait on the
+  /// shard's `loaded` condition until the reader clears it.
+  bool loading = false;
   /// Owning shard index. Changes only in BorrowFrame, while the frame is
   /// unpublished (no table entry, pin_count 0) under the donor shard's lock;
   /// pinners see the write via the destination shard's mutex when the frame
@@ -123,7 +133,9 @@ class BufferManager {
   static size_t DefaultShardCount(size_t capacity);
 
   /// Pins page `id`, reading it from the table space on a miss. Returns
-  /// kCorruption (and quarantines the page) when its checksum fails.
+  /// kCorruption (and quarantines the page) when its checksum fails. A fix
+  /// that waits for another fixer's read of the page counts as a hit, so
+  /// `misses` equals the pages read from the table space.
   Result<PageHandle> FixPage(PageId id);
 
   /// Allocates a fresh page in the table space and pins it.
@@ -163,8 +175,9 @@ class BufferManager {
   /// Destination for kPageQuarantined events (engine-owned, may be null).
   void set_event_log(obs::EventLog* events) { events_ = events; }
 
-  /// Destination for kBufferIo wait spans covering miss-path page reads
-  /// (engine-owned, may be null). The hit path never touches it.
+  /// Destination for kBufferIo wait spans covering miss-path page reads and
+  /// waits for another fixer's in-flight read (engine-owned, may be null).
+  /// The hit path never touches it.
   void set_wait_sink(obs::WaitSink* sink) { wait_sink_ = sink; }
 
   /// Frames currently holding a page (published in some shard's table),
@@ -185,6 +198,9 @@ class BufferManager {
     std::list<internal::Frame*> lru XDB_GUARDED_BY(mu);
     std::vector<internal::Frame*> free_frames XDB_GUARDED_BY(mu);
     BufferManagerStats stats XDB_GUARDED_BY(mu);
+    /// Signalled (under mu) whenever a loading frame of this shard finishes
+    /// its read, successfully or not.
+    CondVar loaded;
   };
 
   /// Fibonacci-hash of the page id onto a shard; adjacent page ids (B+tree
@@ -198,6 +214,12 @@ class BufferManager {
 
   void Unpin(internal::Frame* frame);
   Result<internal::Frame*> GetFreeFrame(Shard& shard) XDB_REQUIRES(shard.mu);
+  /// Reads and verifies page `id` into `f`, which FixPage published pinned
+  /// and loading, without the shard lock; then clears the mark and wakes the
+  /// waiters. A failed read unpublishes the frame onto the free list (and
+  /// quarantines the page on kCorruption).
+  Result<PageHandle> LoadPage(Shard& shard, internal::Frame* f, PageId id)
+      XDB_EXCLUDES(shard.mu);
   /// Takes a free (or evictable) frame from some other shard and re-homes it
   /// to shard `dst`, so one shard's pins can spill into the whole pool.
   /// Returns Busy only when every frame of every shard is pinned. Locks one

@@ -1,14 +1,16 @@
 // Multithreaded stress harness for the concurrent core: engine-level
 // insert/query/delete with a checkpointer, buffer-manager fetch/evict/
-// writeback contention, lock-manager grant/release and deadlock storms,
-// parallel WAL appends, concurrent name-dictionary interning, and
-// fault-injector counter integrity. Runs under TSan in CI; thread and
-// iteration counts are kept small enough for instrumented single-core runs.
+// writeback contention and in-flight miss reads, lock-manager grant/release
+// and deadlock storms, parallel WAL appends, concurrent name-dictionary
+// interning, and fault-injector counter integrity. Runs under TSan in CI;
+// thread and iteration counts are kept small enough for instrumented
+// single-core runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -711,6 +713,200 @@ TEST(BufferManagerConcurrencyTest, ShardedPoolContentionAndStatsAggregate) {
   EXPECT_EQ(total.checksum_failures, summed.checksum_failures);
   EXPECT_GT(total.evictions, 0u);
   EXPECT_GT(total.writebacks, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// BufferManager: in-flight miss reads. A transient read fault sends the
+// reading fixer into retry backoff on a ParkingClock, which holds it there
+// until the test releases it, so the test decides when the read finishes.
+// ---------------------------------------------------------------------------
+
+/// IoClock whose sleeps block until Release().
+class ParkingClock : public IoClock {
+ public:
+  void SleepMicros(uint64_t) override {
+    parked_.store(true, std::memory_order_release);
+    while (!released_.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  bool parked() const { return parked_.load(std::memory_order_acquire); }
+  void Release() { released_.store(true, std::memory_order_release); }
+
+ private:
+  std::atomic<bool> parked_{false};
+  std::atomic<bool> released_{false};
+};
+
+/// Polls `done` until it holds or `timeout` passes; returns whether it held.
+template <typename Pred>
+bool WaitUntil(Pred done,
+               std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Writes one stamped page of `fill` bytes to `space` through a throwaway
+/// pool, so pools built on the space afterwards must read it in.
+PageId WriteFilledPage(TableSpace* space, char fill) {
+  BufferManager writer(space, /*capacity=*/1);
+  PageHandle h = writer.NewPage().MoveValue();
+  std::memset(h.MutableData(), fill, writer.page_size());
+  const PageId id = h.page_id();
+  h.Release();
+  EXPECT_TRUE(writer.FlushAll().ok());
+  return id;
+}
+
+std::unique_ptr<TableSpace> InMemorySpace() {
+  TableSpaceOptions opts;
+  opts.in_memory = true;
+  return TableSpace::Create("", opts).MoveValue();
+}
+
+// A miss reads its page without the shard lock: while one fixer's read is
+// parked, a hit on a resident page and a miss on a third page of the same
+// (only) shard both complete.
+TEST(BufferManagerConcurrencyTest, InFlightReadLeavesTheShardOpen) {
+  ParkingClock clock;
+  auto space = InMemorySpace();
+  const PageId resident = WriteFilledPage(space.get(), 'R');
+  const PageId parked_page = WriteFilledPage(space.get(), 'P');
+  const PageId third = WriteFilledPage(space.get(), 'T');
+  BufferManager bm(space.get(), /*capacity=*/4, /*shards=*/1);
+  ASSERT_EQ(bm.shard_count(), 1u);
+  ASSERT_TRUE(bm.FixPage(resident).ok());
+
+  space->set_io_clock(&clock);
+  testing::ScopedFaultInjector fi;
+  fi->Arm(testing::FaultPoint::kTableSpaceRead, 1,
+          testing::FaultKind::kTransientError);
+  std::thread reader([&] {
+    auto h = bm.FixPage(parked_page);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    EXPECT_EQ(h.value().data()[0], 'P');
+  });
+  const bool parked = WaitUntil([&] { return clock.parked(); });
+  std::atomic<bool> done{false};
+  std::thread other([&] {
+    auto hit = bm.FixPage(resident);
+    EXPECT_TRUE(hit.ok()) << hit.status().ToString();
+    auto miss = bm.FixPage(third);
+    ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+    EXPECT_EQ(miss.value().data()[0], 'T');
+    done.store(true, std::memory_order_release);
+  });
+  const bool unblocked =
+      WaitUntil([&] { return done.load(std::memory_order_acquire); },
+                std::chrono::seconds(5));
+  // Release unconditionally: a shard blocked behind the parked read then
+  // fails the expectations below instead of hanging the test.
+  clock.Release();
+  reader.join();
+  other.join();
+  EXPECT_TRUE(parked) << "the transient read fault never parked the reader";
+  EXPECT_TRUE(unblocked)
+      << "a hit and a miss waited for another page's in-flight read";
+  BufferManagerStats s = bm.stats();
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(space->io_stats().reads, s.misses);
+}
+
+struct FixOutcome {
+  Status status;
+  std::string bytes;
+};
+
+/// Fixes `page` from `threads` threads at once while the first table-space
+/// read parks in retry backoff, so the other fixers find that read in
+/// flight. Returns each thread's status and the page bytes it saw.
+std::vector<FixOutcome> FixBehindParkedRead(BufferManager* bm,
+                                            TableSpace* space, PageId page,
+                                            int threads) {
+  ParkingClock clock;
+  space->set_io_clock(&clock);
+  testing::ScopedFaultInjector fi;
+  fi->Arm(testing::FaultPoint::kTableSpaceRead, 1,
+          testing::FaultKind::kTransientError);
+  std::atomic<int> started{0};
+  std::vector<FixOutcome> out(threads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; t++) {
+    workers.emplace_back([&, t] {
+      started.fetch_add(1, std::memory_order_acq_rel);
+      auto h = bm->FixPage(page);
+      out[t].status = h.status();
+      if (h.ok()) out[t].bytes.assign(h.value().data(), bm->page_size());
+    });
+  }
+  EXPECT_TRUE(WaitUntil([&] {
+    return clock.parked() && started.load(std::memory_order_acquire) == threads;
+  }));
+  // Let the other fixers reach the page before the read finishes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  clock.Release();
+  for (auto& w : workers) w.join();
+  space->set_io_clock(nullptr);
+  return out;
+}
+
+// N fixers of one non-resident page: one of them reads it, the others wait
+// for that read and count as hits, and all see the same bytes.
+TEST(BufferManagerConcurrencyTest, ConcurrentFixersOfOnePageReadItOnce) {
+  auto space = InMemorySpace();
+  const PageId page = WriteFilledPage(space.get(), 'S');
+  BufferManager bm(space.get(), /*capacity=*/4, /*shards=*/1);
+  constexpr int kThreads = 6;
+  auto outcomes = FixBehindParkedRead(&bm, space.get(), page, kThreads);
+
+  const std::string expected(bm.page_size(), 'S');
+  for (int t = 0; t < kThreads; t++) {
+    EXPECT_TRUE(outcomes[t].status.ok())
+        << "thread " << t << ": " << outcomes[t].status.ToString();
+    EXPECT_TRUE(outcomes[t].bytes == expected)
+        << "thread " << t << " saw other bytes";
+  }
+  BufferManagerStats s = bm.stats();
+  EXPECT_EQ(space->io_stats().reads, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, static_cast<uint64_t>(kThreads - 1));
+}
+
+// N fixers of one corrupt page: the one read fails its checksum, every
+// fixer gets kCorruption, the page is quarantined once, and the frame the
+// read used goes back to the pool.
+TEST(BufferManagerConcurrencyTest, ConcurrentFixersOfOneCorruptPageAllFail) {
+  auto space = InMemorySpace();
+  const PageId page = WriteFilledPage(space.get(), 'C');
+  const PageId other_a = WriteFilledPage(space.get(), 'A');
+  const PageId other_b = WriteFilledPage(space.get(), 'B');
+  {
+    std::string raw(space->page_size(), '\0');
+    ASSERT_TRUE(space->ReadPage(page, raw.data()).ok());
+    raw[kPageHeaderSize + 7] ^= 0x04;
+    ASSERT_TRUE(space->WritePage(page, raw.data()).ok());
+  }
+  const uint64_t reads_before = space->io_stats().reads;
+  BufferManager bm(space.get(), /*capacity=*/2, /*shards=*/1);
+  constexpr int kThreads = 6;
+  auto outcomes = FixBehindParkedRead(&bm, space.get(), page, kThreads);
+
+  for (int t = 0; t < kThreads; t++)
+    EXPECT_TRUE(outcomes[t].status.IsCorruption())
+        << "thread " << t << ": " << outcomes[t].status.ToString();
+  EXPECT_EQ(space->io_stats().reads - reads_before, 1u);
+  EXPECT_EQ(bm.stats().checksum_failures, 1u);
+  EXPECT_EQ(bm.quarantined_pages(), std::vector<PageId>{page});
+  // Nothing stays resident, and both frames can hold other pages at once.
+  EXPECT_EQ(bm.resident_frames(), 0u);
+  auto a = bm.FixPage(other_a);
+  auto b = bm.FixPage(other_b);
+  EXPECT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_TRUE(b.ok()) << b.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "storage/record_manager.h"
 #include "storage/tablespace.h"
 #include "storage/wal_log.h"
+#include "testing/fault_injector.h"
 
 namespace xdb {
 namespace {
@@ -255,6 +256,47 @@ TEST(BufferManagerTest, EvictsLruAndWritesBack) {
   // The dirty byte survived eviction.
   PageHandle h = bm.FixPage(pages[0]).MoveValue();
   EXPECT_EQ(h.data()[0], 'D');
+}
+
+// A failed eviction writeback must leave its victim evictable: it stays on
+// the LRU, and its dirty bytes reach the table space on the next, successful
+// eviction.
+TEST(BufferManagerTest, FailedEvictionWritebackKeepsVictimEvictable) {
+  TableSpaceOptions opts;
+  opts.in_memory = true;
+  auto ts = TableSpace::Create("", opts).MoveValue();
+  BufferManager bm(ts.get(), 2);
+  PageId pages[3];
+  for (auto& p : pages) p = ts->AllocatePage().value();
+  for (int i = 0; i < 2; i++) {
+    PageHandle h = bm.FixPage(pages[i]).MoveValue();
+    std::memset(h.MutableData(), 'a' + i, bm.page_size());
+  }
+  {
+    testing::ScopedFaultInjector fi;
+    fi->Arm(testing::FaultPoint::kBufferWriteback, 1,
+            testing::FaultKind::kError);
+    fi->Arm(testing::FaultPoint::kBufferWriteback, 2,
+            testing::FaultKind::kError);
+    for (int attempt = 0; attempt < 2; attempt++) {
+      Status st = bm.FixPage(pages[2]).status();
+      EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    }
+  }
+  // No fault armed and nothing pinned: the third page must fit.
+  {
+    auto h = bm.FixPage(pages[2]);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+  }
+  // Both dirty pages were evicted by now, so these fixes read them back.
+  for (int i = 0; i < 2; i++) {
+    auto h = bm.FixPage(pages[i]);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    EXPECT_EQ(h.value().data()[0], static_cast<char>('a' + i));
+    EXPECT_EQ(h.value().data()[bm.page_size() - 1],
+              static_cast<char>('a' + i));
+  }
+  EXPECT_EQ(bm.stats().writebacks, 2u);
 }
 
 TEST(BufferManagerTest, AllPinnedReportsBusy) {
@@ -587,11 +629,42 @@ TEST(WalLogTest, CommitSupersededByResetReturnsInsteadOfLivelocking) {
   EXPECT_TRUE(wal->Commit().ok());
 }
 
+// Byte-at-a-time CRC-32 over the reflected polynomial 0xEDB88320, bit by
+// bit: the reference the table-driven Crc32 must match value for value, so
+// page headers, WAL records, segments and stats files keep their format.
+uint32_t ReferenceCrc32(const char* data, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; i++) {
+    c ^= static_cast<unsigned char>(data[i]);
+    for (int k = 0; k < 8; k++) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
 TEST(Crc32Test, KnownValueAndSensitivity) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);  // the standard check value
+  EXPECT_EQ(Crc32("", 0), 0u);
   uint32_t a = Crc32("hello", 5);
   uint32_t b = Crc32("hellp", 5);
   EXPECT_NE(a, b);
   EXPECT_EQ(a, Crc32("hello", 5));
+}
+
+TEST(Crc32Test, MatchesByteAtATimeReference) {
+  Random rng(0xC3C32);
+  std::string buf(kDefaultPageSize + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  // Every length up to 64 at every alignment: the 8-byte steps, the byte
+  // tail, and their seams.
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t len = 0; len <= 64; len++) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                ReferenceCrc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(Crc32(buf.data(), kDefaultPageSize),
+            ReferenceCrc32(buf.data(), kDefaultPageSize));
 }
 
 }  // namespace
