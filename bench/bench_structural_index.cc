@@ -1,12 +1,12 @@
-// Structural (pre, post)-interval index payoff and cost.
+// Structural index payoff and cost.
 //
 // The read side is the tentpole claim: a descendant-axis query for a rare
-// element buried deep in recursive documents, answered by a B+tree interval
-// scan (one posting per match, recheck on its subtree) vs re-scanning every
-// stored node of every document. The fixture's documents are deep <a>
-// spines and only a few carry the <t> payload — the XISS/R regime where
-// full scans pay for every spine and the structural scan pays only for the
-// documents that match.
+// element buried deep in recursive documents, answered by a B+tree range
+// scan over the element's node IDs (one posting per match, recheck on its
+// subtree) vs re-scanning every stored node of every document. The
+// fixture's documents are deep <a> spines and only a few carry the <t>
+// payload — the regime where full scans pay for every spine and the
+// structural scan pays only for the documents that match.
 //
 // The write side prices maintenance: the same inserts with and without a
 // covering structural index, so the delta is exactly the per-document
@@ -90,7 +90,7 @@ void BM_DescendantQueryFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_DescendantQueryFullScan);
 
-// //a//t via the structural index: one interval scan over the <t> postings
+// //a//t via the structural index: one range scan over the <t> postings
 // (kDocs entries), then a per-anchor subtree recheck.
 void BM_DescendantQueryStructural(benchmark::State& state) {
   static DeepFixture* fx = new DeepFixture(true);

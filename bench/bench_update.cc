@@ -143,6 +143,61 @@ BENCHMARK(BM_SubtreeInsert_NodeIds)
     ->Arg(400)
     ->Unit(benchmark::kMicrosecond);
 
+// The same edit with indexes: oltp_mixed's three value indexes plus an
+// all-names structural index. Each iteration inserts one <Product> and
+// deletes it again, so the document keeps its size. Index upkeep touches
+// the new subtree and its ancestors only, so the time per iteration should
+// not grow with the catalog.
+void BM_SubtreeEditIndexed(benchmark::State& state) {
+  EngineOptions eopts;
+  eopts.in_memory = true;
+  eopts.enable_wal = false;
+  auto engine = Engine::Open(eopts).MoveValue();
+  Collection* coll = engine->CreateCollection("docs").value();
+  const ValueIndexDef kIndexes[] = {
+      {"regprice", "/Catalog/Categories/Product/RegPrice", ValueType::kDecimal,
+       128},
+      {"productname", "/Catalog/Categories/Product/ProductName",
+       ValueType::kString, 64},
+      {"discount", "//Discount", ValueType::kDecimal, 128}};
+  for (const ValueIndexDef& def : kIndexes)
+    if (!coll->CreateValueIndex(def).ok()) std::abort();
+  if (!coll->CreateStructuralIndex({"structure", ""}).ok()) std::abort();
+  Random rng(71);
+  workload::CatalogOptions opts;
+  opts.categories = 2;
+  opts.products_per_category = static_cast<uint32_t>(state.range(0)) / 2;
+  uint64_t doc =
+      coll->InsertDocument(nullptr, workload::GenCatalogXml(&rng, opts))
+          .value();
+  auto cats = coll->Query(nullptr, "/Catalog/Categories").MoveValue();
+  std::string parent = cats.nodes[0].node_id;
+  auto entries_added = [&]() {
+    return coll->stats()->Snapshot().structural["structure"].entries_added;
+  };
+  const uint64_t added_before = entries_added();
+  int n = 0;
+  for (auto _ : state) {
+    auto res = coll->InsertSubtree(
+        nullptr, doc, parent, Slice(),
+        "<Product id=\"N" + std::to_string(n++) +
+            "\"><ProductName>new</ProductName><RegPrice>9.99</RegPrice>"
+            "</Product>");
+    if (!res.ok()) std::abort();
+    benchmark::DoNotOptimize(res.value());
+    if (!coll->DeleteSubtree(nullptr, doc, res.value()).ok()) std::abort();
+  }
+  // Structural entries each insert added (3 for this fragment when the
+  // upkeep is O(subtree)).
+  state.counters["structural_entries_per_edit"] = benchmark::Counter(
+      static_cast<double>(entries_added() - added_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SubtreeEditIndexed)
+    ->Arg(40)
+    ->Arg(400)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_SubtreeInsert_DocumentRewrite(benchmark::State& state) {
   EngineOptions eopts;
   eopts.in_memory = true;

@@ -78,9 +78,9 @@ int main() {
   std::printf("--- forced heuristic planner ---\n%s\n",
               ruled.PlanText().c_str());
 
-  // 5. Structural (pre,post)-interval index: a descendant query has no
-  // value predicate to probe, so it full-scans — until a structural index
-  // covers the element and the interval range scan becomes cheaper than
+  // 5. Structural index: a descendant query has no value predicate to
+  // probe, so it full-scans — until a structural index covers the element
+  // and its range scan over the element's node IDs becomes cheaper than
   // walking every document. Deep documents where only a few contain the
   // queried element are the payoff case.
   for (int i = 0; i < 16; i++) {
@@ -102,7 +102,7 @@ int main() {
   }
   auto interval = Unwrap(shop->Query(nullptr, "//section//appendix", opts),
                          "structural query");
-  std::printf("--- with the structural index (interval scan) ---\n%s\n",
+  std::printf("--- with the structural index (structural scan) ---\n%s\n",
               interval.PlanText().c_str());
 
   // 6. trace=true adds per-step lines and phase timings (ToText).

@@ -12,6 +12,7 @@ constexpr uint32_t kCatalogMagic = 0x58444243;    // "XDBC" (v1, no stats)
 constexpr uint32_t kCatalogMagicV2 = 0x58444244;  // "XDBD" (adds stats_epoch)
 constexpr uint32_t kCatalogMagicV3 = 0x58444245;  // "XDBE" (replica CSN)
 constexpr uint32_t kCatalogMagicV4 = 0x58444246;  // "XDBF" (structural ix)
+constexpr uint32_t kCatalogMagicV5 = 0x58444247;  // "XDBG" (node-ID keys)
 
 void PutString(std::string* out, const std::string& s) {
   PutLengthPrefixed(out, s);
@@ -25,7 +26,7 @@ bool GetString(Slice* in, std::string* s) {
 }  // namespace
 
 void CatalogData::Serialize(std::string* out) const {
-  PutFixed32(out, kCatalogMagicV4);
+  PutFixed32(out, kCatalogMagicV5);
   PutFixed64(out, replica_wal_base);
   PutVarint64(out, collections.size());
   for (const auto& [name, meta] : collections) {
@@ -70,7 +71,8 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
   // stats saved yet"). Engine::Open treats epoch 0 as valid-empty only for
   // collections with no checkpointed documents; otherwise it degrades them
   // to heuristic planning (their documents are not reflected in any stats).
-  const bool v4 = magic == kCatalogMagicV4;
+  const bool v5 = magic == kCatalogMagicV5;
+  const bool v4 = v5 || magic == kCatalogMagicV4;
   const bool v3 = v4 || magic == kCatalogMagicV3;
   const bool v2 = v3 || magic == kCatalogMagicV2;
   if (!v2 && magic != kCatalogMagic)
@@ -139,7 +141,9 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
           return Status::Corruption("bad structural index meta");
         if (data.size() < 4)
           return Status::Corruption("truncated structural index meta");
-        si.root = DecodeFixed32(data.data());
+        // A V4 tree's entries are (pre, post)-keyed: drop its root (its pages
+        // stay unreferenced, as after a drop); open rebuilds the index.
+        si.root = v5 ? DecodeFixed32(data.data()) : kInvalidPageId;
         data.RemovePrefix(4);
         meta.structural_indexes.push_back(std::move(si));
       }

@@ -140,6 +140,44 @@ Status ScanInto(const xpath::QueryTree* tree, uint64_t doc_id,
   return Status::OK();
 }
 
+/// The context stream of an edit region: a start event per chain element
+/// (root first), then `inner`'s events (the subtree; null without one),
+/// then the chain's end events. Linear, predicate-free index paths match
+/// on it exactly as on the whole document; only the chain's string values
+/// are partial.
+class ContextStreamSource : public XmlEventSource {
+ public:
+  ContextStreamSource(const std::vector<StoredPathStep>* chain,
+                      std::unique_ptr<XmlEventSource> inner)
+      : chain_(chain), inner_(std::move(inner)) {}
+
+  Result<bool> Next(XmlEvent* event) override {
+    const size_t n = chain_->size();
+    if (started_ < n) return Chain(started_++, true, event);
+    if (inner_ != nullptr) {
+      XDB_ASSIGN_OR_RETURN(bool more, inner_->Next(event));
+      if (more) return true;
+      inner_ = nullptr;
+    }
+    return ended_ < n && Chain(n - ++ended_, false, event);
+  }
+
+ private:
+  bool Chain(size_t i, bool start, XmlEvent* event) {
+    *event = XmlEvent();
+    event->type = start ? XmlEvent::Type::kStartElement
+                        : XmlEvent::Type::kEndElement;
+    event->local = (*chain_)[i].local;
+    event->ns_uri = (*chain_)[i].ns_uri;
+    event->node_id = Slice((*chain_)[i].node_id);
+    return true;
+  }
+
+  const std::vector<StoredPathStep>* chain_;
+  std::unique_ptr<XmlEventSource> inner_;
+  size_t started_ = 0, ended_ = 0;
+};
+
 }  // namespace
 
 Status Collection::ReadLockDoc(Transaction* txn, uint64_t doc_id) {
@@ -212,7 +250,7 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   // Index maintenance stays under the exclusive latch: dropping it here
   // would let concurrent queries scan an index while this document's
   // entries are half-written.
-  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/false, tokens));
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/false, tokens));
   // Statistics last, so a failed insert never counts. Runs for every insert
   // path — client writes, WAL replay, scrub salvage — which is what keeps
   // the incremental counters in step with the data.
@@ -220,52 +258,74 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   return doc_id;
 }
 
-Status Collection::IndexDocument(uint64_t doc_id, bool remove,
-                                 Slice fresh_tokens, IndexScope scope) {
+Status Collection::IndexDocument(uint64_t doc_id, const EditRegion& region,
+                                 bool remove, Slice fresh_tokens,
+                                 IndexScope scope) {
   // "Index keys for the node ID index and XPath value indexes are generated
   // per record" in the paper; here keys are generated in one streaming pass
-  // per value index over the document, then mapped to record RIDs through
+  // per value index over the region, then mapped to record RIDs through
   // the NodeID index. Only a fresh insert may read its token stream: a
   // token round trip of a stored document renumbers Between()-allocated IDs
   // canonically, naming nodes the document does not have.
-  auto open_source = [&]() -> std::unique_ptr<XmlEventSource> {
+  if (value_indexes_.empty() && structural_indexes_.empty())
+    return Status::OK();
+  StoredTreeNavigator nav(records_.get(), node_index_.get(), doc_id);
+  std::vector<StoredPathStep> chain;
+  XDB_RETURN_NOT_OK(nav.Path(Slice(region.node_id), &chain));
+  if (!chain.empty() &&
+      (region.subtree || chain.back().kind != NodeKind::kElement))
+    chain.pop_back();  // keep the element ancestors(-or-self)
+  auto open_subtree = [&]() -> std::unique_ptr<XmlEventSource> {
+    if (!region.subtree) return nullptr;
     if (!fresh_tokens.empty())
       return std::make_unique<TokenStreamSource>(fresh_tokens);
     return std::make_unique<StoredDocSource>(records_.get(), node_index_.get(),
-                                             doc_id);
+                                             doc_id, region.node_id);
   };
   for (auto& owned : value_indexes_) {
     ValueIndex* index = owned.index.get();
     if (!scope.all() && index != scope.value) continue;
-    std::unique_ptr<XmlEventSource> source = open_source();
+    ContextStreamSource source(&chain, open_subtree());
     XDB_ASSIGN_OR_RETURN(
         NodeSequence hits,
-        xpath::EvaluateXPath(index->def().path, *engine_->dict(), source.get(),
+        xpath::EvaluateXPath(index->def().path, *engine_->dict(), &source,
                              doc_id, /*want_values=*/true));
-    for (const ResultNode& hit : hits) {
-      XDB_ASSIGN_OR_RETURN(Rid rid,
-                           node_index_->Lookup(doc_id, Slice(hit.node_id)));
-      Slice key(hit.string_value), node_id(hit.node_id);
+    for (ResultNode& hit : hits) {
+      Slice node_id(hit.node_id);
+      // A chain element's scanned value misses the text outside the region.
+      if (!region.subtree || !node_id.StartsWith(Slice(region.node_id))) {
+        XDB_ASSIGN_OR_RETURN(hit.string_value, nav.StringValue(node_id));
+      }
+      XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, node_id));
+      Slice key(hit.string_value);
       XDB_RETURN_NOT_OK(remove ? index->Remove(key, doc_id, node_id, rid)
                                : index->Add(key, doc_id, node_id, rid));
     }
   }
-  // One derivation pass serves every structural index: (pre, post, level)
-  // fall out of the same document-order walk.
+  // One derivation pass over the subtree serves every structural index. A
+  // chain element keeps its entry (its node ID is stable); only its span
+  // moves, by the subtree's element count.
   std::vector<StructuralIndex*> structural;
   for (auto& owned : structural_indexes_) {
     if (scope.all() || owned.index.get() == scope.structural)
       structural.push_back(owned.index.get());
   }
-  if (structural.empty()) return Status::OK();
-  std::unique_ptr<XmlEventSource> source = open_source();
+  if (structural.empty() || !region.subtree) return Status::OK();
+  std::unique_ptr<XmlEventSource> source = open_subtree();
   std::vector<StructuralEntry> entries;
   XDB_RETURN_NOT_OK(DeriveStructuralEntries(source.get(), &entries));
-  for (StructuralIndex* index : structural) {
+  std::vector<NameId> ancestors;
+  for (const StoredPathStep& step : chain) ancestors.push_back(step.local);
+  for (StructuralIndex* index : structural)
     XDB_RETURN_NOT_OK(
-        remove ? index->RemoveEntries(*engine_->dict(), doc_id, entries)
-               : index->AddEntries(*engine_->dict(), doc_id, entries));
-  }
+        index->Apply(*engine_->dict(), doc_id, entries, ancestors, remove));
+  return Status::OK();
+}
+
+Status Collection::Backfill(IndexScope scope) {
+  XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
+  for (uint64_t doc_id : docs)
+    XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/false, {}, scope));
   return Status::OK();
 }
 
@@ -316,7 +376,7 @@ Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
     // latch section so queries never observe postings pointing at freed
     // records.
     WriterMutexLock latch(latch_);
-    XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/true));
+    XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/true));
     return DeleteDocumentLocked(doc_id);
   }();
   return at.Finish(st);
@@ -342,102 +402,6 @@ Status Collection::DeleteDocumentLocked(uint64_t doc_id) {
   return Status::OK();
 }
 
-Status Collection::MaintainValueIndexesForTextUpdate(uint64_t doc_id,
-                                                     Slice text_node_id,
-                                                     Slice new_text) {
-  if (value_indexes_.empty()) return Status::OK();
-  // Collect the ancestor elements of the text node with their concrete
-  // name paths: in-record names come from a walk; out-of-record ancestors
-  // from the record header's root path.
-  XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, text_node_id));
-  std::string record;
-  XDB_RETURN_NOT_OK(records_->Get(rid, &record));
-  RecordWalker walker((Slice(record)));
-  XDB_RETURN_NOT_OK(walker.Init());
-
-  struct Ancestor {
-    std::string abs_id;
-    NameId local;
-  };
-  std::vector<Ancestor> ancestors;
-  const RecordHeader& header = walker.header();
-  {
-    std::vector<Slice> levels;
-    XDB_RETURN_NOT_OK(
-        nodeid::SplitLevels(header.context_node_id, &levels));
-    if (levels.size() != header.root_path.size())
-      return Status::Corruption("record root path/context id mismatch");
-    std::string prefix;
-    for (size_t i = 0; i < levels.size(); i++) {
-      prefix.append(levels[i].data(), levels[i].size());
-      ancestors.push_back(Ancestor{prefix, header.root_path[i].local});
-    }
-  }
-  for (;;) {
-    RecordWalker::Event ev;
-    XDB_RETURN_NOT_OK(walker.Next(&ev));
-    if (ev.type == RecordWalker::EventType::kDone)
-      return Status::NotFound("text node not found for index maintenance");
-    if (ev.type != RecordWalker::EventType::kStart) continue;
-    Slice abs(ev.entry.abs_id);
-    if (abs == text_node_id) break;
-    if (ev.entry.kind == NodeKind::kElement) {
-      if (nodeid::IsAncestor(abs, text_node_id)) {
-        ancestors.push_back(Ancestor{ev.entry.abs_id, ev.entry.local});
-      } else {
-        walker.SkipChildren();
-      }
-    }
-  }
-
-  // Concrete absolute path of each ancestor (pure child steps).
-  StoredTreeNavigator nav(records_.get(), node_index_.get(), doc_id);
-  xpath::Path concrete;
-  concrete.absolute = true;
-  for (const Ancestor& a : ancestors) {
-    xpath::Step step;
-    step.axis = xpath::Axis::kChild;
-    step.test = xpath::NodeTest::kName;
-    XDB_ASSIGN_OR_RETURN(step.name, engine_->dict()->Name(a.local));
-    concrete.steps.push_back(std::move(step));
-    for (auto& owned : value_indexes_) {
-      ValueIndex* index = owned.index.get();
-      auto ipath = xpath::ParsePath(index->def().path);
-      if (!ipath.ok()) continue;
-      if (!xpath::PathContains(ipath.value(), concrete)) continue;
-      // This ancestor's string value is indexed: swap old for new. The
-      // "old" value is still stored (the record is not yet updated).
-      XDB_ASSIGN_OR_RETURN(std::string old_val,
-                           nav.StringValue(Slice(a.abs_id)));
-      // New value: the old value with this text node's contribution
-      // replaced; recompute by splicing is fragile, so re-derive from the
-      // subtree with the text overridden.
-      std::string new_val;
-      {
-        StoredDocSource source(records_.get(), node_index_.get(), doc_id,
-                               a.abs_id);
-        XmlEvent ev;
-        for (;;) {
-          XDB_ASSIGN_OR_RETURN(bool more, source.Next(&ev));
-          if (!more) break;
-          if (ev.type != XmlEvent::Type::kText) continue;
-          if (ev.node_id == text_node_id) {
-            new_val.append(new_text.data(), new_text.size());
-          } else {
-            new_val.append(ev.value.data(), ev.value.size());
-          }
-        }
-      }
-      XDB_ASSIGN_OR_RETURN(Rid arid,
-                           node_index_->Lookup(doc_id, Slice(a.abs_id)));
-      XDB_RETURN_NOT_OK(
-          index->Remove(old_val, doc_id, Slice(a.abs_id), arid));
-      XDB_RETURN_NOT_OK(index->Add(new_val, doc_id, Slice(a.abs_id), arid));
-    }
-  }
-  return Status::OK();
-}
-
 Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
                                   Slice node_id, Slice new_text) {
   XDB_RETURN_NOT_OK(GuardWrite());
@@ -455,15 +419,23 @@ Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
     XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, node_id));
     std::string old_record;
     XDB_RETURN_NOT_OK(records_->Get(rid, &old_record));
-
-    // Value-index maintenance runs against the pre-update image.
-    XDB_RETURN_NOT_OK(
-        MaintainValueIndexesForTextUpdate(doc_id, node_id, new_text));
-
     XDB_ASSIGN_OR_RETURN(std::string new_record,
                          ReplaceTextValue(old_record, node_id, new_text));
+
+    // An in-place update changes the string values of the text node's
+    // ancestors only. A copy-on-write also moves every node of the record to
+    // a new RID, so there the region is the record's whole context subtree.
+    EditRegion region{node_id.ToString(), /*subtree=*/false};
+    if (meta_.mvcc_enabled) {
+      RecordHeader header;
+      Slice payload;
+      XDB_RETURN_NOT_OK(ParseRecordHeader(old_record, &header, &payload));
+      region = EditRegion{header.context_node_id.ToString(), true};
+    }
+    XDB_RETURN_NOT_OK(IndexDocument(doc_id, region, /*remove=*/true));
     if (!meta_.mvcc_enabled) {
       XDB_RETURN_NOT_OK(records_->Update(rid, new_record));
+      XDB_RETURN_NOT_OK(IndexDocument(doc_id, region, /*remove=*/false));
       stats_.NoteDocumentMutated();
       return Status::OK();
     }
@@ -488,6 +460,7 @@ Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
     // The unversioned NodeID index tracks the newest version.
     XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, old_record, rid));
     XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, new_record, new_rid));
+    XDB_RETURN_NOT_OK(IndexDocument(doc_id, region, /*remove=*/false));
     stats_.NoteDocumentMutated();
     return Status::OK();
   }();
@@ -581,78 +554,27 @@ Result<std::string> Collection::InsertSubtreeLocked(uint64_t doc_id,
                                                     Slice parent_id,
                                                     Slice after_sibling_id,
                                                     Slice fragment_tokens) {
-  // The document's index entries are re-derived around the change: ancestor
-  // string values change too (per-entry surgery would be error-prone), and
-  // the insert renumbers (pre, post) for every node after the splice point,
-  // so removal must read the pre-mutation records.
-  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/true));
-
-  XDB_ASSIGN_OR_RETURN(Rid parent_rid,
-                       node_index_->Lookup(doc_id, parent_id));
-  std::string parent_record;
-  XDB_RETURN_NOT_OK(records_->Get(parent_rid, &parent_record));
-
   // Direct children of the parent (inline entries and proxies) in order.
+  StoredTreeNavigator nav(records_.get(), node_index_.get(), doc_id);
   std::vector<std::string> child_ids;
-  bool parent_is_element = false;
-  {
-    RecordWalker walker((Slice(parent_record)));
-    XDB_RETURN_NOT_OK(walker.Init());
-    for (;;) {
-      RecordWalker::Event ev;
-      XDB_RETURN_NOT_OK(walker.Next(&ev));
-      if (ev.type == RecordWalker::EventType::kDone) break;
-      if (ev.type != RecordWalker::EventType::kStart) continue;
-      Slice abs(ev.entry.abs_id);
-      if (abs == parent_id) {
-        if (ev.entry.kind != NodeKind::kElement)
-          return Status::InvalidArgument("parent is not an element");
-        parent_is_element = true;
-        continue;  // descend into it
-      }
-      auto eparent = nodeid::Parent(abs);
-      if (eparent.ok() && eparent.value() == parent_id) {
-        child_ids.push_back(ev.entry.abs_id);
-        if (ev.entry.kind == NodeKind::kElement) walker.SkipChildren();
-      } else if (ev.entry.kind == NodeKind::kElement &&
-                 !nodeid::IsAncestor(abs, parent_id)) {
-        walker.SkipChildren();
-      }
-    }
-  }
-  if (!parent_is_element)
-    return Status::NotFound("parent element not found");
+  XDB_RETURN_NOT_OK(nav.ChildIds(parent_id, &child_ids));
 
-  // Choose the new relative ID with Between().
-  std::string left_rel, right_rel;
-  if (after_sibling_id.empty()) {
-    if (!child_ids.empty()) {
-      Slice last(child_ids.back());
-      last.RemovePrefix(parent_id.size());
-      left_rel = last.ToString();
-    }
-  } else {
-    size_t pos = 0;
-    bool found = false;
-    for (; pos < child_ids.size(); pos++) {
-      if (Slice(child_ids[pos]) == after_sibling_id) {
-        found = true;
-        break;
-      }
-    }
-    if (!found)
+  // Choose the new relative ID with Between(): the new child goes after
+  // child pos - 1 and before child pos.
+  size_t pos = child_ids.size();
+  if (!after_sibling_id.empty()) {
+    auto it = std::find(child_ids.begin(), child_ids.end(), after_sibling_id);
+    if (it == child_ids.end())
       return Status::NotFound("after-sibling is not a child of the parent");
-    Slice l(child_ids[pos]);
-    l.RemovePrefix(parent_id.size());
-    left_rel = l.ToString();
-    if (pos + 1 < child_ids.size()) {
-      Slice r(child_ids[pos + 1]);
-      r.RemovePrefix(parent_id.size());
-      right_rel = r.ToString();
-    }
+    pos = static_cast<size_t>(it - child_ids.begin()) + 1;
   }
+  auto rel = [&](size_t i) {
+    return i < child_ids.size() ? child_ids[i].substr(parent_id.size())
+                                : std::string();
+  };
   std::string new_rel;
-  XDB_RETURN_NOT_OK(nodeid::Between(left_rel, right_rel, &new_rel));
+  XDB_RETURN_NOT_OK(
+      nodeid::Between(pos > 0 ? rel(pos - 1) : "", rel(pos), &new_rel));
   std::string new_abs = parent_id.ToString() + new_rel;
 
   // Build the subtree's record, with the parent as its context node.
@@ -660,6 +582,14 @@ Result<std::string> Collection::InsertSubtreeLocked(uint64_t doc_id,
   XDB_ASSIGN_OR_RETURN(std::string entry,
                        BuildSubtreeEntry(fragment_tokens, new_rel,
                                          &node_count));
+  // The parent's chain loses its old string-value postings; the new subtree
+  // and the chain's new values are posted once the records hold them.
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, {parent_id.ToString(), false},
+                                  /*remove=*/true));
+  XDB_ASSIGN_OR_RETURN(Rid parent_rid,
+                       node_index_->Lookup(doc_id, parent_id));
+  std::string parent_record;
+  XDB_RETURN_NOT_OK(records_->Get(parent_rid, &parent_record));
   RecordHeader parent_header;
   Slice parent_payload;
   XDB_RETURN_NOT_OK(
@@ -668,27 +598,11 @@ Result<std::string> Collection::InsertSubtreeLocked(uint64_t doc_id,
   header.context_node_id = parent_id;
   header.namespaces = parent_header.namespaces;
   header.subtree_count = 1;
-  // Root path = parent record's path to its context + in-record element
-  // names down to the parent.
-  header.root_path = parent_header.root_path;
-  {
-    RecordWalker walker((Slice(parent_record)));
-    XDB_RETURN_NOT_OK(walker.Init());
-    for (;;) {
-      RecordWalker::Event ev;
-      XDB_RETURN_NOT_OK(walker.Next(&ev));
-      if (ev.type == RecordWalker::EventType::kDone) break;
-      if (ev.type != RecordWalker::EventType::kStart) continue;
-      Slice abs(ev.entry.abs_id);
-      if (ev.entry.kind == NodeKind::kElement &&
-          (abs == parent_id || nodeid::IsAncestor(abs, parent_id))) {
-        header.root_path.push_back({ev.entry.local, ev.entry.ns_uri});
-        if (abs == parent_id) break;
-      } else if (ev.entry.kind == NodeKind::kElement) {
-        walker.SkipChildren();
-      }
-    }
-  }
+  // Root path = the element names from the root down to the parent.
+  std::vector<StoredPathStep> parent_path;
+  XDB_RETURN_NOT_OK(nav.Path(parent_id, &parent_path));
+  for (const StoredPathStep& step : parent_path)
+    header.root_path.push_back({step.local, step.ns_uri});
   std::string new_record;
   AppendRecordHeader(header, &new_record);
   new_record += entry;
@@ -705,7 +619,7 @@ Result<std::string> Collection::InsertSubtreeLocked(uint64_t doc_id,
   XDB_RETURN_NOT_OK(
       node_index_->AddRecord(doc_id, new_parent_record, parent_rid));
 
-  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/false));
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, {new_abs, true}, /*remove=*/false));
   stats_.NoteDocumentMutated();
   return new_abs;
 }
@@ -736,7 +650,11 @@ Status Collection::DeleteSubtreeLocked(uint64_t doc_id, Slice node_id) {
   XDB_ASSIGN_OR_RETURN(Slice parent_id, nodeid::Parent(node_id));
   if (parent_id.empty())
     return Status::InvalidArgument("cannot delete the root element");
-  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/true));
+  // The subtree's entries go, and so do the postings of the parent's chain,
+  // whose string values lose the subtree's text; the chain is re-posted
+  // once the records no longer hold the subtree.
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, {node_id.ToString(), true},
+                                  /*remove=*/true));
 
   // The record holding the parent's child list holds either the subtree
   // inline or a proxy for it.
@@ -765,7 +683,8 @@ Status Collection::DeleteSubtreeLocked(uint64_t doc_id, Slice node_id) {
     XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, bytes, rid));
     XDB_RETURN_NOT_OK(records_->Delete(rid));
   }
-  XDB_RETURN_NOT_OK(IndexDocument(doc_id, /*remove=*/false));
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, {parent_id.ToString(), false},
+                                  /*remove=*/false));
   stats_.NoteDocumentMutated();
   return Status::OK();
 }
@@ -807,10 +726,7 @@ Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
 
     // Backfill from existing documents, still under the exclusive latch so a
     // concurrent query never plans against a half-backfilled index.
-    XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
-    for (uint64_t doc_id : docs)
-      XDB_RETURN_NOT_OK(
-          IndexDocument(doc_id, /*remove=*/false, {}, {.value = raw}));
+    XDB_RETURN_NOT_OK(Backfill({.value = raw}));
     index_version_.fetch_add(1, std::memory_order_acq_rel);
     plan_cache_.Invalidate("index created");
   }
@@ -896,10 +812,7 @@ Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
         OwnedStructuralIndex{std::move(tree), std::move(index)});
 
     // Backfill from existing documents under the exclusive latch.
-    XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
-    for (uint64_t doc_id : docs)
-      XDB_RETURN_NOT_OK(
-          IndexDocument(doc_id, /*remove=*/false, {}, {.structural = raw}));
+    XDB_RETURN_NOT_OK(Backfill({.structural = raw}));
     index_version_.fetch_add(1, std::memory_order_acq_rel);
     plan_cache_.Invalidate("structural index created");
   }
@@ -1419,16 +1332,11 @@ Status Collection::FindCandidates(const query::CompiledPlan& cp,
     // lifetime contract). A never-interned name scans nothing.
     if (plan.structural_index != nullptr &&
         cp.structural_name_id != NameDictionary::kInvalidNameId) {
-      std::vector<StructuralPosting> entries;
       obs::WaitSpan probe_span(engine_->wait_sink(),
                                obs::WaitState::kIndexProbe);
-      XDB_RETURN_NOT_OK(
-          plan.structural_index->Scan(cp.structural_name_id, &entries));
+      XDB_RETURN_NOT_OK(plan.structural_index->Scan(cp.structural_name_id,
+                                                    &structural_postings));
       probe_span.Finish();
-      structural_postings.reserve(entries.size());
-      for (StructuralPosting& e : entries)
-        structural_postings.push_back(
-            Posting{e.doc_id, std::move(e.node_id), Rid()});
       result->stats.index_postings += structural_postings.size();
       if (prof.trace)
         prof.trace_lines.push_back(
@@ -1468,7 +1376,7 @@ Status Collection::FindCandidates(const query::CompiledPlan& cp,
         std::vector<Posting> a;
         if (plan.structural_anchor && plan.probes[i].pred.strip_levels < 0) {
           // Descendant branch: the value node's anchor ancestors come from
-          // the interval join instead of level-stripping.
+          // the structural anchor join instead of level-stripping.
           XDB_RETURN_NOT_OK(query::StructuralAnchorJoin(
               postings_per_probe[i], structural_postings, &a));
         } else {
@@ -1502,57 +1410,23 @@ Status Collection::EvalAnchor(const Posting& anchor,
   // or its posting is stale); any other failure — a damaged page above all
   // — is returned, never read as "no match".
   {
-    auto rid = locator->Lookup(anchor.doc_id, Slice(anchor.node_id));
-    if (rid.status().IsNotFound()) return Status::OK();
-    XDB_RETURN_NOT_OK(rid.status());
-    std::string record;
-    Status st = records_->Get(rid.value(), &record);
+    StoredTreeNavigator nav(records_.get(), locator, anchor.doc_id);
+    std::vector<StoredPathStep> steps;
+    Status st = nav.Path(Slice(anchor.node_id), &steps);
     if (st.IsNotFound()) return Status::OK();
     XDB_RETURN_NOT_OK(st);
-    RecordWalker walker((Slice(record)));
-    XDB_RETURN_NOT_OK(walker.Init());
-    // Build the anchor's concrete path: header path + in-record names.
     xpath::Path concrete;
     concrete.absolute = true;
-    const RecordHeader& header = walker.header();
-    std::vector<Slice> levels;
-    XDB_RETURN_NOT_OK(nodeid::SplitLevels(header.context_node_id, &levels));
-    for (size_t i = 0; i < header.root_path.size(); i++) {
+    for (const StoredPathStep& node : steps) {
+      if (node.kind != NodeKind::kElement && node.kind != NodeKind::kAttribute)
+        continue;
       xpath::Step step;
-      step.axis = xpath::Axis::kChild;
+      step.axis = node.kind == NodeKind::kAttribute ? xpath::Axis::kAttribute
+                                                    : xpath::Axis::kChild;
       step.test = xpath::NodeTest::kName;
-      XDB_ASSIGN_OR_RETURN(step.name,
-                           engine_->dict()->Name(header.root_path[i].local));
+      XDB_ASSIGN_OR_RETURN(step.name, engine_->dict()->Name(node.local));
       concrete.steps.push_back(std::move(step));
     }
-    // Walk down to the anchor collecting element names.
-    bool found = Slice(anchor.node_id) == header.context_node_id;
-    while (!found) {
-      RecordWalker::Event ev;
-      XDB_RETURN_NOT_OK(walker.Next(&ev));
-      if (ev.type == RecordWalker::EventType::kDone) break;
-      if (ev.type != RecordWalker::EventType::kStart) continue;
-      Slice abs(ev.entry.abs_id);
-      bool on_path = abs == Slice(anchor.node_id) ||
-                     nodeid::IsAncestor(abs, Slice(anchor.node_id));
-      if (!on_path) {
-        if (ev.entry.kind == NodeKind::kElement) walker.SkipChildren();
-        continue;
-      }
-      if (ev.entry.kind == NodeKind::kElement ||
-          ev.entry.kind == NodeKind::kAttribute) {
-        xpath::Step step;
-        step.axis = ev.entry.kind == NodeKind::kAttribute
-                        ? xpath::Axis::kAttribute
-                        : xpath::Axis::kChild;
-        step.test = xpath::NodeTest::kName;
-        XDB_ASSIGN_OR_RETURN(step.name,
-                             engine_->dict()->Name(ev.entry.local));
-        concrete.steps.push_back(std::move(step));
-      }
-      if (abs == Slice(anchor.node_id)) found = true;
-    }
-    if (!found) return Status::OK();
     if (!xpath::PathContains(prefix_pattern, concrete)) return Status::OK();
   }
 
@@ -1645,12 +1519,22 @@ Status Collection::BuildStorage(bool create) {
     value_indexes_.push_back(
         OwnedValueIndex{std::move(tree), std::move(index)});
   }
+  std::vector<const StructuralIndex*> rebuild;
   for (StructuralIndexMeta& si : meta_.structural_indexes) {
+    const bool old_format = !create && si.root == kInvalidPageId;
     XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, open_tree(&si.root));
     auto index = std::make_unique<StructuralIndex>(si.def, tree.get());
     index->set_stats_listener(stats_.StructuralListenerFor(si.def.name));
+    if (old_format) rebuild.push_back(index.get());
     structural_indexes_.push_back(
         OwnedStructuralIndex{std::move(tree), std::move(index)});
+  }
+  // Before WAL replay, which then maintains the rebuilt index like any
+  // other. The listener adds do not bump the stats epoch.
+  if (!rebuild.empty()) {
+    WriterMutexLock latch(latch_);
+    for (const StructuralIndex* index : rebuild)
+      XDB_RETURN_NOT_OK(Backfill({.structural = index}));
   }
   return Status::OK();
 }

@@ -124,6 +124,15 @@ struct IndexScope {
   bool all() const { return value == nullptr && structural == nullptr; }
 };
 
+/// The part of a document one write changes (see Collection::IndexDocument):
+/// with `subtree`, the subtree at `node_id`, below a *chain* of its element
+/// ancestors; without, just the chain, then `node_id`'s element
+/// ancestors-or-self. The default is the whole document.
+struct EditRegion {
+  std::string node_id;
+  bool subtree = true;
+};
+
 class Collection {
  public:
   ~Collection() = default;
@@ -167,11 +176,11 @@ class Collection {
   /// (empty = append as last child). The new subtree gets a node ID from
   /// Between(), so every existing node keeps its ID ("there is always space
   /// for insertion in the middle by extending the node ID length") and the
-  /// record work is O(subtree). With value or structural indexes the edit
-  /// also re-derives all of the document's entries from its stored records
-  /// (ancestor string values and (pre, post) numbers change), which costs
-  /// O(document). Returns the new subtree root's absolute node ID. Locking
-  /// collections only (kNotSupported under MVCC).
+  /// record work is O(subtree). So is the index work: the subtree's value
+  /// postings and structural entries are added, and the postings of indexed
+  /// ancestors, whose string values change, are swapped. Returns the new
+  /// subtree root's absolute node ID. Locking collections only
+  /// (kNotSupported under MVCC).
   Result<std::string> InsertSubtree(Transaction* txn, uint64_t doc_id,
                                     Slice parent_id, Slice after_sibling_id,
                                     Slice fragment) XDB_EXCLUDES(latch_);
@@ -191,9 +200,9 @@ class Collection {
   Status DropValueIndex(const std::string& name)
       XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_);
 
-  /// Creates a structural (pre,post)-interval index and backfills it from
-  /// existing documents. Same DDL discipline as CreateValueIndex: logged to
-  /// the WAL under ddl_mu_, crash-recovers and replicates.
+  /// Creates a structural index (element name -> node IDs) and backfills
+  /// it from existing documents. Same DDL discipline as CreateValueIndex:
+  /// logged to the WAL under ddl_mu_, crash-recovers and replicates.
   Status CreateStructuralIndex(const StructuralIndexDef& def)
       XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_);
 
@@ -252,20 +261,17 @@ class Collection {
       XDB_EXCLUDES(latch_);
   Status DeleteDocumentLocked(uint64_t doc_id) XDB_REQUIRES(latch_);
 
-  /// The one index-maintenance path: adds (or, with `remove`, deletes) one
-  /// document's value postings and structural entries. `fresh_tokens` is
-  /// the token stream of a document RecordBuilder has just stored, whose
-  /// canonical node IDs are exactly the stored ones; empty, the entries
-  /// come from the stored records (StoredDocSource), so documents reshaped
-  /// by Between()-allocated subtree edits index their real node IDs and a
-  /// remove always finds what the add wrote.
-  Status IndexDocument(uint64_t doc_id, bool remove, Slice fresh_tokens = {},
-                       IndexScope scope = {}) XDB_REQUIRES(latch_);
-  /// UpdateTextNode's targeted value-index maintenance: swaps the postings
-  /// of the text node's indexed ancestors only (a whole-document remove and
-  /// add costs several times more per update).
-  Status MaintainValueIndexesForTextUpdate(uint64_t doc_id, Slice text_node_id,
-                                           Slice new_text) XDB_REQUIRES(latch_);
+  /// The one index-maintenance path, for every write: removes `region`'s
+  /// index entries before the records change (`remove`), adds them after.
+  /// Chain elements keep their structural entries; their postings follow
+  /// their string values. `fresh_tokens` is a just-stored document's token
+  /// stream, whose canonical node IDs are the stored ones; empty, the
+  /// subtree is read from the records, so a remove finds what an add wrote.
+  Status IndexDocument(uint64_t doc_id, const EditRegion& region, bool remove,
+                       Slice fresh_tokens = {}, IndexScope scope = {})
+      XDB_REQUIRES(latch_);
+  /// DDL backfill of the one index `scope` names from every stored document.
+  Status Backfill(IndexScope scope) XDB_REQUIRES(latch_);
 
   Result<std::string> InsertSubtreeLocked(uint64_t doc_id, Slice parent_id,
                                           Slice after_sibling_id,
@@ -369,8 +375,9 @@ class Collection {
   /// record manager, the DocID, NodeID and (MVCC) version trees, and each
   /// value and structural index in meta_ with its stats listener. `create`
   /// makes them new and empty; otherwise they open at meta_'s roots after
-  /// RecordManager::Recover. Either way meta_ records the roots. Called by
-  /// Engine::OpenCollection and RebuildStorage; the latter holds latch_.
+  /// RecordManager::Recover (a structural index a pre-V5 catalog named is
+  /// rebuilt from the records). Either way meta_ records the roots. Called
+  /// by Engine::OpenCollection and RebuildStorage; the latter holds latch_.
   Status BuildStorage(bool create);
 
   /// Resets the table space and recreates every storage component (records,

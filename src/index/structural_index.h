@@ -1,31 +1,17 @@
-// StructuralIndex: (pre, post)-interval indexing of element structure, the
-// XISS/R scheme adapted to this engine's Dewey NodeIDs.
+// StructuralIndex: element instances by name, keyed by prefix node ID.
 //
 // Where value indexes (Section 3.3/4.3) prune candidates by *content*, a
-// structural index prunes by *shape*: every element instance is numbered in
-// document order (pre) and completion order (post), so
+// structural index prunes by *shape*: "all instances of element name N" —
+// the expensive part of a //a//N-shaped step — becomes one B+tree range
+// scan instead of a QuickXScan walk per candidate document. Entries live in
+// the value indexes' B+tree infrastructure:
 //
-//   a is an ancestor of b  <=>  pre(a) < pre(b)  AND  post(b) < post(a)
+//   key = [name_id big32][doc_id big64][node id bytes], value empty
 //
-// and "all instances of element name N" — the expensive part of a
-// //a//N-shaped step — becomes one B+tree range scan instead of a
-// QuickXScan tree walk per candidate document. Entries live in the same
-// B+tree infrastructure as value indexes:
-//
-//   key   = [name_id big32][doc_id big64][pre big32]
-//   value = [post big32][level big32][node id bytes]
-//
-// so one name's entries are contiguous and come back sorted by
-// (doc_id, pre) — which IS (doc_id, document order) — exactly the order the
-// executor's interval-merge join and the parallel-execution determinism
-// contract need. The Dewey NodeID is carried in the value because interval
-// containment and Dewey prefix containment are the same relation here
-// (nested intervals <=> prefix ancestry), letting the executor anchor value
-// postings under structural entries with a plain prefix test during the
-// ordered merge.
-//
-// (pre, post, level) are derived from the same virtual-SAX event walk that
-// assigns the tree-packer's Dewey IDs — no second parse of the XML text.
+// Node-ID bytes sort in document order (Between()-allocated IDs too) and
+// encode ancestry (a proper prefix is an ancestor), so a scan returns the
+// (doc, document order) the anchor join and parallel determinism need, and
+// a node's entry never moves: an edit touches only its own subtree's.
 #ifndef XDB_INDEX_STRUCTURAL_INDEX_H_
 #define XDB_INDEX_STRUCTURAL_INDEX_H_
 
@@ -36,6 +22,7 @@
 #include "btree/btree.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "index/value_index.h"
 #include "xml/name_dictionary.h"
 
 namespace xdb {
@@ -51,46 +38,31 @@ struct StructuralIndexDef {
   std::string element_name;
 };
 
-/// One element instance's structural facts, as derived from a document walk.
+/// One element instance's structural facts, as derived from a subtree walk.
 struct StructuralEntry {
   NameId name_id = kEmptyNameId;
-  uint32_t pre = 0;    // document-order (start-tag) number within the doc
-  uint32_t post = 0;   // completion-order (end-tag) number within the doc
-  uint32_t level = 0;  // element nesting depth (root element = 1)
-  /// Descendant element count (the interval width): pre numbers of the
-  /// subtree's elements are exactly (pre, pre + subtree_size]. Feeds the
-  /// stats span sketch; not persisted in the entry value.
+  /// Descendant element count. Feeds the stats span sketch; not persisted.
   uint32_t subtree_size = 0;
-  std::string node_id;  // absolute Dewey node ID
+  std::string node_id;  // absolute node ID
 };
 
-/// One hit from a structural probe: an element instance of the probed name.
-struct StructuralPosting {
-  uint64_t doc_id = 0;
-  uint32_t pre = 0;
-  uint32_t post = 0;
-  uint32_t level = 0;
-  std::string node_id;
-};
-
-/// Observer of entry adds/removes, keyed by the element's local name with
-/// its subtree span. query::CollectionStats implements this to maintain the
-/// per-name count + average-span sketch every maintenance path feeds (same
-/// pattern as ValueIndexStatsListener). Calls happen under the collection's
-/// exclusive latch; implementations must not call back into the index.
+/// Observer of entry adds/removes and span moves, keyed by the element's
+/// local name. query::CollectionStats implements this to maintain its
+/// per-name count + average-span sketch (same pattern as
+/// ValueIndexStatsListener). Calls happen under the collection's exclusive
+/// latch; implementations must not call back into the index.
 class StructuralIndexStatsListener {
  public:
   virtual ~StructuralIndexStatsListener() = default;
   virtual void OnElementAdded(Slice local_name, uint32_t subtree_size) = 0;
   virtual void OnElementRemoved(Slice local_name, uint32_t subtree_size) = 0;
+  /// An edit below an indexed element added (delta > 0) or removed elements.
+  virtual void OnSpanMoved(Slice local_name, int64_t delta) = 0;
 };
 
-/// Walks one document's virtual-SAX events and numbers every element:
-/// pre increments at each start-element, post at each end-element, level is
-/// the event's nesting depth, node_id is the event's absolute Dewey ID (the
-/// token-stream source synthesizes the canonical IDs the tree-packer
-/// assigns; the stored-doc source reports the real stored IDs, which is what
-/// keeps reindex-after-subtree-edit faithful to Between()-allocated IDs).
+/// Lists the elements of one subtree's virtual-SAX events in document
+/// order, with their absolute node IDs (canonical ones from a token stream,
+/// the real stored ones from StoredDocSource) and descendant counts.
 Status DeriveStructuralEntries(XmlEventSource* source,
                                std::vector<StructuralEntry>* out);
 
@@ -113,17 +85,19 @@ class StructuralIndex {
     return def_.element_name.empty() || Slice(def_.element_name) == local_name;
   }
 
-  /// Adds/removes one document's derived entries. `dict` renders local
-  /// names for the stats listener. Both are idempotent per entry (B+tree
-  /// exact (key, value) insert/delete), matching WAL-replay semantics.
-  Status AddEntries(const NameDictionary& dict, uint64_t doc_id,
-                    const std::vector<StructuralEntry>& entries);
-  Status RemoveEntries(const NameDictionary& dict, uint64_t doc_id,
-                       const std::vector<StructuralEntry>& entries);
+  /// Adds (or, with `remove`, deletes) one subtree's derived entries, and
+  /// moves the span of each covered element of `ancestors` (the subtree
+  /// root's element ancestors) by the subtree's element count. `dict`
+  /// renders local names for the stats listener. Per entry, an exact
+  /// (key, value) B+tree insert or delete.
+  Status Apply(const NameDictionary& dict, uint64_t doc_id,
+               const std::vector<StructuralEntry>& entries,
+               const std::vector<NameId>& ancestors, bool remove);
 
   /// Range-scans every instance of `name_id` across all documents, in
-  /// (doc_id, pre) order — document order within each document.
-  Status Scan(NameId name_id, std::vector<StructuralPosting>* out);
+  /// (doc_id, node ID) order — document order within each document — as
+  /// anchor postings (no RID).
+  Status Scan(NameId name_id, std::vector<Posting>* out);
 
   /// Total entries in the index (full scan; tests and stats rebuilds only).
   Result<uint64_t> CountEntries();
@@ -134,15 +108,11 @@ class StructuralIndex {
   StructuralIndexStatsListener* stats_ = nullptr;
 };
 
-// Key/value codec, exposed for tests.
-void EncodeStructuralKey(NameId name_id, uint64_t doc_id, uint32_t pre,
+// Key codec, exposed for tests. A non-empty value is Corruption.
+void EncodeStructuralKey(NameId name_id, uint64_t doc_id, Slice node_id,
                          std::string* out);
-void EncodeStructuralValue(uint32_t post, uint32_t level, Slice node_id,
-                           std::string* out);
-Status DecodeStructuralKey(Slice key, NameId* name_id, uint64_t* doc_id,
-                           uint32_t* pre);
-Status DecodeStructuralValue(Slice value, uint32_t* post, uint32_t* level,
-                             Slice* node_id);
+Status DecodeStructuralEntry(Slice key, Slice value, NameId* name_id,
+                             uint64_t* doc_id, Slice* node_id);
 
 }  // namespace xdb
 

@@ -151,24 +151,42 @@ Result<bool> StoredDocSource::Produce(XmlEvent* event) {
 
 Status StoredTreeNavigator::WalkTo(Slice node_id, std::string* buf,
                                    std::unique_ptr<RecordWalker>* walker,
-                                   RecordWalker::Event* event) {
+                                   RecordWalker::Event* event,
+                                   std::vector<StoredPathStep>* path) {
   XDB_ASSIGN_OR_RETURN(Rid rid, index_->Lookup(doc_id_, node_id));
   XDB_RETURN_NOT_OK(records_->Get(rid, buf));
   *walker = std::make_unique<RecordWalker>(Slice(*buf));
   XDB_RETURN_NOT_OK((*walker)->Init());
+  if (path != nullptr) {
+    // Above the record: its context node and that node's ancestors, named
+    // by the header's root path and numbered by the context ID's levels.
+    const RecordHeader& header = (*walker)->header();
+    std::vector<Slice> levels;
+    XDB_RETURN_NOT_OK(nodeid::SplitLevels(header.context_node_id, &levels));
+    if (levels.size() != header.root_path.size())
+      return Status::Corruption("record root path/context id mismatch");
+    std::string prefix;
+    for (size_t i = 0; i < levels.size(); i++) {
+      prefix.append(levels[i].data(), levels[i].size());
+      path->push_back(StoredPathStep{prefix, NodeKind::kElement,
+                                     header.root_path[i].local,
+                                     header.root_path[i].ns_uri});
+    }
+  }
   for (;;) {
     XDB_RETURN_NOT_OK((*walker)->Next(event));
     if (event->type == RecordWalker::EventType::kDone)
       return Status::NotFound("node not in its indexed record");
     if (event->type != RecordWalker::EventType::kStart) continue;
-    Slice abs(event->entry.abs_id);
-    if (abs == node_id) return Status::OK();
-    if (event->entry.kind == NodeKind::kElement &&
-        !nodeid::IsAncestor(abs, node_id)) {
-      (*walker)->SkipChildren();
-    }
+    const PackedEntry& e = event->entry;
+    Slice abs(e.abs_id);
     // Ancestors: descend (no skip). Leaves/proxies that aren't the node:
-    // walker moves past them naturally.
+    // the walker moves past them naturally.
+    const bool on_path = abs == node_id || nodeid::IsAncestor(abs, node_id);
+    if (on_path && path != nullptr)
+      path->push_back(StoredPathStep{e.abs_id, e.kind, e.local, e.ns_uri});
+    if (abs == node_id) return Status::OK();
+    if (!on_path && e.kind == NodeKind::kElement) (*walker)->SkipChildren();
   }
 }
 
@@ -214,6 +232,23 @@ Result<std::string> StoredTreeNavigator::FirstChildId(Slice node_id) {
       ev.entry.depth != parent_depth + 1)
     return Status::NotFound("no children");
   return ev.entry.abs_id;
+}
+
+Status StoredTreeNavigator::ChildIds(Slice node_id,
+                                     std::vector<std::string>* out) {
+  std::string buf;
+  std::unique_ptr<RecordWalker> walker;
+  RecordWalker::Event ev;
+  XDB_RETURN_NOT_OK(WalkTo(node_id, &buf, &walker, &ev));
+  if (ev.entry.kind != NodeKind::kElement)
+    return Status::InvalidArgument("not an element");
+  // Children's subtrees are skipped, so the next end event is the node's.
+  for (;;) {
+    XDB_RETURN_NOT_OK(walker->Next(&ev));
+    if (ev.type != RecordWalker::EventType::kStart) return Status::OK();
+    out->push_back(ev.entry.abs_id);
+    if (ev.entry.kind == NodeKind::kElement) walker->SkipChildren();
+  }
 }
 
 Result<std::string> StoredTreeNavigator::NextSiblingId(Slice node_id) {
@@ -270,6 +305,16 @@ Result<std::string> StoredTreeNavigator::StringValue(Slice node_id) {
       out.append(ev.value.data(), ev.value.size());
   }
   return out;
+}
+
+Status StoredTreeNavigator::Path(Slice node_id,
+                                 std::vector<StoredPathStep>* out) {
+  out->clear();
+  if (node_id.empty()) return Status::OK();
+  std::string buf;
+  std::unique_ptr<RecordWalker> walker;
+  RecordWalker::Event ev;
+  return WalkTo(node_id, &buf, &walker, &ev, out);
 }
 
 }  // namespace xdb

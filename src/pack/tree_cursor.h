@@ -79,6 +79,13 @@ struct StoredNodeInfo {
   uint32_t child_count = 0;
 };
 
+/// One node on the path from the root element down to a stored node.
+struct StoredPathStep {
+  std::string node_id;  // absolute
+  NodeKind kind = NodeKind::kElement;
+  NameId local = kEmptyNameId, ns_uri = kEmptyNameId;
+};
+
 /// Point navigation over a stored document.
 class StoredTreeNavigator {
  public:
@@ -94,6 +101,10 @@ class StoredTreeNavigator {
   /// Absolute ID of the first child; NotFound when childless.
   Result<std::string> FirstChildId(Slice node_id);
 
+  /// Absolute IDs of an element's children (proxies included) in document
+  /// order, from the one record holding its child list.
+  Status ChildIds(Slice node_id, std::vector<std::string>* out);
+
   /// Absolute ID of the next sibling, skipping the node's entire subtree
   /// (however many records it spans) in O(1) record fetches.
   Result<std::string> NextSiblingId(Slice node_id);
@@ -101,12 +112,19 @@ class StoredTreeNavigator {
   /// XPath string value (concatenated subtree text; crosses records).
   Result<std::string> StringValue(Slice node_id);
 
+  /// The ancestors-or-self of `node_id`, root element first (empty for the
+  /// document node): the holding record's header root path, then the walk
+  /// inside that record down to the node.
+  Status Path(Slice node_id, std::vector<StoredPathStep>* out);
+
  private:
   // Positions a walker on the record containing `node_id` and advances it to
-  // the node's kStart event.
+  // the node's kStart event; with `path`, appends the node's
+  // ancestors-or-self on the way (see Path).
   Status WalkTo(Slice node_id, std::string* buf,
                 std::unique_ptr<RecordWalker>* walker,
-                RecordWalker::Event* event);
+                RecordWalker::Event* event,
+                std::vector<StoredPathStep>* path = nullptr);
 
   RecordManager* records_;
   NodeLocator* index_;

@@ -54,9 +54,9 @@ xpath::Path ClonePathSkeleton(const xpath::Path& path);
 xpath::Path ConcatPredicatePath(const xpath::Path& main, size_t step_index,
                                 const xpath::Path& branch);
 
-/// Access methods of Table 2, plus the structural (pre,post) interval scan:
-/// all instances of one element name come straight off the structural index
-/// as candidate anchors, and the residual path rechecks each.
+/// Access methods of Table 2, plus the structural scan: all instances of one
+/// element name come straight off the structural index as candidate
+/// anchors, and the residual path rechecks each.
 enum class AccessMethod : uint8_t {
   kFullScan = 0,
   kDocIdList = 1,

@@ -82,7 +82,7 @@ struct StructuralOption {
   bool scan_available = false;
   /// Value probes share one anchor step whose name a structural index
   /// covers, but a descendant branch forbids level-stripping: anchoring via
-  /// the interval join is a candidate.
+  /// the structural anchor join is a candidate.
   bool anchor_join = false;
   double name_entries = 0;  // structural entries of the anchor element name
   double avg_subtree = 0;   // average subtree span under that name

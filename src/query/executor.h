@@ -17,8 +17,9 @@ namespace query {
 
 struct PlannerContext {
   std::vector<ValueIndex*> indexes;
-  /// Structural (pre,post) interval indexes; a name-covering entry makes
-  /// the structural scan and the descendant-branch anchor join plannable.
+  /// Structural indexes (element name -> node IDs); a name-covering entry
+  /// makes the structural scan and the descendant-branch anchor join
+  /// plannable.
   std::vector<StructuralIndex*> structural_indexes;
   uint64_t doc_count = 0;
   /// Average records per document; documents spanning several records make

@@ -120,6 +120,14 @@ struct CollectionStats::PerStructural final
     if (s.count > 0 && --s.count == 0) names.erase(it);
   }
 
+  void OnSpanMoved(Slice local_name, int64_t delta) override {
+    MutexLock lock(owner->mu_);
+    auto it = names.find(local_name.ToString());
+    if (it == names.end()) return;  // pooled names keep no span
+    const int64_t span = static_cast<int64_t>(it->second.span_sum) + delta;
+    it->second.span_sum = static_cast<uint64_t>(std::max<int64_t>(span, 0));
+  }
+
   CollectionStats* owner;
   uint64_t entry_count = 0;
   uint64_t other_count = 0;

@@ -94,16 +94,88 @@ std::string CheckFlavors(Collection* coll, const std::string& query,
   return "";
 }
 
+/// "" when two B+trees hold the same (key, value) entries.
+std::string CompareTrees(const std::string& name, BTree* kept, BTree* fresh) {
+  std::vector<std::pair<std::string, std::string>> entries[2];
+  BTree* trees[2] = {kept, fresh};
+  for (int t = 0; t < 2; t++) {
+    Status st = [&]() -> Status {
+      XDB_ASSIGN_OR_RETURN(BTree::Iterator it, trees[t]->SeekToFirst());
+      while (it.Valid()) {
+        entries[t].emplace_back(it.key().ToString(), it.value().ToString());
+        XDB_RETURN_NOT_OK(it.Next());
+      }
+      return Status::OK();
+    }();
+    if (!st.ok()) return name + " scan failed: " + st.ToString();
+  }
+  if (entries[0] == entries[1]) return "";
+  return "index '" + name + "' holds " + std::to_string(entries[0].size()) +
+         " entries that differ from its backfill's " +
+         std::to_string(entries[1].size());
+}
+
+/// One structural index's per-name count/span table.
+std::string RenderStructuralStats(const query::StructuralStatsSnapshot& s) {
+  std::string out = std::to_string(s.entry_count) + " entries (" +
+                    std::to_string(s.other_count) + " pooled)";
+  for (const auto& [name, ns] : s.names)
+    out += ", <" + name + "> " + std::to_string(ns.count) + "/" +
+           std::to_string(ns.span_sum);
+  return out;
+}
+
+}  // namespace
+
+std::string CheckIndexesMatchBackfill(Collection* coll) {
+  const CollectionMeta meta = coll->meta();  // the twins' DDL changes it
+  const std::string kTwin = "#backfill";
+  std::string err;
+  for (const ValueIndexMeta& vi : meta.value_indexes) {
+    ValueIndexDef twin = vi.def;
+    twin.name += kTwin;
+    Status st = coll->CreateValueIndex(twin);
+    if (st.ok())
+      err = CompareTrees(vi.def.name, coll->FindValueIndex(vi.def.name)->tree(),
+                         coll->FindValueIndex(twin.name)->tree());
+    if (st.ok()) st = coll->DropValueIndex(twin.name);
+    if (err.empty() && !st.ok()) err = twin.name + ": " + st.ToString();
+    if (!err.empty()) return err;
+  }
+  for (const StructuralIndexMeta& si : meta.structural_indexes) {
+    StructuralIndexDef twin = si.def;
+    twin.name += kTwin;
+    Status st = coll->CreateStructuralIndex(twin);
+    if (st.ok()) {
+      err = CompareTrees(si.def.name,
+                         coll->FindStructuralIndex(si.def.name)->tree(),
+                         coll->FindStructuralIndex(twin.name)->tree());
+      query::CollectionStatsSnapshot snap = coll->stats()->Snapshot();
+      std::string kept = RenderStructuralStats(snap.structural[si.def.name]);
+      std::string fresh = RenderStructuralStats(snap.structural[twin.name]);
+      if (err.empty() && kept != fresh)
+        err = si.def.name + " stats " + kept + " != backfill's " + fresh;
+      st = coll->DropStructuralIndex(twin.name);
+    }
+    if (err.empty() && !st.ok()) err = twin.name + ": " + st.ToString();
+    if (!err.empty()) return err;
+  }
+  return "";
+}
+
+namespace {
+
 /// The post-edit leg. Edits the stored document: deletes the first element
 /// child of the first element with the most element children, then
 /// re-inserts its serialized text after the new first child, so the
 /// document keeps IDs no canonical numbering would assign. Then backfills
-/// string value indexes on every generator name, and requires every flavor
-/// to equal a forced scan of the edited document (the node IDs are the
-/// stored ones, not the DOM reference's) and the document to stay
-/// deletable. The edit is chosen from the document alone, so --seed=
-/// replay and the minimizer still work. Sets *edited to false, and checks
-/// nothing, when no element has two element children.
+/// string value indexes on every generator name and rewrites the
+/// document's first text node. It requires every flavor to equal a forced
+/// scan of the edited document (the node IDs are the stored ones, not the
+/// DOM reference's), every index to equal a fresh backfill, and the
+/// document to stay deletable. The edit is chosen from the document alone,
+/// so --seed= replay and the minimizer still work. Sets *edited to false,
+/// and checks nothing, when no element has two element children.
 std::string CheckAfterEdit(Collection* coll, uint64_t doc_id,
                            const std::string& query, bool* edited) {
   QueryOptions scan;
@@ -140,16 +212,25 @@ std::string CheckAfterEdit(Collection* coll, uint64_t doc_id,
     st = coll->CreateValueIndex({"edit" + name, "//" + name});
     if (!st.ok()) return "post-edit index //" + name + ": " + st.ToString();
   }
+  auto texts = coll->Query(nullptr, "//text()", scan);
+  if (!texts.ok()) return "post-edit //text(): " + texts.status().ToString();
+  if (!texts.value().nodes.empty()) {
+    st = coll->UpdateTextNode(nullptr, doc_id, texts.value().nodes[0].node_id,
+                              "250");
+    if (!st.ok()) return "post-edit text update: " + st.ToString();
+  }
 
   auto want = coll->Query(nullptr, query, scan);
   if (!want.ok()) return "post-edit scan failed: " + want.status().ToString();
   NormalizeSequence(&want.value().nodes);
   std::string err = CheckFlavors(coll, query, want.value().nodes,
                                  "the forced scan", "post-edit ", nullptr);
+  if (err.empty()) err = CheckIndexesMatchBackfill(coll);
   if (!err.empty()) return err;
   st = coll->DeleteDocument(nullptr, doc_id);
   if (!st.ok()) return "post-edit document delete: " + st.ToString();
-  return "";
+  err = CheckIndexesMatchBackfill(coll);
+  return err.empty() ? "" : "after the document delete: " + err;
 }
 
 std::string CompareEnginesCounted(const std::string& doc,
@@ -237,8 +318,8 @@ std::string CompareEnginesCounted(const std::string& doc,
   }
 
   // An all-names structural index so the forced structural flavor below
-  // runs a real (pre, post)-interval scan rather than its full-scan
-  // fallback; maintenance runs through the same insert as the records.
+  // runs a real structural scan rather than its full-scan fallback;
+  // maintenance runs through the same insert as the records.
   {
     Status si = coll->CreateStructuralIndex({"structure", ""});
     if (!si.ok())

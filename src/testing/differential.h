@@ -11,16 +11,17 @@
 //   * NaiveStreamEvaluator (when the query is in its linear subset),
 //   * Collection::Query through the stored engine, under every planner
 //     force mode (auto / full scan / DocID list / NodeID list / structural
-//     interval scan), with value indexes derived from the query's own
+//     scan), with value indexes derived from the query's own
 //     predicates and an all-names structural index, so the index-backed
 //     plans actually probe.
 //
 // All engines must produce the same node-ID result set. A post-edit leg then
-// reshapes the stored document with a subtree delete and a positional
-// insert, backfills more value indexes, and requires every plan to equal a
-// forced scan of the edited document, which must stay deletable. On
-// divergence the harness reports the seed (a one-line repro: rerun with
-// --seed=N) and a greedily minimized document/query pair.
+// reshapes the stored document with a subtree delete, a positional insert
+// and a text update, backfills more value indexes, and requires every plan
+// to equal a forced scan of the edited document, every index to equal a
+// fresh backfill of it, and the document to stay deletable. On divergence
+// the harness reports the seed (a one-line repro: rerun with --seed=N) and
+// a greedily minimized document/query pair.
 #ifndef XDB_TESTING_DIFFERENTIAL_H_
 #define XDB_TESTING_DIFFERENTIAL_H_
 
@@ -32,6 +33,9 @@
 #include "util/workload.h"
 
 namespace xdb {
+
+class Collection;
+
 namespace testing {
 
 struct DiffOptions {
@@ -83,6 +87,12 @@ struct SweepResult {
 /// divergence. `log` (optional) gets a progress line every 200 cases.
 SweepResult RunSweep(uint64_t base_seed, uint64_t iters,
                      const DiffOptions& options, std::ostream* log = nullptr);
+
+/// Checks each value and structural index of `coll` against a twin with
+/// its definition, backfilled from the stored records: equal raw B+tree
+/// entries and, for structural twins, equal per-name count and span in
+/// CollectionStats. Drops the twins; returns "" or the first difference.
+std::string CheckIndexesMatchBackfill(Collection* coll);
 
 // --- greedy minimizers (exposed for their own tests) ---
 

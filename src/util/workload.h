@@ -60,8 +60,8 @@ struct RandomXmlOptions {
   /// wrapped in a nested spine of spine_depth_min..spine_depth_max single
   /// elements whose names repeat from the same a.. alphabet. Descendant
   /// axes then cross dozens of levels of recurring names — the regime where
-  /// (pre, post)-interval containment has to agree with the streaming
-  /// evaluators on every reflexive // match.
+  /// the structural index's node-ID prefix ancestry has to agree with the
+  /// streaming evaluators on every reflexive // match.
   uint32_t spine_depth_min = 0;
   uint32_t spine_depth_max = 0;
 };

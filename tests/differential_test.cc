@@ -53,7 +53,7 @@ TEST(DifferentialTest, SweepAgreesAcrossEngines) {
   EXPECT_EQ(res.quickxscan_runs, res.cases_run);
   EXPECT_GT(res.naive_stream_runs, 0u)
       << "no generated query fell in the naive evaluator's linear subset";
-  // Five force modes (structural interval scan included) + cached re-run
+  // Five force modes (structural scan included) + cached re-run
   // of the auto plan + forced heuristic.
   EXPECT_EQ(res.plan_runs, res.cases_run * 7);
   // Some documents are edited and re-checked after the edit.
@@ -63,9 +63,9 @@ TEST(DifferentialTest, SweepAgreesAcrossEngines) {
 // The same sweep in deep-document mode: every document gains a 20–60 level
 // spine of recurring element names, so descendant axes cross dozens of
 // levels and reflexively match spine elements. This is the regime the
-// structural index's (pre, post) containment test is for — and where an
-// off-by-one in pre/post numbering or interval bounds would diverge from
-// the streaming engines.
+// structural index's scan and anchor join are for — and where a wrong
+// prefix-ancestry test or a maintenance slip on deep subtrees would
+// diverge from the streaming engines.
 TEST(DifferentialTest, DeepDocumentSweepAgreesAcrossEngines) {
   if (flags()->replay) GTEST_SKIP() << "replaying --seed instead";
   DiffOptions opts;

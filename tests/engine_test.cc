@@ -12,6 +12,7 @@
 #include "leak_check.h"
 #include "engine/xml_handle.h"
 #include "pack/record_builder.h"
+#include "testing/differential.h"
 #include "util/workload.h"
 #include "xml/node_id.h"
 
@@ -273,6 +274,36 @@ TEST(EngineMvccTest, SnapshotInvisibleForDocsInsertedLater) {
   EXPECT_TRUE(coll->GetDocumentText(&reader, d2).status().IsNotFound());
   ASSERT_TRUE(engine->Commit(&reader).ok());
   EXPECT_EQ(coll->GetDocumentText(nullptr, d2).value(), "<a>second</a>");
+}
+
+// A copy-on-write text update moves every node of the copied record to a
+// new RID; their postings must follow, or the document delete that removes
+// them by exact (key, posting) cannot find them. Both shapes: an index on a
+// sibling of the updated text's parent, and one on the parent itself.
+TEST(EngineMvccTest, TextUpdateKeepsDocumentDeletable) {
+  for (const char* path : {"/a/c", "/a/b"}) {
+    auto engine = MemEngine();
+    CollectionOptions copts;
+    copts.mvcc = true;
+    Collection* coll = engine->CreateCollection("docs", copts).value();
+    ASSERT_TRUE(coll->CreateValueIndex({"ix", path}).ok()) << path;
+    uint64_t doc =
+        coll->InsertDocument(nullptr, "<a><b>old</b><c>sib</c></a>").value();
+    auto text = coll->Query(nullptr, "/a/b/text()").MoveValue();
+    ASSERT_EQ(text.nodes.size(), 1u);
+    ASSERT_TRUE(
+        coll->UpdateTextNode(nullptr, doc, text.nodes[0].node_id, "new").ok())
+        << path;
+    EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "") << path;
+    QueryOptions node;
+    node.force = ForceMethod::kNodeIdList;
+    for (const char* q : {"/a[b = \"new\"]", "/a[c = \"sib\"]"})
+      EXPECT_EQ(coll->Query(nullptr, q, node).MoveValue().nodes.size(), 1u)
+          << path << " " << q;
+    Status st = coll->DeleteDocument(nullptr, doc);
+    EXPECT_TRUE(st.ok()) << path << ": " << st.ToString();
+    EXPECT_EQ(coll->DocCount().value(), 0u) << path;
+  }
 }
 
 TEST(EngineTxnTest, LockingWritersExcludeEachOther) {
@@ -631,32 +662,56 @@ TEST_F(SubtreeOpsTest, ErrorCases) {
 }
 
 TEST_F(SubtreeOpsTest, DifferentialAgainstRebuiltDocument) {
-  // Random subtree inserts/deletes mirrored against a plain XML-string
-  // model: serialize after every step and compare.
+  // Random edits — element, attribute and text-node deletes, positional
+  // inserts, and a text update every third step — mirrored against a plain
+  // XML-string model: serialize after every step and compare. After every
+  // step each index must also hold exactly what a fresh backfill of the
+  // edited document would; /m is an ancestor whose string value every edit
+  // changes.
+  ASSERT_TRUE(coll_->CreateValueIndex({"m", "/m"}).ok());
+  ASSERT_TRUE(coll_->CreateValueIndex({"s", "/m/s"}).ok());
+  ASSERT_TRUE(
+      coll_->CreateValueIndex({"i", "//s/@i", ValueType::kDouble}).ok());
+  ASSERT_TRUE(coll_->CreateStructuralIndex({"structure", ""}).ok());
   Random rng(808);
   uint64_t doc =
       coll_->InsertDocument(nullptr, "<m><s>seed</s></m>").value();
   std::string m_id = nodeid::ChildId(1);
+  // A random node matching `path` ("" when none does).
+  auto pick = [&](const char* path) {
+    NodeSequence nodes = coll_->Query(nullptr, path).MoveValue().nodes;
+    return nodes.empty() ? std::string()
+                         : nodes[rng.Uniform(nodes.size())].node_id;
+  };
   int next = 0;
-  for (int step = 0; step < 30; step++) {
-    auto kids = coll_->Query(nullptr, "/m/*").MoveValue();
-    if (!kids.nodes.empty() && rng.OneIn(3)) {
-      size_t pick = rng.Uniform(kids.nodes.size());
-      ASSERT_TRUE(
-          coll_->DeleteSubtree(nullptr, doc, kids.nodes[pick].node_id).ok())
-          << step;
+  for (int step = 0; step < 40; step++) {
+    std::string victim;
+    switch (rng.Uniform(6)) {
+      case 0: victim = pick("/m/*"); break;
+      case 1: victim = pick("//s/@i"); break;
+      case 2: victim = pick("//s/text()"); break;
+      default: break;
+    }
+    if (!victim.empty()) {
+      ASSERT_TRUE(coll_->DeleteSubtree(nullptr, doc, victim).ok()) << step;
     } else {
       std::string frag =
           "<s i=\"" + std::to_string(next++) + "\">v</s>";
-      Slice after;
-      if (!kids.nodes.empty() && rng.OneIn(2)) {
-        size_t pick = rng.Uniform(kids.nodes.size());
-        after = Slice(kids.nodes[pick].node_id);
-      }
+      std::string after = rng.OneIn(2) ? pick("/m/*") : "";
       ASSERT_TRUE(
           coll_->InsertSubtree(nullptr, doc, m_id, after, frag).ok())
           << step;
     }
+    if (step % 3 == 2) {
+      std::string text = pick("//text()");
+      if (!text.empty()) {
+        ASSERT_TRUE(coll_->UpdateTextNode(nullptr, doc, text,
+                                          "t" + std::to_string(step))
+                        .ok())
+            << step;
+      }
+    }
+    ASSERT_EQ(testing::CheckIndexesMatchBackfill(coll_), "") << step;
     // The document must always re-serialize and re-parse cleanly, and a
     // fresh insert of the serialized text must round-trip identically.
     std::string text = Text(doc);

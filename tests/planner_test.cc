@@ -195,7 +195,7 @@ TEST(PlannerCrossoverTest, RecordsPerDocFlipsDocListToNodeList) {
 
 // Crossover 4: structural index. A descendant query has no value predicate
 // to probe, so historically it always full-scanned. With a covering
-// structural index the cost model compares an interval scan (price per
+// structural index the cost model compares a structural scan (price per
 // matching anchor) against the collection scan (price per stored node):
 // a rare element in deep documents flips to structural-scan, while the
 // spine element that IS most of the collection stays on the scan. Same
@@ -274,9 +274,9 @@ TEST(PlannerCrossoverTest, StructuralIndexFlipsScanForSelectiveDescendant) {
 // e.g. //book[.//price = 7]) used to disqualify the node-level plan: the
 // probe's postings are <price> nodes, not <book> anchors. With a covering
 // structural index the planner now keeps the node plan and joins each
-// posting upward to its enclosing anchor through the (pre, post)
-// intervals. Pinned via the forced node plan so the golden stays stable
-// as cost constants move.
+// posting upward to its enclosing anchor, a node-ID prefix test against
+// the structural entries. Pinned via the forced node plan so the golden
+// stays stable as cost constants move.
 TEST(PlannerCrossoverTest, DescendantConjunctAnchorsThroughStructuralIndex) {
   auto engine = MemEngine();
   Collection* coll = engine->CreateCollection("shop").value();

@@ -449,7 +449,7 @@ TEST_F(ReplTest, DdlReplicates) {
   EXPECT_EQ(planned.value().nodes.size(), scan.value().nodes.size());
 
   // The structural index arrived too, was backfilled over the replicated
-  // documents, and a forced interval scan matches the full scan.
+  // documents, and a forced structural scan matches the full scan.
   ASSERT_NE(rcoll->FindStructuralIndex("structure"), nullptr);
   QueryOptions force_structural;
   force_structural.force = ForceMethod::kStructural;

@@ -1,16 +1,18 @@
-// Structural (pre,post)-interval index tests: the key/value codec, the
-// event-walk derivation of (pre, post, level, subtree) numbers, B+tree
-// scan order, and the engine-level lifecycle — DDL, backfill, maintenance
-// across every mutation path, and planner-visible behaviour of the
-// structural access method.
+// Structural index tests: the node-ID key codec, the event-walk derivation
+// of element entries and subtree sizes, B+tree scan order, and the
+// engine-level lifecycle — DDL, backfill, maintenance across every
+// mutation path, the pre-V5 catalog rebuild, and planner-visible behaviour
+// of the structural access method.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "btree/btree.h"
+#include "common/coding.h"
 #include "engine/engine.h"
 #include "index/structural_index.h"
 #include "leak_check.h"
@@ -26,43 +28,71 @@ namespace {
 
 // --- codec ---
 
-TEST(StructuralCodecTest, KeyValueRoundTrip) {
-  std::string key, value;
-  EncodeStructuralKey(7, 0x123456789ABCDEFull, 42, &key);
-  EXPECT_EQ(key.size(), 16u);
+TEST(StructuralCodecTest, KeyRoundTrip) {
+  const std::string node_id = nodeid::ChildId(1) + nodeid::ChildId(3);
+  std::string key;
+  EncodeStructuralKey(7, 0x123456789ABCDEFull, Slice(node_id), &key);
+  EXPECT_EQ(key.size(), 12u + node_id.size());
   NameId name = 0;
   uint64_t doc = 0;
-  uint32_t pre = 0;
-  ASSERT_TRUE(DecodeStructuralKey(Slice(key), &name, &doc, &pre).ok());
+  Slice got_id;
+  ASSERT_TRUE(
+      DecodeStructuralEntry(Slice(key), Slice(), &name, &doc, &got_id).ok());
   EXPECT_EQ(name, 7u);
   EXPECT_EQ(doc, 0x123456789ABCDEFull);
-  EXPECT_EQ(pre, 42u);
-
-  std::string node_id = nodeid::ChildId(3);
-  EncodeStructuralValue(9, 2, Slice(node_id), &value);
-  uint32_t post = 0, level = 0;
-  Slice got_id;
-  ASSERT_TRUE(DecodeStructuralValue(Slice(value), &post, &level, &got_id).ok());
-  EXPECT_EQ(post, 9u);
-  EXPECT_EQ(level, 2u);
   EXPECT_EQ(got_id, Slice(node_id));
-
-  EXPECT_FALSE(DecodeStructuralKey(Slice("short"), &name, &doc, &pre).ok());
-  EXPECT_FALSE(DecodeStructuralValue(Slice("1234567"), &post, &level, &got_id)
-                   .ok());
 }
 
-// Key bytes must sort by (name, doc, pre) so one name's entries are a
-// contiguous range in (doc, document-order) order.
-TEST(StructuralCodecTest, KeysSortByNameDocPre) {
-  auto key = [](NameId n, uint64_t d, uint32_t p) {
+TEST(StructuralCodecTest, ShortKeyOrNonEmptyValueIsCorruption) {
+  NameId name = 0;
+  uint64_t doc = 0;
+  Slice got_id;
+  const std::string short_key(11, 'k');
+  EXPECT_TRUE(DecodeStructuralEntry(Slice(short_key), Slice(), &name, &doc,
+                                    &got_id)
+                  .IsCorruption());
+  std::string key;
+  EncodeStructuralKey(1, 2, Slice(nodeid::ChildId(1)), &key);
+  // The V4 value layout, [post][level][node id], is not an entry any more.
+  std::string old_value;
+  PutBig32(&old_value, 3);
+  PutBig32(&old_value, 1);
+  old_value += nodeid::ChildId(1);
+  EXPECT_TRUE(DecodeStructuralEntry(Slice(key), Slice(old_value), &name, &doc,
+                                    &got_id)
+                  .IsCorruption());
+}
+
+// Key bytes must sort by (name, doc, document order) so one name's entries
+// are a contiguous range in (doc, document-order) order — also for the
+// node IDs a subtree insert allocates between two siblings.
+TEST(StructuralCodecTest, KeysSortInDocumentOrder) {
+  auto key = [](NameId n, uint64_t d, const std::string& id) {
     std::string k;
-    EncodeStructuralKey(n, d, p, &k);
+    EncodeStructuralKey(n, d, Slice(id), &k);
     return k;
   };
-  EXPECT_LT(key(1, 9, 9), key(2, 0, 0));
-  EXPECT_LT(key(2, 1, 9), key(2, 2, 0));
-  EXPECT_LT(key(2, 2, 3), key(2, 2, 4));
+  const std::string root = nodeid::ChildId(1);
+  const std::string first = root + nodeid::ChildId(1);
+  const std::string second = root + nodeid::ChildId(2);
+  EXPECT_LT(key(1, 9, second), key(2, 0, root));
+  EXPECT_LT(key(2, 1, second), key(2, 2, root));
+  // Ancestors precede descendants; earlier siblings precede later ones
+  // together with their whole subtrees.
+  EXPECT_LT(key(2, 2, root), key(2, 2, first));
+  EXPECT_LT(key(2, 2, first + nodeid::ChildId(5)), key(2, 2, second));
+  // Between()-allocated IDs land between their neighbours, repeatedly.
+  std::string left = nodeid::ChildId(1);
+  const std::string right = nodeid::ChildId(2);
+  for (int i = 0; i < 20; i++) {
+    std::string mid;
+    ASSERT_TRUE(nodeid::Between(left, right, &mid).ok());
+    EXPECT_LT(key(2, 2, root + left), key(2, 2, root + mid)) << i;
+    EXPECT_LT(key(2, 2, root + mid + nodeid::ChildId(1)),
+              key(2, 2, root + right))
+        << i;
+    left = mid;
+  }
 }
 
 // --- derivation from the virtual-SAX walk ---
@@ -78,45 +108,34 @@ std::vector<StructuralEntry> Derive(const std::string& xml,
   return entries;
 }
 
-TEST(StructuralDeriveTest, NumbersPrePostLevelAndSubtree) {
+TEST(StructuralDeriveTest, ListsElementsWithSubtreeSizes) {
   NameDictionary dict;
-  //  <a>           pre=0 post=3 subtree=3
-  //    <b>         pre=1 post=1 subtree=1
-  //      <c/>      pre=2 post=0 subtree=0
+  //  <a>           subtree=3
+  //    <b>         subtree=1
+  //      <c/>      subtree=0
   //    </b>
-  //    <b/>        pre=3 post=2 subtree=0
+  //    <b/>        subtree=0
   //  </a>
   std::vector<StructuralEntry> e = Derive("<a><b><c/></b><b/></a>", &dict);
   ASSERT_EQ(e.size(), 4u);
   EXPECT_EQ(e[0].name_id, dict.Lookup("a"));
-  EXPECT_EQ(e[0].pre, 0u);
-  EXPECT_EQ(e[0].post, 3u);
   EXPECT_EQ(e[0].subtree_size, 3u);
   EXPECT_EQ(e[1].name_id, dict.Lookup("b"));
-  EXPECT_EQ(e[1].pre, 1u);
-  EXPECT_EQ(e[1].post, 1u);
   EXPECT_EQ(e[1].subtree_size, 1u);
   EXPECT_EQ(e[2].name_id, dict.Lookup("c"));
-  EXPECT_EQ(e[2].pre, 2u);
-  EXPECT_EQ(e[2].post, 0u);
   EXPECT_EQ(e[2].subtree_size, 0u);
   EXPECT_EQ(e[3].name_id, dict.Lookup("b"));
-  EXPECT_EQ(e[3].pre, 3u);
-  EXPECT_EQ(e[3].post, 2u);
   EXPECT_EQ(e[3].subtree_size, 0u);
-  // Levels nest: root element 1, children 2, grandchildren 3.
-  EXPECT_EQ(e[0].level + 1, e[1].level);
-  EXPECT_EQ(e[1].level + 1, e[2].level);
-  EXPECT_EQ(e[1].level, e[3].level);
-
-  // The XISS/R ancestry test and Dewey prefix ancestry agree on every pair.
+  // Entries come in document order, which is node-ID byte order, and the
+  // subtree sizes agree with prefix ancestry.
+  for (size_t i = 0; i + 1 < e.size(); i++)
+    EXPECT_LT(e[i].node_id, e[i + 1].node_id) << i;
   for (size_t i = 0; i < e.size(); i++) {
-    for (size_t j = 0; j < e.size(); j++) {
-      if (i == j) continue;
-      bool interval = e[i].pre < e[j].pre && e[j].post < e[i].post;
-      bool prefix = nodeid::IsAncestor(Slice(e[i].node_id), Slice(e[j].node_id));
-      EXPECT_EQ(interval, prefix) << i << " vs " << j;
-    }
+    uint32_t descendants = 0;
+    for (size_t j = 0; j < e.size(); j++)
+      if (nodeid::IsAncestor(Slice(e[i].node_id), Slice(e[j].node_id)))
+        descendants++;
+    EXPECT_EQ(descendants, e[i].subtree_size) << i;
   }
 }
 
@@ -131,10 +150,9 @@ TEST(StructuralDeriveTest, DeepRecursiveDocumentStaysConsistent) {
   ASSERT_EQ(e.size(), kDepth + 1);
   // The spine: each <a> contains everything below it.
   for (uint32_t i = 0; i < kDepth; i++) {
-    EXPECT_EQ(e[i].pre, i);
-    EXPECT_EQ(e[i].level, i + 1);
     EXPECT_EQ(e[i].subtree_size, kDepth - i);
-    EXPECT_EQ(e[i].post, kDepth - i);
+    EXPECT_TRUE(
+        nodeid::IsAncestor(Slice(e[i].node_id), Slice(e[i + 1].node_id)));
   }
 }
 
@@ -160,24 +178,24 @@ class StructuralIndexTest : public ::testing::Test {
 
 TEST_F(StructuralIndexTest, AddScanRemoveAcrossDocuments) {
   NameDictionary dict;
-  // Insert doc 2 first, then doc 1: Scan must still return (doc, pre) order.
+  // Insert doc 2 first, then doc 1: Scan must still return (doc, document
+  // position) order.
   std::vector<StructuralEntry> doc2 = Derive("<a><b/><b/></a>", &dict);
   std::vector<StructuralEntry> doc1 = Derive("<a><b><b/></b></a>", &dict);
-  ASSERT_TRUE(index_->AddEntries(dict, 2, doc2).ok());
-  ASSERT_TRUE(index_->AddEntries(dict, 1, doc1).ok());
+  ASSERT_TRUE(index_->Apply(dict, 2, doc2, {}, /*remove=*/false).ok());
+  ASSERT_TRUE(index_->Apply(dict, 1, doc1, {}, /*remove=*/false).ok());
   EXPECT_EQ(index_->CountEntries().value(), 6u);
 
-  std::vector<StructuralPosting> hits;
+  std::vector<Posting> hits;
   ASSERT_TRUE(index_->Scan(dict.Lookup("b"), &hits).ok());
   ASSERT_EQ(hits.size(), 4u);
   EXPECT_EQ(hits[0].doc_id, 1u);
   EXPECT_EQ(hits[1].doc_id, 1u);
   EXPECT_EQ(hits[2].doc_id, 2u);
   EXPECT_EQ(hits[3].doc_id, 2u);
-  EXPECT_LT(hits[0].pre, hits[1].pre);
-  EXPECT_LT(hits[2].pre, hits[3].pre);
-  // Nested b in doc 1: the interval and level facts came back intact.
-  EXPECT_EQ(hits[0].level + 1, hits[1].level);
+  EXPECT_LT(hits[0].node_id, hits[1].node_id);
+  EXPECT_LT(hits[2].node_id, hits[3].node_id);
+  // Nested b in doc 1: ancestry is the node-ID prefix test.
   EXPECT_TRUE(nodeid::IsAncestor(Slice(hits[0].node_id),
                                  Slice(hits[1].node_id)));
 
@@ -186,7 +204,7 @@ TEST_F(StructuralIndexTest, AddScanRemoveAcrossDocuments) {
   ASSERT_TRUE(index_->Scan(dict.Lookup("zzz"), &hits).ok());
   EXPECT_TRUE(hits.empty());
 
-  ASSERT_TRUE(index_->RemoveEntries(dict, 1, doc1).ok());
+  ASSERT_TRUE(index_->Apply(dict, 1, doc1, {}, /*remove=*/true).ok());
   EXPECT_EQ(index_->CountEntries().value(), 3u);
   ASSERT_TRUE(index_->Scan(dict.Lookup("b"), &hits).ok());
   ASSERT_EQ(hits.size(), 2u);
@@ -201,9 +219,9 @@ TEST_F(StructuralIndexTest, PerNameIndexOnlyKeepsItsName) {
   EXPECT_TRUE(index_->CoversName(Slice("a")));  // all-names covers everything
 
   std::vector<StructuralEntry> entries = Derive("<a><b/><c/></a>", &dict);
-  ASSERT_TRUE(per_name.AddEntries(dict, 1, entries).ok());
+  ASSERT_TRUE(per_name.Apply(dict, 1, entries, {}, /*remove=*/false).ok());
   EXPECT_EQ(per_name.CountEntries().value(), 1u);
-  std::vector<StructuralPosting> hits;
+  std::vector<Posting> hits;
   ASSERT_TRUE(per_name.Scan(dict.Lookup("a"), &hits).ok());
   EXPECT_TRUE(hits.empty());
   ASSERT_TRUE(per_name.Scan(dict.Lookup("b"), &hits).ok());
@@ -260,7 +278,7 @@ TEST(StructuralEngineTest, CreateBackfillQueryDrop) {
   for (const char* q : {"//book", "//book/title", "//shelf//title", "/lib"}) {
     ExpectStructuralMatchesScan(coll, q);
   }
-  // EXPLAIN names the index and the interval scan.
+  // EXPLAIN names the index and the structural scan.
   QueryOptions o;
   o.explain = true;
   o.force = ForceMethod::kStructural;
@@ -361,6 +379,48 @@ TEST(StructuralEngineTest, MaintainedAcrossEveryMutationPath) {
   EXPECT_EQ(ix->CountEntries().value(), 0u);
 }
 
+// Node IDs are stable, so an edit's structural work is its own subtree:
+// inserting and deleting a 3-element subtree adds and removes exactly 3
+// entries however many siblings it has, and a text update touches none.
+TEST(StructuralEngineTest, EditWorkDoesNotGrowWithDocument) {
+  for (int children : {1, 50, 200}) {
+    auto engine = MemEngine();
+    Collection* coll = engine->CreateCollection("docs").value();
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    std::string xml = "<r>";
+    for (int i = 0; i < children; i++) xml += "<k><v>x</v></k>";
+    xml += "</r>";
+    uint64_t doc = coll->InsertDocument(nullptr, xml).value();
+    auto counters = [&]() {
+      query::StructuralStatsSnapshot s =
+          coll->stats()->Snapshot().structural["structure"];
+      return std::make_pair(s.entries_added, s.entries_removed);
+    };
+
+    auto before = counters();
+    auto id = coll->InsertSubtree(nullptr, doc, nodeid::ChildId(1), Slice(),
+                                  "<k><v>y</v><w/></k>");
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    auto after = counters();
+    EXPECT_EQ(after.first - before.first, 3u) << children;
+    EXPECT_EQ(after.second - before.second, 0u) << children;
+
+    auto text = coll->Query(nullptr, "/r/k/v/text()").MoveValue();
+    ASSERT_FALSE(text.nodes.empty());
+    before = counters();
+    ASSERT_TRUE(
+        coll->UpdateTextNode(nullptr, doc, text.nodes[0].node_id, "z").ok());
+    EXPECT_EQ(counters(), before) << children;
+
+    ASSERT_TRUE(coll->DeleteSubtree(nullptr, doc, id.value()).ok());
+    after = counters();
+    EXPECT_EQ(after.first - before.first, 0u) << children;
+    EXPECT_EQ(after.second - before.second, 3u) << children;
+    EXPECT_EQ(coll->FindStructuralIndex("structure")->CountEntries().value(),
+              1u + 2u * static_cast<uint64_t>(children));
+  }
+}
+
 TEST(StructuralEngineTest, SurvivesCheckpointAndReopen) {
   std::string dir =
       (std::filesystem::temp_directory_path() /
@@ -387,6 +447,73 @@ TEST(StructuralEngineTest, SurvivesCheckpointAndReopen) {
     EXPECT_EQ(ix->CountEntries().value(), 5u);
     ExpectStructuralMatchesScan(coll, "//b");
     ExpectStructuralMatchesScan(coll, "//b/c");
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A V4 catalog names structural trees whose entries have the old
+// (pre, post) layout; opening it must rebuild each index from the records
+// instead of reading the old tree.
+TEST(StructuralEngineTest, V4CatalogRebuildsStructuralIndexes) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("xdb_structural_v4_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  EngineOptions opts;
+  opts.dir = dir;
+  uint64_t epoch = 0;
+  {
+    auto engine = Engine::Open(opts).MoveValue();
+    Collection* coll = engine->CreateCollection("docs").value();
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    uint64_t doc =
+        coll->InsertDocument(nullptr, "<a><b><c>1</c></b></a>").value();
+    ASSERT_TRUE(coll->InsertDocument(nullptr, "<a><b>2</b><b/></a>").ok());
+    // One old-format entry: [name][doc][pre] -> [post][level][node id].
+    std::string key, value;
+    PutBig32(&key, engine->dict()->Lookup("b"));
+    PutBig64(&key, doc);
+    PutBig32(&key, 1);
+    PutBig32(&value, 1);
+    PutBig32(&value, 2);
+    value += nodeid::ChildId(1) + nodeid::ChildId(1);
+    ASSERT_EQ(key.size(), 16u);
+    BTree* tree = coll->FindStructuralIndex("structure")->tree();
+    ASSERT_TRUE(tree->Insert(key, value).ok());
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    epoch = coll->stats()->epoch();
+  }
+  {
+    std::fstream catalog(dir + "/catalog.xdb",
+                         std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(catalog.good());
+    std::string magic;
+    PutFixed32(&magic, 0x58444246);  // "XDBF", the V4 catalog
+    catalog.write(magic.data(), static_cast<std::streamsize>(magic.size()));
+  }
+  {
+    auto engine = Engine::Open(opts).MoveValue();
+    Collection* coll = engine->GetCollection("docs").value();
+    StructuralIndex* ix = coll->FindStructuralIndex("structure");
+    ASSERT_NE(ix, nullptr);
+    EXPECT_EQ(ix->CountEntries().value(), 6u);
+    ExpectStructuralMatchesScan(coll, "//b");
+    ExpectStructuralMatchesScan(coll, "//a//c");
+    // The rebuild leaves the checkpointed statistics valid and unbumped.
+    query::CollectionStatsSnapshot snap = coll->stats()->Snapshot();
+    EXPECT_TRUE(snap.valid);
+    EXPECT_EQ(snap.epoch, epoch);
+    EXPECT_EQ(snap.structural["structure"].entry_count, 6u);
+    // A checkpoint writes the rebuilt index under a V5 catalog.
+    ASSERT_TRUE(engine->Checkpoint().ok());
+  }
+  {
+    auto engine = Engine::Open(opts).MoveValue();
+    Collection* coll = engine->GetCollection("docs").value();
+    EXPECT_EQ(coll->FindStructuralIndex("structure")->CountEntries().value(),
+              6u);
+    ExpectStructuralMatchesScan(coll, "//b");
   }
   std::filesystem::remove_all(dir);
 }
