@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <set>
 
 #include "common/coding.h"
@@ -385,7 +386,7 @@ Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
 Status Collection::DeleteDocumentLocked(uint64_t doc_id) {
   std::set<uint64_t> rids;
   std::vector<Rid> current;
-  XDB_RETURN_NOT_OK(node_index_->ListDocRecords(doc_id, &current));
+  XDB_RETURN_NOT_OK(node_index_->ListDocRecords(doc_id, Slice(), &current));
   for (Rid r : current) rids.insert(r.Pack());
   if (meta_.mvcc_enabled) {
     std::vector<Rid> freed;
@@ -467,52 +468,16 @@ Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
   return at.Finish(st);
 }
 
-Status Collection::CollectSubtreeRecords(uint64_t doc_id, Slice node_id,
-                                         Slice record,
-                                         std::vector<Rid>* out) {
-  // Proxies inside the subtree name evicted records; those records' context
-  // node is inside the subtree, so their entire content (and their own
-  // proxies, recursively) belongs to it.
-  std::vector<std::string> worklist;
-  {
-    RecordWalker walker(record);
-    XDB_RETURN_NOT_OK(walker.Init());
-    for (;;) {
-      RecordWalker::Event ev;
-      XDB_RETURN_NOT_OK(walker.Next(&ev));
-      if (ev.type == RecordWalker::EventType::kDone) break;
-      if (ev.type != RecordWalker::EventType::kStart) continue;
-      Slice abs(ev.entry.abs_id);
-      if (ev.entry.kind == NodeKind::kProxy) {
-        if (abs == node_id || nodeid::IsAncestor(node_id, abs))
-          worklist.push_back(ev.entry.abs_id);
-      } else if (ev.entry.kind == NodeKind::kElement && abs != node_id &&
-                 !nodeid::IsAncestor(abs, node_id) &&
-                 !nodeid::IsAncestor(node_id, abs)) {
-        walker.SkipChildren();  // disjoint sibling: nothing to find inside
-      }
-    }
-  }
-  while (!worklist.empty()) {
-    std::string proxy_abs = std::move(worklist.back());
-    worklist.pop_back();
-    XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, proxy_abs));
-    if (std::find(out->begin(), out->end(), rid) != out->end()) continue;
-    out->push_back(rid);
-    std::string bytes;
-    XDB_RETURN_NOT_OK(records_->Get(rid, &bytes));
-    RecordWalker walker((Slice(bytes)));
-    XDB_RETURN_NOT_OK(walker.Init());
-    for (;;) {
-      RecordWalker::Event ev;
-      XDB_RETURN_NOT_OK(walker.Next(&ev));
-      if (ev.type == RecordWalker::EventType::kDone) break;
-      if (ev.type == RecordWalker::EventType::kStart &&
-          ev.entry.kind == NodeKind::kProxy)
-        worklist.push_back(ev.entry.abs_id);
-    }
-  }
-  return Status::OK();
+Status Collection::EditRecord(uint64_t doc_id, Rid rid,
+                              const RecordEdit& edit) {
+  std::string old_record;
+  XDB_RETURN_NOT_OK(records_->Get(rid, &old_record));
+  bool now_empty = false;
+  XDB_ASSIGN_OR_RETURN(std::string new_record, edit(old_record, &now_empty));
+  XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, old_record, rid));
+  if (now_empty) return records_->Delete(rid);
+  XDB_RETURN_NOT_OK(records_->Update(rid, new_record));
+  return node_index_->AddRecord(doc_id, new_record, rid);
 }
 
 Result<std::string> Collection::InsertSubtree(Transaction* txn,
@@ -577,47 +542,73 @@ Result<std::string> Collection::InsertSubtreeLocked(uint64_t doc_id,
       nodeid::Between(pos > 0 ? rel(pos - 1) : "", rel(pos), &new_rel));
   std::string new_abs = parent_id.ToString() + new_rel;
 
-  // Build the subtree's record, with the parent as its context node.
-  uint64_t node_count = 0;
-  XDB_ASSIGN_OR_RETURN(std::string entry,
-                       BuildSubtreeEntry(fragment_tokens, new_rel,
-                                         &node_count));
+  // Placement. Q holds the parent's child list; H will hold the new
+  // subtree. A record R != Q holding the previous sibling whose interval
+  // also reaches past the new ID holds the parent's children on both sides
+  // of it: the subtree is spliced into R, which keeps every record's
+  // resident nodes contiguous between its proxies. Otherwise it gets a
+  // record of its own. Either way Q gains its proxy.
+  XDB_ASSIGN_OR_RETURN(Rid q_rid, node_index_->Lookup(doc_id, parent_id));
+  std::optional<Rid> splice_rid;
+  if (pos > 0) {
+    XDB_ASSIGN_OR_RETURN(Rid prev_rid,
+                         node_index_->Lookup(doc_id, child_ids[pos - 1]));
+    Result<Rid> next_rid = node_index_->Lookup(doc_id, new_abs);
+    if (!next_rid.ok() && !next_rid.status().IsNotFound())
+      return next_rid.status();
+    if (next_rid.ok() && next_rid.value() == prev_rid && prev_rid != q_rid)
+      splice_rid = prev_rid;
+  }
+
+  // Pack the fragment before anything changes, so a bad one fails here.
+  SubtreeContext context;
+  context.parent_id = parent_id.ToString();
+  context.root_rel = new_rel;
+  {
+    std::string q_record;
+    XDB_RETURN_NOT_OK(records_->Get(q_rid, &q_record));
+    RecordHeader q_header;
+    Slice payload;
+    XDB_RETURN_NOT_OK(ParseRecordHeader(q_record, &q_header, &payload));
+    context.namespaces = q_header.namespaces;
+    std::vector<StoredPathStep> parent_path;
+    XDB_RETURN_NOT_OK(nav.Path(parent_id, &parent_path));
+    for (const StoredPathStep& step : parent_path)
+      context.root_path.push_back({step.local, step.ns_uri});
+  }
+  std::vector<PackedRecordOut> inner;
+  RecordBuilder builder(RecordBuilderOptions{record_budget_});
+  XDB_ASSIGN_OR_RETURN(PackedRecordOut top,
+                       builder.BuildSubtree(fragment_tokens, context,
+                                            [&](PackedRecordOut&& rec) {
+                                              inner.push_back(std::move(rec));
+                                              return Status::OK();
+                                            }));
+
   // The parent's chain loses its old string-value postings; the new subtree
   // and the chain's new values are posted once the records hold them.
   XDB_RETURN_NOT_OK(IndexDocument(doc_id, {parent_id.ToString(), false},
                                   /*remove=*/true));
-  XDB_ASSIGN_OR_RETURN(Rid parent_rid,
-                       node_index_->Lookup(doc_id, parent_id));
-  std::string parent_record;
-  XDB_RETURN_NOT_OK(records_->Get(parent_rid, &parent_record));
-  RecordHeader parent_header;
-  Slice parent_payload;
-  XDB_RETURN_NOT_OK(
-      ParseRecordHeader(parent_record, &parent_header, &parent_payload));
-  RecordHeader header;
-  header.context_node_id = parent_id;
-  header.namespaces = parent_header.namespaces;
-  header.subtree_count = 1;
-  // Root path = the element names from the root down to the parent.
-  std::vector<StoredPathStep> parent_path;
-  XDB_RETURN_NOT_OK(nav.Path(parent_id, &parent_path));
-  for (const StoredPathStep& step : parent_path)
-    header.root_path.push_back({step.local, step.ns_uri});
-  std::string new_record;
-  AppendRecordHeader(header, &new_record);
-  new_record += entry;
-  XDB_ASSIGN_OR_RETURN(Rid new_record_rid, records_->Insert(new_record));
-  XDB_RETURN_NOT_OK(
-      node_index_->AddRecord(doc_id, new_record, new_record_rid));
-
-  // Splice a proxy into the parent's child list.
-  XDB_ASSIGN_OR_RETURN(std::string new_parent_record,
-                       InsertProxyEntry(parent_record, parent_id, new_rel));
-  XDB_RETURN_NOT_OK(
-      node_index_->RemoveRecord(doc_id, parent_record, parent_rid));
-  XDB_RETURN_NOT_OK(records_->Update(parent_rid, new_parent_record));
-  XDB_RETURN_NOT_OK(
-      node_index_->AddRecord(doc_id, new_parent_record, parent_rid));
+  for (const PackedRecordOut& rec : inner) {
+    XDB_ASSIGN_OR_RETURN(Rid rid, records_->Insert(rec.bytes));
+    XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, rec.bytes, rid));
+  }
+  if (splice_rid.has_value()) {
+    RecordHeader top_header;
+    Slice top_entry;
+    XDB_RETURN_NOT_OK(ParseRecordHeader(top.bytes, &top_header, &top_entry));
+    XDB_RETURN_NOT_OK(EditRecord(doc_id, *splice_rid, [&](Slice rec, bool*) {
+      return InsertEntry(rec, parent_id, top_entry);
+    }));
+  } else {
+    XDB_ASSIGN_OR_RETURN(Rid h_rid, records_->Insert(top.bytes));
+    XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, top.bytes, h_rid));
+  }
+  std::string proxy;
+  packfmt::AppendProxy(&proxy, new_rel);
+  XDB_RETURN_NOT_OK(EditRecord(doc_id, q_rid, [&](Slice rec, bool*) {
+    return InsertEntry(rec, parent_id, proxy);
+  }));
 
   XDB_RETURN_NOT_OK(IndexDocument(doc_id, {new_abs, true}, /*remove=*/false));
   stats_.NoteDocumentMutated();
@@ -656,28 +647,21 @@ Status Collection::DeleteSubtreeLocked(uint64_t doc_id, Slice node_id) {
   XDB_RETURN_NOT_OK(IndexDocument(doc_id, {node_id.ToString(), true},
                                   /*remove=*/true));
 
-  // The record holding the parent's child list holds either the subtree
-  // inline or a proxy for it.
-  XDB_ASSIGN_OR_RETURN(Rid parent_rid,
-                       node_index_->Lookup(doc_id, parent_id));
-  std::string parent_record;
-  XDB_RETURN_NOT_OK(records_->Get(parent_rid, &parent_record));
-
-  // Records fully inside the subtree (reachable through proxies).
-  std::vector<Rid> doomed;
-  XDB_RETURN_NOT_OK(
-      CollectSubtreeRecords(doc_id, node_id, parent_record, &doomed));
-
-  bool now_empty = false;
-  XDB_ASSIGN_OR_RETURN(std::string new_parent_record,
-                       RemoveEntry(parent_record, node_id, &now_empty));
-  XDB_RETURN_NOT_OK(
-      node_index_->RemoveRecord(doc_id, parent_record, parent_rid));
-  XDB_RETURN_NOT_OK(records_->Update(parent_rid, new_parent_record));
-  XDB_RETURN_NOT_OK(
-      node_index_->AddRecord(doc_id, new_parent_record, parent_rid));
-
-  for (Rid rid : doomed) {
+  // H holds the subtree's root and Q the parent's child list. H != Q when
+  // the root was packed into a record of its own or with its siblings; Q
+  // then holds its proxy. The records wholly inside the subtree are those
+  // with an interval ending under it, H aside.
+  XDB_ASSIGN_OR_RETURN(Rid h_rid, node_index_->Lookup(doc_id, node_id));
+  XDB_ASSIGN_OR_RETURN(Rid q_rid, node_index_->Lookup(doc_id, parent_id));
+  std::vector<Rid> inner;
+  XDB_RETURN_NOT_OK(node_index_->ListDocRecords(doc_id, node_id, &inner));
+  auto remove = [&](Slice rec, bool* now_empty) {
+    return RemoveEntry(rec, node_id, now_empty);
+  };
+  XDB_RETURN_NOT_OK(EditRecord(doc_id, h_rid, remove));
+  if (h_rid != q_rid) XDB_RETURN_NOT_OK(EditRecord(doc_id, q_rid, remove));
+  for (Rid rid : inner) {
+    if (rid == h_rid) continue;
     std::string bytes;
     XDB_RETURN_NOT_OK(records_->Get(rid, &bytes));
     XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, bytes, rid));

@@ -5,6 +5,7 @@
 #ifndef XDB_ENGINE_COLLECTION_H_
 #define XDB_ENGINE_COLLECTION_H_
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -279,10 +280,13 @@ class Collection {
       XDB_REQUIRES(latch_);
   Status DeleteSubtreeLocked(uint64_t doc_id, Slice node_id)
       XDB_REQUIRES(latch_);
-  /// RIDs of all records fully contained in the subtree at `node_id`,
-  /// starting from proxies inside `record` (recursive across records).
-  Status CollectSubtreeRecords(uint64_t doc_id, Slice node_id, Slice record,
-                               std::vector<Rid>* out) XDB_REQUIRES(latch_);
+  /// One record surgery in place: rewrites the record at `rid` with `edit`
+  /// and moves its NodeID entries along; an edit that reports the record
+  /// empty deletes it.
+  using RecordEdit =
+      std::function<Result<std::string>(Slice record, bool* now_empty)>;
+  Status EditRecord(uint64_t doc_id, Rid rid, const RecordEdit& edit)
+      XDB_REQUIRES(latch_);
 
   /// Compiles one execution-ready plan for `path`: plans (cost-based when
   /// stats are valid and use_heuristic_planner is off), compiles the full

@@ -48,16 +48,17 @@ Result<Rid> NodeIdIndex::Lookup(uint64_t doc_id, Slice node_id) {
 }
 
 Status NodeIdIndex::ListDocEntries(
-    uint64_t doc_id, std::vector<std::pair<std::string, Rid>>* out) {
+    uint64_t doc_id, Slice prefix,
+    std::vector<std::pair<std::string, Rid>>* out) {
   out->clear();
   std::string key;
-  EncodeNodeIdKey(doc_id, Slice(), &key);
+  EncodeNodeIdKey(doc_id, prefix, &key);
   XDB_ASSIGN_OR_RETURN(BTree::Iterator it, tree_->Seek(key));
   while (it.Valid()) {
     uint64_t found_doc;
     Slice found_node;
     XDB_RETURN_NOT_OK(DecodeNodeIdKey(it.key(), &found_doc, &found_node));
-    if (found_doc != doc_id) break;
+    if (found_doc != doc_id || !found_node.StartsWith(prefix)) break;
     if (it.value().size() != 8)
       return Status::Corruption("bad node index value");
     out->emplace_back(found_node.ToString(),
@@ -67,10 +68,11 @@ Status NodeIdIndex::ListDocEntries(
   return Status::OK();
 }
 
-Status NodeIdIndex::ListDocRecords(uint64_t doc_id, std::vector<Rid>* out) {
+Status NodeIdIndex::ListDocRecords(uint64_t doc_id, Slice prefix,
+                                   std::vector<Rid>* out) {
   out->clear();
   std::vector<std::pair<std::string, Rid>> entries;
-  XDB_RETURN_NOT_OK(ListDocEntries(doc_id, &entries));
+  XDB_RETURN_NOT_OK(ListDocEntries(doc_id, prefix, &entries));
   for (auto& [upper, rid] : entries) {
     (void)upper;
     if (std::find(out->begin(), out->end(), rid) == out->end())
@@ -81,7 +83,7 @@ Status NodeIdIndex::ListDocRecords(uint64_t doc_id, std::vector<Rid>* out) {
 
 Status NodeIdIndex::RemoveDocEntries(uint64_t doc_id) {
   std::vector<std::pair<std::string, Rid>> entries;
-  XDB_RETURN_NOT_OK(ListDocEntries(doc_id, &entries));
+  XDB_RETURN_NOT_OK(ListDocEntries(doc_id, Slice(), &entries));
   for (auto& [upper, rid] : entries) {
     std::string key, value;
     EncodeNodeIdKey(doc_id, upper, &key);

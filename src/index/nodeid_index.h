@@ -48,12 +48,16 @@ class NodeIdIndex : public NodeLocator {
   /// An empty node_id addresses the document root record.
   Result<Rid> Lookup(uint64_t doc_id, Slice node_id) override;
 
-  /// Lists (interval upper, rid) pairs of a document in node-ID order.
-  Status ListDocEntries(uint64_t doc_id,
+  /// Lists a document's (interval upper, rid) pairs whose upper end point
+  /// lies under the node-ID prefix `prefix` (the node or a descendant; an
+  /// empty prefix is the whole document), in node-ID order.
+  Status ListDocEntries(uint64_t doc_id, Slice prefix,
                         std::vector<std::pair<std::string, Rid>>* out);
 
-  /// Distinct RIDs of a document's records, in first-appearance order.
-  Status ListDocRecords(uint64_t doc_id, std::vector<Rid>* out);
+  /// Distinct RIDs of the records with an interval ending under `prefix`,
+  /// in first-appearance order: every record of the subtree at `prefix`,
+  /// plus the record holding `prefix` itself when its interval ends there.
+  Status ListDocRecords(uint64_t doc_id, Slice prefix, std::vector<Rid>* out);
 
   /// Drops every entry of the document (document deletion).
   Status RemoveDocEntries(uint64_t doc_id);

@@ -278,107 +278,44 @@ Status ComputeNodeIdIntervals(Slice record,
   return Status::OK();
 }
 
-Result<std::string> ReplaceTextValue(Slice record, Slice node_id,
-                                     Slice new_value) {
-  RecordWalker walker(record);
-  XDB_RETURN_NOT_OK(walker.Init());
-
-  std::string out;
-  AppendRecordHeader(walker.header(), &out);
-
-  struct Frame {
-    std::string rel_id;
-    NameId local, ns_uri, prefix;
-    uint32_t child_count;
-    std::string buf;
-  };
-  std::vector<Frame> stack;
-  bool replaced = false;
-  auto sink = [&]() -> std::string* {
-    return stack.empty() ? &out : &stack.back().buf;
-  };
-
-  for (;;) {
-    RecordWalker::Event ev;
-    XDB_RETURN_NOT_OK(walker.Next(&ev));
-    if (ev.type == RecordWalker::EventType::kDone) break;
-    if (ev.type == RecordWalker::EventType::kEnd) {
-      Frame f = std::move(stack.back());
-      stack.pop_back();
-      packfmt::AppendElement(sink(), f.rel_id, f.local, f.ns_uri, f.prefix,
-                             f.child_count, f.buf);
-      continue;
-    }
-    const PackedEntry& e = ev.entry;
-    switch (e.kind) {
-      case NodeKind::kElement:
-        stack.push_back(Frame{e.rel_id.ToString(), e.local, e.ns_uri,
-                              e.prefix, e.child_count, {}});
-        break;
-      case NodeKind::kText:
-        if (Slice(e.abs_id) == node_id) {
-          packfmt::AppendText(sink(), e.rel_id, e.type, new_value);
-          replaced = true;
-        } else {
-          packfmt::AppendText(sink(), e.rel_id, e.type, e.value);
-        }
-        break;
-      case NodeKind::kAttribute:
-        packfmt::AppendAttribute(sink(), e.rel_id, e.local, e.ns_uri, e.prefix,
-                                 e.type, e.value);
-        break;
-      case NodeKind::kNamespace:
-        packfmt::AppendNamespace(sink(), e.rel_id, e.local, e.ns_uri);
-        break;
-      case NodeKind::kComment:
-        packfmt::AppendComment(sink(), e.rel_id, e.value);
-        break;
-      case NodeKind::kProcessingInstruction:
-        packfmt::AppendPi(sink(), e.rel_id, e.local, e.value);
-        break;
-      case NodeKind::kProxy:
-        packfmt::AppendProxy(sink(), e.rel_id);
-        break;
-      default:
-        return Status::Corruption("unknown packed entry kind");
-    }
-  }
-  if (!replaced)
-    return Status::NotFound("text node not present in this record");
-  return out;
-}
-
 namespace {
 
-// Shared rebuild pass: walks the record and re-emits every entry, letting a
-// hook adjust what happens around one target node. The hook contract:
-//  - OnEntry(entry, sink) returns true if it consumed the entry (suppressing
-//    the default re-emit);
-//  - OnChildrenDone(elem_abs_id, child_count) may adjust an element's child
-//    count just before its header is written.
+// The one rewrite pass: walks the record and re-emits every entry, so each
+// surgery below is a hook on the entries it edits. The context node is the
+// base frame: its child list is the record's top level and its child count
+// the header's subtree count.
 struct RebuildHooks {
-  std::function<bool(const PackedEntry&, std::string*)> on_entry;
-  std::function<uint32_t(const std::string&, uint32_t)> adjust_child_count;
-  std::function<void(std::string*)> top_level_prologue;  // before 1st entry
+  // Runs before each entry with the absolute ID of the entry's parent and
+  // the parent's child list so far. Returns true to drop the entry (an
+  // element with its children); anything appended to `sink` is kept.
+  std::function<bool(const PackedEntry&, const std::string& parent,
+                     std::string* sink)>
+      on_entry;
+  // Runs when `parent`'s child list ends; may append to it, and returns the
+  // change in the parent's child count.
+  std::function<int(const std::string& parent, std::string* sink)> on_close;
 };
 
-Status RebuildRecord(Slice record, const RecordHeader& header,
-                     const RebuildHooks& hooks, std::string* out) {
+Result<std::string> RebuildRecord(Slice record, const RebuildHooks& hooks) {
   RecordWalker walker(record);
   XDB_RETURN_NOT_OK(walker.Init());
-  AppendRecordHeader(header, out);
-  if (hooks.top_level_prologue) hooks.top_level_prologue(out);
+  RecordHeader header = walker.header();
 
   struct Frame {
-    std::string rel_id;
-    std::string abs_id;
+    std::string rel_id, abs_id;
     NameId local, ns_uri, prefix;
     uint32_t child_count;
     std::string buf;
   };
   std::vector<Frame> stack;
-  auto sink = [&]() -> std::string* {
-    return stack.empty() ? out : &stack.back().buf;
+  stack.push_back(Frame{"", header.context_node_id.ToString(), kEmptyNameId,
+                        kEmptyNameId, kEmptyNameId, header.subtree_count, {}});
+  // Closes a frame's child list, returning its final child count.
+  auto close = [&](Frame* f) -> Result<uint32_t> {
+    int delta = hooks.on_close ? hooks.on_close(f->abs_id, &f->buf) : 0;
+    if (delta < 0 && f->child_count < static_cast<uint32_t>(-delta))
+      return Status::Corruption("packed child count below its entries");
+    return static_cast<uint32_t>(int64_t{f->child_count} + delta);
   };
   for (;;) {
     RecordWalker::Event ev;
@@ -387,15 +324,14 @@ Status RebuildRecord(Slice record, const RecordHeader& header,
     if (ev.type == RecordWalker::EventType::kEnd) {
       Frame f = std::move(stack.back());
       stack.pop_back();
-      uint32_t count = f.child_count;
-      if (hooks.adjust_child_count)
-        count = hooks.adjust_child_count(f.abs_id, count);
-      packfmt::AppendElement(sink(), f.rel_id, f.local, f.ns_uri, f.prefix,
-                             count, f.buf);
+      XDB_ASSIGN_OR_RETURN(uint32_t count, close(&f));
+      packfmt::AppendElement(&stack.back().buf, f.rel_id, f.local, f.ns_uri,
+                             f.prefix, count, f.buf);
       continue;
     }
     const PackedEntry& e = ev.entry;
-    if (hooks.on_entry && hooks.on_entry(e, sink())) {
+    std::string* sink = &stack.back().buf;
+    if (hooks.on_entry && hooks.on_entry(e, stack.back().abs_id, sink)) {
       if (e.kind == NodeKind::kElement) walker.SkipChildren();
       continue;
     }
@@ -405,270 +341,103 @@ Status RebuildRecord(Slice record, const RecordHeader& header,
                               e.ns_uri, e.prefix, e.child_count, {}});
         break;
       case NodeKind::kText:
-        packfmt::AppendText(sink(), e.rel_id, e.type, e.value);
+        packfmt::AppendText(sink, e.rel_id, e.type, e.value);
         break;
       case NodeKind::kAttribute:
-        packfmt::AppendAttribute(sink(), e.rel_id, e.local, e.ns_uri,
-                                 e.prefix, e.type, e.value);
+        packfmt::AppendAttribute(sink, e.rel_id, e.local, e.ns_uri, e.prefix,
+                                 e.type, e.value);
         break;
       case NodeKind::kNamespace:
-        packfmt::AppendNamespace(sink(), e.rel_id, e.local, e.ns_uri);
+        packfmt::AppendNamespace(sink, e.rel_id, e.local, e.ns_uri);
         break;
       case NodeKind::kComment:
-        packfmt::AppendComment(sink(), e.rel_id, e.value);
+        packfmt::AppendComment(sink, e.rel_id, e.value);
         break;
       case NodeKind::kProcessingInstruction:
-        packfmt::AppendPi(sink(), e.rel_id, e.local, e.value);
+        packfmt::AppendPi(sink, e.rel_id, e.local, e.value);
         break;
       case NodeKind::kProxy:
-        packfmt::AppendProxy(sink(), e.rel_id);
+        packfmt::AppendProxy(sink, e.rel_id);
         break;
       default:
         return Status::Corruption("unknown packed entry kind");
     }
   }
-  return Status::OK();
+  XDB_ASSIGN_OR_RETURN(header.subtree_count, close(&stack.front()));
+  std::string out;
+  AppendRecordHeader(header, &out);
+  out += stack.front().buf;
+  return out;
 }
 
 }  // namespace
 
-Result<std::string> InsertProxyEntry(Slice record, Slice parent_abs,
-                                     Slice new_rel) {
-  RecordWalker header_walker(record);
-  XDB_RETURN_NOT_OK(header_walker.Init());
-  RecordHeader header = header_walker.header();
-  const std::string new_abs = parent_abs.ToString() + new_rel.ToString();
-  const bool top_level = parent_abs == header.context_node_id;
-  if (top_level) header.subtree_count++;
+Result<std::string> ReplaceTextValue(Slice record, Slice node_id,
+                                     Slice new_value) {
+  bool replaced = false;
+  RebuildHooks hooks;
+  hooks.on_entry = [&](const PackedEntry& e, const std::string&,
+                       std::string* sink) {
+    if (e.kind != NodeKind::kText || Slice(e.abs_id) != node_id) return false;
+    packfmt::AppendText(sink, e.rel_id, e.type, new_value);
+    replaced = true;
+    return true;
+  };
+  XDB_ASSIGN_OR_RETURN(std::string out, RebuildRecord(record, hooks));
+  if (!replaced)
+    return Status::NotFound("text node not present in this record");
+  return out;
+}
 
+Result<std::string> InsertEntry(Slice record, Slice parent_abs, Slice entry) {
+  // The entry's relative ID follows its kind byte.
+  if (entry.empty()) return Status::InvalidArgument("empty packed entry");
+  Slice rel;
+  const char* p = entry.data() + 1;
+  if (!ReadRelId(&p, entry.data() + entry.size(), &rel))
+    return Status::InvalidArgument("bad packed entry: relative id");
   bool inserted = false;
-  std::string parent_abs_str = parent_abs.ToString();
-  std::string out;
-  {
-    // Custom rebuild (RebuildRecord's hooks cannot express "append at the
-    // end of one element's child list"): splice the proxy before the first
-    // later sibling, or at the parent's close when it is the new last child.
-    RecordWalker walker(record);
-    XDB_RETURN_NOT_OK(walker.Init());
-    AppendRecordHeader(header, &out);
-    struct Frame {
-      std::string rel_id, abs_id;
-      NameId local, ns_uri, prefix;
-      uint32_t child_count;
-      std::string buf;
-    };
-    std::vector<Frame> stack;
-    auto sink = [&]() -> std::string* {
-      return stack.empty() ? &out : &stack.back().buf;
-    };
-    bool parent_found = top_level;
-    for (;;) {
-      RecordWalker::Event ev;
-      XDB_RETURN_NOT_OK(walker.Next(&ev));
-      if (ev.type == RecordWalker::EventType::kDone) break;
-      if (ev.type == RecordWalker::EventType::kEnd) {
-        Frame f = std::move(stack.back());
-        stack.pop_back();
-        uint32_t count = f.child_count;
-        if (f.abs_id == parent_abs_str) {
-          if (!inserted) {
-            packfmt::AppendProxy(&f.buf, new_rel);
-            inserted = true;
-          }
-          count++;
-        }
-        packfmt::AppendElement(sink(), f.rel_id, f.local, f.ns_uri, f.prefix,
-                               count, f.buf);
-        continue;
-      }
-      const PackedEntry& e = ev.entry;
-      XDB_ASSIGN_OR_RETURN(Slice eparent, nodeid::Parent(Slice(e.abs_id)));
-      if (!inserted && eparent == Slice(parent_abs_str) &&
-          Slice(e.abs_id).Compare(Slice(new_abs)) > 0) {
-        packfmt::AppendProxy(sink(), new_rel);
-        inserted = true;
-      }
-      switch (e.kind) {
-        case NodeKind::kElement:
-          if (e.abs_id == parent_abs_str) parent_found = true;
-          stack.push_back(Frame{e.rel_id.ToString(), e.abs_id, e.local,
-                                e.ns_uri, e.prefix, e.child_count, {}});
-          break;
-        case NodeKind::kText:
-          packfmt::AppendText(sink(), e.rel_id, e.type, e.value);
-          break;
-        case NodeKind::kAttribute:
-          packfmt::AppendAttribute(sink(), e.rel_id, e.local, e.ns_uri,
-                                   e.prefix, e.type, e.value);
-          break;
-        case NodeKind::kNamespace:
-          packfmt::AppendNamespace(sink(), e.rel_id, e.local, e.ns_uri);
-          break;
-        case NodeKind::kComment:
-          packfmt::AppendComment(sink(), e.rel_id, e.value);
-          break;
-        case NodeKind::kProcessingInstruction:
-          packfmt::AppendPi(sink(), e.rel_id, e.local, e.value);
-          break;
-        case NodeKind::kProxy:
-          packfmt::AppendProxy(sink(), e.rel_id);
-          break;
-        default:
-          return Status::Corruption("unknown packed entry kind");
-      }
-    }
-    if (top_level && !inserted) {
-      packfmt::AppendProxy(&out, new_rel);
+  RebuildHooks hooks;
+  // Before the parent's first later child, or at the end of its list.
+  hooks.on_entry = [&](const PackedEntry& e, const std::string& parent,
+                       std::string* sink) {
+    if (!inserted && Slice(parent) == parent_abs && e.rel_id.Compare(rel) > 0) {
+      sink->append(entry.data(), entry.size());
       inserted = true;
     }
-    if (!parent_found && !top_level)
-      return Status::NotFound("parent element not in this record");
-  }
-  if (!inserted)
-    return Status::NotFound("insertion point not found in this record");
+    return false;
+  };
+  hooks.on_close = [&](const std::string& parent, std::string* sink) {
+    if (Slice(parent) != parent_abs) return 0;
+    if (!inserted) sink->append(entry.data(), entry.size());
+    inserted = true;
+    return 1;
+  };
+  XDB_ASSIGN_OR_RETURN(std::string out, RebuildRecord(record, hooks));
+  if (!inserted) return Status::NotFound("parent element not in this record");
   return out;
 }
 
 Result<std::string> RemoveEntry(Slice record, Slice node_abs,
                                 bool* now_empty) {
-  RecordWalker header_walker(record);
-  XDB_RETURN_NOT_OK(header_walker.Init());
-  RecordHeader header = header_walker.header();
-  const bool top_level = [&] {
-    auto parent = nodeid::Parent(node_abs);
-    return parent.ok() && parent.value() == header.context_node_id;
-  }();
-  if (top_level && header.subtree_count > 0) header.subtree_count--;
-
-  std::string parent_abs;
-  {
-    XDB_ASSIGN_OR_RETURN(Slice p, nodeid::Parent(node_abs));
-    parent_abs = p.ToString();
-  }
+  XDB_ASSIGN_OR_RETURN(Slice parent_abs, nodeid::Parent(node_abs));
   bool removed = false;
   RebuildHooks hooks;
-  hooks.on_entry = [&](const PackedEntry& e, std::string*) -> bool {
-    if (Slice(e.abs_id) == node_abs) {
-      removed = true;
-      return true;  // consumed: entry (and its children) dropped
-    }
-    return false;
+  hooks.on_entry = [&](const PackedEntry& e, const std::string&,
+                       std::string*) {
+    if (Slice(e.abs_id) != node_abs) return false;
+    removed = true;
+    return true;
   };
-  hooks.adjust_child_count = [&](const std::string& abs,
-                                 uint32_t count) -> uint32_t {
-    if (abs == parent_abs && removed && count > 0) return count - 1;
-    return count;
+  hooks.on_close = [&](const std::string& parent, std::string*) {
+    return removed && Slice(parent) == parent_abs ? -1 : 0;
   };
-  std::string out;
-  XDB_RETURN_NOT_OK(RebuildRecord(record, header, hooks, &out));
+  XDB_ASSIGN_OR_RETURN(std::string out, RebuildRecord(record, hooks));
   if (!removed) return Status::NotFound("entry not in this record");
   if (now_empty != nullptr) {
     XDB_ASSIGN_OR_RETURN(uint64_t nodes, CountRecordNodes(out));
     *now_empty = nodes == 0;
   }
-  return out;
-}
-
-Result<std::string> BuildSubtreeEntry(Slice fragment_tokens, Slice root_rel,
-                                      uint64_t* node_count) {
-  TokenReader reader(fragment_tokens);
-  Token t;
-  struct Frame {
-    std::string rel_id;
-    NameId local, ns_uri, prefix;
-    uint32_t ordinal = 0;
-    uint32_t child_count = 0;
-    std::string buf;
-  };
-  std::vector<Frame> stack;
-  std::string out;
-  uint64_t count = 0;
-  bool root_done = false;
-
-  auto child_rel = [&]() -> std::string {
-    Frame& f = stack.back();
-    f.ordinal++;
-    f.child_count++;
-    return nodeid::ChildId(f.ordinal);
-  };
-
-  for (;;) {
-    XDB_ASSIGN_OR_RETURN(bool more, reader.Next(&t));
-    if (!more) break;
-    switch (t.kind) {
-      case TokenKind::kStartDocument:
-      case TokenKind::kEndDocument:
-        break;
-      case TokenKind::kStartElement: {
-        if (root_done)
-          return Status::InvalidArgument(
-              "fragment must have a single root element");
-        Frame frame;
-        frame.rel_id = stack.empty() ? root_rel.ToString() : child_rel();
-        frame.local = t.local;
-        frame.ns_uri = t.ns_uri;
-        frame.prefix = t.prefix;
-        stack.push_back(std::move(frame));
-        count++;
-        break;
-      }
-      case TokenKind::kEndElement: {
-        if (stack.empty())
-          return Status::Corruption("unbalanced fragment tokens");
-        Frame f = std::move(stack.back());
-        stack.pop_back();
-        std::string* sink = stack.empty() ? &out : &stack.back().buf;
-        packfmt::AppendElement(sink, f.rel_id, f.local, f.ns_uri, f.prefix,
-                               f.child_count, f.buf);
-        if (stack.empty()) root_done = true;
-        break;
-      }
-      case TokenKind::kAttribute: {
-        if (stack.empty())
-          return Status::InvalidArgument("attribute outside the fragment root");
-        std::string rel = child_rel();
-        packfmt::AppendAttribute(&stack.back().buf, rel, t.local, t.ns_uri,
-                                 t.prefix, t.type, t.text);
-        count++;
-        break;
-      }
-      case TokenKind::kNamespaceDecl: {
-        if (stack.empty())
-          return Status::InvalidArgument("namespace outside the fragment root");
-        std::string rel = child_rel();
-        packfmt::AppendNamespace(&stack.back().buf, rel, t.local, t.ns_uri);
-        count++;
-        break;
-      }
-      case TokenKind::kText: {
-        if (stack.empty())
-          return Status::InvalidArgument("text outside the fragment root");
-        std::string rel = child_rel();
-        packfmt::AppendText(&stack.back().buf, rel, t.type, t.text);
-        count++;
-        break;
-      }
-      case TokenKind::kComment: {
-        if (stack.empty())
-          return Status::InvalidArgument("comment outside the fragment root");
-        std::string rel = child_rel();
-        packfmt::AppendComment(&stack.back().buf, rel, t.text);
-        count++;
-        break;
-      }
-      case TokenKind::kProcessingInstruction: {
-        if (stack.empty())
-          return Status::InvalidArgument("PI outside the fragment root");
-        std::string rel = child_rel();
-        packfmt::AppendPi(&stack.back().buf, rel, t.local, t.text);
-        count++;
-        break;
-      }
-    }
-  }
-  if (!stack.empty() || !root_done)
-    return Status::InvalidArgument("fragment has no complete root element");
-  if (node_count != nullptr) *node_count = count;
   return out;
 }
 

@@ -117,34 +117,28 @@ Status ComputeNodeIdIntervals(Slice record,
 /// Counts nodes physically present in the record (proxies excluded).
 Result<uint64_t> CountRecordNodes(Slice record);
 
-/// Rebuilds the record with the text node `node_id`'s value replaced —
-/// subtree lengths of enclosing elements are recomputed. NotFound if the
-/// node is not a text node physically present in this record.
+// --- record surgery: each edit is one pass that re-emits the record,
+// recomputing the child counts and subtree lengths of enclosing elements.
+
+/// Replaces the value of the text node `node_id`. NotFound if the node is
+/// not a text node physically present in this record.
 Result<std::string> ReplaceTextValue(Slice record, Slice node_id,
                                      Slice new_value);
 
-/// Rebuilds the record with a proxy for `new_rel` spliced into the children
-/// of `parent_abs` at its document-order position (child counts and subtree
-/// lengths recomputed). When `parent_abs` equals the record's context node,
-/// the proxy becomes a new top-level subtree. The proxied subtree itself
-/// lives in another record, found through the NodeID index.
-Result<std::string> InsertProxyEntry(Slice record, Slice parent_abs,
-                                     Slice new_rel);
+/// Splices `entry` (one serialized entry: a proxy or a packed subtree) into
+/// the child list of `parent_abs` at its relative ID's document-order
+/// position. When `parent_abs` is the record's context node, the entry
+/// becomes a top-level subtree. NotFound if the parent is not in this
+/// record.
+Result<std::string> InsertEntry(Slice record, Slice parent_abs, Slice entry);
 
-/// Rebuilds the record without the entry (subtree or proxy) whose absolute
-/// ID is `node_abs`, decrementing its parent's child count. Sets *now_empty
-/// when the record retains no non-proxy entries. NotFound if absent.
+/// Drops the entry (subtree or proxy) whose absolute ID is `node_abs`. Sets
+/// *now_empty when the record retains no non-proxy entries. NotFound if
+/// absent.
 Result<std::string> RemoveEntry(Slice record, Slice node_abs,
                                 bool* now_empty);
 
-/// Serializes a parsed XML fragment (one root element) as a packed subtree
-/// entry whose root carries the relative ID `root_rel`; children get the
-/// canonical ChildId numbering beneath it. Returns the entry bytes and
-/// reports the fragment's node count.
-Result<std::string> BuildSubtreeEntry(Slice fragment_tokens, Slice root_rel,
-                                      uint64_t* node_count);
-
-// --- entry serialization (used by RecordBuilder; must mirror RecordWalker)
+// --- entry serialization (must mirror RecordWalker)
 
 namespace packfmt {
 

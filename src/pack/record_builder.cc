@@ -19,7 +19,6 @@ struct Frame {
   NameId local = kEmptyNameId, ns_uri = kEmptyNameId, prefix = kEmptyNameId;
   std::string rel_id;
   std::string abs_id;
-  uint32_t child_ordinal = 0;
   uint32_t child_count = 0;
   std::vector<Item> items;
   size_t bytes = 0;  // total serialized size of non-proxy items
@@ -32,20 +31,31 @@ struct NsBinding {
 
 class Builder {
  public:
-  Builder(const RecordBuilderOptions& options,
-          const std::function<Status(PackedRecordOut&&)>& emit)
-      : options_(options), emit_(emit) {}
+  /// `context` is null for a document, else the subtree a fragment becomes.
+  Builder(const RecordBuilderOptions& options, const RecordBuilder::Emit& emit,
+          const SubtreeContext* context)
+      : options_(options), emit_(emit), context_(context) {}
 
-  Status Run(Slice tokens);
+  /// Packs `tokens`, emitting every record cut below frame 0; frame 0's
+  /// record (the document's root record, or a fragment's top record) goes
+  /// to *top_record, left empty when frame 0 holds nothing.
+  Status Run(Slice tokens, PackedRecordOut* top_record);
 
  private:
   Frame& top() { return stack_.back(); }
 
-  std::string NextChildId() {
+  /// Numbers the next child of the innermost frame. A fragment arrives from
+  /// a client, the WAL or a replica, so it is checked: its frame 0 takes one
+  /// child, the root element, numbered by the context.
+  Result<std::string> NextChildId(bool is_element) {
     Frame& f = top();
-    f.child_ordinal++;
     f.child_count++;
-    return nodeid::ChildId(f.child_ordinal);
+    if (context_ == nullptr || stack_.size() > 1)
+      return nodeid::ChildId(f.child_count);
+    if (!is_element || f.child_count > 1)
+      return Status::InvalidArgument(
+          "fragment must have a single root element");
+    return context_->root_rel;
   }
 
   /// Appends a completed item to the innermost open frame and cuts a record
@@ -55,18 +65,20 @@ class Builder {
     f.bytes += bytes.size();
     f.items.push_back(Item{std::move(rel_id), std::move(bytes), false});
     if (f.bytes > options_.record_budget && stack_.size() > 1) {
-      return FlushFrame(&f);
+      PackedRecordOut out;
+      PackFrame(&f, &out);
+      return emit_(std::move(out));
     }
     return Status::OK();
   }
 
-  /// Packs the frame's completed (non-proxy) items into one record with the
-  /// frame's element as context node, replacing them with proxies.
-  Status FlushFrame(Frame* f) {
-    PackedRecordOut out;
+  /// Packs the innermost frame's completed (non-proxy) items into one record
+  /// with the frame's element as context node, replacing them with proxies.
+  void PackFrame(Frame* f, PackedRecordOut* out) {
     RecordHeader header;
     header.context_node_id = Slice(f->abs_id);
     // Root path: element names from the root to (and including) the context.
+    if (context_ != nullptr) header.root_path = context_->root_path;
     for (size_t i = 1; i < stack_.size(); i++) {
       header.root_path.push_back(
           {stack_[i].local, stack_[i].ns_uri});
@@ -83,26 +95,22 @@ class Builder {
       }
       if (!seen) header.namespaces.emplace_back(it->prefix, it->uri);
     }
-    uint32_t real = 0;
     for (const Item& item : f->items)
-      if (!item.is_proxy) real++;
-    if (real == 0) return Status::OK();  // nothing evictable
-    header.subtree_count = real;
-    AppendRecordHeader(header, &out.bytes);
+      if (!item.is_proxy) header.subtree_count++;
+    AppendRecordHeader(header, &out->bytes);
     bool first = true;
     for (Item& item : f->items) {
       if (item.is_proxy) continue;
       if (first) {
-        out.min_node_id = f->abs_id + item.rel_id;
+        out->min_node_id = f->abs_id + item.rel_id;
         first = false;
       }
-      out.bytes.append(item.bytes);
+      out->bytes.append(item.bytes);
       item.bytes.clear();
       item.bytes.shrink_to_fit();
       item.is_proxy = true;
     }
     f->bytes = 0;
-    return emit_(std::move(out));
   }
 
   Status CloseElement() {
@@ -127,16 +135,25 @@ class Builder {
   }
 
   const RecordBuilderOptions& options_;
-  const std::function<Status(PackedRecordOut&&)>& emit_;
+  const RecordBuilder::Emit& emit_;
+  const SubtreeContext* context_;
   std::vector<Frame> stack_;
   std::vector<NsBinding> ns_stack_;
 };
 
-Status Builder::Run(Slice tokens) {
+Status Builder::Run(Slice tokens, PackedRecordOut* top_record) {
   TokenReader reader(tokens);
   Token t;
-  // Frame 0 is the document node (context id "", path empty).
+  // Frame 0 is the context node: the document node (id "", path empty), or
+  // a fragment's parent, whose record's namespaces stay in scope. Seeded
+  // innermost-last, they reach the top record's header in their order.
   stack_.push_back(Frame{});
+  if (context_ != nullptr) {
+    top().abs_id = context_->parent_id;
+    for (auto it = context_->namespaces.rbegin();
+         it != context_->namespaces.rend(); ++it)
+      ns_stack_.push_back(NsBinding{it->first, it->second, 0});
+  }
 
   for (;;) {
     XDB_ASSIGN_OR_RETURN(bool more, reader.Next(&t));
@@ -146,7 +163,7 @@ Status Builder::Run(Slice tokens) {
       case TokenKind::kEndDocument:
         break;
       case TokenKind::kStartElement: {
-        std::string rel = NextChildId();
+        XDB_ASSIGN_OR_RETURN(std::string rel, NextChildId(true));
         Frame f;
         f.local = t.local;
         f.ns_uri = t.ns_uri;
@@ -162,7 +179,7 @@ Status Builder::Run(Slice tokens) {
         XDB_RETURN_NOT_OK(CloseElement());
         break;
       case TokenKind::kNamespaceDecl: {
-        std::string rel = NextChildId();
+        XDB_ASSIGN_OR_RETURN(std::string rel, NextChildId(false));
         std::string entry;
         packfmt::AppendNamespace(&entry, rel, t.local, t.ns_uri);
         ns_stack_.push_back(NsBinding{t.local, t.ns_uri, stack_.size()});
@@ -170,7 +187,7 @@ Status Builder::Run(Slice tokens) {
         break;
       }
       case TokenKind::kAttribute: {
-        std::string rel = NextChildId();
+        XDB_ASSIGN_OR_RETURN(std::string rel, NextChildId(false));
         std::string entry;
         packfmt::AppendAttribute(&entry, rel, t.local, t.ns_uri, t.prefix,
                                  t.type, t.text);
@@ -178,21 +195,21 @@ Status Builder::Run(Slice tokens) {
         break;
       }
       case TokenKind::kText: {
-        std::string rel = NextChildId();
+        XDB_ASSIGN_OR_RETURN(std::string rel, NextChildId(false));
         std::string entry;
         packfmt::AppendText(&entry, rel, t.type, t.text);
         XDB_RETURN_NOT_OK(AddItem(std::move(rel), std::move(entry)));
         break;
       }
       case TokenKind::kComment: {
-        std::string rel = NextChildId();
+        XDB_ASSIGN_OR_RETURN(std::string rel, NextChildId(false));
         std::string entry;
         packfmt::AppendComment(&entry, rel, t.text);
         XDB_RETURN_NOT_OK(AddItem(std::move(rel), std::move(entry)));
         break;
       }
       case TokenKind::kProcessingInstruction: {
-        std::string rel = NextChildId();
+        XDB_ASSIGN_OR_RETURN(std::string rel, NextChildId(false));
         std::string entry;
         packfmt::AppendPi(&entry, rel, t.local, t.text);
         XDB_RETURN_NOT_OK(AddItem(std::move(rel), std::move(entry)));
@@ -202,17 +219,33 @@ Status Builder::Run(Slice tokens) {
   }
   if (stack_.size() != 1)
     return Status::Corruption("token stream ended with open elements");
-  // The document-level frame becomes the root record (never evicted, so a
-  // lookup of the document root always succeeds).
-  return FlushFrame(&top());
+  if (top().items.empty()) {
+    if (context_ != nullptr)
+      return Status::InvalidArgument("fragment has no root element");
+    return Status::OK();  // nothing to pack
+  }
+  // Frame 0 is never cut early, so its record always holds the root element
+  // and a lookup of the root always succeeds.
+  PackFrame(&top(), top_record);
+  return Status::OK();
 }
 
 }  // namespace
 
-Status RecordBuilder::Build(
-    Slice tokens, const std::function<Status(PackedRecordOut&&)>& emit) {
-  Builder builder(options_, emit);
-  return builder.Run(tokens);
+Status RecordBuilder::Build(Slice tokens, const Emit& emit) {
+  PackedRecordOut root;
+  Builder builder(options_, emit, nullptr);
+  XDB_RETURN_NOT_OK(builder.Run(tokens, &root));
+  if (root.bytes.empty()) return Status::OK();
+  return emit(std::move(root));
+}
+
+Result<PackedRecordOut> RecordBuilder::BuildSubtree(
+    Slice tokens, const SubtreeContext& context, const Emit& emit) {
+  PackedRecordOut top;
+  Builder builder(options_, emit, &context);
+  XDB_RETURN_NOT_OK(builder.Run(tokens, &top));
+  return top;
 }
 
 Result<std::vector<PackedRecordOut>> PackDocument(Slice tokens,

@@ -9,12 +9,14 @@
 //
 // Grouping is size-based (the paper's contrast to Natix's split matrix): a
 // record is cut whenever the accumulated completed-subtree bytes of the
-// innermost open element exceed the record budget.
+// innermost open element exceed the record budget. The same builder packs
+// whole documents and the fragments a subtree insert grafts into one.
 #ifndef XDB_PACK_RECORD_BUILDER_H_
 #define XDB_PACK_RECORD_BUILDER_H_
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/slice.h"
@@ -35,15 +37,33 @@ struct PackedRecordOut {
   std::string bytes;        // header + entries
 };
 
+/// Where a fragment goes in a stored document: it becomes the child of
+/// `parent_id` whose relative ID is `root_rel`.
+struct SubtreeContext {
+  std::string parent_id;  // absolute
+  std::vector<RecordHeader::PathStep> root_path;  // root element -> parent
+  std::vector<std::pair<NameId, NameId>> namespaces;  // the parent record's
+  std::string root_rel;
+};
+
 class RecordBuilder {
  public:
   explicit RecordBuilder(RecordBuilderOptions options = {})
       : options_(options) {}
 
+  using Emit = std::function<Status(PackedRecordOut&&)>;
+
   /// Packs one document's token stream; emits records in bottom-up creation
   /// order (descendant records before the records that proxy them).
-  Status Build(Slice tokens,
-               const std::function<Status(PackedRecordOut&&)>& emit);
+  Status Build(Slice tokens, const Emit& emit);
+
+  /// Packs a fragment with exactly one root element as the subtree `context`
+  /// names. Records cut inside the fragment are emitted; the top record (the
+  /// parent as context node, the fragment's root as its one subtree) is
+  /// returned for the caller to place.
+  Result<PackedRecordOut> BuildSubtree(Slice tokens,
+                                       const SubtreeContext& context,
+                                       const Emit& emit);
 
  private:
   RecordBuilderOptions options_;

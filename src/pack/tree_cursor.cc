@@ -11,8 +11,12 @@ StoredDocSource::StoredDocSource(RecordManager* records, NodeLocator* index,
       doc_id_(doc_id),
       subtree_root_(std::move(subtree_root)) {}
 
-Status StoredDocSource::PushRecord(Slice node_id, std::string target) {
-  XDB_ASSIGN_OR_RETURN(Rid rid, index_->Lookup(doc_id_, node_id));
+Status StoredDocSource::PushRecord(std::string target, bool resolving) {
+  Result<Rid> found = index_->Lookup(doc_id_, Slice(target));
+  if (resolving && found.status().IsNotFound())
+    return Status::Corruption("proxy " + nodeid::ToString(target) +
+                              " resolves to no record");
+  XDB_ASSIGN_OR_RETURN(Rid rid, found);
   auto ctx = std::make_unique<Ctx>();
   if (last_buf_ != nullptr && rid == last_rid_) {
     ctx->buf = last_buf_;
@@ -26,6 +30,7 @@ Status StoredDocSource::PushRecord(Slice node_id, std::string target) {
   ctx->walker = std::make_unique<RecordWalker>(Slice(*ctx->buf));
   XDB_RETURN_NOT_OK(ctx->walker->Init());
   ctx->target = std::move(target);
+  ctx->resolving = resolving;
   stack_.push_back(std::move(ctx));
   return Status::OK();
 }
@@ -34,8 +39,8 @@ Result<bool> StoredDocSource::Next(XmlEvent* event) {
   if (finished_) return false;
   if (!started_) {
     started_ = true;
-    XDB_RETURN_NOT_OK(
-        PushRecord(Slice(subtree_root_), subtree_root_));
+    // A missing stream root stays a NotFound (EvalAnchor's stale posting).
+    XDB_RETURN_NOT_OK(PushRecord(subtree_root_, /*resolving=*/false));
     if (subtree_root_.empty()) {
       *event = XmlEvent();
       event->type = XmlEvent::Type::kStartDocument;
@@ -52,6 +57,10 @@ Result<bool> StoredDocSource::Produce(XmlEvent* event) {
     XDB_RETURN_NOT_OK(ctx.walker->Next(&ev));
 
     if (ev.type == RecordWalker::EventType::kDone) {
+      if (ctx.resolving && !ctx.in_target)
+        return Status::Corruption("proxied node " +
+                                  nodeid::ToString(ctx.target) +
+                                  " is not in the record indexed for it");
       stack_.pop_back();
       continue;
     }
@@ -69,6 +78,9 @@ Result<bool> StoredDocSource::Produce(XmlEvent* event) {
         if (ev.type != RecordWalker::EventType::kStart) continue;
         Slice abs(ev.entry.abs_id);
         if (abs == Slice(ctx.target)) {
+          if (ctx.resolving && ev.entry.kind == NodeKind::kProxy)
+            return Status::Corruption("proxied node " + nodeid::ToString(abs) +
+                                      " resolves to another proxy");
           ctx.in_target = true;
           ctx.target_depth = ev.entry.depth;
           if (ev.entry.kind != NodeKind::kElement &&
@@ -102,7 +114,7 @@ Result<bool> StoredDocSource::Produce(XmlEvent* event) {
 
     const PackedEntry& e = ev.entry;
     if (e.kind == NodeKind::kProxy) {
-      XDB_RETURN_NOT_OK(PushRecord(Slice(e.abs_id), e.abs_id));
+      XDB_RETURN_NOT_OK(PushRecord(e.abs_id, /*resolving=*/true));
       continue;
     }
 

@@ -48,9 +48,13 @@ class StoredDocSource : public XmlEventSource {
     bool in_target = false;
     bool target_done = false;
     int target_depth = 0;  // record-relative depth of the target entry
+    bool resolving = false;  // pushed to resolve a proxy for `target`
   };
 
-  Status PushRecord(Slice node_id, std::string target);
+  /// Pushes the record the NodeID index names for `target`. A record
+  /// pushed to resolve a proxy must hold the node as a non-proxy entry;
+  /// anything else is Corruption, never a silent gap or an endless chase.
+  Status PushRecord(std::string target, bool resolving);
   Result<bool> Produce(XmlEvent* event);  // one step; may recurse via stack
 
   RecordManager* records_;

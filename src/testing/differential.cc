@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <exception>
 #include <map>
 #include <vector>
 
@@ -233,6 +234,62 @@ std::string CheckAfterEdit(Collection* coll, uint64_t doc_id,
   return err.empty() ? "" : "after the document delete: " + err;
 }
 
+/// The stored engine's leg on a fresh collection of `engine` packed at
+/// `budget`: packed records + NodeID index + value indexes, under every
+/// planner flavor, then the post-edit leg. Value indexes are derived from
+/// the query's own predicate paths so the DocID/NodeID-list plans get real
+/// probes.
+std::string CheckStored(Engine* engine, size_t budget, const std::string& doc,
+                        const xpath::Path& path, const std::string& query,
+                        const NodeSequence& ref, SweepCounters* counters,
+                        bool* edited) {
+  CollectionOptions co;
+  co.record_budget = budget;
+  auto coll_r =
+      engine->CreateCollection("diff" + std::to_string(budget), co);
+  if (!coll_r.ok())
+    return "collection create failed: " + coll_r.status().ToString();
+  Collection* coll = coll_r.value();
+
+  {
+    std::vector<query::CandidatePredicate> cands;
+    bool unindexable = false;
+    if (query::ExtractCandidates(path, &cands, &unindexable).ok()) {
+      int n = 0;
+      for (const auto& cand : cands) {
+        ValueIndexDef def;
+        def.name = "vi" + std::to_string(n++);
+        def.path = cand.full_path.ToString();
+        def.type = cand.literal_is_number ? ValueType::kDouble
+                                          : ValueType::kString;
+        // Unsupported index paths simply leave the plan to fall back.
+        (void)coll->CreateValueIndex(def);
+      }
+    }
+  }
+
+  // An all-names structural index so the forced structural flavor below
+  // runs a real structural scan rather than its full-scan fallback;
+  // maintenance runs through the same insert as the records.
+  {
+    Status si = coll->CreateStructuralIndex({"structure", ""});
+    if (!si.ok())
+      return "structural index create failed: " + si.ToString();
+  }
+
+  auto ins_r = coll->InsertDocument(nullptr, doc);
+  if (!ins_r.ok())
+    return "stored insert failed: " + ins_r.status().ToString();
+
+  // Any stats-, cache- or interval-induced divergence from the DOM
+  // reference surfaces here.
+  std::string err =
+      CheckFlavors(coll, query, ref, "the DOM reference", "",
+                   counters != nullptr ? &counters->plans : nullptr);
+  if (!err.empty()) return err;
+  return CheckAfterEdit(coll, ins_r.value(), query, edited);
+}
+
 std::string CompareEnginesCounted(const std::string& doc,
                                   const std::string& query,
                                   bool run_collection_plans,
@@ -286,61 +343,25 @@ std::string CompareEnginesCounted(const std::string& doc,
 
   if (!run_collection_plans) return "";
 
-  // The stored engine: packed records + NodeID index + value indexes, under
-  // every planner force mode. Value indexes are derived from the query's own
-  // predicate paths so the DocID/NodeID-list plans get real probes.
+  // The stored engine, on two collections: at the default record budget,
+  // where generated documents fit one record, and at a 96-byte budget,
+  // where they spread over many, so every edit meets packed siblings and
+  // proxies.
   EngineOptions eo;
   eo.in_memory = true;
   auto engine_r = Engine::Open(eo);
   if (!engine_r.ok())
     return "engine open failed: " + engine_r.status().ToString();
   auto engine = engine_r.MoveValue();
-  auto coll_r = engine->CreateCollection("diff");
-  if (!coll_r.ok())
-    return "collection create failed: " + coll_r.status().ToString();
-  Collection* coll = coll_r.value();
-
-  {
-    std::vector<query::CandidatePredicate> cands;
-    bool unindexable = false;
-    if (query::ExtractCandidates(path, &cands, &unindexable).ok()) {
-      int n = 0;
-      for (const auto& cand : cands) {
-        ValueIndexDef def;
-        def.name = "vi" + std::to_string(n++);
-        def.path = cand.full_path.ToString();
-        def.type = cand.literal_is_number ? ValueType::kDouble
-                                          : ValueType::kString;
-        // Unsupported index paths simply leave the plan to fall back.
-        (void)coll->CreateValueIndex(def);
-      }
-    }
-  }
-
-  // An all-names structural index so the forced structural flavor below
-  // runs a real structural scan rather than its full-scan fallback;
-  // maintenance runs through the same insert as the records.
-  {
-    Status si = coll->CreateStructuralIndex({"structure", ""});
-    if (!si.ok())
-      return "structural index create failed: " + si.ToString();
-  }
-
-  auto ins_r = coll->InsertDocument(nullptr, doc);
-  if (!ins_r.ok())
-    return "stored insert failed: " + ins_r.status().ToString();
-
-  // Any stats-, cache- or interval-induced divergence from the DOM
-  // reference surfaces here.
-  std::string err =
-      CheckFlavors(coll, query, ref, "the DOM reference", "",
-                   counters != nullptr ? &counters->plans : nullptr);
-  if (!err.empty()) return err;
-
   bool edited = false;
-  err = CheckAfterEdit(coll, ins_r.value(), query, &edited);
+  for (size_t budget : {CollectionOptions().record_budget, size_t{96}}) {
+    std::string err = CheckStored(engine.get(), budget, doc, path, query, ref,
+                                  counters, &edited);
+    if (!err.empty())
+      return "[" + std::to_string(budget) + "-byte records] " + err;
+  }
   if (edited && counters != nullptr) counters->edited++;
-  return err;
+  return "";
 }
 
 // --- text-level document reduction (generator-shaped XML) ---
@@ -563,8 +584,21 @@ SweepResult RunSweep(uint64_t base_seed, uint64_t iters,
   for (uint64_t i = 0; i < iters; i++) {
     uint64_t seed = base_seed + i;
     DiffCase c = GenCase(seed, options);
-    std::string detail = CompareEnginesCounted(
-        c.doc, c.query, options.run_collection_plans, &counters);
+    std::string detail;
+    try {
+      detail = CompareEnginesCounted(c.doc, c.query,
+                                     options.run_collection_plans, &counters);
+    } catch (const std::exception& e) {
+      // Reported unminimized: every replay would throw again.
+      res.cases_run++;
+      res.ok = false;
+      res.first_failure.ok = false;
+      res.first_failure.seed = seed;
+      res.first_failure.doc = c.doc;
+      res.first_failure.query = c.query;
+      res.first_failure.detail = std::string("the case threw ") + e.what();
+      break;
+    }
     res.cases_run++;
     if (!detail.empty()) {
       res.ok = false;

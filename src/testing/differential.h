@@ -13,7 +13,9 @@
 //     force mode (auto / full scan / DocID list / NodeID list / structural
 //     scan), with value indexes derived from the query's own
 //     predicates and an all-names structural index, so the index-backed
-//     plans actually probe.
+//     plans actually probe. The stored leg runs twice: at the default
+//     record budget and at 96 bytes, where each document spans many
+//     records.
 //
 // All engines must produce the same node-ID result set. A post-edit leg then
 // reshapes the stored document with a subtree delete, a positional insert
@@ -78,13 +80,15 @@ struct SweepResult {
   uint64_t cases_run = 0;
   uint64_t quickxscan_runs = 0;     // always == cases_run
   uint64_t naive_stream_runs = 0;   // linear-subset queries only
-  uint64_t plan_runs = 0;           // stored-engine executions
+  uint64_t plan_runs = 0;           // stored-engine executions, both legs
   uint64_t edited_runs = 0;         // cases that also ran the post-edit leg
   DiffOutcome first_failure;
 };
 
 /// Runs `iters` seeded cases starting at `base_seed`, stopping at the first
-/// divergence. `log` (optional) gets a progress line every 200 cases.
+/// divergence. A case that throws (std::bad_alloc under a memory limit,
+/// say) is a divergence too, reported with its seed but not minimized.
+/// `log` (optional) gets a progress line every 200 cases.
 SweepResult RunSweep(uint64_t base_seed, uint64_t iters,
                      const DiffOptions& options, std::ostream* log = nullptr);
 

@@ -599,18 +599,22 @@ TEST_F(SubtreeOpsTest, MultiRecordSubtreeInsertAndDelete) {
   uint64_t doc =
       coll_->InsertDocument(nullptr, "<root><keep>stay</keep></root>").value();
   std::string root_id = nodeid::ChildId(1);
-  // A fragment much larger than the 150-byte record budget: it lands as one
-  // (overflowing) record; deleting it must reclaim all its records.
+  // A fragment much larger than the 150-byte record budget: it is packed
+  // into several records, at the budget documents are packed at; deleting
+  // it must reclaim them all.
   std::string big = "<big>";
   for (int i = 0; i < 40; i++)
     big += "<leaf n=\"" + std::to_string(i) + "\">payload payload</leaf>";
   big += "</big>";
+  const uint64_t live_before = coll_->records()->stats().live_records;
   auto big_id = coll_->InsertSubtree(nullptr, doc, root_id, Slice(), big);
   ASSERT_TRUE(big_id.ok()) << big_id.status().ToString();
+  EXPECT_GT(coll_->records()->stats().live_records, live_before + 1);
   auto leaves = coll_->Query(nullptr, "/root/big/leaf").MoveValue();
   EXPECT_EQ(leaves.nodes.size(), 40u);
 
   ASSERT_TRUE(coll_->DeleteSubtree(nullptr, doc, big_id.value()).ok());
+  EXPECT_EQ(coll_->records()->stats().live_records, live_before);
   EXPECT_EQ(Text(doc), "<root><keep>stay</keep></root>");
   EXPECT_TRUE(
       coll_->Query(nullptr, "/root/big/leaf").MoveValue().nodes.empty());
@@ -632,6 +636,79 @@ TEST_F(SubtreeOpsTest, DeleteProxiedSubtreeReclaimsRecords) {
   EXPECT_EQ(Text(doc), "<r><cold>keep</cold></r>");
 }
 
+// <m> with n <s> children. At the 150-byte budget the builder packs
+// children 1-7 into one record whose context node is <m>; the rest stay in
+// the root record, which holds proxies for the packed ones.
+std::vector<std::string> SiblingTexts(int n) {
+  std::vector<std::string> out;
+  for (int i = 0; i < n; i++)
+    out.push_back("<s>value-number-" + std::to_string(i) + "</s>");
+  return out;
+}
+
+std::string SiblingsDoc(const std::vector<std::string>& children) {
+  std::string xml = "<m>";
+  for (const std::string& child : children) xml += child;
+  return xml + "</m>";
+}
+
+TEST_F(SubtreeOpsTest, DeletePackedSiblingKeepsTheOthers) {
+  ASSERT_TRUE(coll_->CreateValueIndex({"s", "/m/s"}).ok());
+  ASSERT_TRUE(coll_->CreateStructuralIndex({"structure", ""}).ok());
+  std::vector<std::string> model = SiblingTexts(12);
+  uint64_t doc = coll_->InsertDocument(nullptr, SiblingsDoc(model)).value();
+  ASSERT_EQ(coll_->records()->stats().live_records, 2u);
+  NodeSequence s = coll_->Query(nullptr, "/m/s").MoveValue().nodes;
+  ASSERT_EQ(s.size(), 12u);
+
+  ASSERT_TRUE(coll_->DeleteSubtree(nullptr, doc, s[1].node_id).ok());
+  // Checked before anything reads the document: the packed record keeps
+  // the other six siblings.
+  ASSERT_EQ(coll_->records()->stats().live_records, 2u);
+  model.erase(model.begin() + 1);
+  EXPECT_EQ(Text(doc), SiblingsDoc(model));
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll_), "");
+  ASSERT_TRUE(coll_->DeleteDocument(nullptr, doc).ok());
+  EXPECT_EQ(coll_->records()->stats().live_records, 0u);
+}
+
+TEST_F(SubtreeOpsTest, InsertBetweenPackedSiblingsKeepsThemAll) {
+  ASSERT_TRUE(coll_->CreateValueIndex({"s", "/m/s"}).ok());
+  ASSERT_TRUE(coll_->CreateStructuralIndex({"structure", ""}).ok());
+  const std::vector<std::string> original = SiblingTexts(12);
+  std::vector<std::string> model = original;
+  uint64_t doc = coll_->InsertDocument(nullptr, SiblingsDoc(model)).value();
+  NodeSequence s = coll_->Query(nullptr, "/m/s").MoveValue().nodes;
+  ASSERT_EQ(s.size(), 12u);
+  const std::string m_id = nodeid::ChildId(1);
+
+  // After the 1st and after the 5th child: both inside the packed run.
+  auto a = coll_->InsertSubtree(nullptr, doc, m_id, s[0].node_id,
+                                "<s>inserted-a</s>");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  auto b = coll_->InsertSubtree(nullptr, doc, m_id, s[4].node_id,
+                                "<s>inserted-b</s>");
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  model.insert(model.begin() + 1, "<s>inserted-a</s>");
+  model.insert(model.begin() + 6, "<s>inserted-b</s>");
+  EXPECT_EQ(Text(doc), SiblingsDoc(model));
+  QueryOptions scan;
+  scan.force = ForceMethod::kScan;
+  NodeSequence all = coll_->Query(nullptr, "/m/s", scan).MoveValue().nodes;
+  ASSERT_EQ(all.size(), model.size());
+  for (size_t i = 0; i < all.size(); i++) {
+    auto text = coll_->SerializeSubtree(nullptr, doc, all[i].node_id);
+    ASSERT_TRUE(text.ok()) << i << ": " << text.status().ToString();
+    EXPECT_EQ(text.value(), model[i]) << i;
+  }
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll_), "");
+
+  ASSERT_TRUE(coll_->DeleteSubtree(nullptr, doc, a.value()).ok());
+  ASSERT_TRUE(coll_->DeleteSubtree(nullptr, doc, b.value()).ok());
+  EXPECT_EQ(Text(doc), SiblingsDoc(original));
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll_), "");
+}
+
 TEST_F(SubtreeOpsTest, ErrorCases) {
   uint64_t doc =
       coll_->InsertDocument(nullptr, "<a><b>t</b></a>").value();
@@ -646,9 +723,17 @@ TEST_F(SubtreeOpsTest, ErrorCases) {
   EXPECT_TRUE(coll_->InsertSubtree(nullptr, doc, a_id, b_id + "zz", "<x/>")
                   .status()
                   .IsNotFound());
-  // Fragment must be a single element.
+  // Fragment must be a single element. One with a comment beside its root
+  // parses, and is turned down before any index entry moves.
   EXPECT_FALSE(
       coll_->InsertSubtree(nullptr, doc, a_id, Slice(), "<x/><y/>").ok());
+  ASSERT_TRUE(coll_->CreateValueIndex({"a", "/a"}).ok());
+  EXPECT_EQ(coll_->InsertSubtree(nullptr, doc, a_id, Slice(), "<x/><!--c-->")
+                .status()
+                .code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll_), "");
+  EXPECT_EQ(Text(doc), "<a><b>t</b></a>");
   // MVCC collections decline subtree ops for now.
   CollectionOptions mvcc;
   mvcc.mvcc = true;
@@ -674,8 +759,9 @@ TEST_F(SubtreeOpsTest, DifferentialAgainstRebuiltDocument) {
       coll_->CreateValueIndex({"i", "//s/@i", ValueType::kDouble}).ok());
   ASSERT_TRUE(coll_->CreateStructuralIndex({"structure", ""}).ok());
   Random rng(808);
+  // Eight children: the first seven start out packed into one record.
   uint64_t doc =
-      coll_->InsertDocument(nullptr, "<m><s>seed</s></m>").value();
+      coll_->InsertDocument(nullptr, SiblingsDoc(SiblingTexts(8))).value();
   std::string m_id = nodeid::ChildId(1);
   // A random node matching `path` ("" when none does).
   auto pick = [&](const char* path) {

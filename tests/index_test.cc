@@ -214,8 +214,12 @@ TEST(NodeIdIndexScaleTest, ManyDocsLookupsStayScoped) {
   EXPECT_EQ(rid.value().page_id, 2u);
   EXPECT_FALSE(index.Lookup(50, nodeid::ChildId(7)).ok());  // past the last
   std::vector<Rid> recs;
-  ASSERT_TRUE(index.ListDocRecords(50, &recs).ok());
+  ASSERT_TRUE(index.ListDocRecords(50, Slice(), &recs).ok());
   EXPECT_EQ(recs.size(), 3u);
+  // A node-ID prefix bounds the listing to the intervals ending under it.
+  ASSERT_TRUE(index.ListDocRecords(50, nodeid::ChildId(3), &recs).ok());
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].page_id, 2u);
   ASSERT_TRUE(index.RemoveDocEntries(50).ok());
   EXPECT_FALSE(index.Lookup(50, nodeid::ChildId(1)).ok());
   EXPECT_TRUE(index.Lookup(51, nodeid::ChildId(1)).ok());

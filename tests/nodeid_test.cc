@@ -352,13 +352,13 @@ TEST_P(NodeIdIndexSweep, EveryNodeResolvesAndIntervalsAreOrdered) {
   // Interval entries: upper end points strictly increasing, and the distinct
   // RIDs cover exactly the records we inserted.
   std::vector<std::pair<std::string, Rid>> entries;
-  ASSERT_TRUE(index.ListDocEntries(1, &entries).ok());
+  ASSERT_TRUE(index.ListDocEntries(1, Slice(), &entries).ok());
   ASSERT_GE(entries.size(), inserted.size());
   for (size_t i = 1; i < entries.size(); i++) {
     EXPECT_LT(Compare(entries[i - 1].first, entries[i].first), 0) << i;
   }
   std::vector<Rid> listed;
-  ASSERT_TRUE(index.ListDocRecords(1, &listed).ok());
+  ASSERT_TRUE(index.ListDocRecords(1, Slice(), &listed).ok());
   std::set<std::pair<PageId, uint16_t>> want, got;
   for (const Rid& r : inserted) want.insert({r.page_id, r.slot});
   for (const Rid& r : listed) got.insert({r.page_id, r.slot});

@@ -368,32 +368,95 @@ TEST(ReplaceTextValueTest, MissingNodeFails) {
       ReplaceTextValue(record, bogus_id, "x").status().IsNotFound());
 }
 
-TEST(RecordSurgeryTest, BuildSubtreeEntryShape) {
+// The (kind, absolute ID) of every entry of a record, in record order.
+std::vector<std::pair<NodeKind, std::string>> RecordEntries(Slice record) {
+  std::vector<std::pair<NodeKind, std::string>> seen;
+  RecordWalker walker(record);
+  EXPECT_TRUE(walker.Init().ok());
+  for (;;) {
+    RecordWalker::Event ev;
+    EXPECT_TRUE(walker.Next(&ev).ok());
+    if (ev.type == RecordWalker::EventType::kDone) break;
+    if (ev.type == RecordWalker::EventType::kStart)
+      seen.emplace_back(ev.entry.kind, ev.entry.abs_id);
+  }
+  return seen;
+}
+
+TEST(RecordSurgeryTest, BuilderSubtreeModeShape) {
   NameDictionary dict;
   Parser parser(&dict);
   TokenWriter tokens;
   ASSERT_TRUE(parser.Parse("<n a=\"1\"><m>text</m></n>", &tokens).ok());
-  uint64_t nodes = 0;
-  std::string rel = nodeid::ChildId(5);
-  auto entry = BuildSubtreeEntry(tokens.data(), rel, &nodes);
-  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-  EXPECT_EQ(nodes, 4u);  // n, @a, m, text
-  // Wrap in a record and walk it.
+  SubtreeContext context;
+  context.parent_id = nodeid::ChildId(1) + nodeid::ChildId(2);
+  context.root_path = {{dict.Intern("r"), kEmptyNameId},
+                       {dict.Intern("p"), kEmptyNameId}};
+  context.namespaces = {{dict.Intern("x"), dict.Intern("urn:x")}};
+  context.root_rel = nodeid::ChildId(5);
+  const std::string root = context.parent_id + context.root_rel;
+  std::vector<PackedRecordOut> inner;
+  auto collect = [&](PackedRecordOut&& rec) {
+    inner.push_back(std::move(rec));
+    return Status::OK();
+  };
+
+  // Under the budget: one top record, the parent as context node and the
+  // fragment's root, numbered by the context, as its one subtree.
+  auto top = RecordBuilder().BuildSubtree(tokens.data(), context, collect);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_TRUE(inner.empty());
   RecordHeader header;
-  header.subtree_count = 1;
-  std::string record;
-  AppendRecordHeader(header, &record);
-  record += entry.value();
-  RecordWalker walker((Slice(record)));
-  ASSERT_TRUE(walker.Init().ok());
-  RecordWalker::Event ev;
-  ASSERT_TRUE(walker.Next(&ev).ok());
-  EXPECT_EQ(ev.entry.kind, NodeKind::kElement);
-  EXPECT_EQ(ev.entry.rel_id.ToString(), rel);
-  EXPECT_EQ(ev.entry.child_count, 2u);
+  Slice payload;
+  ASSERT_TRUE(ParseRecordHeader(top.value().bytes, &header, &payload).ok());
+  EXPECT_EQ(header.context_node_id.ToString(), context.parent_id);
+  ASSERT_EQ(header.root_path.size(), 2u);
+  EXPECT_EQ(header.root_path[1].local, context.root_path[1].local);
+  EXPECT_EQ(header.namespaces, context.namespaces);
+  EXPECT_EQ(header.subtree_count, 1u);
+  EXPECT_EQ(top.value().min_node_id, root);
+  auto entries = RecordEntries(top.value().bytes);
+  ASSERT_EQ(entries.size(), 4u);  // n, @a, m, text
+  EXPECT_EQ(entries[0], std::make_pair(NodeKind::kElement, root));
+  EXPECT_EQ(entries[1].second, root + nodeid::ChildId(1));
+  EXPECT_EQ(entries[3].first, NodeKind::kText);
+
+  // Over the budget: inner records are cut at the same budget as a
+  // document's; their headers extend the context's root path.
+  auto cut = RecordBuilder(RecordBuilderOptions{16})
+                 .BuildSubtree(tokens.data(), context, collect);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  ASSERT_FALSE(inner.empty());
+  ASSERT_TRUE(ParseRecordHeader(inner[0].bytes, &header, &payload).ok());
+  EXPECT_TRUE(nodeid::IsAncestor(root, header.context_node_id) ||
+              header.context_node_id == Slice(root));
+  ASSERT_GT(header.root_path.size(), 2u);
+  EXPECT_EQ(header.root_path[0].local, context.root_path[0].local);
+  EXPECT_EQ(dict.Name(header.root_path[2].local).value(), "n");
+  EXPECT_EQ(header.namespaces, context.namespaces);
+  uint64_t nodes = CountRecordNodes(cut.value().bytes).value();
+  for (const PackedRecordOut& rec : inner)
+    nodes += CountRecordNodes(rec.bytes).value();
+  EXPECT_EQ(nodes, 4u);
+
+  // A fragment is exactly one element.
+  const NameId x = dict.Intern("x");
+  TokenWriter two_roots, text_only, empty;
+  for (int i = 0; i < 2; i++) {
+    two_roots.StartElement(x);
+    two_roots.EndElement();
+  }
+  text_only.Text("t");
+  empty.StartDocument();
+  empty.EndDocument();
+  for (const TokenWriter* bad : {&two_roots, &text_only, &empty}) {
+    Status st =
+        RecordBuilder().BuildSubtree(bad->data(), context, collect).status();
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  }
 }
 
-TEST(RecordSurgeryTest, InsertProxyAndRemoveEntry) {
+TEST(RecordSurgeryTest, InsertEntryInsideAnElement) {
   NameDictionary dict;
   Parser parser(&dict);
   TokenWriter tokens;
@@ -408,70 +471,159 @@ TEST(RecordSurgeryTest, InsertProxyAndRemoveEntry) {
   std::string mid_rel;
   ASSERT_TRUE(nodeid::Between(nodeid::ChildId(1), nodeid::ChildId(2), &mid_rel)
                   .ok());
-  auto patched = InsertProxyEntry(records[0].bytes, a_id, mid_rel);
+  std::string proxy;
+  packfmt::AppendProxy(&proxy, mid_rel);
+  auto patched = InsertEntry(records[0].bytes, a_id, proxy);
   ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-  // Walk: a's child count is 3 and the proxy sits between b and d.
-  std::vector<std::pair<NodeKind, std::string>> seen;
-  RecordWalker walker((Slice(patched.value())));
-  ASSERT_TRUE(walker.Init().ok());
-  for (;;) {
-    RecordWalker::Event ev;
-    ASSERT_TRUE(walker.Next(&ev).ok());
-    if (ev.type == RecordWalker::EventType::kDone) break;
-    if (ev.type == RecordWalker::EventType::kStart)
-      seen.emplace_back(ev.entry.kind, ev.entry.abs_id);
-  }
+  auto seen = RecordEntries(patched.value());
   ASSERT_EQ(seen.size(), 4u);
   EXPECT_EQ(seen[0].second, a_id);
   EXPECT_EQ(seen[1].second, b_id);
-  EXPECT_EQ(seen[2].first, NodeKind::kProxy);
-  EXPECT_EQ(seen[2].second, a_id + mid_rel);
+  EXPECT_EQ(seen[2], std::make_pair(NodeKind::kProxy, a_id + mid_rel));
   EXPECT_EQ(seen[3].second, d_id);
+  RecordWalker walker((Slice(patched.value())));
+  ASSERT_TRUE(walker.Init().ok());
+  RecordWalker::Event first;
+  ASSERT_TRUE(walker.Next(&first).ok());
+  EXPECT_EQ(first.entry.child_count, 3u);
+  EXPECT_EQ(walker.header().subtree_count, 1u);
 
   // Interval computation now splits at the proxy.
   std::vector<std::string> uppers;
   ASSERT_TRUE(ComputeNodeIdIntervals(patched.value(), &uppers).ok());
   EXPECT_EQ(uppers.size(), 2u);
 
-  // Remove <b>: count back to 2 (proxy still there).
-  bool empty = false;
-  auto removed = RemoveEntry(patched.value(), b_id, &empty);
-  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
-  EXPECT_FALSE(empty);
-  RecordWalker w2((Slice(removed.value())));
-  ASSERT_TRUE(w2.Init().ok());
-  RecordWalker::Event first;
-  ASSERT_TRUE(w2.Next(&first).ok());
-  EXPECT_EQ(first.entry.child_count, 2u);
+  // A new last child goes at the end of the list.
+  std::string tail;
+  packfmt::AppendProxy(&tail, nodeid::ChildId(9));
+  auto appended = InsertEntry(patched.value(), a_id, tail);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_EQ(RecordEntries(appended.value()).back().second,
+            a_id + nodeid::ChildId(9));
 
-  // Removing a non-existent node fails.
-  EXPECT_TRUE(RemoveEntry(records[0].bytes, a_id + nodeid::ChildId(9), nullptr)
+  // The parent must be in the record.
+  EXPECT_TRUE(InsertEntry(records[0].bytes, b_id + nodeid::ChildId(1), proxy)
                   .status()
                   .IsNotFound());
 }
 
-TEST(RecordSurgeryTest, AppendAsLastChild) {
+TEST(RecordSurgeryTest, InsertEntryAtTopLevel) {
+  // A top record of <p>'s child <b> (context = p); the top entry of a
+  // second fragment, <c>, goes after it and a proxy before both.
+  NameDictionary dict;
+  Parser parser(&dict);
+  TokenWriter b_tokens, c_tokens;
+  ASSERT_TRUE(parser.Parse("<b>1</b>", &b_tokens).ok());
+  ASSERT_TRUE(parser.Parse("<c>2</c>", &c_tokens).ok());
+  SubtreeContext context;
+  context.parent_id = nodeid::ChildId(1);
+  context.root_path = {{dict.Intern("p"), kEmptyNameId}};
+  auto emit = [](PackedRecordOut&&) { return Status::OK(); };
+  context.root_rel = nodeid::ChildId(3);
+  std::string record =
+      RecordBuilder().BuildSubtree(b_tokens.data(), context, emit)
+          .MoveValue()
+          .bytes;
+  context.root_rel = nodeid::ChildId(5);
+  PackedRecordOut c =
+      RecordBuilder().BuildSubtree(c_tokens.data(), context, emit).MoveValue();
+  RecordHeader c_header;
+  Slice c_entry;
+  ASSERT_TRUE(ParseRecordHeader(c.bytes, &c_header, &c_entry).ok());
+
+  // Positions follow the relative IDs: 1 (the proxy), 3 (b), 5 (c).
+  auto patched = InsertEntry(record, context.parent_id, c_entry);
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  std::string first;
+  packfmt::AppendProxy(&first, nodeid::ChildId(1));
+  patched = InsertEntry(patched.value(), context.parent_id, first);
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  RecordHeader header;
+  Slice payload;
+  ASSERT_TRUE(ParseRecordHeader(patched.value(), &header, &payload).ok());
+  EXPECT_EQ(header.subtree_count, 3u);
+  auto seen = RecordEntries(patched.value());
+  ASSERT_EQ(seen.size(), 5u);  // proxy, b, text, c, text
+  EXPECT_EQ(seen[0].second, context.parent_id + nodeid::ChildId(1));
+  EXPECT_EQ(seen[1].second, context.parent_id + nodeid::ChildId(3));
+  EXPECT_EQ(seen[3].second, context.parent_id + nodeid::ChildId(5));
+  std::vector<std::string> uppers;
+  ASSERT_TRUE(ComputeNodeIdIntervals(patched.value(), &uppers).ok());
+  EXPECT_EQ(uppers.size(), 1u);  // b and c are one contiguous run
+}
+
+TEST(RecordSurgeryTest, RemoveEntryReportsAnEmptyRecord) {
   NameDictionary dict;
   Parser parser(&dict);
   TokenWriter tokens;
-  ASSERT_TRUE(parser.Parse("<a><b/></a>", &tokens).ok());
-  auto records = PackDocument(tokens.data()).MoveValue();
-  std::string a_id = nodeid::ChildId(1);
-  std::string tail_rel = nodeid::ChildId(9);
-  auto patched = InsertProxyEntry(records[0].bytes, a_id, tail_rel);
-  ASSERT_TRUE(patched.ok());
-  std::vector<std::string> ids;
-  RecordWalker walker((Slice(patched.value())));
+  ASSERT_TRUE(parser.Parse("<b><c/>t</b>", &tokens).ok());
+  SubtreeContext context;
+  context.parent_id = nodeid::ChildId(1);
+  context.root_path = {{dict.Intern("p"), kEmptyNameId}};
+  context.root_rel = nodeid::ChildId(3);
+  std::string record =
+      RecordBuilder()
+          .BuildSubtree(tokens.data(), context,
+                        [](PackedRecordOut&&) { return Status::OK(); })
+          .MoveValue()
+          .bytes;
+  const std::string b_id = context.parent_id + context.root_rel;
+
+  // A nested entry: the record keeps b, whose child count drops.
+  bool empty = true;
+  auto removed = RemoveEntry(record, b_id + nodeid::ChildId(1), &empty);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_FALSE(empty);
+  RecordWalker walker((Slice(removed.value())));
   ASSERT_TRUE(walker.Init().ok());
-  for (;;) {
-    RecordWalker::Event ev;
-    ASSERT_TRUE(walker.Next(&ev).ok());
-    if (ev.type == RecordWalker::EventType::kDone) break;
-    if (ev.type == RecordWalker::EventType::kStart)
-      ids.push_back(ev.entry.abs_id);
+  RecordWalker::Event ev;
+  ASSERT_TRUE(walker.Next(&ev).ok());
+  EXPECT_EQ(ev.entry.child_count, 1u);
+
+  // The only top-level subtree: nothing resident is left.
+  removed = RemoveEntry(removed.value(), b_id, &empty);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_TRUE(empty);
+  RecordHeader header;
+  Slice payload;
+  ASSERT_TRUE(ParseRecordHeader(removed.value(), &header, &payload).ok());
+  EXPECT_EQ(header.subtree_count, 0u);
+  EXPECT_TRUE(payload.empty());
+
+  // Removing a non-existent node fails.
+  EXPECT_TRUE(RemoveEntry(record, b_id + nodeid::ChildId(9), nullptr)
+                  .status()
+                  .IsNotFound());
+}
+
+// A proxy must resolve to a record holding its node. Removing a record of
+// packed children (and its NodeID entries) plants both ways it can fail:
+// the children's lookups land in a record that lacks them, or in the
+// parent's own record, which holds them only as proxies.
+TEST(StoredDocSourceTest, UnresolvedProxyIsCorruption) {
+  for (int children : {20, 12}) {
+    PackedDocFixture fx(150);
+    std::string xml = "<m>";
+    for (int i = 0; i < children; i++)
+      xml += "<s>value-number-" + std::to_string(i) + "</s>";
+    xml += "</m>";
+    ASSERT_TRUE(fx.Store(1, xml).ok());
+    const std::string m = nodeid::ChildId(1);
+    const std::string first = m + nodeid::ChildId(1);
+    Rid packed = fx.index_->Lookup(1, first).value();
+    Rid root = fx.index_->Lookup(1, "").value();
+    ASSERT_NE(packed, root) << "the children were not packed";
+    std::string bytes;
+    ASSERT_TRUE(fx.records_->Get(packed, &bytes).ok());
+    ASSERT_TRUE(fx.index_->RemoveRecord(1, bytes, packed).ok());
+    ASSERT_TRUE(fx.records_->Delete(packed).ok());
+    // 20 children: a later packed record; 12: the root record.
+    Rid lands = fx.index_->Lookup(1, first).value();
+    EXPECT_EQ(lands == root, children == 12);
+    auto read = fx.ReadBack(1);
+    EXPECT_TRUE(read.status().IsCorruption())
+        << children << ": " << read.status().ToString();
   }
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(ids.back(), a_id + tail_rel);
 }
 
 TEST(ShreddedStoreTest, RoundTripMatchesPacked) {
