@@ -10,13 +10,18 @@
 //
 // The write side prices maintenance: the same inserts with and without a
 // covering structural index, so the delta is exactly the per-document
-// derive-and-insert of (name, doc, pre) -> (post, level, node) entries.
+// derive-and-insert of [name][doc][node ID] entries; and a steady-size
+// insert+delete churn with value and structural indexes, counting B+tree
+// descents per write pair.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "engine/engine.h"
 #include "util/workload.h"
 
@@ -137,6 +142,63 @@ void BM_DeepInsertStructuralIndex(benchmark::State& state) {
   RunInsert(state, true);
 }
 BENCHMARK(BM_DeepInsertStructuralIndex);
+
+// Write-path maintenance at a steady collection size: each iteration
+// inserts one catalog document and deletes the oldest of kLive, with 0, 1
+// or 2 value indexes and without or with the all-names structural index.
+// `btree_descents` is the exact work behind the time: root-to-leaf walks
+// over all of the collection's trees per insert+delete pair.
+void BM_DocumentChurn(benchmark::State& state) {
+  const int value_indexes = static_cast<int>(state.range(0));
+  const bool structural = state.range(1) != 0;
+  constexpr int kLive = 32;
+  Random rng(47);
+  workload::CatalogOptions copts;
+  copts.categories = 2;
+  copts.products_per_category = 20;
+  std::vector<std::string> docs;
+  for (int i = 0; i < 16; i++)
+    docs.push_back(workload::GenCatalogXml(&rng, copts));
+
+  EngineOptions eopts;
+  eopts.in_memory = true;
+  eopts.enable_wal = false;
+  auto engine = Engine::Open(eopts).MoveValue();
+  Collection* coll = engine->CreateCollection("churn").value();
+  const ValueIndexDef defs[] = {
+      {"regprice", "/Catalog/Categories/Product/RegPrice",
+       ValueType::kDecimal, 128},
+      {"name", "/Catalog/Categories/Product/ProductName", ValueType::kString,
+       64}};
+  for (int i = 0; i < value_indexes; i++)
+    if (!coll->CreateValueIndex(defs[i]).ok()) std::abort();
+  if (structural && !coll->CreateStructuralIndex({"structure", ""}).ok())
+    std::abort();
+  size_t next = 0;
+  auto insert = [&] {
+    auto doc = coll->InsertDocument(nullptr, docs[next++ % docs.size()]);
+    if (!doc.ok()) std::abort();
+    return doc.value();
+  };
+  std::deque<uint64_t> live;
+  for (int i = 0; i < kLive; i++) live.push_back(insert());
+
+  const uint64_t descents_before =
+      engine->MetricsSnapshot().Value("btree.descents");
+  for (auto _ : state) {
+    live.push_back(insert());
+    if (!coll->DeleteDocument(nullptr, live.front()).ok()) std::abort();
+    live.pop_front();
+  }
+  state.counters["btree_descents"] = benchmark::Counter(
+      static_cast<double>(engine->MetricsSnapshot().Value("btree.descents") -
+                          descents_before),
+      benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DocumentChurn)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgNames({"value_indexes", "structural"});
 
 }  // namespace
 }  // namespace bench

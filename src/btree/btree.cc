@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/coding.h"
+#include "obs/metrics.h"
 #include "storage/record_manager.h"  // for PageType tags
 
 namespace xdb {
@@ -102,6 +103,18 @@ uint32_t TotalFree(const char* p, uint32_t page_size) {
   return page_size - kHeader - nslots * kSlotSize - live;
 }
 
+// True when `need` bytes fit, after a compaction if need be. The free gap
+// in front of the cells is part of the total, so only a short gap pays for
+// the walk over every slot.
+bool HasRoom(const char* p, uint32_t page_size, uint32_t need) {
+  return ContiguousFree(p) >= need || TotalFree(p, page_size) >= need;
+}
+
+// Largest leaf cell: two must fit on a page so a split always makes room.
+uint32_t MaxLeafCell(uint32_t page_size) {
+  return (page_size - kHeader) / 2 - 2 * kSlotSize;
+}
+
 void CompactPage(char* p, uint32_t page_size) {
   uint16_t nslots = GetNumSlots(p);
   std::string copies;
@@ -131,15 +144,21 @@ void InitPage(char* p, uint32_t page_size, bool leaf) {
   SetLink(p, kInvalidPageId);
 }
 
-// First slot whose cell compares >= (key, value); nslots if none.
-Result<uint16_t> LowerBound(const char* p, bool leaf, Slice key, Slice value) {
-  uint16_t lo = 0, hi = GetNumSlots(p);
+bool ReadCell(const char* p, uint16_t slot, bool leaf, CellView* out) {
+  uint16_t off, len;
+  ReadSlot(p, slot, &off, &len);
+  return ParseCell(p, off, len, leaf, out);
+}
+
+// First slot at or after `lo` whose cell compares >= (key, value); nslots
+// if none.
+Result<uint16_t> LowerBound(const char* p, bool leaf, Slice key, Slice value,
+                            uint16_t lo = 0) {
+  uint16_t hi = GetNumSlots(p);
   while (lo < hi) {
     uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
-    uint16_t off, len;
-    ReadSlot(p, mid, &off, &len);
     CellView cell;
-    if (!ParseCell(p, off, len, leaf, &cell))
+    if (!ReadCell(p, mid, leaf, &cell))
       return Status::Corruption("bad btree cell");
     if (CompareComposite(cell.key, cell.value, key, value) < 0) {
       lo = static_cast<uint16_t>(mid + 1);
@@ -176,20 +195,54 @@ void RemoveSlotAt(char* p, uint16_t pos) {
   SetNumSlots(p, static_cast<uint16_t>(nslots - 1));
 }
 
-}  // namespace
-
-Result<std::unique_ptr<BTree>> BTree::Create(BufferManager* bm) {
-  XDB_ASSIGN_OR_RETURN(PageHandle page, bm->NewPage());
-  InitPage(page.MutableData(), bm->page_size(), /*leaf=*/true);
-  return std::unique_ptr<BTree>(new BTree(bm, page.page_id()));
+// The child of internal page `p` whose range holds (key, value): the child
+// of the last separator <= the target, or the leftmost child. *upper is the
+// slot of the separator bounding that child from above (nslots if none),
+// which is also where the separator of a split of that child goes.
+Status ChildFor(const char* p, Slice key, Slice value, PageId* child,
+                uint16_t* upper) {
+  XDB_ASSIGN_OR_RETURN(uint16_t pos, LowerBound(p, false, key, value));
+  CellView cell;
+  if (pos < GetNumSlots(p)) {
+    if (!ReadCell(p, pos, false, &cell))
+      return Status::Corruption("bad internal cell");
+    if (CompareComposite(cell.key, cell.value, key, value) == 0) {
+      *child = cell.child;
+      *upper = static_cast<uint16_t>(pos + 1);
+      return Status::OK();
+    }
+  }
+  *upper = pos;
+  if (pos == 0) {
+    *child = GetLink(p);
+    return Status::OK();
+  }
+  if (!ReadCell(p, static_cast<uint16_t>(pos - 1), false, &cell))
+    return Status::Corruption("bad internal cell");
+  *child = cell.child;
+  return Status::OK();
 }
 
-Result<std::unique_ptr<BTree>> BTree::Open(BufferManager* bm, PageId root) {
+}  // namespace
+
+Result<std::unique_ptr<BTree>> BTree::Create(BufferManager* bm,
+                                             obs::Counter* descents) {
+  XDB_ASSIGN_OR_RETURN(PageHandle page, bm->NewPage());
+  InitPage(page.MutableData(), bm->page_size(), /*leaf=*/true);
+  return std::unique_ptr<BTree>(new BTree(bm, page.page_id(), descents));
+}
+
+Result<std::unique_ptr<BTree>> BTree::Open(BufferManager* bm, PageId root,
+                                           obs::Counter* descents) {
   XDB_ASSIGN_OR_RETURN(PageHandle page, bm->FixPage(root));
   uint8_t type = static_cast<uint8_t>(page.data()[0]);
   if (type != kBtreeLeafPage && type != kBtreeInternalPage)
     return Status::Corruption("root is not a btree page");
-  return std::unique_ptr<BTree>(new BTree(bm, root));
+  return std::unique_ptr<BTree>(new BTree(bm, root, descents));
+}
+
+void BTree::CountDescent() {
+  if (descents_ != nullptr) descents_->Add();
 }
 
 Status BTree::InsertRec(PageId page_id, Slice key, Slice value,
@@ -201,40 +254,9 @@ Status BTree::InsertRec(PageId page_id, Slice key, Slice value,
   const bool leaf = IsLeaf(page.data());
 
   if (!leaf) {
-    // Descend: rightmost child whose separator <= (key, value).
-    const char* p = page.data();
-    XDB_ASSIGN_OR_RETURN(uint16_t pos, LowerBound(p, false, key, value));
     PageId child;
     uint16_t ins_pos;
-    // pos = first separator >= target. Check for equality to descend right.
-    bool exact = false;
-    if (pos < GetNumSlots(p)) {
-      uint16_t off, len;
-      ReadSlot(p, pos, &off, &len);
-      CellView cell;
-      if (!ParseCell(p, off, len, false, &cell))
-        return Status::Corruption("bad internal cell");
-      exact = CompareComposite(cell.key, cell.value, key, value) == 0;
-    }
-    if (exact) {
-      uint16_t off, len;
-      ReadSlot(p, pos, &off, &len);
-      CellView cell;
-      ParseCell(p, off, len, false, &cell);
-      child = cell.child;
-      ins_pos = static_cast<uint16_t>(pos + 1);
-    } else if (pos == 0) {
-      child = GetLink(p);
-      ins_pos = 0;
-    } else {
-      uint16_t off, len;
-      ReadSlot(p, static_cast<uint16_t>(pos - 1), &off, &len);
-      CellView cell;
-      if (!ParseCell(p, off, len, false, &cell))
-        return Status::Corruption("bad internal cell");
-      child = cell.child;
-      ins_pos = pos;
-    }
+    XDB_RETURN_NOT_OK(ChildFor(page.data(), key, value, &child, &ins_pos));
     page.Release();
 
     SplitResult child_split;
@@ -247,7 +269,7 @@ Status BTree::InsertRec(PageId page_id, Slice key, Slice value,
     std::string cell_bytes;
     AppendCell(&cell_bytes, child_split.sep_key, child_split.sep_value,
                /*leaf=*/false, child_split.right);
-    if (TotalFree(mp, page_size) >= cell_bytes.size() + kSlotSize) {
+    if (HasRoom(mp, page_size, cell_bytes.size() + kSlotSize)) {
       InsertCellAt(mp, page_size, ins_pos, cell_bytes);
       return Status::OK();
     }
@@ -262,10 +284,8 @@ Status BTree::InsertRec(PageId page_id, Slice key, Slice value,
     uint16_t nslots = GetNumSlots(mp);
     entries.reserve(nslots + 1);
     for (uint16_t i = 0; i < nslots; i++) {
-      uint16_t off, len;
-      ReadSlot(mp, i, &off, &len);
       CellView cell;
-      if (!ParseCell(mp, off, len, false, &cell))
+      if (!ReadCell(mp, i, false, &cell))
         return Status::Corruption("bad internal cell");
       entries.push_back(
           {cell.key.ToString(), cell.value.ToString(), cell.child});
@@ -307,20 +327,17 @@ Status BTree::InsertRec(PageId page_id, Slice key, Slice value,
   char* p = page.MutableData();
   XDB_ASSIGN_OR_RETURN(uint16_t pos, LowerBound(p, true, key, value));
   if (pos < GetNumSlots(p)) {
-    uint16_t off, len;
-    ReadSlot(p, pos, &off, &len);
     CellView cell;
-    if (!ParseCell(p, off, len, true, &cell))
+    if (!ReadCell(p, pos, true, &cell))
       return Status::Corruption("bad leaf cell");
     if (CompareComposite(cell.key, cell.value, key, value) == 0)
       return Status::OK();  // idempotent
   }
   std::string cell_bytes;
   AppendCell(&cell_bytes, key, value, /*leaf=*/true, kInvalidPageId);
-  const uint32_t max_cell = (page_size - kHeader) / 2 - 2 * kSlotSize;
-  if (cell_bytes.size() > max_cell)
+  if (cell_bytes.size() > MaxLeafCell(page_size))
     return Status::InvalidArgument("btree entry too large for page");
-  if (TotalFree(p, page_size) >= cell_bytes.size() + kSlotSize) {
+  if (HasRoom(p, page_size, cell_bytes.size() + kSlotSize)) {
     InsertCellAt(p, page_size, pos, cell_bytes);
     return Status::OK();
   }
@@ -333,10 +350,8 @@ Status BTree::InsertRec(PageId page_id, Slice key, Slice value,
   InitPage(rp, page_size, /*leaf=*/true);
   SetLink(rp, GetLink(p));
   for (uint16_t i = split_at; i < nslots; i++) {
-    uint16_t off, len;
-    ReadSlot(p, i, &off, &len);
     CellView cell;
-    if (!ParseCell(p, off, len, true, &cell))
+    if (!ReadCell(p, i, true, &cell))
       return Status::Corruption("bad leaf cell");
     std::string cb;
     AppendCell(&cb, cell.key, cell.value, true, kInvalidPageId);
@@ -354,10 +369,8 @@ Status BTree::InsertRec(PageId page_id, Slice key, Slice value,
                  cell_bytes);
   }
   // Separator = first composite of the right page.
-  uint16_t off, len;
-  ReadSlot(rp, 0, &off, &len);
   CellView first;
-  if (!ParseCell(rp, off, len, true, &first))
+  if (!ReadCell(rp, 0, true, &first))
     return Status::Corruption("bad leaf cell after split");
   out->split = true;
   out->sep_key = first.key.ToString();
@@ -383,6 +396,7 @@ Status BTree::SplitRoot(const SplitResult& split) {
 }
 
 Status BTree::Insert(Slice key, Slice value) {
+  CountDescent();
   SplitResult split;
   XDB_RETURN_NOT_OK(InsertRec(root_, key, value, &split));
   if (split.split) XDB_RETURN_NOT_OK(SplitRoot(split));
@@ -390,102 +404,106 @@ Status BTree::Insert(Slice key, Slice value) {
 }
 
 Status BTree::Delete(Slice key, Slice value) {
+  const Entry entry{key, value};
+  return ApplySorted(BatchOp::kDelete, std::span<const Entry>(&entry, 1));
+}
+
+Result<PageHandle> BTree::FindLeaf(Slice key, Slice value, Fence* fence) {
+  CountDescent();
   PageId page_id = root_;
   for (;;) {
     XDB_ASSIGN_OR_RETURN(PageHandle page, bm_->FixPage(page_id));
     const char* p = page.data();
-    if (IsLeaf(p)) {
-      XDB_ASSIGN_OR_RETURN(uint16_t pos, LowerBound(p, true, key, value));
-      if (pos >= GetNumSlots(p)) return Status::NotFound();
-      uint16_t off, len;
-      ReadSlot(p, pos, &off, &len);
+    if (IsLeaf(p)) return page;
+    uint16_t upper;
+    XDB_RETURN_NOT_OK(ChildFor(p, key, value, &page_id, &upper));
+    // A separator found deeper is the tighter bound.
+    if (fence != nullptr && upper < GetNumSlots(p)) {
       CellView cell;
-      if (!ParseCell(p, off, len, true, &cell))
-        return Status::Corruption("bad leaf cell");
-      if (CompareComposite(cell.key, cell.value, key, value) != 0)
-        return Status::NotFound();
-      RemoveSlotAt(page.MutableData(), pos);
-      return Status::OK();
-    }
-    XDB_ASSIGN_OR_RETURN(uint16_t pos, LowerBound(p, false, key, value));
-    bool exact = false;
-    if (pos < GetNumSlots(p)) {
-      uint16_t off, len;
-      ReadSlot(p, pos, &off, &len);
-      CellView cell;
-      if (!ParseCell(p, off, len, false, &cell))
+      if (!ReadCell(p, upper, false, &cell))
         return Status::Corruption("bad internal cell");
-      exact = CompareComposite(cell.key, cell.value, key, value) == 0;
-      if (exact) page_id = cell.child;
-    }
-    if (!exact) {
-      if (pos == 0) {
-        page_id = GetLink(p);
-      } else {
-        uint16_t off, len;
-        ReadSlot(p, static_cast<uint16_t>(pos - 1), &off, &len);
-        CellView cell;
-        if (!ParseCell(p, off, len, false, &cell))
-          return Status::Corruption("bad internal cell");
-        page_id = cell.child;
-      }
+      fence->bounded = true;
+      fence->key.assign(cell.key.data(), cell.key.size());
+      fence->value.assign(cell.value.data(), cell.value.size());
     }
   }
+}
+
+Status BTree::ApplySorted(BatchOp op, std::span<const Entry> entries) {
+  const uint32_t page_size = bm_->page_size();
+  for (size_t i = 1; i < entries.size(); i++) {
+    if (CompareComposite(entries[i - 1].key, entries[i - 1].value,
+                         entries[i].key, entries[i].value) > 0)
+      return Status::InvalidArgument("btree batch is not sorted");
+  }
+  size_t i = 0;
+  while (i < entries.size()) {
+    Fence fence;
+    XDB_ASSIGN_OR_RETURN(
+        PageHandle leaf, FindLeaf(entries[i].key, entries[i].value, &fence));
+    // Every slot before `from` holds a pair below the next entry.
+    uint16_t from = 0;
+    bool spill = false;
+    for (; i < entries.size(); i++) {
+      const Entry& e = entries[i];
+      if (fence.bounded && CompareComposite(e.key, e.value, Slice(fence.key),
+                                            Slice(fence.value)) >= 0)
+        break;  // past this leaf: descend again
+      const char* p = leaf.data();
+      XDB_ASSIGN_OR_RETURN(uint16_t pos,
+                           LowerBound(p, true, e.key, e.value, from));
+      from = pos;
+      bool exact = false;
+      if (pos < GetNumSlots(p)) {
+        CellView cell;
+        if (!ReadCell(p, pos, true, &cell))
+          return Status::Corruption("bad leaf cell");
+        exact = CompareComposite(cell.key, cell.value, e.key, e.value) == 0;
+      }
+      if (op == BatchOp::kDelete) {
+        if (!exact) return Status::NotFound();
+        RemoveSlotAt(leaf.MutableData(), pos);
+        continue;
+      }
+      if (exact) continue;  // idempotent
+      std::string cell_bytes;
+      AppendCell(&cell_bytes, e.key, e.value, /*leaf=*/true, kInvalidPageId);
+      if (cell_bytes.size() > MaxLeafCell(page_size))
+        return Status::InvalidArgument("btree entry too large for page");
+      if (!HasRoom(p, page_size, cell_bytes.size() + kSlotSize)) {
+        spill = true;
+        break;
+      }
+      InsertCellAt(leaf.MutableData(), page_size, pos, cell_bytes);
+    }
+    if (!spill) continue;
+    // The leaf is full: this pair splits it exactly as a lone Insert would.
+    leaf.Release();
+    XDB_RETURN_NOT_OK(Insert(entries[i].key, entries[i].value));
+    i++;
+  }
+  return Status::OK();
 }
 
 Result<BTree::Iterator> BTree::Seek(Slice key, Slice value) {
   Iterator it;
   it.tree_ = this;
-  PageId page_id = root_;
-  for (;;) {
-    XDB_ASSIGN_OR_RETURN(PageHandle page, bm_->FixPage(page_id));
-    const char* p = page.data();
-    if (IsLeaf(p)) {
-      XDB_ASSIGN_OR_RETURN(uint16_t pos, LowerBound(p, true, key, value));
-      it.page_ = std::move(page);
-      it.slot_ = pos;
-      it.valid_ = true;
-      if (pos >= GetNumSlots(it.page_.data())) {
-        XDB_RETURN_NOT_OK(it.AdvanceLeaf());
-      } else {
-        XDB_RETURN_NOT_OK(it.LoadSlot());
-      }
-      return it;
-    }
-    XDB_ASSIGN_OR_RETURN(uint16_t pos, LowerBound(p, false, key, value));
-    bool exact = false;
-    if (pos < GetNumSlots(p)) {
-      uint16_t off, len;
-      ReadSlot(p, pos, &off, &len);
-      CellView cell;
-      if (!ParseCell(p, off, len, false, &cell))
-        return Status::Corruption("bad internal cell");
-      exact = CompareComposite(cell.key, cell.value, key, value) == 0;
-      if (exact) page_id = cell.child;
-    }
-    if (!exact) {
-      if (pos == 0) {
-        page_id = GetLink(p);
-      } else {
-        uint16_t off, len;
-        ReadSlot(p, static_cast<uint16_t>(pos - 1), &off, &len);
-        CellView cell;
-        if (!ParseCell(p, off, len, false, &cell))
-          return Status::Corruption("bad internal cell");
-        page_id = cell.child;
-      }
-    }
+  XDB_ASSIGN_OR_RETURN(it.page_, FindLeaf(key, value, nullptr));
+  XDB_ASSIGN_OR_RETURN(it.slot_, LowerBound(it.page_.data(), true, key, value));
+  it.valid_ = true;
+  if (it.slot_ >= GetNumSlots(it.page_.data())) {
+    XDB_RETURN_NOT_OK(it.AdvanceLeaf());
+  } else {
+    XDB_RETURN_NOT_OK(it.LoadSlot());
   }
+  return it;
 }
 
 Result<BTree::Iterator> BTree::SeekToFirst() { return Seek(Slice(), Slice()); }
 
 Status BTree::Iterator::LoadSlot() {
-  const char* p = page_.data();
-  uint16_t off, len;
-  ReadSlot(p, slot_, &off, &len);
   CellView cell;
-  if (!ParseCell(p, off, len, true, &cell))
+  if (!ReadCell(page_.data(), slot_, true, &cell))
     return Status::Corruption("bad leaf cell in iterator");
   key_ = cell.key;
   value_ = cell.value;
@@ -541,10 +559,8 @@ Result<BtreeStats> BTree::ComputeStats() {
         next.push_back(GetLink(p));
         uint16_t nslots = GetNumSlots(p);
         for (uint16_t i = 0; i < nslots; i++) {
-          uint16_t off, len;
-          ReadSlot(p, i, &off, &len);
           CellView cell;
-          if (!ParseCell(p, off, len, false, &cell))
+          if (!ReadCell(p, i, false, &cell))
             return Status::Corruption("bad internal cell");
           next.push_back(cell.child);
         }

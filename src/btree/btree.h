@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,10 @@
 #include "storage/page.h"
 
 namespace xdb {
+
+namespace obs {
+class Counter;
+}  // namespace obs
 
 struct BtreeStats {
   uint64_t entries = 0;
@@ -32,10 +37,13 @@ class BTree {
  public:
   /// Creates an empty tree; the root page id is stable for the tree's
   /// lifetime (splits rewrite the root in place), so owners can persist it.
-  static Result<std::unique_ptr<BTree>> Create(BufferManager* bm);
+  /// `descents`, when given, counts every root-to-leaf walk (btree.descents).
+  static Result<std::unique_ptr<BTree>> Create(
+      BufferManager* bm, obs::Counter* descents = nullptr);
 
   /// Attaches to an existing tree rooted at `root`.
-  static Result<std::unique_ptr<BTree>> Open(BufferManager* bm, PageId root);
+  static Result<std::unique_ptr<BTree>> Open(
+      BufferManager* bm, PageId root, obs::Counter* descents = nullptr);
 
   PageId root() const { return root_; }
 
@@ -45,6 +53,22 @@ class BTree {
 
   /// Removes one exact (key, value) pair. NotFound if absent.
   Status Delete(Slice key, Slice value);
+
+  /// One (key, value) pair of a batch; views the caller's bytes.
+  struct Entry {
+    Slice key;
+    Slice value;
+  };
+  enum class BatchOp { kInsert, kDelete };
+
+  /// Applies `entries`, ascending in (key, value) order, exactly as Insert or
+  /// Delete would one at a time: an existing pair inserts as a no-op, and a
+  /// missing pair stops a delete batch with NotFound (the pairs before it
+  /// are gone). One descent serves every pair below the leaf's upper fence,
+  /// each searched from the previous pair's slot; a pair that does not fit
+  /// goes through Insert, so leaves split as they would one at a time.
+  /// Unsorted input is InvalidArgument.
+  Status ApplySorted(BatchOp op, std::span<const Entry> entries);
 
   /// True if at least one entry with exactly `key` exists.
   Result<bool> Contains(Slice key);
@@ -82,7 +106,8 @@ class BTree {
   Result<Iterator> SeekToFirst();
 
  private:
-  BTree(BufferManager* bm, PageId root) : bm_(bm), root_(root) {}
+  BTree(BufferManager* bm, PageId root, obs::Counter* descents)
+      : bm_(bm), root_(root), descents_(descents) {}
 
   struct SplitResult {
     bool split = false;
@@ -90,11 +115,23 @@ class BTree {
     PageId right = kInvalidPageId;
   };
 
+  /// The smallest separator above a leaf's range seen on the way down;
+  /// unbounded for the rightmost leaf.
+  struct Fence {
+    bool bounded = false;
+    std::string key, value;
+  };
+
+  /// Walks from the root to the leaf whose range holds (key, value), counting
+  /// one descent; fills `fence` when given.
+  Result<PageHandle> FindLeaf(Slice key, Slice value, Fence* fence);
   Status InsertRec(PageId page_id, Slice key, Slice value, SplitResult* out);
   Status SplitRoot(const SplitResult& split);
+  void CountDescent();
 
   BufferManager* bm_;
   PageId root_;
+  obs::Counter* descents_;
 };
 
 }  // namespace xdb

@@ -64,23 +64,6 @@ std::string DocKey(uint64_t doc_id) {
   return key;
 }
 
-/// Nodes one document contributes to the collection's node-count statistic
-/// (elements, attributes, text). One cheap pass over the token buffer; a
-/// parse error just under-counts (the estimate self-corrects on churn).
-uint64_t CountStatNodes(Slice tokens) {
-  TokenReader reader(tokens);
-  Token t;
-  uint64_t n = 0;
-  for (;;) {
-    auto more = reader.Next(&t);
-    if (!more.ok() || !more.value()) break;
-    if (t.kind == TokenKind::kStartElement || t.kind == TokenKind::kAttribute ||
-        t.kind == TokenKind::kText)
-      n++;
-  }
-  return n;
-}
-
 /// The evaluation stage's one fan-out: runs eval(i, out) for every
 /// candidate i in [0, n) and appends to `result` in candidate order. Lists
 /// query::PartitionForParallelism leaves unsplit run serially on this
@@ -141,43 +124,16 @@ Status ScanInto(const xpath::QueryTree* tree, uint64_t doc_id,
   return Status::OK();
 }
 
-/// The context stream of an edit region: a start event per chain element
-/// (root first), then `inner`'s events (the subtree; null without one),
-/// then the chain's end events. Linear, predicate-free index paths match
-/// on it exactly as on the whole document; only the chain's string values
-/// are partial.
-class ContextStreamSource : public XmlEventSource {
- public:
-  ContextStreamSource(const std::vector<StoredPathStep>* chain,
-                      std::unique_ptr<XmlEventSource> inner)
-      : chain_(chain), inner_(std::move(inner)) {}
-
-  Result<bool> Next(XmlEvent* event) override {
-    const size_t n = chain_->size();
-    if (started_ < n) return Chain(started_++, true, event);
-    if (inner_ != nullptr) {
-      XDB_ASSIGN_OR_RETURN(bool more, inner_->Next(event));
-      if (more) return true;
-      inner_ = nullptr;
-    }
-    return ended_ < n && Chain(n - ++ended_, false, event);
-  }
-
- private:
-  bool Chain(size_t i, bool start, XmlEvent* event) {
-    *event = XmlEvent();
-    event->type = start ? XmlEvent::Type::kStartElement
-                        : XmlEvent::Type::kEndElement;
-    event->local = (*chain_)[i].local;
-    event->ns_uri = (*chain_)[i].ns_uri;
-    event->node_id = Slice((*chain_)[i].node_id);
-    return true;
-  }
-
-  const std::vector<StoredPathStep>* chain_;
-  std::unique_ptr<XmlEventSource> inner_;
-  size_t started_ = 0, ended_ = 0;
-};
+/// The start (or end) event of one chain element of an edit region.
+XmlEvent ChainEvent(const StoredPathStep& step, bool start) {
+  XmlEvent ev;
+  ev.type =
+      start ? XmlEvent::Type::kStartElement : XmlEvent::Type::kEndElement;
+  ev.local = step.local;
+  ev.ns_uri = step.ns_uri;
+  ev.node_id = Slice(step.node_id);
+  return ev;
+}
 
 }  // namespace
 
@@ -237,9 +193,10 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   RecordBuilderOptions rb_options;
   rb_options.record_budget = record_budget_;
   RecordBuilder builder(rb_options);
+  NodeIdEntries entries;  // the document's intervals, for its own RIDs
   Status st = builder.Build(tokens, [&](PackedRecordOut&& rec) -> Status {
     XDB_ASSIGN_OR_RETURN(Rid rid, records_->Insert(rec.bytes));
-    XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, rec.bytes, rid));
+    XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, rec.bytes, rid, &entries));
     if (meta_.mvcc_enabled) {
       XDB_RETURN_NOT_OK(
           versions_->AddRecord(doc_id, version, rec.bytes, rid));
@@ -248,73 +205,123 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   });
   XDB_RETURN_NOT_OK(st);
   XDB_RETURN_NOT_OK(docid_tree_->Insert(DocKey(doc_id), Slice()));
+  // Records are emitted bottom-up; the locator wants node-ID order.
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  DocEntriesLocator locator(doc_id, &entries);
   // Index maintenance stays under the exclusive latch: dropping it here
   // would let concurrent queries scan an index while this document's
   // entries are half-written.
-  XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/false, tokens));
+  XDB_RETURN_NOT_OK(
+      IndexDocument(doc_id, {}, /*remove=*/false, &locator, tokens));
   // Statistics last, so a failed insert never counts. Runs for every insert
   // path — client writes, WAL replay, scrub salvage — which is what keeps
   // the incremental counters in step with the data.
-  stats_.NoteDocumentInserted(CountStatNodes(tokens));
+  stats_.NoteDocumentInserted(builder.stat_nodes());
   return doc_id;
 }
 
+Result<const xpath::QueryTree*> Collection::IndexPathTree(
+    OwnedValueIndex* owned) {
+  const size_t dict_size = engine_->dict()->size();
+  if (owned->path_tree == nullptr || owned->path_dict_size != dict_size) {
+    XDB_ASSIGN_OR_RETURN(xpath::Path path,
+                         xpath::ParsePath(owned->index->def().path));
+    XDB_ASSIGN_OR_RETURN(
+        std::unique_ptr<xpath::QueryTree> tree,
+        xpath::QueryTree::Compile(path, *engine_->dict(),
+                                  /*want_result_values=*/true));
+    owned->path_tree = std::move(tree);
+    owned->path_dict_size = dict_size;
+  }
+  return owned->path_tree.get();
+}
+
 Status Collection::IndexDocument(uint64_t doc_id, const EditRegion& region,
-                                 bool remove, Slice fresh_tokens,
-                                 IndexScope scope) {
+                                 bool remove, NodeLocator* locator,
+                                 Slice fresh_tokens, IndexScope scope) {
   // "Index keys for the node ID index and XPath value indexes are generated
-  // per record" in the paper; here keys are generated in one streaming pass
-  // per value index over the region, then mapped to record RIDs through
-  // the NodeID index. Only a fresh insert may read its token stream: a
-  // token round trip of a stored document renumbers Between()-allocated IDs
+  // per record" in the paper; here one streaming pass over the region
+  // generates the keys of every index, and hits map to record RIDs through
+  // `locator`. Only a fresh insert may read its token stream: a token round
+  // trip of a stored document renumbers Between()-allocated IDs
   // canonically, naming nodes the document does not have.
-  if (value_indexes_.empty() && structural_indexes_.empty())
-    return Status::OK();
-  StoredTreeNavigator nav(records_.get(), node_index_.get(), doc_id);
+  std::vector<ValueIndex*> value;
+  std::vector<xpath::QuickXScan> scans;
+  scans.reserve(value_indexes_.size());
+  for (auto& owned : value_indexes_) {
+    if (!scope.all() && owned.index.get() != scope.value) continue;
+    XDB_ASSIGN_OR_RETURN(const xpath::QueryTree* tree, IndexPathTree(&owned));
+    value.push_back(owned.index.get());
+    scans.emplace_back(tree, doc_id);
+  }
+  // A chain element keeps its structural entry (its node ID is stable);
+  // only its span moves, by the subtree's element count.
+  std::vector<StructuralIndex*> structural;
+  if (region.subtree) {
+    for (auto& owned : structural_indexes_) {
+      if (scope.all() || owned.index.get() == scope.structural)
+        structural.push_back(owned.index.get());
+    }
+  }
+  if (scans.empty() && structural.empty()) return Status::OK();
+  if (locator == nullptr) locator = node_index_.get();
+  StoredTreeNavigator nav(records_.get(), locator, doc_id);
   std::vector<StoredPathStep> chain;
   XDB_RETURN_NOT_OK(nav.Path(Slice(region.node_id), &chain));
   if (!chain.empty() &&
       (region.subtree || chain.back().kind != NodeKind::kElement))
     chain.pop_back();  // keep the element ancestors(-or-self)
-  auto open_subtree = [&]() -> std::unique_ptr<XmlEventSource> {
-    if (!region.subtree) return nullptr;
-    if (!fresh_tokens.empty())
-      return std::make_unique<TokenStreamSource>(fresh_tokens);
-    return std::make_unique<StoredDocSource>(records_.get(), node_index_.get(),
-                                             doc_id, region.node_id);
+
+  // The region's events: a start event per chain element (root first), the
+  // subtree's events, then the chain's end events. Linear, predicate-free
+  // index paths match on them exactly as on the whole document; only the
+  // chain's string values are partial.
+  for (xpath::QuickXScan& scan : scans) scan.Begin();
+  auto feed = [&](const XmlEvent& ev) -> Status {
+    for (xpath::QuickXScan& scan : scans) XDB_RETURN_NOT_OK(scan.Feed(ev));
+    return Status::OK();
   };
-  for (auto& owned : value_indexes_) {
-    ValueIndex* index = owned.index.get();
-    if (!scope.all() && index != scope.value) continue;
-    ContextStreamSource source(&chain, open_subtree());
-    XDB_ASSIGN_OR_RETURN(
-        NodeSequence hits,
-        xpath::EvaluateXPath(index->def().path, *engine_->dict(), &source,
-                             doc_id, /*want_values=*/true));
+  for (const StoredPathStep& step : chain)
+    XDB_RETURN_NOT_OK(feed(ChainEvent(step, /*start=*/true)));
+  StructuralDeriver deriver;
+  if (region.subtree) {
+    std::unique_ptr<XmlEventSource> source;
+    if (!fresh_tokens.empty()) {
+      source = std::make_unique<TokenStreamSource>(fresh_tokens);
+    } else {
+      source = std::make_unique<StoredDocSource>(records_.get(), locator,
+                                                 doc_id, region.node_id);
+    }
+    XmlEvent ev;
+    for (;;) {
+      XDB_ASSIGN_OR_RETURN(bool more, source->Next(&ev));
+      if (!more) break;
+      XDB_RETURN_NOT_OK(feed(ev));
+      if (!structural.empty()) XDB_RETURN_NOT_OK(deriver.Feed(ev));
+    }
+  }
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it)
+    XDB_RETURN_NOT_OK(feed(ChainEvent(*it, /*start=*/false)));
+
+  for (size_t i = 0; i < scans.size(); i++) {
+    NodeSequence hits;
+    XDB_RETURN_NOT_OK(scans[i].Finish(&hits));
     for (ResultNode& hit : hits) {
       Slice node_id(hit.node_id);
       // A chain element's scanned value misses the text outside the region.
       if (!region.subtree || !node_id.StartsWith(Slice(region.node_id))) {
         XDB_ASSIGN_OR_RETURN(hit.string_value, nav.StringValue(node_id));
       }
-      XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, node_id));
+      XDB_ASSIGN_OR_RETURN(Rid rid, locator->Lookup(doc_id, node_id));
       Slice key(hit.string_value);
-      XDB_RETURN_NOT_OK(remove ? index->Remove(key, doc_id, node_id, rid)
-                               : index->Add(key, doc_id, node_id, rid));
+      XDB_RETURN_NOT_OK(remove ? value[i]->Remove(key, doc_id, node_id, rid)
+                               : value[i]->Add(key, doc_id, node_id, rid));
     }
   }
-  // One derivation pass over the subtree serves every structural index. A
-  // chain element keeps its entry (its node ID is stable); only its span
-  // moves, by the subtree's element count.
-  std::vector<StructuralIndex*> structural;
-  for (auto& owned : structural_indexes_) {
-    if (scope.all() || owned.index.get() == scope.structural)
-      structural.push_back(owned.index.get());
-  }
-  if (structural.empty() || !region.subtree) return Status::OK();
-  std::unique_ptr<XmlEventSource> source = open_subtree();
+  if (structural.empty()) return Status::OK();
   std::vector<StructuralEntry> entries;
-  XDB_RETURN_NOT_OK(DeriveStructuralEntries(source.get(), &entries));
+  XDB_RETURN_NOT_OK(deriver.Finish(&entries));
   std::vector<NameId> ancestors;
   for (const StoredPathStep& step : chain) ancestors.push_back(step.local);
   for (StructuralIndex* index : structural)
@@ -325,8 +332,13 @@ Status Collection::IndexDocument(uint64_t doc_id, const EditRegion& region,
 
 Status Collection::Backfill(IndexScope scope) {
   XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
-  for (uint64_t doc_id : docs)
-    XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/false, {}, scope));
+  NodeIdEntries entries;
+  for (uint64_t doc_id : docs) {
+    XDB_RETURN_NOT_OK(node_index_->ListDocEntries(doc_id, Slice(), &entries));
+    DocEntriesLocator locator(doc_id, &entries);
+    XDB_RETURN_NOT_OK(
+        IndexDocument(doc_id, {}, /*remove=*/false, &locator, {}, scope));
+  }
   return Status::OK();
 }
 
@@ -375,26 +387,29 @@ Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
     XDB_RETURN_NOT_OK(engine_->LogDelete(meta_.name, doc_id));
     // Index-entry removal and record deletion happen under one exclusive
     // latch section so queries never observe postings pointing at freed
-    // records.
+    // records. One listing of the document's NodeID entries serves all
+    // three: the postings' RIDs, the records to free and the entries.
     WriterMutexLock latch(latch_);
-    XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/true));
-    return DeleteDocumentLocked(doc_id);
+    NodeIdEntries entries;
+    XDB_RETURN_NOT_OK(node_index_->ListDocEntries(doc_id, Slice(), &entries));
+    DocEntriesLocator locator(doc_id, &entries);
+    XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/true, &locator));
+    return DeleteDocumentLocked(doc_id, entries);
   }();
   return at.Finish(st);
 }
 
-Status Collection::DeleteDocumentLocked(uint64_t doc_id) {
+Status Collection::DeleteDocumentLocked(uint64_t doc_id,
+                                        const NodeIdEntries& entries) {
   std::set<uint64_t> rids;
-  std::vector<Rid> current;
-  XDB_RETURN_NOT_OK(node_index_->ListDocRecords(doc_id, Slice(), &current));
-  for (Rid r : current) rids.insert(r.Pack());
+  for (const auto& [upper, rid] : entries) rids.insert(rid.Pack());
   if (meta_.mvcc_enabled) {
     std::vector<Rid> freed;
     XDB_RETURN_NOT_OK(versions_->PurgeVersionsBefore(
         doc_id, std::numeric_limits<uint64_t>::max(), &freed));
     for (Rid r : freed) rids.insert(r.Pack());
   }
-  XDB_RETURN_NOT_OK(node_index_->RemoveDocEntries(doc_id));
+  XDB_RETURN_NOT_OK(node_index_->RemoveDocEntries(doc_id, entries));
   for (uint64_t packed : rids) {
     XDB_RETURN_NOT_OK(records_->Delete(Rid::Unpack(packed)));
   }
@@ -696,8 +711,9 @@ Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
       if (owned.index->def().name == def.name)
         return Status::InvalidArgument("index '" + def.name + "' exists");
     }
-    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                         BTree::Create(buffer_.get()));
+    XDB_ASSIGN_OR_RETURN(
+        std::unique_ptr<BTree> tree,
+        BTree::Create(buffer_.get(), engine_->btree_descents()));
     auto index = std::make_unique<ValueIndex>(def, tree.get());
     ValueIndex* raw = index.get();
     // Stats listener first, so the backfill below is counted too. This bumps
@@ -706,7 +722,7 @@ Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
     raw->set_stats_listener(stats_.NoteIndexCreated(def.name));
     meta_.value_indexes.push_back(ValueIndexMeta{def, tree->root()});
     value_indexes_.push_back(
-        OwnedValueIndex{std::move(tree), std::move(index)});
+        OwnedValueIndex{std::move(tree), std::move(index), nullptr, 0});
 
     // Backfill from existing documents, still under the exclusive latch so a
     // concurrent query never plans against a half-backfilled index.
@@ -784,8 +800,9 @@ Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
         return Status::InvalidArgument("structural index '" + def.name +
                                        "' exists");
     }
-    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                         BTree::Create(buffer_.get()));
+    XDB_ASSIGN_OR_RETURN(
+        std::unique_ptr<BTree> tree,
+        BTree::Create(buffer_.get(), engine_->btree_descents()));
     auto index = std::make_unique<StructuralIndex>(def, tree.get());
     StructuralIndex* raw = index.get();
     // Stats listener first, so the backfill below is counted too. Bumps the
@@ -1479,9 +1496,10 @@ Status Collection::BuildStorage(bool create) {
   // Opens the tree at *root (a new one when creating or when no root was
   // ever recorded) and records its root back into meta_.
   auto open_tree = [&](PageId* root) -> Result<std::unique_ptr<BTree>> {
+    obs::Counter* descents = engine_->btree_descents();
     auto tree = create || *root == kInvalidPageId
-                    ? BTree::Create(buffer_.get())
-                    : BTree::Open(buffer_.get(), *root);
+                    ? BTree::Create(buffer_.get(), descents)
+                    : BTree::Open(buffer_.get(), *root, descents);
     if (tree.ok()) *root = tree.value()->root();
     return tree;
   };
@@ -1501,7 +1519,7 @@ Status Collection::BuildStorage(bool create) {
     auto index = std::make_unique<ValueIndex>(vi.def, tree.get());
     index->set_stats_listener(stats_.ListenerFor(vi.def.name));
     value_indexes_.push_back(
-        OwnedValueIndex{std::move(tree), std::move(index)});
+        OwnedValueIndex{std::move(tree), std::move(index), nullptr, 0});
   }
   std::vector<const StructuralIndex*> rebuild;
   for (StructuralIndexMeta& si : meta_.structural_indexes) {

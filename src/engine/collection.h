@@ -260,17 +260,24 @@ class Collection {
   Result<uint64_t> InsertTokensLocked(Transaction* txn, Slice tokens,
                                       uint64_t forced_doc_id)
       XDB_EXCLUDES(latch_);
-  Status DeleteDocumentLocked(uint64_t doc_id) XDB_REQUIRES(latch_);
+  /// Frees the document's records and drops its DocID entry and its NodeID
+  /// `entries`, listed once by the caller.
+  Status DeleteDocumentLocked(uint64_t doc_id, const NodeIdEntries& entries)
+      XDB_REQUIRES(latch_);
 
   /// The one index-maintenance path, for every write: removes `region`'s
   /// index entries before the records change (`remove`), adds them after.
   /// Chain elements keep their structural entries; their postings follow
-  /// their string values. `fresh_tokens` is a just-stored document's token
-  /// stream, whose canonical node IDs are the stored ones; empty, the
-  /// subtree is read from the records, so a remove finds what an add wrote.
+  /// their string values. One pass over the region's events feeds every
+  /// value index's scan and the structural deriver. `locator` resolves
+  /// hits and record reads to RIDs: a whole-document write passes its own
+  /// intervals; null uses the NodeID index. `fresh_tokens` is a
+  /// just-stored document's token stream, whose canonical node IDs are the
+  /// stored ones; empty, the subtree is read from the records, so a remove
+  /// finds what an add wrote.
   Status IndexDocument(uint64_t doc_id, const EditRegion& region, bool remove,
-                       Slice fresh_tokens = {}, IndexScope scope = {})
-      XDB_REQUIRES(latch_);
+                       NodeLocator* locator = nullptr, Slice fresh_tokens = {},
+                       IndexScope scope = {}) XDB_REQUIRES(latch_);
   /// DDL backfill of the one index `scope` names from every stored document.
   Status Backfill(IndexScope scope) XDB_REQUIRES(latch_);
 
@@ -411,7 +418,19 @@ class Collection {
   struct OwnedValueIndex {
     std::unique_ptr<BTree> tree;
     std::unique_ptr<ValueIndex> index;
+    /// The index path compiled for IndexDocument, and the dictionary size
+    /// it was compiled at (see IndexPathTree).
+    std::shared_ptr<const xpath::QueryTree> path_tree;
+    size_t path_dict_size = 0;
   };
+  /// `owned`'s compiled index path. Compiling resolves names through the
+  /// dictionary, and an index may be created before its names exist, so the
+  /// path is recompiled whenever the dictionary has grown. The dictionary
+  /// only grows after Engine::Open, so an equal size means equal contents.
+  /// Names are not interned at DDL time: a replica must assign IDs in WAL
+  /// order.
+  Result<const xpath::QueryTree*> IndexPathTree(OwnedValueIndex* owned)
+      XDB_REQUIRES(latch_);
   std::vector<OwnedValueIndex> value_indexes_;
   struct OwnedStructuralIndex {
     std::unique_ptr<BTree> tree;

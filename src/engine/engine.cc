@@ -69,6 +69,7 @@ Result<std::unique_ptr<Engine>> Engine::Open(const EngineOptions& options) {
       engine->metrics_.AddCounter("query.parallel_executions");
   engine->query_metrics_.latency_us = engine->metrics_.AddHistogram(
       "query.latency_us", obs::Histogram::LatencyBoundsUs());
+  engine->btree_descents_ = engine->metrics_.AddCounter("btree.descents");
   engine->plan_cache_counters_.hits =
       engine->metrics_.AddCounter("query.plan_cache.hits");
   engine->plan_cache_counters_.misses =
@@ -1079,6 +1080,7 @@ void Engine::CollectComponentMetrics(std::vector<obs::Metric>* out) const {
   BufferManagerStats buf;
   RecordManagerStats rec;
   IoStatsSnapshot io;
+  uint64_t space_pages = 0;
   size_t n_collections = 0;
   // Structural-index stats aggregated engine-wide (satellite of the wait
   // layer: surfaced as index.structural.*). Per-name posting counts are
@@ -1117,6 +1119,7 @@ void Engine::CollectComponentMetrics(std::vector<obs::Metric>* out) const {
         rec.corrupt_pages += r.corrupt_pages;
       }
       if (coll->space_ != nullptr) {
+        space_pages += coll->space_->page_count();
         IoStatsSnapshot s = coll->space_->io_stats();
         io.reads += s.reads;
         io.writes += s.writes;
@@ -1139,6 +1142,9 @@ void Engine::CollectComponentMetrics(std::vector<obs::Metric>* out) const {
   counter("record.overflow_records", rec.overflow_records);
   gauge("record.data_pages", rec.data_pages);
   gauge("record.live_records", rec.live_records);
+  // Every page of every table space, header and free list included: index
+  // pages as well as the record pages record.data_pages counts.
+  gauge("space.pages", space_pages);
   counter("record.corrupt_pages", rec.corrupt_pages);
   counter("io.reads", io.reads);
   counter("io.writes", io.writes);

@@ -214,6 +214,9 @@ class Engine {
     obs::Histogram* latency_us = nullptr;
   };
   const QueryMetrics& query_metrics() const { return query_metrics_; }
+  /// btree.descents: root-to-leaf walks over every B+tree of every
+  /// collection (Insert, Delete, Seek, each run of a sorted batch).
+  obs::Counter* btree_descents() const { return btree_descents_; }
 
   NameDictionary* dict() { return &dict_; }
   LockManager* locks() { return &locks_; }
@@ -333,6 +336,7 @@ class Engine {
   obs::WaitSink wait_sink_;
   obs::SlowQueryLog slow_queries_{128};
   QueryMetrics query_metrics_;
+  obs::Counter* btree_descents_ = nullptr;
   /// Engine-wide plan-cache counters (query.plan_cache.*), shared by every
   /// collection's cache; registered at Open alongside query_metrics_.
   query::PlanCache::Counters plan_cache_counters_;

@@ -8,30 +8,54 @@
 
 namespace xdb {
 
-Status NodeIdIndex::AddRecord(uint64_t doc_id, Slice record, Rid rid) {
+namespace {
+
+// The record's entries: one (interval upper end point, rid) per interval,
+// in node-ID order.
+Status RecordEntries(Slice record, Rid rid, NodeIdEntries* out) {
   std::vector<std::string> uppers;
   XDB_RETURN_NOT_OK(ComputeNodeIdIntervals(record, &uppers));
-  std::string value;
-  PutFixed64(&value, rid.Pack());
-  for (const std::string& upper : uppers) {
-    std::string key;
-    EncodeNodeIdKey(doc_id, upper, &key);
-    XDB_RETURN_NOT_OK(tree_->Insert(key, value));
+  for (std::string& upper : uppers) out->emplace_back(std::move(upper), rid);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Rid> DocEntriesLocator::Lookup(uint64_t doc_id, Slice node_id) {
+  if (doc_id != doc_id_) return Status::NotFound("no such document node");
+  auto it = std::lower_bound(
+      entries_->begin(), entries_->end(), node_id,
+      [](const auto& entry, Slice id) { return Slice(entry.first) < id; });
+  if (it == entries_->end()) return Status::NotFound("node id beyond document");
+  return it->second;
+}
+
+Status NodeIdIndex::Apply(BTree::BatchOp op, uint64_t doc_id,
+                          const NodeIdEntries& pairs) {
+  std::vector<std::string> keys(pairs.size()), values(pairs.size());
+  std::vector<BTree::Entry> batch;
+  batch.reserve(pairs.size());
+  for (size_t i = 0; i < pairs.size(); i++) {
+    EncodeNodeIdKey(doc_id, pairs[i].first, &keys[i]);
+    PutFixed64(&values[i], pairs[i].second.Pack());
+    batch.push_back({Slice(keys[i]), Slice(values[i])});
   }
+  return tree_->ApplySorted(op, batch);
+}
+
+Status NodeIdIndex::AddRecord(uint64_t doc_id, Slice record, Rid rid,
+                              NodeIdEntries* added) {
+  NodeIdEntries pairs;
+  XDB_RETURN_NOT_OK(RecordEntries(record, rid, &pairs));
+  XDB_RETURN_NOT_OK(Apply(BTree::BatchOp::kInsert, doc_id, pairs));
+  if (added != nullptr) added->insert(added->end(), pairs.begin(), pairs.end());
   return Status::OK();
 }
 
 Status NodeIdIndex::RemoveRecord(uint64_t doc_id, Slice record, Rid rid) {
-  std::vector<std::string> uppers;
-  XDB_RETURN_NOT_OK(ComputeNodeIdIntervals(record, &uppers));
-  std::string value;
-  PutFixed64(&value, rid.Pack());
-  for (const std::string& upper : uppers) {
-    std::string key;
-    EncodeNodeIdKey(doc_id, upper, &key);
-    XDB_RETURN_NOT_OK(tree_->Delete(key, value));
-  }
-  return Status::OK();
+  NodeIdEntries pairs;
+  XDB_RETURN_NOT_OK(RecordEntries(record, rid, &pairs));
+  return Apply(BTree::BatchOp::kDelete, doc_id, pairs);
 }
 
 Result<Rid> NodeIdIndex::Lookup(uint64_t doc_id, Slice node_id) {
@@ -47,9 +71,8 @@ Result<Rid> NodeIdIndex::Lookup(uint64_t doc_id, Slice node_id) {
   return Rid::Unpack(DecodeFixed64(it.value().data()));
 }
 
-Status NodeIdIndex::ListDocEntries(
-    uint64_t doc_id, Slice prefix,
-    std::vector<std::pair<std::string, Rid>>* out) {
+Status NodeIdIndex::ListDocEntries(uint64_t doc_id, Slice prefix,
+                                   NodeIdEntries* out) {
   out->clear();
   std::string key;
   EncodeNodeIdKey(doc_id, prefix, &key);
@@ -71,7 +94,7 @@ Status NodeIdIndex::ListDocEntries(
 Status NodeIdIndex::ListDocRecords(uint64_t doc_id, Slice prefix,
                                    std::vector<Rid>* out) {
   out->clear();
-  std::vector<std::pair<std::string, Rid>> entries;
+  NodeIdEntries entries;
   XDB_RETURN_NOT_OK(ListDocEntries(doc_id, prefix, &entries));
   for (auto& [upper, rid] : entries) {
     (void)upper;
@@ -81,16 +104,9 @@ Status NodeIdIndex::ListDocRecords(uint64_t doc_id, Slice prefix,
   return Status::OK();
 }
 
-Status NodeIdIndex::RemoveDocEntries(uint64_t doc_id) {
-  std::vector<std::pair<std::string, Rid>> entries;
-  XDB_RETURN_NOT_OK(ListDocEntries(doc_id, Slice(), &entries));
-  for (auto& [upper, rid] : entries) {
-    std::string key, value;
-    EncodeNodeIdKey(doc_id, upper, &key);
-    PutFixed64(&value, rid.Pack());
-    XDB_RETURN_NOT_OK(tree_->Delete(key, value));
-  }
-  return Status::OK();
+Status NodeIdIndex::RemoveDocEntries(uint64_t doc_id,
+                                     const NodeIdEntries& entries) {
+  return Apply(BTree::BatchOp::kDelete, doc_id, entries);
 }
 
 }  // namespace xdb

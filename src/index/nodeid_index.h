@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "btree/btree.h"
@@ -33,13 +34,36 @@ class NodeLocator {
   virtual Result<Rid> Lookup(uint64_t doc_id, Slice node_id) = 0;
 };
 
+/// One document's NodeID entries, (interval upper end, RID), in node-ID
+/// order.
+using NodeIdEntries = std::vector<std::pair<std::string, Rid>>;
+
+/// Resolves against a list of one document's entries instead of the B+tree,
+/// by the rule Lookup applies there: the first upper end >= the node ID. A
+/// write that knows its document's intervals (the records it just stored,
+/// or the entries it listed once) reads its own records without a descent.
+class DocEntriesLocator : public NodeLocator {
+ public:
+  /// `entries` must stay alive and unchanged while the locator is used.
+  DocEntriesLocator(uint64_t doc_id, const NodeIdEntries* entries)
+      : doc_id_(doc_id), entries_(entries) {}
+
+  Result<Rid> Lookup(uint64_t doc_id, Slice node_id) override;
+
+ private:
+  uint64_t doc_id_;
+  const NodeIdEntries* entries_;
+};
+
 class NodeIdIndex : public NodeLocator {
  public:
   explicit NodeIdIndex(BTree* tree) : tree_(tree) {}
 
   /// Computes the record's node-ID intervals and inserts one entry per
-  /// interval upper end point.
-  Status AddRecord(uint64_t doc_id, Slice record, Rid rid);
+  /// interval upper end point, appending each (upper, rid) to `added` when
+  /// given.
+  Status AddRecord(uint64_t doc_id, Slice record, Rid rid,
+                   NodeIdEntries* added = nullptr);
 
   /// Removes the record's interval entries (must be passed the same bytes).
   Status RemoveRecord(uint64_t doc_id, Slice record, Rid rid);
@@ -51,20 +75,23 @@ class NodeIdIndex : public NodeLocator {
   /// Lists a document's (interval upper, rid) pairs whose upper end point
   /// lies under the node-ID prefix `prefix` (the node or a descendant; an
   /// empty prefix is the whole document), in node-ID order.
-  Status ListDocEntries(uint64_t doc_id, Slice prefix,
-                        std::vector<std::pair<std::string, Rid>>* out);
+  Status ListDocEntries(uint64_t doc_id, Slice prefix, NodeIdEntries* out);
 
   /// Distinct RIDs of the records with an interval ending under `prefix`,
   /// in first-appearance order: every record of the subtree at `prefix`,
   /// plus the record holding `prefix` itself when its interval ends there.
   Status ListDocRecords(uint64_t doc_id, Slice prefix, std::vector<Rid>* out);
 
-  /// Drops every entry of the document (document deletion).
-  Status RemoveDocEntries(uint64_t doc_id);
+  /// Drops the listed entries of the document (ListDocEntries' output), as
+  /// one sorted batch: document deletion.
+  Status RemoveDocEntries(uint64_t doc_id, const NodeIdEntries& entries);
 
   BTree* tree() { return tree_; }
 
  private:
+  /// Inserts or deletes (doc, upper) -> rid for each pair, as one batch.
+  Status Apply(BTree::BatchOp op, uint64_t doc_id, const NodeIdEntries& pairs);
+
   BTree* tree_;
 };
 

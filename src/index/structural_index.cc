@@ -1,5 +1,9 @@
 #include "index/structural_index.h"
 
+#include <algorithm>
+#include <numeric>
+#include <unordered_map>
+
 #include "common/coding.h"
 #include "runtime/virtual_sax.h"
 
@@ -22,31 +26,29 @@ Status DecodeStructuralEntry(Slice key, Slice value, NameId* name_id,
   return Status::OK();
 }
 
-Status DeriveStructuralEntries(XmlEventSource* source,
-                               std::vector<StructuralEntry>* out) {
-  out->clear();
-  std::vector<size_t> open;  // indexes into *out of unclosed elements
-  XmlEvent ev;
-  for (;;) {
-    XDB_ASSIGN_OR_RETURN(bool more, source->Next(&ev));
-    if (!more) break;
-    if (ev.type == XmlEvent::Type::kStartElement) {
-      StructuralEntry e;
-      e.name_id = ev.local;
-      e.node_id = ev.node_id.ToString();
-      open.push_back(out->size());
-      out->push_back(std::move(e));
-    } else if (ev.type == XmlEvent::Type::kEndElement) {
-      if (open.empty())
-        return Status::Corruption("unbalanced end-element event");
-      // Elements listed after this one are exactly its descendants.
-      const size_t i = open.back();
-      (*out)[i].subtree_size = static_cast<uint32_t>(out->size() - i - 1);
-      open.pop_back();
-    }
+Status StructuralDeriver::Feed(const XmlEvent& ev) {
+  if (ev.type == XmlEvent::Type::kStartElement) {
+    StructuralEntry e;
+    e.name_id = ev.local;
+    e.node_id = ev.node_id.ToString();
+    open_.push_back(entries_.size());
+    entries_.push_back(std::move(e));
+  } else if (ev.type == XmlEvent::Type::kEndElement) {
+    if (open_.empty())
+      return Status::Corruption("unbalanced end-element event");
+    // Elements listed after this one are exactly its descendants.
+    const size_t i = open_.back();
+    entries_[i].subtree_size = static_cast<uint32_t>(entries_.size() - i - 1);
+    open_.pop_back();
   }
-  if (!open.empty())
+  return Status::OK();
+}
+
+Status StructuralDeriver::Finish(std::vector<StructuralEntry>* out) {
+  if (!open_.empty())
     return Status::Corruption("unclosed element in event stream");
+  *out = std::move(entries_);
+  entries_.clear();
   return Status::OK();
 }
 
@@ -54,27 +56,55 @@ Status StructuralIndex::Apply(const NameDictionary& dict, uint64_t doc_id,
                               const std::vector<StructuralEntry>& entries,
                               const std::vector<NameId>& ancestors,
                               bool remove) {
-  std::string key;
+  // Each distinct name is rendered once; its covered entries' stats are
+  // gathered in first-appearance order, the order one call per entry made.
+  struct Name {
+    std::string local;
+    bool covered;
+    std::vector<uint32_t> spans;  // of its covered entries, in order
+  };
+  std::vector<Name> names;
+  std::unordered_map<NameId, size_t> slot_of;
+  auto find = [&](NameId id) -> Result<Name*> {
+    auto [it, fresh] = slot_of.try_emplace(id, names.size());
+    if (fresh) {
+      XDB_ASSIGN_OR_RETURN(std::string local, dict.Name(id));
+      const bool covered = CoversName(local);
+      names.push_back(Name{std::move(local), covered, {}});
+    }
+    return &names[it->second];
+  };
+  std::vector<std::string> keys;
+  keys.reserve(entries.size());
   for (const StructuralEntry& e : entries) {
-    XDB_ASSIGN_OR_RETURN(std::string local, dict.Name(e.name_id));
-    if (!CoversName(local)) continue;
-    key.clear();
-    EncodeStructuralKey(e.name_id, doc_id, Slice(e.node_id), &key);
-    XDB_RETURN_NOT_OK(remove ? tree_->Delete(key, Slice())
-                             : tree_->Insert(key, Slice()));
-    if (stats_ == nullptr) continue;
+    XDB_ASSIGN_OR_RETURN(Name* name, find(e.name_id));
+    if (!name->covered) continue;
+    name->spans.push_back(e.subtree_size);
+    keys.emplace_back();
+    EncodeStructuralKey(e.name_id, doc_id, Slice(e.node_id), &keys.back());
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<BTree::Entry> batch;
+  batch.reserve(keys.size());
+  for (const std::string& key : keys) batch.push_back({Slice(key), Slice()});
+  XDB_RETURN_NOT_OK(tree_->ApplySorted(
+      remove ? BTree::BatchOp::kDelete : BTree::BatchOp::kInsert, batch));
+  if (stats_ == nullptr || entries.empty()) return Status::OK();
+  for (const Name& name : names) {
+    if (name.spans.empty()) continue;
     if (remove) {
-      stats_->OnElementRemoved(local, e.subtree_size);
+      stats_->OnElementsRemoved(name.local, name.spans);
     } else {
-      stats_->OnElementAdded(local, e.subtree_size);
+      stats_->OnElementsAdded(
+          name.local, name.spans.size(),
+          std::accumulate(name.spans.begin(), name.spans.end(), uint64_t{0}));
     }
   }
-  if (stats_ == nullptr || entries.empty()) return Status::OK();
   const int64_t delta = remove ? -static_cast<int64_t>(entries.size())
                                : static_cast<int64_t>(entries.size());
   for (NameId a : ancestors) {
-    XDB_ASSIGN_OR_RETURN(std::string local, dict.Name(a));
-    if (CoversName(local)) stats_->OnSpanMoved(local, delta);
+    XDB_ASSIGN_OR_RETURN(Name* name, find(a));
+    if (name->covered) stats_->OnSpanMoved(name->local, delta);
   }
   return Status::OK();
 }

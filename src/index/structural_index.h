@@ -16,6 +16,7 @@
 #define XDB_INDEX_STRUCTURAL_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,7 @@
 
 namespace xdb {
 
-class XmlEventSource;
+struct XmlEvent;
 
 /// Definition of one structural index.
 struct StructuralIndexDef {
@@ -50,21 +51,37 @@ struct StructuralEntry {
 /// local name. query::CollectionStats implements this to maintain its
 /// per-name count + average-span sketch (same pattern as
 /// ValueIndexStatsListener). Calls happen under the collection's exclusive
-/// latch; implementations must not call back into the index.
+/// latch; implementations must not call back into the index. One call
+/// covers all of one write's entries of a name, and must leave the stats
+/// as one call per entry would.
 class StructuralIndexStatsListener {
  public:
   virtual ~StructuralIndexStatsListener() = default;
-  virtual void OnElementAdded(Slice local_name, uint32_t subtree_size) = 0;
-  virtual void OnElementRemoved(Slice local_name, uint32_t subtree_size) = 0;
+  /// `n` entries of the name were added; their subtree sizes sum to
+  /// `span_sum`.
+  virtual void OnElementsAdded(Slice local_name, uint64_t n,
+                               uint64_t span_sum) = 0;
+  /// Entries of the name were removed, one subtree size each, in order.
+  virtual void OnElementsRemoved(Slice local_name,
+                                 std::span<const uint32_t> spans) = 0;
   /// An edit below an indexed element added (delta > 0) or removed elements.
   virtual void OnSpanMoved(Slice local_name, int64_t delta) = 0;
 };
 
-/// Lists the elements of one subtree's virtual-SAX events in document
-/// order, with their absolute node IDs (canonical ones from a token stream,
-/// the real stored ones from StoredDocSource) and descendant counts.
-Status DeriveStructuralEntries(XmlEventSource* source,
-                               std::vector<StructuralEntry>* out);
+/// Lists the elements of one subtree's virtual-SAX events, fed one at a
+/// time, in document order, with their absolute node IDs (canonical ones
+/// from a token stream, the real stored ones from StoredDocSource) and
+/// descendant counts. Events other than element starts and ends pass by.
+class StructuralDeriver {
+ public:
+  Status Feed(const XmlEvent& ev);
+  /// Checks that every element was closed and hands over the entries.
+  Status Finish(std::vector<StructuralEntry>* out);
+
+ private:
+  std::vector<StructuralEntry> entries_;
+  std::vector<size_t> open_;  // indexes into entries_ of unclosed elements
+};
 
 class StructuralIndex {
  public:
@@ -88,8 +105,9 @@ class StructuralIndex {
   /// Adds (or, with `remove`, deletes) one subtree's derived entries, and
   /// moves the span of each covered element of `ancestors` (the subtree
   /// root's element ancestors) by the subtree's element count. `dict`
-  /// renders local names for the stats listener. Per entry, an exact
-  /// (key, value) B+tree insert or delete.
+  /// renders each distinct local name once, for coverage and the stats
+  /// listener. The covered entries' keys go to the B+tree as one sorted
+  /// batch of exact (key, value) inserts or deletes.
   Status Apply(const NameDictionary& dict, uint64_t doc_id,
                const std::vector<StructuralEntry>& entries,
                const std::vector<NameId>& ancestors, bool remove);

@@ -38,8 +38,9 @@ class Builder {
 
   /// Packs `tokens`, emitting every record cut below frame 0; frame 0's
   /// record (the document's root record, or a fragment's top record) goes
-  /// to *top_record, left empty when frame 0 holds nothing.
-  Status Run(Slice tokens, PackedRecordOut* top_record);
+  /// to *top_record, left empty when frame 0 holds nothing. Counts the
+  /// element, attribute and text tokens into *stat_nodes.
+  Status Run(Slice tokens, PackedRecordOut* top_record, uint64_t* stat_nodes);
 
  private:
   Frame& top() { return stack_.back(); }
@@ -141,9 +142,11 @@ class Builder {
   std::vector<NsBinding> ns_stack_;
 };
 
-Status Builder::Run(Slice tokens, PackedRecordOut* top_record) {
+Status Builder::Run(Slice tokens, PackedRecordOut* top_record,
+                    uint64_t* stat_nodes) {
   TokenReader reader(tokens);
   Token t;
+  *stat_nodes = 0;
   // Frame 0 is the context node: the document node (id "", path empty), or
   // a fragment's parent, whose record's namespaces stay in scope. Seeded
   // innermost-last, they reach the top record's header in their order.
@@ -158,6 +161,9 @@ Status Builder::Run(Slice tokens, PackedRecordOut* top_record) {
   for (;;) {
     XDB_ASSIGN_OR_RETURN(bool more, reader.Next(&t));
     if (!more) break;
+    if (t.kind == TokenKind::kStartElement ||
+        t.kind == TokenKind::kAttribute || t.kind == TokenKind::kText)
+      ++*stat_nodes;
     switch (t.kind) {
       case TokenKind::kStartDocument:
       case TokenKind::kEndDocument:
@@ -235,7 +241,7 @@ Status Builder::Run(Slice tokens, PackedRecordOut* top_record) {
 Status RecordBuilder::Build(Slice tokens, const Emit& emit) {
   PackedRecordOut root;
   Builder builder(options_, emit, nullptr);
-  XDB_RETURN_NOT_OK(builder.Run(tokens, &root));
+  XDB_RETURN_NOT_OK(builder.Run(tokens, &root, &stat_nodes_));
   if (root.bytes.empty()) return Status::OK();
   return emit(std::move(root));
 }
@@ -244,7 +250,7 @@ Result<PackedRecordOut> RecordBuilder::BuildSubtree(
     Slice tokens, const SubtreeContext& context, const Emit& emit) {
   PackedRecordOut top;
   Builder builder(options_, emit, &context);
-  XDB_RETURN_NOT_OK(builder.Run(tokens, &top));
+  XDB_RETURN_NOT_OK(builder.Run(tokens, &top, &stat_nodes_));
   return top;
 }
 

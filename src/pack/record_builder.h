@@ -57,6 +57,10 @@ class RecordBuilder {
   /// order (descendant records before the records that proxy them).
   Status Build(Slice tokens, const Emit& emit);
 
+  /// Elements, attributes and text nodes the last Build or BuildSubtree
+  /// packed: a document's share of the collection's node-count statistic.
+  uint64_t stat_nodes() const { return stat_nodes_; }
+
   /// Packs a fragment with exactly one root element as the subtree `context`
   /// names. Records cut inside the fragment are emitted; the top record (the
   /// parent as context node, the fragment's root as its one subtree) is
@@ -67,6 +71,7 @@ class RecordBuilder {
 
  private:
   RecordBuilderOptions options_;
+  uint64_t stat_nodes_ = 0;
 };
 
 /// Convenience wrapper collecting all records.

@@ -89,35 +89,44 @@ struct CollectionStats::PerStructural final
     : public StructuralIndexStatsListener {
   explicit PerStructural(CollectionStats* owner_in) : owner(owner_in) {}
 
-  void OnElementAdded(Slice local_name, uint32_t subtree_size) override {
+  void OnElementsAdded(Slice local_name, uint64_t n,
+                       uint64_t span_sum) override {
+    if (n == 0) return;
     MutexLock lock(owner->mu_);
-    entries_added++;
-    entry_count++;
+    entries_added += n;
+    entry_count += n;
     std::string key = local_name.ToString();
     auto it = names.find(key);
     if (it == names.end()) {
       if (names.size() >= kMaxStructuralNames) {
-        other_count++;
+        other_count += n;
         return;
       }
       it = names.emplace(std::move(key), StructuralNameStats{}).first;
     }
-    it->second.count++;
-    it->second.span_sum += subtree_size;
+    it->second.count += n;
+    it->second.span_sum += span_sum;
   }
 
-  void OnElementRemoved(Slice local_name, uint32_t subtree_size) override {
+  void OnElementsRemoved(Slice local_name,
+                         std::span<const uint32_t> spans) override {
     MutexLock lock(owner->mu_);
-    entries_removed++;
-    if (entry_count > 0) entry_count--;
+    entries_removed += spans.size();
+    entry_count -= std::min<uint64_t>(entry_count, spans.size());
+    size_t i = 0;
     auto it = names.find(local_name.ToString());
-    if (it == names.end()) {
-      if (other_count > 0) other_count--;
-      return;
+    if (it != names.end()) {
+      StructuralNameStats& s = it->second;
+      bool emptied = false;
+      while (i < spans.size() && !emptied) {
+        s.span_sum -= std::min<uint64_t>(s.span_sum, spans[i++]);
+        emptied = s.count > 0 && --s.count == 0;
+      }
+      if (emptied) names.erase(it);
     }
-    StructuralNameStats& s = it->second;
-    s.span_sum -= std::min<uint64_t>(s.span_sum, subtree_size);
-    if (s.count > 0 && --s.count == 0) names.erase(it);
+    // Removes past a tracked name's count, or of a pooled name, drain the
+    // pool.
+    other_count -= std::min<uint64_t>(other_count, spans.size() - i);
   }
 
   void OnSpanMoved(Slice local_name, int64_t delta) override {

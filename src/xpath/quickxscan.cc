@@ -277,12 +277,12 @@ void QuickXScan::MatchInstant(const XmlEvent& ev) {
   }
 }
 
-Status QuickXScan::OnEvent(const XmlEvent& ev) {
+Status QuickXScan::Feed(const XmlEvent& ev) {
   stats_.events++;
   switch (ev.type) {
     case XmlEvent::Type::kStartDocument:
     case XmlEvent::Type::kEndDocument:
-      return Status::OK();  // the root instance is managed by Run()
+      return Status::OK();  // the root instance is managed by Begin()
     case XmlEvent::Type::kStartElement:
       elem_depth_++;
       MatchElement(ev);
@@ -308,7 +308,7 @@ Status QuickXScan::OnEvent(const XmlEvent& ev) {
   return Status::Corruption("unknown event type");
 }
 
-Status QuickXScan::Run(XmlEventSource* source, NodeSequence* results) {
+void QuickXScan::Begin() {
   // Synthesize the root (document) instance so streams without document
   // events (subtree streams) still anchor absolute and relative paths.
   pool_.emplace_back();
@@ -318,13 +318,9 @@ Status QuickXScan::Run(XmlEventSource* source, NodeSequence* results) {
   stacks_[tree_->root()->id].push_back(root_instance_);
   live_instances_++;
   stats_.instances_created++;
+}
 
-  XmlEvent ev;
-  for (;;) {
-    XDB_ASSIGN_OR_RETURN(bool more, source->Next(&ev));
-    if (!more) break;
-    XDB_RETURN_NOT_OK(OnEvent(ev));
-  }
+Status QuickXScan::Finish(NodeSequence* results) {
   if (elem_depth_ != 0)
     return Status::Corruption("event stream ended with open elements");
 
@@ -338,6 +334,17 @@ Status QuickXScan::Run(XmlEventSource* source, NodeSequence* results) {
   NormalizeSequence(results);
   stats_.memory_bytes = pool_.size() * sizeof(Instance);
   return Status::OK();
+}
+
+Status QuickXScan::Run(XmlEventSource* source, NodeSequence* results) {
+  Begin();
+  XmlEvent ev;
+  for (;;) {
+    XDB_ASSIGN_OR_RETURN(bool more, source->Next(&ev));
+    if (!more) break;
+    XDB_RETURN_NOT_OK(Feed(ev));
+  }
+  return Finish(results);
 }
 
 Result<NodeSequence> EvaluateXPath(Slice path_expr, const NameDictionary& dict,

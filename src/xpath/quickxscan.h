@@ -47,8 +47,15 @@ class QuickXScan {
   /// concurrent scans may share it (see the re-entrancy note above).
   QuickXScan(const QueryTree* tree, uint64_t doc_id);
 
-  /// Consumes the whole event stream and appends matched result nodes (in
-  /// document order, duplicate-free) to `results`.
+  /// Push form, for a caller that feeds one event stream to several
+  /// consumers: Begin() once, Feed() every event in order, then Finish(),
+  /// which appends the matched result nodes (in document order,
+  /// duplicate-free) to `results`.
+  void Begin();
+  Status Feed(const XmlEvent& ev);
+  Status Finish(NodeSequence* results);
+
+  /// Pull form: Begin, Feed each event of `source`, Finish.
   Status Run(XmlEventSource* source, NodeSequence* results);
 
   const QuickXScanStats& stats() const { return stats_; }
@@ -68,7 +75,6 @@ class QuickXScan {
     std::vector<ResultNode> carried;  // validated at this level (sideways)
   };
 
-  Status OnEvent(const XmlEvent& ev);
   void MatchElement(const XmlEvent& ev);
   void MatchInstant(const XmlEvent& ev);
   Instance* FindAxisCandidate(const QueryNode* q, int depth, bool instant);

@@ -2,7 +2,9 @@
 // persistence, and a randomized differential test against std::multimap.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <set>
 
 #include "btree/btree.h"
 #include "common/random.h"
@@ -152,6 +154,116 @@ TEST_F(BtreeTest, RandomizedDifferentialAgainstStdMap) {
   }
   EXPECT_FALSE(it.Valid());
   EXPECT_EQ(mit, model.end());
+}
+
+// The sorted batch is the single-pair operations fused. After every batch
+// the tree iterates like a std::set model and like a twin tree fed one pair
+// at a time, and has the twin's shape, since a pair that does not fit
+// splits its leaf as a lone Insert would. Seeded from gtest's random seed,
+// so --gtest_shuffle --gtest_repeat walks new batches on every repeat.
+TEST_F(BtreeTest, SortedBatchMatchesSingleOps) {
+  const uint32_t seed = ::testing::UnitTest::GetInstance()->random_seed();
+  SCOPED_TRACE("gtest random seed " + std::to_string(seed));
+  Random rng(seed);
+  std::unique_ptr<BTree> twin = BTree::Create(bm_.get()).MoveValue();
+  using Pair = std::pair<std::string, std::string>;
+  std::set<Pair> model;
+  // ~100-byte keys in 16 clusters: a leaf holds ~30 pairs, so a few
+  // thousand make a three-level tree, and one batch lands in many leaves.
+  auto random_pair = [&] {
+    std::string key = "k" + std::to_string(rng.Uniform(16)) + "/" +
+                      std::string(60 + rng.Uniform(40), 'x') +
+                      std::to_string(rng.Uniform(1000000));
+    return Pair{key, std::to_string(rng.Uniform(4))};
+  };
+  auto pick = [&] {
+    auto it = model.begin();
+    std::advance(it, static_cast<long>(rng.Uniform(model.size())));
+    return *it;
+  };
+  auto apply = [](BTree* tree, BTree::BatchOp op,
+                  const std::vector<Pair>& pairs) {
+    std::vector<BTree::Entry> batch;
+    for (const Pair& p : pairs) batch.push_back({p.first, p.second});
+    return tree->ApplySorted(op, batch);
+  };
+  auto expect_matches = [&](const std::string& when) {
+    auto it = tree_->SeekToFirst().MoveValue();
+    auto tw = twin->SeekToFirst().MoveValue();
+    for (const Pair& want : model) {
+      ASSERT_TRUE(it.Valid() && tw.Valid()) << when;
+      ASSERT_EQ(it.key().ToString(), want.first) << when;
+      ASSERT_EQ(it.value().ToString(), want.second) << when;
+      ASSERT_EQ(tw.key().ToString(), want.first) << when;
+      ASSERT_EQ(tw.value().ToString(), want.second) << when;
+      ASSERT_TRUE(it.Next().ok());
+      ASSERT_TRUE(tw.Next().ok());
+    }
+    EXPECT_FALSE(it.Valid()) << when;
+    EXPECT_FALSE(tw.Valid()) << when;
+    BtreeStats a = tree_->ComputeStats().value();
+    BtreeStats b = twin->ComputeStats().value();
+    EXPECT_EQ(a.leaf_pages, b.leaf_pages) << when;
+    EXPECT_EQ(a.internal_pages, b.internal_pages) << when;
+    EXPECT_EQ(a.height, b.height) << when;
+  };
+
+  for (int round = 0; round < 12; round++) {
+    // Fresh pairs, plus a few already stored: those insert as no-ops.
+    std::set<Pair> added;
+    const size_t n = 200 + rng.Uniform(400);
+    while (added.size() < n) added.insert(random_pair());
+    for (int k = 0; k < 3 && !model.empty(); k++) added.insert(pick());
+    std::vector<Pair> batch(added.begin(), added.end());
+    ASSERT_TRUE(apply(tree_.get(), BTree::BatchOp::kInsert, batch).ok());
+    for (const Pair& p : batch)
+      ASSERT_TRUE(twin->Insert(p.first, p.second).ok());
+    model.insert(batch.begin(), batch.end());
+    expect_matches("insert round " + std::to_string(round));
+
+    // About a third of the stored pairs, scattered or in one run that
+    // empties whole leaves.
+    std::set<Pair> doomed;
+    if (round % 3 == 2) {
+      auto it = model.lower_bound(pick());
+      for (size_t k = 0; k < model.size() / 3 && it != model.end(); k++)
+        doomed.insert(*it++);
+    } else {
+      while (doomed.size() < model.size() / 3) doomed.insert(pick());
+    }
+    batch.assign(doomed.begin(), doomed.end());
+    ASSERT_TRUE(apply(tree_.get(), BTree::BatchOp::kDelete, batch).ok());
+    for (const Pair& p : batch) {
+      ASSERT_TRUE(twin->Delete(p.first, p.second).ok());
+      model.erase(p);
+    }
+    expect_matches("delete round " + std::to_string(round));
+  }
+  EXPECT_GE(tree_->ComputeStats().value().height, 3u);
+
+  // A delete batch stops with NotFound at a missing pair; the pairs before
+  // it are gone and the ones after it stay, as with one Delete per pair.
+  ASSERT_GE(model.size(), 3u);
+  auto it = model.lower_bound(pick());
+  if (std::distance(it, model.end()) < 3) it = model.begin();
+  const Pair a = *it++;
+  const Pair b = *it++;
+  const Pair c = *it;
+  const Pair missing{b.first, b.second + "!"};  // between b and c
+  EXPECT_TRUE(apply(tree_.get(), BTree::BatchOp::kDelete, {a, b, missing, c})
+                  .IsNotFound());
+  ASSERT_TRUE(twin->Delete(a.first, a.second).ok());
+  ASSERT_TRUE(twin->Delete(b.first, b.second).ok());
+  EXPECT_TRUE(twin->Delete(missing.first, missing.second).IsNotFound());
+  model.erase(a);
+  model.erase(b);
+  expect_matches("partial delete");
+
+  // Unsorted input is refused before anything changes.
+  EXPECT_TRUE(
+      apply(tree_.get(), BTree::BatchOp::kInsert, {c, random_pair(), a})
+          .code() == Status::Code::kInvalidArgument);
+  expect_matches("unsorted batch");
 }
 
 TEST_F(BtreeTest, RootPageIdStableAcrossSplits) {

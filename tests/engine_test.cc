@@ -96,6 +96,31 @@ TEST(EngineTest, DeleteDocumentCleansEverything) {
   EXPECT_EQ(res.nodes[0].doc_id, d2);
 }
 
+// An index created before its names exist. Its path is first compiled for
+// a document without `b`, while the dictionary does not know the name, so
+// the compiled path must be redone once `b` appears; kept as first
+// compiled, it would never post the second document.
+TEST(EngineTest, IndexPathNamesUnknownAtCreate) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(coll->CreateValueIndex({"b", "/a/b"}).ok());
+  ASSERT_TRUE(coll->InsertDocument(nullptr, "<a><c/></a>").ok());
+  ASSERT_TRUE(coll->InsertDocument(nullptr, "<a><b>1</b></a>").ok());
+  QueryOptions scan;
+  scan.force = ForceMethod::kScan;
+  auto scanned = coll->Query(nullptr, "/a[b = 1]", scan).MoveValue();
+  ASSERT_EQ(scanned.nodes.size(), 1u);
+  for (ForceMethod force : {ForceMethod::kAuto, ForceMethod::kDocIdList,
+                            ForceMethod::kNodeIdList}) {
+    QueryOptions options;
+    options.force = force;
+    auto planned = coll->Query(nullptr, "/a[b = 1]", options).MoveValue();
+    EXPECT_EQ(RenderIds(planned.nodes), RenderIds(scanned.nodes))
+        << static_cast<int>(force);
+  }
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
+}
+
 class QueryMethodsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -1128,7 +1153,8 @@ TEST(MetricsTest, SnapshotCoversEverySubsystem) {
   for (const char* name :
        {"buffer.hits", "buffer.misses", "buffer.evictions",
         "buffer.writebacks", "buffer.checksum_failures", "record.inserts",
-        "record.live_records", "record.data_pages", "io.reads", "io.writes",
+        "record.live_records", "record.data_pages", "space.pages",
+        "btree.descents", "io.reads", "io.writes",
         "io.syncs", "io.retries", "lock.acquisitions", "lock.deadlocks",
         "query.executions", "query.parallel_executions", "query.latency_us",
         "engine.collections", "events.emitted", "events.overwritten"}) {
@@ -1188,6 +1214,40 @@ TEST(MetricsTest, WalCommitMetricsAndEvents) {
     EXPECT_TRUE(saw_end);
     for (size_t i = 1; i < events.size(); i++)
       EXPECT_LT(events[i - 1].seq, events[i].seq);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// space.pages counts every table-space page, index pages included: after a
+// checkpoint it is the size of the collections' .xts files, in pages.
+TEST(MetricsTest, SpacePagesMatchTableSpaceFiles) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("xdb_space_pages_" + std::to_string(::getpid())))
+                        .string();
+  std::filesystem::remove_all(dir);
+  {
+    EngineOptions opts;
+    opts.dir = dir;
+    auto engine = Engine::Open(opts).MoveValue();
+    Collection* plain = engine->CreateCollection("plain").value();
+    Collection* indexed = engine->CreateCollection("indexed").value();
+    ASSERT_TRUE(indexed->CreateValueIndex({"b", "/a/b"}).ok());
+    ASSERT_TRUE(indexed->CreateStructuralIndex({"structure", ""}).ok());
+    for (int i = 0; i < 200; i++) {
+      std::string xml = "<a><b>" + std::to_string(i) + "</b><c/><c/></a>";
+      ASSERT_TRUE(plain->InsertDocument(nullptr, xml).ok());
+      ASSERT_TRUE(indexed->InsertDocument(nullptr, xml).ok());
+    }
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    uint64_t file_bytes = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+      if (entry.path().extension() == ".xts")
+        file_bytes += std::filesystem::file_size(entry.path());
+    obs::MetricsSnapshot snap = engine->MetricsSnapshot();
+    const uint64_t pages = snap.Value("space.pages");
+    EXPECT_EQ(pages * kDefaultPageSize, file_bytes);
+    // Index pages are in it; record.data_pages counts records only.
+    EXPECT_GT(pages, snap.Value("record.data_pages") + 2);
   }
   std::filesystem::remove_all(dir);
 }

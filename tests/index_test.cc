@@ -220,7 +220,22 @@ TEST(NodeIdIndexScaleTest, ManyDocsLookupsStayScoped) {
   ASSERT_TRUE(index.ListDocRecords(50, nodeid::ChildId(3), &recs).ok());
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].page_id, 2u);
-  ASSERT_TRUE(index.RemoveDocEntries(50).ok());
+  // A locator over the document's listed entries resolves as the B+tree
+  // does, and the same list removes them.
+  NodeIdEntries entries;
+  ASSERT_TRUE(index.ListDocEntries(50, Slice(), &entries).ok());
+  ASSERT_EQ(entries.size(), 6u);
+  DocEntriesLocator listed(50, &entries);
+  for (uint32_t c = 1; c <= 7; c++) {
+    auto want = index.Lookup(50, nodeid::ChildId(c));
+    auto got = listed.Lookup(50, nodeid::ChildId(c));
+    ASSERT_EQ(want.ok(), got.ok()) << c;
+    if (want.ok()) {
+      EXPECT_EQ(want.value(), got.value()) << c;
+    }
+  }
+  EXPECT_FALSE(listed.Lookup(51, nodeid::ChildId(1)).ok());
+  ASSERT_TRUE(index.RemoveDocEntries(50, entries).ok());
   EXPECT_FALSE(index.Lookup(50, nodeid::ChildId(1)).ok());
   EXPECT_TRUE(index.Lookup(51, nodeid::ChildId(1)).ok());
 }

@@ -16,6 +16,7 @@
 #include "engine/engine.h"
 #include "index/structural_index.h"
 #include "leak_check.h"
+#include "query/stats.h"
 #include "runtime/virtual_sax.h"
 #include "storage/buffer_manager.h"
 #include "storage/tablespace.h"
@@ -103,8 +104,16 @@ std::vector<StructuralEntry> Derive(const std::string& xml,
   TokenWriter tokens;
   EXPECT_TRUE(parser.Parse(xml, &tokens).ok()) << xml;
   TokenStreamSource source(tokens.data());
+  StructuralDeriver deriver;
+  XmlEvent ev;
+  for (;;) {
+    auto more = source.Next(&ev);
+    EXPECT_TRUE(more.ok()) << xml;
+    if (!more.ok() || !more.value()) break;
+    EXPECT_TRUE(deriver.Feed(ev).ok()) << xml;
+  }
   std::vector<StructuralEntry> entries;
-  EXPECT_TRUE(DeriveStructuralEntries(&source, &entries).ok());
+  EXPECT_TRUE(deriver.Finish(&entries).ok()) << xml;
   return entries;
 }
 
@@ -226,6 +235,102 @@ TEST_F(StructuralIndexTest, PerNameIndexOnlyKeepsItsName) {
   EXPECT_TRUE(hits.empty());
   ASSERT_TRUE(per_name.Scan(dict.Lookup("b"), &hits).ok());
   EXPECT_EQ(hits.size(), 1u);
+}
+
+// Apply groups a write's entries by name, in first-appearance order, and
+// calls the stats listener once per name.
+TEST_F(StructuralIndexTest, ApplyCallsTheListenerOncePerName) {
+  struct Recorder : StructuralIndexStatsListener {
+    void OnElementsAdded(Slice name, uint64_t n, uint64_t span_sum) override {
+      calls.push_back("+" + name.ToString() + " " + std::to_string(n) + "/" +
+                      std::to_string(span_sum));
+    }
+    void OnElementsRemoved(Slice name,
+                           std::span<const uint32_t> spans) override {
+      std::string call = "-" + name.ToString();
+      for (uint32_t span : spans) call += " " + std::to_string(span);
+      calls.push_back(call);
+    }
+    void OnSpanMoved(Slice name, int64_t delta) override {
+      calls.push_back("~" + name.ToString() + " " + std::to_string(delta));
+    }
+    std::vector<std::string> calls;
+  } recorder;
+  NameDictionary dict;
+  index_->set_stats_listener(&recorder);
+  std::vector<StructuralEntry> entries =
+      Derive("<a><b/><c><b><d/></b></c></a>", &dict);
+  const std::vector<NameId> ancestors{dict.Lookup("c"), dict.Lookup("a")};
+  ASSERT_TRUE(index_->Apply(dict, 1, entries, ancestors, false).ok());
+  ASSERT_TRUE(index_->Apply(dict, 1, entries, ancestors, true).ok());
+  EXPECT_EQ(recorder.calls,
+            (std::vector<std::string>{"+a 1/4", "+b 2/1", "+c 1/2", "+d 1/0",
+                                      "~c 5", "~a 5", "-a 4", "-b 0 1", "-c 2",
+                                      "-d 0", "~c -5", "~a -5"}));
+  EXPECT_EQ(index_->CountEntries().value(), 0u);
+  index_->set_stats_listener(nullptr);
+}
+
+// --- the per-name stats listener ---
+
+// One call per name must leave the statistics exactly as one call per
+// entry did, edge paths included. Every expected value below is what the
+// same entries give through one call each.
+TEST(StructuralStatsTest, RemovingMoreThanANameCountsClamps) {
+  query::CollectionStats stats;
+  StructuralIndexStatsListener* l = stats.NoteStructuralIndexCreated("s");
+  l->OnElementsAdded("a", 2, 4);
+  l->OnElementsAdded("b", 1, 5);
+  const uint32_t spans[] = {2, 7, 1};
+  l->OnElementsRemoved("a", spans);  // three removes of a name counting two
+  query::StructuralStatsSnapshot s = stats.Snapshot().structural["s"];
+  EXPECT_EQ(s.entry_count, 0u);
+  EXPECT_EQ(s.other_count, 0u);
+  EXPECT_EQ(s.entries_added, 3u);
+  EXPECT_EQ(s.entries_removed, 3u);
+  ASSERT_EQ(s.names.size(), 1u);
+  EXPECT_EQ(s.names["b"].count, 1u);
+  EXPECT_EQ(s.names["b"].span_sum, 5u);
+  // A span larger than the name's sum clamps it at zero.
+  l->OnElementsAdded("b", 1, 1);
+  const uint32_t wide[] = {50};
+  l->OnElementsRemoved("b", wide);
+  s = stats.Snapshot().structural["s"];
+  EXPECT_EQ(s.names["b"].count, 1u);
+  EXPECT_EQ(s.names["b"].span_sum, 0u);
+  EXPECT_EQ(s.entry_count, 0u);  // the clamped remove above drifted it
+}
+
+TEST(StructuralStatsTest, NamesPastTheCapPoolAndDrain) {
+  query::CollectionStats stats;
+  StructuralIndexStatsListener* l = stats.NoteStructuralIndexCreated("s");
+  const size_t cap = query::CollectionStats::kMaxStructuralNames;
+  for (size_t i = 0; i < cap; i++)
+    l->OnElementsAdded("n" + std::to_string(i), 1, 1);
+  l->OnElementsAdded("late", 3, 6);  // the table is full: pooled
+  query::StructuralStatsSnapshot s = stats.Snapshot().structural["s"];
+  EXPECT_EQ(s.names.size(), cap);
+  EXPECT_EQ(s.names.count("late"), 0u);
+  EXPECT_EQ(s.other_count, 3u);
+  EXPECT_EQ(s.EstimateNameCount("late"), 3.0);
+
+  // Two removes of a name counting one: the second drains the pool, and
+  // the emptied name frees a slot for the next new name.
+  const uint32_t two[] = {1, 4};
+  l->OnElementsRemoved("n0", two);
+  EXPECT_EQ(stats.Snapshot().structural["s"].other_count, 2u);
+  l->OnElementsAdded("later", 2, 2);
+  const uint32_t four[] = {0, 0, 0, 0};
+  l->OnElementsRemoved("late", four);  // pool of 2 drains and clamps at 0
+  s = stats.Snapshot().structural["s"];
+  EXPECT_EQ(s.names.size(), cap);
+  EXPECT_EQ(s.names.count("n0"), 0u);
+  EXPECT_EQ(s.names["later"].count, 2u);
+  EXPECT_EQ(s.names["later"].span_sum, 2u);
+  EXPECT_EQ(s.other_count, 0u);
+  EXPECT_EQ(s.entry_count, cap + 3 + 2 - 2 - 4);
+  EXPECT_EQ(s.entries_added, cap + 3 + 2);
+  EXPECT_EQ(s.entries_removed, 6u);
 }
 
 // --- engine-level lifecycle ---
@@ -419,6 +524,33 @@ TEST(StructuralEngineTest, EditWorkDoesNotGrowWithDocument) {
     EXPECT_EQ(coll->FindStructuralIndex("structure")->CountEntries().value(),
               1u + 2u * static_cast<uint64_t>(children));
   }
+}
+
+// A write's structural entries reach the B+tree as one sorted batch, with
+// one descent per leaf they land in. Inserting, then deleting, a document
+// of 301 elements takes a few dozen root-to-leaf walks over all of the
+// collection's trees, not one walk per entry.
+TEST(StructuralEngineTest, BatchedApplyDescendsPerLeaf) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+  StructuralIndex* ix = coll->FindStructuralIndex("structure");
+  std::string xml = "<r>";
+  for (int i = 0; i < 300; i++) xml += "<x/>";
+  xml += "</r>";
+  auto descents = [&] {
+    return engine->MetricsSnapshot().Value("btree.descents");
+  };
+
+  uint64_t before = descents();
+  uint64_t doc = coll->InsertDocument(nullptr, xml).value();
+  EXPECT_LE(descents() - before, 30u);
+  EXPECT_EQ(ix->CountEntries().value(), 301u);
+
+  before = descents();
+  ASSERT_TRUE(coll->DeleteDocument(nullptr, doc).ok());
+  EXPECT_LE(descents() - before, 30u);
+  EXPECT_EQ(ix->CountEntries().value(), 0u);
 }
 
 TEST(StructuralEngineTest, SurvivesCheckpointAndReopen) {
