@@ -6,11 +6,9 @@
 // The collection is kept tiny (one small document) and the query text
 // predicate-heavy, so execution is a few microseconds and the measured
 // delta is almost entirely planning overhead — the piece a cache hit
-// skips. Three flavors:
+// skips. Two flavors:
 //  - cached:      warm plan cache, every iteration is a hit;
-//  - uncached:    plan_cache_capacity = 0, full parse+price+compile per run;
-//  - heuristic:   cache bypassed and the Section 4.3 rules instead of the
-//                 cost model (what planning cost before statistics existed).
+//  - uncached:    plan_cache_capacity = 0, full parse+price+compile per run.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -52,10 +50,8 @@ struct PlannerFixture {
   Collection* coll = nullptr;
 };
 
-void RunPlanner(benchmark::State& state, PlannerFixture* fx,
-                bool heuristic) {
+void RunPlanner(benchmark::State& state, PlannerFixture* fx) {
   QueryOptions qopts;
-  qopts.use_heuristic_planner = heuristic;
   // Warm-up: populates the cache when it is enabled.
   if (!fx->coll->Query(nullptr, kQuery, qopts).ok()) std::abort();
   uint64_t results = 0;
@@ -70,7 +66,7 @@ void RunPlanner(benchmark::State& state, PlannerFixture* fx,
 
 void BM_QueryPlanCached(benchmark::State& state) {
   static PlannerFixture* fx = new PlannerFixture(64);
-  RunPlanner(state, fx, false);
+  RunPlanner(state, fx);
   // Sanity: the loop above must have been served from the cache.
   if (fx->coll->plan_cache()->size() == 0) std::abort();
 }
@@ -78,15 +74,9 @@ BENCHMARK(BM_QueryPlanCached);
 
 void BM_QueryPlanCompiledEachTime(benchmark::State& state) {
   static PlannerFixture* fx = new PlannerFixture(0);
-  RunPlanner(state, fx, false);
+  RunPlanner(state, fx);
 }
 BENCHMARK(BM_QueryPlanCompiledEachTime);
-
-void BM_QueryPlanHeuristicEachTime(benchmark::State& state) {
-  static PlannerFixture* fx = new PlannerFixture(0);
-  RunPlanner(state, fx, true);
-}
-BENCHMARK(BM_QueryPlanHeuristicEachTime);
 
 }  // namespace
 }  // namespace bench

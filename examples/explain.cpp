@@ -1,7 +1,7 @@
 // EXPLAIN and engine metrics: run the same query over the streaming path and
 // the index path, print each plan (cost breakdown, statistics line and
-// plan-cache state included), show a plan-cache hit, the forced heuristic
-// planner, and a descendant query flipping to the structural interval
+// plan-cache state included), show a plan-cache hit, a forced DocID-list
+// plan, and a descendant query flipping to the structural interval
 // index, then dump the engine metrics snapshot.
 //
 // Build & run:
@@ -70,13 +70,13 @@ int main() {
   std::printf("--- same query again (cached plan) ---\n%s\n",
               cached.PlanText().c_str());
 
-  // 4. The pre-statistics Section 4.3 rules are still there for comparison
-  // (and as the automatic fallback when stats are missing after a crash).
-  QueryOptions heur = opts;
-  heur.use_heuristic_planner = true;
-  auto ruled = Unwrap(shop->Query(nullptr, query, heur), "heuristic query");
-  std::printf("--- forced heuristic planner ---\n%s\n",
-              ruled.PlanText().c_str());
+  // 4. A forced access method overrides the cost model: the plan is never
+  // priced, so the stats line reads "(heuristic)".
+  QueryOptions forced = opts;
+  forced.force = ForceMethod::kDocIdList;
+  auto pinned = Unwrap(shop->Query(nullptr, query, forced), "forced query");
+  std::printf("--- forced docid-list plan ---\n%s\n",
+              pinned.PlanText().c_str());
 
   // 5. Structural index: a descendant query has no value predicate to
   // probe, so it full-scans — until a structural index covers the element

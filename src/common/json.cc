@@ -91,19 +91,6 @@ Status Reader::ReadU64(uint64_t* out) {
   return Status::OK();
 }
 
-Status Reader::ReadBool(bool* out) {
-  SkipWs();
-  for (const bool b : {true, false}) {
-    const std::string_view literal = b ? "true" : "false";
-    if (in_.substr(pos_).starts_with(literal)) {
-      pos_ += literal.size();
-      *out = b;
-      return Status::OK();
-    }
-  }
-  return Error("expected bool");
-}
-
 Status Reader::ReadU64Array(std::vector<uint64_t>* out) {
   out->clear();
   return ReadArray([&] { return ReadU64(&out->emplace_back()); });

@@ -43,7 +43,6 @@ class Reader {
 
   Status ReadString(std::string* out);
   Status ReadU64(uint64_t* out);
-  Status ReadBool(bool* out);
   /// Replaces `out` with the array's elements.
   Status ReadU64Array(std::vector<uint64_t>* out);
   /// Reads `{"key": value, ...}`. `member(key)` runs with the reader at the

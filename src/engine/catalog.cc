@@ -1,5 +1,8 @@
 #include "engine/catalog.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 
@@ -13,6 +16,7 @@ constexpr uint32_t kCatalogMagicV2 = 0x58444244;  // "XDBD" (adds stats_epoch)
 constexpr uint32_t kCatalogMagicV3 = 0x58444245;  // "XDBE" (replica CSN)
 constexpr uint32_t kCatalogMagicV4 = 0x58444246;  // "XDBF" (structural ix)
 constexpr uint32_t kCatalogMagicV5 = 0x58444247;  // "XDBG" (node-ID keys)
+constexpr uint32_t kCatalogMagicV6 = 0x58444248;  // "XDBH" (CRCs, stats)
 
 void PutString(std::string* out, const std::string& s) {
   PutLengthPrefixed(out, s);
@@ -23,61 +27,114 @@ bool GetString(Slice* in, std::string* s) {
   *s = v.ToString();
   return true;
 }
+
+/// The statistics section after a V6 body: its CRC-32, then a count and
+/// length-prefixed (collection, blob) pairs.
+Status ParseStatsSection(Slice data, std::map<std::string, std::string>* out) {
+  if (data.size() < 4) return Status::Corruption("truncated catalog stats");
+  const uint32_t crc = DecodeFixed32(data.data());
+  data.RemovePrefix(4);
+  if (Crc32(data.data(), data.size()) != crc)
+    return Status::Corruption("catalog stats checksum mismatch");
+  uint64_t n;
+  size_t vn = GetVarint64(data.data(), data.data() + data.size(), &n);
+  if (vn == 0) return Status::Corruption("bad catalog stats count");
+  data.RemovePrefix(vn);
+  for (uint64_t i = 0; i < n; i++) {
+    Slice name, blob;
+    if (!GetLengthPrefixed(&data, &name) || !GetLengthPrefixed(&data, &blob))
+      return Status::Corruption("truncated catalog stats entry");
+    out->emplace(name.ToString(), blob.ToString());
+  }
+  return Status::OK();
+}
+
+Status SyncPath(const std::string& path, int flags) {
+  int fd = ::open(path.c_str(), flags);
+  if (fd < 0) return Status::IOError("cannot open " + path);
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok ? Status::OK() : Status::IOError("fsync failed: " + path);
+}
 }  // namespace
 
 void CatalogData::Serialize(std::string* out) const {
-  PutFixed32(out, kCatalogMagicV5);
-  PutFixed64(out, replica_wal_base);
-  PutVarint64(out, collections.size());
+  std::string body;
+  PutFixed64(&body, replica_wal_base);
+  PutVarint64(&body, collections.size());
   for (const auto& [name, meta] : collections) {
-    PutString(out, name);
-    PutString(out, meta.space_file);
-    PutFixed32(out, meta.docid_index_root);
-    PutFixed32(out, meta.nodeid_index_root);
-    PutFixed32(out, meta.versioned_index_root);
-    PutFixed64(out, meta.next_doc_id);
-    PutFixed64(out, meta.last_version);
-    PutFixed64(out, meta.stats_epoch);
-    out->push_back(meta.mvcc_enabled ? 1 : 0);
-    PutString(out, meta.schema_name);
-    PutVarint64(out, meta.value_indexes.size());
+    PutString(&body, name);
+    PutString(&body, meta.space_file);
+    PutFixed32(&body, meta.docid_index_root);
+    PutFixed32(&body, meta.nodeid_index_root);
+    PutFixed32(&body, meta.versioned_index_root);
+    PutFixed64(&body, meta.next_doc_id);
+    PutFixed64(&body, meta.last_version);
+    body.push_back(meta.mvcc_enabled ? 1 : 0);
+    PutString(&body, meta.schema_name);
+    PutVarint64(&body, meta.value_indexes.size());
     for (const auto& vi : meta.value_indexes) {
-      PutString(out, vi.def.name);
-      PutString(out, vi.def.path);
-      out->push_back(static_cast<char>(vi.def.type));
-      PutVarint32(out, vi.def.max_string_len);
-      PutFixed32(out, vi.root);
+      PutString(&body, vi.def.name);
+      PutString(&body, vi.def.path);
+      body.push_back(static_cast<char>(vi.def.type));
+      PutVarint32(&body, vi.def.max_string_len);
+      PutFixed32(&body, vi.root);
     }
-    PutVarint64(out, meta.structural_indexes.size());
+    PutVarint64(&body, meta.structural_indexes.size());
     for (const auto& si : meta.structural_indexes) {
-      PutString(out, si.def.name);
-      PutString(out, si.def.element_name);
-      PutFixed32(out, si.root);
+      PutString(&body, si.def.name);
+      PutString(&body, si.def.element_name);
+      PutFixed32(&body, si.root);
     }
   }
-  PutVarint64(out, schemas.size());
+  PutVarint64(&body, schemas.size());
   for (const auto& [name, binary] : schemas) {
-    PutString(out, name);
-    PutString(out, binary);
+    PutString(&body, name);
+    PutString(&body, binary);
   }
-  PutString(out, dictionary);
+  PutString(&body, dictionary);
+
+  std::string section;
+  PutVarint64(&section, stats.size());
+  for (const auto& [name, blob] : stats) {
+    PutLengthPrefixed(&section, name);
+    PutLengthPrefixed(&section, blob);
+  }
+  PutFixed32(out, kCatalogMagicV6);
+  PutFixed32(out, Crc32(body.data(), body.size()));
+  PutFixed32(out, static_cast<uint32_t>(body.size()));
+  out->append(body);
+  PutFixed32(out, Crc32(section.data(), section.size()));
+  out->append(section);
 }
 
 Result<CatalogData> CatalogData::Deserialize(Slice data) {
   CatalogData cat;
   if (data.size() < 4) return Status::Corruption("bad catalog magic");
   const uint32_t magic = DecodeFixed32(data.data());
-  // Old-format (v1) catalogs still load: stats_epoch defaults to 0 ("no
-  // stats saved yet"). Engine::Open treats epoch 0 as valid-empty only for
-  // collections with no checkpointed documents; otherwise it degrades them
-  // to heuristic planning (their documents are not reflected in any stats).
-  const bool v5 = magic == kCatalogMagicV5;
+  data.RemovePrefix(4);
+  // V1-V5 catalogs still load. They carry no statistics, so every
+  // collection re-derives its own at open; their stats_epoch (V2-V5) is
+  // read past.
+  const bool v6 = magic == kCatalogMagicV6;
+  const bool v5 = v6 || magic == kCatalogMagicV5;
   const bool v4 = v5 || magic == kCatalogMagicV4;
   const bool v3 = v4 || magic == kCatalogMagicV3;
   const bool v2 = v3 || magic == kCatalogMagicV2;
   if (!v2 && magic != kCatalogMagic)
     return Status::Corruption("bad catalog magic");
-  data.RemovePrefix(4);
+  Slice stats_section;
+  if (v6) {
+    if (data.size() < 8) return Status::Corruption("truncated catalog header");
+    const uint32_t crc = DecodeFixed32(data.data());
+    const uint32_t len = DecodeFixed32(data.data() + 4);
+    data.RemovePrefix(8);
+    if (data.size() < len) return Status::Corruption("truncated catalog");
+    if (Crc32(data.data(), len) != crc)
+      return Status::Corruption("catalog checksum mismatch");
+    stats_section = Slice(data.data() + len, data.size() - len);
+    data = Slice(data.data(), len);
+  }
   if (v3) {
     if (data.size() < 8) return Status::Corruption("truncated catalog header");
     cat.replica_wal_base = DecodeFixed64(data.data());
@@ -96,7 +153,8 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
     CollectionMeta meta;
     if (!GetString(&data, &name) || !GetString(&data, &meta.space_file))
       return Status::Corruption("bad collection meta");
-    const size_t fixed = 4 * 3 + 8 * 2 + (v2 ? 8 : 0) + 1;
+    const size_t epoch_bytes = v2 && !v6 ? 8 : 0;
+    const size_t fixed = 4 * 3 + 8 * 2 + epoch_bytes + 1;
     if (data.size() < fixed)
       return Status::Corruption("truncated collection meta");
     meta.name = name;
@@ -105,7 +163,6 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
     meta.versioned_index_root = DecodeFixed32(data.data() + 8);
     meta.next_doc_id = DecodeFixed64(data.data() + 12);
     meta.last_version = DecodeFixed64(data.data() + 20);
-    if (v2) meta.stats_epoch = DecodeFixed64(data.data() + 28);
     meta.mvcc_enabled = data[fixed - 1] != 0;
     data.RemovePrefix(fixed);
     if (!GetString(&data, &meta.schema_name))
@@ -117,6 +174,8 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
       if (!GetString(&data, &vi.def.name) || !GetString(&data, &vi.def.path))
         return Status::Corruption("bad index meta");
       if (data.empty()) return Status::Corruption("truncated index meta");
+      if (!IsValueType(static_cast<uint8_t>(data[0])))
+        return Status::Corruption("bad index value type");
       vi.def.type = static_cast<ValueType>(data[0]);
       data.RemovePrefix(1);
       uint32_t maxlen;
@@ -142,7 +201,8 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
         if (data.size() < 4)
           return Status::Corruption("truncated structural index meta");
         // A V4 tree's entries are (pre, post)-keyed: drop its root (its pages
-        // stay unreferenced, as after a drop); open rebuilds the index.
+        // stay unreferenced, as after a drop); the index opens empty and the
+        // re-derivation of the collection's statistics fills it.
         si.root = v5 ? DecodeFixed32(data.data()) : kInvalidPageId;
         data.RemovePrefix(4);
         meta.structural_indexes.push_back(std::move(si));
@@ -160,6 +220,15 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
   }
   if (!GetString(&data, &cat.dictionary))
     return Status::Corruption("bad dictionary");
+  if (!v6) {
+    cat.stats_status =
+        Status::NotFound("catalog predates its statistics section");
+  } else if (!data.empty()) {
+    return Status::Corruption("trailing bytes in catalog body");
+  } else {
+    cat.stats_status = ParseStatsSection(stats_section, &cat.stats);
+    if (!cat.stats_status.ok()) cat.stats.clear();
+  }
   return cat;
 }
 
@@ -171,11 +240,17 @@ Status SaveCatalog(const CatalogData& data, const std::string& path) {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Status::IOError("cannot write " + tmp);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.flush();
     if (!out) return Status::IOError("short catalog write");
   }
+  // The temp file's bytes reach the medium before the rename makes them the
+  // catalog, and the rename itself before the caller truncates the WAL.
+  XDB_RETURN_NOT_OK(SyncPath(tmp, O_RDONLY));
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     return Status::IOError("cannot rename catalog into place");
-  return Status::OK();
+  const size_t slash = path.find_last_of('/');
+  return SyncPath(slash == std::string::npos ? "." : path.substr(0, slash),
+                  O_RDONLY | O_DIRECTORY);
 }
 
 Result<CatalogData> LoadCatalog(const std::string& path) {

@@ -37,13 +37,6 @@ struct CollectionMeta {
   std::vector<StructuralIndexMeta> structural_indexes;
   uint64_t next_doc_id = 1;
   uint64_t last_version = 0;  // persisted MVCC version counter
-  /// Stats epoch captured when stats.xdb was last written (checkpoint). At
-  /// open, a stats blob whose epoch disagrees is stale: the collection
-  /// degrades to heuristic planning instead of costing on wrong numbers.
-  /// The catalog write is the commit point of the stats save — stats.xdb is
-  /// written first, so a crash between the two only ever loses stats, never
-  /// trusts bad ones.
-  uint64_t stats_epoch = 0;
   bool mvcc_enabled = false;
   std::string schema_name;  // validate-on-insert when non-empty
 };
@@ -63,12 +56,26 @@ struct CatalogData {
   /// (not a side file) so base and checkpointed image commit atomically via
   /// the catalog's temp+rename. Zero (and ignored) on a primary.
   uint64_t replica_wal_base = 0;
+  /// Statistics section: collection name -> CollectionStats blob
+  /// (query/stats.h), committed by the same atomic write as the roots the
+  /// statistics describe. A collection without a blob re-derives its
+  /// statistics from its stored data at open; `stats_status` says why a
+  /// loaded catalog has none (NotFound: the catalog predates the section;
+  /// Corruption: the section failed its CRC).
+  std::map<std::string, std::string> stats;
+  Status stats_status;
 
+  /// V6 layout: magic, CRC-32 of the body, body length, the body, then the
+  /// statistics section (its own CRC-32, then length-prefixed name/blob
+  /// pairs). A body that fails its CRC is Corruption; a damaged statistics
+  /// section only empties `stats`.
   void Serialize(std::string* out) const;
   static Result<CatalogData> Deserialize(Slice data);
 };
 
-/// Saves atomically (write temp + rename).
+/// Saves atomically and durably: writes a temp file, fsyncs it, renames it
+/// over `path` and fsyncs the directory, so a caller may drop the WAL the
+/// catalog supersedes once this returns.
 Status SaveCatalog(const CatalogData& data, const std::string& path);
 Result<CatalogData> LoadCatalog(const std::string& path);
 

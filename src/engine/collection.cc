@@ -700,6 +700,8 @@ Status Collection::CreateValueIndex(const ValueIndexDef& def) {
 
 Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
   XDB_RETURN_NOT_OK(GuardWrite());
+  if (!IsValueType(static_cast<uint8_t>(def.type)))
+    return Status::InvalidArgument("unknown value index type");
   XDB_ASSIGN_OR_RETURN(xpath::Path path, xpath::ParsePath(def.path));
   if (!xpath::IsIndexablePath(path))
     return Status::InvalidArgument(
@@ -955,8 +957,7 @@ Result<QueryResult> Collection::Query(Transaction* txn, Slice xpath,
   if (options.min_csn > 0)
     XDB_RETURN_NOT_OK(
         engine_->WaitForFreshness(options.min_csn, options.freshness_timeout_us));
-  const bool cacheable =
-      plan_cache_.enabled() && !options.use_heuristic_planner;
+  const bool cacheable = plan_cache_.enabled();
   const std::string text = xpath.ToString();
   // Bounded replan loop: a compiled plan can go stale when an index drop or
   // storage rebuild races execution. Staleness is reported via *plan_stale —
@@ -1002,8 +1003,6 @@ Result<std::shared_ptr<const query::CompiledPlan>>
 Collection::CompileForExecution(xpath::Path&& path,
                                 const QueryOptions& options) {
   auto cp = std::make_shared<query::CompiledPlan>();
-  XDB_ASSIGN_OR_RETURN(uint64_t docs, DocCount());
-  query::CollectionStatsSnapshot snap;
   {
     // Planning dereferences the ValueIndex objects (def() for matching,
     // EncodeKey for probe bounds, def().name for the EXPLAIN probe lines),
@@ -1021,22 +1020,23 @@ Collection::CompileForExecution(xpath::Path&& path,
     for (auto& owned : structural_indexes_)
       ctx.structural_indexes.push_back(owned.index.get());
     cp->index_version = index_version_.load(std::memory_order_acquire);
-    ctx.doc_count = docs;
+    // Collected statistics drive the cost model. stats_'s mutex is a leaf
+    // acquired after latch_ (see the member comment), so snapshotting here
+    // is safe; every insert and delete path keeps its doc count exact.
+    ctx.stats = stats_.Snapshot();
+    const uint64_t docs = ctx.stats.doc_count;
     // Cheap cardinality statistic (no index walk): stored records per doc.
     uint64_t live = records_->stats().live_records;
     ctx.avg_records_per_doc =
         docs == 0 ? 1.0
                   : static_cast<double>(std::max<uint64_t>(live, docs)) /
                         static_cast<double>(docs);
-    // Collected statistics drive the cost model; when they are unavailable
-    // (degraded at open) or explicitly bypassed, ChoosePlan falls back to
-    // the Section 4.3 heuristic rules. stats_'s mutex is a leaf acquired
-    // after latch_ (see the member comment), so snapshotting here is safe.
-    snap = stats_.Snapshot();
-    if (!options.use_heuristic_planner) ctx.stats = &snap;
     XDB_ASSIGN_OR_RETURN(cp->plan,
                          query::ChoosePlan(path, ctx, options.force));
     cp->avg_records_per_doc = ctx.avg_records_per_doc;
+    cp->stats_epoch = ctx.stats.epoch;
+    cp->doc_count = docs;
+    cp->nodes_per_doc = ctx.stats.avg_nodes_per_doc();
     for (const query::PlannedProbe& p : cp->plan.probes)
       cp->probe_lines.push_back(
           p.pred.full_path.ToString() + " " + xpath::CompOpName(p.pred.op) +
@@ -1055,9 +1055,6 @@ Collection::CompileForExecution(xpath::Path&& path,
           engine_->dict()->Lookup(Slice(cp->plan.structural_name));
     }
   }
-  cp->stats_epoch = snap.epoch;
-  cp->doc_count = docs;
-  cp->nodes_per_doc = snap.valid ? snap.avg_nodes_per_doc() : 0.0;
 
   // Compile the full query once for scans and per-document evaluation.
   XDB_ASSIGN_OR_RETURN(
@@ -1151,7 +1148,7 @@ Result<QueryResult> Collection::ExecuteCompiled(
     prof.avg_records_per_doc = cp.avg_records_per_doc;
     prof.nodes_per_doc = cp.nodes_per_doc;
     prof.stats_epoch = cp.stats_epoch;
-    prof.stats_valid = plan.cost_based;
+    prof.cost_based = plan.cost_based;
     prof.plan_cache = cache_state;
     // Planning time attributed by the caller: parse+plan+compile on a miss,
     // 0 on a cache hit (the hit path skips all three).
@@ -1521,22 +1518,33 @@ Status Collection::BuildStorage(bool create) {
     value_indexes_.push_back(
         OwnedValueIndex{std::move(tree), std::move(index), nullptr, 0});
   }
-  std::vector<const StructuralIndex*> rebuild;
   for (StructuralIndexMeta& si : meta_.structural_indexes) {
-    const bool old_format = !create && si.root == kInvalidPageId;
     XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, open_tree(&si.root));
     auto index = std::make_unique<StructuralIndex>(si.def, tree.get());
     index->set_stats_listener(stats_.StructuralListenerFor(si.def.name));
-    if (old_format) rebuild.push_back(index.get());
     structural_indexes_.push_back(
         OwnedStructuralIndex{std::move(tree), std::move(index)});
   }
-  // Before WAL replay, which then maintains the rebuilt index like any
-  // other. The listener adds do not bump the stats epoch.
-  if (!rebuild.empty()) {
-    WriterMutexLock latch(latch_);
-    for (const StructuralIndex* index : rebuild)
-      XDB_RETURN_NOT_OK(Backfill({.structural = index}));
+  return Status::OK();
+}
+
+Status Collection::DeriveStats() {
+  WriterMutexLock latch(latch_);
+  stats_.ResetEmpty();
+  XDB_RETURN_NOT_OK(Backfill({}));
+  XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
+  for (uint64_t doc_id : docs) {
+    StoredDocSource source(records_.get(), node_index_.get(), doc_id);
+    uint64_t nodes = 0;
+    XmlEvent ev;
+    for (;;) {
+      XDB_ASSIGN_OR_RETURN(bool more, source.Next(&ev));
+      if (!more) break;
+      nodes += ev.type == XmlEvent::Type::kStartElement ||
+               ev.type == XmlEvent::Type::kAttribute ||
+               ev.type == XmlEvent::Type::kText;
+    }
+    stats_.NoteDocumentInserted(nodes);
   }
   return Status::OK();
 }
@@ -1567,9 +1575,8 @@ Status Collection::RebuildStorage() {
   }
 
   XDB_RETURN_NOT_OK(BuildStorage(/*create=*/true));
-  // Empty storage, empty (but valid) statistics; the epoch stays monotonic
-  // so cached-plan keys from before the rebuild can never match again.
-  stats_.ResetEmpty(stats_.epoch());
+  // Empty storage, empty statistics.
+  stats_.ResetEmpty();
   index_version_.fetch_add(1, std::memory_order_acq_rel);
   plan_cache_.Invalidate("storage rebuilt");
   return Status::OK();

@@ -87,10 +87,6 @@ struct QueryOptions {
   /// Implies explain; additionally records per-step trace lines (index probe
   /// details, candidate lists) into profile.trace_lines.
   bool trace = false;
-  /// Plan with the Section 4.3 rules even when collected statistics are
-  /// available, and bypass the plan cache. Differential testing uses this to
-  /// check that cost-based and heuristic plans return identical answers.
-  bool use_heuristic_planner = false;
   /// Freshness bound for replica reads: the query only runs once the
   /// engine's applied-CSN watermark reaches this value, waiting at most
   /// freshness_timeout_us and failing with kStale otherwise. 0 (default)
@@ -295,11 +291,10 @@ class Collection {
   Status EditRecord(uint64_t doc_id, Rid rid, const RecordEdit& edit)
       XDB_REQUIRES(latch_);
 
-  /// Compiles one execution-ready plan for `path`: plans (cost-based when
-  /// stats are valid and use_heuristic_planner is off), compiles the full
-  /// QueryTree, and for node-level plans also the recheck residual tree and
-  /// prefix pattern. The returned plan is immutable and shareable (this is
-  /// what the plan cache stores).
+  /// Compiles one execution-ready plan for `path`: plans (cost-based unless
+  /// forced), compiles the full QueryTree, and for node-level plans also the
+  /// recheck residual tree and prefix pattern. The returned plan is
+  /// immutable and shareable (this is what the plan cache stores).
   Result<std::shared_ptr<const query::CompiledPlan>> CompileForExecution(
       xpath::Path&& path, const QueryOptions& options) XDB_EXCLUDES(latch_);
 
@@ -386,10 +381,20 @@ class Collection {
   /// record manager, the DocID, NodeID and (MVCC) version trees, and each
   /// value and structural index in meta_ with its stats listener. `create`
   /// makes them new and empty; otherwise they open at meta_'s roots after
-  /// RecordManager::Recover (a structural index a pre-V5 catalog named is
-  /// rebuilt from the records). Either way meta_ records the roots. Called
-  /// by Engine::OpenCollection and RebuildStorage; the latter holds latch_.
+  /// RecordManager::Recover (an index without a root, such as a structural
+  /// index a pre-V5 catalog named, opens empty). Either way meta_ records
+  /// the roots. Called by Engine::OpenCollection and RebuildStorage; the
+  /// latter holds latch_.
   Status BuildStorage(bool create);
+
+  /// Re-derives the statistics from the stored data, for a collection whose
+  /// catalog holds no usable blob: resets them, backfills every index over
+  /// its existing tree (an existing pair inserts as a no-op, and the index's
+  /// listener still counts it; an index that opened empty is filled), and
+  /// counts each stored document's element, attribute and text nodes, the
+  /// nodes RecordBuilder::stat_nodes counts on insert. Called at open,
+  /// before WAL replay.
+  Status DeriveStats() XDB_EXCLUDES(latch_);
 
   /// Resets the table space and recreates every storage component (records,
   /// trees, indexes) empty, updating meta_ roots. Destroys components

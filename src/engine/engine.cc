@@ -7,7 +7,6 @@
 #include <set>
 
 #include "common/coding.h"
-#include "engine/stats_store.h"
 #include "schema/schema_parser.h"
 
 namespace xdb {
@@ -43,8 +42,9 @@ bool Engine::InReplay() const { return t_replaying_engine == this; }
 
 Engine::~Engine() {
   // Best-effort flush on clean shutdown; a failure here is what recovery
-  // exists for.
-  if (!options_.in_memory) (void)Checkpoint();
+  // exists for. An engine whose Open failed saves nothing: its catalog and
+  // WAL may be all that is left of a database it could not read.
+  if (!options_.in_memory && opened_) (void)Checkpoint();
 }
 
 Result<std::unique_ptr<Engine>> Engine::Open(const EngineOptions& options) {
@@ -118,76 +118,9 @@ Result<std::unique_ptr<Engine>> Engine::Open(const EngineOptions& options) {
             engine->OpenCollection(meta, /*create=*/false, copts));
         engine->collections_.emplace(name, std::move(coll));
       }
+      engine->catalog_.stats.clear();  // restored; the next save refills it
     } else if (cat.status().code() != Status::Code::kNotFound) {
       return cat.status();
-    }
-  }
-
-  // Restore collected statistics before WAL replay, so replayed document
-  // operations run the same incremental maintenance they ran originally on
-  // top of the checkpointed counts. Degradation is always graceful: a
-  // missing/stale/corrupt stats file turns cost-based planning off for the
-  // affected collection (heuristic fallback) and never fails Open.
-  {
-    MutexLock lock(engine->mu_);
-    StatsFileData stats_data;
-    Status stats_status = Status::OK();
-    if (!engine->collections_.empty()) {
-      auto loaded = LoadStatsFile(options.dir + "/stats.xdb");
-      if (loaded.ok()) {
-        stats_data = loaded.MoveValue();
-      } else {
-        stats_status = loaded.status();
-      }
-    }
-    for (auto& [name, coll] : engine->collections_) {
-      auto meta_it = engine->catalog_.collections.find(name);
-      const uint64_t expected =
-          meta_it != engine->catalog_.collections.end()
-              ? meta_it->second.stats_epoch
-              : 0;
-      auto degrade = [&](const std::string& why) {
-        coll->stats()->Invalidate();
-        engine->events_.Emit(obs::EventKind::kStatsDegraded, expected, 0,
-                             "collection '" + name + "': " + why);
-      };
-      if (expected == 0) {
-        // Never checkpointed with stats. For a fresh collection valid empty
-        // stats are exactly right — WAL replay rebuilds the counts from
-        // zero. But a catalog that already allocated doc ids (a pre-stats
-        // catalog, or one checkpointed before this feature) holds documents
-        // that are NOT in the WAL (checkpoint resets it), so empty counts
-        // would be trusted as real and the cost model would price full
-        // scans at zero forever. Degrade to heuristic planning until a
-        // rebuild/checkpoint establishes real counts.
-        const bool checkpointed_docs =
-            meta_it != engine->catalog_.collections.end() &&
-            meta_it->second.next_doc_id > 1;
-        if (checkpointed_docs)
-          degrade("catalog predates collected stats");
-        continue;
-      }
-      if (!stats_status.ok()) {
-        degrade("stats file unavailable (" + stats_status.ToString() + ")");
-        continue;
-      }
-      auto blob = stats_data.find(name);
-      if (blob == stats_data.end()) {
-        degrade("no stats blob in stats.xdb");
-        continue;
-      }
-      Status rs = coll->stats()->Restore(Slice(blob->second));
-      if (!rs.ok()) {
-        degrade("stats blob corrupt (" + rs.ToString() + ")");
-        continue;
-      }
-      if (coll->stats()->epoch() != expected) {
-        // Crash between stats.xdb and catalog.xdb writes: the catalog's
-        // epoch is the commit point, so a mismatch means these numbers do
-        // not belong to this catalog state.
-        degrade("stats epoch " + std::to_string(coll->stats()->epoch()) +
-                " != catalog epoch " + std::to_string(expected));
-      }
     }
   }
 
@@ -259,6 +192,7 @@ Result<std::unique_ptr<Engine>> Engine::Open(const EngineOptions& options) {
     MutexLock nlock(engine->wal_names_mu_);
     engine->wal_names_logged_ = engine->dict_.size();
   }
+  engine->opened_ = true;
   return engine;
 }
 
@@ -291,6 +225,7 @@ Result<std::unique_ptr<Collection>> Engine::OpenCollection(
     coll->space_->set_event_log(&events_);
     return coll->BuildStorage(create);
   }();
+  if (st.ok() && !create) st = RestoreStats(coll.get());
   if (!st.ok()) {
     if (!create && (st.IsCorruption() || st.IsIOError())) {
       // Structural damage in an existing collection: open it as a
@@ -303,6 +238,24 @@ Result<std::unique_ptr<Collection>> Engine::OpenCollection(
     return st;
   }
   return coll;
+}
+
+Status Engine::RestoreStats(Collection* coll) {
+  // Before WAL replay, which then runs the same incremental maintenance on
+  // top of these counts that the replayed operations ran originally.
+  const std::string& name = coll->name();
+  Status cause = catalog_.stats_status;
+  auto blob = catalog_.stats.find(name);
+  if (blob != catalog_.stats.end()) {
+    cause = coll->stats()->Restore(Slice(blob->second));
+    if (cause.ok()) return Status::OK();
+  } else if (cause.ok()) {
+    cause = Status::NotFound("no statistics saved for the collection");
+  }
+  events_.Emit(obs::EventKind::kStatsDerived, 0, 0,
+               "collection '" + name + "': statistics re-derived (" +
+                   cause.ToString() + ")");
+  return coll->DeriveStats();
 }
 
 Status Engine::GuardWritable() const {
@@ -406,14 +359,13 @@ Status Engine::Checkpoint() {
   events_.Emit(obs::EventKind::kCheckpointBegin, collections_.size(), 0,
                "checkpoint");
   catalog_.collections.clear();
-  StatsFileData stats_data;
+  catalog_.stats.clear();
   bool any_quarantined = false;
   for (auto& [name, coll] : collections_) {
     if (coll->needs_repair_) {
       // Leave the damaged files and the last good metadata untouched so
-      // Scrub() still has everything to repair from. No stats blob either:
-      // after repair the epoch won't match, which correctly degrades the
-      // collection to heuristic planning until its next checkpoint.
+      // Scrub() still has everything to repair from. No statistics either:
+      // a reopen before the repair re-derives them from the stored data.
       any_quarantined = true;
       catalog_.collections.emplace(name, coll->meta_);
       continue;
@@ -433,11 +385,9 @@ Status Engine::Checkpoint() {
     if (coll->versions_ != nullptr)
       meta.last_version = coll->versions_->BeginSnapshot();
     // Stable under the shared latch: every stats mutator runs holding it
-    // exclusively, so the blob and the epoch recorded in the catalog agree.
-    std::string stats_blob;
-    coll->stats_.Serialize(&stats_blob);
-    meta.stats_epoch = coll->stats_.epoch();
-    stats_data.emplace(name, std::move(stats_blob));
+    // exclusively, so the blob describes exactly the flushed data whose
+    // roots the same catalog write commits.
+    coll->stats_.Serialize(&catalog_.stats[name]);
     catalog_.collections.emplace(name, std::move(meta));
   }
   catalog_.dictionary.clear();
@@ -446,17 +396,13 @@ Status Engine::Checkpoint() {
   // ids it already knows) while failing to log one loses it.
   size_t saved_names = dict_.size();
   dict_.Save(&catalog_.dictionary);
-  // Stats before catalog: the catalog's per-collection stats_epoch is the
-  // commit point. A crash between the two writes leaves a stats file whose
-  // epochs don't match the (old) catalog — detected at open, degrading to
-  // heuristic planning instead of planning on wrong numbers.
-  XDB_RETURN_NOT_OK(
-      SaveStatsFile(stats_data, options_.dir + "/stats.xdb"));
   // On a replica the saved base must describe the WAL image this catalog
   // can coexist with — which is still the *current* one; the post-reset base
   // is committed by a second save below, so a crash in between only ever
   // undercounts the applied position (safe: re-ship + idempotent re-apply).
   catalog_.replica_wal_base = replica_wal_base_;
+  // SaveCatalog returns once the catalog is on the medium, so the WAL it
+  // supersedes may be reset below.
   XDB_RETURN_NOT_OK(SaveCatalog(catalog_, options_.dir + "/catalog.xdb"));
   // The WAL may still be the only copy of a quarantined collection's
   // post-checkpoint history — keep it until Scrub() has repaired everything.
@@ -704,6 +650,8 @@ Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
           return Status::Corruption("bad wal create-index record");
         def.name = iname.ToString();
         def.path = ipath.ToString();
+        if (!IsValueType(static_cast<uint8_t>(payload[0])))
+          return Status::Corruption("bad wal create-index value type");
         def.type = static_cast<ValueType>(payload[0]);
         def.max_string_len = DecodeFixed32(payload.data() + 1);
         auto cit = collections_.find(cname.ToString());
@@ -1040,7 +988,6 @@ obs::DebugSnapshot Engine::DebugSnapshot() const {
       info.doc_count = st.doc_count;
       info.node_count = st.node_count;
       info.stats_epoch = st.epoch;
-      info.stats_valid = st.valid;
       if (coll->buffer_ != nullptr) {
         info.buffer_resident = coll->buffer_->resident_frames();
         info.buffer_capacity = coll->buffer_->capacity();

@@ -238,9 +238,16 @@ class Engine {
   friend class Collection;
   Engine() : locks_() {}
 
-  Result<std::unique_ptr<Collection>> OpenCollection(const CollectionMeta& meta,
-                                                     bool create,
-                                                     const CollectionOptions& options);
+  /// Opens (or, with `create`, creates) a collection's storage. An existing
+  /// collection then restores its statistics (RestoreStats); storage damage
+  /// in either step opens it quarantined instead of failing.
+  Result<std::unique_ptr<Collection>> OpenCollection(
+      const CollectionMeta& meta, bool create,
+      const CollectionOptions& options) XDB_REQUIRES(mu_);
+  /// Restores `coll`'s statistics from the catalog's blob. A collection
+  /// without a usable blob re-derives them from its stored data
+  /// (Collection::DeriveStats) and logs the cause as a kStatsDerived event.
+  Status RestoreStats(Collection* coll) XDB_REQUIRES(mu_);
   /// Replays the WAL. When `filter` is set, only records for which
   /// filter(collection, doc_id) returns true are applied (Scrub uses this to
   /// skip documents it already salvaged); kDefineName and DDL records always
@@ -350,6 +357,9 @@ class Engine {
       XDB_GUARDED_BY(mu_);
   std::map<std::string, schema::CompiledSchema> schemas_ XDB_GUARDED_BY(mu_);
   CatalogData catalog_ XDB_GUARDED_BY(mu_);
+  /// Set when Open completes; only an opened engine checkpoints on
+  /// destruction.
+  bool opened_ = false;
   /// num_query_threads - 1 work-stealing helpers shared by all collections
   /// (the querying thread itself is the final executor). Fixed after Open.
   /// Declared after collections_ so ~Engine joins the pool — and drains any

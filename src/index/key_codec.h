@@ -23,6 +23,13 @@ enum class ValueType : uint8_t {
   kDate = 4,     // xs:date, day precision
 };
 
+/// True for a ValueType enumerator. A stored or logged type byte outside
+/// them would build an index that rejects every key.
+inline bool IsValueType(uint8_t t) {
+  return t >= static_cast<uint8_t>(ValueType::kString) &&
+         t <= static_cast<uint8_t>(ValueType::kDate);
+}
+
 const char* ValueTypeName(ValueType t);
 Result<ValueType> ValueTypeFromName(Slice name);
 

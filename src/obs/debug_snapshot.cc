@@ -51,7 +51,6 @@ Status ReadCollection(json::Reader* in, DebugSnapshot::CollectionInfo* ci) {
     if (key == "doc_count") return in->ReadU64(&ci->doc_count);
     if (key == "node_count") return in->ReadU64(&ci->node_count);
     if (key == "stats_epoch") return in->ReadU64(&ci->stats_epoch);
-    if (key == "stats_valid") return in->ReadBool(&ci->stats_valid);
     if (key == "buffer_resident") return in->ReadU64(&ci->buffer_resident);
     if (key == "buffer_capacity") return in->ReadU64(&ci->buffer_capacity);
     if (key == "buffer_hits") return in->ReadU64(&ci->buffer_hits);
@@ -114,8 +113,6 @@ std::string DebugSnapshot::ToJson() const {
     AppendKeyU64(&out, "doc_count", ci.doc_count, true);
     AppendKeyU64(&out, "node_count", ci.node_count, true);
     AppendKeyU64(&out, "stats_epoch", ci.stats_epoch, true);
-    out.append(", \"stats_valid\": ");
-    out.append(ci.stats_valid ? "true" : "false");
     AppendKeyU64(&out, "buffer_resident", ci.buffer_resident, true);
     AppendKeyU64(&out, "buffer_capacity", ci.buffer_capacity, true);
     AppendKeyU64(&out, "buffer_hits", ci.buffer_hits, true);
@@ -174,9 +171,8 @@ std::string DebugSnapshot::ToText() const {
   for (const CollectionInfo& ci : collections) {
     Appendf(&out,
             "  %-20s docs=%-8" PRIu64 " nodes~%-10" PRIu64 " epoch=%" PRIu64
-            " (%s)\n",
-            ci.name.c_str(), ci.doc_count, ci.node_count, ci.stats_epoch,
-            ci.stats_valid ? "cost-based" : "heuristic");
+            "\n",
+            ci.name.c_str(), ci.doc_count, ci.node_count, ci.stats_epoch);
     Appendf(&out,
             "  %-20s buffer: %" PRIu64 "/%" PRIu64 " frames resident, hits=%"
             PRIu64 " misses=%" PRIu64 "\n",

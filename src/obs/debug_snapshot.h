@@ -41,7 +41,6 @@ struct DebugSnapshot {
     uint64_t doc_count = 0;
     uint64_t node_count = 0;  // running estimate
     uint64_t stats_epoch = 0;
-    bool stats_valid = false;
     /// Buffer-pool residency: frames holding a page vs. the pool's frame
     /// capacity, plus the cumulative hit/miss counters.
     uint64_t buffer_resident = 0;

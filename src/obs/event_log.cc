@@ -39,8 +39,8 @@ const char* EventKindName(EventKind k) {
       return "wal.torn_tail";
     case EventKind::kWalCorruptRecords:
       return "wal.corrupt_records";
-    case EventKind::kStatsDegraded:
-      return "stats.degraded";
+    case EventKind::kStatsDerived:
+      return "stats.derived";
     case EventKind::kPlanCacheInvalidated:
       return "plan_cache.invalidated";
     case EventKind::kReplicaStalled:

@@ -45,7 +45,7 @@ enum class EventKind : uint8_t {
   kIoRetry = 13,
   kWalTornTail = 14,
   kWalCorruptRecords = 15,
-  kStatsDegraded = 16,
+  kStatsDerived = 16,  // statistics re-derived from stored data at open
   kPlanCacheInvalidated = 17,
   kReplicaStalled = 18,
   kReplicaCaughtUp = 19,

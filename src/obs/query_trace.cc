@@ -51,7 +51,7 @@ std::string QueryProfile::PlanText(const QueryCounters& counters,
           "stats: epoch=%" PRIu64 " docs=%" PRIu64
           " records/doc=%.2f nodes/doc=%.2f (%s)\n",
           stats_epoch, doc_count, avg_records_per_doc, nodes_per_doc,
-          stats_valid ? "cost-based" : "heuristic");
+          cost_based ? "cost-based" : "heuristic");
   Appendf(&out, "plan cache: %s\n", plan_cache.c_str());
   Appendf(&out, "recheck: %s", need_recheck ? "yes" : "no");
   if (access_method == "nodeid-list" || access_method == "nodeid-anding/oring")

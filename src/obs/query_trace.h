@@ -69,9 +69,11 @@ struct QueryProfile {
   // --- planner inputs ---
   uint64_t doc_count = 0;
   double avg_records_per_doc = 0;
-  double nodes_per_doc = 0;     // from collected stats (0 when unavailable)
+  double nodes_per_doc = 0;     // from collected stats
   uint64_t stats_epoch = 0;     // collection stats epoch the plan was built at
-  bool stats_valid = false;     // cost-based (true) vs heuristic fallback
+  /// The cost model priced the plan; false for forced plans and for
+  /// queries no index covers ("(heuristic)" in PlanText).
+  bool cost_based = false;
   /// "hit", "miss", or "off" — whether this execution reused a compiled
   /// plan from the per-collection plan cache.
   std::string plan_cache = "off";

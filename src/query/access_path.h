@@ -76,7 +76,7 @@ inline bool IsNodeLevel(AccessMethod m) {
          m == AccessMethod::kStructuralScan;
 }
 
-/// Planner override used by experiments (kAuto = Section 4.3 heuristics).
+/// Planner override used by experiments (kAuto = the cost model's choice).
 enum class ForceMethod : uint8_t {
   kAuto = 0,
   kScan = 1,
@@ -102,11 +102,12 @@ struct QueryPlan {
   size_t anchor_step = 0;  // step the node-level methods anchor at
   std::string explain;
   /// Why the planner picked `method`. Cost-based plans carry the full cost
-  /// breakdown ("cost: full-scan=… docid-list=…*"); heuristic/forced plans
-  /// keep the legacy rule text — surfaced verbatim in EXPLAIN output.
+  /// breakdown ("cost: full-scan=… docid-list=…*"); forced and unpriced
+  /// plans a short text ("forced", "no index covers the predicates") —
+  /// surfaced verbatim in EXPLAIN output.
   std::string reason;
-  /// True when `method` came from the cost model (valid statistics were
-  /// available) rather than the Section 4.3 heuristics.
+  /// True when the cost model priced `method`; false for forced plans and
+  /// queries no index covers.
   bool cost_based = false;
   /// Cost-model cardinality estimates, for EXPLAIN (cost_based only).
   double est_postings = 0;

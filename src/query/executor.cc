@@ -1,6 +1,5 @@
 #include "query/executor.h"
 
-#include <cstdio>
 #include <map>
 #include <set>
 
@@ -135,15 +134,13 @@ Result<QueryPlan> ChoosePlan(const xpath::Path& query,
     return plan;
   }
   // Prices the structural-only scan against the full scan when no value
-  // probe is usable. Heuristic (stats-invalid) planning never picks it
-  // uninvited — the structural path only enters cost-based plans, keeping
-  // the legacy heuristic goldens stable.
+  // probe is usable.
   auto consider_structural_only = [&]() {
-    if (so_ix == nullptr || ctx.stats == nullptr || !ctx.stats->valid) return;
+    if (so_ix == nullptr) return;
     StructuralOption opt;
     opt.scan_available = true;
-    FillStructuralStats(*ctx.stats, so_ix, query.steps[so_step].name, &opt);
-    CostBreakdown cost = CostPlans(*ctx.stats, ctx.costs, {}, false, false,
+    FillStructuralStats(ctx.stats, so_ix, query.steps[so_step].name, &opt);
+    CostBreakdown cost = CostPlans(ctx.stats, ctx.costs, {}, false, false,
                                    opt, ctx.avg_records_per_doc);
     plan.cost_based = true;
     plan.est_postings = cost.est_postings;
@@ -257,50 +254,29 @@ Result<QueryPlan> ChoosePlan(const xpath::Path& query,
       plan.reason = "forced";
       break;
     default: {
-      if (ctx.stats != nullptr && ctx.stats->valid) {
-        // Cost-based: price every feasible Table 2 path and take the
-        // cheapest. The breakdown becomes the plan's reason so EXPLAIN
-        // shows why each alternative lost.
-        StructuralOption sopt;
-        sopt.anchor_join = anchor_ix != nullptr;
-        if (anchor_ix != nullptr)
-          FillStructuralStats(*ctx.stats, anchor_ix,
-                              query.steps[anchor].name, &sopt);
-        CostBreakdown cost =
-            CostPlans(*ctx.stats, ctx.costs, probes, disjunctive,
-                      node_capable, sopt, ctx.avg_records_per_doc);
-        plan.cost_based = true;
-        plan.est_postings = cost.est_postings;
-        plan.est_docs = cost.est_docs;
-        plan.reason = cost.Reason();
-        if (cost.chosen == AccessMethod::kFullScan) {
-          // Probing priced out (tiny collection or unselective predicate):
-          // plan is already the full-scan default.
-          return plan;
-        }
-        want_node_level = cost.chosen == AccessMethod::kNodeIdList ||
-                          cost.chosen == AccessMethod::kNodeIdAndOr;
-        break;
+      // Price every feasible Table 2 path and take the cheapest. The
+      // breakdown becomes the plan's reason so EXPLAIN shows why each
+      // alternative lost. The paper's rule — DocID lists for small
+      // documents, NodeID lists for large ones — emerges from the prices.
+      StructuralOption sopt;
+      sopt.anchor_join = anchor_ix != nullptr;
+      if (anchor_ix != nullptr)
+        FillStructuralStats(ctx.stats, anchor_ix, query.steps[anchor].name,
+                            &sopt);
+      CostBreakdown cost =
+          CostPlans(ctx.stats, ctx.costs, probes, disjunctive, node_capable,
+                    sopt, ctx.avg_records_per_doc);
+      plan.cost_based = true;
+      plan.est_postings = cost.est_postings;
+      plan.est_docs = cost.est_docs;
+      plan.reason = cost.Reason();
+      if (cost.chosen == AccessMethod::kFullScan) {
+        // Probing priced out (tiny collection or unselective predicate):
+        // plan is already the full-scan default.
+        return plan;
       }
-      // "For small documents, using indexes to identify qualifying
-      // documents would be efficient ... For large documents, the DocID
-      // list access is no longer efficient. Instead, the NodeID list
-      // access applies."
-      want_node_level = node_capable && ctx.avg_records_per_doc > 2.0;
-      char reason[96];
-      if (want_node_level) {
-        std::snprintf(reason, sizeof(reason),
-                      "avg records/doc %.2f > 2.00, anchorable",
-                      ctx.avg_records_per_doc);
-      } else if (node_capable) {
-        std::snprintf(reason, sizeof(reason),
-                      "avg records/doc %.2f <= 2.00",
-                      ctx.avg_records_per_doc);
-      } else {
-        std::snprintf(reason, sizeof(reason),
-                      "probes not anchorable at one step");
-      }
-      plan.reason = reason;
+      want_node_level = cost.chosen == AccessMethod::kNodeIdList ||
+                        cost.chosen == AccessMethod::kNodeIdAndOr;
     }
   }
   if (want_node_level && !node_capable) {

@@ -1,5 +1,5 @@
-// Plan selection (the "relatively simple at the moment" access path
-// selection of Section 4) — rule-based choice among the Table 2 methods.
+// Plan selection among the Table 2 access methods (Section 4), priced by the
+// cost model from the collection's statistics.
 #ifndef XDB_QUERY_EXECUTOR_H_
 #define XDB_QUERY_EXECUTOR_H_
 
@@ -21,26 +21,21 @@ struct PlannerContext {
   /// makes the structural scan and the descendant-branch anchor join
   /// plannable.
   std::vector<StructuralIndex*> structural_indexes;
-  uint64_t doc_count = 0;
   /// Average records per document; documents spanning several records make
   /// NodeID list access cheaper than fetching whole documents.
   double avg_records_per_doc = 1.0;
-  /// Collected statistics; when non-null and valid, plan choice is priced by
-  /// the cost model instead of the Section 4.3 rules. Null (or !valid) falls
-  /// back to the heuristic — degraded-stats mode after a failed restore.
-  const CollectionStatsSnapshot* stats = nullptr;
+  /// The collection's statistics, which price every plan choice.
+  CollectionStatsSnapshot stats;
   CostConstants costs;
 };
 
-/// Chooses the access method. With valid statistics in the context, every
-/// feasible Table 2 path is priced by the cost model (query/cost_model.h)
-/// and the cheapest wins; the plan's `reason` carries the cost breakdown.
-/// Without statistics, the Section 4.3 rules apply:
-///  - no usable probe            -> full scan;
-///  - probes whose predicates all anchor at one step and whose branches are
-///    child-only chains         -> NodeID-level list/and/or when documents
-///                                 are multi-record (or when forced),
-///                                 DocID-level otherwise;
+/// Chooses the access method. Every feasible Table 2 path, and the
+/// structural scan, is priced by the cost model (query/cost_model.h) and
+/// the cheapest wins; the plan's `reason` carries the cost breakdown. A
+/// query no index covers full-scans unpriced, and `force` overrides the
+/// choice. Either way:
+///  - NodeID-level plans need probes whose predicates all anchor at one step
+///    with child-only branches (or a structural index joining the anchor);
 ///  - exact index matches and fully covered predicates -> no recheck for
 ///    the anchor's own predicates (the residual path still runs);
 ///  - containment matches       -> filtering (recheck required).

@@ -230,10 +230,9 @@ void CollectionStats::NoteStructuralIndexDropped(const std::string& name) {
 
 CollectionStatsSnapshot CollectionStats::Snapshot() const {
   CollectionStatsSnapshot snap;
-  // epoch/valid are read under mu_, the same hold every mutator bumps
-  // under, so the snapshot's epoch always matches its counters.
+  // The epoch is read under mu_, the same hold every mutator bumps under,
+  // so the snapshot's epoch always matches its counters.
   MutexLock lock(mu_);
-  snap.valid = valid();
   snap.epoch = epoch();
   snap.doc_count = doc_count_;
   snap.node_count = node_count_;
@@ -258,7 +257,7 @@ CollectionStatsSnapshot CollectionStats::Snapshot() const {
   return snap;
 }
 
-void CollectionStats::ResetEmpty(uint64_t epoch_floor) {
+void CollectionStats::ResetEmpty() {
   MutexLock lock(mu_);
   doc_count_ = 0;
   node_count_ = 0;
@@ -273,11 +272,8 @@ void CollectionStats::ResetEmpty(uint64_t epoch_floor) {
     st->names.clear();
   }
   // Under mu_ so a concurrent Snapshot() never pairs the zeroed counters
-  // with the pre-reset epoch; the read-modify-write itself is safe from
-  // concurrent bumps because callers hold the collection's exclusive latch.
-  epoch_.store(std::max(epoch() + 1, epoch_floor + 1),
-               std::memory_order_release);
-  valid_.store(true, std::memory_order_release);
+  // with the pre-reset epoch.
+  Bump();
 }
 
 void CollectionStats::Serialize(std::string* out) const {
@@ -297,9 +293,6 @@ void CollectionStats::Serialize(std::string* out) const {
       PutLengthPrefixed(out, entry.key);
     }
   }
-  // Structural section, appended after the value-index records so blobs
-  // written by older builds (which simply end here) still restore: a
-  // missing section means "no structural indexes".
   PutVarint64(out, structural_.size());
   for (const auto& [name, st] : structural_) {
     PutLengthPrefixed(out, name);
@@ -327,98 +320,61 @@ Status CollectionStats::Restore(Slice data) {
     data.RemovePrefix(8);
     return true;
   };
-  uint64_t epoch, docs, nodes, n_indexes;
-  if (!read_fix(&epoch) || !read_fix(&docs) || !read_fix(&nodes) ||
+  // Updates in place as it parses: open-time wiring has already handed out
+  // listener pointers into indexes_ and structural_, so existing objects
+  // must survive. A blob that fails midway leaves the statistics partly
+  // restored; the caller then re-derives them, which resets them first.
+  MutexLock lock(mu_);
+  uint64_t epoch, n_indexes;
+  if (!read_fix(&epoch) || !read_fix(&doc_count_) || !read_fix(&node_count_) ||
       !read_var(&n_indexes))
     return Status::Corruption("truncated collection stats");
-  // Parse fully before applying so a corrupt tail cannot leave the stats
-  // half-restored.
-  struct ParsedIndex {
-    std::string name;
-    uint64_t entry_count = 0;
-    bool saturated = false;
-    std::map<uint64_t, PerIndex::SampleEntry> sketch;
-  };
-  std::vector<ParsedIndex> parsed;
   for (uint64_t i = 0; i < n_indexes; i++) {
-    ParsedIndex pi;
     Slice name;
     if (!GetLengthPrefixed(&data, &name))
       return Status::Corruption("bad stats index name");
-    pi.name = name.ToString();
+    std::unique_ptr<PerIndex>& ix = indexes_[name.ToString()];
+    if (ix == nullptr) ix = std::make_unique<PerIndex>(this);
     uint64_t n_sketch;
-    if (!read_fix(&pi.entry_count) || data.empty())
+    if (!read_fix(&ix->entry_count) || data.empty())
       return Status::Corruption("bad stats index entry count");
-    pi.saturated = data[0] != 0;
+    ix->saturated = data[0] != 0;
     data.RemovePrefix(1);
     if (!read_var(&n_sketch)) return Status::Corruption("bad sketch size");
+    ix->sketch.clear();
     for (uint64_t s = 0; s < n_sketch; s++) {
       uint64_t hash, count;
       Slice key;
       if (!read_fix(&hash) || !read_fix(&count) ||
           !GetLengthPrefixed(&data, &key))
         return Status::Corruption("bad sketch entry");
-      pi.sketch.emplace(hash, PerIndex::SampleEntry{key.ToString(), count});
-    }
-    parsed.push_back(std::move(pi));
-  }
-  // Structural section; absent in blobs from before structural indexing.
-  struct ParsedStructural {
-    std::string name;
-    uint64_t entry_count = 0;
-    uint64_t other_count = 0;
-    std::map<std::string, StructuralNameStats> names;
-  };
-  std::vector<ParsedStructural> parsed_structural;
-  if (!data.empty()) {
-    uint64_t n_structural;
-    if (!read_var(&n_structural))
-      return Status::Corruption("bad structural stats count");
-    for (uint64_t i = 0; i < n_structural; i++) {
-      ParsedStructural ps;
-      Slice name;
-      if (!GetLengthPrefixed(&data, &name))
-        return Status::Corruption("bad structural stats name");
-      ps.name = name.ToString();
-      uint64_t n_names;
-      if (!read_fix(&ps.entry_count) || !read_fix(&ps.other_count) ||
-          !read_var(&n_names))
-        return Status::Corruption("bad structural stats header");
-      for (uint64_t s = 0; s < n_names; s++) {
-        Slice elem;
-        StructuralNameStats ns;
-        if (!GetLengthPrefixed(&data, &elem) || !read_fix(&ns.count) ||
-            !read_fix(&ns.span_sum))
-          return Status::Corruption("bad structural name record");
-        ps.names.emplace(elem.ToString(), ns);
-      }
-      parsed_structural.push_back(std::move(ps));
+      ix->sketch.emplace(hash, PerIndex::SampleEntry{key.ToString(), count});
     }
   }
-  // Update in place: open-time wiring may already have handed out listener
-  // pointers into indexes_, so existing PerIndex objects must survive.
-  MutexLock lock(mu_);
-  doc_count_ = docs;
-  node_count_ = nodes;
-  for (ParsedIndex& pi : parsed) {
-    auto it = indexes_.find(pi.name);
-    if (it == indexes_.end())
-      it = indexes_.emplace(pi.name, std::make_unique<PerIndex>(this)).first;
-    it->second->entry_count = pi.entry_count;
-    it->second->saturated = pi.saturated;
-    it->second->sketch = std::move(pi.sketch);
-  }
-  for (ParsedStructural& ps : parsed_structural) {
-    auto it = structural_.find(ps.name);
-    if (it == structural_.end())
-      it = structural_.emplace(ps.name, std::make_unique<PerStructural>(this))
-               .first;
-    it->second->entry_count = ps.entry_count;
-    it->second->other_count = ps.other_count;
-    it->second->names = std::move(ps.names);
+  uint64_t n_structural;
+  if (!read_var(&n_structural))
+    return Status::Corruption("bad structural stats count");
+  for (uint64_t i = 0; i < n_structural; i++) {
+    Slice name;
+    if (!GetLengthPrefixed(&data, &name))
+      return Status::Corruption("bad structural stats name");
+    std::unique_ptr<PerStructural>& st = structural_[name.ToString()];
+    if (st == nullptr) st = std::make_unique<PerStructural>(this);
+    uint64_t n_names;
+    if (!read_fix(&st->entry_count) || !read_fix(&st->other_count) ||
+        !read_var(&n_names))
+      return Status::Corruption("bad structural stats header");
+    st->names.clear();
+    for (uint64_t s = 0; s < n_names; s++) {
+      Slice elem;
+      StructuralNameStats ns;
+      if (!GetLengthPrefixed(&data, &elem) || !read_fix(&ns.count) ||
+          !read_fix(&ns.span_sum))
+        return Status::Corruption("bad structural name record");
+      st->names.emplace(elem.ToString(), ns);
+    }
   }
   epoch_.store(epoch, std::memory_order_release);
-  valid_.store(true, std::memory_order_release);
   return Status::OK();
 }
 

@@ -79,7 +79,7 @@ struct StructuralStatsSnapshot {
   uint64_t other_count = 0;  // entries whose name fell past the cap
   /// Cumulative maintenance counters (every listener add/remove since the
   /// index object was created). Process-lifetime like the registry's
-  /// Counters — deliberately NOT persisted to stats.xdb; the metrics
+  /// Counters — deliberately NOT persisted with the statistics; the metrics
   /// registry surfaces them as index.structural.entries_added/removed.
   uint64_t entries_added = 0;
   uint64_t entries_removed = 0;
@@ -100,9 +100,6 @@ struct StructuralStatsSnapshot {
 
 /// Plain-data copy of a collection's statistics at one epoch.
 struct CollectionStatsSnapshot {
-  /// False when stats were missing/stale at open: cost-based planning is
-  /// unavailable and the planner falls back to the PR-4 heuristic.
-  bool valid = false;
   uint64_t epoch = 0;
   uint64_t doc_count = 0;
   uint64_t node_count = 0;  // running estimate (see header comment)
@@ -164,22 +161,20 @@ class CollectionStats {
   StructuralIndexStatsListener* StructuralListenerFor(const std::string& name)
       XDB_EXCLUDES(mu_);
 
-  // --- epoch / validity ---
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-  bool valid() const { return valid_.load(std::memory_order_acquire); }
-  /// Degrade to heuristic costing (stats file missing or stale at open).
-  void Invalidate() { valid_.store(false, std::memory_order_release); }
 
   /// Copies everything under the leaf mutex. Cheap: a handful of counters
   /// plus <= kSketchSize sample keys per index.
   CollectionStatsSnapshot Snapshot() const XDB_EXCLUDES(mu_);
 
-  /// Resets to valid-and-empty (collection create, storage rebuild). Keeps
-  /// the epoch monotonic by bumping past the given floor.
-  void ResetEmpty(uint64_t epoch_floor) XDB_EXCLUDES(mu_);
+  /// Resets to empty (storage rebuild, re-derivation at open) and bumps the
+  /// epoch, so plans cached before the reset never match again.
+  void ResetEmpty() XDB_EXCLUDES(mu_);
 
-  // --- persistence (stats.xdb; see engine/stats_store.h) ---
+  // --- persistence (the catalog's statistics section; engine/catalog.h) ---
   void Serialize(std::string* out) const XDB_EXCLUDES(mu_);
+  /// Corruption on a malformed blob, which may leave the statistics partly
+  /// restored: the caller re-derives them (Collection::DeriveStats).
   Status Restore(Slice data) XDB_EXCLUDES(mu_);
 
  private:
@@ -189,7 +184,6 @@ class CollectionStats {
   void Bump() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
   std::atomic<uint64_t> epoch_{0};
-  std::atomic<bool> valid_{true};
   mutable Mutex mu_{LockRank::kCollectionStats};
   uint64_t doc_count_ XDB_GUARDED_BY(mu_) = 0;
   uint64_t node_count_ XDB_GUARDED_BY(mu_) = 0;

@@ -40,7 +40,7 @@ struct RecordManagerStats {
   uint64_t overflow_records = 0;
   uint64_t data_pages = 0;
   /// Records currently stored (maintained incrementally; rebuilt by
-  /// Recover) — cheap cardinality for planner heuristics.
+  /// Recover) — cheap cardinality for the planner.
   uint64_t live_records = 0;
   /// Pages Recover() skipped because their checksum failed; the data they
   /// held is unreadable until Engine::Scrub() repairs from the WAL.

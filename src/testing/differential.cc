@@ -59,28 +59,24 @@ struct SweepCounters {
   uint64_t edited = 0;
 };
 
-/// Runs `query` over `coll` under seven planner flavors: the five force
-/// modes (structural included), the cost-based auto plan re-run so the
-/// second execution is served from the compiled-plan cache, and the forced
-/// Section 4.3 heuristic. Returns "" when every flavor returns `want`, else
-/// the first failure or divergence, prefixed by `label`. Counts executions
-/// in *runs when given.
+/// Runs `query` over `coll` under six planner flavors: the five force
+/// modes (structural included) and the cost-based auto plan re-run so the
+/// second execution is served from the compiled-plan cache. Returns "" when
+/// every flavor returns `want`, else the first failure or divergence,
+/// prefixed by `label`. Counts executions in *runs when given.
 std::string CheckFlavors(Collection* coll, const std::string& query,
                          const NodeSequence& want, const char* want_name,
                          const std::string& label, uint64_t* runs) {
   static const ForceMethod kForces[] = {
       ForceMethod::kAuto,       ForceMethod::kScan,
       ForceMethod::kDocIdList,  ForceMethod::kNodeIdList,
-      ForceMethod::kStructural, ForceMethod::kAuto,
-      ForceMethod::kAuto};
+      ForceMethod::kStructural, ForceMethod::kAuto};
   static const char* kForceNames[] = {
-      "plan:auto",        "plan:scan",        "plan:docid-list",
-      "plan:nodeid-list", "plan:structural",  "plan:auto-cached",
-      "plan:heuristic"};
-  for (size_t f = 0; f < 7; f++) {
+      "plan:auto",        "plan:scan",       "plan:docid-list",
+      "plan:nodeid-list", "plan:structural", "plan:auto-cached"};
+  for (size_t f = 0; f < 6; f++) {
     QueryOptions qo;
     qo.force = kForces[f];
-    qo.use_heuristic_planner = (f == 6);
     auto res_r = coll->Query(nullptr, query, qo);
     if (!res_r.ok())
       return label + kForceNames[f] + " failed: " + res_r.status().ToString();
@@ -132,14 +128,27 @@ std::string CheckIndexesMatchBackfill(Collection* coll) {
   const CollectionMeta meta = coll->meta();  // the twins' DDL changes it
   const std::string kTwin = "#backfill";
   std::string err;
+  auto docs = coll->DocCount();
+  if (!docs.ok()) return "doc count: " + docs.status().ToString();
+  const uint64_t counted = coll->stats()->Snapshot().doc_count;
+  if (counted != docs.value())
+    return "stats doc_count " + std::to_string(counted) + " != " +
+           std::to_string(docs.value()) + " stored documents";
   for (const ValueIndexMeta& vi : meta.value_indexes) {
     ValueIndexDef twin = vi.def;
     twin.name += kTwin;
     Status st = coll->CreateValueIndex(twin);
-    if (st.ok())
+    if (st.ok()) {
       err = CompareTrees(vi.def.name, coll->FindValueIndex(vi.def.name)->tree(),
                          coll->FindValueIndex(twin.name)->tree());
-    if (st.ok()) st = coll->DropValueIndex(twin.name);
+      query::CollectionStatsSnapshot snap = coll->stats()->Snapshot();
+      const uint64_t kept = snap.indexes[vi.def.name].entry_count;
+      const uint64_t fresh = snap.indexes[twin.name].entry_count;
+      if (err.empty() && kept != fresh)
+        err = vi.def.name + " stats count " + std::to_string(kept) +
+              " entries != backfill's " + std::to_string(fresh);
+      st = coll->DropValueIndex(twin.name);
+    }
     if (err.empty() && !st.ok()) err = twin.name + ": " + st.ToString();
     if (!err.empty()) return err;
   }

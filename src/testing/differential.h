@@ -94,8 +94,10 @@ SweepResult RunSweep(uint64_t base_seed, uint64_t iters,
 
 /// Checks each value and structural index of `coll` against a twin with
 /// its definition, backfilled from the stored records: equal raw B+tree
-/// entries and, for structural twins, equal per-name count and span in
-/// CollectionStats. Drops the twins; returns "" or the first difference.
+/// entries, equal entry counts in CollectionStats for value twins, and
+/// equal per-name count and span for structural twins. Also requires the
+/// statistics' doc_count to equal DocCount(). Drops the twins; returns ""
+/// or the first difference.
 std::string CheckIndexesMatchBackfill(Collection* coll);
 
 // --- greedy minimizers (exposed for their own tests) ---

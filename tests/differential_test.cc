@@ -54,8 +54,8 @@ TEST(DifferentialTest, SweepAgreesAcrossEngines) {
   EXPECT_GT(res.naive_stream_runs, 0u)
       << "no generated query fell in the naive evaluator's linear subset";
   // Five force modes (structural scan included) + cached re-run
-  // of the auto plan + forced heuristic, at both record budgets.
-  EXPECT_EQ(res.plan_runs, res.cases_run * 7 * 2);
+  // of the auto plan, at both record budgets.
+  EXPECT_EQ(res.plan_runs, res.cases_run * 6 * 2);
   // Some documents are edited and re-checked after the edit.
   EXPECT_GT(res.edited_runs, 0u);
 }
@@ -79,7 +79,7 @@ TEST(DifferentialTest, DeepDocumentSweepAgreesAcrossEngines) {
   EXPECT_TRUE(res.ok) << res.first_failure.Report();
   EXPECT_EQ(res.cases_run, iters);
   EXPECT_EQ(res.quickxscan_runs, res.cases_run);
-  EXPECT_EQ(res.plan_runs, res.cases_run * 7 * 2);
+  EXPECT_EQ(res.plan_runs, res.cases_run * 6 * 2);
 }
 
 TEST(DifferentialTest, SeedReplay) {

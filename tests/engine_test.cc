@@ -121,6 +121,22 @@ TEST(EngineTest, IndexPathNamesUnknownAtCreate) {
   EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
 }
 
+// A value type outside kString..kDate has no key encoding: the index would
+// reject every key and stay silently empty, so the DDL fails instead.
+TEST(EngineTest, UnknownValueTypeRejected) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  for (int type : {0, 9}) {
+    Status st = coll->CreateValueIndex(
+        {"bad", "/a/b", static_cast<ValueType>(type), 64});
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument)
+        << type << ": " << st.ToString();
+    EXPECT_EQ(coll->FindValueIndex("bad"), nullptr) << type;
+  }
+  EXPECT_TRUE(
+      coll->CreateValueIndex({"ok", "/a/b", ValueType::kDate, 64}).ok());
+}
+
 class QueryMethodsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -1067,24 +1083,23 @@ TEST(ExplainTest, IndexAndingPlanGolden) {
                       nullptr,
                       "<cat><p><price>8</price><qty>5</qty></p></cat>")
                   .ok());
-  // Forced heuristic planning pins the Section 4.3 rule text and the probe
-  // line format (and bypasses the plan cache, hence "off"). The cost-based
-  // choice on this tiny collection is covered by planner_test.cc.
+  // A forced DocID plan pins the probe line format. The cost-based choice
+  // on this tiny collection is covered by planner_test.cc.
   QueryOptions o;
   o.explain = true;
-  o.use_heuristic_planner = true;
+  o.force = ForceMethod::kDocIdList;
   auto res =
       coll->Query(nullptr, "/cat/p[price = 10 and qty = 5]", o).MoveValue();
   ASSERT_EQ(res.nodes.size(), 1u);
   EXPECT_EQ(res.PlanText(),
             "query: /cat/p[price = 10.000000 and qty = 5.000000]\n"
-            "access path: docid-anding/oring (avg records/doc 1.00 <= 2.00)\n"
+            "access path: docid-anding/oring (forced)\n"
             "  probe: /cat/p/qty = ... index 'qty' (exact)\n"
             "  probe: /cat/p/price = ... index 'price' (exact)\n"
             "  combine: ANDing\n"
             "stats: epoch=5 docs=3 records/doc=1.00 nodes/doc=6.00"
             " (heuristic)\n"
-            "plan cache: off\n"
+            "plan cache: miss\n"
             "recheck: no\n"
             "cardinality: postings=4 candidate_docs=1 candidate_anchors=0"
             " docs_evaluated=1 records_fetched=1 results=1\n"
@@ -1099,7 +1114,7 @@ TEST(ExplainTest, IndexAndingPlanGolden) {
           .MoveValue();
   ASSERT_EQ(auto_res.nodes.size(), 1u);
   EXPECT_EQ(auto_res.profile.access_method, "full-scan");
-  EXPECT_TRUE(auto_res.profile.stats_valid);
+  EXPECT_TRUE(auto_res.profile.cost_based);
   EXPECT_NE(auto_res.profile.reason.find("cost:"), std::string::npos);
 }
 

@@ -16,6 +16,7 @@
 #include "engine/catalog.h"
 #include "engine/engine.h"
 #include "leak_check.h"
+#include "legacy_catalog.h"
 #include "obs/event_log.h"
 #include "repl/replica_applier.h"
 #include "repl/ship_transport.h"
@@ -755,13 +756,78 @@ TEST_F(EngineFaultTest, CheckpointSyncFaultLeavesStoreRecoverable) {
   EXPECT_EQ(coll->GetDocumentText(nullptr, doc_b).value(), "<b>walled</b>");
 }
 
-// --- planner statistics durability (stats.xdb) ---
+// --- planner statistics durability (the catalog's statistics section) ---
 
-/// True when some recent event records degraded planner statistics.
-bool SawStatsDegraded(Engine* engine) {
+/// True when some recent event records statistics re-derived at open.
+bool SawStatsDerived(Engine* engine) {
   for (const obs::Event& e : engine->RecentEvents())
-    if (e.kind == obs::EventKind::kStatsDegraded) return true;
+    if (e.kind == obs::EventKind::kStatsDerived) return true;
   return false;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(f)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Runs `query` planned (EXPLAIN on) and as a forced scan; the two must
+/// return the same nodes and the plan must have been priced.
+void ExpectPlannedMatchesScan(Collection* coll, const std::string& query) {
+  QueryOptions planned;
+  planned.explain = true;
+  QueryOptions scan;
+  scan.force = ForceMethod::kScan;
+  auto a = coll->Query(nullptr, query, planned);
+  auto b = coll->Query(nullptr, query, scan);
+  ASSERT_TRUE(a.ok()) << query << ": " << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << query << ": " << b.status().ToString();
+  EXPECT_NE(a.value().PlanText().find("(cost-based)"), std::string::npos)
+      << a.value().PlanText();
+  ASSERT_EQ(a.value().nodes.size(), b.value().nodes.size()) << query;
+  for (size_t i = 0; i < a.value().nodes.size(); i++) {
+    EXPECT_EQ(a.value().nodes[i].doc_id, b.value().nodes[i].doc_id) << query;
+    EXPECT_EQ(a.value().nodes[i].node_id, b.value().nodes[i].node_id)
+        << query;
+  }
+}
+
+/// The statistics every re-derivation must reproduce: doc count, each value
+/// index's entry count, each structural index's per-name counts and spans.
+/// With `insert_only`, also the node count and every KMV sketch, which
+/// deletes let drift.
+void ExpectDerivedStats(const query::CollectionStatsSnapshot& got,
+                        const query::CollectionStatsSnapshot& want,
+                        bool insert_only) {
+  EXPECT_EQ(got.doc_count, want.doc_count);
+  if (insert_only) {
+    EXPECT_EQ(got.node_count, want.node_count);
+  }
+  ASSERT_EQ(got.indexes.size(), want.indexes.size());
+  for (const auto& [name, w] : want.indexes) {
+    SCOPED_TRACE("value index " + name);
+    ASSERT_EQ(got.indexes.count(name), 1u);
+    const query::IndexStatsSnapshot& g = got.indexes.at(name);
+    EXPECT_EQ(g.entry_count, w.entry_count);
+    if (insert_only) {
+      EXPECT_EQ(g.distinct_keys, w.distinct_keys);
+      EXPECT_EQ(g.sample_keys, w.sample_keys);
+    }
+  }
+  ASSERT_EQ(got.structural.size(), want.structural.size());
+  for (const auto& [name, w] : want.structural) {
+    SCOPED_TRACE("structural index " + name);
+    ASSERT_EQ(got.structural.count(name), 1u);
+    const query::StructuralStatsSnapshot& g = got.structural.at(name);
+    EXPECT_EQ(g.entry_count, w.entry_count);
+    EXPECT_EQ(g.other_count, w.other_count);
+    ASSERT_EQ(g.names.size(), w.names.size());
+    for (const auto& [elem, ns] : w.names) {
+      ASSERT_EQ(g.names.count(elem), 1u) << elem;
+      EXPECT_EQ(g.names.at(elem).count, ns.count) << elem;
+      EXPECT_EQ(g.names.at(elem).span_sum, ns.span_sum) << elem;
+    }
+  }
 }
 
 // Stats written at checkpoint plus WAL replay of post-checkpoint writes
@@ -796,8 +862,6 @@ TEST_F(EngineFaultTest, StatsSurviveCheckpointAndCrashReplay) {
   Engine* engine =
       IntentionallyLeaked(Engine::Open(FileOptions()).MoveValue().release());
   Collection* coll = engine->GetCollection("docs").value();
-  EXPECT_FALSE(SawStatsDegraded(engine));
-  EXPECT_TRUE(coll->stats()->valid());
   query::CollectionStatsSnapshot snap = coll->stats()->Snapshot();
   EXPECT_EQ(snap.doc_count, 8u);
   EXPECT_EQ(snap.epoch, pre_crash_epoch);
@@ -876,8 +940,8 @@ TEST_F(EngineFaultTest, StructuralIndexDdlSurvivesCrashReplay) {
   EXPECT_EQ(res.value().nodes.size(), 2u);
 }
 
-// A fresh collection checkpointed before any write carries stats epoch 0 —
-// a valid empty state, not a degradation.
+// A fresh collection checkpointed before any write carries stats epoch 0,
+// a valid empty state.
 TEST_F(EngineFaultTest, FreshCollectionEpochZeroStaysValidAcrossReopen) {
   {
     auto engine = Engine::Open(FileOptions()).MoveValue();
@@ -886,128 +950,291 @@ TEST_F(EngineFaultTest, FreshCollectionEpochZeroStaysValidAcrossReopen) {
   }
   auto engine = Engine::Open(FileOptions()).MoveValue();
   Collection* coll = engine->GetCollection("docs").value();
-  EXPECT_FALSE(SawStatsDegraded(engine.get()));
-  EXPECT_TRUE(coll->stats()->valid());
   ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>x</k></doc>").ok());
   EXPECT_EQ(coll->Query(nullptr, "/doc/k").value().nodes.size(), 1u);
 }
 
-// Missing or corrupt stats.xdb must never fail Open: the collection
-// degrades to the Section 4.3 heuristic (logged as an event) and every
-// query still answers exactly.
-TEST_F(EngineFaultTest, MissingOrCorruptStatsFileDegradesToHeuristic) {
-  for (int corrupt = 0; corrupt < 2; corrupt++) {
+// Every byte of a checkpointed catalog, one bit flipped at a time. The body
+// (magic, CRC, length, roots, indexes, dictionary) is covered by its CRC: a
+// flip there fails Open with Corruption and leaves the file as it was, so a
+// second Open fails too. A flip in the statistics section loses only the
+// statistics: the collection re-derives them from its stored data and
+// plans on them exactly as before.
+TEST_F(EngineFaultTest, CatalogByteFlipsAreDetected) {
+  query::CollectionStatsSnapshot want;
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    Collection* coll = engine->CreateCollection("docs").value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "/doc/k", ValueType::kString, 64}).ok());
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    for (int i = 0; i < 12; i++) {
+      std::string xml = "<doc><k>v" + std::to_string(i % 5) + "</k>";
+      if (i % 4 == 0) xml += "<note>n" + std::to_string(i) + "</note>";
+      ASSERT_TRUE(coll->InsertDocument(nullptr, xml + "</doc>").ok());
+    }
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    want = coll->stats()->Snapshot();
+  }
+  const std::string catalog = dir_ + "/catalog.xdb";
+  const std::string pristine_bytes = ReadFileBytes(catalog);
+  ASSERT_GT(pristine_bytes.size(), 12u);
+  const uint64_t body_end = 12 + DecodeFixed32(pristine_bytes.data() + 8);
+  ASSERT_LT(body_end, pristine_bytes.size());
+  const std::string pristine = dir_ + "_pristine";
+  std::filesystem::remove_all(pristine);
+  std::filesystem::copy(dir_, pristine,
+                        std::filesystem::copy_options::recursive);
+  for (uint64_t off = 0; off < pristine_bytes.size() && !HasFatalFailure();
+       off++) {
+    SCOPED_TRACE("byte=" + std::to_string(off));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::copy(pristine, dir_,
+                          std::filesystem::copy_options::recursive);
+    FlipByte(catalog, off, static_cast<uint8_t>(1u << (off % 8)));
+    const std::string flipped = ReadFileBytes(catalog);
+    auto opened = Engine::Open(FileOptions());
+    if (off < body_end) {
+      ASSERT_FALSE(opened.ok());
+      EXPECT_TRUE(opened.status().IsCorruption())
+          << opened.status().ToString();
+      EXPECT_EQ(ReadFileBytes(catalog), flipped);
+      EXPECT_TRUE(Engine::Open(FileOptions()).status().IsCorruption());
+      continue;
+    }
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto engine = opened.MoveValue();
+    EXPECT_TRUE(SawStatsDerived(engine.get()));
+    Collection* coll = engine->GetCollection("docs").value();
+    ExpectDerivedStats(coll->stats()->Snapshot(), want, /*insert_only=*/true);
+    ExpectPlannedMatchesScan(coll, "/doc[k = \"v2\"]");
+    ExpectPlannedMatchesScan(coll, "//note");
+  }
+  std::filesystem::remove_all(pristine);
+}
+
+// A blob that passes the section's CRC but fails Restore part way (a
+// truncated one here) is re-derived like a lost one: the derivation resets
+// whatever the failed Restore applied.
+TEST_F(EngineFaultTest, StatsBlobFailingRestoreIsReDerived) {
+  query::CollectionStatsSnapshot want;
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    Collection* coll = engine->CreateCollection("docs").value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "/doc/k", ValueType::kString, 64}).ok());
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    for (int i = 0; i < 9; i++) {
+      ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>v" +
+                                                    std::to_string(i % 3) +
+                                                    "</k></doc>")
+                      .ok());
+    }
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    want = coll->stats()->Snapshot();
+  }
+  const std::string catalog = dir_ + "/catalog.xdb";
+  CatalogData cat = LoadCatalog(catalog).MoveValue();
+  std::string& blob = cat.stats.at("docs");
+  blob.resize(blob.size() - 3);
+  ASSERT_TRUE(SaveCatalog(cat, catalog).ok());
+  auto engine = Engine::Open(FileOptions()).MoveValue();
+  EXPECT_TRUE(SawStatsDerived(engine.get()));
+  Collection* coll = engine->GetCollection("docs").value();
+  ExpectDerivedStats(coll->stats()->Snapshot(), want, /*insert_only=*/true);
+  ExpectPlannedMatchesScan(coll, "/doc[k = \"v1\"]");
+}
+
+// A catalog from before the statistics section (V5, the last format whose
+// statistics lived in stats.xdb) opens by re-deriving every collection's
+// statistics from its stored data; a leftover stats.xdb, here one holding
+// wrong numbers, is ignored. After an insert-only history the derivation
+// reproduces everything the engine maintained: counts and every sketch.
+TEST_F(EngineFaultTest, V5CatalogReDerivesInsertOnlyStats) {
+  for (const bool stats_file : {false, true}) {
+    SCOPED_TRACE(stats_file ? "with stats.xdb" : "without stats.xdb");
     SetUp();  // fresh dir per mode
+    query::CollectionStatsSnapshot want;
     {
       auto engine = Engine::Open(FileOptions()).MoveValue();
       Collection* coll = engine->CreateCollection("docs").value();
       ASSERT_TRUE(
           coll->CreateValueIndex({"k", "/doc/k", ValueType::kString, 64})
               .ok());
-      for (int i = 0; i < 5; i++) {
-        ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>v" +
-                                                      std::to_string(i) +
-                                                      "</k></doc>")
+      ASSERT_TRUE(
+          coll->CreateValueIndex({"n", "//n", ValueType::kDouble, 64}).ok());
+      ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+      // More distinct keys than the sketch holds, so it saturates.
+      for (int i = 0; i < 90; i++) {
+        ASSERT_TRUE(coll->InsertDocument(
+                            nullptr, "<doc a=\"" + std::to_string(i) +
+                                         "\"><k>key" + std::to_string(i) +
+                                         "</k><p><n>" + std::to_string(i % 7) +
+                                         "</n></p></doc>")
                         .ok());
       }
       ASSERT_TRUE(engine->Checkpoint().ok());
+      want = coll->stats()->Snapshot();
     }
-    std::string stats_path = dir_ + "/stats.xdb";
-    ASSERT_TRUE(std::filesystem::exists(stats_path));
-    if (corrupt) {
-      FlipByte(stats_path, std::filesystem::file_size(stats_path) / 2, 0x40);
-    } else {
-      std::filesystem::remove(stats_path);
+    ASSERT_TRUE(
+        RewriteAsLegacyCatalog(dir_ + "/catalog.xdb", kCatalogMagicV5));
+    if (stats_file) {
+      query::CollectionStats empty;
+      std::string blob;
+      empty.Serialize(&blob);
+      ASSERT_TRUE(WriteLegacyStatsFile(dir_ + "/stats.xdb", {{"docs", blob}}));
     }
-
-    auto engine = Engine::Open(FileOptions()).MoveValue();
-    Collection* coll = engine->GetCollection("docs").value();
-    EXPECT_TRUE(SawStatsDegraded(engine.get())) << "corrupt=" << corrupt;
-    EXPECT_FALSE(coll->stats()->valid()) << "corrupt=" << corrupt;
-    QueryOptions o;
-    o.explain = true;
-    auto res = coll->Query(nullptr, "/doc[k = \"v2\"]", o);
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    EXPECT_EQ(res.value().nodes.size(), 1u);
-    EXPECT_NE(res.value().PlanText().find("(heuristic)"),
-              std::string::npos)
-        << res.value().PlanText();
-    // Writes revalidate nothing by themselves, but the next checkpoint
-    // persists fresh (partially rebuilt) stats without tripping anything.
-    ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>new</k></doc>").ok());
-    ASSERT_TRUE(engine->Checkpoint().ok());
-    engine.reset();
+    {
+      auto engine = Engine::Open(FileOptions()).MoveValue();
+      EXPECT_TRUE(SawStatsDerived(engine.get()));
+      Collection* coll = engine->GetCollection("docs").value();
+      ExpectDerivedStats(coll->stats()->Snapshot(), want,
+                         /*insert_only=*/true);
+      ExpectPlannedMatchesScan(coll, "/doc[k = \"key7\"]");
+      ExpectPlannedMatchesScan(coll, "/doc/p[n > 4]");
+    }
     TearDown();
   }
 }
 
-// A stats file from an older checkpoint than the catalog (crash between
-// the two writes, restored backup, …) is detected by the epoch handshake
-// and degraded rather than trusted.
-TEST_F(EngineFaultTest, StaleStatsFileEpochMismatchDegrades) {
-  std::string stats_path = dir_ + "/stats.xdb";
+// The same upgrade after deletes, subtree edits and text updates: the
+// counts that maintenance keeps exact (documents, index entries, structural
+// per-name counts and spans) come back equal.
+TEST_F(EngineFaultTest, V5CatalogReDerivesStatsAfterEdits) {
+  query::CollectionStatsSnapshot want;
   {
     auto engine = Engine::Open(FileOptions()).MoveValue();
     Collection* coll = engine->CreateCollection("docs").value();
-    ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>one</k></doc>").ok());
-    ASSERT_TRUE(engine->Checkpoint().ok());
-    std::filesystem::copy_file(stats_path, stats_path + ".old");
-    ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>two</k></doc>").ok());
-    ASSERT_TRUE(engine->Checkpoint().ok());
-  }
-  // The catalog now expects the second checkpoint's epoch; hand it the
-  // first checkpoint's stats instead.
-  std::filesystem::remove(stats_path);
-  std::filesystem::rename(stats_path + ".old", stats_path);
-
-  auto engine = Engine::Open(FileOptions()).MoveValue();
-  Collection* coll = engine->GetCollection("docs").value();
-  EXPECT_TRUE(SawStatsDegraded(engine.get()));
-  EXPECT_FALSE(coll->stats()->valid());
-  auto res = coll->Query(nullptr, "/doc/k");
-  ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.value().nodes.size(), 2u);
-}
-
-// A catalog checkpointed before collected statistics existed (stats epoch
-// 0) but holding documents must not open as "valid empty stats": the
-// checkpointed documents are not in the WAL (checkpoint resets it), so the
-// zero counts would never self-correct and the cost model would price full
-// scans at zero forever. The collection degrades to heuristic planning.
-TEST_F(EngineFaultTest, PreStatsCatalogWithDocumentsDegradesToHeuristic) {
-  {
-    auto engine = Engine::Open(FileOptions()).MoveValue();
-    Collection* coll = engine->CreateCollection("docs").value();
-    ASSERT_TRUE(coll->CreateValueIndex({"k", "/doc/k", ValueType::kString, 64})
-                    .ok());
-    for (int i = 0; i < 5; i++) {
-      ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>v" +
-                                                    std::to_string(i) +
-                                                    "</k></doc>")
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "//k", ValueType::kString, 64}).ok());
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    std::vector<uint64_t> docs;
+    for (int i = 0; i < 20; i++) {
+      docs.push_back(coll->InsertDocument(
+                             nullptr, "<doc><s><k>a" + std::to_string(i) +
+                                          "</k><k>b</k></s><t>x</t></doc>")
+                         .value());
+    }
+    for (int i = 0; i < 20; i += 3)
+      ASSERT_TRUE(coll->DeleteDocument(nullptr, docs[i]).ok());
+    QueryOptions scan;
+    scan.force = ForceMethod::kScan;
+    for (int i = 1; i < 20; i += 3) {
+      auto s = coll->Query(nullptr, "/doc/s", scan).value().nodes;
+      ASSERT_FALSE(s.empty());
+      const ResultNode& target = s[static_cast<size_t>(i) % s.size()];
+      ASSERT_TRUE(coll->InsertSubtree(nullptr, target.doc_id, target.node_id,
+                                      "", "<u><k>c</k><k>d</k></u>")
+                      .ok());
+      auto t = coll->Query(nullptr, "/doc/t", scan).value().nodes;
+      ASSERT_TRUE(
+          coll->DeleteSubtree(nullptr, t[0].doc_id, t[0].node_id).ok());
+      auto k = coll->Query(nullptr, "//k/text()", scan).value().nodes;
+      ASSERT_TRUE(coll->UpdateTextNode(nullptr, k[0].doc_id, k[0].node_id,
+                                       "z" + std::to_string(i))
                       .ok());
     }
     ASSERT_TRUE(engine->Checkpoint().ok());
+    want = coll->stats()->Snapshot();
   }
-  // Rewrite the catalog as a pre-stats one (epoch 0, no stats.xdb) — the
-  // on-disk state a v1 engine would have left behind.
-  const std::string catalog_path = dir_ + "/catalog.xdb";
-  CatalogData cat = LoadCatalog(catalog_path).MoveValue();
-  for (auto& [name, meta] : cat.collections) meta.stats_epoch = 0;
-  ASSERT_TRUE(SaveCatalog(cat, catalog_path).ok());
-  std::filesystem::remove(dir_ + "/stats.xdb");
-
+  ASSERT_TRUE(RewriteAsLegacyCatalog(dir_ + "/catalog.xdb", kCatalogMagicV5));
   auto engine = Engine::Open(FileOptions()).MoveValue();
+  EXPECT_TRUE(SawStatsDerived(engine.get()));
   Collection* coll = engine->GetCollection("docs").value();
-  EXPECT_TRUE(SawStatsDegraded(engine.get()));
-  EXPECT_FALSE(coll->stats()->valid());
-  QueryOptions o;
-  o.explain = true;
-  auto res = coll->Query(nullptr, "/doc[k = \"v2\"]", o);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res.value().nodes.size(), 1u);
-  EXPECT_NE(res.value().PlanText().find("(heuristic)"),
-            std::string::npos)
-      << res.value().PlanText();
+  ExpectDerivedStats(coll->stats()->Snapshot(), want, /*insert_only=*/false);
+  ExpectPlannedMatchesScan(coll, "/doc/s[k = \"b\"]");
+  ExpectPlannedMatchesScan(coll, "//u");
+}
+
+// Planning reads the document count from the statistics snapshot, so
+// EXPLAIN's docs= must equal the stored documents after every path that
+// changes them: inserts, deletes, crash replay and a scrub rebuild.
+TEST_F(EngineFaultTest, ExplainDocCountMatchesStoredDocuments) {
+  auto expect_docs = [](Collection* coll) {
+    QueryOptions o;
+    o.explain = true;
+    auto res = coll->Query(nullptr, "/doc[k = \"v1\"]", o);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    const uint64_t stored = coll->DocCount().value();
+    EXPECT_NE(res.value().PlanText().find(" docs=" + std::to_string(stored) +
+                                          " "),
+              std::string::npos)
+        << "stored=" << stored << "\n"
+        << res.value().PlanText();
+  };
+  {
+    Engine* crashed =
+        IntentionallyLeaked(Engine::Open(FileOptions()).MoveValue().release());
+    Collection* coll = crashed->CreateCollection("docs").value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "/doc/k", ValueType::kString, 64}).ok());
+    ASSERT_TRUE(crashed->Checkpoint().ok());
+    std::vector<uint64_t> docs;
+    for (int i = 0; i < 30; i++) {
+      docs.push_back(
+          coll->InsertDocument(nullptr, "<doc><k>v" + std::to_string(i % 4) +
+                                            "</k></doc>")
+              .value());
+    }
+    expect_docs(coll);
+    for (int i = 0; i < 30; i += 4)
+      ASSERT_TRUE(coll->DeleteDocument(nullptr, docs[i]).ok());
+    expect_docs(coll);
+  }
+  {
+    Engine* crashed =
+        IntentionallyLeaked(Engine::Open(FileOptions()).MoveValue().release());
+    Collection* coll = crashed->GetCollection("docs").value();
+    expect_docs(coll);
+    EXPECT_EQ(coll->DocCount().value(), 22u);
+    ASSERT_TRUE(coll->buffer_manager()->FlushAll().ok());
+  }
+  for (uint64_t p = 1; p <= 2; p++)
+    FlipByte(dir_ + "/docs.xts", p * kDefaultPageSize + 100 + p, 0x20);
+  auto engine = Engine::Open(FileOptions()).MoveValue();
+  auto rep = engine->Scrub();
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  ASSERT_EQ(rep.value().collections.size(), 1u);
+  EXPECT_TRUE(rep.value().collections[0].rebuilt);
+  expect_docs(engine->GetCollection("docs").value());
+}
+
+// An index type byte outside kString..kDate names no key encoding: such an
+// index would reject every key and stay silently empty. The catalog and the
+// WAL decoders both refuse it as Corruption.
+TEST_F(EngineFaultTest, UnknownValueTypeFailsOpen) {
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    Collection* coll = engine->CreateCollection("docs").value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "/doc/k", ValueType::kString, 64}).ok());
+    ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>v</k></doc>").ok());
+  }
+  const std::string catalog = dir_ + "/catalog.xdb";
+  CatalogData cat = LoadCatalog(catalog).MoveValue();
+  cat.collections.at("docs").value_indexes[0].def.type = ValueType(9);
+  ASSERT_TRUE(SaveCatalog(cat, catalog).ok());
+  auto opened = Engine::Open(FileOptions());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+
+  // The same type in a logged DDL record.
+  cat.collections.at("docs").value_indexes.clear();
+  ASSERT_TRUE(SaveCatalog(cat, catalog).ok());
+  {
+    auto wal = WalLog::Open(dir_ + "/wal.log").MoveValue();
+    std::string payload;
+    PutLengthPrefixed(&payload, "docs");
+    PutLengthPrefixed(&payload, "bad");
+    PutLengthPrefixed(&payload, "/doc/k");
+    payload.push_back(9);
+    PutFixed32(&payload, 64);
+    ASSERT_TRUE(wal->Append(WalRecordType::kCreateValueIndex, payload).ok());
+    ASSERT_TRUE(wal->Commit().ok());
+  }
+  opened = Engine::Open(FileOptions());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
 }
 
 // --- corruption scrub & repair ---

@@ -575,7 +575,6 @@ DebugSnapshot MakeDebugSnapshot() {
   c.doc_count = 48;
   c.node_count = 5000;
   c.stats_epoch = 97;
-  c.stats_valid = true;
   c.buffer_resident = 61;
   c.buffer_capacity = 64;
   c.buffer_hits = 1234;

@@ -244,17 +244,6 @@ TEST(PlannerCrossoverTest, StructuralIndexFlipsScanForSelectiveDescendant) {
             "scan: events=840 instances=408 peak_live=51\n"
             "parallelism: 1 (chunks=1)\n");
 
-  // The heuristic planner predates the cost model and stays conservative:
-  // it never chooses the structural path on its own.
-  QueryOptions heur;
-  heur.explain = true;
-  heur.use_heuristic_planner = true;
-  auto h = coll->Query(nullptr, "//t", heur);
-  ASSERT_TRUE(h.ok());
-  EXPECT_EQ(h.value().profile.access_method, "full-scan");
-  EXPECT_EQ(h.value().PlanText().find("structural"),
-            std::string::npos);
-
   // Whatever the access path, the answer is the scan's answer.
   QueryOptions forced;
   forced.force = ForceMethod::kStructural;
@@ -321,33 +310,6 @@ TEST(PlannerCrossoverTest, DescendantConjunctAnchorsThroughStructuralIndex) {
     scan.force = ForceMethod::kScan;
     auto a = coll->Query(nullptr, q, forced);
     auto b = coll->Query(nullptr, q, scan);
-    ASSERT_TRUE(a.ok() && b.ok()) << q;
-    ASSERT_EQ(a.value().nodes.size(), b.value().nodes.size()) << q;
-    for (size_t i = 0; i < a.value().nodes.size(); i++) {
-      EXPECT_EQ(a.value().nodes[i].doc_id, b.value().nodes[i].doc_id) << q;
-      EXPECT_EQ(a.value().nodes[i].node_id, b.value().nodes[i].node_id) << q;
-    }
-  }
-}
-
-// The answers must not depend on the planner flavor: force the heuristic on
-// the size-crossover collection and compare node-for-node.
-TEST(PlannerCrossoverTest, CostBasedAndHeuristicAgree) {
-  auto engine = MemEngine();
-  Collection* coll = engine->CreateCollection("books").value();
-  ASSERT_TRUE(coll->CreateValueIndex(
-                      {"title", "/lib/book/title", ValueType::kString, 128})
-                  .ok());
-  for (int i = 0; i < 25; i++)
-    ASSERT_TRUE(coll->InsertDocument(nullptr, BookDoc(i % 7)).ok());
-  for (const char* q :
-       {"/lib/book[title = \"t1\"]", "/lib/book[title = \"t9\"]",
-        "/lib/book[title > \"t3\"]", "/lib/book/title"}) {
-    QueryOptions cost;
-    QueryOptions heur;
-    heur.use_heuristic_planner = true;
-    auto a = coll->Query(nullptr, q, cost);
-    auto b = coll->Query(nullptr, q, heur);
     ASSERT_TRUE(a.ok() && b.ok()) << q;
     ASSERT_EQ(a.value().nodes.size(), b.value().nodes.size()) << q;
     for (size_t i = 0; i < a.value().nodes.size(); i++) {
