@@ -106,22 +106,11 @@ Status FanOut(util::ThreadPool* pool, size_t parallelism, size_t n,
   return Status::OK();
 }
 
-/// Runs one QuickXScan of `tree` over `source` and appends its hits and
-/// work counters to `result`. On any failure, kNotFound included, nothing
-/// is appended.
-Status ScanInto(const xpath::QueryTree* tree, uint64_t doc_id,
-                StoredDocSource* source, QueryResult* result) {
-  xpath::QuickXScan scan(tree, doc_id);
-  NodeSequence hits;
-  XDB_RETURN_NOT_OK(scan.Run(source, &hits));
-  const xpath::QuickXScanStats& ss = scan.stats();
-  result->stats.records_fetched += source->records_fetched();
-  result->stats.scan_events += ss.events;
-  result->stats.scan_instances += ss.instances_created;
-  result->stats.scan_peak_live =
-      std::max(result->stats.scan_peak_live, ss.peak_live_instances);
-  for (ResultNode& r : hits) result->nodes.push_back(std::move(r));
-  return Status::OK();
+/// A document-level candidate: the anchor at `doc_id`'s document node.
+Posting DocAnchor(uint64_t doc_id) {
+  Posting p;
+  p.doc_id = doc_id;
+  return p;
 }
 
 /// The start (or end) event of one chain element of an edit region.
@@ -137,10 +126,15 @@ XmlEvent ChainEvent(const StoredPathStep& step, bool start) {
 
 }  // namespace
 
-Status Collection::ReadLockDoc(Transaction* txn, uint64_t doc_id) {
-  if (txn->mode == IsolationMode::kSnapshot && meta_.mvcc_enabled)
-    return Status::OK();  // snapshot readers never lock
-  return engine_->locks()->LockDocument(txn->id, doc_id, LockMode::kS);
+Collection::ReadView Collection::OpenReadView(Transaction* txn) {
+  ReadView view;
+  view.index = node_index_.get();
+  if (txn->mode == IsolationMode::kSnapshot && meta_.mvcc_enabled) {
+    view.snapshot.emplace(versions_.get(),
+                          engine_->txns()->Snapshot(txn, versions_.get()));
+    view.lock_docs = false;  // snapshot readers never lock
+  }
+  return view;
 }
 
 Status Collection::WriteLockDoc(Transaction* txn, uint64_t doc_id) {
@@ -344,30 +338,7 @@ Status Collection::Backfill(IndexScope scope) {
 
 Result<std::string> Collection::GetDocumentText(Transaction* txn,
                                                 uint64_t doc_id) {
-  XDB_RETURN_NOT_OK(GuardRepair());
-  AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  std::string out;
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
-    ReaderMutexLock latch(latch_);
-    NodeLocator* locator = node_index_.get();
-    SnapshotLocator snap(versions_.get(), 0);
-    if (at.get()->mode == IsolationMode::kSnapshot && meta_.mvcc_enabled) {
-      snap = SnapshotLocator(
-          versions_.get(),
-          engine_->txns()->Snapshot(at.get(), versions_.get()));
-      locator = &snap;
-    } else {
-      XDB_ASSIGN_OR_RETURN(bool exists, docid_tree_->Contains(DocKey(doc_id)));
-      if (!exists) return Status::NotFound("no such document");
-    }
-    StoredDocSource source(records_.get(), locator, doc_id);
-    TokenWriter tokens;
-    XDB_RETURN_NOT_OK(EventsToTokens(&source, &tokens));
-    return SerializeTokens(tokens.data(), *engine_->dict(), {}, &out);
-  }();
-  XDB_RETURN_NOT_OK(at.Finish(st));
-  return out;
+  return SerializeSubtree(txn, doc_id, Slice());
 }
 
 Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
@@ -931,17 +902,12 @@ Result<std::string> Collection::SerializeSubtree(Transaction* txn,
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
   std::string out;
   Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
+    ReadView view = OpenReadView(at.get());
+    if (view.lock_docs)
+      XDB_RETURN_NOT_OK(
+          engine_->locks()->LockDocument(at.get()->id, doc_id, LockMode::kS));
     ReaderMutexLock latch(latch_);
-    NodeLocator* locator = node_index_.get();
-    SnapshotLocator snap(versions_.get(), 0);
-    if (at.get()->mode == IsolationMode::kSnapshot && meta_.mvcc_enabled) {
-      snap = SnapshotLocator(
-          versions_.get(),
-          engine_->txns()->Snapshot(at.get(), versions_.get()));
-      locator = &snap;
-    }
-    StoredDocSource source(records_.get(), locator, doc_id,
+    StoredDocSource source(records_.get(), view.locator(), doc_id,
                            node_id.ToString());
     TokenWriter tokens;
     XDB_RETURN_NOT_OK(EventsToTokens(&source, &tokens));
@@ -1056,17 +1022,14 @@ Collection::CompileForExecution(xpath::Path&& path,
     }
   }
 
-  // Compile the full query once for scans and per-document evaluation.
-  XDB_ASSIGN_OR_RETURN(
-      std::unique_ptr<xpath::QueryTree> tree,
-      xpath::QueryTree::Compile(path, *engine_->dict(), options.want_values));
-  cp->tree = std::move(tree);
-
+  // One evaluation tree: the full query over each candidate document, or
+  // for node-level plans the residual over each anchor's subtree.
+  const xpath::Path* eval_path = &path;
+  xpath::Path residual;
   if (query::IsNodeLevel(cp->plan.method)) {
     const size_t anchor_step = cp->plan.anchor_step;
     // Residual relative path evaluated on each anchor's subtree:
     //   self-context [anchor predicates] / remaining steps...
-    xpath::Path residual;
     residual.absolute = false;
     {
       xpath::Step self;
@@ -1100,14 +1063,13 @@ Collection::CompileForExecution(xpath::Path&& path,
     for (size_t i = 0; i <= anchor_step; i++)
       prefix_pattern.steps.push_back(xpath::CloneStep(path.steps[i]));
     for (auto& s : prefix_pattern.steps) s.predicates.clear();
-
-    XDB_ASSIGN_OR_RETURN(
-        std::unique_ptr<xpath::QueryTree> residual_tree,
-        xpath::QueryTree::Compile(residual, *engine_->dict(),
-                                  options.want_values));
-    cp->residual_tree = std::move(residual_tree);
     cp->prefix_pattern = std::move(prefix_pattern);
+    eval_path = &residual;
   }
+  XDB_ASSIGN_OR_RETURN(std::unique_ptr<xpath::QueryTree> tree,
+                       xpath::QueryTree::Compile(*eval_path, *engine_->dict(),
+                                                 options.want_values));
+  cp->tree = std::move(tree);
   cp->path = std::move(path);
   return std::shared_ptr<const query::CompiledPlan>(std::move(cp));
 }
@@ -1166,58 +1128,37 @@ Result<QueryResult> Collection::ExecuteCompiled(
     result.stats.method = plan.method;
     result.stats.explain = plan.explain;
 
-    // Snapshot vs locking read machinery.
-    NodeLocator* locator = node_index_.get();
-    SnapshotLocator snap(versions_.get(), 0);
-    const bool snapshot_read =
-        at.get()->mode == IsolationMode::kSnapshot && meta_.mvcc_enabled;
-    if (snapshot_read) {
-      snap = SnapshotLocator(
-          versions_.get(),
-          engine_->txns()->Snapshot(at.get(), versions_.get()));
-      locator = &snap;
-    }
+    ReadView view = OpenReadView(at.get());
 
     // Stage 1: "use indexes to quickly identify a small subset of
-    // candidates" — a DocID list or an anchor list.
-    std::vector<uint64_t> docs;
+    // candidates" — one (doc, anchor) list, documents anchored at their
+    // document node.
     std::vector<Posting> anchors;
-    XDB_RETURN_NOT_OK(
-        FindCandidates(cp, &docs, &anchors, &result, plan_stale));
-    result.stats.candidate_docs = docs.size();
-    result.stats.candidate_anchors = anchors.size();
-
-    // Stage 2: "then perform further processing on them" — the full query
-    // over each candidate document, or the residual over each anchor.
+    XDB_RETURN_NOT_OK(FindCandidates(cp, &anchors, &result, plan_stale));
     const bool node_level = query::IsNodeLevel(plan.method);
+    (node_level ? result.stats.candidate_anchors
+                : result.stats.candidate_docs) = anchors.size();
+
+    // Stage 2: "then perform further processing on them" — the plan's tree
+    // over each candidate's subtree.
     {
       obs::PhaseTimer timer(&prof, node_level ? "recheck" : "eval");
       // Doc locks first, all on this thread: they can block, and the
       // transaction's lock table is not safe for concurrent mutation. Locks
       // are held until commit either way, so taking them before any
       // evaluation is equivalent to taking each as its document is reached.
-      if (!snapshot_read) {
-        for (uint64_t doc_id : docs)
-          XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
+      if (view.lock_docs) {
         for (uint64_t doc_id : query::DistinctDocIds(anchors))
-          XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
+          XDB_RETURN_NOT_OK(engine_->locks()->LockDocument(
+              at.get()->id, doc_id, LockMode::kS));
       }
-      const size_t parallelism =
-          static_cast<size_t>(EffectiveParallelism(options));
-      if (node_level) {
-        XDB_RETURN_NOT_OK(FanOut(
-            engine_->query_pool(), parallelism, anchors.size(), &result,
-            [&](size_t i, QueryResult* out) {
-              return EvalAnchor(anchors[i], cp.residual_tree.get(),
-                                cp.prefix_pattern, locator, out);
-            }));
-      } else {
-        XDB_RETURN_NOT_OK(FanOut(
-            engine_->query_pool(), parallelism, docs.size(), &result,
-            [&](size_t i, QueryResult* out) {
-              return EvalDoc(docs[i], cp.tree.get(), locator, out);
-            }));
-      }
+      NodeLocator* locator = view.locator();
+      XDB_RETURN_NOT_OK(FanOut(
+          engine_->query_pool(),
+          static_cast<size_t>(EffectiveParallelism(options)), anchors.size(),
+          &result, [&](size_t i, QueryResult* out) {
+            return EvalAnchor(anchors[i], cp, locator, out);
+          }));
     }
     NormalizeSequence(&result.nodes);
     return Status::OK();
@@ -1279,13 +1220,14 @@ Result<QueryResult> Collection::ExecuteCompiled(
 }
 
 Status Collection::FindCandidates(const query::CompiledPlan& cp,
-                                  std::vector<uint64_t>* docs,
                                   std::vector<Posting>* anchors,
                                   QueryResult* result, bool* plan_stale) {
   const query::QueryPlan& plan = cp.plan;
   obs::QueryProfile& prof = result->profile;
   if (plan.method == query::AccessMethod::kFullScan) {
-    XDB_ASSIGN_OR_RETURN(*docs, ListDocIds());
+    XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIds());
+    anchors->reserve(docs.size());
+    for (uint64_t doc_id : docs) anchors->push_back(DocAnchor(doc_id));
     return Status::OK();
   }
 
@@ -1355,24 +1297,21 @@ Status Collection::FindCandidates(const query::CompiledPlan& cp,
       prof.trace_lines.push_back("structural anchors -> " +
                                  std::to_string(anchors->size()) +
                                  " candidates");
-  } else if (!query::IsNodeLevel(plan.method)) {
-    // DocID list / ANDing / ORing.
-    {
-      obs::PhaseTimer timer(&prof, "merge");
-      *docs = query::MergeCandidateDocIds(postings_per_probe, plan.disjunctive);
-    }
-    if (prof.trace)
-      prof.trace_lines.push_back(std::string(combine) + " of doc lists -> " +
-                                 std::to_string(docs->size()) +
-                                 " candidate docs");
   } else {
-    // NodeID-level: anchor each posting at the predicate step.
+    // DocID methods anchor each posting at its document node, NodeID
+    // methods at the predicate step; one merge combines either kind.
+    const bool node_level = query::IsNodeLevel(plan.method);
     {
       obs::PhaseTimer timer(&prof, "merge");
       std::vector<std::vector<Posting>> anchored;
       for (size_t i = 0; i < postings_per_probe.size(); i++) {
         std::vector<Posting> a;
-        if (plan.structural_anchor && plan.probes[i].pred.strip_levels < 0) {
+        if (!node_level) {
+          a.reserve(postings_per_probe[i].size());
+          for (const Posting& p : postings_per_probe[i])
+            a.push_back(DocAnchor(p.doc_id));
+        } else if (plan.structural_anchor &&
+                   plan.probes[i].pred.strip_levels < 0) {
           // Descendant branch: the value node's anchor ancestors come from
           // the structural anchor join instead of level-stripping.
           XDB_RETURN_NOT_OK(query::StructuralAnchorJoin(
@@ -1388,26 +1327,27 @@ Status Collection::FindCandidates(const query::CompiledPlan& cp,
                      : query::IntersectPostings(std::move(anchored));
     }
     if (prof.trace)
-      prof.trace_lines.push_back(std::string(combine) +
-                                 " of anchored postings -> " +
-                                 std::to_string(anchors->size()) +
-                                 " candidate anchors");
+      prof.trace_lines.push_back(
+          std::string(combine) +
+          (node_level ? " of anchored postings -> " : " of doc lists -> ") +
+          std::to_string(anchors->size()) +
+          (node_level ? " candidate anchors" : " candidate docs"));
   }
   return Status::OK();
 }
 
 Status Collection::EvalAnchor(const Posting& anchor,
-                              const xpath::QueryTree* residual,
-                              const xpath::Path& prefix_pattern,
+                              const query::CompiledPlan& cp,
                               NodeLocator* locator, QueryResult* result) {
   obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
   ReaderMutexLock latch(latch_);
   latch_span.Finish();
-  // Verify the anchor's own path against the main-path prefix. Only
+  // A node anchor's own path must match the main-path prefix. Only
   // kNotFound is a benign miss (the anchor is invisible at this snapshot,
   // or its posting is stale); any other failure — a damaged page above all
   // — is returned, never read as "no match".
-  {
+  const bool doc_anchor = anchor.node_id.empty();
+  if (!doc_anchor) {
     StoredTreeNavigator nav(records_.get(), locator, anchor.doc_id);
     std::vector<StoredPathStep> steps;
     Status st = nav.Path(Slice(anchor.node_id), &steps);
@@ -1425,14 +1365,28 @@ Status Collection::EvalAnchor(const Posting& anchor,
       XDB_ASSIGN_OR_RETURN(step.name, engine_->dict()->Name(node.local));
       concrete.steps.push_back(std::move(step));
     }
-    if (!xpath::PathContains(prefix_pattern, concrete)) return Status::OK();
+    if (!xpath::PathContains(cp.prefix_pattern, concrete))
+      return Status::OK();
   }
 
-  // Evaluate the residual on the anchor subtree.
+  // One QuickXScan over the anchor's subtree; on any failure, kNotFound
+  // included, nothing is appended.
   StoredDocSource source(records_.get(), locator, anchor.doc_id,
                          anchor.node_id);
-  Status st = ScanInto(residual, anchor.doc_id, &source, result);
-  return st.IsNotFound() ? Status::OK() : st;
+  xpath::QuickXScan scan(cp.tree.get(), anchor.doc_id);
+  NodeSequence hits;
+  Status st = scan.Run(&source, &hits);
+  if (st.IsNotFound()) return Status::OK();
+  XDB_RETURN_NOT_OK(st);
+  const xpath::QuickXScanStats& ss = scan.stats();
+  QueryStats& stats = result->stats;
+  stats.records_fetched += source.records_fetched();
+  stats.scan_events += ss.events;
+  stats.scan_instances += ss.instances_created;
+  stats.scan_peak_live = std::max(stats.scan_peak_live, ss.peak_live_instances);
+  stats.docs_evaluated += doc_anchor ? 1 : 0;
+  for (ResultNode& r : hits) result->nodes.push_back(std::move(r));
+  return Status::OK();
 }
 
 int Collection::EffectiveParallelism(const QueryOptions& options) const {
@@ -1441,19 +1395,6 @@ int Collection::EffectiveParallelism(const QueryOptions& options) const {
                                   : engine_->options().num_query_threads;
   int cap = static_cast<int>(engine_->query_pool()->size()) + 1;
   return std::max(1, std::min(p, cap));
-}
-
-Status Collection::EvalDoc(uint64_t doc_id, const xpath::QueryTree* tree,
-                           NodeLocator* locator, QueryResult* result) {
-  obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
-  ReaderMutexLock latch(latch_);
-  latch_span.Finish();
-  StoredDocSource source(records_.get(), locator, doc_id);
-  Status st = ScanInto(tree, doc_id, &source, result);
-  if (st.IsNotFound()) return Status::OK();  // invisible at snapshot
-  XDB_RETURN_NOT_OK(st);
-  result->stats.docs_evaluated++;
-  return Status::OK();
 }
 
 Status Collection::GuardRepair() const {
@@ -1480,8 +1421,7 @@ Result<std::string> Collection::ReadDocTokensForScrub(uint64_t doc_id) {
 }
 
 Status Collection::BuildStorage(bool create) {
-  buffer_ = std::make_unique<BufferManager>(space_.get(), buffer_pages_,
-                                            buffer_shards_);
+  buffer_ = std::make_unique<BufferManager>(space_.get(), buffer_pages_);
   buffer_->set_event_log(engine_->events());
   buffer_->set_wait_sink(engine_->wait_sink());
   Engine* eng = engine_;

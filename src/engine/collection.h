@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -46,9 +47,6 @@ struct CollectionOptions {
   std::string schema;             // registered schema to validate against
   size_t record_budget = 3000;    // packing budget (the p knob)
   size_t buffer_pages = 512;
-  /// Buffer pool shards (0 = engine default, which itself defaults to
-  /// BufferManager::DefaultShardCount for the pool size).
-  size_t buffer_shards = 0;
   uint32_t page_size = kDefaultPageSize;
 };
 
@@ -154,7 +152,8 @@ class Collection {
   Result<uint64_t> InsertTokens(Transaction* txn, Slice tokens)
       XDB_EXCLUDES(latch_) XDB_EXCLUDES(docid_mu_);
 
-  /// Serializes the stored document back to XML text.
+  /// Serializes the stored document back to XML text: SerializeSubtree at
+  /// the document node.
   Result<std::string> GetDocumentText(Transaction* txn, uint64_t doc_id)
       XDB_EXCLUDES(latch_);
 
@@ -225,7 +224,8 @@ class Collection {
   Status VacuumVersions(uint64_t doc_id, uint64_t oldest_live_snapshot)
       XDB_EXCLUDES(latch_);
 
-  /// Serializes the subtree a handle points to (deferred fetch).
+  /// Serializes the subtree a handle points to (deferred fetch); an empty
+  /// `node_id` names the document node, i.e. the whole document.
   Result<std::string> SerializeSubtree(Transaction* txn, uint64_t doc_id,
                                        Slice node_id) XDB_EXCLUDES(latch_);
 
@@ -248,10 +248,24 @@ class Collection {
   friend class Engine;
   Collection() = default;
 
-  // Locking helpers honoring the transaction's isolation mode; autocommit
-  // transactions are created/finished by the public methods.
-  Status ReadLockDoc(Transaction* txn, uint64_t doc_id);
+  // X-locks a document for a write; autocommit transactions are
+  // created/finished by the public methods.
   Status WriteLockDoc(Transaction* txn, uint64_t doc_id);
+
+  /// One read's two choices (see OpenReadView): the locator its node IDs
+  /// resolve through, and whether it S-locks each document it reads.
+  struct ReadView {
+    std::optional<SnapshotLocator> snapshot;  // set: a snapshot read
+    NodeLocator* index = nullptr;             // unset: the NodeID index
+    bool lock_docs = true;
+    NodeLocator* locator() { return snapshot ? &*snapshot : index; }
+  };
+  /// The one place a read chooses, from its transaction, how it resolves
+  /// node IDs and whether it takes S-locks: a kSnapshot read of an MVCC
+  /// collection reads its snapshot through a SnapshotLocator and locks
+  /// nothing; every other read goes through the NodeID index and S-locks
+  /// the documents it reads. Called once per read.
+  ReadView OpenReadView(Transaction* txn);
 
   Result<uint64_t> InsertTokensLocked(Transaction* txn, Slice tokens,
                                       uint64_t forced_doc_id)
@@ -292,21 +306,22 @@ class Collection {
       XDB_REQUIRES(latch_);
 
   /// Compiles one execution-ready plan for `path`: plans (cost-based unless
-  /// forced), compiles the full QueryTree, and for node-level plans also the
-  /// recheck residual tree and prefix pattern. The returned plan is
-  /// immutable and shareable (this is what the plan cache stores).
+  /// forced) and compiles its one evaluation tree, the full path for
+  /// document-level plans or the recheck residual plus the prefix pattern
+  /// for node-level ones. The returned plan is immutable and shareable (this
+  /// is what the plan cache stores).
   Result<std::shared_ptr<const query::CompiledPlan>> CompileForExecution(
       xpath::Path&& path, const QueryOptions& options) XDB_EXCLUDES(latch_);
 
   /// Runs a compiled plan in the paper's two stages: FindCandidates, then
-  /// one fanned-out evaluation of the candidate list (EvalDoc per document
-  /// or EvalAnchor per anchor). `cache_state` ("hit"/"miss"/"off") is
-  /// surfaced in EXPLAIN; `plan_wall_us` is the planning time to attribute
-  /// (0 on a cache hit). When the plan's index-structure version no longer
-  /// matches (an index was dropped or the storage rebuilt since compile),
-  /// sets *plan_stale and fails — callers replan and retry; the stale check
-  /// is what distinguishes this from other kBusy failures (pinned buffer
-  /// frames), which must NOT be retried with a fresh plan.
+  /// one fanned-out EvalAnchor per candidate. `cache_state`
+  /// ("hit"/"miss"/"off") is surfaced in EXPLAIN; `plan_wall_us` is the
+  /// planning time to attribute (0 on a cache hit). When the plan's
+  /// index-structure version no longer matches (an index was dropped or the
+  /// storage rebuilt since compile), sets *plan_stale and fails — callers
+  /// replan and retry; the stale check is what distinguishes this from
+  /// other kBusy failures (pinned buffer frames), which must NOT be retried
+  /// with a fresh plan.
   Result<QueryResult> ExecuteCompiled(Transaction* txn,
                                       const query::CompiledPlan& cp,
                                       const QueryOptions& options,
@@ -314,13 +329,14 @@ class Collection {
                                       uint64_t plan_wall_us, bool* plan_stale)
       XDB_EXCLUDES(latch_);
 
-  /// Candidate stage: fills `docs` (full scan, DocID list, DocID AND/OR) or
-  /// `anchors` (NodeID list, NodeID AND/OR, structural scan; see
-  /// query::IsNodeLevel), counting index postings read. Probes run under
-  /// the shared latch behind the index-version gate (*plan_stale on
-  /// mismatch); no doc lock is taken here.
+  /// Candidate stage: fills `anchors`, sorted by (doc, node), counting index
+  /// postings read. Full scan, DocID list and DocID AND/OR anchor each
+  /// candidate document at its document node (node ID ""); NodeID list,
+  /// NodeID AND/OR and structural scan anchor below it (see
+  /// query::IsNodeLevel). Probes run under the shared latch behind the
+  /// index-version gate (*plan_stale on mismatch); no doc lock is taken
+  /// here.
   Status FindCandidates(const query::CompiledPlan& cp,
-                        std::vector<uint64_t>* docs,
                         std::vector<Posting>* anchors, QueryResult* result,
                         bool* plan_stale) XDB_EXCLUDES(latch_);
 
@@ -328,22 +344,16 @@ class Collection {
   /// to the engine default, clamped to 1 when the engine has no pool.
   int EffectiveParallelism(const QueryOptions& options) const;
 
-  /// Evaluates the full query over one candidate document, appending its
-  /// matches and work counters to `result`. A document invisible at the
-  /// read's snapshot returns OK with no output. The doc lock must already
-  /// be held; takes latch_ shared.
-  Status EvalDoc(uint64_t doc_id, const xpath::QueryTree* tree,
-                 NodeLocator* locator, QueryResult* result)
+  /// Evaluates `cp`'s tree over one candidate's subtree, appending its
+  /// matches and work counters to `result`. A document anchor streams the
+  /// whole document and counts in docs_evaluated; a node anchor is first
+  /// verified against the main-path prefix. Benign misses (kNotFound:
+  /// invisible at the snapshot, stale posting) return OK with no output;
+  /// any other failure, damage included, is returned. The anchor's doc lock
+  /// must already be held; takes latch_ shared.
+  Status EvalAnchor(const Posting& anchor, const query::CompiledPlan& cp,
+                    NodeLocator* locator, QueryResult* result)
       XDB_EXCLUDES(latch_);
-
-  /// One anchor's recheck: verifies the anchor path against the main-path
-  /// prefix, then evaluates the residual tree over the anchor subtree.
-  /// Benign misses (kNotFound: invisible at snapshot, stale posting) return
-  /// OK with no output; any other failure, damage included, is returned.
-  /// The anchor's doc lock must already be held.
-  Status EvalAnchor(const Posting& anchor, const xpath::QueryTree* residual,
-                    const xpath::Path& prefix_pattern, NodeLocator* locator,
-                    QueryResult* result) XDB_EXCLUDES(latch_);
 
   /// Bodies of CreateValueIndex/DropValueIndex without the DDL mutex and
   /// without logging — the form WAL replay and the replica apply path call
@@ -487,7 +497,6 @@ class Collection {
   std::string repair_reason_;
   std::string space_path_;     // for recreating a space whose header is gone
   size_t buffer_pages_ = 512;  // for rebuilding the buffer pool
-  size_t buffer_shards_ = 0;   // resolved engine/collection shard setting
   uint32_t page_size_hint_ = kDefaultPageSize;
 };
 

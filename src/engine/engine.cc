@@ -205,8 +205,6 @@ Result<std::unique_ptr<Collection>> Engine::OpenCollection(
                               plan_cache_counters_, &events_, meta.name);
   coll->record_budget_ = options.record_budget;
   coll->buffer_pages_ = options.buffer_pages;
-  coll->buffer_shards_ = options.buffer_shards != 0 ? options.buffer_shards
-                                                    : options_.buffer_shards;
   coll->page_size_hint_ = options.page_size;
 
   TableSpaceOptions ts_options;
@@ -582,9 +580,9 @@ Status Engine::ReplayWal(const ReplayFilter& filter, WalReplayInfo* info) {
   MutexLock lock(mu_);
   ReplayScope replay(this);
   return wal_->Replay(
-      [&](uint64_t /*lsn*/, WalRecordType type,
+      [&](uint64_t lsn, WalRecordType type,
           Slice payload) XDB_NO_THREAD_SAFETY_ANALYSIS -> Status {
-        return ApplyWalRecordLocked(type, payload, filter);
+        return ApplyWalRecordLocked(lsn, type, payload, filter);
       },
       info);
 }
@@ -593,17 +591,38 @@ Status Engine::ApplyWalRange(Slice records, uint64_t base_lsn,
                              const ReplayFilter& filter, WalReplayInfo* info) {
   return ScanWalRecords(
       records, base_lsn,
-      [&](uint64_t /*lsn*/, WalRecordType type,
+      [&](uint64_t lsn, WalRecordType type,
           Slice payload) XDB_NO_THREAD_SAFETY_ANALYSIS -> Status {
-        return ApplyWalRecordLocked(type, payload, filter);
+        return ApplyWalRecordLocked(lsn, type, payload, filter);
       },
       info);
 }
 
-Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
+Status Engine::ApplyWalRecordLocked(uint64_t lsn, WalRecordType type,
+                                    Slice payload,
                                     const ReplayFilter& filter) {
+    // Every field is decoded before anything applies. A record that passed
+    // its CRC yet does not decode comes from a writer bug or version skew,
+    // not media damage, and skipping it could drop a collection or an index
+    // and everything logged after it; so it fails the replay (Open, or the
+    // replica's segment apply) with Corruption naming the record.
+    auto undecodable = [&](const char* what) {
+      return Status::Corruption(
+          "wal record at lsn " + std::to_string(lsn) + " (type " +
+          std::to_string(static_cast<int>(type)) + ") does not decode: " +
+          what);
+    };
+    // The collection a decoded record names; null when it is dropped later
+    // in the log, or quarantined: it cannot take replay until Scrub() has
+    // rebuilt its storage, and Scrub then re-runs the replay with a filter.
+    auto live = [&](Slice cname) XDB_NO_THREAD_SAFETY_ANALYSIS -> Collection* {
+      auto cit = collections_.find(cname.ToString());
+      if (cit == collections_.end() || cit->second->needs_repair())
+        return nullptr;
+      return cit->second.get();
+    };
     if (type == WalRecordType::kDefineName) {
-      if (payload.size() < 4) return Status::Corruption("bad wal name record");
+      if (payload.size() < 4) return undecodable("bad name record");
       NameId id = DecodeFixed32(payload.data());
       payload.RemovePrefix(4);
       if (id < dict_.size()) return Status::OK();  // already in the catalog
@@ -620,13 +639,13 @@ Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
       case WalRecordType::kCreateCollection: {
         Slice cname;
         if (!GetLengthPrefixed(&payload, &cname) || payload.empty())
-          return Status::Corruption("bad wal create-collection record");
+          return undecodable("bad create-collection record");
         CollectionOptions copts;
         copts.mvcc = payload[0] != 0;
         payload.RemovePrefix(1);
         Slice schema;
         if (!GetLengthPrefixed(&payload, &schema))
-          return Status::Corruption("bad wal create-collection record");
+          return undecodable("bad create-collection record");
         copts.schema = schema.ToString();
         if (collections_.find(cname.ToString()) != collections_.end())
           return Status::OK();  // redone
@@ -635,7 +654,7 @@ Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
       case WalRecordType::kDropCollection: {
         Slice cname;
         if (!GetLengthPrefixed(&payload, &cname))
-          return Status::Corruption("bad wal drop-collection record");
+          return undecodable("bad drop-collection record");
         Status st = DropCollectionLocked(cname.ToString());
         if (st.IsNotFound()) return Status::OK();  // already gone
         return st;
@@ -647,18 +666,16 @@ Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
         if (!GetLengthPrefixed(&payload, &cname) ||
             !GetLengthPrefixed(&payload, &iname) ||
             !GetLengthPrefixed(&payload, &ipath) || payload.size() < 5)
-          return Status::Corruption("bad wal create-index record");
+          return undecodable("bad create-index record");
         def.name = iname.ToString();
         def.path = ipath.ToString();
         if (!IsValueType(static_cast<uint8_t>(payload[0])))
-          return Status::Corruption("bad wal create-index value type");
+          return undecodable("bad create-index value type");
         def.type = static_cast<ValueType>(payload[0]);
         def.max_string_len = DecodeFixed32(payload.data() + 1);
-        auto cit = collections_.find(cname.ToString());
-        if (cit == collections_.end()) return Status::OK();  // dropped later
-        Collection* c = cit->second.get();
-        if (c->needs_repair()) return Status::OK();
-        if (c->FindValueIndex(def.name) != nullptr) return Status::OK();
+        Collection* c = live(cname);
+        if (c == nullptr || c->FindValueIndex(def.name) != nullptr)
+          return Status::OK();
         // The Apply* form: no ddl_mu_ (crash replay holds the WAL mutex,
         // which client DDL takes after ddl_mu_ — nesting the other way
         // would deadlock) and no re-logging.
@@ -668,67 +685,65 @@ Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
         Slice cname, iname;
         if (!GetLengthPrefixed(&payload, &cname) ||
             !GetLengthPrefixed(&payload, &iname))
-          return Status::Corruption("bad wal drop-index record");
-        auto cit = collections_.find(cname.ToString());
-        if (cit == collections_.end()) return Status::OK();
-        Collection* c = cit->second.get();
-        if (c->needs_repair()) return Status::OK();
+          return undecodable("bad drop-index record");
+        Collection* c = live(cname);
+        if (c == nullptr) return Status::OK();
         Status st = c->ApplyDropValueIndex(iname.ToString());
-        if (st.IsNotFound()) return Status::OK();
-        return st;
+        return st.IsNotFound() ? Status::OK() : st;
       }
       case WalRecordType::kCreateStructuralIndex: {
         Slice cname, iname, ename;
         if (!GetLengthPrefixed(&payload, &cname) ||
             !GetLengthPrefixed(&payload, &iname) ||
             !GetLengthPrefixed(&payload, &ename))
-          return Status::Corruption("bad wal create-structural record");
+          return undecodable("bad create-structural record");
         StructuralIndexDef def;
         def.name = iname.ToString();
         def.element_name = ename.ToString();
-        auto cit = collections_.find(cname.ToString());
-        if (cit == collections_.end()) return Status::OK();  // dropped later
-        Collection* c = cit->second.get();
-        if (c->needs_repair()) return Status::OK();
-        if (c->FindStructuralIndex(def.name) != nullptr) return Status::OK();
+        Collection* c = live(cname);
+        if (c == nullptr || c->FindStructuralIndex(def.name) != nullptr)
+          return Status::OK();
         return c->ApplyCreateStructuralIndex(def);
       }
       case WalRecordType::kDropStructuralIndex: {
         Slice cname, iname;
         if (!GetLengthPrefixed(&payload, &cname) ||
             !GetLengthPrefixed(&payload, &iname))
-          return Status::Corruption("bad wal drop-structural record");
-        auto cit = collections_.find(cname.ToString());
-        if (cit == collections_.end()) return Status::OK();
-        Collection* c = cit->second.get();
-        if (c->needs_repair()) return Status::OK();
+          return undecodable("bad drop-structural record");
+        Collection* c = live(cname);
+        if (c == nullptr) return Status::OK();
         Status st = c->ApplyDropStructuralIndex(iname.ToString());
-        if (st.IsNotFound()) return Status::OK();
-        return st;
+        return st.IsNotFound() ? Status::OK() : st;
       }
       case WalRecordType::kRegisterSchema: {
         Slice sname;
         if (!GetLengthPrefixed(&payload, &sname))
-          return Status::Corruption("bad wal register-schema record");
+          return undecodable("bad register-schema record");
         return RegisterSchemaBinaryLocked(sname.ToString(), payload);
       }
       default:
         break;  // document records: fall through to the common parse
     }
     Slice name_slice;
-    if (!GetLengthPrefixed(&payload, &name_slice))
-      return Status::Corruption("bad wal payload");
+    if (!GetLengthPrefixed(&payload, &name_slice) || payload.size() < 8)
+      return undecodable("bad document record");
     std::string name = name_slice.ToString();
-    if (payload.size() < 8) return Status::Corruption("bad wal payload");
     uint64_t doc_id = DecodeFixed64(payload.data());
     payload.RemovePrefix(8);
-    auto it = collections_.find(name);
-    if (it == collections_.end()) return Status::OK();  // dropped later
-    Collection* coll = it->second.get();
-    // Quarantined collections cannot take replay until Scrub() has rebuilt
-    // their storage; Scrub then re-runs the replay with a filter.
-    if (coll->needs_repair()) return Status::OK();
-    if (filter && !filter(name, doc_id)) return Status::OK();
+    // The updated text node's or the insert's parent and after-sibling
+    // IDs. What remains of `payload` is the body: the new text, a token
+    // stream, or the deleted subtree's ID.
+    Slice node_id, after_id;
+    if ((type == WalRecordType::kUpdateNode ||
+         type == WalRecordType::kInsertSubtree) &&
+        !GetLengthPrefixed(&payload, &node_id))
+      return undecodable("bad node id");
+    if (type == WalRecordType::kInsertSubtree &&
+        !GetLengthPrefixed(&payload, &after_id))
+      return undecodable("bad after-sibling id");
+    Collection* coll = live(name_slice);
+    if (coll == nullptr || (filter && !filter(name, doc_id)))
+      return Status::OK();
     Status op_status = [&]() -> Status {
     switch (type) {
       case WalRecordType::kInsertDocument: {
@@ -757,24 +772,17 @@ Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
         return st;
       }
       case WalRecordType::kUpdateNode: {
-        Slice node_id;
-        if (!GetLengthPrefixed(&payload, &node_id))
-          return Status::Corruption("bad wal update payload");
         Status st = coll->UpdateTextNode(nullptr, doc_id, node_id, payload);
         if (st.IsNotFound()) return Status::OK();
         return st;
       }
       case WalRecordType::kInsertSubtree: {
-        Slice parent_id, after_id;
-        if (!GetLengthPrefixed(&payload, &parent_id) ||
-            !GetLengthPrefixed(&payload, &after_id))
-          return Status::Corruption("bad wal subtree payload");
         // Idempotency: if the subtree is already present (the operation hit
         // the data pages before the crash), the Between() ID may collide —
         // re-running is still safe because replay starts from the last
         // checkpointed image, which cannot contain post-checkpoint work.
         WriterMutexLock latch(coll->latch_);
-        Status st = coll->InsertSubtreeLocked(doc_id, parent_id, after_id,
+        Status st = coll->InsertSubtreeLocked(doc_id, node_id, after_id,
                                               payload)
                         .status();
         if (st.IsNotFound()) return Status::OK();

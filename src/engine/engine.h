@@ -46,9 +46,6 @@ struct EngineOptions {
   /// helpers; queries opt in per call via QueryOptions::parallelism (0 =
   /// this default). 1 keeps the serial executor with no pool at all.
   int num_query_threads = 1;
-  /// Buffer pool shards per collection (0 = auto from the pool size,
-  /// rounded down to a power of two). Overridable per collection.
-  size_t buffer_shards = 0;
   /// Fsync the WAL after every logged document operation. Concurrent
   /// committers coalesce onto one fdatasync (group commit). Off by default:
   /// the engine's durability unit is the checkpoint, and WAL records reach
@@ -258,9 +255,11 @@ class Engine {
   /// The one redo-application switch: applies a single WAL record to engine
   /// state. Crash recovery (ReplayWal), scrub's filtered replay, and the
   /// replica applier (ApplyWalRange) all funnel through here so the paths
-  /// cannot drift. Storage damage during apply quarantines the collection
+  /// cannot drift. Every field is decoded before anything applies: a
+  /// record at `lsn` that does not decode fails with Corruption naming its
+  /// LSN and type. Storage damage during apply quarantines the collection
   /// and returns OK (the record is skipped, the WAL survives for Scrub).
-  Status ApplyWalRecordLocked(WalRecordType type, Slice payload,
+  Status ApplyWalRecordLocked(uint64_t lsn, WalRecordType type, Slice payload,
                               const ReplayFilter& filter) XDB_REQUIRES(mu_);
   /// Applies every intact record in `records` (framed WAL bytes whose first
   /// byte sits at `base_lsn`) via ApplyWalRecordLocked — the replay loop for

@@ -27,12 +27,11 @@ class XmlHandle {
   uint64_t doc_id() const { return doc_id_; }
   const std::string& node_id() const { return node_id_; }
 
-  /// The deferred fetch: serializes the referenced subtree (the whole
-  /// document for an empty node ID) under the given transaction's
-  /// isolation.
+  /// The deferred fetch: serializes the referenced subtree under the given
+  /// transaction's isolation. An empty node ID names the document node,
+  /// i.e. the whole document.
   Result<std::string> Resolve(Transaction* txn = nullptr) const {
     if (!valid()) return Status::InvalidArgument("unbound XML handle");
-    if (node_id_.empty()) return collection_->GetDocumentText(txn, doc_id_);
     return collection_->SerializeSubtree(txn, doc_id_, node_id_);
   }
 

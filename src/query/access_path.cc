@@ -1,7 +1,6 @@
 #include "query/access_path.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "xml/node_id.h"
@@ -201,37 +200,6 @@ Status AnchorPostings(const std::vector<Posting>& postings, int strip_levels,
     out->push_back(std::move(a));
   }
   return Status::OK();
-}
-
-std::vector<uint64_t> IntersectDocIds(
-    std::vector<std::vector<uint64_t>> lists) {
-  if (lists.empty()) return {};
-  std::set<uint64_t> acc(lists[0].begin(), lists[0].end());
-  for (size_t i = 1; i < lists.size(); i++) {
-    std::set<uint64_t> next(lists[i].begin(), lists[i].end());
-    std::set<uint64_t> merged;
-    for (uint64_t d : acc)
-      if (next.count(d) != 0) merged.insert(d);
-    acc = std::move(merged);
-  }
-  return std::vector<uint64_t>(acc.begin(), acc.end());
-}
-
-std::vector<uint64_t> UnionDocIds(std::vector<std::vector<uint64_t>> lists) {
-  std::set<uint64_t> acc;
-  for (const auto& l : lists) acc.insert(l.begin(), l.end());
-  return std::vector<uint64_t>(acc.begin(), acc.end());
-}
-
-std::vector<uint64_t> MergeCandidateDocIds(
-    const std::vector<std::vector<Posting>>& postings_per_probe,
-    bool disjunctive) {
-  std::vector<std::vector<uint64_t>> doc_lists;
-  doc_lists.reserve(postings_per_probe.size());
-  for (const auto& postings : postings_per_probe)
-    doc_lists.push_back(DistinctDocIds(postings));
-  return disjunctive ? UnionDocIds(std::move(doc_lists))
-                     : IntersectDocIds(std::move(doc_lists));
 }
 
 namespace {

@@ -134,18 +134,12 @@ std::vector<uint64_t> DistinctDocIds(const std::vector<Posting>& postings);
 Status AnchorPostings(const std::vector<Posting>& postings, int strip_levels,
                       std::vector<Posting>* out);
 
-std::vector<uint64_t> IntersectDocIds(std::vector<std::vector<uint64_t>> lists);
-std::vector<uint64_t> UnionDocIds(std::vector<std::vector<uint64_t>> lists);
-
-/// Candidate DocID list of a doc-level plan: distinct DocIDs per probe,
-/// combined by union (ORing) or intersection (ANDing). This is the list the
-/// executor partitions for parallel per-document evaluation, so its order is
-/// part of the engine's deterministic-output contract.
-std::vector<uint64_t> MergeCandidateDocIds(
-    const std::vector<std::vector<Posting>>& postings_per_probe,
-    bool disjunctive);
-
-/// Set operations on (doc, node) anchors. Postings must be anchored first.
+/// Set operations on (doc, node) anchors, for every access method's
+/// candidates: a document-level candidate is the anchor at the document
+/// node (node ID ""). Postings must be anchored first. The output is sorted
+/// by (doc, node) and distinct; the executor partitions it for parallel
+/// evaluation, so its order is part of the engine's deterministic-output
+/// contract.
 std::vector<Posting> IntersectPostings(std::vector<std::vector<Posting>> lists);
 std::vector<Posting> UnionPostings(std::vector<std::vector<Posting>> lists);
 

@@ -48,13 +48,13 @@ namespace query {
 struct CompiledPlan {
   xpath::Path path;  // parsed query
   QueryPlan plan;
-  std::shared_ptr<const xpath::QueryTree> tree;  // compiled for want_values
-  /// For node-level plans only: the pre-compiled recheck residual
-  /// (self[anchor predicates]/remaining steps) and the predicate-free
-  /// main-path prefix the anchors are verified against. Compiling these
-  /// here is what lets a cache hit skip compilation *entirely* — the
-  /// recheck phase has nothing left to build.
-  std::shared_ptr<const xpath::QueryTree> residual_tree;
+  /// The one evaluation tree, compiled for want_values: the full path for
+  /// document-level plans, the recheck residual (self[anchor
+  /// predicates]/remaining steps) for node-level plans. Node-level plans
+  /// also carry the predicate-free main-path prefix their anchors are
+  /// verified against. Compiling both here is what lets a cache hit skip
+  /// compilation *entirely*.
+  std::shared_ptr<const xpath::QueryTree> tree;
   xpath::Path prefix_pattern;
   /// For structural plans: the anchor element name resolved against the
   /// name dictionary at compile time. kInvalidNameId means the name was

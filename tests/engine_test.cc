@@ -422,6 +422,51 @@ TEST(XmlHandleTest, DeferredResolveFollowsIsolation) {
   EXPECT_FALSE(unbound.Resolve().ok());
 }
 
+// A document fetch is a subtree fetch at the document node. At a 64-byte
+// record budget every document spans several records; the three ways to
+// read a whole document agree under both isolation modes, and a deleted
+// document and one never inserted are NotFound through all three.
+TEST(XmlHandleTest, DocumentFetchIsSubtreeFetchAtDocumentNode) {
+  auto engine = MemEngine();
+  CollectionOptions copts;
+  copts.mvcc = true;
+  copts.record_budget = 64;
+  Collection* coll = engine->CreateCollection("docs", copts).value();
+  std::vector<std::pair<uint64_t, std::string>> docs;
+  for (int i = 0; i < 20; i++) {
+    std::string xml = "<order><id>" + std::to_string(i) + "</id>";
+    for (int j = 0; j < 2 + i % 5; j++)
+      xml += "<line><sku>s" + std::to_string(i * 10 + j) + "</sku><qty>" +
+             std::to_string(j) + "</qty></line>";
+    xml += "</order>";
+    docs.emplace_back(coll->InsertDocument(nullptr, xml).value(), xml);
+  }
+  ASSERT_GT(coll->records()->stats().live_records, 2 * docs.size());
+  const uint64_t deleted = docs.back().first;
+  ASSERT_TRUE(coll->DeleteDocument(nullptr, deleted).ok());
+  docs.pop_back();
+  const uint64_t never_inserted = deleted + 100;
+
+  for (IsolationMode mode :
+       {IsolationMode::kLocking, IsolationMode::kSnapshot}) {
+    Transaction txn = engine->Begin(mode);
+    for (const auto& [doc, xml] : docs) {
+      auto text = coll->GetDocumentText(&txn, doc);
+      ASSERT_TRUE(text.ok()) << text.status().ToString();
+      EXPECT_EQ(text.value(), xml);
+      EXPECT_EQ(coll->SerializeSubtree(&txn, doc, "").value(), xml);
+      EXPECT_EQ(XmlHandle(coll, doc, "").Resolve(&txn).value(), xml);
+    }
+    for (uint64_t doc : {deleted, never_inserted}) {
+      EXPECT_TRUE(coll->GetDocumentText(&txn, doc).status().IsNotFound());
+      EXPECT_TRUE(coll->SerializeSubtree(&txn, doc, "").status().IsNotFound());
+      EXPECT_TRUE(
+          XmlHandle(coll, doc, "").Resolve(&txn).status().IsNotFound());
+    }
+    ASSERT_TRUE(engine->Commit(&txn).ok());
+  }
+}
+
 TEST(VacuumTest, OldVersionsReclaimed) {
   auto engine = MemEngine();
   CollectionOptions copts;

@@ -1221,6 +1221,7 @@ TEST_F(EngineFaultTest, UnknownValueTypeFailsOpen) {
   // The same type in a logged DDL record.
   cat.collections.at("docs").value_indexes.clear();
   ASSERT_TRUE(SaveCatalog(cat, catalog).ok());
+  uint64_t lsn = 0;
   {
     auto wal = WalLog::Open(dir_ + "/wal.log").MoveValue();
     std::string payload;
@@ -1229,12 +1230,48 @@ TEST_F(EngineFaultTest, UnknownValueTypeFailsOpen) {
     PutLengthPrefixed(&payload, "/doc/k");
     payload.push_back(9);
     PutFixed32(&payload, 64);
-    ASSERT_TRUE(wal->Append(WalRecordType::kCreateValueIndex, payload).ok());
+    lsn = wal->Append(WalRecordType::kCreateValueIndex, payload).value();
     ASSERT_TRUE(wal->Commit().ok());
   }
   opened = Engine::Open(FileOptions());
   ASSERT_FALSE(opened.ok());
   EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  EXPECT_NE(opened.status().ToString().find("lsn " + std::to_string(lsn)),
+            std::string::npos)
+      << opened.status().ToString();
+}
+
+// A document record that passes its CRC but whose node-ID field does not
+// decode fails Open like an undecodable DDL record; it is not storage
+// damage, so it does not merely quarantine the collection.
+TEST_F(EngineFaultTest, UndecodableUpdateRecordFailsOpen) {
+  uint64_t doc = 0;
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    Collection* coll = engine->CreateCollection("docs").value();
+    doc = coll->InsertDocument(nullptr, "<doc><k>v</k></doc>").value();
+  }
+  uint64_t lsn = 0;
+  {
+    auto wal = WalLog::Open(dir_ + "/wal.log").MoveValue();
+    std::string payload;
+    PutLengthPrefixed(&payload, "docs");
+    PutFixed64(&payload, doc);
+    PutVarint32(&payload, 200);  // a node-ID length past the payload's end
+    payload.append("\x02\x02");
+    lsn = wal->Append(WalRecordType::kUpdateNode, payload).value();
+    ASSERT_TRUE(wal->Commit().ok());
+  }
+  auto opened = Engine::Open(FileOptions());
+  ASSERT_FALSE(opened.ok()) << "opened; quarantined: "
+                            << opened.value()
+                                   ->GetCollection("docs")
+                                   .value()
+                                   ->needs_repair();
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  EXPECT_NE(opened.status().ToString().find("lsn " + std::to_string(lsn)),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 // --- corruption scrub & repair ---

@@ -112,10 +112,30 @@ TEST(PostingAlgebraTest, IntersectAndUnion) {
   auto uni = UnionPostings({a, b});
   EXPECT_EQ(uni.size(), 4u);
 
-  EXPECT_EQ(IntersectDocIds({{1, 2, 3}, {2, 3, 4}, {3, 2}}),
+  // DocID lists are document anchors (node ID "") through the same merges.
+  auto docs = [](std::vector<uint64_t> ids) {
+    std::vector<Posting> out;
+    for (uint64_t id : ids) {
+      Posting p;
+      p.doc_id = id;
+      out.push_back(p);
+    }
+    return out;
+  };
+  auto ids = [](const std::vector<Posting>& postings) {
+    std::vector<uint64_t> out;
+    for (const Posting& p : postings) {
+      EXPECT_TRUE(p.node_id.empty());
+      out.push_back(p.doc_id);
+    }
+    return out;
+  };
+  EXPECT_EQ(ids(IntersectPostings(
+                {docs({1, 2, 3}), docs({2, 3, 4}), docs({3, 2})})),
             (std::vector<uint64_t>{2, 3}));
-  EXPECT_EQ(UnionDocIds({{1, 2}, {2, 4}}), (std::vector<uint64_t>{1, 2, 4}));
-  EXPECT_TRUE(IntersectDocIds({}).empty());
+  EXPECT_EQ(ids(UnionPostings({docs({1, 2}), docs({2, 4})})),
+            (std::vector<uint64_t>{1, 2, 4}));
+  EXPECT_TRUE(IntersectPostings({}).empty());
 }
 
 class PlannerFixture : public ::testing::Test {
