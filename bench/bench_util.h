@@ -10,6 +10,7 @@
 #include "btree/btree.h"
 #include "common/random.h"
 #include "index/nodeid_index.h"
+#include "obs/metrics.h"
 #include "pack/record_builder.h"
 #include "pack/shredded_store.h"
 #include "pack/tree_cursor.h"
@@ -32,13 +33,14 @@ struct StorageStack {
     space = TableSpace::Create("", opts).MoveValue();
     bm = std::make_unique<BufferManager>(space.get(), buffer_pages);
     records = std::make_unique<RecordManager>(bm.get());
-    tree = BTree::Create(bm.get()).MoveValue();
+    tree = BTree::Create(bm.get(), &descents).MoveValue();
     index = std::make_unique<NodeIdIndex>(tree.get());
   }
 
   std::unique_ptr<TableSpace> space;
   std::unique_ptr<BufferManager> bm;
   std::unique_ptr<RecordManager> records;
+  obs::Counter descents;  // root-to-leaf walks of `tree`
   std::unique_ptr<BTree> tree;
   std::unique_ptr<NodeIdIndex> index;
 };

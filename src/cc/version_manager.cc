@@ -51,23 +51,41 @@ Status VersionManager::AddEntry(uint64_t doc_id, uint64_t version,
   return tree_->Insert(key, value);
 }
 
-Status VersionManager::ListVersionEntries(
-    uint64_t doc_id, uint64_t version,
-    std::vector<std::pair<std::string, Rid>>* out) {
+Status VersionManager::ListFrom(uint64_t doc_id, uint64_t version,
+                                Slice prefix, NodeIdEntries* out) {
   out->clear();
   std::string key;
-  EncodeKey(doc_id, version, Slice(), &key);
+  EncodeKey(doc_id, version, prefix, &key);
   XDB_ASSIGN_OR_RETURN(BTree::Iterator it, tree_->Seek(key));
   while (it.Valid()) {
     uint64_t found_doc, found_ver;
     Slice node;
     XDB_RETURN_NOT_OK(DecodeKey(it.key(), &found_doc, &found_ver, &node));
     if (found_doc != doc_id || found_ver != version) break;
+    const bool under = node.StartsWith(prefix);
+    if (!under && !out->empty()) break;
+    if (it.value().size() != 8)
+      return Status::Corruption("bad versioned index value");
     out->emplace_back(node.ToString(),
                       Rid::Unpack(DecodeFixed64(it.value().data())));
+    if (!under) break;  // Lookup's entry lies past the subtree: it is all
     XDB_RETURN_NOT_OK(it.Next());
   }
   return Status::OK();
+}
+
+Status VersionManager::ListVersionEntries(uint64_t doc_id, uint64_t version,
+                                          NodeIdEntries* out) {
+  return ListFrom(doc_id, version, Slice(), out);
+}
+
+Status VersionManager::ListDocEntries(uint64_t doc_id, uint64_t snapshot,
+                                      Slice prefix, NodeIdEntries* out) {
+  out->clear();
+  Result<uint64_t> ver = EffectiveVersion(doc_id, snapshot);
+  if (ver.status().IsNotFound()) return Status::OK();  // not visible
+  XDB_RETURN_NOT_OK(ver.status());
+  return ListFrom(doc_id, ver.value(), prefix, out);
 }
 
 Result<uint64_t> VersionManager::EffectiveVersion(uint64_t doc_id,

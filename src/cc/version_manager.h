@@ -55,7 +55,12 @@ class VersionManager {
 
   /// Lists (interval upper, rid) pairs of one exact version.
   Status ListVersionEntries(uint64_t doc_id, uint64_t version,
-                            std::vector<std::pair<std::string, Rid>>* out);
+                            NodeIdEntries* out);
+
+  /// NodeLocator::ListDocEntries as of `snapshot`: one EffectiveVersion
+  /// and one seek at (doc, version, prefix).
+  Status ListDocEntries(uint64_t doc_id, uint64_t snapshot, Slice prefix,
+                        NodeIdEntries* out);
 
   /// The newest version of `doc_id` that is <= `snapshot`; NotFound if the
   /// document did not exist at that snapshot.
@@ -81,6 +86,10 @@ class VersionManager {
                         std::string* out);
   static Status DecodeKey(Slice key, uint64_t* doc_id, uint64_t* version,
                           Slice* node_id);
+  /// One version's entries from a seek at (doc, version, prefix), by the
+  /// NodeLocator::ListDocEntries rule.
+  Status ListFrom(uint64_t doc_id, uint64_t version, Slice prefix,
+                  NodeIdEntries* out);
 
   // The versioned index is guarded by the owning collection's latch_ (every
   // caller holds it); only the version counters are touched lock-free here.
@@ -99,6 +108,10 @@ class SnapshotLocator : public NodeLocator {
 
   Result<Rid> Lookup(uint64_t doc_id, Slice node_id) override {
     return versions_->Lookup(doc_id, snapshot_, node_id);
+  }
+  Status ListDocEntries(uint64_t doc_id, Slice prefix,
+                        NodeIdEntries* out) override {
+    return versions_->ListDocEntries(doc_id, snapshot_, prefix, out);
   }
 
  private:

@@ -186,10 +186,12 @@ static_assert(std::endian::native == std::endian::little,
               "slicing-by-8 Crc32 and DecodeFixed32 assume little-endian");
 }  // namespace
 
-uint32_t Crc32(const char* data, size_t n) {
+uint32_t Crc32(const char* data, size_t n) { return Crc32Extend(0, data, n); }
+
+uint32_t Crc32Extend(uint32_t crc, const char* data, size_t n) {
   const auto& t = kCrcTables;
   const char* p = data;
-  uint32_t c = 0xFFFFFFFFu;
+  uint32_t c = crc ^ 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
     const uint32_t lo = DecodeFixed32(p) ^ c;
     const uint32_t hi = DecodeFixed32(p + 4);

@@ -55,6 +55,10 @@ double DecodeOrderedDouble(const char* p);
 /// slicing-by-8; the values are those of the byte-at-a-time definition.
 uint32_t Crc32(const char* data, size_t n);
 
+/// Continues `crc` (a Crc32 result) over `n` more bytes:
+/// Crc32Extend(Crc32(a), b) == Crc32(a followed by b).
+uint32_t Crc32Extend(uint32_t crc, const char* data, size_t n);
+
 }  // namespace xdb
 
 #endif  // XDB_COMMON_CODING_H_

@@ -1045,25 +1045,9 @@ Collection::CompileForExecution(xpath::Path&& path,
       residual.steps.push_back(xpath::CloneStep(path.steps[i]));
 
     // Anchor names/structure above the anchor step are verified against the
-    // main-path prefix via the record header's root path when the index was
-    // only a filter; exact plans skip this.
-    xpath::Path prefix_pattern;
-    prefix_pattern.absolute = true;
-    if (!path.absolute) {
-      // Relative queries evaluate with the root element as their implicit
-      // context; model that context as a wildcard first step so the
-      // prefix check accepts anchors the evaluators actually reach
-      // (without it a relative "c" compiles to /c and rejects every
-      // non-root anchor).
-      xpath::Step ctx;
-      ctx.axis = xpath::Axis::kChild;
-      ctx.test = xpath::NodeTest::kAnyName;
-      prefix_pattern.steps.push_back(std::move(ctx));
-    }
-    for (size_t i = 0; i <= anchor_step; i++)
-      prefix_pattern.steps.push_back(xpath::CloneStep(path.steps[i]));
-    for (auto& s : prefix_pattern.steps) s.predicates.clear();
-    cp->prefix_pattern = std::move(prefix_pattern);
+    // main-path prefix via the stream's descent to each anchor.
+    cp->prefix = xpath::PathPattern::Compile(
+        xpath::AnchorPrefix(path, anchor_step), *engine_->dict());
     eval_path = &residual;
   }
   XDB_ASSIGN_OR_RETURN(std::unique_ptr<xpath::QueryTree> tree,
@@ -1342,42 +1326,44 @@ Status Collection::EvalAnchor(const Posting& anchor,
   obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
   ReaderMutexLock latch(latch_);
   latch_span.Finish();
-  // A node anchor's own path must match the main-path prefix. Only
-  // kNotFound is a benign miss (the anchor is invisible at this snapshot,
-  // or its posting is stale); any other failure — a damaged page above all
-  // — is returned, never read as "no match".
+  // One walk per anchor: the stream's own descent to its root names the
+  // anchor's ancestors-or-self, which must match the main-path prefix
+  // before its events reach the scan. Only kNotFound is a benign miss (the
+  // anchor is invisible at this snapshot, or its posting is stale); any
+  // other failure — a damaged page above all — is returned, never read as
+  // "no match". On any failure, or a prefix mismatch, nothing is appended
+  // or counted.
   const bool doc_anchor = anchor.node_id.empty();
-  if (!doc_anchor) {
-    StoredTreeNavigator nav(records_.get(), locator, anchor.doc_id);
-    std::vector<StoredPathStep> steps;
-    Status st = nav.Path(Slice(anchor.node_id), &steps);
-    if (st.IsNotFound()) return Status::OK();
-    XDB_RETURN_NOT_OK(st);
-    xpath::Path concrete;
-    concrete.absolute = true;
-    for (const StoredPathStep& node : steps) {
-      if (node.kind != NodeKind::kElement && node.kind != NodeKind::kAttribute)
-        continue;
-      xpath::Step step;
-      step.axis = node.kind == NodeKind::kAttribute ? xpath::Axis::kAttribute
-                                                    : xpath::Axis::kChild;
-      step.test = xpath::NodeTest::kName;
-      XDB_ASSIGN_OR_RETURN(step.name, engine_->dict()->Name(node.local));
-      concrete.steps.push_back(std::move(step));
-    }
-    if (!xpath::PathContains(cp.prefix_pattern, concrete))
-      return Status::OK();
-  }
-
-  // One QuickXScan over the anchor's subtree; on any failure, kNotFound
-  // included, nothing is appended.
   StoredDocSource source(records_.get(), locator, anchor.doc_id,
                          anchor.node_id);
   xpath::QuickXScan scan(cp.tree.get(), anchor.doc_id);
   NodeSequence hits;
-  Status st = scan.Run(&source, &hits);
+  bool matched = false;
+  Status st = [&]() -> Status {
+    XmlEvent ev;
+    XDB_ASSIGN_OR_RETURN(bool more, source.Next(&ev));
+    if (!more) return Status::OK();  // the anchor is not in its record
+    if (!doc_anchor) {
+      std::vector<xpath::NamedStep> path;
+      path.reserve(source.root_path().size());
+      for (const StoredPathStep& node : source.root_path()) {
+        if (node.kind == NodeKind::kElement ||
+            node.kind == NodeKind::kAttribute)
+          path.push_back({node.local, node.kind == NodeKind::kAttribute});
+      }
+      if (!cp.prefix.Matches(path)) return Status::OK();
+    }
+    matched = true;
+    scan.Begin();
+    while (more) {
+      XDB_RETURN_NOT_OK(scan.Feed(ev));
+      XDB_ASSIGN_OR_RETURN(more, source.Next(&ev));
+    }
+    return scan.Finish(&hits);
+  }();
   if (st.IsNotFound()) return Status::OK();
   XDB_RETURN_NOT_OK(st);
+  if (!matched) return Status::OK();
   const xpath::QuickXScanStats& ss = scan.stats();
   QueryStats& stats = result->stats;
   stats.records_fetched += source.records_fetched();

@@ -721,8 +721,17 @@ Status Engine::ApplyWalRecordLocked(uint64_t lsn, WalRecordType type,
           return undecodable("bad register-schema record");
         return RegisterSchemaBinaryLocked(sname.ToString(), payload);
       }
+      case WalRecordType::kInsertDocument:
+      case WalRecordType::kDeleteDocument:
+      case WalRecordType::kUpdateNode:
+      case WalRecordType::kInsertSubtree:
+      case WalRecordType::kDeleteSubtree:
+        break;  // document records: the common parse below
       default:
-        break;  // document records: fall through to the common parse
+        // A type the writer never emits (kCommit, kAbort, kCheckpoint, or
+        // none at all): read as a document record it would apply as
+        // nothing.
+        return undecodable("a record type the writer never emits");
     }
     Slice name_slice;
     if (!GetLengthPrefixed(&payload, &name_slice) || payload.size() < 8)

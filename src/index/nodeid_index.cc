@@ -19,15 +19,35 @@ Status RecordEntries(Slice record, Rid rid, NodeIdEntries* out) {
   return Status::OK();
 }
 
+// The first entry whose upper end is >= `node_id`: Lookup's rule.
+NodeIdEntries::const_iterator FirstAtOrAfter(const NodeIdEntries& entries,
+                                             Slice node_id) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), node_id,
+      [](const auto& entry, Slice id) { return Slice(entry.first) < id; });
+}
+
 }  // namespace
 
 Result<Rid> DocEntriesLocator::Lookup(uint64_t doc_id, Slice node_id) {
   if (doc_id != doc_id_) return Status::NotFound("no such document node");
-  auto it = std::lower_bound(
-      entries_->begin(), entries_->end(), node_id,
-      [](const auto& entry, Slice id) { return Slice(entry.first) < id; });
+  auto it = FirstAtOrAfter(*entries_, node_id);
   if (it == entries_->end()) return Status::NotFound("node id beyond document");
   return it->second;
+}
+
+Status DocEntriesLocator::ListDocEntries(uint64_t doc_id, Slice prefix,
+                                         NodeIdEntries* out) {
+  out->clear();
+  if (doc_id != doc_id_) return Status::OK();
+  for (auto it = FirstAtOrAfter(*entries_, prefix); it != entries_->end();
+       ++it) {
+    const bool under = Slice(it->first).StartsWith(prefix);
+    if (!under && !out->empty()) break;
+    out->push_back(*it);
+    if (!under) break;  // Lookup's entry lies past the subtree: it is all
+  }
+  return Status::OK();
 }
 
 Status NodeIdIndex::Apply(BTree::BatchOp op, uint64_t doc_id,
@@ -81,11 +101,14 @@ Status NodeIdIndex::ListDocEntries(uint64_t doc_id, Slice prefix,
     uint64_t found_doc;
     Slice found_node;
     XDB_RETURN_NOT_OK(DecodeNodeIdKey(it.key(), &found_doc, &found_node));
-    if (found_doc != doc_id || !found_node.StartsWith(prefix)) break;
+    if (found_doc != doc_id) break;
+    const bool under = found_node.StartsWith(prefix);
+    if (!under && !out->empty()) break;
     if (it.value().size() != 8)
       return Status::Corruption("bad node index value");
     out->emplace_back(found_node.ToString(),
                       Rid::Unpack(DecodeFixed64(it.value().data())));
+    if (!under) break;  // Lookup's entry lies past the subtree: it is all
     XDB_RETURN_NOT_OK(it.Next());
   }
   return Status::OK();
@@ -97,7 +120,7 @@ Status NodeIdIndex::ListDocRecords(uint64_t doc_id, Slice prefix,
   NodeIdEntries entries;
   XDB_RETURN_NOT_OK(ListDocEntries(doc_id, prefix, &entries));
   for (auto& [upper, rid] : entries) {
-    (void)upper;
+    if (!Slice(upper).StartsWith(prefix)) continue;  // the holder's, past it
     if (std::find(out->begin(), out->end(), rid) == out->end())
       out->push_back(rid);
   }

@@ -24,6 +24,10 @@
 
 namespace xdb {
 
+/// One document's NodeID entries, (interval upper end, RID), in node-ID
+/// order.
+using NodeIdEntries = std::vector<std::pair<std::string, Rid>>;
+
 /// Resolves (doc, node id) to the RID of the containing record. The plain
 /// NodeIdIndex resolves against current data; a VersionManager snapshot view
 /// resolves against a point-in-time version — traversal code (StoredDocSource,
@@ -32,11 +36,17 @@ class NodeLocator {
  public:
   virtual ~NodeLocator() = default;
   virtual Result<Rid> Lookup(uint64_t doc_id, Slice node_id) = 0;
-};
 
-/// One document's NodeID entries, (interval upper end, RID), in node-ID
-/// order.
-using NodeIdEntries = std::vector<std::pair<std::string, Rid>>;
+  /// Lists, from one seek at (doc, prefix), the entries that resolve the
+  /// subtree at `prefix`: the entry Lookup(doc, prefix) finds (the record
+  /// holding the node, whose interval may end past the subtree), then every
+  /// later entry whose upper end lies under `prefix`, in node-ID order. An
+  /// empty prefix lists the whole document; an absent document lists
+  /// nothing. Any node of the subtree resolves against the list by Lookup's
+  /// rule (DocEntriesLocator) exactly as against the index.
+  virtual Status ListDocEntries(uint64_t doc_id, Slice prefix,
+                                NodeIdEntries* out) = 0;
+};
 
 /// Resolves against a list of one document's entries instead of the B+tree,
 /// by the rule Lookup applies there: the first upper end >= the node ID. A
@@ -49,6 +59,8 @@ class DocEntriesLocator : public NodeLocator {
       : doc_id_(doc_id), entries_(entries) {}
 
   Result<Rid> Lookup(uint64_t doc_id, Slice node_id) override;
+  Status ListDocEntries(uint64_t doc_id, Slice prefix,
+                        NodeIdEntries* out) override;
 
  private:
   uint64_t doc_id_;
@@ -72,10 +84,8 @@ class NodeIdIndex : public NodeLocator {
   /// An empty node_id addresses the document root record.
   Result<Rid> Lookup(uint64_t doc_id, Slice node_id) override;
 
-  /// Lists a document's (interval upper, rid) pairs whose upper end point
-  /// lies under the node-ID prefix `prefix` (the node or a descendant; an
-  /// empty prefix is the whole document), in node-ID order.
-  Status ListDocEntries(uint64_t doc_id, Slice prefix, NodeIdEntries* out);
+  Status ListDocEntries(uint64_t doc_id, Slice prefix,
+                        NodeIdEntries* out) override;
 
   /// Distinct RIDs of the records with an interval ending under `prefix`,
   /// in first-appearance order: every record of the subtree at `prefix`,

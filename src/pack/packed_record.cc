@@ -154,7 +154,7 @@ Status RecordWalker::Init() {
   XDB_RETURN_NOT_OK(ParseRecordHeader(record_, &header_, &payload));
   p_ = payload.data();
   limit_ = p_ + payload.size();
-  context_id_ = header_.context_node_id.ToString();
+  id_.assign(header_.context_node_id.data(), header_.context_node_id.size());
   return Status::OK();
 }
 
@@ -168,13 +168,16 @@ Status RecordWalker::Next(Event* event) {
       stack_.pop_back();
     }
   }
+  // The entry's fields are set in place: kind, abs_id and depth for every
+  // event, the rest for kStart.
+  PackedEntry& e = event->entry;
   // Close any elements whose children are exhausted.
   if (!stack_.empty() && p_ >= stack_.back().end) {
     event->type = EventType::kEnd;
-    event->entry = PackedEntry();
-    event->entry.kind = NodeKind::kElement;
-    event->entry.abs_id = stack_.back().abs_id;
-    event->entry.depth = static_cast<int>(stack_.size()) - 1;
+    e.kind = NodeKind::kElement;
+    id_.resize(stack_.back().id_len);
+    e.abs_id = Slice(id_);
+    e.depth = static_cast<int>(stack_.size()) - 1;
     stack_.pop_back();
     return Status::OK();
   }
@@ -183,16 +186,19 @@ Status RecordWalker::Next(Event* event) {
     return Status::OK();
   }
 
-  PackedEntry& e = event->entry;
-  e = PackedEntry();
   e.kind = static_cast<NodeKind>(*p_++);
   if (!ReadRelId(&p_, limit_, &e.rel_id))
     return Status::Corruption("bad packed entry: relative id");
-  const std::string& parent_id =
-      stack_.empty() ? context_id_ : stack_.back().abs_id;
-  e.abs_id = parent_id;
-  e.abs_id.append(e.rel_id.data(), e.rel_id.size());
+  id_.resize(stack_.empty() ? header_.context_node_id.size()
+                            : stack_.back().id_len);
+  id_.append(e.rel_id.data(), e.rel_id.size());
+  e.abs_id = Slice(id_);
   e.depth = static_cast<int>(stack_.size());
+  e.local = e.ns_uri = e.prefix = kEmptyNameId;
+  e.type = TypeAnno::kUntyped;
+  e.value = Slice();
+  e.child_count = 0;
+  e.children_len = 0;
 
   switch (e.kind) {
     case NodeKind::kElement: {
@@ -204,7 +210,7 @@ Status RecordWalker::Next(Event* event) {
         return Status::Corruption("bad packed element entry");
       if (p_ + e.children_len > limit_)
         return Status::Corruption("element children overrun record");
-      stack_.push_back(Frame{p_ + e.children_len, e.abs_id});
+      stack_.push_back(Frame{p_ + e.children_len, id_.size()});
       break;
     }
     case NodeKind::kAttribute: {
@@ -256,10 +262,10 @@ Status ComputeNodeIdIntervals(Slice record,
   interval_uppers->clear();
   RecordWalker walker(record);
   XDB_RETURN_NOT_OK(walker.Init());
-  std::string last_id;
+  std::string last_id;  // copied: the walker's ID buffer moves on
   bool in_interval = false;
+  RecordWalker::Event ev;
   for (;;) {
-    RecordWalker::Event ev;
     XDB_RETURN_NOT_OK(walker.Next(&ev));
     if (ev.type == RecordWalker::EventType::kDone) break;
     if (ev.type != RecordWalker::EventType::kStart) continue;
@@ -271,7 +277,7 @@ Status ComputeNodeIdIntervals(Slice record,
       }
       continue;
     }
-    last_id = ev.entry.abs_id;
+    last_id.assign(ev.entry.abs_id.data(), ev.entry.abs_id.size());
     in_interval = true;
   }
   if (in_interval) interval_uppers->push_back(last_id);
@@ -317,8 +323,8 @@ Result<std::string> RebuildRecord(Slice record, const RebuildHooks& hooks) {
       return Status::Corruption("packed child count below its entries");
     return static_cast<uint32_t>(int64_t{f->child_count} + delta);
   };
+  RecordWalker::Event ev;
   for (;;) {
-    RecordWalker::Event ev;
     XDB_RETURN_NOT_OK(walker.Next(&ev));
     if (ev.type == RecordWalker::EventType::kDone) break;
     if (ev.type == RecordWalker::EventType::kEnd) {
@@ -337,8 +343,8 @@ Result<std::string> RebuildRecord(Slice record, const RebuildHooks& hooks) {
     }
     switch (e.kind) {
       case NodeKind::kElement:
-        stack.push_back(Frame{e.rel_id.ToString(), e.abs_id, e.local,
-                              e.ns_uri, e.prefix, e.child_count, {}});
+        stack.push_back(Frame{e.rel_id.ToString(), e.abs_id.ToString(),
+                              e.local, e.ns_uri, e.prefix, e.child_count, {}});
         break;
       case NodeKind::kText:
         packfmt::AppendText(sink, e.rel_id, e.type, e.value);
@@ -378,7 +384,7 @@ Result<std::string> ReplaceTextValue(Slice record, Slice node_id,
   RebuildHooks hooks;
   hooks.on_entry = [&](const PackedEntry& e, const std::string&,
                        std::string* sink) {
-    if (e.kind != NodeKind::kText || Slice(e.abs_id) != node_id) return false;
+    if (e.kind != NodeKind::kText || e.abs_id != node_id) return false;
     packfmt::AppendText(sink, e.rel_id, e.type, new_value);
     replaced = true;
     return true;
@@ -425,7 +431,7 @@ Result<std::string> RemoveEntry(Slice record, Slice node_abs,
   RebuildHooks hooks;
   hooks.on_entry = [&](const PackedEntry& e, const std::string&,
                        std::string*) {
-    if (Slice(e.abs_id) != node_abs) return false;
+    if (e.abs_id != node_abs) return false;
     removed = true;
     return true;
   };
@@ -445,8 +451,8 @@ Result<uint64_t> CountRecordNodes(Slice record) {
   RecordWalker walker(record);
   XDB_RETURN_NOT_OK(walker.Init());
   uint64_t count = 0;
+  RecordWalker::Event ev;
   for (;;) {
-    RecordWalker::Event ev;
     XDB_RETURN_NOT_OK(walker.Next(&ev));
     if (ev.type == RecordWalker::EventType::kDone) break;
     if (ev.type == RecordWalker::EventType::kStart &&

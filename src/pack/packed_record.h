@@ -59,7 +59,8 @@ void AppendRecordHeader(const RecordHeader& header, std::string* dst);
 struct PackedEntry {
   NodeKind kind = NodeKind::kElement;
   Slice rel_id;
-  std::string abs_id;  // context id + rel ids along the in-record path
+  Slice abs_id;  // context id + rel ids along the in-record path; views the
+                 // walker's ID buffer, valid until its next Next()
   NameId local = kEmptyNameId, ns_uri = kEmptyNameId, prefix = kEmptyNameId;
   TypeAnno type = TypeAnno::kUntyped;
   Slice value;
@@ -71,7 +72,9 @@ struct PackedEntry {
 /// Pre-order walker over one record's entries. Emits kStart for every entry
 /// and kEnd when an element's children are exhausted (leaves get kStart
 /// only). Skip() jumps over the current element's children ("skipping
-/// subtrees in XPath evaluations").
+/// subtrees in XPath evaluations"). The walker keeps the current absolute
+/// node ID in one buffer: an event's abs_id views it and stays valid only
+/// until the next Next(), so a caller that keeps an ID copies it.
 class RecordWalker {
  public:
   /// `record` must stay alive for the walker's lifetime.
@@ -95,8 +98,8 @@ class RecordWalker {
 
  private:
   struct Frame {
-    const char* end;      // first byte past this element's children
-    std::string abs_id;   // element's absolute id
+    const char* end;  // first byte past this element's children
+    size_t id_len;    // length of the element's absolute id in id_
   };
 
   Slice record_;
@@ -104,7 +107,9 @@ class RecordWalker {
   const char* p_ = nullptr;
   const char* limit_ = nullptr;
   std::vector<Frame> stack_;
-  std::string context_id_;
+  // The current absolute ID: the context ID, then one relative ID per
+  // open element, then the current entry's.
+  std::string id_;
   bool pending_skip_ = false;
 };
 

@@ -4,15 +4,32 @@
 
 namespace xdb {
 
+Status AppendHeaderPath(const RecordHeader& header,
+                        std::vector<StoredPathStep>* path) {
+  std::vector<Slice> levels;
+  XDB_RETURN_NOT_OK(nodeid::SplitLevels(header.context_node_id, &levels));
+  if (levels.size() != header.root_path.size())
+    return Status::Corruption("record root path/context id mismatch");
+  std::string prefix;
+  for (size_t i = 0; i < levels.size(); i++) {
+    prefix.append(levels[i].data(), levels[i].size());
+    path->push_back(StoredPathStep{prefix, NodeKind::kElement,
+                                   header.root_path[i].local,
+                                   header.root_path[i].ns_uri});
+  }
+  return Status::OK();
+}
+
 StoredDocSource::StoredDocSource(RecordManager* records, NodeLocator* index,
                                  uint64_t doc_id, std::string subtree_root)
     : records_(records),
       index_(index),
       doc_id_(doc_id),
-      subtree_root_(std::move(subtree_root)) {}
+      subtree_root_(std::move(subtree_root)),
+      listed_(doc_id, &entries_) {}
 
-Status StoredDocSource::PushRecord(std::string target, bool resolving) {
-  Result<Rid> found = index_->Lookup(doc_id_, Slice(target));
+Status StoredDocSource::PushRecord(Slice target, bool resolving) {
+  Result<Rid> found = listed_.Lookup(doc_id_, target);
   if (resolving && found.status().IsNotFound())
     return Status::Corruption("proxy " + nodeid::ToString(target) +
                               " resolves to no record");
@@ -29,7 +46,7 @@ Status StoredDocSource::PushRecord(std::string target, bool resolving) {
   }
   ctx->walker = std::make_unique<RecordWalker>(Slice(*ctx->buf));
   XDB_RETURN_NOT_OK(ctx->walker->Init());
-  ctx->target = std::move(target);
+  ctx->target.assign(target.data(), target.size());  // the walker moves on
   ctx->resolving = resolving;
   stack_.push_back(std::move(ctx));
   return Status::OK();
@@ -39,21 +56,28 @@ Result<bool> StoredDocSource::Next(XmlEvent* event) {
   if (finished_) return false;
   if (!started_) {
     started_ = true;
+    // One listing serves the whole stream: a record that a proxy under the
+    // root points to has its context node at or below the root, so all of
+    // its interval ends lie under the root.
+    XDB_RETURN_NOT_OK(
+        index_->ListDocEntries(doc_id_, Slice(subtree_root_), &entries_));
     // A missing stream root stays a NotFound (EvalAnchor's stale posting).
-    XDB_RETURN_NOT_OK(PushRecord(subtree_root_, /*resolving=*/false));
+    XDB_RETURN_NOT_OK(PushRecord(Slice(subtree_root_), /*resolving=*/false));
     if (subtree_root_.empty()) {
       *event = XmlEvent();
       event->type = XmlEvent::Type::kStartDocument;
       return true;
     }
+    XDB_RETURN_NOT_OK(
+        AppendHeaderPath(stack_.back()->walker->header(), &root_path_));
   }
   return Produce(event);
 }
 
 Result<bool> StoredDocSource::Produce(XmlEvent* event) {
+  RecordWalker::Event& ev = walked_;
   while (!stack_.empty()) {
     Ctx& ctx = *stack_.back();
-    RecordWalker::Event ev;
     XDB_RETURN_NOT_OK(ctx.walker->Next(&ev));
 
     if (ev.type == RecordWalker::EventType::kDone) {
@@ -65,6 +89,7 @@ Result<bool> StoredDocSource::Produce(XmlEvent* event) {
       continue;
     }
 
+    const PackedEntry& e = ev.entry;
     // Apply the target filter: emit only the subtree rooted at ctx.target
     // (used both for resolved proxy records and for subtree streams).
     if (!ctx.target.empty()) {
@@ -74,31 +99,37 @@ Result<bool> StoredDocSource::Produce(XmlEvent* event) {
       }
       if (!ctx.in_target) {
         // Searching for the target: descend through its ancestors, skip
-        // everything else.
+        // everything else. The root record's descent is the stream root's
+        // path.
         if (ev.type != RecordWalker::EventType::kStart) continue;
-        Slice abs(ev.entry.abs_id);
-        if (abs == Slice(ctx.target)) {
-          if (ctx.resolving && ev.entry.kind == NodeKind::kProxy)
-            return Status::Corruption("proxied node " + nodeid::ToString(abs) +
+        if (e.abs_id == Slice(ctx.target)) {
+          if (ctx.resolving && e.kind == NodeKind::kProxy)
+            return Status::Corruption("proxied node " +
+                                      nodeid::ToString(e.abs_id) +
                                       " resolves to another proxy");
           ctx.in_target = true;
-          ctx.target_depth = ev.entry.depth;
-          if (ev.entry.kind != NodeKind::kElement &&
-              ev.entry.kind != NodeKind::kProxy) {
+          ctx.target_depth = e.depth;
+          if (e.kind != NodeKind::kElement && e.kind != NodeKind::kProxy) {
             // Leaf target: this single event is the whole subtree.
             ctx.target_done = true;
           }
+          if (!ctx.resolving)
+            root_path_.push_back(
+                StoredPathStep{ctx.target, e.kind, e.local, e.ns_uri});
           // fall through and emit (or resolve, for a proxy)
-        } else if (ev.entry.kind == NodeKind::kElement &&
-                   nodeid::IsAncestor(abs, Slice(ctx.target))) {
+        } else if (e.kind == NodeKind::kElement &&
+                   nodeid::IsAncestor(e.abs_id, Slice(ctx.target))) {
+          if (!ctx.resolving)
+            root_path_.push_back(StoredPathStep{e.abs_id.ToString(), e.kind,
+                                                e.local, e.ns_uri});
           continue;  // descend silently
         } else {
-          if (ev.entry.kind == NodeKind::kElement) ctx.walker->SkipChildren();
+          if (e.kind == NodeKind::kElement) ctx.walker->SkipChildren();
           continue;
         }
       } else if (ev.type == RecordWalker::EventType::kEnd &&
-                 ev.entry.depth <= ctx.target_depth) {
-        if (ev.entry.depth < ctx.target_depth) continue;  // ancestor close
+                 e.depth <= ctx.target_depth) {
+        if (e.depth < ctx.target_depth) continue;  // ancestor close
         ctx.target_done = true;  // the target element's own end: emit it
       }
     }
@@ -106,28 +137,23 @@ Result<bool> StoredDocSource::Produce(XmlEvent* event) {
     if (ev.type == RecordWalker::EventType::kEnd) {
       *event = XmlEvent();
       event->type = XmlEvent::Type::kEndElement;
-      cur_id_ = ev.entry.abs_id;
-      event->node_id = Slice(cur_id_);
-      event->depth = ev.entry.depth;
+      event->node_id = e.abs_id;
+      event->depth = e.depth;
       return true;
     }
 
-    const PackedEntry& e = ev.entry;
     if (e.kind == NodeKind::kProxy) {
       XDB_RETURN_NOT_OK(PushRecord(e.abs_id, /*resolving=*/true));
       continue;
     }
 
-    *event = XmlEvent();
-    cur_id_ = e.abs_id;
-    event->node_id = Slice(cur_id_);
+    event->node_id = e.abs_id;
     event->local = e.local;
     event->ns_uri = e.ns_uri;
     event->prefix = e.prefix;
     event->type_anno = e.type;
     event->depth = e.depth;
-    cur_value_.assign(e.value.data(), e.value.size());
-    event->value = Slice(cur_value_);
+    event->value = e.value;
     switch (e.kind) {
       case NodeKind::kElement:
         event->type = XmlEvent::Type::kStartElement;
@@ -169,35 +195,22 @@ Status StoredTreeNavigator::WalkTo(Slice node_id, std::string* buf,
   XDB_RETURN_NOT_OK(records_->Get(rid, buf));
   *walker = std::make_unique<RecordWalker>(Slice(*buf));
   XDB_RETURN_NOT_OK((*walker)->Init());
-  if (path != nullptr) {
-    // Above the record: its context node and that node's ancestors, named
-    // by the header's root path and numbered by the context ID's levels.
-    const RecordHeader& header = (*walker)->header();
-    std::vector<Slice> levels;
-    XDB_RETURN_NOT_OK(nodeid::SplitLevels(header.context_node_id, &levels));
-    if (levels.size() != header.root_path.size())
-      return Status::Corruption("record root path/context id mismatch");
-    std::string prefix;
-    for (size_t i = 0; i < levels.size(); i++) {
-      prefix.append(levels[i].data(), levels[i].size());
-      path->push_back(StoredPathStep{prefix, NodeKind::kElement,
-                                     header.root_path[i].local,
-                                     header.root_path[i].ns_uri});
-    }
-  }
+  if (path != nullptr)
+    XDB_RETURN_NOT_OK(AppendHeaderPath((*walker)->header(), path));
   for (;;) {
     XDB_RETURN_NOT_OK((*walker)->Next(event));
     if (event->type == RecordWalker::EventType::kDone)
       return Status::NotFound("node not in its indexed record");
     if (event->type != RecordWalker::EventType::kStart) continue;
     const PackedEntry& e = event->entry;
-    Slice abs(e.abs_id);
     // Ancestors: descend (no skip). Leaves/proxies that aren't the node:
     // the walker moves past them naturally.
-    const bool on_path = abs == node_id || nodeid::IsAncestor(abs, node_id);
+    const bool on_path =
+        e.abs_id == node_id || nodeid::IsAncestor(e.abs_id, node_id);
     if (on_path && path != nullptr)
-      path->push_back(StoredPathStep{e.abs_id, e.kind, e.local, e.ns_uri});
-    if (abs == node_id) return Status::OK();
+      path->push_back(
+          StoredPathStep{e.abs_id.ToString(), e.kind, e.local, e.ns_uri});
+    if (e.abs_id == node_id) return Status::OK();
     if (!on_path && e.kind == NodeKind::kElement) (*walker)->SkipChildren();
   }
 }
@@ -233,7 +246,7 @@ Result<std::string> StoredTreeNavigator::FirstChildId(Slice node_id) {
     XDB_RETURN_NOT_OK(w.Next(&ev));
     if (ev.type != RecordWalker::EventType::kStart)
       return Status::NotFound("empty document");
-    return ev.entry.abs_id;
+    return ev.entry.abs_id.ToString();
   }
   XDB_RETURN_NOT_OK(WalkTo(node_id, &buf, &walker, &ev));
   if (ev.entry.kind != NodeKind::kElement || ev.entry.child_count == 0)
@@ -243,7 +256,7 @@ Result<std::string> StoredTreeNavigator::FirstChildId(Slice node_id) {
   if (ev.type != RecordWalker::EventType::kStart ||
       ev.entry.depth != parent_depth + 1)
     return Status::NotFound("no children");
-  return ev.entry.abs_id;
+  return ev.entry.abs_id.ToString();
 }
 
 Status StoredTreeNavigator::ChildIds(Slice node_id,
@@ -258,7 +271,7 @@ Status StoredTreeNavigator::ChildIds(Slice node_id,
   for (;;) {
     XDB_RETURN_NOT_OK(walker->Next(&ev));
     if (ev.type != RecordWalker::EventType::kStart) return Status::OK();
-    out->push_back(ev.entry.abs_id);
+    out->push_back(ev.entry.abs_id.ToString());
     if (ev.entry.kind == NodeKind::kElement) walker->SkipChildren();
   }
 }
@@ -295,8 +308,8 @@ Result<std::string> StoredTreeNavigator::NextSiblingId(Slice node_id) {
       continue;
     }
     if (ev.entry.depth != target_depth) continue;
-    if (seen) return ev.entry.abs_id;
-    if (Slice(ev.entry.abs_id) == node_id) seen = true;
+    if (seen) return ev.entry.abs_id.ToString();
+    if (ev.entry.abs_id == node_id) seen = true;
     if (ev.entry.kind == NodeKind::kElement) walker->SkipChildren();
   }
 }

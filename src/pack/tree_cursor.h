@@ -6,9 +6,11 @@
 // encountered, its node ID is used to search the NodeID index ... to find
 // the RID for the corresponding record. Stacking has to be used during
 // traversal." StoredDocSource implements exactly that walk as an
-// XmlEventSource; StoredTreeNavigator provides the point operations
-// (first-child / next-sibling / node fetch) whose sibling skips can jump
-// whole multi-record subtrees.
+// XmlEventSource, searching one listing of the subtree's NodeID entries
+// (taken with a single index seek) instead of descending the index per
+// proxy; StoredTreeNavigator provides the point operations (first-child /
+// next-sibling / node fetch) whose sibling skips can jump whole
+// multi-record subtrees.
 #ifndef XDB_PACK_TREE_CURSOR_H_
 #define XDB_PACK_TREE_CURSOR_H_
 
@@ -25,8 +27,23 @@
 
 namespace xdb {
 
+/// One node on the path from the root element down to a stored node.
+struct StoredPathStep {
+  std::string node_id;  // absolute
+  NodeKind kind = NodeKind::kElement;
+  NameId local = kEmptyNameId, ns_uri = kEmptyNameId;
+};
+
+/// Appends the nodes above a record to `path`: its context node and that
+/// node's ancestors, root element first, named by the header's root path
+/// and numbered by the context ID's levels.
+Status AppendHeaderPath(const RecordHeader& header,
+                        std::vector<StoredPathStep>* path);
+
 /// Document-order event stream over packed records, resolving proxies
-/// through the NodeID index with a record stack.
+/// through one NodeID listing of the stream's subtree and a record stack.
+/// Events view the walker's ID buffer and the record bytes (valid until the
+/// next Next(), as XmlEvent says); nothing is copied per node.
 class StoredDocSource : public XmlEventSource {
  public:
   /// Streams the whole document when `subtree_root` is empty, otherwise just
@@ -34,11 +51,20 @@ class StoredDocSource : public XmlEventSource {
   /// only for whole-document streams).
   StoredDocSource(RecordManager* records, NodeLocator* index, uint64_t doc_id,
                   std::string subtree_root = "");
+  // listed_ points at entries_.
+  StoredDocSource(const StoredDocSource&) = delete;
+  StoredDocSource& operator=(const StoredDocSource&) = delete;
 
   Result<bool> Next(XmlEvent* event) override;
 
   /// Records fetched so far (the traversal-cost metric of E2).
   uint64_t records_fetched() const { return records_fetched_; }
+
+  /// The stream root's ancestors-or-self, root element first, from the
+  /// stream's own descent to it: the root record's header path, then the
+  /// in-record ancestors, then the root. Complete once the first event is
+  /// out; empty for whole-document streams.
+  const std::vector<StoredPathStep>& root_path() const { return root_path_; }
 
  private:
   struct Ctx {
@@ -51,19 +77,23 @@ class StoredDocSource : public XmlEventSource {
     bool resolving = false;  // pushed to resolve a proxy for `target`
   };
 
-  /// Pushes the record the NodeID index names for `target`. A record
-  /// pushed to resolve a proxy must hold the node as a non-proxy entry;
-  /// anything else is Corruption, never a silent gap or an endless chase.
-  Status PushRecord(std::string target, bool resolving);
+  /// Pushes the record the listing names for `target`. A record pushed to
+  /// resolve a proxy must hold the node as a non-proxy entry; anything else
+  /// is Corruption, never a silent gap or an endless chase.
+  Status PushRecord(Slice target, bool resolving);
   Result<bool> Produce(XmlEvent* event);  // one step; may recurse via stack
 
   RecordManager* records_;
   NodeLocator* index_;
   uint64_t doc_id_;
   std::string subtree_root_;
+  // The stream's one NodeID listing (ListDocEntries at the root); the root
+  // record and every proxy resolve against it.
+  NodeIdEntries entries_;
+  DocEntriesLocator listed_;
   std::vector<std::unique_ptr<Ctx>> stack_;
-  std::string cur_id_;     // storage for event node ids
-  std::string cur_value_;  // storage for event values
+  RecordWalker::Event walked_;  // the current record event, reused
+  std::vector<StoredPathStep> root_path_;
   bool started_ = false;
   bool finished_ = false;
   uint64_t records_fetched_ = 0;
@@ -81,13 +111,6 @@ struct StoredNodeInfo {
   TypeAnno type = TypeAnno::kUntyped;
   std::string value;  // leaf value (attribute/text/comment/PI)
   uint32_t child_count = 0;
-};
-
-/// One node on the path from the root element down to a stored node.
-struct StoredPathStep {
-  std::string node_id;  // absolute
-  NodeKind kind = NodeKind::kElement;
-  NameId local = kEmptyNameId, ns_uri = kEmptyNameId;
 };
 
 /// Point navigation over a stored document.

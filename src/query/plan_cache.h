@@ -32,6 +32,7 @@
 #include "obs/metrics.h"
 #include "query/access_path.h"
 #include "xpath/ast.h"
+#include "xpath/path_containment.h"
 
 namespace xdb {
 
@@ -52,10 +53,12 @@ struct CompiledPlan {
   /// document-level plans, the recheck residual (self[anchor
   /// predicates]/remaining steps) for node-level plans. Node-level plans
   /// also carry the predicate-free main-path prefix their anchors are
-  /// verified against. Compiling both here is what lets a cache hit skip
-  /// compilation *entirely*.
+  /// verified against, linearized with its names resolved against the name
+  /// dictionary (like the tree's; a never-interned name matches no anchor).
+  /// Compiling both here is what lets a cache hit skip compilation
+  /// *entirely*.
   std::shared_ptr<const xpath::QueryTree> tree;
-  xpath::Path prefix_pattern;
+  xpath::PathPattern prefix;
   /// For structural plans: the anchor element name resolved against the
   /// name dictionary at compile time. kInvalidNameId means the name was
   /// never interned — no document contains it, so the scan is empty.

@@ -13,8 +13,35 @@
 namespace xdb {
 
 namespace {
-// Record layout: [total_len u32][type u8][crc u32][payload].
+// Record layout: [total_len u32][type u8][crc u32][payload]. A type byte
+// with kHeaderCrcMark set carries a CRC over [total_len][type][payload], so
+// a flipped length or type bit fails it; an unmarked record, framed before
+// the header was covered, carries a CRC over the payload alone and still
+// replays (the next checkpoint resets the log, so such records age out).
+// Append marks every record.
 constexpr size_t kRecordHeader = 4 + 1 + 4;
+constexpr uint8_t kHeaderCrcMark = 0x80;
+
+// The CRC the record whose header starts at `hdr` must carry.
+uint32_t RecordCrc(const char* hdr, const char* payload, size_t len) {
+  if ((static_cast<uint8_t>(hdr[4]) & kHeaderCrcMark) == 0)
+    return Crc32(payload, len);
+  return Crc32Extend(Crc32(hdr, 5), payload, len);
+}
+
+// Where the first intact marked record in buf[from, size) starts, or size
+// when there is none. Only a marked record's CRC vouches for its length.
+size_t NextIntactRecord(Slice buf, size_t from) {
+  for (size_t q = from; q + kRecordHeader <= buf.size(); q++) {
+    const char* hdr = buf.data() + q;
+    if ((static_cast<uint8_t>(hdr[4]) & kHeaderCrcMark) == 0) continue;
+    const uint64_t len = DecodeFixed32(hdr);
+    if (q + kRecordHeader + len > buf.size()) continue;
+    if (RecordCrc(hdr, hdr + kRecordHeader, len) == DecodeFixed32(hdr + 5))
+      return q;
+  }
+  return buf.size();
+}
 }  // namespace
 
 Status ScanWalRecords(
@@ -30,18 +57,29 @@ Status ScanWalRecords(
   while (pos + kRecordHeader <= size) {
     const char* hdr = buf.data() + pos;
     uint32_t len = DecodeFixed32(hdr);
-    uint8_t type = static_cast<uint8_t>(hdr[4]);
+    uint8_t type = static_cast<uint8_t>(hdr[4] & ~kHeaderCrcMark);
     uint32_t crc = DecodeFixed32(hdr + 5);
     uint64_t end = pos + kRecordHeader + len;
     if (end > size) {
-      // Truncated last record — the normal crash signature. (A corrupted
-      // length field mid-log also lands here; without a trustworthy length
-      // there is no way to resynchronize, so stopping is the safe choice.)
-      info->torn_tail = true;
-      break;
+      // A record running past the end of the log is a truncated last
+      // record — the normal crash signature — unless an intact record
+      // follows it: then its length field is damaged, which is mid-log
+      // corruption, and the scan resumes at that record.
+      const size_t next = NextIntactRecord(buf, pos + kRecordHeader);
+      if (next == size) {
+        info->torn_tail = true;
+        break;
+      }
+      if (info->corrupt_records_skipped == 0)
+        info->first_corrupt_lsn = base_lsn + pos;
+      info->corrupt_records_skipped++;
+      info->bytes_skipped += next - pos;
+      pos = next;
+      info->end_lsn = base_lsn + pos;
+      continue;
     }
     const char* payload = buf.data() + pos + kRecordHeader;
-    if (Crc32(payload, len) != crc) {
+    if (RecordCrc(hdr, payload, len) != crc) {
       if (end == size) {
         // CRC failure on the very last record: torn/partial final write.
         info->torn_tail = true;
@@ -91,8 +129,8 @@ Result<uint64_t> WalLog::Append(WalRecordType type, Slice payload) {
   std::string rec;
   rec.reserve(kRecordHeader + payload.size());
   PutFixed32(&rec, static_cast<uint32_t>(payload.size()));
-  rec.push_back(static_cast<char>(type));
-  PutFixed32(&rec, Crc32(payload.data(), payload.size()));
+  rec.push_back(static_cast<char>(static_cast<uint8_t>(type) | kHeaderCrcMark));
+  PutFixed32(&rec, RecordCrc(rec.data(), payload.data(), payload.size()));
   rec.append(payload.data(), payload.size());
 
   MutexLock lock(mu_);
@@ -279,7 +317,7 @@ Status WalLog::ReadDurable(uint64_t from_lsn, size_t max_bytes,
     n = ::pread(fd_, rec.data(), len, static_cast<off_t>(pos + kRecordHeader));
     if (n != static_cast<ssize_t>(len))
       return Status::IOError("wal tail read failed");
-    if (Crc32(rec.data(), len) != crc) {
+    if (RecordCrc(hdr, rec.data(), len) != crc) {
       // A CRC failure *inside* the durable region is media damage on the
       // primary, not a torn tail. Return what accumulated so far; a call
       // starting at the damaged record has nothing safe to ship.

@@ -100,8 +100,9 @@ class WalLog {
   /// Opens (creating if absent) the log at `path` for appending.
   static Result<std::unique_ptr<WalLog>> Open(const std::string& path);
 
-  /// Appends a record; returns its LSN (byte offset). Not yet durable until
-  /// Sync().
+  /// Appends a record framed [len][type][crc][payload], with a CRC over
+  /// the length, type and payload; returns its LSN (byte offset). Not yet
+  /// durable until Sync().
   Result<uint64_t> Append(WalRecordType type, Slice payload)
       XDB_EXCLUDES(mu_);
 

@@ -75,41 +75,96 @@ bool TestSubsumes(const LinStep& index_step, const LinStep& query_step) {
   return index_step.name == query_step.name;
 }
 
-}  // namespace
+bool TestSubsumes(const PathPattern::Step& pattern_step,
+                  const NamedStep& node) {
+  if (pattern_step.attribute != node.attribute) return false;
+  return pattern_step.any_name || pattern_step.name == node.name;
+}
 
-bool PathContains(const Path& index, const Path& query) {
-  std::vector<LinStep> I, Q;
-  if (!Linearize(index, &I) || !Linearize(query, &Q)) return false;
+bool Gap(const LinStep& s) { return s.descendant; }
+bool Gap(const PathPattern::Step& s) { return s.descendant; }
+bool Gap(const NamedStep&) { return false; }  // concrete paths have none
+
+// The homomorphism search: whether the steps I embed into the steps Q.
+// M[i][j]: I[0..i] embeds into Q with I[i] mapped to Q[j].
+template <typename IStep, typename QStep>
+bool Embeds(const std::vector<IStep>& I, const std::vector<QStep>& Q) {
   const size_t n = I.size(), m = Q.size();
-  if (n > m) return false;
-
-  // M[i][j]: I[0..i] embeds into Q with I[i] mapped to Q[j].
-  std::vector<std::vector<char>> M(n, std::vector<char>(m, 0));
+  if (n == 0 || n > m) return false;
+  std::vector<char> M(n * m, 0);
+  auto at = [&](size_t i, size_t j) -> char& { return M[i * m + j]; };
   for (size_t j = 0; j < m; j++) {
     if (!TestSubsumes(I[0], Q[j])) continue;
-    if (I[0].descendant) {
-      M[0][j] = 1;  // gap from the root to any depth
+    if (Gap(I[0])) {
+      at(0, j) = 1;  // gap from the root to any depth
     } else {
-      M[0][j] = (j == 0 && !Q[0].descendant) ? 1 : 0;
+      at(0, j) = (j == 0 && !Gap(Q[0])) ? 1 : 0;
     }
   }
   for (size_t i = 1; i < n; i++) {
     for (size_t j = i; j < m; j++) {
       if (!TestSubsumes(I[i], Q[j])) continue;
-      if (I[i].descendant) {
+      if (Gap(I[i])) {
         for (size_t j2 = i - 1; j2 < j; j2++) {
-          if (M[i - 1][j2]) {
-            M[i][j] = 1;
+          if (at(i - 1, j2)) {
+            at(i, j) = 1;
             break;
           }
         }
       } else {
         // Child edge: must map to a child edge between adjacent steps.
-        if (!Q[j].descendant && M[i - 1][j - 1]) M[i][j] = 1;
+        if (!Gap(Q[j]) && at(i - 1, j - 1)) at(i, j) = 1;
       }
     }
   }
-  return M[n - 1][m - 1] != 0;
+  return at(n - 1, m - 1) != 0;
+}
+
+}  // namespace
+
+bool PathContains(const Path& index, const Path& query) {
+  std::vector<LinStep> I, Q;
+  if (!Linearize(index, &I) || !Linearize(query, &Q)) return false;
+  return Embeds(I, Q);
+}
+
+Path AnchorPrefix(const Path& query, size_t anchor_step) {
+  Path prefix;
+  prefix.absolute = true;
+  if (!query.absolute) {
+    Step context;
+    context.axis = Axis::kChild;
+    context.test = NodeTest::kAnyName;
+    prefix.steps.push_back(std::move(context));
+  }
+  for (size_t i = 0; i <= anchor_step && i < query.steps.size(); i++) {
+    Step step = CloneStep(query.steps[i]);
+    step.predicates.clear();
+    prefix.steps.push_back(std::move(step));
+  }
+  return prefix;
+}
+
+PathPattern PathPattern::Compile(const Path& pattern,
+                                 const NameDictionary& dict) {
+  PathPattern out;
+  std::vector<LinStep> lin;
+  if (!Linearize(pattern, &lin)) return out;
+  for (const LinStep& ls : lin) {
+    Step step;
+    step.descendant = ls.descendant;
+    step.attribute = ls.attribute;
+    step.any_name = ls.any_name || ls.any_kind;
+    // Lookup, not Intern: an absent name is kInvalidNameId, which no
+    // stored node carries.
+    if (!step.any_name) step.name = dict.Lookup(Slice(ls.name));
+    out.steps_.push_back(step);
+  }
+  return out;
+}
+
+bool PathPattern::Matches(const std::vector<NamedStep>& concrete) const {
+  return Embeds(steps_, concrete);
 }
 
 IndexMatch ClassifyIndexMatch(const Path& index, const Path& query) {

@@ -12,7 +12,10 @@
 #ifndef XDB_XPATH_PATH_CONTAINMENT_H_
 #define XDB_XPATH_PATH_CONTAINMENT_H_
 
+#include <vector>
+
 #include "common/status.h"
+#include "xml/name_dictionary.h"
 #include "xpath/ast.h"
 
 namespace xdb {
@@ -33,6 +36,44 @@ bool PathContains(const Path& index, const Path& query);
 /// Classifies how a (predicate-free, linear) index path can serve a query
 /// path.
 IndexMatch ClassifyIndexMatch(const Path& index, const Path& query);
+
+/// The main-path prefix a node-level plan verifies its anchors against:
+/// steps 0..anchor_step of `query`, predicates dropped, as an absolute
+/// path. A relative query evaluates with the root element as its implicit
+/// context, so its prefix starts with a wildcard child step (without it a
+/// relative "c" would read as /c and reject every non-root anchor).
+Path AnchorPrefix(const Path& query, size_t anchor_step);
+
+/// One node of a concrete root-to-node path: an element, or an attribute.
+struct NamedStep {
+  NameId name = kEmptyNameId;
+  bool attribute = false;
+};
+
+/// A linear path pattern with its names resolved against a dictionary
+/// once, so concrete paths are tested by name ID: PathContains(pattern,
+/// concrete) by the same homomorphism, with no name strings. A pattern name
+/// the dictionary lacks matches no node; a pattern PathContains cannot
+/// linearize matches nothing.
+class PathPattern {
+ public:
+  struct Step {
+    bool descendant = false;  // edge from the previous step crosses >= 1 level
+    bool attribute = false;
+    bool any_name = false;  // * or node()
+    NameId name = kEmptyNameId;
+  };
+
+  PathPattern() = default;  // matches nothing
+  static PathPattern Compile(const Path& pattern, const NameDictionary& dict);
+
+  /// PathContains(pattern, the absolute child/attribute path `concrete`
+  /// spells out, root element first).
+  bool Matches(const std::vector<NamedStep>& concrete) const;
+
+ private:
+  std::vector<Step> steps_;  // empty: matches nothing
+};
 
 /// True if the path is linear (no predicates) and uses only child,
 /// descendant(-or-self) and a final attribute step with name/* tests —

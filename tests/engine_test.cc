@@ -467,6 +467,106 @@ TEST(XmlHandleTest, DocumentFetchIsSubtreeFetchAtDocumentNode) {
   }
 }
 
+// A stored-document stream lists its NodeID entries once and resolves every
+// proxy from that list: a whole-document read costs the same B+tree descents
+// however many records the document spans (one listing under kLocking; a
+// version lookup plus the listing under kSnapshot), never one per proxy.
+TEST(StoredReadWorkTest, WholeDocumentReadDescendsOncePerDocument) {
+  for (bool mvcc : {false, true}) {
+    auto engine = MemEngine();
+    CollectionOptions copts;
+    copts.mvcc = mvcc;
+    copts.record_budget = 64;
+    Collection* coll = engine->CreateCollection("docs", copts).value();
+    const IsolationMode mode =
+        mvcc ? IsolationMode::kSnapshot : IsolationMode::kLocking;
+    std::vector<uint64_t> deltas;
+    for (int lines : {40, 160}) {
+      std::string xml = "<order>";
+      for (int j = 0; j < lines; j++)
+        xml += "<line><sku>s" + std::to_string(j) + "</sku><qty>" +
+               std::to_string(j) + "</qty></line>";
+      xml += "</order>";
+      const uint64_t before_records = coll->records()->stats().live_records;
+      uint64_t doc = coll->InsertDocument(nullptr, xml).value();
+      ASSERT_GE(coll->records()->stats().live_records - before_records, 10u)
+          << lines;
+      Transaction txn = engine->Begin(mode);
+      const uint64_t before =
+          engine->MetricsSnapshot().Value("btree.descents");
+      EXPECT_EQ(coll->GetDocumentText(&txn, doc).value(), xml);
+      deltas.push_back(engine->MetricsSnapshot().Value("btree.descents") -
+                       before);
+      ASSERT_TRUE(engine->Commit(&txn).ok());
+    }
+    EXPECT_EQ(deltas[0], deltas[1]) << "mvcc=" << mvcc;
+    EXPECT_EQ(deltas[1], mvcc ? 2u : 1u) << "mvcc=" << mvcc;
+  }
+}
+
+// A node-level recheck walks each anchor once: the stream that feeds the
+// scan also names the anchor's path for the prefix check. A NodeID-list
+// query with k anchors descends once for its probe and once per anchor,
+// and fetches one record per anchor.
+TEST(StoredReadWorkTest, NodeIdListRecheckDescendsOncePerAnchor) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(coll->CreateValueIndex(
+                      {"price", "//price", ValueType::kDecimal, 64})
+                  .ok());
+  for (int i = 0; i < 12; i++)
+    ASSERT_TRUE(coll->InsertDocument(nullptr,
+                                     "<r><item><price>" + std::to_string(i) +
+                                         "</price></item></r>")
+                    .ok());
+  QueryOptions node;
+  node.force = ForceMethod::kNodeIdList;
+  // The second run of each query hits the plan cache, so the delta is the
+  // execution's alone.
+  auto run = [&](const std::string& q, uint64_t* descents) {
+    EXPECT_TRUE(coll->Query(nullptr, q, node).ok());
+    const uint64_t before = engine->MetricsSnapshot().Value("btree.descents");
+    QueryResult res = coll->Query(nullptr, q, node).MoveValue();
+    *descents = engine->MetricsSnapshot().Value("btree.descents") - before;
+    return res;
+  };
+  uint64_t probe_only = 0, six_anchors = 0;
+  QueryResult none = run("/r/item[price > 100]", &probe_only);
+  QueryResult six = run("/r/item[price > 5]", &six_anchors);
+  ASSERT_EQ(none.nodes.size(), 0u);
+  ASSERT_EQ(six.nodes.size(), 6u);
+  EXPECT_EQ(six.stats.candidate_anchors, 6u);
+  EXPECT_EQ(six_anchors, probe_only + 6u);
+  EXPECT_EQ(six.stats.records_fetched, 6u);
+}
+
+// A node-level plan resolves its prefix's names once, at compile time; a
+// name no document has yet matches no anchor. Inserting a document that
+// has it moves the stats epoch, so the re-run recompiles and finds it.
+TEST(StoredReadWorkTest, PrefixNameInternedLaterIsFoundOnReRun) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(coll->CreateValueIndex(
+                      {"price", "//price", ValueType::kDecimal, 64})
+                  .ok());
+  ASSERT_TRUE(
+      coll->InsertDocument(nullptr, "<store><item><price>9</price></item>"
+                                    "</store>")
+          .ok());
+  QueryOptions node;
+  node.force = ForceMethod::kNodeIdList;
+  const std::string q = "/shop/item[price > 5]";
+  ASSERT_EQ(engine->dict()->Lookup("shop"), NameDictionary::kInvalidNameId);
+  EXPECT_EQ(coll->Query(nullptr, q, node).MoveValue().nodes.size(), 0u);
+  ASSERT_TRUE(
+      coll->InsertDocument(nullptr, "<shop><item><price>7</price></item>"
+                                    "</shop>")
+          .ok());
+  auto res = coll->Query(nullptr, q, node).MoveValue();
+  ASSERT_EQ(res.nodes.size(), 1u);
+  EXPECT_EQ(res.stats.method, query::AccessMethod::kNodeIdList);
+}
+
 TEST(VacuumTest, OldVersionsReclaimed) {
   auto engine = MemEngine();
   CollectionOptions copts;

@@ -1286,7 +1286,7 @@ uint64_t NthWalRecordOffset(const std::string& path, WalRecordType type,
   int seen = 0;
   while (pos + 9 <= data.size()) {
     uint32_t len = DecodeFixed32(data.data() + pos);
-    if (static_cast<WalRecordType>(data[pos + 4]) == type && ++seen == n)
+    if (static_cast<WalRecordType>(data[pos + 4] & 0x7F) == type && ++seen == n)
       return pos;
     pos += 9 + len;
   }
@@ -1320,6 +1320,213 @@ TEST_F(EngineFaultTest, RecoveryWarnsAboutMidLogWalCorruption) {
   EXPECT_EQ(coll->GetDocumentText(nullptr, docs[0]).value(), "<d>one</d>");
   EXPECT_FALSE(coll->GetDocumentText(nullptr, docs[1]).ok());
   EXPECT_EQ(coll->GetDocumentText(nullptr, docs[2]).value(), "<d>three</d>");
+}
+
+/// Byte offsets of every record of the WAL at `path`, in log order.
+std::vector<uint64_t> WalRecordOffsets(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::string data((std::istreambuf_iterator<char>(f)),
+                   std::istreambuf_iterator<char>());
+  std::vector<uint64_t> out;
+  for (uint64_t pos = 0; pos + 9 <= data.size();
+       pos += 9 + DecodeFixed32(data.data() + pos))
+    out.push_back(pos);
+  return out;
+}
+
+/// Rewrites the WAL at `path` in the framing of logs written before the
+/// record CRC covered the header: unmarked type bytes, each CRC over the
+/// payload alone.
+void RewriteWalWithPayloadCrcs(const std::string& path) {
+  std::string data;
+  {
+    std::ifstream f(path, std::ios::binary);
+    data.assign((std::istreambuf_iterator<char>(f)),
+                std::istreambuf_iterator<char>());
+  }
+  for (uint64_t pos : WalRecordOffsets(path)) {
+    const uint32_t len = DecodeFixed32(data.data() + pos);
+    data[pos + 4] = static_cast<char>(data[pos + 4] & 0x7F);
+    std::string crc;
+    PutFixed32(&crc, Crc32(data.data() + pos + 9, len));
+    data.replace(pos + 5, 4, crc);
+  }
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+/// Every stored document of `coll`, by ID; a document that does not read
+/// back maps to its error.
+std::map<uint64_t, std::string> ReadAllDocs(Collection* coll) {
+  std::map<uint64_t, std::string> out;
+  auto ids = coll->ListDocIds();
+  if (!ids.ok()) return {{0, ids.status().ToString()}};
+  for (uint64_t id : ids.value()) {
+    auto text = coll->GetDocumentText(nullptr, id);
+    out[id] = text.ok() ? text.value() : text.status().ToString();
+  }
+  return out;
+}
+
+// Regression: the record CRC covered the payload only, so a flipped type
+// byte passed it. A delete record turned into type 6 (kCheckpoint) read as
+// a document record of no known kind and applied as nothing: the deleted
+// document came back after recovery with no warning. The CRC now covers
+// the length and type bytes. A damaged record inside the log is skipped
+// with a recovery warning; the last record of the log is indistinguishable
+// from a torn final write and is reported as a torn tail.
+TEST_F(EngineFaultTest, FlippedWalTypeNeverRestoresADeletedDocSilently) {
+  for (bool delete_is_last : {true, false}) {
+    SCOPED_TRACE(delete_is_last ? "delete is the last record"
+                                : "delete is mid-log");
+    SetUp();
+    uint64_t doc = 0;
+    {
+      Engine* crashed = IntentionallyLeaked(
+          Engine::Open(FileOptions()).MoveValue().release());
+      Collection* coll = crashed->CreateCollection("docs").value();
+      doc = coll->InsertDocument(nullptr, "<d>gone</d>").value();
+      ASSERT_TRUE(crashed->Checkpoint().ok());
+      ASSERT_TRUE(coll->DeleteDocument(nullptr, doc).ok());
+      if (!delete_is_last) {
+        ASSERT_TRUE(coll->InsertDocument(nullptr, "<d>kept</d>").ok());
+      }
+    }
+    const uint64_t rec = NthWalRecordOffset(
+        dir_ + "/wal.log", WalRecordType::kDeleteDocument, 1);
+    ASSERT_GT(WalRecordOffsets(dir_ + "/wal.log").size(), 0u);
+    FlipByte(dir_ + "/wal.log", rec + 4, 0x04);  // type 2 -> 6
+
+    auto opened = Engine::Open(FileOptions());
+    if (!opened.ok()) {
+      EXPECT_TRUE(opened.status().IsCorruption())
+          << opened.status().ToString();
+      continue;
+    }
+    auto engine = opened.MoveValue();
+    const RecoveryInfo& info = engine->recovery_info();
+    const bool back = engine->GetCollection("docs")
+                          .value()
+                          ->GetDocumentText(nullptr, doc)
+                          .ok();
+    EXPECT_TRUE(!back || !info.warning.empty() || info.wal.torn_tail)
+        << "the deleted document is back without a warning";
+    if (delete_is_last) {
+      EXPECT_TRUE(info.wal.torn_tail);
+    } else {
+      EXPECT_EQ(info.wal.corrupt_records_skipped, 1u);
+      EXPECT_NE(info.warning.find("corrupt mid-log"), std::string::npos)
+          << info.warning;
+    }
+  }
+}
+
+// Every bit of every record header of a small WAL, one at a time: no flip
+// may change the recovered documents unless recovery says so — Open fails
+// with Corruption, or the recovery warning names the damage. A flip in the
+// last record's header is a torn final write as far as any reader can tell
+// and must be reported as a torn tail.
+TEST_F(EngineFaultTest, WalHeaderBitFlipSweepNeverChangesDocsSilently) {
+  {
+    Engine* crashed =
+        IntentionallyLeaked(Engine::Open(FileOptions()).MoveValue().release());
+    Collection* coll = crashed->CreateCollection("docs").value();
+    ASSERT_TRUE(coll->InsertDocument(nullptr, "<d><v>0</v></d>").ok());
+    ASSERT_TRUE(crashed->Checkpoint().ok());
+    uint64_t a = coll->InsertDocument(nullptr, "<d><v>1</v></d>").value();
+    ASSERT_TRUE(coll->InsertDocument(nullptr, "<d><v>2</v></d>").ok());
+    ASSERT_TRUE(coll->DeleteDocument(nullptr, a).ok());
+    ASSERT_TRUE(coll->InsertDocument(nullptr, "<d><v>3</v></d>").ok());
+  }
+  const std::string wal = dir_ + "/wal.log";
+  const std::vector<uint64_t> records = WalRecordOffsets(wal);
+  ASSERT_EQ(records.size(), 4u);
+  std::map<uint64_t, std::string> expected;
+  const std::string pristine = dir_ + "_pristine";
+  std::filesystem::remove_all(pristine);
+  std::filesystem::copy(dir_, pristine,
+                        std::filesystem::copy_options::recursive);
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    expected = ReadAllDocs(engine->GetCollection("docs").value());
+    ASSERT_EQ(expected.size(), 3u);
+  }
+  for (size_t r = 0; r < records.size() && !HasFatalFailure(); r++) {
+    for (uint64_t bit = 0; bit < 9 * 8; bit++) {
+      SCOPED_TRACE("record " + std::to_string(r) + " header bit " +
+                   std::to_string(bit));
+      std::filesystem::remove_all(dir_);
+      std::filesystem::copy(pristine, dir_,
+                            std::filesystem::copy_options::recursive);
+      FlipByte(wal, records[r] + bit / 8, static_cast<uint8_t>(1u << (bit % 8)));
+      auto opened = Engine::Open(FileOptions());
+      if (!opened.ok()) {
+        EXPECT_TRUE(opened.status().IsCorruption())
+            << opened.status().ToString();
+        continue;
+      }
+      auto engine = opened.MoveValue();
+      const RecoveryInfo& info = engine->recovery_info();
+      if (ReadAllDocs(engine->GetCollection("docs").value()) == expected)
+        continue;
+      const bool last = r + 1 == records.size();
+      EXPECT_TRUE(!info.warning.empty() || (last && info.wal.torn_tail))
+          << "documents changed silently; torn_tail=" << info.wal.torn_tail;
+    }
+  }
+  std::filesystem::remove_all(pristine);
+}
+
+// A WAL written before the record CRC covered the header (unmarked type
+// bytes, payload-only CRCs) still replays, to the same documents.
+TEST_F(EngineFaultTest, OldFramingWalReplaysToTheSameDocs) {
+  std::map<uint64_t, std::string> expected;
+  {
+    Engine* crashed =
+        IntentionallyLeaked(Engine::Open(FileOptions()).MoveValue().release());
+    Collection* coll = crashed->CreateCollection("docs").value();
+    ASSERT_TRUE(crashed->Checkpoint().ok());
+    // New names after the checkpoint: kDefineName records ride along.
+    for (int i = 0; i < 4; i++)
+      coll->InsertDocument(nullptr, "<n" + std::to_string(i) + ">" +
+                                        std::to_string(i) + "</n" +
+                                        std::to_string(i) + ">")
+          .value();
+    ASSERT_TRUE(coll->DeleteDocument(nullptr, 2).ok());
+    expected = ReadAllDocs(coll);
+  }
+  RewriteWalWithPayloadCrcs(dir_ + "/wal.log");
+  auto engine = Engine::Open(FileOptions()).MoveValue();
+  const RecoveryInfo& info = engine->recovery_info();
+  EXPECT_EQ(info.warning, "");
+  EXPECT_FALSE(info.wal.torn_tail);
+  EXPECT_EQ(info.wal.records_replayed,
+            WalRecordOffsets(dir_ + "/wal.log").size());
+  EXPECT_EQ(ReadAllDocs(engine->GetCollection("docs").value()), expected);
+}
+
+// A record that passes its CRC but has a type the writer never emits is
+// undecodable: Open fails with Corruption naming its LSN.
+TEST_F(EngineFaultTest, UnemittedWalRecordTypeFailsOpen) {
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    ASSERT_TRUE(engine->CreateCollection("docs").ok());
+  }
+  uint64_t lsn = 0;
+  {
+    auto wal = WalLog::Open(dir_ + "/wal.log").MoveValue();
+    std::string payload;
+    PutLengthPrefixed(&payload, "docs");
+    PutFixed64(&payload, 1);
+    lsn = wal->Append(WalRecordType::kCheckpoint, payload).value();
+    ASSERT_TRUE(wal->Commit().ok());
+  }
+  auto opened = Engine::Open(FileOptions());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  EXPECT_NE(opened.status().ToString().find("lsn " + std::to_string(lsn)),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST_F(EngineFaultTest, ScrubOnCleanStoreReportsClean) {

@@ -378,7 +378,7 @@ std::vector<std::pair<NodeKind, std::string>> RecordEntries(Slice record) {
     EXPECT_TRUE(walker.Next(&ev).ok());
     if (ev.type == RecordWalker::EventType::kDone) break;
     if (ev.type == RecordWalker::EventType::kStart)
-      seen.emplace_back(ev.entry.kind, ev.entry.abs_id);
+      seen.emplace_back(ev.entry.kind, ev.entry.abs_id.ToString());
   }
   return seen;
 }

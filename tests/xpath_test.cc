@@ -159,6 +159,96 @@ TEST(ContainmentTest, DescendantAndWildcardCases) {
   EXPECT_FALSE(PathContains(P("//id"), P("/a/b/@id")));
 }
 
+// A concrete node path (absolute, child and attribute steps with names) by
+// name ID, interning its names.
+std::vector<NamedStep> Concrete(const Path& path, NameDictionary* dict) {
+  std::vector<NamedStep> out;
+  for (const Step& s : path.steps)
+    out.push_back({dict->Intern(s.name), s.axis == Axis::kAttribute});
+  return out;
+}
+
+bool IsConcrete(const Path& path) {
+  if (!path.absolute || path.steps.empty()) return false;
+  for (const Step& s : path.steps) {
+    if ((s.axis != Axis::kChild && s.axis != Axis::kAttribute) ||
+        s.test != NodeTest::kName || !s.predicates.empty())
+      return false;
+  }
+  return true;
+}
+
+// The compiled matcher answers PathContains(pattern, concrete) by name ID.
+// Every pair of the containment tests above whose query side is a
+// concrete path, then the shapes anchor prefixes take.
+TEST(ContainmentTest, CompiledPatternAgreesWithPathContains) {
+  auto P = [](const char* s) { return ParsePath(s).MoveValue(); };
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"/Catalog/Categories/Product/RegPrice",
+       "/Catalog/Categories/Product/RegPrice"},
+      {"//Discount", "/Catalog/Categories/Product/Discount"},
+      {"/Catalog/Categories/Product/RegPrice",
+       "/Catalog/Categories/Product/Discount"},
+      {"//b", "/a/b"},
+      {"/a//b", "/a/x/y/b"},
+      {"/a/*", "/a/b"},
+      {"//*/b", "/a/c/b"},
+      {"//c//b", "/a/c/x"},
+      {"//@id", "/a/b/@id"},
+      {"//id", "/a/b/@id"},
+      // `//` gaps: zero or more levels, in order.
+      {"/a//b//c", "/a/x/b/y/z/c"},
+      {"/a//b//c", "/a/c/b"},
+      {"/a//b", "/a/b"},
+      {"//b/c", "/a/b/x/c"},
+      // Attribute steps match attributes only, and only at their level.
+      {"//item/@id", "/r/item/@id"},
+      {"//item/@id", "/r/item/id"},
+      {"/r/*/@*", "/r/item/@id"},
+      {"/r/@id", "/r/item/@id"},
+  };
+  NameDictionary dict;
+  for (const auto& [pattern, query] : pairs) {
+    SCOPED_TRACE(pattern + " vs " + query);
+    Path q = P(query.c_str());
+    ASSERT_TRUE(IsConcrete(q));
+    std::vector<NamedStep> concrete = Concrete(q, &dict);
+    PathPattern compiled = PathPattern::Compile(P(pattern.c_str()), dict);
+    EXPECT_EQ(compiled.Matches(concrete), PathContains(P(pattern.c_str()), q));
+  }
+
+  // A relative query evaluates from the root element: its anchor prefix
+  // starts with an implicit `*` step, so "c" reaches /a/c but not a root
+  // element named c.
+  Path relative_prefix = AnchorPrefix(P("c[. > 1]/d"), 0);
+  EXPECT_EQ(relative_prefix.ToString(), P("/*/c").ToString());
+  PathPattern relative = PathPattern::Compile(relative_prefix, dict);
+  for (const char* query : {"/a/c", "/c", "/a/b/c"}) {
+    SCOPED_TRACE(query);
+    Path q = P(query);
+    EXPECT_EQ(relative.Matches(Concrete(q, &dict)),
+              PathContains(relative_prefix, q));
+  }
+  EXPECT_TRUE(relative.Matches(Concrete(P("/a/c"), &dict)));
+  EXPECT_FALSE(relative.Matches(Concrete(P("/c"), &dict)));
+
+  // An absolute query's prefix keeps its own steps, predicates dropped.
+  EXPECT_EQ(AnchorPrefix(P("/a//b[x = 1]/c"), 1).ToString(),
+            P("/a//b").ToString());
+
+  // A pattern name the dictionary lacks at compile time matches nothing,
+  // even once a document later brings the name in.
+  PathPattern unknown = PathPattern::Compile(P("/a/zzz"), dict);
+  EXPECT_FALSE(unknown.Matches(Concrete(P("/a/b"), &dict)));
+  EXPECT_FALSE(unknown.Matches(Concrete(P("/a/zzz"), &dict)));
+  EXPECT_TRUE(PathPattern::Compile(P("/a/zzz"), dict)
+                  .Matches(Concrete(P("/a/zzz"), &dict)));
+  // Neither a default pattern nor a non-linear one matches anything.
+  EXPECT_FALSE(PathPattern().Matches(Concrete(P("/a"), &dict)));
+  EXPECT_FALSE(PathPattern::Compile(P("/a/text()"), dict)
+                   .Matches(Concrete(P("/a"), &dict)));
+}
+
 TEST(ContainmentTest, IndexablePathShapes) {
   auto P = [](const char* s) { return ParsePath(s).MoveValue(); };
   EXPECT_TRUE(IsIndexablePath(P("/catalog//productname")));
