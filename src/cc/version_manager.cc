@@ -52,23 +52,24 @@ Status VersionManager::AddEntry(uint64_t doc_id, uint64_t version,
 }
 
 Status VersionManager::ListFrom(uint64_t doc_id, uint64_t version,
-                                Slice prefix, NodeIdEntries* out) {
+                                const SubtreeSpan& span, NodeIdEntries* out) {
   out->clear();
   std::string key;
-  EncodeKey(doc_id, version, prefix, &key);
+  EncodeKey(doc_id, version, span.first, &key);
   XDB_ASSIGN_OR_RETURN(BTree::Iterator it, tree_->Seek(key));
+  bool reached = false;
   while (it.Valid()) {
     uint64_t found_doc, found_ver;
     Slice node;
     XDB_RETURN_NOT_OK(DecodeKey(it.key(), &found_doc, &found_ver, &node));
     if (found_doc != doc_id || found_ver != version) break;
-    const bool under = node.StartsWith(prefix);
-    if (!under && !out->empty()) break;
+    const SpanStep step = NextSpanStep(span, node, &reached);
+    if (step == SpanStep::kStop) break;
     if (it.value().size() != 8)
       return Status::Corruption("bad versioned index value");
     out->emplace_back(node.ToString(),
                       Rid::Unpack(DecodeFixed64(it.value().data())));
-    if (!under) break;  // Lookup's entry lies past the subtree: it is all
+    if (step == SpanStep::kLast) break;
     XDB_RETURN_NOT_OK(it.Next());
   }
   return Status::OK();
@@ -80,12 +81,13 @@ Status VersionManager::ListVersionEntries(uint64_t doc_id, uint64_t version,
 }
 
 Status VersionManager::ListDocEntries(uint64_t doc_id, uint64_t snapshot,
-                                      Slice prefix, NodeIdEntries* out) {
+                                      const SubtreeSpan& span,
+                                      NodeIdEntries* out) {
   out->clear();
   Result<uint64_t> ver = EffectiveVersion(doc_id, snapshot);
   if (ver.status().IsNotFound()) return Status::OK();  // not visible
   XDB_RETURN_NOT_OK(ver.status());
-  return ListFrom(doc_id, ver.value(), prefix, out);
+  return ListFrom(doc_id, ver.value(), span, out);
 }
 
 Result<uint64_t> VersionManager::EffectiveVersion(uint64_t doc_id,

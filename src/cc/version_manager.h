@@ -58,9 +58,9 @@ class VersionManager {
                             NodeIdEntries* out);
 
   /// NodeLocator::ListDocEntries as of `snapshot`: one EffectiveVersion
-  /// and one seek at (doc, version, prefix).
-  Status ListDocEntries(uint64_t doc_id, uint64_t snapshot, Slice prefix,
-                        NodeIdEntries* out);
+  /// and one seek at (doc, version, span.first).
+  Status ListDocEntries(uint64_t doc_id, uint64_t snapshot,
+                        const SubtreeSpan& span, NodeIdEntries* out);
 
   /// The newest version of `doc_id` that is <= `snapshot`; NotFound if the
   /// document did not exist at that snapshot.
@@ -86,9 +86,9 @@ class VersionManager {
                         std::string* out);
   static Status DecodeKey(Slice key, uint64_t* doc_id, uint64_t* version,
                           Slice* node_id);
-  /// One version's entries from a seek at (doc, version, prefix), by the
-  /// NodeLocator::ListDocEntries rule.
-  Status ListFrom(uint64_t doc_id, uint64_t version, Slice prefix,
+  /// One version's entries from a seek at (doc, version, span.first), by
+  /// the NodeLocator::ListDocEntries rule.
+  Status ListFrom(uint64_t doc_id, uint64_t version, const SubtreeSpan& span,
                   NodeIdEntries* out);
 
   // The versioned index is guarded by the owning collection's latch_ (every
@@ -109,9 +109,9 @@ class SnapshotLocator : public NodeLocator {
   Result<Rid> Lookup(uint64_t doc_id, Slice node_id) override {
     return versions_->Lookup(doc_id, snapshot_, node_id);
   }
-  Status ListDocEntries(uint64_t doc_id, Slice prefix,
+  Status ListDocEntries(uint64_t doc_id, const SubtreeSpan& span,
                         NodeIdEntries* out) override {
-    return versions_->ListDocEntries(doc_id, snapshot_, prefix, out);
+    return versions_->ListDocEntries(doc_id, snapshot_, span, out);
   }
 
  private:

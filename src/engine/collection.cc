@@ -64,28 +64,27 @@ std::string DocKey(uint64_t doc_id) {
   return key;
 }
 
-/// The evaluation stage's one fan-out: runs eval(i, out) for every
-/// candidate i in [0, n) and appends to `result` in candidate order. Lists
-/// query::PartitionForParallelism leaves unsplit run serially on this
-/// thread. Otherwise each contiguous chunk is one pool task writing its own
-/// QueryResult, and the chunks merge in chunk order, which reproduces the
-/// serial output exactly; the lowest-index chunk's error wins, like a
-/// serial loop stopping at its first failure. Doc locks must already be
-/// held: the transaction's lock table is not safe for concurrent mutation.
-Status FanOut(util::ThreadPool* pool, size_t parallelism, size_t n,
-              QueryResult* result,
-              const std::function<Status(size_t, QueryResult*)>& eval) {
+/// The evaluation stage's one fan-out: runs eval(begin, end, out) over
+/// contiguous ranges that cover the (doc, node)-sorted candidate list and
+/// never split a document (query::PartitionByDocument), appending to
+/// `result` in candidate order. A list it leaves unsplit runs serially on
+/// this thread as one range. Otherwise each range is one pool task writing
+/// its own QueryResult, and the chunks merge in chunk order, which
+/// reproduces the serial output and counters exactly; the lowest-index
+/// chunk's error wins, like a serial loop stopping at its first failure.
+/// Doc locks must already be held: the transaction's lock table is not safe
+/// for concurrent mutation.
+Status FanOut(util::ThreadPool* pool, size_t parallelism,
+              const std::vector<Posting>& anchors, QueryResult* result,
+              const std::function<Status(size_t, size_t, QueryResult*)>& eval) {
   std::vector<query::WorkRange> ranges =
-      query::PartitionForParallelism(n, parallelism);
+      query::PartitionByDocument(anchors, parallelism);
   // Unconditional: two plain stores, and the always-on
   // query.parallel_executions counter reads chunks afterwards.
   result->profile.parallelism =
       ranges.empty() ? 1 : static_cast<int>(parallelism);
   result->profile.chunks = ranges.empty() ? 1 : ranges.size();
-  if (ranges.empty()) {
-    for (size_t i = 0; i < n; i++) XDB_RETURN_NOT_OK(eval(i, result));
-    return Status::OK();
-  }
+  if (ranges.empty()) return eval(0, anchors.size(), result);
   std::vector<QueryResult> chunks(ranges.size());
   std::vector<Status> chunk_status(ranges.size());
   // Pool threads have no wait scope of their own; re-install this query's
@@ -94,9 +93,7 @@ Status FanOut(util::ThreadPool* pool, size_t parallelism, size_t n,
   obs::WaitStats* query_waits = obs::QueryWaitScope::current();
   pool->ParallelFor(ranges.size(), parallelism, [&](size_t c) {
     obs::QueryWaitScope chunk_scope(query_waits);
-    for (size_t i = ranges[c].begin;
-         i < ranges[c].end && chunk_status[c].ok(); i++)
-      chunk_status[c] = eval(i, &chunks[c]);
+    chunk_status[c] = eval(ranges[c].begin, ranges[c].end, &chunks[c]);
   });
   for (const Status& st : chunk_status) XDB_RETURN_NOT_OK(st);
   for (QueryResult& c : chunks) {
@@ -1139,9 +1136,20 @@ Result<QueryResult> Collection::ExecuteCompiled(
       NodeLocator* locator = view.locator();
       XDB_RETURN_NOT_OK(FanOut(
           engine_->query_pool(),
-          static_cast<size_t>(EffectiveParallelism(options)), anchors.size(),
-          &result, [&](size_t i, QueryResult* out) {
-            return EvalAnchor(anchors[i], cp, locator, out);
+          static_cast<size_t>(EffectiveParallelism(options)), anchors,
+          &result, [&](size_t begin, size_t end, QueryResult* out) {
+            // One document run at a time.
+            while (begin < end) {
+              size_t run_end = begin + 1;
+              while (run_end < end &&
+                     anchors[run_end].doc_id == anchors[begin].doc_id)
+                run_end++;
+              XDB_RETURN_NOT_OK(EvalRun(anchors.data() + begin,
+                                        anchors.data() + run_end, cp, locator,
+                                        out));
+              begin = run_end;
+            }
+            return Status::OK();
           }));
     }
     NormalizeSequence(&result.nodes);
@@ -1320,12 +1328,28 @@ Status Collection::FindCandidates(const query::CompiledPlan& cp,
   return Status::OK();
 }
 
-Status Collection::EvalAnchor(const Posting& anchor,
-                              const query::CompiledPlan& cp,
-                              NodeLocator* locator, QueryResult* result) {
+Status Collection::EvalRun(const Posting* begin, const Posting* end,
+                           const query::CompiledPlan& cp, NodeLocator* locator,
+                           QueryResult* result) {
   obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
   ReaderMutexLock latch(latch_);
   latch_span.Finish();
+  // One NodeID listing, one source and one scan serve the run (a lone
+  // anchor's span is its own subtree).
+  StoredDocSource source(records_.get(), locator, begin->doc_id);
+  SubtreeSpan span(begin->node_id);
+  for (const Posting* a = begin + 1; a != end; ++a) span.Extend(a->node_id);
+  XDB_RETURN_NOT_OK(source.ListSpan(span));
+  xpath::QuickXScan scan(cp.tree.get(), begin->doc_id);
+  for (const Posting* a = begin; a != end; ++a)
+    XDB_RETURN_NOT_OK(EvalAnchor(*a, cp, &source, &scan, result));
+  return Status::OK();
+}
+
+Status Collection::EvalAnchor(const Posting& anchor,
+                              const query::CompiledPlan& cp,
+                              StoredDocSource* source,
+                              xpath::QuickXScan* scan, QueryResult* result) {
   // One walk per anchor: the stream's own descent to its root names the
   // anchor's ancestors-or-self, which must match the main-path prefix
   // before its events reach the scan. Only kNotFound is a benign miss (the
@@ -1334,19 +1358,19 @@ Status Collection::EvalAnchor(const Posting& anchor,
   // "no match". On any failure, or a prefix mismatch, nothing is appended
   // or counted.
   const bool doc_anchor = anchor.node_id.empty();
-  StoredDocSource source(records_.get(), locator, anchor.doc_id,
-                         anchor.node_id);
-  xpath::QuickXScan scan(cp.tree.get(), anchor.doc_id);
-  NodeSequence hits;
+  source->Open(anchor.node_id);
+  const uint64_t fetched_before = source->records_fetched();
+  scan->Reset(anchor.doc_id);
+  NodeSequence hits;  // Finish normalizes the whole vector it is given
   bool matched = false;
   Status st = [&]() -> Status {
     XmlEvent ev;
-    XDB_ASSIGN_OR_RETURN(bool more, source.Next(&ev));
+    XDB_ASSIGN_OR_RETURN(bool more, source->Next(&ev));
     if (!more) return Status::OK();  // the anchor is not in its record
     if (!doc_anchor) {
       std::vector<xpath::NamedStep> path;
-      path.reserve(source.root_path().size());
-      for (const StoredPathStep& node : source.root_path()) {
+      path.reserve(source->root_path().size());
+      for (const StoredPathStep& node : source->root_path()) {
         if (node.kind == NodeKind::kElement ||
             node.kind == NodeKind::kAttribute)
           path.push_back({node.local, node.kind == NodeKind::kAttribute});
@@ -1354,19 +1378,24 @@ Status Collection::EvalAnchor(const Posting& anchor,
       if (!cp.prefix.Matches(path)) return Status::OK();
     }
     matched = true;
-    scan.Begin();
+    scan->Begin();
     while (more) {
-      XDB_RETURN_NOT_OK(scan.Feed(ev));
-      XDB_ASSIGN_OR_RETURN(more, source.Next(&ev));
+      XDB_RETURN_NOT_OK(scan->Feed(ev));
+      // Read only what can change the answer: an element nothing inside of
+      // which can match is jumped by its stored length.
+      if (ev.type == XmlEvent::Type::kStartElement &&
+          scan->ChildrenIrrelevant())
+        source->SkipChildren();
+      XDB_ASSIGN_OR_RETURN(more, source->Next(&ev));
     }
-    return scan.Finish(&hits);
+    return scan->Finish(&hits);
   }();
   if (st.IsNotFound()) return Status::OK();
   XDB_RETURN_NOT_OK(st);
   if (!matched) return Status::OK();
-  const xpath::QuickXScanStats& ss = scan.stats();
+  const xpath::QuickXScanStats& ss = scan->stats();
   QueryStats& stats = result->stats;
-  stats.records_fetched += source.records_fetched();
+  stats.records_fetched += source->records_fetched() - fetched_before;
   stats.scan_events += ss.events;
   stats.scan_instances += ss.instances_created;
   stats.scan_peak_live = std::max(stats.scan_peak_live, ss.peak_live_instances);

@@ -38,6 +38,7 @@ namespace xdb {
 
 namespace xpath {
 class QueryTree;
+class QuickXScan;
 }  // namespace xpath
 
 class Engine;
@@ -314,7 +315,7 @@ class Collection {
       xpath::Path&& path, const QueryOptions& options) XDB_EXCLUDES(latch_);
 
   /// Runs a compiled plan in the paper's two stages: FindCandidates, then
-  /// one fanned-out EvalAnchor per candidate. `cache_state`
+  /// one EvalRun per document run, fanned out by document. `cache_state`
   /// ("hit"/"miss"/"off") is surfaced in EXPLAIN; `plan_wall_us` is the
   /// planning time to attribute (0 on a cache hit). When the plan's
   /// index-structure version no longer matches (an index was dropped or the
@@ -344,16 +345,27 @@ class Collection {
   /// to the engine default, clamped to 1 when the engine has no pool.
   int EffectiveParallelism(const QueryOptions& options) const;
 
-  /// Evaluates `cp`'s tree over one candidate's subtree, appending its
-  /// matches and work counters to `result`. A document anchor streams the
-  /// whole document and counts in docs_evaluated; a node anchor is first
-  /// verified against the main-path prefix. Benign misses (kNotFound:
-  /// invisible at the snapshot, stale posting) return OK with no output;
-  /// any other failure, damage included, is returned. The anchor's doc lock
-  /// must already be held; takes latch_ shared.
+  /// Evaluates `cp`'s tree over one document run [begin, end) of the
+  /// sorted candidate list (every anchor of one document), appending
+  /// matches and work counters to `result`: takes latch_ shared once, lists
+  /// the run's NodeID entries once (one seek over the anchors' span), and
+  /// reuses one StoredDocSource and one QuickXScan across its anchors. The
+  /// doc lock must already be held.
+  Status EvalRun(const Posting* begin, const Posting* end,
+                 const query::CompiledPlan& cp, NodeLocator* locator,
+                 QueryResult* result) XDB_EXCLUDES(latch_);
+
+  /// Evaluates `cp`'s tree over one candidate's subtree, streamed by
+  /// `source` (re-opened at the anchor) into `scan` (reset), skipping each
+  /// element whose children the scan reports irrelevant. A document anchor
+  /// streams the whole document and counts in docs_evaluated; a node anchor
+  /// is first verified against the main-path prefix. Benign misses
+  /// (kNotFound: invisible at the snapshot, stale posting) return OK with
+  /// no output; any other failure, damage included, is returned. EvalRun
+  /// holds latch_.
   Status EvalAnchor(const Posting& anchor, const query::CompiledPlan& cp,
-                    NodeLocator* locator, QueryResult* result)
-      XDB_EXCLUDES(latch_);
+                    StoredDocSource* source, xpath::QuickXScan* scan,
+                    QueryResult* result) XDB_REQUIRES_SHARED(latch_);
 
   /// Bodies of CreateValueIndex/DropValueIndex without the DDL mutex and
   /// without logging — the form WAL replay and the replica apply path call

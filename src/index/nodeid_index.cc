@@ -29,6 +29,15 @@ NodeIdEntries::const_iterator FirstAtOrAfter(const NodeIdEntries& entries,
 
 }  // namespace
 
+SpanStep NextSpanStep(const SubtreeSpan& span, Slice upper, bool* reached) {
+  const bool under = upper.StartsWith(span.outer);
+  if (*reached) return under ? SpanStep::kMore : SpanStep::kStop;
+  if (upper < span.last) return SpanStep::kMore;
+  *reached = true;
+  // Lookup(last)'s entry past outer's subtree ends the listing.
+  return under ? SpanStep::kMore : SpanStep::kLast;
+}
+
 Result<Rid> DocEntriesLocator::Lookup(uint64_t doc_id, Slice node_id) {
   if (doc_id != doc_id_) return Status::NotFound("no such document node");
   auto it = FirstAtOrAfter(*entries_, node_id);
@@ -36,16 +45,18 @@ Result<Rid> DocEntriesLocator::Lookup(uint64_t doc_id, Slice node_id) {
   return it->second;
 }
 
-Status DocEntriesLocator::ListDocEntries(uint64_t doc_id, Slice prefix,
+Status DocEntriesLocator::ListDocEntries(uint64_t doc_id,
+                                         const SubtreeSpan& span,
                                          NodeIdEntries* out) {
   out->clear();
   if (doc_id != doc_id_) return Status::OK();
-  for (auto it = FirstAtOrAfter(*entries_, prefix); it != entries_->end();
+  bool reached = false;
+  for (auto it = FirstAtOrAfter(*entries_, span.first); it != entries_->end();
        ++it) {
-    const bool under = Slice(it->first).StartsWith(prefix);
-    if (!under && !out->empty()) break;
+    const SpanStep step = NextSpanStep(span, Slice(it->first), &reached);
+    if (step == SpanStep::kStop) break;
     out->push_back(*it);
-    if (!under) break;  // Lookup's entry lies past the subtree: it is all
+    if (step == SpanStep::kLast) break;
   }
   return Status::OK();
 }
@@ -91,24 +102,25 @@ Result<Rid> NodeIdIndex::Lookup(uint64_t doc_id, Slice node_id) {
   return Rid::Unpack(DecodeFixed64(it.value().data()));
 }
 
-Status NodeIdIndex::ListDocEntries(uint64_t doc_id, Slice prefix,
+Status NodeIdIndex::ListDocEntries(uint64_t doc_id, const SubtreeSpan& span,
                                    NodeIdEntries* out) {
   out->clear();
   std::string key;
-  EncodeNodeIdKey(doc_id, prefix, &key);
+  EncodeNodeIdKey(doc_id, span.first, &key);
   XDB_ASSIGN_OR_RETURN(BTree::Iterator it, tree_->Seek(key));
+  bool reached = false;
   while (it.Valid()) {
     uint64_t found_doc;
     Slice found_node;
     XDB_RETURN_NOT_OK(DecodeNodeIdKey(it.key(), &found_doc, &found_node));
     if (found_doc != doc_id) break;
-    const bool under = found_node.StartsWith(prefix);
-    if (!under && !out->empty()) break;
+    const SpanStep step = NextSpanStep(span, found_node, &reached);
+    if (step == SpanStep::kStop) break;
     if (it.value().size() != 8)
       return Status::Corruption("bad node index value");
     out->emplace_back(found_node.ToString(),
                       Rid::Unpack(DecodeFixed64(it.value().data())));
-    if (!under) break;  // Lookup's entry lies past the subtree: it is all
+    if (step == SpanStep::kLast) break;
     XDB_RETURN_NOT_OK(it.Next());
   }
   return Status::OK();

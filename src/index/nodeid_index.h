@@ -28,6 +28,29 @@ namespace xdb {
 /// order.
 using NodeIdEntries = std::vector<std::pair<std::string, Rid>>;
 
+/// The subtrees at a set of node IDs of one document, as one listing must
+/// resolve them: `first` and `last` are the lowest and highest root in
+/// document order, `outer` the root whose subtree ends last (`last` or an
+/// ancestor of it among the roots). One subtree is the span {p, p, p}.
+struct SubtreeSpan {
+  SubtreeSpan(Slice root) : first(root), last(root), outer(root) {}  // NOLINT
+  /// Adds `root`, which must not sort before `last`.
+  void Extend(Slice root) {
+    last = root;
+    if (!root.StartsWith(outer)) outer = root;  // past outer's subtree
+  }
+
+  Slice first, last, outer;
+};
+
+/// ListDocEntries' rule for one entry with upper end `upper`, met in node-ID
+/// order from the seek at span.first: kStop ends the listing before it,
+/// kLast lists it as the final entry, kMore lists it and goes on.
+/// `*reached` starts false and records that the entry Lookup(last) finds is
+/// listed.
+enum class SpanStep { kStop, kLast, kMore };
+SpanStep NextSpanStep(const SubtreeSpan& span, Slice upper, bool* reached);
+
 /// Resolves (doc, node id) to the RID of the containing record. The plain
 /// NodeIdIndex resolves against current data; a VersionManager snapshot view
 /// resolves against a point-in-time version — traversal code (StoredDocSource,
@@ -37,14 +60,16 @@ class NodeLocator {
   virtual ~NodeLocator() = default;
   virtual Result<Rid> Lookup(uint64_t doc_id, Slice node_id) = 0;
 
-  /// Lists, from one seek at (doc, prefix), the entries that resolve the
-  /// subtree at `prefix`: the entry Lookup(doc, prefix) finds (the record
-  /// holding the node, whose interval may end past the subtree), then every
-  /// later entry whose upper end lies under `prefix`, in node-ID order. An
-  /// empty prefix lists the whole document; an absent document lists
-  /// nothing. Any node of the subtree resolves against the list by Lookup's
-  /// rule (DocEntriesLocator) exactly as against the index.
-  virtual Status ListDocEntries(uint64_t doc_id, Slice prefix,
+  /// Lists, from one seek at (doc, span.first), the entries that resolve
+  /// the span's subtrees, in node-ID order: every entry up to and including
+  /// the one Lookup(doc, span.last) finds (the record holding the node,
+  /// whose interval may end past the subtree), then every later entry whose
+  /// upper end lies under span.outer. For one subtree at `prefix` that is
+  /// Lookup's entry and the entries under `prefix`; an empty prefix lists
+  /// the whole document; an absent document lists nothing. Any node of the
+  /// span's subtrees resolves against the list by Lookup's rule
+  /// (DocEntriesLocator) exactly as against the index.
+  virtual Status ListDocEntries(uint64_t doc_id, const SubtreeSpan& span,
                                 NodeIdEntries* out) = 0;
 };
 
@@ -59,7 +84,7 @@ class DocEntriesLocator : public NodeLocator {
       : doc_id_(doc_id), entries_(entries) {}
 
   Result<Rid> Lookup(uint64_t doc_id, Slice node_id) override;
-  Status ListDocEntries(uint64_t doc_id, Slice prefix,
+  Status ListDocEntries(uint64_t doc_id, const SubtreeSpan& span,
                         NodeIdEntries* out) override;
 
  private:
@@ -84,7 +109,7 @@ class NodeIdIndex : public NodeLocator {
   /// An empty node_id addresses the document root record.
   Result<Rid> Lookup(uint64_t doc_id, Slice node_id) override;
 
-  Status ListDocEntries(uint64_t doc_id, Slice prefix,
+  Status ListDocEntries(uint64_t doc_id, const SubtreeSpan& span,
                         NodeIdEntries* out) override;
 
   /// Distinct RIDs of the records with an interval ending under `prefix`,

@@ -30,7 +30,8 @@ bool ReadVar32(const char** p, const char* limit, uint32_t* v) {
 bool ReadLp(const char** p, const char* limit, Slice* out) {
   uint64_t len;
   size_t n = GetVarint64(*p, limit, &len);
-  if (n == 0 || *p + n + len > limit) return false;
+  // Compared as sizes: a damaged length must not wrap the pointer.
+  if (n == 0 || len > static_cast<uint64_t>(limit - *p) - n) return false;
   *out = Slice(*p + n, static_cast<size_t>(len));
   *p += n + len;
   return true;
@@ -122,6 +123,10 @@ Status ParseRecordHeader(Slice record, RecordHeader* header, Slice* payload) {
   uint32_t path_len;
   if (!ReadVar32(&p, limit, &path_len))
     return Status::Corruption("bad record header: path length");
+  // Each step takes at least two bytes: a damaged count must not size an
+  // allocation.
+  if (path_len > static_cast<size_t>(limit - p) / 2)
+    return Status::Corruption("bad record header: path length");
   header->root_path.clear();
   header->root_path.reserve(path_len);
   for (uint32_t i = 0; i < path_len; i++) {
@@ -208,7 +213,7 @@ Status RecordWalker::Next(Event* event) {
           !ReadVar32(&p_, limit_, &e.child_count) ||
           !ReadVar32(&p_, limit_, &e.children_len))
         return Status::Corruption("bad packed element entry");
-      if (p_ + e.children_len > limit_)
+      if (e.children_len > static_cast<size_t>(limit_ - p_))
         return Status::Corruption("element children overrun record");
       stack_.push_back(Frame{p_ + e.children_len, id_.size()});
       break;

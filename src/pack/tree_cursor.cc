@@ -28,22 +28,34 @@ StoredDocSource::StoredDocSource(RecordManager* records, NodeLocator* index,
       subtree_root_(std::move(subtree_root)),
       listed_(doc_id, &entries_) {}
 
-Status StoredDocSource::PushRecord(Slice target, bool resolving) {
+Status StoredDocSource::ListSpan(const SubtreeSpan& span) {
+  XDB_RETURN_NOT_OK(index_->ListDocEntries(doc_id_, span, &entries_));
+  span_listed_ = true;
+  return Status::OK();
+}
+
+void StoredDocSource::Open(Slice subtree_root) {
+  subtree_root_.assign(subtree_root.data(), subtree_root.size());
+  stack_.clear();
+  root_path_.clear();
+  started_ = finished_ = skip_children_ = false;
+}
+
+Status StoredDocSource::PushRecord(Slice target, bool resolving,
+                                   CachedRecord* cached) {
   Result<Rid> found = listed_.Lookup(doc_id_, target);
   if (resolving && found.status().IsNotFound())
     return Status::Corruption("proxy " + nodeid::ToString(target) +
                               " resolves to no record");
   XDB_ASSIGN_OR_RETURN(Rid rid, found);
-  auto ctx = std::make_unique<Ctx>();
-  if (last_buf_ != nullptr && rid == last_rid_) {
-    ctx->buf = last_buf_;
-  } else {
-    ctx->buf = std::make_shared<std::string>();
-    XDB_RETURN_NOT_OK(records_->Get(rid, ctx->buf.get()));
+  if (cached->bytes == nullptr || cached->rid != rid) {
+    auto bytes = std::make_shared<std::string>();
+    XDB_RETURN_NOT_OK(records_->Get(rid, bytes.get()));
     records_fetched_++;
-    last_rid_ = rid;
-    last_buf_ = ctx->buf;
+    *cached = CachedRecord{rid, std::move(bytes)};
   }
+  auto ctx = std::make_unique<Ctx>();
+  ctx->buf = cached->bytes;
   ctx->walker = std::make_unique<RecordWalker>(Slice(*ctx->buf));
   XDB_RETURN_NOT_OK(ctx->walker->Init());
   ctx->target.assign(target.data(), target.size());  // the walker moves on
@@ -59,10 +71,12 @@ Result<bool> StoredDocSource::Next(XmlEvent* event) {
     // One listing serves the whole stream: a record that a proxy under the
     // root points to has its context node at or below the root, so all of
     // its interval ends lie under the root.
-    XDB_RETURN_NOT_OK(
-        index_->ListDocEntries(doc_id_, Slice(subtree_root_), &entries_));
+    if (!span_listed_)
+      XDB_RETURN_NOT_OK(
+          index_->ListDocEntries(doc_id_, Slice(subtree_root_), &entries_));
     // A missing stream root stays a NotFound (EvalAnchor's stale posting).
-    XDB_RETURN_NOT_OK(PushRecord(Slice(subtree_root_), /*resolving=*/false));
+    XDB_RETURN_NOT_OK(
+        PushRecord(Slice(subtree_root_), /*resolving=*/false, &last_root_));
     if (subtree_root_.empty()) {
       *event = XmlEvent();
       event->type = XmlEvent::Type::kStartDocument;
@@ -70,6 +84,20 @@ Result<bool> StoredDocSource::Next(XmlEvent* event) {
     }
     XDB_RETURN_NOT_OK(
         AppendHeaderPath(stack_.back()->walker->header(), &root_path_));
+  }
+  if (skip_children_) {
+    // The element's ID is still in the walker's buffer. Skipping a stream
+    // root or a proxy target closes its context, as its own end event does.
+    skip_children_ = false;
+    Ctx& ctx = *stack_.back();
+    const PackedEntry& e = walked_.entry;
+    ctx.walker->SkipChildren();
+    if (ctx.in_target && e.depth == ctx.target_depth) ctx.target_done = true;
+    *event = XmlEvent();
+    event->type = XmlEvent::Type::kEndElement;
+    event->node_id = e.abs_id;
+    event->depth = e.depth;
+    return true;
   }
   return Produce(event);
 }
@@ -143,7 +171,8 @@ Result<bool> StoredDocSource::Produce(XmlEvent* event) {
     }
 
     if (e.kind == NodeKind::kProxy) {
-      XDB_RETURN_NOT_OK(PushRecord(e.abs_id, /*resolving=*/true));
+      XDB_RETURN_NOT_OK(
+          PushRecord(e.abs_id, /*resolving=*/true, &ctx.last_child));
       continue;
     }
 

@@ -44,6 +44,13 @@ Status AppendHeaderPath(const RecordHeader& header,
 /// through one NodeID listing of the stream's subtree and a record stack.
 /// Events view the walker's ID buffer and the record bytes (valid until the
 /// next Next(), as XmlEvent says); nothing is copied per node.
+///
+/// Each record is fetched once per stream: every record context remembers
+/// the last record it resolved a proxy into (packed sibling subtrees behind
+/// consecutive proxies share it), and the source remembers the record its
+/// last stream started in (consecutive streams of one run in one record
+/// share it). A stream so holds O(record-stack depth) records, never
+/// O(document).
 class StoredDocSource : public XmlEventSource {
  public:
   /// Streams the whole document when `subtree_root` is empty, otherwise just
@@ -55,7 +62,22 @@ class StoredDocSource : public XmlEventSource {
   StoredDocSource(const StoredDocSource&) = delete;
   StoredDocSource& operator=(const StoredDocSource&) = delete;
 
+  /// Starts a run of streams over this document: lists, in one seek, the
+  /// NodeID entries that resolve every subtree of `span`, so that each
+  /// later Open() of one of its roots resolves against that listing instead
+  /// of listing its own.
+  Status ListSpan(const SubtreeSpan& span);
+
+  /// Restarts as the stream of the subtree at `subtree_root` of the same
+  /// document. Without ListSpan() its first Next() lists the subtree.
+  void Open(Slice subtree_root);
+
   Result<bool> Next(XmlEvent* event) override;
+
+  /// Valid right after Next() returned a start-element event: the next
+  /// Next() returns that element's end event, and nothing below it is read
+  /// (no proxy below it is resolved, so no record below it is fetched).
+  void SkipChildren() { skip_children_ = true; }
 
   /// Records fetched so far (the traversal-cost metric of E2).
   uint64_t records_fetched() const { return records_fetched_; }
@@ -67,6 +89,11 @@ class StoredDocSource : public XmlEventSource {
   const std::vector<StoredPathStep>& root_path() const { return root_path_; }
 
  private:
+  /// A fetched record, shared by every context walking it.
+  struct CachedRecord {
+    Rid rid{};
+    std::shared_ptr<std::string> bytes;
+  };
   struct Ctx {
     std::shared_ptr<std::string> buf;  // record bytes (walker views into it)
     std::unique_ptr<RecordWalker> walker;
@@ -75,33 +102,33 @@ class StoredDocSource : public XmlEventSource {
     bool target_done = false;
     int target_depth = 0;  // record-relative depth of the target entry
     bool resolving = false;  // pushed to resolve a proxy for `target`
+    CachedRecord last_child;  // the last record a proxy here resolved into
   };
 
-  /// Pushes the record the listing names for `target`. A record pushed to
-  /// resolve a proxy must hold the node as a non-proxy entry; anything else
-  /// is Corruption, never a silent gap or an endless chase.
-  Status PushRecord(Slice target, bool resolving);
+  /// Pushes the record the listing names for `target`, reusing `cached`
+  /// when it is that record and remembering it there otherwise. A record
+  /// pushed to resolve a proxy must hold the node as a non-proxy entry;
+  /// anything else is Corruption, never a silent gap or an endless chase.
+  Status PushRecord(Slice target, bool resolving, CachedRecord* cached);
   Result<bool> Produce(XmlEvent* event);  // one step; may recurse via stack
 
   RecordManager* records_;
   NodeLocator* index_;
   uint64_t doc_id_;
   std::string subtree_root_;
-  // The stream's one NodeID listing (ListDocEntries at the root); the root
-  // record and every proxy resolve against it.
+  // The stream's one NodeID listing (ListDocEntries at the root, or the
+  // run's span); the root record and every proxy resolve against it.
   NodeIdEntries entries_;
   DocEntriesLocator listed_;
+  bool span_listed_ = false;
+  CachedRecord last_root_;  // the record the last stream started in
   std::vector<std::unique_ptr<Ctx>> stack_;
   RecordWalker::Event walked_;  // the current record event, reused
   std::vector<StoredPathStep> root_path_;
   bool started_ = false;
   bool finished_ = false;
+  bool skip_children_ = false;
   uint64_t records_fetched_ = 0;
-  // One-record cache: a run of sibling proxies usually resolves to the same
-  // evicted record; reuse it instead of refetching (the buffer manager would
-  // serve the same page, but the record copy is avoidable too).
-  Rid last_rid_{};
-  std::shared_ptr<std::string> last_buf_;
 };
 
 /// Summary of a stored node, as returned by point lookups.

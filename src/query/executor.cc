@@ -1,5 +1,6 @@
 #include "query/executor.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -336,6 +337,22 @@ std::vector<WorkRange> PartitionForParallelism(size_t n, size_t parallelism) {
     ranges.push_back(WorkRange{begin, begin + len});
     begin += len;
   }
+  return ranges;
+}
+
+std::vector<WorkRange> PartitionByDocument(const std::vector<Posting>& anchors,
+                                           size_t parallelism) {
+  const size_t n = anchors.size();
+  std::vector<WorkRange> ranges;
+  size_t begin = 0;
+  for (const WorkRange& r : PartitionForParallelism(n, parallelism)) {
+    size_t end = std::max(r.end, begin);
+    while (end > 0 && end < n && anchors[end].doc_id == anchors[end - 1].doc_id)
+      end++;
+    if (end > begin) ranges.push_back(WorkRange{begin, end});
+    begin = end;
+  }
+  if (ranges.size() < 2) ranges.clear();
   return ranges;
 }
 

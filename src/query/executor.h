@@ -64,6 +64,14 @@ inline constexpr size_t kMinItemsPerTask = 4;
 /// serial evaluation order exactly.
 std::vector<WorkRange> PartitionForParallelism(size_t n, size_t parallelism);
 
+/// PartitionForParallelism over a (doc, node)-sorted candidate list, with
+/// each chunk boundary moved forward to the next document start, so a
+/// document's candidates are one run in one chunk. Empty chunks drop out;
+/// fewer than two left (all candidates in one document, say) means serial,
+/// an empty vector.
+std::vector<WorkRange> PartitionByDocument(const std::vector<Posting>& anchors,
+                                           size_t parallelism);
+
 }  // namespace query
 }  // namespace xdb
 

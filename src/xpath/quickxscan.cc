@@ -79,23 +79,26 @@ QuickXScan::Instance* QuickXScan::FindAxisCandidate(const QueryNode* q,
   return nullptr;
 }
 
+QuickXScan::Instance* QuickXScan::Allocate() {
+  if (free_list_.empty()) {
+    pool_.emplace_back();
+    return &pool_.back();
+  }
+  // Recycle: live state stays O(|Q| * r), the paper's optimality bound.
+  Instance* m = free_list_.back();
+  free_list_.pop_back();
+  m->bits = 0;
+  m->value.clear();
+  m->node_id.clear();
+  m->pending.clear();
+  m->carried.clear();
+  return m;
+}
+
 QuickXScan::Instance* QuickXScan::Push(const QueryNode* q, const XmlEvent& ev,
                                        Instance* parent_ref, int depth,
                                        bool instant) {
-  Instance* m;
-  if (!free_list_.empty()) {
-    // Recycle: live state stays O(|Q| * r), the paper's optimality bound.
-    m = free_list_.back();
-    free_list_.pop_back();
-    m->bits = 0;
-    m->value.clear();
-    m->node_id.clear();
-    m->pending.clear();
-    m->carried.clear();
-  } else {
-    pool_.emplace_back();
-    m = &pool_.back();
-  }
+  Instance* m = Allocate();
   m->q = q;
   m->depth = depth;
   m->instant = instant;
@@ -308,13 +311,53 @@ Status QuickXScan::Feed(const XmlEvent& ev) {
   return Status::Corruption("unknown event type");
 }
 
+bool QuickXScan::ChildrenIrrelevant() const {
+  if (!collecting_.empty()) return false;
+  for (const auto& node : tree_->nodes()) {
+    const QueryNode* q = node.get();
+    if (q->parent == nullptr) continue;
+    const std::vector<Instance*>& pstack = stacks_[q->parent->id];
+    if (pstack.empty()) continue;
+    switch (q->axis) {
+      case Axis::kChild:
+      case Axis::kAttribute:
+        // Open instances sit at depths <= elem_depth_, so only the top can
+        // be this element.
+        if (pstack.back()->depth == elem_depth_) return false;
+        break;
+      case Axis::kDescendant:
+      case Axis::kDescendantOrSelf:
+        return false;
+      case Axis::kSelf:
+      case Axis::kParent:
+        break;
+    }
+  }
+  return true;
+}
+
+void QuickXScan::Reset(uint64_t doc_id) {
+  doc_id_ = doc_id;
+  free_list_.clear();
+  for (Instance& m : pool_) free_list_.push_back(&m);
+  for (std::vector<Instance*>& stack : stacks_) stack.clear();
+  open_by_depth_.clear();
+  collecting_.clear();
+  root_instance_ = nullptr;
+  elem_depth_ = 0;
+  live_instances_ = 0;
+  stats_ = QuickXScanStats();
+}
+
 void QuickXScan::Begin() {
   // Synthesize the root (document) instance so streams without document
   // events (subtree streams) still anchor absolute and relative paths.
-  pool_.emplace_back();
-  root_instance_ = &pool_.back();
+  root_instance_ = Allocate();
   root_instance_->q = tree_->root();
   root_instance_->depth = 0;
+  root_instance_->instant = false;
+  root_instance_->parent_ref = nullptr;
+  root_instance_->collecting = false;
   stacks_[tree_->root()->id].push_back(root_instance_);
   live_instances_++;
   stats_.instances_created++;

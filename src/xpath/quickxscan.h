@@ -55,6 +55,20 @@ class QuickXScan {
   Status Feed(const XmlEvent& ev);
   Status Finish(NodeSequence* results);
 
+  /// Asked right after Feed() of a start-element event: true when nothing
+  /// inside that element can change the answer, so its children may be left
+  /// out of the stream (its end event must still be fed). That holds when
+  /// no open instance collects a string value, no child- or attribute-axis
+  /// query node has its parent's top instance on this element, and no
+  /// descendant(-or-self) query node has an open parent instance. Self-axis
+  /// nodes add nothing: their parent must match first. O(|Q|).
+  bool ChildrenIrrelevant() const;
+
+  /// Readies the scan for another stream, of document `doc_id`: every
+  /// instance returns to the pool for reuse, and the stacks and stats are
+  /// cleared. Begin() follows as for a new scan.
+  void Reset(uint64_t doc_id);
+
   /// Pull form: Begin, Feed each event of `source`, Finish.
   Status Run(XmlEventSource* source, NodeSequence* results);
 
@@ -75,6 +89,7 @@ class QuickXScan {
     std::vector<ResultNode> carried;  // validated at this level (sideways)
   };
 
+  Instance* Allocate();  // from the free list, or a new pool slot
   void MatchElement(const XmlEvent& ev);
   void MatchInstant(const XmlEvent& ev);
   Instance* FindAxisCandidate(const QueryNode* q, int depth, bool instant);

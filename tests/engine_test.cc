@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "common/random.h"
 #include "engine/engine.h"
 #include "leak_check.h"
 #include "engine/xml_handle.h"
+#include "pack/packed_record.h"
 #include "pack/record_builder.h"
 #include "testing/differential.h"
 #include "util/workload.h"
@@ -565,6 +567,205 @@ TEST(StoredReadWorkTest, PrefixNameInternedLaterIsFoundOnReRun) {
   auto res = coll->Query(nullptr, q, node).MoveValue();
   ASSERT_EQ(res.nodes.size(), 1u);
   EXPECT_EQ(res.stats.method, query::AccessMethod::kNodeIdList);
+}
+
+// A document's anchors are one run: a NodeID-list query with k anchors in
+// one multi-record document lists the run's NodeID entries once (the
+// probe's descents plus one, not plus k), and fetches each record that
+// holds anchors at most once.
+TEST(StoredReadWorkTest, NodeIdListRunListsOncePerDocument) {
+  auto engine = MemEngine();
+  CollectionOptions copts;
+  copts.record_budget = 64;
+  Collection* coll = engine->CreateCollection("docs", copts).value();
+  ASSERT_TRUE(coll->CreateValueIndex(
+                      {"price", "//price", ValueType::kDecimal, 64})
+                  .ok());
+  std::string xml = "<order>";
+  for (int j = 0; j < 40; j++)
+    xml += "<line><price>" + std::to_string(j) + "</price></line>";
+  const uint64_t doc = coll->InsertDocument(nullptr, xml + "</order>").value();
+  QueryOptions node;
+  node.force = ForceMethod::kNodeIdList;
+  auto run = [&](const std::string& q, uint64_t* descents) {
+    EXPECT_TRUE(coll->Query(nullptr, q, node).ok());
+    const uint64_t before = engine->MetricsSnapshot().Value("btree.descents");
+    QueryResult res = coll->Query(nullptr, q, node).MoveValue();
+    *descents = engine->MetricsSnapshot().Value("btree.descents") - before;
+    return res;
+  };
+  uint64_t probe_only = 0, run_descents = 0;
+  QueryResult none = run("/order/line[price > 100]", &probe_only);
+  QueryResult many = run("/order/line[price > 5]", &run_descents);
+  ASSERT_EQ(none.nodes.size(), 0u);
+  ASSERT_EQ(many.nodes.size(), 34u);
+  EXPECT_EQ(many.stats.candidate_anchors, 34u);
+  EXPECT_EQ(run_descents, probe_only + 1u);
+  std::set<uint64_t> holding;
+  for (const ResultNode& r : many.nodes)
+    holding.insert(coll->node_index()->Lookup(doc, r.node_id).value().Pack());
+  ASSERT_GT(holding.size(), 1u) << "the anchors share one record";
+  EXPECT_LE(many.stats.records_fetched, holding.size());
+}
+
+// Checks one run's listing of `doc` from every locator against the index:
+// the three listings are equal, and every root of the run and every proxy
+// below one resolves against the listing exactly as against the index.
+void CheckRunListing(Collection* coll, NodeLocator* snapshot, uint64_t doc,
+                     const std::vector<std::string>& run,
+                     const std::vector<std::string>& proxies) {
+  NodeIdIndex* index = coll->node_index();
+  NodeIdEntries all;
+  ASSERT_TRUE(index->ListDocEntries(doc, Slice(), &all).ok());
+  DocEntriesLocator listed(doc, &all);
+  SubtreeSpan span{Slice(run[0])};
+  for (size_t i = 1; i < run.size(); i++) span.Extend(run[i]);
+  NodeIdEntries from_index, from_snapshot, from_list;
+  ASSERT_TRUE(index->ListDocEntries(doc, span, &from_index).ok());
+  ASSERT_TRUE(snapshot->ListDocEntries(doc, span, &from_snapshot).ok());
+  ASSERT_TRUE(listed.ListDocEntries(doc, span, &from_list).ok());
+  EXPECT_EQ(from_index, from_snapshot);
+  EXPECT_EQ(from_index, from_list);
+  DocEntriesLocator resolver(doc, &from_index);
+  for (const std::string& root : run) {
+    EXPECT_EQ(resolver.Lookup(doc, root).value(),
+              index->Lookup(doc, root).value())
+        << "root " << nodeid::ToString(root);
+    for (const std::string& proxy : proxies) {
+      if (!Slice(proxy).StartsWith(root)) continue;
+      EXPECT_EQ(resolver.Lookup(doc, proxy).value(),
+                index->Lookup(doc, proxy).value())
+          << "proxy " << nodeid::ToString(proxy);
+    }
+  }
+}
+
+// A run's one listing resolves like the index, for every pair and for
+// random larger runs of a multi-record document's node IDs (nested ones
+// and proxy targets included), through NodeIdIndex, SnapshotLocator and
+// DocEntriesLocator. The second document puts an element's later children
+// in a record interval that runs on past the element (its first child is
+// proxied): a run of the element and such a child needs the entry past the
+// element's subtree.
+TEST(StoredReadWorkTest, RunListingResolvesLikeTheIndex) {
+  std::string orders = "<order>";
+  for (int j = 0; j < 12; j++)
+    orders += "<line n=\"" + std::to_string(j) + "\"><sku>s" +
+              std::to_string(j) + "</sku><part><qty>" + std::to_string(j) +
+              "</qty><note>some text</note></part></line>";
+  std::string tails = "<order>";
+  for (int j = 0; j < 12; j++)
+    tails += "<line n=\"" + std::to_string(j) + "\"><big>" +
+             std::string(80, 'x') + "</big><p>" + std::to_string(j) +
+             "</p></line>";
+  for (const std::string& xml : {orders + "</order>", tails + "</order>"}) {
+    auto engine = MemEngine();
+    CollectionOptions copts;
+    copts.mvcc = true;
+    copts.record_budget = 64;
+    Collection* coll = engine->CreateCollection("docs", copts).value();
+    ASSERT_TRUE(coll->InsertDocument(nullptr, "<x><y>before</y></x>").ok());
+    const uint64_t doc = coll->InsertDocument(nullptr, xml).value();
+    ASSERT_TRUE(coll->InsertDocument(nullptr, "<x><y>after</y></x>").ok());
+    SnapshotLocator snapshot(coll->versions(),
+                             coll->versions()->BeginSnapshot());
+    // The document's node IDs and proxies, from its records.
+    std::vector<Rid> rids;
+    ASSERT_TRUE(coll->node_index()->ListDocRecords(doc, Slice(), &rids).ok());
+    ASSERT_GT(rids.size(), 10u);
+    std::vector<std::string> nodes, proxies;
+    for (Rid rid : rids) {
+      std::string bytes;
+      ASSERT_TRUE(coll->records()->Get(rid, &bytes).ok());
+      RecordWalker walker((Slice(bytes)));
+      ASSERT_TRUE(walker.Init().ok());
+      RecordWalker::Event ev;
+      while (walker.Next(&ev).ok() &&
+             ev.type != RecordWalker::EventType::kDone) {
+        if (ev.type != RecordWalker::EventType::kStart) continue;
+        (ev.entry.kind == NodeKind::kProxy ? proxies : nodes)
+            .push_back(ev.entry.abs_id.ToString());
+      }
+    }
+    ASSERT_FALSE(proxies.empty());
+    std::sort(nodes.begin(), nodes.end());
+    for (size_t i = 0; i < nodes.size(); i++) {
+      for (size_t j = i; j < nodes.size(); j++) {
+        SCOPED_TRACE("run " + nodeid::ToString(nodes[i]) + " " +
+                     nodeid::ToString(nodes[j]));
+        std::vector<std::string> run = {nodes[i]};
+        if (j > i) run.push_back(nodes[j]);
+        CheckRunListing(coll, &snapshot, doc, run, proxies);
+      }
+    }
+    Random rng(23);
+    for (int trial = 0; trial < 200; trial++) {
+      std::vector<std::string> run;
+      const uint64_t k = 3 + rng.Uniform(6);
+      for (uint64_t i = 0; i < k; i++)
+        run.push_back(nodes[rng.Uniform(nodes.size())]);
+      std::sort(run.begin(), run.end());
+      run.erase(std::unique(run.begin(), run.end()), run.end());
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      CheckRunListing(coll, &snapshot, doc, run, proxies);
+    }
+  }
+}
+
+// The evaluation stage fans out between documents only: anchors spread
+// over several documents run in several chunks, anchors that all lie in
+// one document in one, and serial and parallel runs agree, counters
+// included.
+TEST(StoredReadWorkTest, FanOutSplitsBetweenDocuments) {
+  EngineOptions opts;
+  opts.in_memory = true;
+  opts.enable_wal = false;
+  opts.num_query_threads = 4;
+  auto engine = Engine::Open(opts).MoveValue();
+  CollectionOptions copts;
+  copts.record_budget = 200;
+  Collection* coll = engine->CreateCollection("docs", copts).value();
+  ASSERT_TRUE(coll->CreateValueIndex(
+                      {"price", "//price", ValueType::kDouble, 64})
+                  .ok());
+  for (int d = 0; d < 6; d++) {
+    std::string xml = "<doc>";
+    for (int i = 0; i < 40; i++)
+      xml += "<item><name>n" + std::to_string(d * 40 + i) + "</name><price>" +
+             std::to_string(i % 37) + "</price></item>";
+    ASSERT_TRUE(coll->InsertDocument(nullptr, xml + "</doc>").ok());
+  }
+  std::string solo = "<doc>";
+  for (int i = 0; i < 60; i++)
+    solo += "<item><name>s" + std::to_string(i) + "</name><price>" +
+            std::to_string(1000 + i) + "</price></item>";
+  ASSERT_TRUE(coll->InsertDocument(nullptr, solo + "</doc>").ok());
+
+  struct Case {
+    const char* query;
+    size_t results;
+    bool fans_out;
+  };
+  const Case cases[] = {{"/doc/item[price > 10]/name", 6 * 26 + 60, true},
+                        {"/doc/item[price >= 1000]/name", 60, false}};
+  for (const Case& c : cases) {
+    QueryOptions serial;
+    serial.force = ForceMethod::kNodeIdList;
+    serial.want_values = true;
+    serial.parallelism = 1;
+    QueryOptions parallel = serial;
+    parallel.parallelism = 4;
+    QueryResult s = coll->Query(nullptr, c.query, serial).MoveValue();
+    QueryResult p = coll->Query(nullptr, c.query, parallel).MoveValue();
+    ASSERT_EQ(s.nodes.size(), c.results) << c.query;
+    EXPECT_EQ(RenderIds(p.nodes), RenderIds(s.nodes)) << c.query;
+    EXPECT_TRUE(s.stats == p.stats) << c.query;
+    EXPECT_EQ(s.profile.chunks, 1u) << c.query;
+    if (c.fans_out)
+      EXPECT_GT(p.profile.chunks, 1u) << c.query;
+    else
+      EXPECT_EQ(p.profile.chunks, 1u) << c.query;
+  }
 }
 
 TEST(VacuumTest, OldVersionsReclaimed) {
@@ -1447,7 +1648,10 @@ TEST(WaitAttributionTest, ColdCacheExplainShowsWaitBreakdown) {
     QueryOptions o;
     o.explain = true;
     o.force = ForceMethod::kDocIdList;
-    auto res = coll->Query(nullptr, "/cat/p[price >= 0]", o).MoveValue();
+    // The result is desc's text, so every candidate's payload is read (a
+    // query that only tests price skips desc's children).
+    auto res =
+        coll->Query(nullptr, "/cat/p[price >= 0]/desc/text()", o).MoveValue();
     ASSERT_EQ(res.nodes.size(), static_cast<size_t>(kDocs));
 
     const obs::QueryProfile& prof = res.profile;

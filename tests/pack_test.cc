@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "btree/btree.h"
+#include "common/coding.h"
 #include "common/random.h"
 #include "index/nodeid_index.h"
 #include "pack/packed_record.h"
@@ -14,10 +15,13 @@
 #include "storage/buffer_manager.h"
 #include "storage/record_manager.h"
 #include "storage/tablespace.h"
+#include "testing/differential.h"
 #include "util/workload.h"
 #include "xml/node_id.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
+#include "xpath/parser.h"
+#include "xpath/quickxscan.h"
 
 namespace xdb {
 namespace {
@@ -624,6 +628,340 @@ TEST(StoredDocSourceTest, UnresolvedProxyIsCorruption) {
     EXPECT_TRUE(read.status().IsCorruption())
         << children << ": " << read.status().ToString();
   }
+}
+
+// --- record fetches and subtree skips ---
+
+// E2's document (BM_TraversePacked): a 400-product catalog.
+std::string CatalogDoc() {
+  Random rng(13);
+  workload::CatalogOptions opts;
+  opts.categories = 4;
+  opts.products_per_category = 100;
+  return workload::GenCatalogXml(&rng, opts);
+}
+
+// Every record context remembers the last record a proxy in it resolved
+// into, so packed sibling subtrees behind consecutive proxies are fetched
+// once even when a nested proxy fetched another record in between: a
+// whole-document stream fetches each record exactly once.
+TEST(StoredDocSourceTest, WholeDocumentFetchesEachRecordOnce) {
+  const std::string xml = CatalogDoc();
+  for (size_t budget : {64, 256, 1024, 4096, 16384}) {
+    PackedDocFixture fx(budget);
+    ASSERT_TRUE(fx.Store(1, xml).ok());
+    StoredDocSource source(fx.records_.get(), fx.index_.get(), 1);
+    ASSERT_TRUE(DrainEvents(&source).ok());
+    EXPECT_EQ(source.records_fetched(),
+              static_cast<uint64_t>(fx.record_count_))
+        << "budget " << budget;
+  }
+}
+
+// Reads `source` into a scan of `tree` and returns its answer, and in
+// `events` (when given) each event's type and node ID. With `skip`, the
+// stream leaves out every element whose children the scan reports
+// irrelevant, as EvalAnchor does.
+Status ScanStream(const xpath::QueryTree* tree, StoredDocSource* source,
+                  bool skip, NodeSequence* out,
+                  std::vector<std::string>* events = nullptr) {
+  xpath::QuickXScan scan(tree, 1);
+  scan.Begin();
+  XmlEvent ev;
+  for (;;) {
+    XDB_ASSIGN_OR_RETURN(bool more, source->Next(&ev));
+    if (!more) break;
+    XDB_RETURN_NOT_OK(scan.Feed(ev));
+    if (events != nullptr)
+      events->push_back(std::to_string(static_cast<int>(ev.type)) + ":" +
+                        nodeid::ToString(ev.node_id));
+    if (skip && ev.type == XmlEvent::Type::kStartElement &&
+        scan.ChildrenIrrelevant())
+      source->SkipChildren();
+  }
+  return scan.Finish(out);
+}
+
+// True when `part` is `whole` with some events left out, the rest in order:
+// a skipping stream adds, repeats and reorders nothing.
+bool IsSubsequence(const std::vector<std::string>& part,
+                   const std::vector<std::string>& whole) {
+  size_t at = 0;
+  for (const std::string& e : part) {
+    while (at < whole.size() && whole[at] != e) at++;
+    if (at == whole.size()) return false;
+    at++;
+  }
+  return true;
+}
+
+std::string Render(const NodeSequence& seq) {
+  std::string out;
+  for (const ResultNode& r : seq)
+    out += nodeid::ToString(r.node_id) + "=" + r.string_value + " ";
+  return out;
+}
+
+// Skipping never changes an answer. Every differential-generator case, at
+// the default budget and at 96 bytes (many records, proxies everywhere),
+// with and without result values: the query over a skipping whole-document
+// stream returns the full stream's nodes and values and fetches no more
+// records; and its relative form over the subtree streams of the root
+// element's children, read as one run (one listing over their span, one
+// re-opened source), returns each subtree's full-stream answer.
+TEST(SkippingStreamTest, AgreesWithTheFullStream) {
+  testing::DiffOptions opts;
+  uint64_t skipped_fetches = 0, subtree_streams = 0;
+  for (uint64_t seed = 1; seed <= 1000; seed++) {
+    const testing::DiffCase c = testing::GenCase(seed, opts);
+    for (size_t budget : {RecordBuilderOptions().record_budget, size_t{96}}) {
+      PackedDocFixture fx(budget);
+      ASSERT_TRUE(fx.Store(1, c.doc).ok()) << seed;
+      auto path = xpath::ParsePath(c.query);
+      ASSERT_TRUE(path.ok()) << c.query;
+      std::string relative = c.query[0] == '/' ? "." + c.query : c.query;
+      auto rel_path = xpath::ParsePath(relative);
+      StoredTreeNavigator nav(fx.records_.get(), fx.index_.get(), 1);
+      std::vector<std::string> roots;
+      ASSERT_TRUE(nav.ChildIds(nav.FirstChildId("").value(), &roots).ok());
+      for (bool values : {false, true}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " budget " +
+                     std::to_string(budget) + " values " +
+                     std::to_string(values) + ": " + c.query);
+        auto tree = xpath::QueryTree::Compile(path.value(), fx.dict_, values);
+        if (!tree.ok()) continue;  // outside the scan's subset
+        StoredDocSource full(fx.records_.get(), fx.index_.get(), 1);
+        StoredDocSource skipping(fx.records_.get(), fx.index_.get(), 1);
+        NodeSequence want, got;
+        std::vector<std::string> all_events, kept_events;
+        ASSERT_TRUE(ScanStream(tree.value().get(), &full, false, &want,
+                               &all_events)
+                        .ok());
+        ASSERT_TRUE(ScanStream(tree.value().get(), &skipping, true, &got,
+                               &kept_events)
+                        .ok());
+        EXPECT_EQ(Render(got), Render(want));
+        EXPECT_TRUE(IsSubsequence(kept_events, all_events));
+        EXPECT_LE(skipping.records_fetched(), full.records_fetched());
+        skipped_fetches += full.records_fetched() - skipping.records_fetched();
+
+        if (!rel_path.ok() || roots.empty()) continue;
+        auto rel =
+            xpath::QueryTree::Compile(rel_path.value(), fx.dict_, values);
+        if (!rel.ok()) continue;
+        StoredDocSource run(fx.records_.get(), fx.index_.get(), 1);
+        SubtreeSpan span{Slice(roots[0])};
+        for (size_t i = 1; i < roots.size(); i++) span.Extend(roots[i]);
+        ASSERT_TRUE(run.ListSpan(span).ok());
+        uint64_t alone_fetched = 0;
+        for (const std::string& root : roots) {
+          StoredDocSource alone(fx.records_.get(), fx.index_.get(), 1, root);
+          NodeSequence sub_want, sub_got;
+          std::vector<std::string> sub_all, sub_kept;
+          ASSERT_TRUE(ScanStream(rel.value().get(), &alone, false, &sub_want,
+                                 &sub_all)
+                          .ok());
+          run.Open(root);
+          ASSERT_TRUE(
+              ScanStream(rel.value().get(), &run, true, &sub_got, &sub_kept)
+                  .ok())
+              << nodeid::ToString(root);
+          EXPECT_EQ(Render(sub_got), Render(sub_want))
+              << nodeid::ToString(root);
+          EXPECT_TRUE(IsSubsequence(sub_kept, sub_all))
+              << nodeid::ToString(root);
+          alone_fetched += alone.records_fetched();
+          subtree_streams++;
+        }
+        EXPECT_LE(run.records_fetched(), alone_fetched);
+      }
+    }
+  }
+  // The sweep did skip records and read real subtree runs.
+  EXPECT_GT(skipped_fetches, 0u);
+  EXPECT_GT(subtree_streams, 1000u);
+}
+
+// A skipped element's proxies are never resolved: with the record behind
+// the only proxy below it gone, a skipping stream still answers, while the
+// full stream reports the damage.
+TEST(SkippingStreamTest, NeverReadsAMissingRecordBelowASkip) {
+  PackedDocFixture fx(150);
+  ASSERT_TRUE(fx.Store(1, "<r><a><big>" + std::string(300, 'x') +
+                              "</big></a><b>x</b></r>")
+                  .ok());
+  // Two records: the root's, and the one behind the proxy below a.
+  std::vector<Rid> rids;
+  ASSERT_TRUE(fx.index_->ListDocRecords(1, "", &rids).ok());
+  ASSERT_EQ(rids.size(), 2u);
+  const Rid root = fx.index_->Lookup(1, "").value();
+  const Rid packed = rids[0] == root ? rids[1] : rids[0];
+  std::string bytes;
+  ASSERT_TRUE(fx.records_->Get(packed, &bytes).ok());
+  ASSERT_TRUE(fx.index_->RemoveRecord(1, bytes, packed).ok());
+  ASSERT_TRUE(fx.records_->Delete(packed).ok());
+
+  auto tree = xpath::QueryTree::Compile(xpath::ParsePath("/r/b").value(),
+                                        fx.dict_, /*want_result_values=*/true)
+                  .MoveValue();
+  StoredDocSource skipping(fx.records_.get(), fx.index_.get(), 1);
+  NodeSequence got;
+  ASSERT_TRUE(ScanStream(tree.get(), &skipping, true, &got).ok());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].string_value, "x");
+  StoredDocSource full(fx.records_.get(), fx.index_.get(), 1);
+  NodeSequence unused;
+  Status st = ScanStream(tree.get(), &full, false, &unused);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+// --- packed-record walker fuzzing ---
+
+// A byte range of a record that the walker decodes.
+struct Field {
+  size_t at = 0, len = 0;
+  bool varint = false;
+};
+
+// The decoded fields of `record`: each entry's kind byte and relative ID,
+// an element's child_count and children_len, a leaf's value length.
+std::vector<Field> RecordFields(const std::string& record) {
+  std::vector<Field> fields;
+  RecordWalker walker((Slice(record)));
+  if (!walker.Init().ok()) return fields;
+  const char* base = record.data();
+  const char* limit = base + record.size();
+  RecordWalker::Event ev;
+  while (walker.Next(&ev).ok() &&
+         ev.type != RecordWalker::EventType::kDone) {
+    if (ev.type != RecordWalker::EventType::kStart) continue;
+    const PackedEntry& e = ev.entry;
+    const size_t rel = static_cast<size_t>(e.rel_id.data() - base);
+    fields.push_back({rel - 1, 1, false});
+    fields.push_back({rel, e.rel_id.size(), false});
+    if (e.kind == NodeKind::kElement) {
+      const char* p = e.rel_id.data() + e.rel_id.size();
+      uint32_t v;
+      for (int i = 0; i < 5; i++) {  // local, ns, prefix, count, length
+        const size_t n = GetVarint32(p, limit, &v);
+        if (i >= 3) fields.push_back({static_cast<size_t>(p - base), n, true});
+        p += n;
+      }
+    } else if (e.kind != NodeKind::kProxy &&
+               e.kind != NodeKind::kNamespace) {
+      const size_t n = VarintLength(e.value.size());
+      fields.push_back(
+          {static_cast<size_t>(e.value.data() - base) - n, n, true});
+    }
+  }
+  return fields;
+}
+
+// One seeded mutation: a bit flip or a rewritten length in a decoded field,
+// or a bit flip or a rewritten byte anywhere in the record.
+void Mutate(Random* rng, const std::vector<Field>& fields, std::string* rec) {
+  const uint32_t kind = static_cast<uint32_t>(rng->Uniform(4));
+  if (kind <= 1 && !fields.empty()) {
+    const Field& f = fields[rng->Uniform(fields.size())];
+    if (kind == 1 && f.varint) {
+      const uint64_t kValues[] = {0,       1,          2,
+                                  127,     128,        1u << 20,
+                                  0xFFFFFFFFu, uint64_t{1} << 40,
+                                  ~uint64_t{0}, rng->Next()};
+      std::string enc;
+      PutVarint64(&enc, kValues[rng->Uniform(std::size(kValues))]);
+      rec->replace(f.at, f.len, enc);
+    } else {
+      (*rec)[f.at + rng->Uniform(f.len)] ^=
+          static_cast<char>(1u << rng->Uniform(8));
+    }
+  } else if (kind == 2) {
+    (*rec)[rng->Uniform(rec->size())] ^=
+        static_cast<char>(1u << rng->Uniform(8));
+  } else {
+    (*rec)[rng->Uniform(rec->size())] = static_cast<char>(rng->Uniform(256));
+  }
+}
+
+// Damaged packed records never crash, hang or grow the reader without
+// bound: each of 2,000 seeded mutants (aimed at children_len, child_count,
+// relative IDs and value lengths, or anywhere) is read as a whole-document
+// stream and as a subtree stream, with no skips, skipping every element,
+// and skipping where the scan allows, and every read ends in a Status or
+// finishes within a bounded number of events. A failing seed replays as
+// Random(kBase + mutant).
+TEST(PackedRecordFuzzTest, MutantsEndInStatusOrFinish) {
+  constexpr uint64_t kBase = 0x5EED0000;
+  constexpr uint64_t kMutants = 2000;
+  constexpr uint64_t kEventCap = 100000;
+  PackedDocFixture fx(120);
+  std::string xml = "<r a=\"1\"><!--note--><?pi data?>";
+  for (int i = 0; i < 16; i++)
+    xml += "<g k=\"" + std::to_string(i) + "\"><h>text " + std::to_string(i) +
+           "</h><i/>tail</g>";
+  ASSERT_TRUE(fx.Store(1, xml + "</r>").ok());
+  std::vector<Rid> rids;
+  ASSERT_TRUE(fx.index_->ListDocRecords(1, "", &rids).ok());
+  ASSERT_GT(rids.size(), 4u);
+  std::vector<std::string> originals(rids.size());
+  std::vector<std::vector<Field>> fields(rids.size());
+  for (size_t i = 0; i < rids.size(); i++) {
+    ASSERT_TRUE(fx.records_->Get(rids[i], &originals[i]).ok());
+    fields[i] = RecordFields(originals[i]);
+  }
+  StoredTreeNavigator nav(fx.records_.get(), fx.index_.get(), 1);
+  std::vector<std::string> roots;
+  ASSERT_TRUE(nav.ChildIds(nav.FirstChildId("").value(), &roots).ok());
+  auto tree = xpath::QueryTree::Compile(xpath::ParsePath("/r/g[h]/i").value(),
+                                        fx.dict_, false)
+                  .MoveValue();
+  auto rel = xpath::QueryTree::Compile(xpath::ParsePath("self::node()/h")
+                                           .value(),
+                                       fx.dict_, false)
+                 .MoveValue();
+
+  enum class Skip { kNever, kEvery, kScan };
+  uint64_t refused = 0, finished = 0;
+  for (uint64_t m = 0; m < kMutants; m++) {
+    Random rng(kBase + m);
+    const size_t r = rng.Uniform(rids.size());
+    std::string bytes = originals[r];
+    Mutate(&rng, fields[r], &bytes);
+    ASSERT_TRUE(fx.records_->Update(rids[r], bytes).ok());
+    const std::string sub = roots[rng.Uniform(roots.size())];
+    for (const std::string& root : {std::string(), sub}) {
+      for (Skip skip : {Skip::kNever, Skip::kEvery, Skip::kScan}) {
+        StoredDocSource source(fx.records_.get(), fx.index_.get(), 1, root);
+        xpath::QuickXScan scan(root.empty() ? tree.get() : rel.get(), 1);
+        scan.Begin();
+        Status st;
+        uint64_t events = 0;
+        XmlEvent ev;
+        for (;;) {
+          Result<bool> more = source.Next(&ev);
+          if (!more.ok()) {
+            st = more.status();
+            break;
+          }
+          if (!more.value()) break;
+          ASSERT_LT(++events, kEventCap) << "seed " << kBase + m;
+          st = scan.Feed(ev);
+          if (!st.ok()) break;
+          if (ev.type == XmlEvent::Type::kStartElement &&
+              (skip == Skip::kEvery ||
+               (skip == Skip::kScan && scan.ChildrenIrrelevant())))
+            source.SkipChildren();
+        }
+        NodeSequence out;
+        if (st.ok()) st = scan.Finish(&out);
+        (st.ok() ? finished : refused)++;
+      }
+    }
+    ASSERT_TRUE(fx.records_->Update(rids[r], originals[r]).ok());
+  }
+  // The mutants reached both outcomes.
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(finished, 0u);
 }
 
 TEST(ShreddedStoreTest, RoundTripMatchesPacked) {

@@ -117,7 +117,7 @@ TEST(PlannerCrossoverTest, SelectivityFlipsDocListToScan) {
             "recheck: yes\n"
             "cardinality: postings=0 candidate_docs=30 candidate_anchors=0"
             " docs_evaluated=30 records_fetched=30 results=30\n"
-            "scan: events=360 instances=120 peak_live=4\n"
+            "scan: events=330 instances=120 peak_live=4\n"
             "parallelism: 1 (chunks=1)\n");
 
   // Distinct titles: one expected posting, one candidate document.
@@ -132,7 +132,7 @@ TEST(PlannerCrossoverTest, SelectivityFlipsDocListToScan) {
             "recheck: no\n"
             "cardinality: postings=1 candidate_docs=1 candidate_anchors=0"
             " docs_evaluated=1 records_fetched=1 results=1\n"
-            "scan: events=12 instances=4 peak_live=4\n"
+            "scan: events=11 instances=4 peak_live=4\n"
             "parallelism: 1 (chunks=1)\n");
 }
 
@@ -173,7 +173,7 @@ TEST(PlannerCrossoverTest, RecordsPerDocFlipsDocListToNodeList) {
             "recheck: no\n"
             "cardinality: postings=1 candidate_docs=1 candidate_anchors=0"
             " docs_evaluated=1 records_fetched=1 results=1\n"
-            "scan: events=27 instances=4 peak_live=4\n"
+            "scan: events=21 instances=4 peak_live=4\n"
             "parallelism: 1 (chunks=1)\n");
 
   // Tight budget: five records per document make whole-document evaluation
@@ -189,7 +189,7 @@ TEST(PlannerCrossoverTest, RecordsPerDocFlipsDocListToNodeList) {
             "recheck: no  anchor step: 1\n"
             "cardinality: postings=1 candidate_docs=0 candidate_anchors=1"
             " docs_evaluated=0 records_fetched=4 results=1\n"
-            "scan: events=23 instances=4 peak_live=4\n"
+            "scan: events=17 instances=4 peak_live=4\n"
             "parallelism: 1 (chunks=1)\n");
 }
 
@@ -226,7 +226,7 @@ TEST(PlannerCrossoverTest, StructuralIndexFlipsScanForSelectiveDescendant) {
             "recheck: yes\n"
             "cardinality: postings=8 candidate_docs=0 candidate_anchors=8"
             " docs_evaluated=0 records_fetched=8 results=8\n"
-            "scan: events=24 instances=24 peak_live=3\n"
+            "scan: events=16 instances=24 peak_live=3\n"
             "parallelism: 1 (chunks=1)\n");
 
   // <a> is 400 of the 416 elements: the estimator prices 400 anchor

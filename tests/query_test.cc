@@ -95,6 +95,56 @@ TEST(AnchorPostingsTest, StripsBranchLevels) {
   EXPECT_FALSE(AnchorPostings(postings, -1, &anchored).ok());
 }
 
+// The evaluation stage's partition: chunk boundaries move forward to
+// document starts, so a document's anchors are one run in one chunk, and
+// the chunks still cover the list in order.
+TEST(PartitionByDocumentTest, ChunksNeverSplitADocument) {
+  auto anchors = [](const std::vector<uint64_t>& per_doc) {
+    std::vector<Posting> out;
+    for (size_t d = 0; d < per_doc.size(); d++)
+      for (uint32_t i = 1; i <= per_doc[d]; i++) {
+        Posting p;
+        p.doc_id = d + 1;
+        p.node_id = nodeid::ChildId(i);
+        out.push_back(p);
+      }
+    return out;
+  };
+  const std::vector<std::vector<uint64_t>> shapes = {
+      {40}, {39, 1}, {1, 39}, {5, 5, 5, 5, 5, 5, 5, 5}, {3, 30, 3, 3},
+      {26, 26, 26, 26, 26, 26}, {1, 1, 1, 1, 1, 1, 1, 1, 1}};
+  for (const auto& shape : shapes) {
+    const std::vector<Posting> list = anchors(shape);
+    const std::vector<WorkRange> ranges = PartitionByDocument(list, 4);
+    std::string label;
+    for (uint64_t n : shape) label += std::to_string(n) + " ";
+    if (shape.size() == 1) {
+      EXPECT_TRUE(ranges.empty()) << label;  // one document runs serially
+      continue;
+    }
+    size_t at = 0;
+    for (const WorkRange& r : ranges) {
+      EXPECT_EQ(r.begin, at) << label;
+      EXPECT_LT(r.begin, r.end) << label;
+      EXPECT_TRUE(r.begin == 0 ||
+                  list[r.begin].doc_id != list[r.begin - 1].doc_id)
+          << label << "chunk starts inside a document at " << r.begin;
+      at = r.end;
+    }
+    if (!ranges.empty()) {
+      EXPECT_EQ(at, list.size()) << label;
+    }
+  }
+  // Fan-out still happens across documents, as PartitionForParallelism
+  // allows: six documents of 26 anchors at parallelism 4.
+  EXPECT_GT(PartitionByDocument(anchors({26, 26, 26, 26, 26, 26}), 4).size(),
+            1u);
+  EXPECT_TRUE(PartitionByDocument(anchors({40}), 4).empty());
+  EXPECT_EQ(PartitionByDocument(anchors({39, 1}), 4).size(), 2u);
+  EXPECT_EQ(PartitionByDocument(anchors({5, 5, 5, 5, 5, 5, 5, 5}), 4).size(),
+            8u);
+}
+
 TEST(PostingAlgebraTest, IntersectAndUnion) {
   auto mk = [](uint64_t doc, uint32_t child) {
     Posting p;

@@ -4,6 +4,8 @@
 // evaluator), and the naive streaming baseline.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/random.h"
 #include "runtime/virtual_sax.h"
 #include "util/workload.h"
@@ -578,6 +580,188 @@ TEST(QueryTreeTest, UnknownNamesNeverMatch) {
   EvalHarness h;
   // "zzz" is not in the dictionary: the query compiles and returns empty.
   EXPECT_EQ(h.Quick("<a><b/></a>", "//zzz").size(), 0u);
+}
+
+// --- ChildrenIrrelevant: what a skipping stored stream may leave out ---
+
+// A document's events (document events excluded) with owned IDs and values,
+// so any contiguous slice can be fed as a stream: a subtree stream is the
+// slice from its root's first event to its last.
+struct OwnedEvents {
+  std::vector<XmlEvent> list;
+  std::deque<std::string> store;  // stable addresses for the views
+
+  static OwnedEvents Of(NameDictionary* dict, const std::string& xml) {
+    Parser parser(dict);
+    TokenWriter tokens;
+    EXPECT_TRUE(parser.Parse(xml, &tokens).ok()) << xml;
+    TokenStreamSource source(tokens.data());
+    OwnedEvents out;
+    XmlEvent ev;
+    while (source.Next(&ev).value()) {
+      if (ev.type == XmlEvent::Type::kStartDocument ||
+          ev.type == XmlEvent::Type::kEndDocument)
+        continue;
+      out.store.push_back(ev.node_id.ToString());
+      ev.node_id = Slice(out.store.back());
+      out.store.push_back(ev.value.ToString());
+      ev.value = Slice(out.store.back());
+      out.list.push_back(ev);
+    }
+    return out;
+  }
+
+  // The index one past the end event matching the start event at `i` (or
+  // i + 1 for a leaf event).
+  size_t End(size_t i) const {
+    if (list[i].type != XmlEvent::Type::kStartElement) return i + 1;
+    int open = 0;
+    for (size_t j = i; j < list.size(); j++) {
+      if (list[j].type == XmlEvent::Type::kStartElement) open++;
+      if (list[j].type == XmlEvent::Type::kEndElement && --open == 0)
+        return j + 1;
+    }
+    return list.size();
+  }
+};
+
+struct SkipOutcome {
+  std::string skipped;  // names of the elements whose children were left out
+  NodeSequence full, skipping;
+};
+
+// Runs `expr` over events [first, last) twice: every event fed, and as
+// EvalAnchor feeds a stored stream (after each start-element event the scan
+// reports irrelevant, the element's end event comes next).
+SkipOutcome RunSkipping(NameDictionary* dict, const OwnedEvents& events,
+                        const std::string& expr, bool want_values,
+                        size_t first, size_t last) {
+  SkipOutcome out;
+  auto path = ParsePath(expr);
+  EXPECT_TRUE(path.ok()) << expr;
+  auto tree = QueryTree::Compile(path.value(), *dict, want_values).MoveValue();
+  QuickXScan full(tree.get(), 1);
+  full.Begin();
+  for (size_t i = first; i < last; i++)
+    EXPECT_TRUE(full.Feed(events.list[i]).ok());
+  EXPECT_TRUE(full.Finish(&out.full).ok());
+  QuickXScan scan(tree.get(), 1);
+  scan.Begin();
+  for (size_t i = first; i < last; i++) {
+    const XmlEvent& ev = events.list[i];
+    EXPECT_TRUE(scan.Feed(ev).ok());
+    if (ev.type == XmlEvent::Type::kStartElement && scan.ChildrenIrrelevant()) {
+      if (!out.skipped.empty()) out.skipped += " ";
+      out.skipped += dict->Name(ev.local).value();
+      i = events.End(i) - 2;  // the loop's ++ lands on the end event
+    }
+  }
+  EXPECT_TRUE(scan.Finish(&out.skipping).ok());
+  EXPECT_EQ(EvalHarness::Render(out.full), EvalHarness::Render(out.skipping))
+      << expr;
+  for (size_t i = 0; i < out.full.size() && i < out.skipping.size(); i++)
+    EXPECT_EQ(out.full[i].string_value, out.skipping[i].string_value) << expr;
+  return out;
+}
+
+SkipOutcome RunSkipping(NameDictionary* dict, const std::string& xml,
+                        const std::string& expr, bool want_values = false) {
+  OwnedEvents events = OwnedEvents::Of(dict, xml);
+  return RunSkipping(dict, events, expr, want_values, 0, events.list.size());
+}
+
+TEST(ChildrenIrrelevantTest, DescendantFromTheRootNeverSkips) {
+  NameDictionary dict;
+  SkipOutcome o = RunSkipping(&dict, "<r><a><b><a/></b></a><c><d/></c></r>",
+                              "//a");
+  EXPECT_EQ(o.skipped, "");
+  EXPECT_EQ(o.full.size(), 2u);
+}
+
+TEST(ChildrenIrrelevantTest, ChildPathSkipsWhatItCannotReach) {
+  NameDictionary dict;
+  const std::string xml = "<a><b><x>1</x></b><c><y><b/></y></c><b/></a>";
+  // b is still delivered, and with nothing below b in the query its
+  // children are left out too; a's other children go entirely.
+  SkipOutcome o = RunSkipping(&dict, xml, "/a/b");
+  EXPECT_EQ(o.skipped, "b c b");
+  EXPECT_EQ(o.full.size(), 2u);
+  // A result whose value is wanted is read whole.
+  o = RunSkipping(&dict, xml, "/a/b", /*want_values=*/true);
+  EXPECT_EQ(o.skipped, "c");
+  ASSERT_EQ(o.skipping.size(), 2u);
+  EXPECT_EQ(o.skipping[0].string_value, "1");
+}
+
+TEST(ChildrenIrrelevantTest, PredicatesKeepWhatTheyTest) {
+  NameDictionary dict;
+  const std::string xml =
+      "<r><a><c><x/></c><b i=\"x\">t<d/></b>t<e><f/></e></a>"
+      "<g><a/></g></r>";
+  // A descendant predicate keeps a's whole subtree.
+  EXPECT_EQ(RunSkipping(&dict, xml, "/r/a[.//x]").skipped, "g");
+  // A child predicate keeps a's element children in view but not their
+  // children.
+  EXPECT_EQ(RunSkipping(&dict, xml, "/r/a[not(b)]").skipped, "c b e g");
+  // An attribute below the child: b stays open for its attributes, and
+  // only b's element children are left out.
+  SkipOutcome o = RunSkipping(&dict, xml, "/r/a[b/@i = \"x\"]");
+  EXPECT_EQ(o.skipped, "c d e g");
+  EXPECT_EQ(o.full.size(), 1u);
+  // text() tests a's own text children only.
+  o = RunSkipping(&dict, xml, "/r/a[text() = \"t\"]");
+  EXPECT_EQ(o.skipped, "c b e g");
+  EXPECT_EQ(o.full.size(), 1u);
+  // A comparison on an element collects its string value, so nothing
+  // inside it is skipped.
+  o = RunSkipping(&dict, "<r><a><b><i>4</i><j>2</j></b><k><l/></k></a></r>",
+                  "/r/a[b > 3]");
+  EXPECT_EQ(o.skipped, "k");
+  EXPECT_EQ(o.full.size(), 1u);  // b's string value is "42"
+}
+
+TEST(ChildrenIrrelevantTest, WildcardsAndKindTests) {
+  NameDictionary dict;
+  const std::string xml = "<r><a><x><y/></x><z/></a><b>t<x/></b></r>";
+  EXPECT_EQ(RunSkipping(&dict, xml, "/r/*").skipped, "a b");
+  EXPECT_EQ(RunSkipping(&dict, xml, "/r/node()").skipped, "a b");
+  EXPECT_EQ(RunSkipping(&dict, xml, "/r/*/x").skipped, "x z x");
+  EXPECT_EQ(RunSkipping(&dict, xml, "/r/*/node()").skipped, "x z x");
+  EXPECT_EQ(RunSkipping(&dict, xml, "/r/b/text()").skipped, "a x");
+}
+
+TEST(ChildrenIrrelevantTest, ResidualOverSubtreeStreams) {
+  NameDictionary dict;
+  OwnedEvents events = OwnedEvents::Of(
+      &dict, "<r><a k=\"1\"><b><c/></b><d><b/></d>tx</a></r>");
+  size_t a = 0;
+  while (dict.Name(events.list[a].local).value() != "a" ||
+         events.list[a].type != XmlEvent::Type::kStartElement)
+    a++;
+  // The recheck residual: self::node() then the remaining steps, over the
+  // anchor's subtree stream.
+  SkipOutcome o = RunSkipping(&dict, events, "self::node()[b]/d", false, a,
+                              events.End(a));
+  EXPECT_EQ(o.skipped, "b d");
+  EXPECT_EQ(o.full.size(), 1u);
+  o = RunSkipping(&dict, events, "self::node()[@k = \"1\"]", false, a,
+                  events.End(a));
+  EXPECT_EQ(o.skipped, "b d");
+  EXPECT_EQ(o.full.size(), 1u);
+  // Attribute and text subtree roots are single events: nothing to skip,
+  // and the answer is the full stream's.
+  int leaves = 0;
+  for (size_t i = a; i < events.End(a); i++) {
+    if (events.list[i].type != XmlEvent::Type::kAttribute &&
+        events.list[i].type != XmlEvent::Type::kText)
+      continue;
+    leaves++;
+    for (bool values : {false, true})
+      EXPECT_EQ(RunSkipping(&dict, events, "self::node()", values, i, i + 1)
+                    .skipped,
+                "");
+  }
+  EXPECT_EQ(leaves, 2);
 }
 
 }  // namespace
