@@ -1,5 +1,9 @@
 #include "cc/lock_manager.h"
 
+#include <algorithm>
+
+#include "xml/node_id.h"
+
 namespace xdb {
 
 const char* LockModeName(LockMode m) {
@@ -50,21 +54,38 @@ LockMode LockModeSupremum(LockMode a, LockMode b) {
   return LockMode::kX;
 }
 
-bool LockManager::DocGrantable(const DocLock& dl, TxnId txn,
-                               LockMode mode) const {
-  for (const auto& [holder, held] : dl.granted) {
-    if (holder == txn) continue;
-    if (!LockModesCompatible(held, mode)) return false;
-  }
-  return true;
+namespace {
+
+/// S, SIX and X lock the subtree below their node; IS and IX only announce
+/// finer locks there.
+bool LocksSubtree(LockMode m) {
+  return m == LockMode::kS || m == LockMode::kSIX || m == LockMode::kX;
 }
 
-std::vector<TxnId> LockManager::DocBlockers(const DocLock& dl, TxnId txn,
-                                            LockMode mode) const {
+/// "doc 7, S" for the document node, "doc 7 node 02.04, X" below it.
+std::string LockTarget(uint64_t doc_id, Slice node_id, LockMode mode) {
+  std::string out = "doc " + std::to_string(doc_id);
+  if (!node_id.empty()) out += " node " + nodeid::ToString(node_id);
+  return out + ", " + LockModeName(mode);
+}
+
+}  // namespace
+
+std::vector<TxnId> LockManager::Blockers(const DocLocks& dl, TxnId txn,
+                                         Slice node_id, LockMode mode) {
   std::vector<TxnId> out;
-  for (const auto& [holder, held] : dl.granted) {
-    if (holder == txn) continue;
-    if (!LockModesCompatible(held, mode)) out.push_back(holder);
+  for (const NodeLock& held : dl.held) {
+    if (held.txn == txn || LockModesCompatible(held.mode, mode)) continue;
+    Slice h(held.node_id);
+    bool conflict = h == node_id;
+    if (!conflict) {
+      // Different nodes meet only through a subtree lock on the ancestor.
+      stats_.node_prefix_checks++;
+      conflict = node_id.StartsWith(h) ? LocksSubtree(held.mode)
+                                       : h.StartsWith(node_id) &&
+                                             LocksSubtree(mode);
+    }
+    if (conflict) out.push_back(held.txn);
   }
   return out;
 }
@@ -90,27 +111,34 @@ bool LockManager::WouldDeadlock(TxnId txn,
   return false;
 }
 
-Status LockManager::LockDocument(TxnId txn, uint64_t doc_id, LockMode mode) {
+Status LockManager::LockNode(TxnId txn, LockSpace space, uint64_t doc_id,
+                             Slice node_id, LockMode mode) {
   MutexLock lock(mu_);
-  DocLock& dl = doc_locks_[doc_id];
-  auto mine = dl.granted.find(txn);
-  if (mine != dl.granted.end()) {
-    if (LockModeCovers(mine->second, mode)) return Status::OK();
-    mode = LockModeSupremum(mine->second, mode);
+  DocLocks& dl = table_[{space, doc_id}];
+  // Re-entrant: an own lock on this node, or a subtree lock above it, may
+  // cover the request; an own lock on this node is upgraded.
+  LockMode grant = mode;
+  for (const NodeLock& own : dl.held) {
+    if (own.txn != txn) continue;
+    const bool same = Slice(own.node_id) == node_id;
+    const bool above = !same && node_id.StartsWith(Slice(own.node_id)) &&
+                       LocksSubtree(own.mode);
+    if ((same || above) && LockModeCovers(own.mode, mode)) return Status::OK();
+    if (same) grant = LockModeSupremum(own.mode, mode);
   }
   auto deadline = std::chrono::steady_clock::now() + timeout_;
   bool waited = false;
-  while (!DocGrantable(dl, txn, mode)) {
-    std::vector<TxnId> blockers = DocBlockers(dl, txn, mode);
+  for (;;) {
+    std::vector<TxnId> blockers = Blockers(dl, txn, node_id, grant);
+    if (blockers.empty()) break;
     if (WouldDeadlock(txn, blockers)) {
       waits_for_.erase(txn);
       stats_.deadlocks++;
+      std::string target = LockTarget(doc_id, node_id, grant);
       if (events_ != nullptr)
         events_->Emit(obs::EventKind::kDeadlockVictim, txn, doc_id,
-                      std::string("doc lock ") + LockModeName(mode));
-      return Status::Deadlock("waits-for cycle (doc " +
-                              std::to_string(doc_id) + ", " +
-                              LockModeName(mode) + ")");
+                      "lock " + target);
+      return Status::Deadlock("waits-for cycle (" + target + ")");
     }
     waits_for_[txn] = std::move(blockers);
     waited = true;
@@ -124,90 +152,22 @@ Status LockManager::LockDocument(TxnId txn, uint64_t doc_id, LockMode mode) {
     if (!ok) {
       waits_for_.erase(txn);
       stats_.timeouts++;
+      std::string target = LockTarget(doc_id, node_id, grant);
       if (events_ != nullptr)
         events_->Emit(obs::EventKind::kLockTimeout, txn, doc_id,
-                      std::string("doc lock ") + LockModeName(mode));
-      return Status::Deadlock("document lock timeout (doc " +
-                              std::to_string(doc_id) + ", " +
-                              LockModeName(mode) + ")");
+                      "lock " + target);
+      return Status::Deadlock("lock timeout (" + target + ")");
     }
   }
   waits_for_.erase(txn);
   if (waited) stats_.waits++;
-  dl.granted[txn] = mode;
-  stats_.acquisitions++;
-  return Status::OK();
-}
-
-bool LockManager::NodeGrantable(const DocNodeLocks& dn, TxnId txn,
-                                Slice node_id, LockMode mode) {
-  for (const NodeLock& held : dn.held) {
-    if (held.txn == txn) continue;
-    if (LockModesCompatible(held.mode, mode)) continue;
-    stats_.node_prefix_checks++;
-    Slice h(held.node_id);
-    // Conflict only when the subtrees overlap: one ID prefixes the other.
-    if (h.StartsWith(node_id) || node_id.StartsWith(h)) return false;
-  }
-  return true;
-}
-
-std::vector<TxnId> LockManager::NodeBlockers(const DocNodeLocks& dn, TxnId txn,
-                                             Slice node_id,
-                                             LockMode mode) const {
-  std::vector<TxnId> out;
-  for (const NodeLock& held : dn.held) {
-    if (held.txn == txn) continue;
-    if (LockModesCompatible(held.mode, mode)) continue;
-    Slice h(held.node_id);
-    if (h.StartsWith(node_id) || node_id.StartsWith(h)) out.push_back(held.txn);
-  }
-  return out;
-}
-
-Status LockManager::LockNode(TxnId txn, uint64_t doc_id, Slice node_id,
-                             LockMode mode) {
-  MutexLock lock(mu_);
-  DocNodeLocks& dn = node_locks_[doc_id];
-  // Re-entrant: an existing equal-or-stronger lock on the same or an
-  // ancestor subtree suffices.
-  for (const NodeLock& held : dn.held) {
-    if (held.txn == txn && node_id.StartsWith(Slice(held.node_id)) &&
-        LockModeCovers(held.mode, mode))
-      return Status::OK();
-  }
-  auto deadline = std::chrono::steady_clock::now() + timeout_;
-  bool waited = false;
-  while (!NodeGrantable(dn, txn, node_id, mode)) {
-    std::vector<TxnId> blockers = NodeBlockers(dn, txn, node_id, mode);
-    if (WouldDeadlock(txn, blockers)) {
-      waits_for_.erase(txn);
-      stats_.deadlocks++;
-      if (events_ != nullptr)
-        events_->Emit(obs::EventKind::kDeadlockVictim, txn, doc_id,
-                      std::string("node lock ") + LockModeName(mode));
-      return Status::Deadlock("waits-for cycle (node lock, doc " +
-                              std::to_string(doc_id) + ")");
-    }
-    waits_for_[txn] = std::move(blockers);
-    waited = true;
-    dn.waiters++;
-    obs::WaitSpan wait_span(wait_sink_, obs::WaitState::kLockWait);
-    bool ok = cv_.WaitUntil(lock, deadline) != std::cv_status::timeout;
-    wait_span.Finish();
-    dn.waiters--;
-    if (!ok) {
-      waits_for_.erase(txn);
-      stats_.timeouts++;
-      if (events_ != nullptr)
-        events_->Emit(obs::EventKind::kLockTimeout, txn, doc_id,
-                      std::string("node lock ") + LockModeName(mode));
-      return Status::Deadlock("node lock timeout");
-    }
-  }
-  waits_for_.erase(txn);
-  if (waited) stats_.waits++;
-  dn.held.push_back(NodeLock{txn, node_id.ToString(), mode});
+  // An upgrade raises the own lock on this node; a first lock is added.
+  auto own = std::find_if(
+      dl.held.begin(), dl.held.end(), [&](const NodeLock& l) {
+        return l.txn == txn && Slice(l.node_id) == node_id;
+      });
+  if (own != dl.held.end()) own->mode = grant;
+  else dl.held.push_back(NodeLock{txn, node_id.ToString(), grant});
   stats_.acquisitions++;
   return Status::OK();
 }
@@ -215,15 +175,7 @@ Status LockManager::LockNode(TxnId txn, uint64_t doc_id, Slice node_id,
 void LockManager::ReleaseAll(TxnId txn) {
   MutexLock lock(mu_);
   waits_for_.erase(txn);
-  for (auto it = doc_locks_.begin(); it != doc_locks_.end();) {
-    it->second.granted.erase(txn);
-    if (it->second.granted.empty() && it->second.waiters == 0) {
-      it = doc_locks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = node_locks_.begin(); it != node_locks_.end();) {
+  for (auto it = table_.begin(); it != table_.end();) {
     auto& held = it->second.held;
     for (size_t i = 0; i < held.size();) {
       if (held[i].txn == txn) {
@@ -234,7 +186,7 @@ void LockManager::ReleaseAll(TxnId txn) {
       }
     }
     if (held.empty() && it->second.waiters == 0) {
-      it = node_locks_.erase(it);
+      it = table_.erase(it);
     } else {
       ++it;
     }

@@ -1,16 +1,19 @@
-// LockManager: document-level and subdocument (node-ID) locking, Section 5.
+// LockManager: document and subdocument (node-ID) locking, Section 5.
 //
-// Document locks use classic multi-granularity modes (IS/IX/S/SIX/X) keyed
-// by DocID — "if we allow direct access to the XML data from value indexes
-// ... a DocID locking scheme is required."
+// One lock table, keyed by (lock space, DocID), holds (transaction, node
+// ID, mode) locks; a document lock is the lock at the document node, ID ""
+// ("if we allow direct access to the XML data from value indexes ... a
+// DocID locking scheme is required"). Each collection has its own lock
+// space, so equal DocIDs never meet.
 //
-// Subdocument locks exploit prefix-encoded node IDs: "locking using node IDs
-// can support the protocol efficiently because ancestor-descendant
-// relationship can be checked by testing if one is a prefix of the other."
-// Two node locks conflict only when their modes are incompatible AND one ID
-// is a prefix of the other (same subtree); locks on disjoint subtrees never
-// conflict, which is what lets concurrent writers update different subtrees
-// of one document.
+// Node IDs are the multiple-granularity hierarchy [Gray et al.]: "ancestor-
+// descendant relationship can be checked by testing if one is a prefix of
+// the other." Two locks of different transactions conflict when their
+// modes are incompatible and they are on the same node, or one node is a
+// proper ancestor of the other and its lock is S, SIX or X. The intention
+// modes IS and IX cover nothing below their node: the finer locks they
+// announce meet an ancestor's S or X by the prefix rule themselves. So
+// disjoint subtrees never conflict, and a subtree writer needs one X lock.
 //
 // Deadlocks are detected eagerly: before a transaction blocks, its edges in
 // the waits-for graph are checked for a cycle, and the requester is chosen
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -36,6 +40,9 @@
 namespace xdb {
 
 using TxnId = uint64_t;
+/// A collection's lock space, numbered by the engine as it creates or opens
+/// the collection (not persisted: lock tables are not).
+using LockSpace = uint32_t;
 
 enum class LockMode : uint8_t { kIS = 0, kIX = 1, kS = 2, kSIX = 3, kX = 4 };
 
@@ -52,6 +59,7 @@ struct LockManagerStats {
   uint64_t timeouts = 0;
   /// Waits-for cycles caught at acquire time (victim aborted immediately).
   uint64_t deadlocks = 0;
+  /// Prefix tests between two different node IDs of one document.
   uint64_t node_prefix_checks = 0;
 };
 
@@ -61,15 +69,20 @@ class LockManager {
                            std::chrono::milliseconds(1000))
       : timeout_(default_timeout) {}
 
-  /// Acquires (or upgrades) a document lock. Blocks until granted or the
-  /// timeout elapses (kDeadlock).
-  Status LockDocument(TxnId txn, uint64_t doc_id, LockMode mode)
-      XDB_EXCLUDES(mu_);
+  /// Acquires (or upgrades) a lock on the subtree at `node_id` ("" = the
+  /// document node) of `doc_id` in `space`. An own lock whose mode covers
+  /// the request, on this node or on an ancestor in S, SIX or X, satisfies
+  /// it; else the grant is the supremum of the request and the own lock on
+  /// this node (S + IX = SIX). Blocks until granted; kDeadlock for a
+  /// waits-for-cycle victim or a timeout.
+  Status LockNode(TxnId txn, LockSpace space, uint64_t doc_id, Slice node_id,
+                  LockMode mode) XDB_EXCLUDES(mu_);
 
-  /// Acquires a subtree lock on (doc, node_id). An empty node_id locks the
-  /// whole tree (equivalent to a document lock of the same mode).
-  Status LockNode(TxnId txn, uint64_t doc_id, Slice node_id, LockMode mode)
-      XDB_EXCLUDES(mu_);
+  /// The document lock: the lock at the document node.
+  Status LockDocument(TxnId txn, LockSpace space, uint64_t doc_id,
+                      LockMode mode) XDB_EXCLUDES(mu_) {
+    return LockNode(txn, space, doc_id, Slice(), mode);
+  }
 
   /// Releases everything `txn` holds and wakes waiters.
   void ReleaseAll(TxnId txn) XDB_EXCLUDES(mu_);
@@ -87,31 +100,22 @@ class LockManager {
   void set_wait_sink(obs::WaitSink* sink) { wait_sink_ = sink; }
 
  private:
-  struct DocLock {
-    std::map<TxnId, LockMode> granted;
-    int waiters = 0;
-  };
   struct NodeLock {
     TxnId txn;
     std::string node_id;
     LockMode mode;
   };
-  struct DocNodeLocks {
+  /// One document's granted locks (a transaction holds at most one per
+  /// node) and the number of requests waiting on them.
+  struct DocLocks {
     std::vector<NodeLock> held;
     int waiters = 0;
   };
 
-  bool DocGrantable(const DocLock& dl, TxnId txn, LockMode mode) const
-      XDB_REQUIRES(mu_);
-  bool NodeGrantable(const DocNodeLocks& dn, TxnId txn, Slice node_id,
-                     LockMode mode) XDB_REQUIRES(mu_);
-  /// Transactions currently blocking `txn`'s pending doc-lock request.
-  std::vector<TxnId> DocBlockers(const DocLock& dl, TxnId txn,
-                                 LockMode mode) const XDB_REQUIRES(mu_);
-  /// Transactions currently blocking `txn`'s pending node-lock request.
-  std::vector<TxnId> NodeBlockers(const DocNodeLocks& dn, TxnId txn,
-                                  Slice node_id, LockMode mode) const
-      XDB_REQUIRES(mu_);
+  /// Transactions whose granted locks in `dl` conflict with `txn`'s
+  /// request; empty when it can be granted.
+  std::vector<TxnId> Blockers(const DocLocks& dl, TxnId txn, Slice node_id,
+                              LockMode mode) XDB_REQUIRES(mu_);
   /// True if adding edges txn -> blockers closes a cycle in waits_for_.
   bool WouldDeadlock(TxnId txn, const std::vector<TxnId>& blockers) const
       XDB_REQUIRES(mu_);
@@ -119,8 +123,8 @@ class LockManager {
   std::chrono::milliseconds timeout_;
   mutable Mutex mu_{LockRank::kLockManager};
   CondVar cv_;
-  std::map<uint64_t, DocLock> doc_locks_ XDB_GUARDED_BY(mu_);
-  std::map<uint64_t, DocNodeLocks> node_locks_ XDB_GUARDED_BY(mu_);
+  std::map<std::pair<LockSpace, uint64_t>, DocLocks> table_
+      XDB_GUARDED_BY(mu_);
   /// Waits-for edges of currently blocked transactions (refreshed on every
   /// wait iteration, erased on grant/timeout/victim).
   std::map<TxnId, std::vector<TxnId>> waits_for_ XDB_GUARDED_BY(mu_);

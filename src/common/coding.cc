@@ -127,7 +127,8 @@ void PutLengthPrefixed(std::string* dst, Slice s) {
 bool GetLengthPrefixed(Slice* input, Slice* out) {
   uint64_t len;
   size_t n = GetVarint64(input->data(), input->data() + input->size(), &len);
-  if (n == 0 || input->size() < n + len) return false;
+  // Compared without adding: a damaged length near 2^64 must not wrap.
+  if (n == 0 || len > input->size() - n) return false;
   *out = Slice(input->data() + n, static_cast<size_t>(len));
   input->RemovePrefix(n + static_cast<size_t>(len));
   return true;

@@ -135,7 +135,8 @@ Collection::ReadView Collection::OpenReadView(Transaction* txn) {
 }
 
 Status Collection::WriteLockDoc(Transaction* txn, uint64_t doc_id) {
-  return engine_->locks()->LockDocument(txn->id, doc_id, LockMode::kX);
+  return engine_->locks()->LockDocument(txn->id, lock_space_, doc_id,
+                                        LockMode::kX);
 }
 
 Result<uint64_t> Collection::InsertDocument(Transaction* txn, Slice xml) {
@@ -391,11 +392,10 @@ Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
   XDB_RETURN_NOT_OK(GuardWrite());
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
   Status st = [&]() -> Status {
-    // Subdocument protocol: IX on the document, X on the updated subtree.
-    XDB_RETURN_NOT_OK(
-        engine_->locks()->LockDocument(at.get()->id, doc_id, LockMode::kIX));
-    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(at.get()->id, doc_id,
-                                                 node_id, LockMode::kX));
+    // Subdocument protocol: X on the updated subtree, which a document S or
+    // X of another transaction excludes by the prefix rule.
+    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(
+        at.get()->id, lock_space_, doc_id, node_id, LockMode::kX));
     XDB_RETURN_NOT_OK(
         engine_->LogUpdate(meta_.name, doc_id, node_id, new_text));
 
@@ -482,10 +482,8 @@ Result<std::string> Collection::InsertSubtree(Transaction* txn,
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
   std::string new_id;
   Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(
-        engine_->locks()->LockDocument(at.get()->id, doc_id, LockMode::kIX));
-    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(at.get()->id, doc_id,
-                                                 parent_id, LockMode::kX));
+    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(
+        at.get()->id, lock_space_, doc_id, parent_id, LockMode::kX));
     XDB_RETURN_NOT_OK(engine_->LogInsertSubtree(
         meta_.name, doc_id, parent_id, after_sibling_id, tokens.data()));
     WriterMutexLock latch(latch_);
@@ -608,10 +606,8 @@ Status Collection::DeleteSubtree(Transaction* txn, uint64_t doc_id,
     return Status::InvalidArgument("cannot delete the document node");
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
   Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(
-        engine_->locks()->LockDocument(at.get()->id, doc_id, LockMode::kIX));
-    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(at.get()->id, doc_id,
-                                                 node_id, LockMode::kX));
+    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(
+        at.get()->id, lock_space_, doc_id, node_id, LockMode::kX));
     XDB_RETURN_NOT_OK(
         engine_->LogDeleteSubtree(meta_.name, doc_id, node_id));
     WriterMutexLock latch(latch_);
@@ -901,8 +897,8 @@ Result<std::string> Collection::SerializeSubtree(Transaction* txn,
   Status st = [&]() -> Status {
     ReadView view = OpenReadView(at.get());
     if (view.lock_docs)
-      XDB_RETURN_NOT_OK(
-          engine_->locks()->LockDocument(at.get()->id, doc_id, LockMode::kS));
+      XDB_RETURN_NOT_OK(engine_->locks()->LockDocument(
+          at.get()->id, lock_space_, doc_id, LockMode::kS));
     ReaderMutexLock latch(latch_);
     StoredDocSource source(records_.get(), view.locator(), doc_id,
                            node_id.ToString());
@@ -1131,7 +1127,7 @@ Result<QueryResult> Collection::ExecuteCompiled(
       if (view.lock_docs) {
         for (uint64_t doc_id : query::DistinctDocIds(anchors))
           XDB_RETURN_NOT_OK(engine_->locks()->LockDocument(
-              at.get()->id, doc_id, LockMode::kS));
+              at.get()->id, lock_space_, doc_id, LockMode::kS));
       }
       NodeLocator* locator = view.locator();
       XDB_RETURN_NOT_OK(FanOut(
@@ -1524,7 +1520,6 @@ Status Collection::RebuildStorage() {
     // (Create truncates).
     TableSpaceOptions ts;
     ts.in_memory = engine_->options_.in_memory;
-    ts.page_size = page_size_hint_;
     XDB_ASSIGN_OR_RETURN(space_, TableSpace::Create(space_path_, ts));
     space_->set_event_log(engine_->events());
   }

@@ -48,7 +48,6 @@ struct CollectionOptions {
   std::string schema;             // registered schema to validate against
   size_t record_budget = 3000;    // packing budget (the p knob)
   size_t buffer_pages = 512;
-  uint32_t page_size = kDefaultPageSize;
 };
 
 /// How the executor accessed the data, plus its work counters — benches,
@@ -432,6 +431,8 @@ class Collection {
       XDB_EXCLUDES(latch_);
 
   Engine* engine_ = nullptr;
+  /// Keys this collection's document locks apart from other collections'.
+  LockSpace lock_space_ = 0;
   CollectionMeta meta_;
   size_t record_budget_ = 3000;
   std::unique_ptr<TableSpace> space_;
@@ -509,7 +510,6 @@ class Collection {
   std::string repair_reason_;
   std::string space_path_;     // for recreating a space whose header is gone
   size_t buffer_pages_ = 512;  // for rebuilding the buffer pool
-  uint32_t page_size_hint_ = kDefaultPageSize;
 };
 
 }  // namespace xdb

@@ -205,10 +205,9 @@ Result<std::unique_ptr<Collection>> Engine::OpenCollection(
                               plan_cache_counters_, &events_, meta.name);
   coll->record_budget_ = options.record_budget;
   coll->buffer_pages_ = options.buffer_pages;
-  coll->page_size_hint_ = options.page_size;
+  coll->lock_space_ = next_lock_space_++;
 
   TableSpaceOptions ts_options;
-  ts_options.page_size = options.page_size;
   ts_options.in_memory = options_.in_memory;
   std::string path =
       options_.in_memory ? "" : options_.dir + "/" + meta.space_file;

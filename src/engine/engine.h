@@ -37,8 +37,6 @@ struct EngineOptions {
   std::string dir;
   /// Pure in-memory engine: no files, no WAL (tests and CPU benches).
   bool in_memory = false;
-  /// Strip whitespace-only text nodes at parse time (data-centric mode).
-  bool strip_whitespace = true;
   /// Write-ahead logging for document operations.
   bool enable_wal = true;
   /// Maximum threads evaluating one query (including the caller). Values
@@ -225,9 +223,10 @@ class Engine {
   /// Exposed for tests and benches inspecting commit/sync counters.
   WalLog* wal() { return wal_.get(); }
   const EngineOptions& options() const { return options_; }
+  /// The engine's parser drops whitespace-only text (data-centric mode).
   Parser MakeParser() {
     ParserOptions po;
-    po.strip_whitespace_text = options_.strip_whitespace;
+    po.strip_whitespace_text = true;
     return Parser(&dict_, po);
   }
 
@@ -356,6 +355,8 @@ class Engine {
       XDB_GUARDED_BY(mu_);
   std::map<std::string, schema::CompiledSchema> schemas_ XDB_GUARDED_BY(mu_);
   CatalogData catalog_ XDB_GUARDED_BY(mu_);
+  /// The next collection's lock space (Collection::lock_space_).
+  LockSpace next_lock_space_ XDB_GUARDED_BY(mu_) = 0;
   /// Set when Open completes; only an opened engine checkpoints on
   /// destruction.
   bool opened_ = false;

@@ -17,6 +17,10 @@ void CollectDescendants(const DomNode* n, std::vector<const DomNode*>* out) {
 }  // namespace
 
 bool DomEvaluator::TestMatches(const Step& step, const DomNode* n) const {
+  // An attribute is named only on the attribute axis; elsewhere it matches
+  // only self::node(), as itself (a predicate's `.`).
+  if (n->kind == NodeKind::kAttribute && step.axis != Axis::kAttribute)
+    return step.axis == Axis::kSelf && step.test == NodeTest::kAnyKind;
   switch (step.test) {
     case NodeTest::kName: {
       if (n->kind != NodeKind::kElement && n->kind != NodeKind::kAttribute)

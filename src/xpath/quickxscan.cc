@@ -71,7 +71,7 @@ QuickXScan::Instance* QuickXScan::FindAxisCandidate(const QueryNode* q,
     case Axis::kDescendantOrSelf:
       return top->depth <= depth ? top : nullptr;
     case Axis::kSelf:
-      if (instant) return nullptr;  // self on leaves unsupported
+      // Elements only: a leaf's self steps are matched by MatchLeaf.
       return top->depth == depth ? top : nullptr;
     case Axis::kParent:
       return nullptr;  // rewritten away before compilation
@@ -237,41 +237,47 @@ void QuickXScan::MatchElement(const XmlEvent& ev) {
   }
 }
 
+// True if step `q`'s axis and node test admit the leaf `ev`. An attribute
+// is reached by the attribute axis, or as itself by self::node().
+static bool LeafTestOk(const QueryNode* q, const XmlEvent& ev) {
+  switch (ev.type) {
+    case XmlEvent::Type::kAttribute:
+      if (q->axis == Axis::kSelf) return q->test == NodeTest::kAnyKind;
+      return q->axis == Axis::kAttribute &&
+             (q->test == NodeTest::kAnyName ||
+              (q->test == NodeTest::kName && q->name_id == ev.local));
+    case XmlEvent::Type::kText:
+      return q->axis != Axis::kAttribute &&
+             (q->test == NodeTest::kText || q->test == NodeTest::kAnyKind);
+    case XmlEvent::Type::kComment:
+      return q->axis != Axis::kAttribute &&
+             (q->test == NodeTest::kComment || q->test == NodeTest::kAnyKind);
+    case XmlEvent::Type::kPi:
+      return q->axis != Axis::kAttribute && q->test == NodeTest::kAnyKind;
+    default:
+      return false;
+  }
+}
+
+void QuickXScan::MatchLeaf(const QueryNode* q, const XmlEvent& ev,
+                           Instance* parent_ref, int depth) {
+  Instance* m = Push(q, ev, parent_ref, depth, /*instant=*/true);
+  m->value.assign(ev.value.data(), ev.value.size());
+  for (const QueryNode* c : q->children)
+    if (c->axis == Axis::kSelf && LeafTestOk(c, ev)) MatchLeaf(c, ev, m, depth);
+  Pop(m);
+}
+
 void QuickXScan::MatchInstant(const XmlEvent& ev) {
   const int depth = elem_depth_;
   for (const auto& node : tree_->nodes()) {
     const QueryNode* q = node.get();
-    if (q->parent == nullptr) continue;
-    bool test_ok = false;
-    switch (ev.type) {
-      case XmlEvent::Type::kAttribute:
-        test_ok = q->axis == Axis::kAttribute &&
-                  (q->test == NodeTest::kAnyName ||
-                   (q->test == NodeTest::kName && q->name_id == ev.local));
-        break;
-      case XmlEvent::Type::kText:
-        test_ok = q->axis != Axis::kAttribute &&
-                  (q->test == NodeTest::kText || q->test == NodeTest::kAnyKind);
-        break;
-      case XmlEvent::Type::kComment:
-        test_ok = q->axis != Axis::kAttribute &&
-                  (q->test == NodeTest::kComment ||
-                   q->test == NodeTest::kAnyKind);
-        break;
-      case XmlEvent::Type::kPi:
-        test_ok = q->axis != Axis::kAttribute && q->test == NodeTest::kAnyKind;
-        break;
-      default:
-        break;
-    }
+    // A self step reaches a leaf only through its parent step's instance.
+    if (q->parent == nullptr || q->axis == Axis::kSelf) continue;
     // Context nodes accept any top-level item, including attributes.
-    if (!test_ok && q->is_context) test_ok = true;
-    if (!test_ok) continue;
+    if (!LeafTestOk(q, ev) && !q->is_context) continue;
     Instance* parent_ref = FindAxisCandidate(q, depth, /*instant=*/true);
-    if (parent_ref == nullptr) continue;
-    Instance* m = Push(q, ev, parent_ref, depth, /*instant=*/true);
-    m->value.assign(ev.value.data(), ev.value.size());
-    Pop(m);
+    if (parent_ref != nullptr) MatchLeaf(q, ev, parent_ref, depth);
   }
   // Leaf text also feeds every open value-collecting instance.
   if (ev.type == XmlEvent::Type::kText) {

@@ -92,6 +92,10 @@ class QuickXScan {
   Instance* Allocate();  // from the free list, or a new pool slot
   void MatchElement(const XmlEvent& ev);
   void MatchInstant(const XmlEvent& ev);
+  /// Pushes `q`'s instance for the leaf `ev`, matches the self steps below
+  /// `q` against the same leaf, then pops it.
+  void MatchLeaf(const QueryNode* q, const XmlEvent& ev, Instance* parent_ref,
+                 int depth);
   Instance* FindAxisCandidate(const QueryNode* q, int depth, bool instant);
   Instance* Push(const QueryNode* q, const XmlEvent& ev, Instance* parent_ref,
                  int depth, bool instant);

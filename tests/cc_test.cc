@@ -19,6 +19,9 @@
 namespace xdb {
 namespace {
 
+/// The lock space of the one collection these tests lock documents in.
+constexpr LockSpace kSpace = 0;
+
 TEST(LockModeTest, CompatibilityMatrix) {
   using L = LockMode;
   EXPECT_TRUE(LockModesCompatible(L::kIS, L::kIX));
@@ -44,25 +47,25 @@ TEST(LockModeTest, CoversAndSupremum) {
 
 TEST(LockManagerTest, SharedLocksCoexist) {
   LockManager lm(std::chrono::milliseconds(50));
-  EXPECT_TRUE(lm.LockDocument(1, 10, LockMode::kS).ok());
-  EXPECT_TRUE(lm.LockDocument(2, 10, LockMode::kS).ok());
-  EXPECT_TRUE(lm.LockDocument(3, 10, LockMode::kIS).ok());
+  EXPECT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kS).ok());
+  EXPECT_TRUE(lm.LockDocument(2, kSpace, 10, LockMode::kS).ok());
+  EXPECT_TRUE(lm.LockDocument(3, kSpace, 10, LockMode::kIS).ok());
 }
 
 TEST(LockManagerTest, ExclusiveBlocksAndTimesOut) {
   LockManager lm(std::chrono::milliseconds(50));
-  ASSERT_TRUE(lm.LockDocument(1, 10, LockMode::kS).ok());
-  Status st = lm.LockDocument(2, 10, LockMode::kX);
+  ASSERT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kS).ok());
+  Status st = lm.LockDocument(2, kSpace, 10, LockMode::kX);
   EXPECT_TRUE(st.IsDeadlock());
   EXPECT_GE(lm.stats().timeouts, 1u);
 }
 
 TEST(LockManagerTest, ReleaseWakesWaiter) {
   LockManager lm(std::chrono::milliseconds(2000));
-  ASSERT_TRUE(lm.LockDocument(1, 10, LockMode::kX).ok());
+  ASSERT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kX).ok());
   std::atomic<bool> acquired{false};
   std::thread waiter([&] {
-    Status st = lm.LockDocument(2, 10, LockMode::kX);
+    Status st = lm.LockDocument(2, kSpace, 10, LockMode::kX);
     acquired = st.ok();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -75,17 +78,23 @@ TEST(LockManagerTest, ReleaseWakesWaiter) {
 
 TEST(LockManagerTest, UpgradeSharedToExclusive) {
   LockManager lm(std::chrono::milliseconds(50));
-  ASSERT_TRUE(lm.LockDocument(1, 10, LockMode::kS).ok());
+  ASSERT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kS).ok());
   // Same transaction upgrades its own lock.
-  EXPECT_TRUE(lm.LockDocument(1, 10, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kX).ok());
   // Now others are blocked entirely.
-  EXPECT_TRUE(lm.LockDocument(2, 10, LockMode::kS).IsDeadlock());
+  EXPECT_TRUE(lm.LockDocument(2, kSpace, 10, LockMode::kS).IsDeadlock());
 }
 
 TEST(LockManagerTest, DifferentDocumentsDontConflict) {
   LockManager lm(std::chrono::milliseconds(50));
-  EXPECT_TRUE(lm.LockDocument(1, 10, LockMode::kX).ok());
-  EXPECT_TRUE(lm.LockDocument(2, 11, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockDocument(2, kSpace, 11, LockMode::kX).ok());
+}
+
+TEST(LockManagerTest, EqualDocIdsInOtherSpacesDontConflict) {
+  LockManager lm(std::chrono::milliseconds(50));
+  EXPECT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockDocument(2, kSpace + 1, 10, LockMode::kX).ok());
 }
 
 // Classic two-transaction cross request. The waits-for cycle check must
@@ -93,18 +102,18 @@ TEST(LockManagerTest, DifferentDocumentsDontConflict) {
 // a fall-back-to-timeout implementation fails the elapsed-time assertion.
 TEST(LockManagerTest, WaitsForCycleVictimizedImmediately) {
   LockManager lm(std::chrono::milliseconds(10000));
-  ASSERT_TRUE(lm.LockDocument(1, 10, LockMode::kX).ok());
-  ASSERT_TRUE(lm.LockDocument(2, 11, LockMode::kX).ok());
+  ASSERT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kX).ok());
+  ASSERT_TRUE(lm.LockDocument(2, kSpace, 11, LockMode::kX).ok());
 
   auto start = std::chrono::steady_clock::now();
   Status s1, s2;
   std::thread t1([&] {
-    s1 = lm.LockDocument(1, 11, LockMode::kX);  // blocks on txn 2
+    s1 = lm.LockDocument(1, kSpace, 11, LockMode::kX);  // blocks on txn 2
     if (!s1.ok()) lm.ReleaseAll(1);             // victim aborts
   });
   std::thread t2([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    s2 = lm.LockDocument(2, 10, LockMode::kX);  // closes the cycle
+    s2 = lm.LockDocument(2, kSpace, 10, LockMode::kX);  // closes the cycle
     if (!s2.ok()) lm.ReleaseAll(2);
   });
   t1.join();
@@ -128,17 +137,17 @@ TEST(LockManagerTest, WaitsForCycleVictimizedImmediately) {
 TEST(LockManagerTest, MixedDocAndNodeLockCycleDetected) {
   LockManager lm(std::chrono::milliseconds(10000));
   std::string node = nodeid::ChildId(1);
-  ASSERT_TRUE(lm.LockDocument(1, 10, LockMode::kX).ok());
-  ASSERT_TRUE(lm.LockNode(2, 11, node, LockMode::kX).ok());
+  ASSERT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kX).ok());
+  ASSERT_TRUE(lm.LockNode(2, kSpace, 11, node, LockMode::kX).ok());
 
   Status s1, s2;
   std::thread t1([&] {
-    s1 = lm.LockNode(1, 11, node, LockMode::kX);
+    s1 = lm.LockNode(1, kSpace, 11, node, LockMode::kX);
     if (!s1.ok()) lm.ReleaseAll(1);
   });
   std::thread t2([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    s2 = lm.LockDocument(2, 10, LockMode::kX);
+    s2 = lm.LockDocument(2, kSpace, 10, LockMode::kX);
     if (!s2.ok()) lm.ReleaseAll(2);
   });
   t1.join();
@@ -156,46 +165,86 @@ TEST(NodeLockTest, DisjointSubtreesCoexist) {
   LockManager lm(std::chrono::milliseconds(50));
   std::string left = nodeid::ChildId(1) + nodeid::ChildId(1);   // /1/1
   std::string right = nodeid::ChildId(1) + nodeid::ChildId(2);  // /1/2
-  EXPECT_TRUE(lm.LockNode(1, 10, left, LockMode::kX).ok());
-  EXPECT_TRUE(lm.LockNode(2, 10, right, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockNode(1, kSpace, 10, left, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockNode(2, kSpace, 10, right, LockMode::kX).ok());
 }
 
 TEST(NodeLockTest, AncestorDescendantConflict) {
   LockManager lm(std::chrono::milliseconds(50));
   std::string parent = nodeid::ChildId(1);
   std::string child = parent + nodeid::ChildId(2);
-  ASSERT_TRUE(lm.LockNode(1, 10, parent, LockMode::kX).ok());
+  ASSERT_TRUE(lm.LockNode(1, kSpace, 10, parent, LockMode::kX).ok());
   // A descendant lock by another transaction conflicts (prefix test).
-  EXPECT_TRUE(lm.LockNode(2, 10, child, LockMode::kX).IsDeadlock());
+  EXPECT_TRUE(lm.LockNode(2, kSpace, 10, child, LockMode::kX).IsDeadlock());
   // And the reverse: descendant held, ancestor requested.
   lm.ReleaseAll(1);
-  ASSERT_TRUE(lm.LockNode(1, 10, child, LockMode::kX).ok());
-  EXPECT_TRUE(lm.LockNode(2, 10, parent, LockMode::kX).IsDeadlock());
+  ASSERT_TRUE(lm.LockNode(1, kSpace, 10, child, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockNode(2, kSpace, 10, parent, LockMode::kX).IsDeadlock());
 }
 
 TEST(NodeLockTest, SharedOnOverlapIsFine) {
   LockManager lm(std::chrono::milliseconds(50));
   std::string parent = nodeid::ChildId(1);
   std::string child = parent + nodeid::ChildId(2);
-  EXPECT_TRUE(lm.LockNode(1, 10, parent, LockMode::kS).ok());
-  EXPECT_TRUE(lm.LockNode(2, 10, child, LockMode::kS).ok());
+  EXPECT_TRUE(lm.LockNode(1, kSpace, 10, parent, LockMode::kS).ok());
+  EXPECT_TRUE(lm.LockNode(2, kSpace, 10, child, LockMode::kS).ok());
 }
 
 TEST(NodeLockTest, ReentrantViaAncestorLock) {
   LockManager lm(std::chrono::milliseconds(50));
   std::string parent = nodeid::ChildId(1);
   std::string child = parent + nodeid::ChildId(2);
-  ASSERT_TRUE(lm.LockNode(1, 10, parent, LockMode::kX).ok());
+  ASSERT_TRUE(lm.LockNode(1, kSpace, 10, parent, LockMode::kX).ok());
   // The same transaction's descendant request is covered.
-  EXPECT_TRUE(lm.LockNode(1, 10, child, LockMode::kX).ok());
-  EXPECT_TRUE(lm.LockNode(1, 10, child, LockMode::kS).ok());
+  EXPECT_TRUE(lm.LockNode(1, kSpace, 10, child, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockNode(1, kSpace, 10, child, LockMode::kS).ok());
 }
 
 TEST(NodeLockTest, WholeTreeLockViaEmptyId) {
   LockManager lm(std::chrono::milliseconds(50));
-  ASSERT_TRUE(lm.LockNode(1, 10, Slice(), LockMode::kX).ok());
+  ASSERT_TRUE(lm.LockNode(1, kSpace, 10, Slice(), LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockNode(2, kSpace, 10, nodeid::ChildId(1), LockMode::kX)
+                  .IsDeadlock());
+}
+
+// A document lock is the lock at the document node: the two are one lock.
+TEST(NodeLockTest, DocumentLockIsTheLockAtTheDocumentNode) {
+  LockManager lm(std::chrono::milliseconds(50));
+  ASSERT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kS).ok());
+  EXPECT_TRUE(lm.LockNode(2, kSpace, 10, Slice(), LockMode::kX).IsDeadlock());
+  EXPECT_GE(lm.stats().timeouts, 1u);
+  EXPECT_TRUE(lm.LockNode(2, kSpace, 10, Slice(), LockMode::kS).ok());
+}
+
+// Intention modes lock their own node only, so a document IX leaves other
+// transactions' subtree locks to the prefix rule.
+TEST(NodeLockTest, DocumentIntentionDoesNotBlockSubtreeWriter) {
+  LockManager lm(std::chrono::milliseconds(50));
+  std::string left = nodeid::ChildId(1) + nodeid::ChildId(1);
+  std::string right = nodeid::ChildId(1) + nodeid::ChildId(2);
+  ASSERT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kIX).ok());
+  EXPECT_TRUE(lm.LockNode(2, kSpace, 10, left, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockDocument(3, kSpace, 10, LockMode::kIX).ok());
+  EXPECT_TRUE(lm.LockNode(3, kSpace, 10, right, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockNode(4, kSpace, 10, left, LockMode::kS).IsDeadlock());
+  EXPECT_TRUE(lm.LockDocument(4, kSpace, 10, LockMode::kS).IsDeadlock());
+}
+
+// One re-entrancy and upgrade rule on every node: an own lock covers the
+// request on its node, or below it in S, SIX or X; otherwise the own lock
+// on the node is raised to the supremum.
+TEST(NodeLockTest, OwnLocksCoverOrUpgrade) {
+  LockManager lm(std::chrono::milliseconds(50));
+  ASSERT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kS).ok());
+  const uint64_t granted = lm.stats().acquisitions;
   EXPECT_TRUE(
-      lm.LockNode(2, 10, nodeid::ChildId(1), LockMode::kX).IsDeadlock());
+      lm.LockNode(1, kSpace, 10, nodeid::ChildId(1), LockMode::kS).ok());
+  EXPECT_EQ(lm.stats().acquisitions, granted);
+  // S + IX on the document node is SIX, which admits only IS.
+  EXPECT_TRUE(lm.LockDocument(1, kSpace, 10, LockMode::kIX).ok());
+  EXPECT_TRUE(lm.LockDocument(2, kSpace, 10, LockMode::kIS).ok());
+  EXPECT_TRUE(lm.LockDocument(3, kSpace, 10, LockMode::kIX).IsDeadlock());
+  EXPECT_TRUE(lm.LockDocument(3, kSpace, 10, LockMode::kS).IsDeadlock());
 }
 
 class VersionFixture {
@@ -346,8 +395,8 @@ TEST(ConcurrentLockingTest, ManyThreadsDisjointSubtrees) {
       std::string subtree =
           nodeid::ChildId(1) + nodeid::ChildId(static_cast<uint32_t>(t + 1));
       for (int iter = 0; iter < 50; iter++) {
-        if (lm.LockDocument(txn, 5, LockMode::kIX).ok() &&
-            lm.LockNode(txn, 5, subtree, LockMode::kX).ok()) {
+        if (lm.LockDocument(txn, kSpace, 5, LockMode::kIX).ok() &&
+            lm.LockNode(txn, kSpace, 5, subtree, LockMode::kX).ok()) {
           successes++;
         }
         lm.ReleaseAll(txn);

@@ -127,6 +127,14 @@ TEST(CodingTest, LengthPrefixedRoundTrip) {
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(c.size(), 300u);
   EXPECT_TRUE(in.empty());
+
+  // A damaged length of 2^64-1 in front of 3 bytes: n + len would wrap.
+  std::string damaged;
+  PutVarint64(&damaged, ~uint64_t{0});
+  damaged += "abc";
+  Slice bad(damaged), out;
+  EXPECT_FALSE(GetLengthPrefixed(&bad, &out));
+  EXPECT_EQ(bad.size(), damaged.size());
 }
 
 TEST(CodingTest, OrderedDoublePreservesOrder) {

@@ -261,6 +261,9 @@ TEST(BufferManagerConcurrencyTest, FetchEvictWritebackContention) {
 // LockManager: grant/release and deadlock storms.
 // ---------------------------------------------------------------------------
 
+/// The lock space of the one collection the storms lock documents in.
+constexpr LockSpace kSpace = 0;
+
 TEST(LockManagerConcurrencyTest, GrantReleaseStorm) {
   LockManager lm(std::chrono::milliseconds(100));
   constexpr int kThreads = 6;
@@ -285,13 +288,13 @@ TEST(LockManagerConcurrencyTest, GrantReleaseStorm) {
         TxnId txn = static_cast<TxnId>(t) * kIters + i + 1;
         uint64_t doc = next() % kDocs;
         LockMode mode = modes[next() % 4];
-        Status st = lm.LockDocument(txn, doc, mode);
+        Status st = lm.LockDocument(txn, kSpace, doc, mode);
         if (st.ok()) {
           granted.fetch_add(1);
           if ((mode == LockMode::kIX || mode == LockMode::kIS) &&
               next() % 2 == 0) {
             // Subdocument lock under the intention lock.
-            Status ns = lm.LockNode(txn, doc, Slice("\x01\x02"),
+            Status ns = lm.LockNode(txn, kSpace, doc, Slice("\x01\x02"),
                                     mode == LockMode::kIX ? LockMode::kX
                                                           : LockMode::kS);
             EXPECT_TRUE(AcceptableContention(ns)) << ns.ToString();
@@ -308,7 +311,7 @@ TEST(LockManagerConcurrencyTest, GrantReleaseStorm) {
   EXPECT_GT(granted.load(), 0u);
   // Everything was released: an X lock on every doc must grant instantly.
   for (uint64_t doc = 0; doc < kDocs; doc++)
-    EXPECT_TRUE(lm.LockDocument(999999, doc, LockMode::kX).ok());
+    EXPECT_TRUE(lm.LockDocument(999999, kSpace, doc, LockMode::kX).ok());
   lm.ReleaseAll(999999);
   EXPECT_GE(lm.stats().acquisitions, granted.load());
 }
@@ -327,9 +330,9 @@ TEST(LockManagerConcurrencyTest, DeadlockStormResolvesWithoutHanging) {
       uint64_t second = (t % 2 == 0) ? 2 : 1;
       for (int i = 0; i < kIters; i++) {
         TxnId txn = static_cast<TxnId>(t) * kIters + i + 1;
-        Status st = lm.LockDocument(txn, first, LockMode::kX);
+        Status st = lm.LockDocument(txn, kSpace, first, LockMode::kX);
         if (st.ok()) {
-          st = lm.LockDocument(txn, second, LockMode::kX);
+          st = lm.LockDocument(txn, kSpace, second, LockMode::kX);
           if (st.IsDeadlock()) deadlocks.fetch_add(1);
           else EXPECT_TRUE(st.ok()) << st.ToString();
         } else {
@@ -342,8 +345,8 @@ TEST(LockManagerConcurrencyTest, DeadlockStormResolvesWithoutHanging) {
   for (auto& th : threads) th.join();
 
   // The storm must finish (no hang) and leave the table clean.
-  EXPECT_TRUE(lm.LockDocument(777777, 1, LockMode::kX).ok());
-  EXPECT_TRUE(lm.LockDocument(777777, 2, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockDocument(777777, kSpace, 1, LockMode::kX).ok());
+  EXPECT_TRUE(lm.LockDocument(777777, kSpace, 2, LockMode::kX).ok());
   lm.ReleaseAll(777777);
   // The waits-for graph catches cycles eagerly; timeouts remain a backstop.
   LockManagerStats s = lm.stats();

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
+#include <thread>
 
 #include "common/random.h"
 #include "engine/engine.h"
@@ -349,6 +351,38 @@ TEST(EngineMvccTest, TextUpdateKeepsDocumentDeletable) {
   }
 }
 
+// The stored side of QuickXScanTest.PredicatesOnAttributeAndTextSteps: the
+// same explicit counts under every plan, with a value index on the
+// predicated attribute.
+TEST(EngineTest, PredicatesOnAttributeAndTextStepsUnderEveryPlan) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(
+      coll->CreateValueIndex({"v", "/a/b/@v", ValueType::kDouble, 128}).ok());
+  std::string xml = "<a>";
+  for (int i = 0; i < 10; i++)
+    xml += "<b v=\"" + std::to_string(i) + "\">t" + std::to_string(i % 2) +
+           "</b>";
+  xml += "</a>";
+  ASSERT_TRUE(coll->InsertDocument(nullptr, xml).ok());
+  for (const auto& [expr, want] :
+       {std::pair<std::string, size_t>{"/a/b/@v[. > 5]", 4},
+        {"//@v[. = \"3\"]", 1},
+        {"/a/b/text()[. = \"t1\"]", 5},
+        {"/a/b[@v > 5]/@v", 4}}) {
+    for (ForceMethod force : {ForceMethod::kScan, ForceMethod::kDocIdList,
+                              ForceMethod::kNodeIdList, ForceMethod::kAuto}) {
+      QueryOptions opts;
+      opts.force = force;
+      auto res = coll->Query(nullptr, expr, opts);
+      ASSERT_TRUE(res.ok()) << expr << ": " << res.status().ToString();
+      EXPECT_EQ(res.value().nodes.size(), want)
+          << expr << " as "
+          << query::AccessMethodName(res.value().stats.method);
+    }
+  }
+}
+
 TEST(EngineTxnTest, LockingWritersExcludeEachOther) {
   auto engine = MemEngine();
   Collection* coll = engine->CreateCollection("docs").value();
@@ -385,6 +419,132 @@ TEST(EngineTxnTest, DisjointSubtreeWritersProceed) {
   ASSERT_TRUE(engine->Commit(&t2).ok());
   EXPECT_EQ(coll->GetDocumentText(nullptr, doc).value(),
             "<a><b>B</b><c>C</c></a>");
+}
+
+// A subdocument write takes one lock, X on its subtree: the document IX it
+// once took as well adds no conflict under the prefix rule.
+TEST(EngineTxnTest, SubtreeWriteTakesOneLock) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  uint64_t doc = coll->InsertDocument(nullptr, "<a><b>x</b><c/></a>").value();
+  auto node_of = [&](const char* path) {
+    return coll->Query(nullptr, path).MoveValue().nodes.at(0).node_id;
+  };
+  const std::string text = node_of("/a/b/text()");
+  const std::string c = node_of("/a/c");
+  auto locks_taken = [&, last = uint64_t{0}]() mutable {
+    uint64_t now = engine->locks()->stats().acquisitions;
+    uint64_t taken = now - last;
+    last = now;
+    return taken;
+  };
+  locks_taken();
+  ASSERT_TRUE(coll->UpdateTextNode(nullptr, doc, text, "y").ok());
+  EXPECT_EQ(locks_taken(), 1u);
+  auto inserted = coll->InsertSubtree(nullptr, doc, c, Slice(), "<n/>");
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  EXPECT_EQ(locks_taken(), 1u);
+  ASSERT_TRUE(coll->DeleteSubtree(nullptr, doc, inserted.value()).ok());
+  EXPECT_EQ(locks_taken(), 1u);
+}
+
+// Every collection numbers its documents from 1; their locks must not meet.
+TEST(EngineTxnTest, EqualDocIdsInOtherCollectionsDoNotConflict) {
+  auto engine = MemEngine();
+  Collection* a = engine->CreateCollection("a").value();
+  Collection* b = engine->CreateCollection("b").value();
+  ASSERT_EQ(a->InsertDocument(nullptr, "<x>a</x>").value(), 1u);
+  ASSERT_EQ(b->InsertDocument(nullptr, "<x>b</x>").value(), 1u);
+  Transaction reader = engine->Begin(IsolationMode::kLocking);
+  ASSERT_EQ(a->GetDocumentText(&reader, 1).value(), "<x>a</x>");
+  Status st = b->DeleteDocument(nullptr, 1);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(b->DocCount().value(), 0u);
+  ASSERT_TRUE(engine->Commit(&reader).ok());
+}
+
+// What kLocking promises, end to end. A reader's document S lock excludes
+// every writer of that document, whole or subtree, until the reader
+// commits; an open subtree writer excludes the readers of its document and
+// of no other. The blocked calls run on parallel threads, so the test waits
+// about one lock timeout.
+TEST(EngineTxnTest, LockingReadersAndWritersExcludeEachOther) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(coll->CreateValueIndex({"k", "/a/k"}).ok());
+  auto insert = [&](const std::string& key) {
+    return coll
+        ->InsertDocument(nullptr, "<a><k>" + key + "</k><b>x</b><c>y</c>"
+                                  "<e>z</e></a>")
+        .value();
+  };
+  const uint64_t r = insert("r");  // read by an open reader
+  const uint64_t w = insert("w");  // written by an open writer
+  const uint64_t o = insert("o");  // neither
+  const std::string original = coll->GetDocumentText(nullptr, r).value();
+  // Keyed queries plan one document's candidates only.
+  QueryOptions by_key;
+  by_key.force = ForceMethod::kDocIdList;
+  auto keyed = [](const char* key, const char* rest) {
+    return std::string("/a[k = \"") + key + "\"]" + rest;
+  };
+  auto node_of = [&](const char* key, const char* rest) {
+    return coll->Query(nullptr, keyed(key, rest), by_key)
+        .MoveValue()
+        .nodes.at(0)
+        .node_id;
+  };
+  const std::string r_text = node_of("r", "/b/text()");
+  const std::string r_c = node_of("r", "/c");
+  const std::string r_e = node_of("r", "/e");
+  const std::string w_text = node_of("w", "/b/text()");
+
+  Transaction reader = engine->Begin(IsolationMode::kLocking);
+  ASSERT_EQ(coll->GetDocumentText(&reader, r).value(), original);
+  ASSERT_EQ(coll->Query(&reader, keyed("r", "/b"), by_key)
+                .MoveValue()
+                .nodes.size(),
+            1u);
+  Transaction writer = engine->Begin(IsolationMode::kLocking);
+  ASSERT_TRUE(coll->UpdateTextNode(&writer, w, w_text, "w1").ok());
+
+  // Each call below runs in its own autocommit transaction.
+  const std::vector<std::function<Status()>> writes_of_r = {
+      [&] { return coll->UpdateTextNode(nullptr, r, r_text, "r1"); },
+      [&] {
+        return coll->InsertSubtree(nullptr, r, r_c, Slice(), "<n/>").status();
+      },
+      [&] { return coll->DeleteSubtree(nullptr, r, r_e); },
+      [&] { return coll->DeleteDocument(nullptr, r); },
+  };
+  auto reads_of = [&](uint64_t doc, const char* key) {
+    return std::vector<std::function<Status()>>{
+        [&, doc] { return coll->GetDocumentText(nullptr, doc).status(); },
+        [&, key] {
+          return coll->Query(nullptr, keyed(key, "/b"), by_key).status();
+        }};
+  };
+  std::vector<std::function<Status()>> blocked = writes_of_r;
+  for (auto& read : reads_of(w, "w")) blocked.push_back(read);
+  std::vector<Status> got(blocked.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < blocked.size(); i++)
+    threads.emplace_back([&, i] { got[i] = blocked[i](); });
+  // Meanwhile the reads of a third document go through.
+  for (auto& read : reads_of(o, "o")) EXPECT_TRUE(read().ok());
+  for (auto& t : threads) t.join();
+  for (size_t i = 0; i < got.size(); i++)
+    EXPECT_TRUE(got[i].IsDeadlock()) << i << ": " << got[i].ToString();
+  EXPECT_EQ(coll->GetDocumentText(&reader, r).value(), original);
+
+  ASSERT_TRUE(engine->Commit(&reader).ok());
+  ASSERT_TRUE(engine->Commit(&writer).ok());
+  for (auto& read : reads_of(w, "w")) EXPECT_TRUE(read().ok());
+  for (auto& write : writes_of_r) {
+    Status st = write();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_EQ(coll->DocCount().value(), 2u);
 }
 
 TEST(XmlHandleTest, DeferredResolveFollowsIsolation) {

@@ -3,6 +3,7 @@
 // simple types, annotations).
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "schema/schema_compiler.h"
 #include "schema/schema_parser.h"
 #include "schema/validator_vm.h"
@@ -219,6 +220,18 @@ TEST_F(ValidatorTest, BinaryRoundTripValidatesIdentically) {
     ValidatorVm vm(&reloaded.value(), &dict_);
     EXPECT_EQ(vm.Validate(tokens.data(), &out).ok(), expect_ok);
   }
+}
+
+// A damaged name length of 2^64-1 must read as Corruption, not as a name
+// running past the binary.
+TEST(SchemaCompilerTest, DeserializeRejectsWrappingLength) {
+  std::string binary;
+  PutFixed32(&binary, 0x58534348);  // the compiled-schema magic
+  PutVarint64(&binary, ~uint64_t{0});
+  binary += "abc";
+  auto cs = CompiledSchema::Deserialize(binary);
+  ASSERT_FALSE(cs.ok());
+  EXPECT_TRUE(cs.status().IsCorruption()) << cs.status().ToString();
 }
 
 TEST(CatalogSchemaTest, MatchesGeneratedCatalogs) {

@@ -419,6 +419,35 @@ TEST(QuickXScanTest, SelfAndDescendantOrSelfAxes) {
             3u);
 }
 
+// A predicate's `.` on an attribute or text step is that node itself: ten
+// <b v="i">t{i%2}</b> children, so four v exceed 5 and five texts are "t1".
+// Counts are explicit, since both engines once agreed on 0 for the first.
+TEST(QuickXScanTest, PredicatesOnAttributeAndTextSteps) {
+  EvalHarness h;
+  std::string xml = "<a>";
+  for (int i = 0; i < 10; i++)
+    xml += "<b v=\"" + std::to_string(i) + "\">t" + std::to_string(i % 2) +
+           "</b>";
+  xml += "</a>";
+  for (const auto& [expr, want] :
+       {std::pair<std::string, size_t>{"/a/b/@v[. > 5]", 4},
+        {"//@v[. = \"3\"]", 1},
+        {"/a/b/text()[. = \"t1\"]", 5},
+        {"/a/b[@v > 5]/@v", 4},
+        {"/a/b/@v[self::node() > 5]", 4},
+        {"/a/b/text()[self::text() = \"t0\"]", 5}}) {
+    EXPECT_EQ(h.Quick(xml, expr).size(), want) << expr;
+    EXPECT_EQ(h.Dom(xml, expr).size(), want) << expr;
+    h.Both(xml, expr);
+  }
+  // A leaf has no children, and an attribute is not an element.
+  EXPECT_EQ(h.Both(xml, "/a/b/text()[*]").size(), 0u);
+  EXPECT_EQ(h.Both(xml, "/a/b/@v[self::v]").size(), 0u);
+  EXPECT_EQ(h.Both(xml, "/a/b/@v[self::*]").size(), 0u);
+  // An element's own text is still not its self.
+  EXPECT_EQ(h.Both(xml, "/a/b[self::text()]").size(), 0u);
+}
+
 TEST(QuickXScanTest, ResultValues) {
   EvalHarness h;
   NodeSequence res = h.Quick("<a><b>one<c>two</c></b></a>", "/a/b",
