@@ -44,6 +44,7 @@ void RunAllMethods(Collection* catalog, const char* query) {
   for (const auto& m : methods) {
     QueryOptions o;
     o.force = m.method;
+    o.explain = m.method == ForceMethod::kAuto;
     auto res = Unwrap(catalog->Query(nullptr, query, o), "query");
     std::printf(
         "  %s -> %3zu results | postings=%llu docs=%llu anchors=%llu "
@@ -54,8 +55,8 @@ void RunAllMethods(Collection* catalog, const char* query) {
         static_cast<unsigned long long>(res.stats.candidate_anchors),
         static_cast<unsigned long long>(res.stats.docs_evaluated),
         static_cast<unsigned long long>(res.stats.records_fetched));
-    if (m.method == ForceMethod::kAuto)
-      std::printf("  planner chose: %s\n", res.stats.explain.c_str());
+    if (o.explain)
+      std::printf("  planner chose:\n%s", res.PlanText().c_str());
   }
 }
 

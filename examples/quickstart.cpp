@@ -65,9 +65,10 @@ int main() {
   // pass — over each stored document.
   QueryOptions q;
   q.want_values = true;
+  q.explain = true;
   auto result = Unwrap(
       notes->Query(nullptr, "/note[@priority = \"high\"]/body", q), "query");
-  std::printf("plan: %s\n", result.stats.explain.c_str());
+  std::printf("plan:\n%s", result.PlanText().c_str());
   for (const ResultNode& node : result.nodes) {
     std::printf("  doc %llu node %s value \"%s\"\n",
                 static_cast<unsigned long long>(node.doc_id),

@@ -1,6 +1,6 @@
 #include "cc/lock_manager.h"
 
-#include <algorithm>
+#include <vector>
 
 #include "xml/node_id.h"
 
@@ -114,7 +114,13 @@ bool LockManager::WouldDeadlock(TxnId txn,
 Status LockManager::LockNode(TxnId txn, LockSpace space, uint64_t doc_id,
                              Slice node_id, LockMode mode) {
   MutexLock lock(mu_);
-  DocLocks& dl = table_[{space, doc_id}];
+  const DocKey key{space, doc_id};
+  DocLocks& dl = table_[key];
+  // A request that fails leaves no empty entry behind: ReleaseAll only
+  // visits the entries its transaction holds locks in.
+  auto drop_if_unused = [&] {
+    if (dl.held.empty() && dl.waiters == 0) table_.erase(key);
+  };
   // Re-entrant: an own lock on this node, or a subtree lock above it, may
   // cover the request; an own lock on this node is upgraded.
   LockMode grant = mode;
@@ -133,6 +139,7 @@ Status LockManager::LockNode(TxnId txn, LockSpace space, uint64_t doc_id,
     if (blockers.empty()) break;
     if (WouldDeadlock(txn, blockers)) {
       waits_for_.erase(txn);
+      drop_if_unused();
       stats_.deadlocks++;
       std::string target = LockTarget(doc_id, node_id, grant);
       if (events_ != nullptr)
@@ -151,6 +158,7 @@ Status LockManager::LockNode(TxnId txn, LockSpace space, uint64_t doc_id,
     dl.waiters--;
     if (!ok) {
       waits_for_.erase(txn);
+      drop_if_unused();
       stats_.timeouts++;
       std::string target = LockTarget(doc_id, node_id, grant);
       if (events_ != nullptr)
@@ -161,13 +169,18 @@ Status LockManager::LockNode(TxnId txn, LockSpace space, uint64_t doc_id,
   }
   waits_for_.erase(txn);
   if (waited) stats_.waits++;
-  // An upgrade raises the own lock on this node; a first lock is added.
-  auto own = std::find_if(
-      dl.held.begin(), dl.held.end(), [&](const NodeLock& l) {
-        return l.txn == txn && Slice(l.node_id) == node_id;
-      });
-  if (own != dl.held.end()) own->mode = grant;
+  // An upgrade raises the own lock on this node; a first lock is added, and
+  // a first lock in this document is remembered for ReleaseAll.
+  bool holds_here = false;
+  NodeLock* own = nullptr;
+  for (NodeLock& l : dl.held) {
+    if (l.txn != txn) continue;
+    holds_here = true;
+    if (Slice(l.node_id) == node_id) own = &l;
+  }
+  if (own != nullptr) own->mode = grant;
   else dl.held.push_back(NodeLock{txn, node_id.ToString(), grant});
+  if (!holds_here) held_docs_[txn].push_back(key);
   stats_.acquisitions++;
   return Status::OK();
 }
@@ -175,22 +188,15 @@ Status LockManager::LockNode(TxnId txn, LockSpace space, uint64_t doc_id,
 void LockManager::ReleaseAll(TxnId txn) {
   MutexLock lock(mu_);
   waits_for_.erase(txn);
-  for (auto it = table_.begin(); it != table_.end();) {
-    auto& held = it->second.held;
-    for (size_t i = 0; i < held.size();) {
-      if (held[i].txn == txn) {
-        held[i] = held.back();
-        held.pop_back();
-      } else {
-        i++;
-      }
-    }
-    if (held.empty() && it->second.waiters == 0) {
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
+  auto docs = held_docs_.find(txn);
+  if (docs == held_docs_.end()) return;  // holds nothing, frees nothing
+  for (const DocKey& key : docs->second) {
+    auto it = table_.find(key);
+    std::erase_if(it->second.held,
+                  [&](const NodeLock& l) { return l.txn == txn; });
+    if (it->second.held.empty() && it->second.waiters == 0) table_.erase(it);
   }
+  held_docs_.erase(docs);
   cv_.NotifyAll();
 }
 

@@ -84,7 +84,8 @@ class LockManager {
     return LockNode(txn, space, doc_id, Slice(), mode);
   }
 
-  /// Releases everything `txn` holds and wakes waiters.
+  /// Releases everything `txn` holds and wakes waiters. Visits only the
+  /// documents `txn` holds locks on.
   void ReleaseAll(TxnId txn) XDB_EXCLUDES(mu_);
 
   LockManagerStats stats() const XDB_EXCLUDES(mu_);
@@ -112,6 +113,8 @@ class LockManager {
     int waiters = 0;
   };
 
+  using DocKey = std::pair<LockSpace, uint64_t>;
+
   /// Transactions whose granted locks in `dl` conflict with `txn`'s
   /// request; empty when it can be granted.
   std::vector<TxnId> Blockers(const DocLocks& dl, TxnId txn, Slice node_id,
@@ -123,8 +126,10 @@ class LockManager {
   std::chrono::milliseconds timeout_;
   mutable Mutex mu_{LockRank::kLockManager};
   CondVar cv_;
-  std::map<std::pair<LockSpace, uint64_t>, DocLocks> table_
-      XDB_GUARDED_BY(mu_);
+  std::map<DocKey, DocLocks> table_ XDB_GUARDED_BY(mu_);
+  /// Per transaction, the documents it holds locks on, each added at its
+  /// first grant there: what ReleaseAll visits.
+  std::map<TxnId, std::vector<DocKey>> held_docs_ XDB_GUARDED_BY(mu_);
   /// Waits-for edges of currently blocked transactions (refreshed on every
   /// wait iteration, erased on grant/timeout/victim).
   std::map<TxnId, std::vector<TxnId>> waits_for_ XDB_GUARDED_BY(mu_);

@@ -17,6 +17,9 @@ constexpr uint32_t kCatalogMagicV3 = 0x58444245;  // "XDBE" (replica CSN)
 constexpr uint32_t kCatalogMagicV4 = 0x58444246;  // "XDBF" (structural ix)
 constexpr uint32_t kCatalogMagicV5 = 0x58444247;  // "XDBG" (node-ID keys)
 constexpr uint32_t kCatalogMagicV6 = 0x58444248;  // "XDBH" (CRCs, stats)
+// "XDBP" (postings without RIDs): 2+ bits from every magic above, so no
+// one-bit flip of it opens as an older catalog.
+constexpr uint32_t kCatalogMagicV7 = 0x58444250;
 
 void PutString(std::string* out, const std::string& s) {
   PutLengthPrefixed(out, s);
@@ -100,7 +103,7 @@ void CatalogData::Serialize(std::string* out) const {
     PutLengthPrefixed(&section, name);
     PutLengthPrefixed(&section, blob);
   }
-  PutFixed32(out, kCatalogMagicV6);
+  PutFixed32(out, kCatalogMagicV7);
   PutFixed32(out, Crc32(body.data(), body.size()));
   PutFixed32(out, static_cast<uint32_t>(body.size()));
   out->append(body);
@@ -113,10 +116,13 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
   if (data.size() < 4) return Status::Corruption("bad catalog magic");
   const uint32_t magic = DecodeFixed32(data.data());
   data.RemovePrefix(4);
-  // V1-V5 catalogs still load. They carry no statistics, so every
+  // V1-V6 catalogs still load. V1-V5 carry no statistics, so every
   // collection re-derives its own at open; their stats_epoch (V2-V5) is
-  // read past.
-  const bool v6 = magic == kCatalogMagicV6;
+  // read past. A V1-V6 value index holds (DocID, NodeID, RID) postings: its
+  // root is dropped (its pages stay unreferenced, as after a drop), the
+  // index opens empty, and the statistics are re-derived, which refills it.
+  const bool v7 = magic == kCatalogMagicV7;
+  const bool v6 = v7 || magic == kCatalogMagicV6;
   const bool v5 = v6 || magic == kCatalogMagicV5;
   const bool v4 = v5 || magic == kCatalogMagicV4;
   const bool v3 = v4 || magic == kCatalogMagicV3;
@@ -184,7 +190,7 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
       data.RemovePrefix(n);
       vi.def.max_string_len = maxlen;
       if (data.size() < 4) return Status::Corruption("truncated index meta");
-      vi.root = DecodeFixed32(data.data());
+      vi.root = v7 ? DecodeFixed32(data.data()) : kInvalidPageId;
       data.RemovePrefix(4);
       meta.value_indexes.push_back(std::move(vi));
     }
@@ -227,6 +233,8 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
     return Status::Corruption("trailing bytes in catalog body");
   } else {
     cat.stats_status = ParseStatsSection(stats_section, &cat.stats);
+    if (cat.stats_status.ok() && !v7)
+      cat.stats_status = Status::NotFound("catalog predates RID-free postings");
     if (!cat.stats_status.ok()) cat.stats.clear();
   }
   return cat;

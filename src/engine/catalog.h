@@ -60,15 +60,17 @@ struct CatalogData {
   /// (query/stats.h), committed by the same atomic write as the roots the
   /// statistics describe. A collection without a blob re-derives its
   /// statistics from its stored data at open; `stats_status` says why a
-  /// loaded catalog has none (NotFound: the catalog predates the section;
-  /// Corruption: the section failed its CRC).
+  /// loaded catalog has none (NotFound: the catalog predates the section,
+  /// or is a V6 one whose value indexes must be refilled; Corruption: the
+  /// section failed its CRC).
   std::map<std::string, std::string> stats;
   Status stats_status;
 
-  /// V6 layout: magic, CRC-32 of the body, body length, the body, then the
-  /// statistics section (its own CRC-32, then length-prefixed name/blob
-  /// pairs). A body that fails its CRC is Corruption; a damaged statistics
-  /// section only empties `stats`.
+  /// V7 layout (V6's, whose value indexes hold RID-free postings): magic,
+  /// CRC-32 of the body, body length, the body, then the statistics section
+  /// (its own CRC-32, then length-prefixed name/blob pairs). A body that
+  /// fails its CRC is Corruption; a damaged statistics section only empties
+  /// `stats`.
   void Serialize(std::string* out) const;
   static Result<CatalogData> Deserialize(Slice data);
 };

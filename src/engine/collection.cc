@@ -185,10 +185,9 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   RecordBuilderOptions rb_options;
   rb_options.record_budget = record_budget_;
   RecordBuilder builder(rb_options);
-  NodeIdEntries entries;  // the document's intervals, for its own RIDs
   Status st = builder.Build(tokens, [&](PackedRecordOut&& rec) -> Status {
     XDB_ASSIGN_OR_RETURN(Rid rid, records_->Insert(rec.bytes));
-    XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, rec.bytes, rid, &entries));
+    XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, rec.bytes, rid));
     if (meta_.mvcc_enabled) {
       XDB_RETURN_NOT_OK(
           versions_->AddRecord(doc_id, version, rec.bytes, rid));
@@ -197,15 +196,12 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   });
   XDB_RETURN_NOT_OK(st);
   XDB_RETURN_NOT_OK(docid_tree_->Insert(DocKey(doc_id), Slice()));
-  // Records are emitted bottom-up; the locator wants node-ID order.
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  DocEntriesLocator locator(doc_id, &entries);
   // Index maintenance stays under the exclusive latch: dropping it here
   // would let concurrent queries scan an index while this document's
-  // entries are half-written.
+  // entries are half-written. It reads the document's own tokens, so it
+  // reads no record back.
   XDB_RETURN_NOT_OK(
-      IndexDocument(doc_id, {}, /*remove=*/false, &locator, tokens));
+      IndexDocument(doc_id, {}, /*remove=*/false, nullptr, tokens));
   // Statistics last, so a failed insert never counts. Runs for every insert
   // path — client writes, WAL replay, scrub salvage — which is what keeps
   // the incremental counters in step with the data.
@@ -234,9 +230,9 @@ Status Collection::IndexDocument(uint64_t doc_id, const EditRegion& region,
                                  Slice fresh_tokens, IndexScope scope) {
   // "Index keys for the node ID index and XPath value indexes are generated
   // per record" in the paper; here one streaming pass over the region
-  // generates the keys of every index, and hits map to record RIDs through
-  // `locator`. Only a fresh insert may read its token stream: a token round
-  // trip of a stored document renumbers Between()-allocated IDs
+  // generates the keys of every index, and a posting names its node, not
+  // the node's record. Only a fresh insert may read its token stream: a
+  // token round trip of a stored document renumbers Between()-allocated IDs
   // canonically, naming nodes the document does not have.
   std::vector<ValueIndex*> value;
   std::vector<xpath::QuickXScan> scans;
@@ -305,10 +301,9 @@ Status Collection::IndexDocument(uint64_t doc_id, const EditRegion& region,
       if (!region.subtree || !node_id.StartsWith(Slice(region.node_id))) {
         XDB_ASSIGN_OR_RETURN(hit.string_value, nav.StringValue(node_id));
       }
-      XDB_ASSIGN_OR_RETURN(Rid rid, locator->Lookup(doc_id, node_id));
       Slice key(hit.string_value);
-      XDB_RETURN_NOT_OK(remove ? value[i]->Remove(key, doc_id, node_id, rid)
-                               : value[i]->Add(key, doc_id, node_id, rid));
+      XDB_RETURN_NOT_OK(remove ? value[i]->Remove(key, doc_id, node_id)
+                               : value[i]->Add(key, doc_id, node_id));
     }
   }
   if (structural.empty()) return Status::OK();
@@ -324,12 +319,9 @@ Status Collection::IndexDocument(uint64_t doc_id, const EditRegion& region,
 
 Status Collection::Backfill(IndexScope scope) {
   XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
-  NodeIdEntries entries;
   for (uint64_t doc_id : docs) {
-    XDB_RETURN_NOT_OK(node_index_->ListDocEntries(doc_id, Slice(), &entries));
-    DocEntriesLocator locator(doc_id, &entries);
     XDB_RETURN_NOT_OK(
-        IndexDocument(doc_id, {}, /*remove=*/false, &locator, {}, scope));
+        IndexDocument(doc_id, {}, /*remove=*/false, nullptr, {}, scope));
   }
   return Status::OK();
 }
@@ -357,7 +349,7 @@ Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
     // Index-entry removal and record deletion happen under one exclusive
     // latch section so queries never observe postings pointing at freed
     // records. One listing of the document's NodeID entries serves all
-    // three: the postings' RIDs, the records to free and the entries.
+    // three: the stored walk, the records to free and the entries.
     WriterMutexLock latch(latch_);
     NodeIdEntries entries;
     XDB_RETURN_NOT_OK(node_index_->ListDocEntries(doc_id, Slice(), &entries));
@@ -406,16 +398,10 @@ Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
     XDB_ASSIGN_OR_RETURN(std::string new_record,
                          ReplaceTextValue(old_record, node_id, new_text));
 
-    // An in-place update changes the string values of the text node's
-    // ancestors only. A copy-on-write also moves every node of the record to
-    // a new RID, so there the region is the record's whole context subtree.
-    EditRegion region{node_id.ToString(), /*subtree=*/false};
-    if (meta_.mvcc_enabled) {
-      RecordHeader header;
-      Slice payload;
-      XDB_RETURN_NOT_OK(ParseRecordHeader(old_record, &header, &payload));
-      region = EditRegion{header.context_node_id.ToString(), true};
-    }
+    // The update changes the string values of the text node's ancestors
+    // only, in place or by copy-on-write: postings name nodes, which keep
+    // their IDs when their record moves.
+    const EditRegion region{node_id.ToString(), /*subtree=*/false};
     XDB_RETURN_NOT_OK(IndexDocument(doc_id, region, /*remove=*/true));
     if (!meta_.mvcc_enabled) {
       XDB_RETURN_NOT_OK(records_->Update(rid, new_record));
@@ -1103,7 +1089,6 @@ Result<QueryResult> Collection::ExecuteCompiled(
   const auto wall_start = std::chrono::steady_clock::now();
   Status st = [&]() -> Status {
     result.stats.method = plan.method;
-    result.stats.explain = plan.explain;
 
     ReadView view = OpenReadView(at.get());
 

@@ -54,7 +54,6 @@ struct CollectionOptions {
 /// EXPERIMENTS.md and EXPLAIN all report these.
 struct QueryStats : obs::QueryCounters {
   query::AccessMethod method = query::AccessMethod::kFullScan;
-  std::string explain;
 };
 
 struct QueryResult {
@@ -279,11 +278,12 @@ class Collection {
   /// index entries before the records change (`remove`), adds them after.
   /// Chain elements keep their structural entries; their postings follow
   /// their string values. One pass over the region's events feeds every
-  /// value index's scan and the structural deriver. `locator` resolves
-  /// hits and record reads to RIDs: a whole-document write passes its own
-  /// intervals; null uses the NodeID index. `fresh_tokens` is a
-  /// just-stored document's token stream, whose canonical node IDs are the
-  /// stored ones; empty, the subtree is read from the records, so a remove
+  /// value index's scan and the structural deriver; a posting is the hit's
+  /// (DocID, NodeID). `locator` routes the region's record reads: a
+  /// document delete passes the entries it listed once; null uses the
+  /// NodeID index. `fresh_tokens` is a just-stored document's token stream,
+  /// whose canonical node IDs are the stored ones, so a fresh insert reads
+  /// no record; empty, the subtree is read from the records, so a remove
   /// finds what an add wrote.
   Status IndexDocument(uint64_t doc_id, const EditRegion& region, bool remove,
                        NodeLocator* locator = nullptr, Slice fresh_tokens = {},

@@ -108,22 +108,6 @@ Status EncodeTypedKey(ValueType type, Slice value, uint32_t max_string_len,
   return Status::InvalidArgument("unknown value type");
 }
 
-void EncodePosting(uint64_t doc_id, Slice node_id, uint64_t rid_packed,
-                   std::string* out) {
-  PutBig64(out, doc_id);
-  PutFixed64(out, rid_packed);
-  out->append(node_id.data(), node_id.size());
-}
-
-Status DecodePosting(Slice payload, uint64_t* doc_id, Slice* node_id,
-                     uint64_t* rid_packed) {
-  if (payload.size() < 16) return Status::Corruption("short posting");
-  *doc_id = DecodeBig64(payload.data());
-  *rid_packed = DecodeFixed64(payload.data() + 8);
-  *node_id = Slice(payload.data() + 16, payload.size() - 16);
-  return Status::OK();
-}
-
 void EncodeNodeIdKey(uint64_t doc_id, Slice node_id, std::string* out) {
   PutBig64(out, doc_id);
   out->append(node_id.data(), node_id.size());

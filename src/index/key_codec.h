@@ -42,13 +42,8 @@ Status EncodeTypedKey(ValueType type, Slice value, uint32_t max_string_len,
 /// Parses "[-]YYYY-MM-DD" into days since 1970-01-01 (proleptic Gregorian).
 Result<int64_t> ParseDateDays(Slice s);
 
-// Posting payload: the (DocID, NodeID, RID) part of a value index entry.
-void EncodePosting(uint64_t doc_id, Slice node_id, uint64_t rid_packed,
-                   std::string* out);
-Status DecodePosting(Slice payload, uint64_t* doc_id, Slice* node_id,
-                     uint64_t* rid_packed);
-
-// NodeID index key: [doc_id big64][node id bytes].
+// A node's address, [doc_id big64][node id bytes]: the NodeID index's key
+// and a value index entry's posting, so both sort by (DocID, NodeID).
 void EncodeNodeIdKey(uint64_t doc_id, Slice node_id, std::string* out);
 Status DecodeNodeIdKey(Slice key, uint64_t* doc_id, Slice* node_id);
 

@@ -74,13 +74,10 @@ Status NodeIdIndex::Apply(BTree::BatchOp op, uint64_t doc_id,
   return tree_->ApplySorted(op, batch);
 }
 
-Status NodeIdIndex::AddRecord(uint64_t doc_id, Slice record, Rid rid,
-                              NodeIdEntries* added) {
+Status NodeIdIndex::AddRecord(uint64_t doc_id, Slice record, Rid rid) {
   NodeIdEntries pairs;
   XDB_RETURN_NOT_OK(RecordEntries(record, rid, &pairs));
-  XDB_RETURN_NOT_OK(Apply(BTree::BatchOp::kInsert, doc_id, pairs));
-  if (added != nullptr) added->insert(added->end(), pairs.begin(), pairs.end());
-  return Status::OK();
+  return Apply(BTree::BatchOp::kInsert, doc_id, pairs);
 }
 
 Status NodeIdIndex::RemoveRecord(uint64_t doc_id, Slice record, Rid rid) {

@@ -75,8 +75,8 @@ class NodeLocator {
 
 /// Resolves against a list of one document's entries instead of the B+tree,
 /// by the rule Lookup applies there: the first upper end >= the node ID. A
-/// write that knows its document's intervals (the records it just stored,
-/// or the entries it listed once) reads its own records without a descent.
+/// stream that listed its span once (StoredDocSource) and a document delete
+/// that listed its entries once read their records without a descent.
 class DocEntriesLocator : public NodeLocator {
  public:
   /// `entries` must stay alive and unchanged while the locator is used.
@@ -97,10 +97,8 @@ class NodeIdIndex : public NodeLocator {
   explicit NodeIdIndex(BTree* tree) : tree_(tree) {}
 
   /// Computes the record's node-ID intervals and inserts one entry per
-  /// interval upper end point, appending each (upper, rid) to `added` when
-  /// given.
-  Status AddRecord(uint64_t doc_id, Slice record, Rid rid,
-                   NodeIdEntries* added = nullptr);
+  /// interval upper end point.
+  Status AddRecord(uint64_t doc_id, Slice record, Rid rid);
 
   /// Removes the record's interval entries (must be passed the same bytes).
   Status RemoveRecord(uint64_t doc_id, Slice record, Rid rid);

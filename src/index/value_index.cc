@@ -2,7 +2,7 @@
 
 namespace xdb {
 
-Status ValueIndex::Add(Slice value, uint64_t doc_id, Slice node_id, Rid rid) {
+Status ValueIndex::Add(Slice value, uint64_t doc_id, Slice node_id) {
   std::string key;
   Status st = EncodeTypedKey(def_.type, value, def_.max_string_len, &key);
   if (!st.ok()) {
@@ -11,14 +11,13 @@ Status ValueIndex::Add(Slice value, uint64_t doc_id, Slice node_id, Rid rid) {
     return st;
   }
   std::string posting;
-  EncodePosting(doc_id, node_id, rid.Pack(), &posting);
+  EncodeNodeIdKey(doc_id, node_id, &posting);
   XDB_RETURN_NOT_OK(tree_->Insert(key, posting));
   if (stats_ != nullptr) stats_->OnEntryAdded(key);
   return Status::OK();
 }
 
-Status ValueIndex::Remove(Slice value, uint64_t doc_id, Slice node_id,
-                          Rid rid) {
+Status ValueIndex::Remove(Slice value, uint64_t doc_id, Slice node_id) {
   std::string key;
   Status st = EncodeTypedKey(def_.type, value, def_.max_string_len, &key);
   if (!st.ok()) {
@@ -26,7 +25,7 @@ Status ValueIndex::Remove(Slice value, uint64_t doc_id, Slice node_id,
     return st;
   }
   std::string posting;
-  EncodePosting(doc_id, node_id, rid.Pack(), &posting);
+  EncodeNodeIdKey(doc_id, node_id, &posting);
   XDB_RETURN_NOT_OK(tree_->Delete(key, posting));
   if (stats_ != nullptr) stats_->OnEntryRemoved(key);
   return Status::OK();
@@ -54,11 +53,8 @@ Status ValueIndex::Scan(const std::optional<KeyBound>& lo,
     }
     Posting p;
     Slice node_id;
-    uint64_t rid_packed;
-    XDB_RETURN_NOT_OK(
-        DecodePosting(it.value(), &p.doc_id, &node_id, &rid_packed));
+    XDB_RETURN_NOT_OK(DecodeNodeIdKey(it.value(), &p.doc_id, &node_id));
     p.node_id = node_id.ToString();
-    p.rid = Rid::Unpack(rid_packed);
     out->push_back(std::move(p));
     XDB_RETURN_NOT_OK(it.Next());
   }

@@ -5,6 +5,8 @@
 // such as /catalog//productname, and a data type for the key values. ... A
 // value index entry contains (keyval, DocID, NodeID, RID)". Unlike
 // relational indexes there may be zero, one or more entries per record.
+// Here an entry is (keyval, DocID, NodeID): the NodeID index is the one map
+// from a node to its record, so no write keeps a second copy of it.
 #ifndef XDB_INDEX_VALUE_INDEX_H_
 #define XDB_INDEX_VALUE_INDEX_H_
 
@@ -17,7 +19,6 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "index/key_codec.h"
-#include "storage/page.h"
 
 namespace xdb {
 
@@ -29,11 +30,10 @@ struct ValueIndexDef {
   uint32_t max_string_len = 128;  // VARCHAR(n) equivalent for string keys
 };
 
-/// One (DocID, NodeID, RID) hit returned from an index probe.
+/// One (DocID, NodeID) hit returned from an index probe.
 struct Posting {
   uint64_t doc_id = 0;
   std::string node_id;
-  Rid rid;
 };
 
 /// A bound of a key range probe.
@@ -70,9 +70,9 @@ class ValueIndex {
 
   /// Adds an entry for a node whose string value is `value`. Values that do
   /// not cast to the index type produce no entry (returns OK).
-  Status Add(Slice value, uint64_t doc_id, Slice node_id, Rid rid);
+  Status Add(Slice value, uint64_t doc_id, Slice node_id);
 
-  Status Remove(Slice value, uint64_t doc_id, Slice node_id, Rid rid);
+  Status Remove(Slice value, uint64_t doc_id, Slice node_id);
 
   /// Encodes a query literal with this index's type.
   Status EncodeKey(Slice value, std::string* out) const {

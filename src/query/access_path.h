@@ -100,7 +100,6 @@ struct QueryPlan {
   /// results must be rechecked against the documents ("filtering").
   bool need_recheck = true;
   size_t anchor_step = 0;  // step the node-level methods anchor at
-  std::string explain;
   /// Why the planner picked `method`. Cost-based plans carry the full cost
   /// breakdown ("cost: full-scan=… docid-list=…*"); forced and unpriced
   /// plans a short text ("forced", "no index covers the predicates") —

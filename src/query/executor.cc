@@ -76,7 +76,6 @@ Result<QueryPlan> ChoosePlan(const xpath::Path& query,
                              const PlannerContext& ctx, ForceMethod force) {
   QueryPlan plan;
   plan.method = AccessMethod::kFullScan;
-  plan.explain = "full scan (QuickXScan per document)";
   if (force == ForceMethod::kScan) {
     plan.reason = "forced";
     return plan;
@@ -121,9 +120,6 @@ Result<QueryPlan> ChoosePlan(const xpath::Path& query,
     plan.probes.clear();
     plan.disjunctive = false;
     plan.need_recheck = true;
-    plan.explain = "structural-scan via [element '" + plan.structural_name +
-                   "' using structural index '" + ix->def().name +
-                   "' (interval)] + recheck";
   };
   if (force == ForceMethod::kStructural) {
     if (so_ix == nullptr) {
@@ -306,19 +302,6 @@ Result<QueryPlan> ChoosePlan(const xpath::Path& query,
     plan.method =
         want_node_level ? AccessMethod::kNodeIdList : AccessMethod::kDocIdList;
   }
-  plan.explain = std::string(AccessMethodName(plan.method)) + " via";
-  for (const PlannedProbe& p : plan.probes) {
-    plan.explain += " [" + p.pred.full_path.ToString() + " " +
-                    xpath::CompOpName(p.pred.op) + " ... using index '" +
-                    p.index->def().name + "' (" +
-                    (p.match == xpath::IndexMatch::kExact ? "exact"
-                                                          : "filtering") +
-                    ")]";
-  }
-  if (plan.structural_anchor)
-    plan.explain += " [anchored via structural index '" +
-                    plan.structural_index->def().name + "']";
-  if (plan.need_recheck) plan.explain += " + recheck";
   return plan;
 }
 

@@ -85,7 +85,7 @@ std::string CheckFlavors(Collection* coll, const std::string& query,
     if (runs != nullptr) (*runs)++;
     if (!SameNodes(got, want)) {
       return Diverged(label + kForceNames[f], got, want, want_name) + " [" +
-             res_r.value().stats.explain + "]";
+             query::AccessMethodName(res_r.value().stats.method) + "]";
     }
   }
   return "";

@@ -34,9 +34,8 @@ bool DomEvaluator::TestMatches(const Step& step, const DomNode* n) const {
       return n->kind == NodeKind::kText;
     case NodeTest::kComment:
       return n->kind == NodeKind::kComment;
-    case NodeTest::kAnyKind:
-      return n->kind != NodeKind::kAttribute &&
-             n->kind != NodeKind::kNamespace;
+    case NodeTest::kAnyKind:  // on the attribute axis, every attribute
+      return n->kind != NodeKind::kNamespace;
   }
   return false;
 }

@@ -238,13 +238,14 @@ void QuickXScan::MatchElement(const XmlEvent& ev) {
 }
 
 // True if step `q`'s axis and node test admit the leaf `ev`. An attribute
-// is reached by the attribute axis, or as itself by self::node().
+// is reached by the attribute axis (whose node() is every attribute), or as
+// itself by self::node().
 static bool LeafTestOk(const QueryNode* q, const XmlEvent& ev) {
   switch (ev.type) {
     case XmlEvent::Type::kAttribute:
       if (q->axis == Axis::kSelf) return q->test == NodeTest::kAnyKind;
       return q->axis == Axis::kAttribute &&
-             (q->test == NodeTest::kAnyName ||
+             (q->test == NodeTest::kAnyName || q->test == NodeTest::kAnyKind ||
               (q->test == NodeTest::kName && q->name_id == ev.local));
     case XmlEvent::Type::kText:
       return q->axis != Axis::kAttribute &&

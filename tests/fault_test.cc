@@ -28,6 +28,7 @@
 #include "storage/page.h"
 #include "storage/tablespace.h"
 #include "storage/wal_log.h"
+#include "testing/differential.h"
 #include "testing/fault_injector.h"
 #include "util/workload.h"
 
@@ -1144,6 +1145,80 @@ TEST_F(EngineFaultTest, V5CatalogReDerivesStatsAfterEdits) {
   ExpectDerivedStats(coll->stats()->Snapshot(), want, /*insert_only=*/false);
   ExpectPlannedMatchesScan(coll, "/doc/s[k = \"b\"]");
   ExpectPlannedMatchesScan(coll, "//u");
+}
+
+// A V6 catalog's value indexes hold (DocID, RID, NodeID) postings. Reopened
+// under this engine, each value index opens at a new, empty root and the
+// statistics re-derivation refills it: the refilled index equals a fresh
+// backfill, the structural index keeps its root, and every plan answers as
+// a forced scan does.
+TEST_F(EngineFaultTest, V6CatalogRebuildsValueIndexes) {
+  query::CollectionStatsSnapshot want;
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    CollectionOptions copts;
+    copts.record_budget = 96;  // documents span records, with proxies
+    Collection* coll = engine->CreateCollection("docs", copts).value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "/doc/s/k", ValueType::kString, 64}).ok());
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"n", "//n", ValueType::kDouble, 64}).ok());
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    for (int i = 0; i < 30; i++) {
+      ASSERT_TRUE(coll->InsertDocument(
+                          nullptr, "<doc><s><k>k" + std::to_string(i % 6) +
+                                       "</k><p><n>" + std::to_string(i % 9) +
+                                       "</n></p></s><t>filler text " +
+                                       std::to_string(i) + "</t></doc>")
+                      .ok());
+    }
+    QueryOptions scan;
+    scan.force = ForceMethod::kScan;
+    auto s = coll->Query(nullptr, "/doc/s", scan).value().nodes;
+    ASSERT_TRUE(coll->InsertSubtree(nullptr, s[3].doc_id, s[3].node_id, "",
+                                    "<k>k1</k>")
+                    .ok());
+    auto n = coll->Query(nullptr, "//n/text()", scan).value().nodes;
+    ASSERT_TRUE(coll->UpdateTextNode(nullptr, n[5].doc_id, n[5].node_id, "7")
+                    .ok());
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    want = coll->stats()->Snapshot();
+  }
+  const std::string catalog = dir_ + "/catalog.xdb";
+  const CollectionMeta before =
+      LoadCatalog(catalog).value().collections["docs"];
+  ASSERT_TRUE(RewriteAsV6Catalog(catalog));
+  auto engine = Engine::Open(FileOptions()).MoveValue();
+  EXPECT_TRUE(SawStatsDerived(engine.get()));
+  Collection* coll = engine->GetCollection("docs").value();
+  const CollectionMeta after = coll->meta();
+  ASSERT_EQ(after.value_indexes.size(), 2u);
+  for (size_t i = 0; i < 2; i++)
+    EXPECT_NE(after.value_indexes[i].root, before.value_indexes[i].root) << i;
+  EXPECT_EQ(after.structural_indexes[0].root,
+            before.structural_indexes[0].root);
+  ExpectDerivedStats(coll->stats()->Snapshot(), want, /*insert_only=*/false);
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
+  for (const std::string q :
+       {"/doc/s[k = \"k1\"]", "/doc/s[p/n > 4]", "//p[n = 7]", "/doc[s/k]/t"}) {
+    QueryOptions scan;
+    scan.force = ForceMethod::kScan;
+    const NodeSequence want_nodes = coll->Query(nullptr, q, scan).value().nodes;
+    EXPECT_FALSE(want_nodes.empty()) << q;
+    for (ForceMethod force :
+         {ForceMethod::kDocIdList, ForceMethod::kNodeIdList}) {
+      QueryOptions forced;
+      forced.force = force;
+      auto got = coll->Query(nullptr, q, forced);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+      ASSERT_EQ(got.value().nodes.size(), want_nodes.size()) << q;
+      for (size_t i = 0; i < want_nodes.size(); i++) {
+        EXPECT_EQ(got.value().nodes[i].doc_id, want_nodes[i].doc_id) << q;
+        EXPECT_EQ(got.value().nodes[i].node_id, want_nodes[i].node_id) << q;
+      }
+    }
+    ExpectPlannedMatchesScan(coll, q);
+  }
 }
 
 // Planning reads the document count from the statistics snapshot, so

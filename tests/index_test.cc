@@ -81,14 +81,12 @@ TEST(KeyCodecTest, StringKeysTruncateAtLimit) {
 TEST(KeyCodecTest, PostingRoundTrip) {
   std::string posting;
   std::string node_id = nodeid::ChildId(1) + nodeid::ChildId(3);
-  EncodePosting(42, node_id, Rid{7, 3}.Pack(), &posting);
+  EncodeNodeIdKey(42, node_id, &posting);
   uint64_t doc;
   Slice node;
-  uint64_t rid;
-  ASSERT_TRUE(DecodePosting(posting, &doc, &node, &rid).ok());
+  ASSERT_TRUE(DecodeNodeIdKey(posting, &doc, &node).ok());
   EXPECT_EQ(doc, 42u);
   EXPECT_EQ(node.ToString(), node_id);
-  EXPECT_EQ(Rid::Unpack(rid), (Rid{7, 3}));
 }
 
 class ValueIndexTest : public ::testing::Test {
@@ -113,9 +111,9 @@ class ValueIndexTest : public ::testing::Test {
 };
 
 TEST_F(ValueIndexTest, AddAndEqualityProbe) {
-  ASSERT_TRUE(index_->Add("100", 1, nodeid::ChildId(1), Rid{2, 0}).ok());
-  ASSERT_TRUE(index_->Add("250", 1, nodeid::ChildId(2), Rid{2, 0}).ok());
-  ASSERT_TRUE(index_->Add("100", 2, nodeid::ChildId(1), Rid{3, 1}).ok());
+  ASSERT_TRUE(index_->Add("100", 1, nodeid::ChildId(1)).ok());
+  ASSERT_TRUE(index_->Add("250", 1, nodeid::ChildId(2)).ok());
+  ASSERT_TRUE(index_->Add("100", 2, nodeid::ChildId(1)).ok());
   std::vector<Posting> hits;
   ASSERT_TRUE(index_->ScanEqual("100", &hits).ok());
   ASSERT_EQ(hits.size(), 2u);
@@ -126,7 +124,7 @@ TEST_F(ValueIndexTest, AddAndEqualityProbe) {
 TEST_F(ValueIndexTest, RangeProbesRespectBounds) {
   for (int v = 10; v <= 100; v += 10) {
     ASSERT_TRUE(index_->Add(std::to_string(v), static_cast<uint64_t>(v),
-                            nodeid::ChildId(1), Rid{1, 0})
+                            nodeid::ChildId(1))
                     .ok());
   }
   auto probe = [&](const char* lo, bool lo_inc, const char* hi, bool hi_inc) {
@@ -154,15 +152,14 @@ TEST_F(ValueIndexTest, RangeProbesRespectBounds) {
 }
 
 TEST_F(ValueIndexTest, UncastableValuesProduceNoEntry) {
-  ASSERT_TRUE(
-      index_->Add("not a number", 1, nodeid::ChildId(1), Rid{1, 0}).ok());
+  ASSERT_TRUE(index_->Add("not a number", 1, nodeid::ChildId(1)).ok());
   EXPECT_EQ(tree_->ComputeStats().value().entries, 0u);
 }
 
 TEST_F(ValueIndexTest, RemoveDropsExactEntry) {
-  ASSERT_TRUE(index_->Add("5", 1, nodeid::ChildId(1), Rid{1, 0}).ok());
-  ASSERT_TRUE(index_->Add("5", 1, nodeid::ChildId(2), Rid{1, 0}).ok());
-  ASSERT_TRUE(index_->Remove("5", 1, nodeid::ChildId(1), Rid{1, 0}).ok());
+  ASSERT_TRUE(index_->Add("5", 1, nodeid::ChildId(1)).ok());
+  ASSERT_TRUE(index_->Add("5", 1, nodeid::ChildId(2)).ok());
+  ASSERT_TRUE(index_->Remove("5", 1, nodeid::ChildId(1)).ok());
   std::vector<Posting> hits;
   ASSERT_TRUE(index_->ScanEqual("5", &hits).ok());
   ASSERT_EQ(hits.size(), 1u);
@@ -176,9 +173,9 @@ TEST_F(ValueIndexTest, StringTypeIndexOrdersLexically) {
   def.type = ValueType::kString;
   auto tree = BTree::Create(bm_.get()).MoveValue();
   ValueIndex sidx(def, tree.get());
-  ASSERT_TRUE(sidx.Add("banana", 1, nodeid::ChildId(1), Rid{1, 0}).ok());
-  ASSERT_TRUE(sidx.Add("apple", 2, nodeid::ChildId(1), Rid{1, 0}).ok());
-  ASSERT_TRUE(sidx.Add("cherry", 3, nodeid::ChildId(1), Rid{1, 0}).ok());
+  ASSERT_TRUE(sidx.Add("banana", 1, nodeid::ChildId(1)).ok());
+  ASSERT_TRUE(sidx.Add("apple", 2, nodeid::ChildId(1)).ok());
+  ASSERT_TRUE(sidx.Add("cherry", 3, nodeid::ChildId(1)).ok());
   std::string lo_k;
   ASSERT_TRUE(sidx.EncodeKey("b", &lo_k).ok());
   std::vector<Posting> hits;

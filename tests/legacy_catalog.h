@@ -1,6 +1,7 @@
 // Forges the files older engines left in a database directory, for the
-// tests that open them: a V4/V5 catalog (no CRCs, no statistics section)
-// and the stats.xdb side file those engines wrote their statistics to.
+// tests that open them: a V4/V5 catalog (no CRCs, no statistics section),
+// the stats.xdb side file those engines wrote their statistics to, and a V6
+// catalog (the current layout, whose value indexes held RIDs).
 #ifndef XDB_TESTS_LEGACY_CATALOG_H_
 #define XDB_TESTS_LEGACY_CATALOG_H_
 
@@ -15,6 +16,7 @@ namespace xdb {
 
 inline constexpr uint32_t kCatalogMagicV4 = 0x58444246;  // "XDBF"
 inline constexpr uint32_t kCatalogMagicV5 = 0x58444247;  // "XDBG"
+inline constexpr uint32_t kCatalogMagicV6 = 0x58444248;  // "XDBH"
 
 inline bool WriteBytes(const std::string& path, const std::string& bytes) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
@@ -68,6 +70,19 @@ inline bool RewriteAsLegacyCatalog(const std::string& path, uint32_t magic) {
   }
   PutLengthPrefixed(&out, cat.dictionary);
   return WriteBytes(path, out);
+}
+
+/// Rewrites the catalog at `path` under the V6 magic. V6 and V7 share their
+/// layout; a V6 catalog's value-index roots name trees of (DocID, RID,
+/// NodeID) postings, which open ignores.
+inline bool RewriteAsV6Catalog(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  if (bytes.size() < 4) return false;
+  std::string magic;
+  PutFixed32(&magic, kCatalogMagicV6);
+  return WriteBytes(path, bytes.replace(0, 4, magic));
 }
 
 /// Writes a stats.xdb: magic "XDBS", a CRC-32 of the payload, then a count

@@ -85,7 +85,6 @@ TEST(AnchorPostingsTest, StripsBranchLevels) {
   Posting p;
   p.doc_id = 1;
   p.node_id = nodeid::ChildId(1) + nodeid::ChildId(2) + nodeid::ChildId(3);
-  p.rid = Rid{1, 0};
   postings.push_back(p);
   std::vector<Posting> anchored;
   ASSERT_TRUE(AnchorPostings(postings, 1, &anchored).ok());
@@ -150,7 +149,6 @@ TEST(PostingAlgebraTest, IntersectAndUnion) {
     Posting p;
     p.doc_id = doc;
     p.node_id = nodeid::ChildId(child);
-    p.rid = Rid{1, 0};
     return p;
   };
   std::vector<Posting> a = {mk(1, 1), mk(1, 2), mk(2, 1)};

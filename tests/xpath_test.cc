@@ -448,6 +448,27 @@ TEST(QuickXScanTest, PredicatesOnAttributeAndTextSteps) {
   EXPECT_EQ(h.Both(xml, "/a/b[self::text()]").size(), 0u);
 }
 
+// node() on the attribute axis is every attribute (XPath 1.0: its principal
+// node kind is attribute). Counts are explicit, since both engines once
+// agreed on 0 for each @node() query.
+TEST(QuickXScanTest, AttributeAxisNodeTestSelectsEveryAttribute) {
+  EvalHarness h;
+  const std::string xml = "<a x=\"1\" y=\"2\"><b z=\"3\">t</b></a>";
+  for (const auto& [expr, want] :
+       {std::pair<std::string, size_t>{"/a/@node()", 2},
+        {"/a/attribute::node()", 2},
+        {"//@node()", 3},
+        {"/a/b/@node()", 1},
+        {"/a[@node() = \"2\"]", 1},
+        {"/a/b[@node() = \"2\"]", 0},
+        {"/a/@*", 2},
+        {"/a/node()", 1}}) {
+    EXPECT_EQ(h.Quick(xml, expr).size(), want) << expr;
+    EXPECT_EQ(h.Dom(xml, expr).size(), want) << expr;
+    h.Both(xml, expr);
+  }
+}
+
 TEST(QuickXScanTest, ResultValues) {
   EvalHarness h;
   NodeSequence res = h.Quick("<a><b>one<c>two</c></b></a>", "/a/b",
