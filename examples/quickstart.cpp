@@ -39,8 +39,8 @@ int main() {
   options.enable_wal = false;
   auto engine = Unwrap(Engine::Open(options), "open engine");
 
-  // A collection is a base table with an XML column (Figure 2 of the
-  // paper): DocID index + internal XML table + NodeID index.
+  // A collection is an XML column's internal table (Figure 2 of the paper)
+  // and its NodeID index, which also lists the documents.
   Collection* notes = Unwrap(engine->CreateCollection("notes"),
                              "create collection");
 

@@ -396,6 +396,7 @@ Status BTree::SplitRoot(const SplitResult& split) {
 }
 
 Status BTree::Insert(Slice key, Slice value) {
+  writes_++;
   CountDescent();
   SplitResult split;
   XDB_RETURN_NOT_OK(InsertRec(root_, key, value, &split));
@@ -430,6 +431,7 @@ Result<PageHandle> BTree::FindLeaf(Slice key, Slice value, Fence* fence) {
 }
 
 Status BTree::ApplySorted(BatchOp op, std::span<const Entry> entries) {
+  writes_++;
   const uint32_t page_size = bm_->page_size();
   for (size_t i = 1; i < entries.size(); i++) {
     if (CompareComposite(entries[i - 1].key, entries[i - 1].value,
@@ -531,11 +533,6 @@ Status BTree::Iterator::Next() {
   slot_++;
   if (slot_ >= GetNumSlots(page_.data())) return AdvanceLeaf();
   return LoadSlot();
-}
-
-Result<bool> BTree::Contains(Slice key) {
-  XDB_ASSIGN_OR_RETURN(Iterator it, Seek(key));
-  return it.Valid() && it.key() == key;
 }
 
 Result<BtreeStats> BTree::ComputeStats() {

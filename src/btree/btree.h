@@ -1,8 +1,8 @@
 // BTree: a disk-resident B+tree over the buffer manager.
 //
 // This is the paper's reused-and-extended "index manager": the same B+tree
-// infrastructure serves relational-style DocID indexes and the new XML
-// indexes (NodeID index, XPath value indexes). Keys and values are opaque
+// infrastructure serves the XML indexes (NodeID, XPath value, structural);
+// with no base table there is no DocID index. Keys and values are opaque
 // byte strings ordered by memcmp; entries are fully sorted by the composite
 // (key, value), which gives the "zero, one or more index entries per record"
 // duplicate behaviour that XPath value indexes need (Section 3.3).
@@ -46,6 +46,10 @@ class BTree {
       BufferManager* bm, PageId root, obs::Counter* descents = nullptr);
 
   PageId root() const { return root_; }
+  /// Counts the calls that may change entries (Insert, Delete,
+  /// ApplySorted). Under its owner's latch, two equal reads mean no entry
+  /// changed in between.
+  uint64_t writes() const { return writes_; }
 
   /// Inserts the pair; duplicate (key, value) pairs are stored once
   /// (idempotent insert).
@@ -69,9 +73,6 @@ class BTree {
   /// goes through Insert, so leaves split as they would one at a time.
   /// Unsorted input is InvalidArgument.
   Status ApplySorted(BatchOp op, std::span<const Entry> entries);
-
-  /// True if at least one entry with exactly `key` exists.
-  Result<bool> Contains(Slice key);
 
   /// Walks the tree counting pages and entries (O(n); for reporting).
   Result<BtreeStats> ComputeStats();
@@ -131,6 +132,7 @@ class BTree {
 
   BufferManager* bm_;
   PageId root_;
+  uint64_t writes_ = 0;
   obs::Counter* descents_;
 };
 

@@ -1,6 +1,7 @@
 #include "cc/version_manager.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/coding.h"
 #include "pack/packed_record.h"
@@ -21,6 +22,11 @@ Status VersionManager::DecodeKey(Slice key, uint64_t* doc_id,
   *version = ~DecodeBig64(key.data() + 8);
   *node_id = Slice(key.data() + 16, key.size() - 16);
   return Status::OK();
+}
+
+Result<Rid> VersionManager::DecodeValue(Slice value) {
+  if (value.size() != 8) return Status::Corruption("bad versioned index value");
+  return Rid::Unpack(DecodeFixed64(value.data()));
 }
 
 void VersionManager::Publish(uint64_t version) {
@@ -65,10 +71,8 @@ Status VersionManager::ListFrom(uint64_t doc_id, uint64_t version,
     if (found_doc != doc_id || found_ver != version) break;
     const SpanStep step = NextSpanStep(span, node, &reached);
     if (step == SpanStep::kStop) break;
-    if (it.value().size() != 8)
-      return Status::Corruption("bad versioned index value");
-    out->emplace_back(node.ToString(),
-                      Rid::Unpack(DecodeFixed64(it.value().data())));
+    XDB_ASSIGN_OR_RETURN(Rid rid, DecodeValue(it.value()));
+    out->emplace_back(node.ToString(), rid);
     if (step == SpanStep::kLast) break;
     XDB_RETURN_NOT_OK(it.Next());
   }
@@ -115,27 +119,18 @@ Result<Rid> VersionManager::Lookup(uint64_t doc_id, uint64_t snapshot,
   XDB_RETURN_NOT_OK(DecodeKey(it.key(), &found_doc, &found_ver, &node));
   if (found_doc != doc_id || found_ver != ver)
     return Status::NotFound("node not in visible version");
-  if (it.value().size() != 8)
-    return Status::Corruption("bad versioned index value");
-  return Rid::Unpack(DecodeFixed64(it.value().data()));
+  return DecodeValue(it.value());
 }
 
 Status VersionManager::ListDocRecords(uint64_t doc_id, uint64_t snapshot,
                                       std::vector<Rid>* out) {
   out->clear();
   XDB_ASSIGN_OR_RETURN(uint64_t ver, EffectiveVersion(doc_id, snapshot));
-  std::string key;
-  EncodeKey(doc_id, ver, Slice(), &key);
-  XDB_ASSIGN_OR_RETURN(BTree::Iterator it, tree_->Seek(key));
-  while (it.Valid()) {
-    uint64_t found_doc, found_ver;
-    Slice node;
-    XDB_RETURN_NOT_OK(DecodeKey(it.key(), &found_doc, &found_ver, &node));
-    if (found_doc != doc_id || found_ver != ver) break;
-    Rid rid = Rid::Unpack(DecodeFixed64(it.value().data()));
+  NodeIdEntries entries;
+  XDB_RETURN_NOT_OK(ListFrom(doc_id, ver, Slice(), &entries));
+  for (const auto& [upper, rid] : entries) {
     if (std::find(out->begin(), out->end(), rid) == out->end())
       out->push_back(rid);
-    XDB_RETURN_NOT_OK(it.Next());
   }
   return Status::OK();
 }
@@ -143,10 +138,17 @@ Status VersionManager::ListDocRecords(uint64_t doc_id, uint64_t snapshot,
 Status VersionManager::PurgeVersionsBefore(uint64_t doc_id, uint64_t keep_from,
                                            std::vector<Rid>* freed_rids) {
   freed_rids->clear();
-  // Entries with version < keep_from sort AFTER (doc, ~keep_from) prefix.
+  // One walk over the document's versions, newest first, decodes every
+  // entry before any is deleted: those at keep_from and newer survive and
+  // keep their records live.
   std::string start;
-  EncodeKey(doc_id, keep_from - 1, Slice(), &start);
-  std::vector<std::pair<std::string, std::string>> doomed;
+  PutBig64(&start, doc_id);
+  std::set<uint64_t> live;
+  struct Doomed {
+    std::string key, value;
+    Rid rid;
+  };
+  std::vector<Doomed> doomed;
   {
     XDB_ASSIGN_OR_RETURN(BTree::Iterator it, tree_->Seek(start));
     while (it.Valid()) {
@@ -154,16 +156,18 @@ Status VersionManager::PurgeVersionsBefore(uint64_t doc_id, uint64_t keep_from,
       Slice node;
       XDB_RETURN_NOT_OK(DecodeKey(it.key(), &found_doc, &found_ver, &node));
       if (found_doc != doc_id) break;
-      doomed.emplace_back(it.key().ToString(), it.value().ToString());
+      XDB_ASSIGN_OR_RETURN(Rid rid, DecodeValue(it.value()));
+      if (found_ver >= keep_from)
+        live.insert(rid.Pack());
+      else
+        doomed.push_back({it.key().ToString(), it.value().ToString(), rid});
       XDB_RETURN_NOT_OK(it.Next());
     }
   }
-  for (auto& [key, value] : doomed) {
-    XDB_RETURN_NOT_OK(tree_->Delete(key, value));
-    Rid rid = Rid::Unpack(DecodeFixed64(value.data()));
-    if (std::find(freed_rids->begin(), freed_rids->end(), rid) ==
-        freed_rids->end())
-      freed_rids->push_back(rid);
+  for (const Doomed& d : doomed) {
+    XDB_RETURN_NOT_OK(tree_->Delete(d.key, d.value));
+    // Freed once, and only when no surviving version shares the record.
+    if (live.insert(d.rid.Pack()).second) freed_rids->push_back(d.rid);
   }
   return Status::OK();
 }

@@ -73,9 +73,11 @@ class VersionManager {
   Status ListDocRecords(uint64_t doc_id, uint64_t snapshot,
                         std::vector<Rid>* out);
 
-  /// Deletes index entries (and reports RIDs to free) for all versions of
-  /// `doc_id` older than `keep_from` (which stays). Version garbage
-  /// collection once no snapshot can see them.
+  /// Deletes the index entries of every version of `doc_id` older than
+  /// `keep_from` (which stays) and reports the records only they
+  /// referenced, which the caller frees: version garbage collection once no
+  /// snapshot can see them. Every entry of the document is decoded first,
+  /// so a damaged one fails the call before anything is deleted.
   Status PurgeVersionsBefore(uint64_t doc_id, uint64_t keep_from,
                              std::vector<Rid>* freed_rids);
 
@@ -86,6 +88,9 @@ class VersionManager {
                         std::string* out);
   static Status DecodeKey(Slice key, uint64_t* doc_id, uint64_t* version,
                           Slice* node_id);
+  /// An entry's value, its record's packed RID: Corruption at any other
+  /// width, before the caller acts on the entry.
+  static Result<Rid> DecodeValue(Slice value);
   /// One version's entries from a seek at (doc, version, span.first), by
   /// the NodeLocator::ListDocEntries rule.
   Status ListFrom(uint64_t doc_id, uint64_t version, const SubtreeSpan& span,

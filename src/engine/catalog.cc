@@ -17,9 +17,11 @@ constexpr uint32_t kCatalogMagicV3 = 0x58444245;  // "XDBE" (replica CSN)
 constexpr uint32_t kCatalogMagicV4 = 0x58444246;  // "XDBF" (structural ix)
 constexpr uint32_t kCatalogMagicV5 = 0x58444247;  // "XDBG" (node-ID keys)
 constexpr uint32_t kCatalogMagicV6 = 0x58444248;  // "XDBH" (CRCs, stats)
-// "XDBP" (postings without RIDs): 2+ bits from every magic above, so no
-// one-bit flip of it opens as an older catalog.
+// "XDBP" (postings without RIDs) and "XDBY" (no DocID tree root): each 2+
+// bits from every magic before it, so no one-bit flip of the current magic
+// opens as an older catalog.
 constexpr uint32_t kCatalogMagicV7 = 0x58444250;
+constexpr uint32_t kCatalogMagicV8 = 0x58444259;
 
 void PutString(std::string* out, const std::string& s) {
   PutLengthPrefixed(out, s);
@@ -68,7 +70,6 @@ void CatalogData::Serialize(std::string* out) const {
   for (const auto& [name, meta] : collections) {
     PutString(&body, name);
     PutString(&body, meta.space_file);
-    PutFixed32(&body, meta.docid_index_root);
     PutFixed32(&body, meta.nodeid_index_root);
     PutFixed32(&body, meta.versioned_index_root);
     PutFixed64(&body, meta.next_doc_id);
@@ -103,7 +104,7 @@ void CatalogData::Serialize(std::string* out) const {
     PutLengthPrefixed(&section, name);
     PutLengthPrefixed(&section, blob);
   }
-  PutFixed32(out, kCatalogMagicV7);
+  PutFixed32(out, kCatalogMagicV8);
   PutFixed32(out, Crc32(body.data(), body.size()));
   PutFixed32(out, static_cast<uint32_t>(body.size()));
   out->append(body);
@@ -116,12 +117,14 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
   if (data.size() < 4) return Status::Corruption("bad catalog magic");
   const uint32_t magic = DecodeFixed32(data.data());
   data.RemovePrefix(4);
-  // V1-V6 catalogs still load. V1-V5 carry no statistics, so every
+  // V1-V7 catalogs still load. V1-V5 carry no statistics, so every
   // collection re-derives its own at open; their stats_epoch (V2-V5) is
-  // read past. A V1-V6 value index holds (DocID, NodeID, RID) postings: its
-  // root is dropped (its pages stay unreferenced, as after a drop), the
-  // index opens empty, and the statistics are re-derived, which refills it.
-  const bool v7 = magic == kCatalogMagicV7;
+  // read past. A V1-V7 DocID tree root is kept for the one reconcile at
+  // open, after which its pages stay unreferenced. A V1-V6 value index holds (DocID, NodeID, RID) postings: its root is
+  // dropped (its pages stay unreferenced, as after a drop), the index opens
+  // empty, and the statistics are re-derived, which refills it.
+  const bool v8 = magic == kCatalogMagicV8;
+  const bool v7 = v8 || magic == kCatalogMagicV7;
   const bool v6 = v7 || magic == kCatalogMagicV6;
   const bool v5 = v6 || magic == kCatalogMagicV5;
   const bool v4 = v5 || magic == kCatalogMagicV4;
@@ -159,16 +162,18 @@ Result<CatalogData> CatalogData::Deserialize(Slice data) {
     CollectionMeta meta;
     if (!GetString(&data, &name) || !GetString(&data, &meta.space_file))
       return Status::Corruption("bad collection meta");
+    const size_t docid_root_bytes = v8 ? 0 : 4;
     const size_t epoch_bytes = v2 && !v6 ? 8 : 0;
-    const size_t fixed = 4 * 3 + 8 * 2 + epoch_bytes + 1;
+    const size_t fixed = docid_root_bytes + 4 * 2 + 8 * 2 + epoch_bytes + 1;
     if (data.size() < fixed)
       return Status::Corruption("truncated collection meta");
     meta.name = name;
-    meta.docid_index_root = DecodeFixed32(data.data());
-    meta.nodeid_index_root = DecodeFixed32(data.data() + 4);
-    meta.versioned_index_root = DecodeFixed32(data.data() + 8);
-    meta.next_doc_id = DecodeFixed64(data.data() + 12);
-    meta.last_version = DecodeFixed64(data.data() + 20);
+    if (!v8) meta.legacy_docid_root = DecodeFixed32(data.data());
+    const char* p = data.data() + docid_root_bytes;
+    meta.nodeid_index_root = DecodeFixed32(p);
+    meta.versioned_index_root = DecodeFixed32(p + 4);
+    meta.next_doc_id = DecodeFixed64(p + 8);
+    meta.last_version = DecodeFixed64(p + 16);
     meta.mvcc_enabled = data[fixed - 1] != 0;
     data.RemovePrefix(fixed);
     if (!GetString(&data, &meta.schema_name))

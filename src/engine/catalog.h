@@ -30,9 +30,11 @@ struct StructuralIndexMeta {
 struct CollectionMeta {
   std::string name;
   std::string space_file;  // file name within the engine directory
-  PageId docid_index_root = kInvalidPageId;
   PageId nodeid_index_root = kInvalidPageId;
   PageId versioned_index_root = kInvalidPageId;  // MVCC collections only
+  /// A V1-V7 catalog's DocID tree, which open reconciles the NodeID index
+  /// with once (Collection::ReconcileLegacyDocList); never written.
+  PageId legacy_docid_root = kInvalidPageId;
   std::vector<ValueIndexMeta> value_indexes;
   std::vector<StructuralIndexMeta> structural_indexes;
   uint64_t next_doc_id = 1;
@@ -66,7 +68,7 @@ struct CatalogData {
   std::map<std::string, std::string> stats;
   Status stats_status;
 
-  /// V7 layout (V6's, whose value indexes hold RID-free postings): magic,
+  /// V8 layout (V7's, without a DocID tree root per collection): magic,
   /// CRC-32 of the body, body length, the body, then the statistics section
   /// (its own CRC-32, then length-prefixed name/blob pairs). A body that
   /// fails its CRC is Corruption; a damaged statistics section only empties

@@ -4,10 +4,10 @@
 #include <chrono>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 
-#include "common/coding.h"
 #include "engine/engine.h"
 #include "obs/slow_query_log.h"
 #include "obs/wait_state.h"
@@ -58,12 +58,6 @@ class AutoTxn {
   bool owned_ = false;
 };
 
-std::string DocKey(uint64_t doc_id) {
-  std::string key;
-  PutBig64(&key, doc_id);
-  return key;
-}
-
 /// The evaluation stage's one fan-out: runs eval(begin, end, out) over
 /// contiguous ranges that cover the (doc, node)-sorted candidate list and
 /// never split a document (query::PartitionByDocument), appending to
@@ -79,12 +73,13 @@ Status FanOut(util::ThreadPool* pool, size_t parallelism,
               const std::function<Status(size_t, size_t, QueryResult*)>& eval) {
   std::vector<query::WorkRange> ranges =
       query::PartitionByDocument(anchors, parallelism);
-  // Unconditional: two plain stores, and the always-on
-  // query.parallel_executions counter reads chunks afterwards.
-  result->profile.parallelism =
-      ranges.empty() ? 1 : static_cast<int>(parallelism);
-  result->profile.chunks = ranges.empty() ? 1 : ranges.size();
   if (ranges.empty()) return eval(0, anchors.size(), result);
+  // A full scan fans out once per batch, so the profile counts the pool
+  // tasks of every call (1, its default, for a serial query); the always-on
+  // query.parallel_executions counter reads chunks afterwards.
+  result->profile.parallelism = static_cast<int>(parallelism);
+  result->profile.chunks =
+      (result->profile.chunks > 1 ? result->profile.chunks : 0) + ranges.size();
   std::vector<QueryResult> chunks(ranges.size());
   std::vector<Status> chunk_status(ranges.size());
   // Pool threads have no wait scope of their own; re-install this query's
@@ -102,6 +97,10 @@ Status FanOut(util::ThreadPool* pool, size_t parallelism,
   }
   return Status::OK();
 }
+
+/// A full scan's batch: it lists the documents whose NodeID entries come to
+/// this many, and holds their entries while it evaluates them.
+constexpr size_t kScanBatchEntries = 4096;
 
 /// A document-level candidate: the anchor at `doc_id`'s document node.
 Posting DocAnchor(uint64_t doc_id) {
@@ -165,10 +164,11 @@ Result<uint64_t> Collection::InsertTokens(Transaction* txn, Slice tokens) {
   Status st = [&]() -> Status {
     XDB_RETURN_NOT_OK(WriteLockDoc(at.get(), doc_id));
     XDB_RETURN_NOT_OK(engine_->LogInsert(meta_.name, doc_id, tokens));
-    XDB_ASSIGN_OR_RETURN(uint64_t got,
-                         InsertTokensLocked(at.get(), tokens, doc_id));
-    (void)got;
-    return Status::OK();
+    Status inserted = InsertTokensLocked(at.get(), tokens, doc_id).status();
+    // The failed insert is undone (or its collection quarantined); a logged
+    // delete keeps a later replay from redoing it.
+    if (!inserted.ok()) (void)engine_->LogDelete(meta_.name, doc_id);
+    return inserted;
   }();
   XDB_RETURN_NOT_OK(at.Finish(st));
   return doc_id;
@@ -185,8 +185,10 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   RecordBuilderOptions rb_options;
   rb_options.record_budget = record_budget_;
   RecordBuilder builder(rb_options);
+  std::vector<Rid> stored;
   Status st = builder.Build(tokens, [&](PackedRecordOut&& rec) -> Status {
     XDB_ASSIGN_OR_RETURN(Rid rid, records_->Insert(rec.bytes));
+    stored.push_back(rid);
     XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, rec.bytes, rid));
     if (meta_.mvcc_enabled) {
       XDB_RETURN_NOT_OK(
@@ -194,14 +196,31 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
     }
     return Status::OK();
   });
-  XDB_RETURN_NOT_OK(st);
-  XDB_RETURN_NOT_OK(docid_tree_->Insert(DocKey(doc_id), Slice()));
   // Index maintenance stays under the exclusive latch: dropping it here
   // would let concurrent queries scan an index while this document's
   // entries are half-written. It reads the document's own tokens, so it
   // reads no record back.
-  XDB_RETURN_NOT_OK(
-      IndexDocument(doc_id, {}, /*remove=*/false, nullptr, tokens));
+  const bool built = st.ok();
+  if (built) st = IndexDocument(doc_id, {}, /*remove=*/false, nullptr, tokens);
+  if (!st.ok()) {
+    // A failed build drops the records, versions and NodeID entries it
+    // stored, so the document is never listed; its own failure is the one
+    // reported. Postings cannot be undone with certainty: a B+tree write
+    // that fails after a split leaves the upper half linked from its left
+    // sibling but not from the parent, where a walk finds its entries and
+    // a seek does not. So a failure in index maintenance, or in the undo,
+    // quarantines the collection until Scrub rebuilds it.
+    NodeIdEntries entries;
+    Status undo =
+        built ? st : node_index_->ListDocEntries(doc_id, Slice(), &entries);
+    if (undo.ok()) undo = DeleteDocumentLocked(doc_id, entries, stored);
+    if (!undo.ok() && !needs_repair_) {
+      repair_reason_ = "failed insert of document " + std::to_string(doc_id) +
+                       " not undone: " + undo.ToString();
+      needs_repair_ = true;
+    }
+    return st;
+  }
   // Statistics last, so a failed insert never counts. Runs for every insert
   // path — client writes, WAL replay, scrub salvage — which is what keeps
   // the incremental counters in step with the data.
@@ -318,7 +337,7 @@ Status Collection::IndexDocument(uint64_t doc_id, const EditRegion& region,
 }
 
 Status Collection::Backfill(IndexScope scope) {
-  XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
+  XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, node_index_->ListDocIds());
   for (uint64_t doc_id : docs) {
     XDB_RETURN_NOT_OK(
         IndexDocument(doc_id, {}, /*remove=*/false, nullptr, {}, scope));
@@ -336,15 +355,10 @@ Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
   Status st = [&]() -> Status {
     XDB_RETURN_NOT_OK(WriteLockDoc(at.get(), doc_id));
-    {
-      // The X doc lock pins existence; the latch only protects the B-tree
-      // probe itself. WAL append happens outside the latch (replay holds
-      // the WAL lock while taking collection latches, so the reverse
-      // nesting would be an inversion).
-      ReaderMutexLock latch(latch_);
-      XDB_ASSIGN_OR_RETURN(bool exists, docid_tree_->Contains(DocKey(doc_id)));
-      if (!exists) return Status::NotFound("no such document");
-    }
+    // The X doc lock pins existence. WAL append happens outside the latch
+    // (replay holds the WAL lock while taking collection latches, so the
+    // reverse nesting would be an inversion).
+    XDB_RETURN_NOT_OK(CheckExists(doc_id));
     XDB_RETURN_NOT_OK(engine_->LogDelete(meta_.name, doc_id));
     // Index-entry removal and record deletion happen under one exclusive
     // latch section so queries never observe postings pointing at freed
@@ -355,14 +369,42 @@ Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
     XDB_RETURN_NOT_OK(node_index_->ListDocEntries(doc_id, Slice(), &entries));
     DocEntriesLocator locator(doc_id, &entries);
     XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/true, &locator));
-    return DeleteDocumentLocked(doc_id, entries);
+    XDB_RETURN_NOT_OK(DeleteDocumentLocked(doc_id, entries));
+    stats_.NoteDocumentDeleted();
+    return Status::OK();
   }();
   return at.Finish(st);
 }
 
+Status Collection::CheckExists(uint64_t doc_id) {
+  ReaderMutexLock latch(latch_);
+  return node_index_->Lookup(doc_id, Slice()).status();
+}
+
+Result<bool> Collection::ReconcileLegacyDocList() {
+  if (meta_.legacy_docid_root == kInvalidPageId) return true;
+  WriterMutexLock latch(latch_);
+  XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
+                       BTree::Open(buffer_.get(), meta_.legacy_docid_root));
+  meta_.legacy_docid_root = kInvalidPageId;
+  // Its 8-byte DocID keys read as the NodeID keys of document nodes.
+  XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> listed,
+                       NodeIdIndex(tree.get()).ListDocIds());
+  XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, node_index_->ListDocIds());
+  for (uint64_t doc_id : docs) {
+    if (std::binary_search(listed.begin(), listed.end(), doc_id)) continue;
+    NodeIdEntries entries;
+    XDB_RETURN_NOT_OK(node_index_->ListDocEntries(doc_id, Slice(), &entries));
+    XDB_RETURN_NOT_OK(DeleteDocumentLocked(doc_id, entries));
+  }
+  return docs == listed;
+}
+
 Status Collection::DeleteDocumentLocked(uint64_t doc_id,
-                                        const NodeIdEntries& entries) {
+                                        const NodeIdEntries& entries,
+                                        const std::vector<Rid>& records) {
   std::set<uint64_t> rids;
+  for (Rid rid : records) rids.insert(rid.Pack());
   for (const auto& [upper, rid] : entries) rids.insert(rid.Pack());
   if (meta_.mvcc_enabled) {
     std::vector<Rid> freed;
@@ -374,8 +416,6 @@ Status Collection::DeleteDocumentLocked(uint64_t doc_id,
   for (uint64_t packed : rids) {
     XDB_RETURN_NOT_OK(records_->Delete(Rid::Unpack(packed)));
   }
-  XDB_RETURN_NOT_OK(docid_tree_->Delete(DocKey(doc_id), Slice()));
-  stats_.NoteDocumentDeleted();
   return Status::OK();
 }
 
@@ -822,17 +862,7 @@ StructuralIndex* Collection::FindStructuralIndex(const std::string& name) {
 Result<std::vector<uint64_t>> Collection::ListDocIds() {
   XDB_RETURN_NOT_OK(GuardRepair());
   ReaderMutexLock latch(latch_);
-  return ListDocIdsUnlocked();
-}
-
-Result<std::vector<uint64_t>> Collection::ListDocIdsUnlocked() {
-  std::vector<uint64_t> out;
-  XDB_ASSIGN_OR_RETURN(BTree::Iterator it, docid_tree_->SeekToFirst());
-  while (it.Valid()) {
-    if (it.key().size() == 8) out.push_back(DecodeBig64(it.key().data()));
-    XDB_RETURN_NOT_OK(it.Next());
-  }
-  return out;
+  return node_index_->ListDocIds();
 }
 
 Result<uint64_t> Collection::DocCount() {
@@ -848,26 +878,11 @@ Status Collection::VacuumVersions(uint64_t doc_id,
   auto keep = versions_->EffectiveVersion(doc_id, oldest_live_snapshot);
   if (keep.status().IsNotFound()) return Status::OK();  // nothing visible
   XDB_RETURN_NOT_OK(keep.status());
+  // The records no surviving version references.
   std::vector<Rid> freed;
   XDB_RETURN_NOT_OK(
       versions_->PurgeVersionsBefore(doc_id, keep.value(), &freed));
-  // Free records no surviving version references.
-  std::set<uint64_t> live;
-  // Collect every rid still referenced by any remaining version.
-  {
-    BTree* tree = versions_->tree();
-    std::string start;
-    PutBig64(&start, doc_id);
-    XDB_ASSIGN_OR_RETURN(BTree::Iterator it, tree->Seek(start));
-    while (it.Valid()) {
-      if (it.key().size() < 8 || DecodeBig64(it.key().data()) != doc_id) break;
-      live.insert(DecodeFixed64(it.value().data()));
-      XDB_RETURN_NOT_OK(it.Next());
-    }
-  }
   for (Rid rid : freed) {
-    if (live.count(rid.Pack()) != 0) continue;
-    // The unversioned index may still reference it (newest version).
     Status st = records_->Delete(rid);
     if (!st.ok() && !st.IsNotFound()) return st;
   }
@@ -1094,44 +1109,83 @@ Result<QueryResult> Collection::ExecuteCompiled(
 
     // Stage 1: "use indexes to quickly identify a small subset of
     // candidates" — one (doc, anchor) list, documents anchored at their
-    // document node.
+    // document node. A full scan's candidates are every document, which it
+    // lists in stage 2.
     std::vector<Posting> anchors;
-    XDB_RETURN_NOT_OK(FindCandidates(cp, &anchors, &result, plan_stale));
+    const bool full_scan = plan.method == query::AccessMethod::kFullScan;
     const bool node_level = query::IsNodeLevel(plan.method);
-    (node_level ? result.stats.candidate_anchors
-                : result.stats.candidate_docs) = anchors.size();
+    if (!full_scan) {
+      XDB_RETURN_NOT_OK(FindCandidates(cp, &anchors, &result, plan_stale));
+      (node_level ? result.stats.candidate_anchors
+                  : result.stats.candidate_docs) = anchors.size();
+    }
 
     // Stage 2: "then perform further processing on them" — the plan's tree
     // over each candidate's subtree.
     {
       obs::PhaseTimer timer(&prof, node_level ? "recheck" : "eval");
-      // Doc locks first, all on this thread: they can block, and the
-      // transaction's lock table is not safe for concurrent mutation. Locks
-      // are held until commit either way, so taking them before any
-      // evaluation is equivalent to taking each as its document is reached.
-      if (view.lock_docs) {
-        for (uint64_t doc_id : query::DistinctDocIds(anchors))
-          XDB_RETURN_NOT_OK(engine_->locks()->LockDocument(
-              at.get()->id, lock_space_, doc_id, LockMode::kS));
-      }
       NodeLocator* locator = view.locator();
-      XDB_RETURN_NOT_OK(FanOut(
-          engine_->query_pool(),
-          static_cast<size_t>(EffectiveParallelism(options)), anchors,
-          &result, [&](size_t begin, size_t end, QueryResult* out) {
-            // One document run at a time.
-            while (begin < end) {
-              size_t run_end = begin + 1;
-              while (run_end < end &&
-                     anchors[run_end].doc_id == anchors[begin].doc_id)
-                run_end++;
-              XDB_RETURN_NOT_OK(EvalRun(anchors.data() + begin,
-                                        anchors.data() + run_end, cp, locator,
-                                        out));
-              begin = run_end;
-            }
-            return Status::OK();
-          }));
+      // A full scan lists, locks and evaluates the documents a batch at a
+      // time from DocID `next` (0 once the listing reaches the end). Its
+      // one walk over the NodeID leaves keeps each document's entries, and
+      // evaluation reads them instead of seeking, so each leaf is read
+      // once; a snapshot's entries are in the version index instead.
+      uint64_t next = 0;
+      do {
+        std::vector<NodeIdEntries> listed;  // one per anchor
+        uint64_t writes = 0;
+        if (full_scan) {
+          ReaderMutexLock latch(latch_);
+          writes = nodeid_tree_->writes();
+          std::vector<uint64_t> docs;
+          XDB_RETURN_NOT_OK(node_index_->ListDocs(
+              next, kScanBatchEntries, &docs,
+              view.snapshot.has_value() ? nullptr : &listed, &next));
+          anchors.clear();
+          for (uint64_t doc_id : docs) anchors.push_back(DocAnchor(doc_id));
+          result.stats.candidate_docs += anchors.size();
+        }
+        // Doc locks first, all on this thread: they can block, and the
+        // transaction's lock table is not safe for concurrent mutation.
+        // Locks are held until commit either way, so taking them before any
+        // evaluation is equivalent to taking each as its document is
+        // reached.
+        if (view.lock_docs) {
+          for (uint64_t doc_id : query::DistinctDocIds(anchors))
+            XDB_RETURN_NOT_OK(engine_->locks()->LockDocument(
+                at.get()->id, lock_space_, doc_id, LockMode::kS));
+        }
+        // A NodeID write between the listing and the locks may have changed
+        // a listed document's entries; under the locks they hold still.
+        if (!listed.empty()) {
+          ReaderMutexLock latch(latch_);
+          if (nodeid_tree_->writes() != writes) {
+            for (size_t i = 0; i < anchors.size(); i++)
+              XDB_RETURN_NOT_OK(node_index_->ListDocEntries(
+                  anchors[i].doc_id, Slice(), &listed[i]));
+          }
+        }
+        XDB_RETURN_NOT_OK(FanOut(
+            engine_->query_pool(),
+            static_cast<size_t>(EffectiveParallelism(options)), anchors,
+            &result, [&](size_t begin, size_t end, QueryResult* out) {
+              // One document run at a time.
+              while (begin < end) {
+                size_t run_end = begin + 1;
+                while (run_end < end &&
+                       anchors[run_end].doc_id == anchors[begin].doc_id)
+                  run_end++;
+                DocEntriesLocator entries(
+                    anchors[begin].doc_id,
+                    listed.empty() ? nullptr : &listed[begin]);
+                XDB_RETURN_NOT_OK(EvalRun(
+                    anchors.data() + begin, anchors.data() + run_end, cp,
+                    listed.empty() ? locator : &entries, out));
+                begin = run_end;
+              }
+              return Status::OK();
+            }));
+      } while (next != 0);
     }
     NormalizeSequence(&result.nodes);
     return Status::OK();
@@ -1197,13 +1251,6 @@ Status Collection::FindCandidates(const query::CompiledPlan& cp,
                                   QueryResult* result, bool* plan_stale) {
   const query::QueryPlan& plan = cp.plan;
   obs::QueryProfile& prof = result->profile;
-  if (plan.method == query::AccessMethod::kFullScan) {
-    XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIds());
-    anchors->reserve(docs.size());
-    for (uint64_t doc_id : docs) anchors->push_back(DocAnchor(doc_id));
-    return Status::OK();
-  }
-
   // Probe the indexes under the shared latch (no doc locks held yet, so
   // this cannot invert the doc-lock-before-latch order).
   std::vector<std::vector<Posting>> postings_per_probe;
@@ -1436,7 +1483,6 @@ Status Collection::BuildStorage(bool create) {
     if (tree.ok()) *root = tree.value()->root();
     return tree;
   };
-  XDB_ASSIGN_OR_RETURN(docid_tree_, open_tree(&meta_.docid_index_root));
   XDB_ASSIGN_OR_RETURN(nodeid_tree_, open_tree(&meta_.nodeid_index_root));
   node_index_ = std::make_unique<NodeIdIndex>(nodeid_tree_.get());
   if (meta_.mvcc_enabled) {
@@ -1468,7 +1514,7 @@ Status Collection::DeriveStats() {
   WriterMutexLock latch(latch_);
   stats_.ResetEmpty();
   XDB_RETURN_NOT_OK(Backfill({}));
-  XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
+  XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, node_index_->ListDocIds());
   for (uint64_t doc_id : docs) {
     StoredDocSource source(records_.get(), node_index_.get(), doc_id);
     uint64_t nodes = 0;
@@ -1492,7 +1538,6 @@ Status Collection::RebuildStorage() {
   structural_indexes_.clear();
   node_index_.reset();
   versions_.reset();
-  docid_tree_.reset();
   nodeid_tree_.reset();
   versioned_tree_.reset();
   records_.reset();
@@ -1577,29 +1622,35 @@ Status Collection::ScrubAndRepair(CollectionScrubReport* report,
   if (!any_damage) return Status::OK();
 
   // Salvage every document that still reads back intact, as a serialized
-  // token stream (independent of the storage about to be rebuilt).
+  // token stream (independent of the storage about to be rebuilt). Each
+  // allocated DocID is probed, as a walk over the NodeID leaves would stop
+  // at a damaged one; a failed probe counts the ID lost, even one deleted
+  // before the damage. The IDs lost the same way share one note.
   std::vector<std::pair<uint64_t, std::string>> salvage;
   if (!structural) {
-    auto ids = [&]() {
-      ReaderMutexLock latch(latch_);
-      return ListDocIdsUnlocked();
-    }();
-    if (ids.ok()) {
-      for (uint64_t doc : ids.value()) {
-        auto tok = ReadDocTokensForScrub(doc);
-        if (tok.ok()) {
-          salvage.emplace_back(doc, tok.MoveValue());
-        } else {
-          lost_ids->insert(doc);
-          report->notes.push_back("doc " + std::to_string(doc) +
-                                  " unreadable: " + tok.status().ToString());
-        }
+    uint64_t next_doc_id;
+    {
+      MutexLock lock(docid_mu_);
+      next_doc_id = meta_.next_doc_id;
+    }
+    std::map<std::string, std::vector<uint64_t>> lost;  // by failure
+    for (uint64_t doc = 1; doc < next_doc_id; doc++) {
+      Status exists = CheckExists(doc);
+      if (exists.IsNotFound()) continue;  // deleted, or never stored
+      Result<std::string> tok =
+          exists.ok() ? ReadDocTokensForScrub(doc) : exists;
+      if (tok.ok()) {
+        salvage.emplace_back(doc, tok.MoveValue());
+      } else {
+        lost_ids->insert(doc);
+        lost[tok.status().ToString()].push_back(doc);
       }
-    } else {
-      // DocID index itself is damaged — nothing enumerable; the WAL replay
-      // after the rebuild is the only recovery path.
-      report->notes.push_back("docid index unreadable: " +
-                              ids.status().ToString());
+    }
+    for (const auto& [why, docs] : lost) {
+      report->notes.push_back(std::to_string(docs.size()) + " doc(s) " +
+                              std::to_string(docs.front()) + ".." +
+                              std::to_string(docs.back()) +
+                              " unreadable: " + why);
     }
   } else {
     report->notes.push_back("structural corruption (" + repair_reason_ +

@@ -1,7 +1,8 @@
-// Collection: a base table with an XML column, backed by the paper's
-// Figure 2 layout — base-table DocID index, internal XML table of packed
-// records, NodeID index, and any number of XPath value indexes, all sharing
-// one table space.
+// Collection: the paper's Figure 2 layout without its base table — an
+// internal XML table of packed records, the NodeID index (which also lists
+// the documents: a document exists exactly when it has NodeID entries), and
+// any number of XPath value and structural indexes, all sharing one table
+// space.
 #ifndef XDB_ENGINE_COLLECTION_H_
 #define XDB_ENGINE_COLLECTION_H_
 
@@ -269,9 +270,19 @@ class Collection {
   Result<uint64_t> InsertTokensLocked(Transaction* txn, Slice tokens,
                                       uint64_t forced_doc_id)
       XDB_EXCLUDES(latch_);
-  /// Frees the document's records and drops its DocID entry and its NodeID
-  /// `entries`, listed once by the caller.
-  Status DeleteDocumentLocked(uint64_t doc_id, const NodeIdEntries& entries)
+  /// OK when the document is stored, NotFound when not: a document exists
+  /// exactly when it has NodeID entries.
+  Status CheckExists(uint64_t doc_id) XDB_EXCLUDES(latch_);
+  /// Once, at the open of a V1-V7 catalog: its DocID tree listed the
+  /// documents, and a failed insert never reached it while its NodeID
+  /// entries and records stayed. Drops every document the tree does not
+  /// list. False when the two lists differed, so the statistics cannot be
+  /// trusted; true when they agreed or there is no tree.
+  Result<bool> ReconcileLegacyDocList() XDB_EXCLUDES(latch_);
+  /// Drops the document's NodeID `entries`, listed once by the caller, and
+  /// its versions, and frees their records and `records`. Counts nothing.
+  Status DeleteDocumentLocked(uint64_t doc_id, const NodeIdEntries& entries,
+                              const std::vector<Rid>& records = {})
       XDB_REQUIRES(latch_);
 
   /// The one index-maintenance path, for every write: removes `region`'s
@@ -313,8 +324,9 @@ class Collection {
   Result<std::shared_ptr<const query::CompiledPlan>> CompileForExecution(
       xpath::Path&& path, const QueryOptions& options) XDB_EXCLUDES(latch_);
 
-  /// Runs a compiled plan in the paper's two stages: FindCandidates, then
-  /// one EvalRun per document run, fanned out by document. `cache_state`
+  /// Runs a compiled plan in the paper's two stages: FindCandidates (a
+  /// full scan's one listing per batch of documents instead), then one
+  /// EvalRun per document run, fanned out by document. `cache_state`
   /// ("hit"/"miss"/"off") is surfaced in EXPLAIN; `plan_wall_us` is the
   /// planning time to attribute (0 on a cache hit). When the plan's
   /// index-structure version no longer matches (an index was dropped or the
@@ -329,9 +341,10 @@ class Collection {
                                       uint64_t plan_wall_us, bool* plan_stale)
       XDB_EXCLUDES(latch_);
 
-  /// Candidate stage: fills `anchors`, sorted by (doc, node), counting index
-  /// postings read. Full scan, DocID list and DocID AND/OR anchor each
-  /// candidate document at its document node (node ID ""); NodeID list,
+  /// Candidate stage of the index methods: fills `anchors`, sorted by (doc,
+  /// node), counting index postings read. DocID list and DocID AND/OR
+  /// anchor each candidate document at its document node (node ID ""), as
+  /// a full scan does every document it lists; NodeID list,
   /// NodeID AND/OR and structural scan anchor below it (see
   /// query::IsNodeLevel). Probes run under the shared latch behind the
   /// index-version gate (*plan_stale on mismatch); no doc lock is taken
@@ -347,7 +360,8 @@ class Collection {
   /// Evaluates `cp`'s tree over one document run [begin, end) of the
   /// sorted candidate list (every anchor of one document), appending
   /// matches and work counters to `result`: takes latch_ shared once, lists
-  /// the run's NodeID entries once (one seek over the anchors' span), and
+  /// the run's NodeID entries once (through `locator`: one seek over the
+  /// anchors' span, or a full scan's listed entries), and
   /// reuses one StoredDocSource and one QuickXScan across its anchors. The
   /// doc lock must already be held.
   Status EvalRun(const Posting* begin, const Posting* end,
@@ -392,14 +406,14 @@ class Collection {
   /// checks), and if any damage is found salvages what is readable, rebuilds
   /// the storage from scratch, and re-inserts the salvaged documents.
   /// Fills `salvaged_ids` (re-inserted, WAL replay must skip them) and
-  /// `lost_ids` (present before, unreadable — WAL replay may still restore
-  /// them). A clean sweep leaves the collection untouched.
+  /// `lost_ids` (present before or unprobeable, unreadable — WAL replay may
+  /// still restore them). A clean sweep leaves the collection untouched.
   Status ScrubAndRepair(CollectionScrubReport* report,
                         std::set<uint64_t>* salvaged_ids,
                         std::set<uint64_t>* lost_ids) XDB_EXCLUDES(latch_);
 
   /// Builds every storage component over space_: the buffer pool, the
-  /// record manager, the DocID, NodeID and (MVCC) version trees, and each
+  /// record manager, the NodeID and (MVCC) version trees, and each
   /// value and structural index in meta_ with its stats listener. `create`
   /// makes them new and empty; otherwise they open at meta_'s roots after
   /// RecordManager::Recover (an index without a root, such as a structural
@@ -422,9 +436,6 @@ class Collection {
   /// top-down so nothing flushes into the reset space.
   Status RebuildStorage() XDB_EXCLUDES(latch_);
 
-  /// ListDocIds without the repair guard; callers hold latch_ (any mode).
-  Result<std::vector<uint64_t>> ListDocIdsUnlocked()
-      XDB_REQUIRES_SHARED(latch_);
   /// Reads one document back as a serialized token stream (the salvage
   /// representation; survives the storage rebuild).
   Result<std::string> ReadDocTokensForScrub(uint64_t doc_id)
@@ -438,7 +449,6 @@ class Collection {
   std::unique_ptr<TableSpace> space_;
   std::unique_ptr<BufferManager> buffer_;
   std::unique_ptr<RecordManager> records_;
-  std::unique_ptr<BTree> docid_tree_;
   std::unique_ptr<BTree> nodeid_tree_;
   std::unique_ptr<BTree> versioned_tree_;
   std::unique_ptr<NodeIdIndex> node_index_;
@@ -505,8 +515,10 @@ class Collection {
 
   // Quarantine + repair state. A collection whose table space or recovery
   // pass failed structurally still opens as a shell (so Engine::Open
-  // succeeds and Scrub() can repair it) but refuses data operations.
-  bool needs_repair_ = false;
+  // succeeds and Scrub() can repair it) but refuses data operations; so
+  // does one whose failed insert could not be undone. The reason is
+  // written once, before the flag is set.
+  std::atomic<bool> needs_repair_{false};
   std::string repair_reason_;
   std::string space_path_;     // for recreating a space whose header is gone
   size_t buffer_pages_ = 512;  // for rebuilding the buffer pool

@@ -242,8 +242,12 @@ Status Engine::RestoreStats(Collection* coll) {
   // top of these counts that the replayed operations ran originally.
   const std::string& name = coll->name();
   Status cause = catalog_.stats_status;
+  XDB_ASSIGN_OR_RETURN(bool agreed, coll->ReconcileLegacyDocList());
   auto blob = catalog_.stats.find(name);
-  if (blob != catalog_.stats.end()) {
+  if (!agreed) {
+    cause = Status::NotFound(
+        "the DocID tree listed other documents than the NodeID index");
+  } else if (blob != catalog_.stats.end()) {
     cause = coll->stats()->Restore(Slice(blob->second));
     if (cause.ok()) return Status::OK();
   } else if (cause.ok()) {
@@ -755,13 +759,9 @@ Status Engine::ApplyWalRecordLocked(uint64_t lsn, WalRecordType type,
     Status op_status = [&]() -> Status {
     switch (type) {
       case WalRecordType::kInsertDocument: {
-        auto exists = coll->docid_tree_->Contains(
-            [&] {
-              std::string k;
-              PutBig64(&k, doc_id);
-              return k;
-            }());
-        if (exists.ok() && exists.value()) return Status::OK();  // redone
+        Status exists = coll->CheckExists(doc_id);
+        if (exists.ok()) return Status::OK();  // redone
+        if (!exists.IsNotFound()) return exists;
         Transaction txn = Begin(IsolationMode::kLocking);
         auto res = coll->InsertTokensLocked(&txn, payload, doc_id);
         Status st = res.ok() ? Status::OK() : res.status();

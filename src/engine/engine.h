@@ -242,7 +242,9 @@ class Engine {
       const CollectionOptions& options) XDB_REQUIRES(mu_);
   /// Restores `coll`'s statistics from the catalog's blob. A collection
   /// without a usable blob re-derives them from its stored data
-  /// (Collection::DeriveStats) and logs the cause as a kStatsDerived event.
+  /// (Collection::DeriveStats) and logs the cause as a kStatsDerived event,
+  /// as does one whose V1-V7 DocID tree listed other documents than its
+  /// NodeID index (Collection::ReconcileLegacyDocList).
   Status RestoreStats(Collection* coll) XDB_REQUIRES(mu_);
   /// Replays the WAL. When `filter` is set, only records for which
   /// filter(collection, doc_id) returns true are applied (Scrub uses this to

@@ -141,4 +141,44 @@ Status NodeIdIndex::RemoveDocEntries(uint64_t doc_id,
   return Apply(BTree::BatchOp::kDelete, doc_id, entries);
 }
 
+Status NodeIdIndex::ListDocs(uint64_t from, size_t max_entries,
+                             std::vector<uint64_t>* docs,
+                             std::vector<NodeIdEntries>* entries,
+                             uint64_t* next) {
+  docs->clear();
+  if (entries != nullptr) entries->clear();
+  *next = 0;
+  std::string key;
+  EncodeNodeIdKey(from, Slice(), &key);
+  XDB_ASSIGN_OR_RETURN(BTree::Iterator it, tree_->Seek(key));
+  for (size_t listed = 0; it.Valid(); listed++) {
+    uint64_t doc_id;
+    Slice node_id;
+    XDB_RETURN_NOT_OK(DecodeNodeIdKey(it.key(), &doc_id, &node_id));
+    if (docs->empty() || docs->back() != doc_id) {
+      if (listed >= max_entries) {
+        *next = doc_id;
+        break;
+      }
+      docs->push_back(doc_id);
+      if (entries != nullptr) entries->emplace_back();
+    }
+    if (entries != nullptr) {
+      if (it.value().size() != 8)
+        return Status::Corruption("bad node index value");
+      entries->back().emplace_back(
+          node_id.ToString(), Rid::Unpack(DecodeFixed64(it.value().data())));
+    }
+    XDB_RETURN_NOT_OK(it.Next());
+  }
+  return Status::OK();
+}
+
+Result<std::vector<uint64_t>> NodeIdIndex::ListDocIds() {
+  std::vector<uint64_t> docs;
+  uint64_t next;
+  XDB_RETURN_NOT_OK(ListDocs(0, SIZE_MAX, &docs, nullptr, &next));
+  return docs;
+}
+
 }  // namespace xdb

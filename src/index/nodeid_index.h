@@ -9,6 +9,8 @@
 // with key >= (doc, node): because intervals partition a document's nodes
 // and entries carry the interval's upper end point, that entry's RID is the
 // record containing the node.
+// A document exists exactly when it has entries: the index is also the
+// document list.
 #ifndef XDB_INDEX_NODEID_INDEX_H_
 #define XDB_INDEX_NODEID_INDEX_H_
 
@@ -118,6 +120,17 @@ class NodeIdIndex : public NodeLocator {
   /// Drops the listed entries of the document (ListDocEntries' output), as
   /// one sorted batch: document deletion.
   Status RemoveDocEntries(uint64_t doc_id, const NodeIdEntries& entries);
+
+  /// The stored documents from DocID `from` on, in order, with each one's
+  /// entries when `entries` is given (one list per document): one walk over
+  /// the leaves. It stops at the first document that starts after
+  /// `max_entries` entries and sets `*next` to its DocID, or to 0 at the
+  /// end. A key too short to name a document is Corruption.
+  Status ListDocs(uint64_t from, size_t max_entries,
+                  std::vector<uint64_t>* docs,
+                  std::vector<NodeIdEntries>* entries, uint64_t* next);
+  /// Every stored document, in DocID order.
+  Result<std::vector<uint64_t>> ListDocIds();
 
   BTree* tree() { return tree_; }
 

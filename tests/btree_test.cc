@@ -85,13 +85,6 @@ TEST_F(BtreeTest, DeleteExactPair) {
   EXPECT_EQ(it.value().ToString(), "v2");
 }
 
-TEST_F(BtreeTest, ContainsChecksKeyOnly) {
-  ASSERT_TRUE(tree_->Insert("present", "v").ok());
-  EXPECT_TRUE(tree_->Contains("present").value());
-  EXPECT_FALSE(tree_->Contains("absent").value());
-  EXPECT_FALSE(tree_->Contains("presen").value());
-}
-
 TEST_F(BtreeTest, ManyInsertsSplitAndStaySorted) {
   Random rng(3);
   const int kN = 20000;

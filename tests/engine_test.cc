@@ -10,6 +10,7 @@
 #include <set>
 #include <thread>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "engine/engine.h"
 #include "leak_check.h"
@@ -581,6 +582,50 @@ TEST(EngineTxnTest, LockingReadersAndWritersExcludeEachOther) {
   EXPECT_EQ(coll->DocCount().value(), 2u);
 }
 
+// A full scan lists its documents with their NodeID entries, then waits for
+// their locks. A writer that held one of them and changed its entries in
+// the meantime has committed by the time the scan reads it, so the scan
+// lists that document's entries again and reads what the writer committed.
+// (Should the scan list after the second insert, it reads both as well.)
+TEST(EngineTxnTest, FullScanReadsEntriesWrittenWhileItWaited) {
+  auto engine = MemEngine();
+  CollectionOptions copts;
+  copts.record_budget = 64;  // each inserted subtree takes records of its own
+  Collection* coll = engine->CreateCollection("docs", copts).value();
+  std::vector<uint64_t> docs;
+  for (int i = 0; i < 3; i++)
+    docs.push_back(
+        coll->InsertDocument(nullptr, "<a><b>" + std::to_string(i) + "</b></a>")
+            .value());
+  QueryOptions scan;
+  scan.force = ForceMethod::kScan;
+  const std::string root =
+      coll->Query(nullptr, "/a", scan).MoveValue().nodes.at(1).node_id;
+  auto subtree = [](const char* name) {
+    return std::string("<n>") + name + std::string(200, 'x') + "</n>";
+  };
+  Transaction writer = engine->Begin(IsolationMode::kLocking);
+  ASSERT_TRUE(
+      coll->InsertSubtree(&writer, docs[1], root, Slice(), subtree("one"))
+          .ok());
+  Status scanned;
+  size_t found = 0;
+  std::thread reader([&] {
+    auto res = coll->Query(nullptr, "//n", scan);
+    scanned = res.status();
+    if (res.ok()) found = res.value().nodes.size();
+  });
+  // Time for the scan to list docs[1] and wait for its lock.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(
+      coll->InsertSubtree(&writer, docs[1], root, Slice(), subtree("two"))
+          .ok());
+  ASSERT_TRUE(engine->Commit(&writer).ok());
+  reader.join();
+  ASSERT_TRUE(scanned.ok()) << scanned.ToString();
+  EXPECT_EQ(found, 2u);
+}
+
 TEST(XmlHandleTest, DeferredResolveFollowsIsolation) {
   auto engine = MemEngine();
   CollectionOptions copts;
@@ -700,6 +745,36 @@ TEST(StoredReadWorkTest, WholeDocumentReadDescendsOncePerDocument) {
   }
 }
 
+/// oltp_mixed's catalog collection: its three value indexes over 50
+/// generated documents, drawn from `rng`.
+Collection* IndexedCatalog(Engine* engine, Random* rng,
+                           std::vector<uint64_t>* docs) {
+  Collection* coll = engine->CreateCollection("catalog").value();
+  EXPECT_TRUE(coll->CreateValueIndex({"regprice",
+                                      "/Catalog/Categories/Product/RegPrice",
+                                      ValueType::kDecimal, 128})
+                  .ok());
+  EXPECT_TRUE(coll->CreateValueIndex({"productname",
+                                      "/Catalog/Categories/Product/ProductName",
+                                      ValueType::kString, 64})
+                  .ok());
+  EXPECT_TRUE(coll->CreateValueIndex(
+                      {"discount", "//Discount", ValueType::kDecimal, 128})
+                  .ok());
+  for (int i = 0; i < 50; i++)
+    docs->push_back(
+        coll->InsertDocument(nullptr, workload::GenCatalogXml(rng, {}))
+            .value());
+  return coll;
+}
+
+/// The B+tree descents `op` takes, which must succeed.
+uint64_t Descents(Engine* engine, const std::function<Status()>& op) {
+  const uint64_t before = engine->MetricsSnapshot().Value("btree.descents");
+  EXPECT_TRUE(op().ok());
+  return engine->MetricsSnapshot().Value("btree.descents") - before;
+}
+
 // A posting names its node, not the node's record, so a subdocument write
 // resolves no record for the postings it adds or removes. With oltp_mixed's
 // three value indexes over 50 catalog documents, a RegPrice text update, a
@@ -707,25 +782,9 @@ TEST(StoredReadWorkTest, WholeDocumentReadDescendsOncePerDocument) {
 // and 11 B+tree descents; a record lookup per posting made them 11, 15, 13.
 TEST(IndexMaintenanceWorkTest, SubdocumentWritesResolveNoRecordPerPosting) {
   auto engine = MemEngine();
-  Collection* coll = engine->CreateCollection("catalog").value();
-  ASSERT_TRUE(coll->CreateValueIndex({"regprice",
-                                      "/Catalog/Categories/Product/RegPrice",
-                                      ValueType::kDecimal, 128})
-                  .ok());
-  ASSERT_TRUE(coll->CreateValueIndex({"productname",
-                                      "/Catalog/Categories/Product/ProductName",
-                                      ValueType::kString, 64})
-                  .ok());
-  ASSERT_TRUE(coll->CreateValueIndex(
-                      {"discount", "//Discount", ValueType::kDecimal, 128})
-                  .ok());
   Random rng(7);
-  workload::CatalogOptions opts;
   std::vector<uint64_t> docs;
-  for (int i = 0; i < 50; i++)
-    docs.push_back(
-        coll->InsertDocument(nullptr, workload::GenCatalogXml(&rng, opts))
-            .value());
+  Collection* coll = IndexedCatalog(engine.get(), &rng, &docs);
   const uint64_t doc = docs[25];
   QueryOptions scan;
   scan.force = ForceMethod::kScan;
@@ -739,29 +798,64 @@ TEST(IndexMaintenanceWorkTest, SubdocumentWritesResolveNoRecordPerPosting) {
   const std::string price =
       first_in_doc("/Catalog/Categories/Product/RegPrice/text()");
   const std::string category = first_in_doc("/Catalog/Categories");
-  auto descents = [&](const std::function<Status()>& write) {
-    const uint64_t before = engine->MetricsSnapshot().Value("btree.descents");
-    EXPECT_TRUE(write().ok());
-    return engine->MetricsSnapshot().Value("btree.descents") - before;
-  };
-  EXPECT_EQ(descents([&] {
-              return coll->UpdateTextNode(nullptr, doc, price, "123.45");
-            }),
+  EXPECT_EQ(Descents(engine.get(),
+                     [&] {
+                       return coll->UpdateTextNode(nullptr, doc, price,
+                                                   "123.45");
+                     }),
             9u);
   std::string product;
-  EXPECT_EQ(descents([&]() -> Status {
-              XDB_ASSIGN_OR_RETURN(
-                  product,
-                  coll->InsertSubtree(
-                      nullptr, doc, category, "",
-                      "<Product id=\"N1\"><ProductName>new-1</ProductName>"
-                      "<RegPrice>42.00</RegPrice></Product>"));
-              return Status::OK();
-            }),
+  EXPECT_EQ(Descents(engine.get(),
+                     [&]() -> Status {
+                       XDB_ASSIGN_OR_RETURN(
+                           product,
+                           coll->InsertSubtree(
+                               nullptr, doc, category, "",
+                               "<Product id=\"N1\"><ProductName>new-1"
+                               "</ProductName><RegPrice>42.00</RegPrice>"
+                               "</Product>"));
+                       return Status::OK();
+                     }),
             13u);
-  EXPECT_EQ(
-      descents([&] { return coll->DeleteSubtree(nullptr, doc, product); }),
-      11u);
+  EXPECT_EQ(Descents(engine.get(),
+                     [&] { return coll->DeleteSubtree(nullptr, doc, product); }),
+            11u);
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
+}
+
+// The NodeID index is the document list, so a document insert or delete
+// keeps no second tree, and a full scan lists the documents, with their
+// entries, in one walk over the NodeID leaves that evaluation then reads
+// instead of seeking. Over the same 50 indexed catalog documents, a 51st
+// document's insert and its delete take 45 and 47 B+tree descents, and a
+// forced full scan of //Discount takes 1, where a listing and then one
+// seek per document took 51.
+TEST(IndexMaintenanceWorkTest, DocumentWritesKeepOneDocumentList) {
+  auto engine = MemEngine();
+  Random rng(7);
+  std::vector<uint64_t> docs;
+  Collection* coll = IndexedCatalog(engine.get(), &rng, &docs);
+  const std::string xml = workload::GenCatalogXml(&rng, {});
+  uint64_t doc = 0;
+  EXPECT_EQ(Descents(engine.get(),
+                     [&]() -> Status {
+                       XDB_ASSIGN_OR_RETURN(
+                           doc, coll->InsertDocument(nullptr, xml));
+                       return Status::OK();
+                     }),
+            45u);
+  EXPECT_EQ(Descents(engine.get(),
+                     [&] { return coll->DeleteDocument(nullptr, doc); }),
+            47u);
+  QueryOptions scan;
+  scan.force = ForceMethod::kScan;
+  // The second run hits the plan cache: the delta is the execution's alone.
+  ASSERT_TRUE(coll->Query(nullptr, "//Discount", scan).ok());
+  EXPECT_EQ(Descents(engine.get(),
+                     [&] {
+                       return coll->Query(nullptr, "//Discount", scan).status();
+                     }),
+            1u);
   EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
 }
 
@@ -1055,6 +1149,38 @@ TEST(VacuumTest, OldVersionsReclaimed) {
   stale.snapshot = 1;  // simulate a pre-vacuum snapshot
   EXPECT_FALSE(coll->GetDocumentText(&stale, doc).ok());
   ASSERT_TRUE(engine->Commit(&stale).ok());
+}
+
+// A versioned-index value is its record's packed RID; a value of any other
+// width is Corruption, found before anything is deleted. A 3-byte value
+// planted in the newest version of a document with older versions once let
+// a vacuum free four records and a document delete one before failing.
+TEST(VacuumTest, BadVersionedValueFailsBeforeAnythingIsFreed) {
+  auto engine = MemEngine();
+  CollectionOptions copts;
+  copts.mvcc = true;
+  Collection* coll = engine->CreateCollection("docs", copts).value();
+  uint64_t doc = coll->InsertDocument(nullptr, "<a><b>v0</b></a>").value();
+  const std::string text_id =
+      coll->Query(nullptr, "/a/b/text()").MoveValue().nodes[0].node_id;
+  for (int i = 1; i <= 4; i++)
+    ASSERT_TRUE(
+        coll->UpdateTextNode(nullptr, doc, text_id, "v" + std::to_string(i))
+            .ok());
+  const uint64_t latest = coll->versions()->BeginSnapshot();
+  const uint64_t newest =
+      coll->versions()->EffectiveVersion(doc, latest).value();
+  std::string key;  // [doc][~version][node ID], a node past the document's
+  PutBig64(&key, doc);
+  PutBig64(&key, ~newest);
+  key += "\xff";
+  ASSERT_TRUE(coll->versions()->tree()->Insert(key, "bad").ok());
+  const uint64_t deletes = coll->records()->stats().deletes;
+  Status vacuum = coll->VacuumVersions(doc, latest);
+  EXPECT_TRUE(vacuum.IsCorruption()) << vacuum.ToString();
+  Status del = coll->DeleteDocument(nullptr, doc);
+  EXPECT_TRUE(del.IsCorruption()) << del.ToString();
+  EXPECT_EQ(coll->records()->stats().deletes, deletes);
 }
 
 class SubtreeOpsTest : public ::testing::Test {

@@ -5,6 +5,7 @@
 // yields exactly the pre-crash committed state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -793,6 +794,29 @@ void ExpectPlannedMatchesScan(Collection* coll, const std::string& query) {
   }
 }
 
+/// Runs `query` as a forced scan, then forced through the DocID and NodeID
+/// lists and planned: every answer must equal the scan's, which must not be
+/// empty.
+void ExpectEveryPlanMatchesScan(Collection* coll, const std::string& query) {
+  QueryOptions scan;
+  scan.force = ForceMethod::kScan;
+  const NodeSequence want = coll->Query(nullptr, query, scan).value().nodes;
+  EXPECT_FALSE(want.empty()) << query;
+  for (ForceMethod force :
+       {ForceMethod::kDocIdList, ForceMethod::kNodeIdList}) {
+    QueryOptions forced;
+    forced.force = force;
+    auto got = coll->Query(nullptr, query, forced);
+    ASSERT_TRUE(got.ok()) << query << ": " << got.status().ToString();
+    ASSERT_EQ(got.value().nodes.size(), want.size()) << query;
+    for (size_t i = 0; i < want.size(); i++) {
+      EXPECT_EQ(got.value().nodes[i].doc_id, want[i].doc_id) << query;
+      EXPECT_EQ(got.value().nodes[i].node_id, want[i].node_id) << query;
+    }
+  }
+  ExpectPlannedMatchesScan(coll, query);
+}
+
 /// The statistics every re-derivation must reproduce: doc count, each value
 /// index's entry count, each structural index's per-name counts and spans.
 /// With `insert_only`, also the node count and every KMV sketch, which
@@ -1154,6 +1178,7 @@ TEST_F(EngineFaultTest, V5CatalogReDerivesStatsAfterEdits) {
 // a forced scan does.
 TEST_F(EngineFaultTest, V6CatalogRebuildsValueIndexes) {
   query::CollectionStatsSnapshot want;
+  LegacyDocIdRoots roots;
   {
     auto engine = Engine::Open(FileOptions()).MoveValue();
     CollectionOptions copts;
@@ -1181,13 +1206,15 @@ TEST_F(EngineFaultTest, V6CatalogRebuildsValueIndexes) {
     auto n = coll->Query(nullptr, "//n/text()", scan).value().nodes;
     ASSERT_TRUE(coll->UpdateTextNode(nullptr, n[5].doc_id, n[5].node_id, "7")
                     .ok());
+    roots["docs"] = WriteLegacyDocIdTree(coll, coll->ListDocIds().value());
+    ASSERT_NE(roots["docs"], kInvalidPageId);
     ASSERT_TRUE(engine->Checkpoint().ok());
     want = coll->stats()->Snapshot();
   }
   const std::string catalog = dir_ + "/catalog.xdb";
   const CollectionMeta before =
       LoadCatalog(catalog).value().collections["docs"];
-  ASSERT_TRUE(RewriteAsV6Catalog(catalog));
+  ASSERT_TRUE(RewriteAsV6Catalog(catalog, roots));
   auto engine = Engine::Open(FileOptions()).MoveValue();
   EXPECT_TRUE(SawStatsDerived(engine.get()));
   Collection* coll = engine->GetCollection("docs").value();
@@ -1200,25 +1227,132 @@ TEST_F(EngineFaultTest, V6CatalogRebuildsValueIndexes) {
   ExpectDerivedStats(coll->stats()->Snapshot(), want, /*insert_only=*/false);
   EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
   for (const std::string q :
-       {"/doc/s[k = \"k1\"]", "/doc/s[p/n > 4]", "//p[n = 7]", "/doc[s/k]/t"}) {
-    QueryOptions scan;
-    scan.force = ForceMethod::kScan;
-    const NodeSequence want_nodes = coll->Query(nullptr, q, scan).value().nodes;
-    EXPECT_FALSE(want_nodes.empty()) << q;
-    for (ForceMethod force :
-         {ForceMethod::kDocIdList, ForceMethod::kNodeIdList}) {
-      QueryOptions forced;
-      forced.force = force;
-      auto got = coll->Query(nullptr, q, forced);
-      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
-      ASSERT_EQ(got.value().nodes.size(), want_nodes.size()) << q;
-      for (size_t i = 0; i < want_nodes.size(); i++) {
-        EXPECT_EQ(got.value().nodes[i].doc_id, want_nodes[i].doc_id) << q;
-        EXPECT_EQ(got.value().nodes[i].node_id, want_nodes[i].node_id) << q;
-      }
+       {"/doc/s[k = \"k1\"]", "/doc/s[p/n > 4]", "//p[n = 7]", "/doc[s/k]/t"})
+    ExpectEveryPlanMatchesScan(coll, q);
+}
+
+// A V7 catalog names a DocID tree per collection, which this engine does
+// not keep: the NodeID index lists the documents. The root is read past
+// (the tree's pages stay unreferenced), and everything else opens as it
+// was: the same documents and texts, the statistics restored rather than
+// re-derived, and every plan answering as a forced scan.
+TEST_F(EngineFaultTest, V7CatalogOpensUnchanged) {
+  std::map<uint64_t, std::string> texts;
+  query::CollectionStatsSnapshot want;
+  LegacyDocIdRoots roots;
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    CollectionOptions copts;
+    copts.record_budget = 96;  // documents span records, with proxies
+    Collection* coll = engine->CreateCollection("docs", copts).value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "/doc/s/k", ValueType::kString, 64}).ok());
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    for (int i = 0; i < 24; i++) {
+      const std::string xml = "<doc><s><k>k" + std::to_string(i % 5) +
+                              "</k></s><t>filler text " + std::to_string(i) +
+                              "</t></doc>";
+      texts[coll->InsertDocument(nullptr, xml).value()] = xml;
     }
-    ExpectPlannedMatchesScan(coll, q);
+    for (auto it = texts.begin(); it != texts.end();) {
+      if (it->first % 4 != 0) {
+        ++it;
+        continue;
+      }
+      ASSERT_TRUE(coll->DeleteDocument(nullptr, it->first).ok());
+      it = texts.erase(it);
+    }
+    roots["docs"] = WriteLegacyDocIdTree(coll, coll->ListDocIds().value());
+    ASSERT_NE(roots["docs"], kInvalidPageId);
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    want = coll->stats()->Snapshot();
   }
+  const std::string catalog = dir_ + "/catalog.xdb";
+  ASSERT_TRUE(RewriteAsV7Catalog(catalog, roots));
+  ASSERT_EQ(DecodeFixed32(ReadFileBytes(catalog).data()), kCatalogMagicV7);
+  auto engine = Engine::Open(FileOptions()).MoveValue();
+  EXPECT_FALSE(SawStatsDerived(engine.get()));
+  Collection* coll = engine->GetCollection("docs").value();
+  ExpectDerivedStats(coll->stats()->Snapshot(), want, /*insert_only=*/true);
+  std::vector<uint64_t> ids;
+  for (const auto& [id, xml] : texts) {
+    ids.push_back(id);
+    EXPECT_EQ(coll->GetDocumentText(nullptr, id).value(), xml);
+  }
+  EXPECT_EQ(coll->ListDocIds().value(), ids);
+  for (const std::string q : {"/doc/s[k = \"k1\"]", "/doc[s/k = \"k3\"]/t"})
+    ExpectEveryPlanMatchesScan(coll, q);
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
+}
+
+// An older engine's insert whose build failed part way never reached the
+// DocID tree, but kept the records and NodeID entries it had stored.
+// Opening its V7 catalog drops them once, so the failed document is never
+// listed, and re-derives the statistics, which described the other list.
+TEST_F(EngineFaultTest, V7CatalogDropsDocumentsItsDocIdTreeDoesNotList) {
+  std::map<uint64_t, std::string> texts;
+  uint64_t live_records = 0;
+  uint64_t orphan = 0;
+  LegacyDocIdRoots roots;
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    CollectionOptions copts;
+    copts.record_budget = 96;  // documents span records, with proxies
+    Collection* coll = engine->CreateCollection("docs", copts).value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "/doc/s/k", ValueType::kString, 64}).ok());
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < 5; i++) {
+      const std::string xml = "<doc><s><k>k" + std::to_string(i % 3) +
+                              "</k></s><t>" + std::string(150, 'x') +
+                              "</t><u>" + std::to_string(i) + "</u></doc>";
+      ids.push_back(coll->InsertDocument(nullptr, xml).value());
+      texts[ids.back()] = xml;
+    }
+    live_records = coll->records()->stats().live_records;
+    roots["docs"] = WriteLegacyDocIdTree(coll, ids);
+    ASSERT_NE(roots["docs"], kInvalidPageId);
+    // The failed build's leftovers: the first half of a document's records
+    // stored again under the next DocID, with their NodeID entries.
+    orphan = ids.back() + 1;
+    NodeIdEntries entries;
+    ASSERT_TRUE(
+        coll->node_index()->ListDocEntries(ids[0], Slice(), &entries).ok());
+    std::vector<Rid> rids;
+    for (const auto& [upper, rid] : entries)
+      if (std::find(rids.begin(), rids.end(), rid) == rids.end())
+        rids.push_back(rid);
+    ASSERT_GE(rids.size(), 2u);
+    for (size_t i = 0; i < (rids.size() + 1) / 2; i++) {
+      std::string bytes;
+      ASSERT_TRUE(coll->records()->Get(rids[i], &bytes).ok());
+      const Rid rid = coll->records()->Insert(bytes).value();
+      ASSERT_TRUE(coll->node_index()->AddRecord(orphan, bytes, rid).ok());
+    }
+    ASSERT_EQ(coll->ListDocIds().value().size(), ids.size() + 1);
+    ASSERT_TRUE(engine->Checkpoint().ok());
+  }
+  const std::string catalog = dir_ + "/catalog.xdb";
+  ASSERT_TRUE(RewriteAsV7Catalog(catalog, roots));
+  auto engine = Engine::Open(FileOptions()).MoveValue();
+  EXPECT_TRUE(SawStatsDerived(engine.get()));
+  Collection* coll = engine->GetCollection("docs").value();
+  ASSERT_FALSE(coll->needs_repair());
+  std::vector<uint64_t> ids;
+  for (const auto& [id, xml] : texts) {
+    ids.push_back(id);
+    EXPECT_EQ(coll->GetDocumentText(nullptr, id).value(), xml);
+  }
+  EXPECT_EQ(coll->ListDocIds().value(), ids);
+  EXPECT_EQ(coll->DocCount().value(), ids.size());
+  EXPECT_EQ(coll->stats()->Snapshot().doc_count, ids.size());
+  EXPECT_TRUE(
+      coll->node_index()->Lookup(orphan, Slice()).status().IsNotFound());
+  EXPECT_EQ(coll->records()->stats().live_records, live_records);
+  for (const std::string q : {"/doc/s[k = \"k1\"]", "/doc[s/k = \"k2\"]/u"})
+    ExpectEveryPlanMatchesScan(coll, q);
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
 }
 
 // Planning reads the document count from the statistics snapshot, so
@@ -1272,6 +1406,130 @@ TEST_F(EngineFaultTest, ExplainDocCountMatchesStoredDocuments) {
   ASSERT_EQ(rep.value().collections.size(), 1u);
   EXPECT_TRUE(rep.value().collections[0].rebuilt);
   expect_docs(engine->GetCollection("docs").value());
+}
+
+// The catalog's field decoders, reached past its CRCs: a real catalog (two
+// collections, one MVCC, with value and structural indexes, a schema, the
+// dictionary and statistics) is mutated by bit flips, byte sets and
+// truncations of its body or its statistics section, then re-sealed with
+// a valid CRC and length. Every mutant must decode to a Status, and those
+// that open an engine must list and query every collection they name to a
+// Status or an answer: no crash, hang or unbounded allocation. Seeded from
+// gtest's random seed, so --gtest_shuffle --gtest_repeat walks new mutants.
+TEST(CatalogFuzzTest, ResealedMutantsEndInStatus) {
+  const uint32_t seed = ::testing::UnitTest::GetInstance()->random_seed();
+  SCOPED_TRACE("gtest random seed " + std::to_string(seed));
+  Random rng(seed);
+  const std::string dir = TempPath("catalog_fuzz");
+  const std::string pristine = dir + "_pristine";
+  std::filesystem::remove_all(pristine);
+  {
+    EngineOptions opts;
+    opts.dir = pristine;
+    auto engine = Engine::Open(opts).MoveValue();
+    ASSERT_TRUE(
+        engine->RegisterSchema("catalog", workload::CatalogSchemaText()).ok());
+    CollectionOptions validated;
+    validated.schema = "catalog";
+    Collection* catalog =
+        engine->CreateCollection("catalog", validated).value();
+    ASSERT_TRUE(catalog
+                    ->CreateValueIndex({"regprice",
+                                        "/Catalog/Categories/Product/RegPrice",
+                                        ValueType::kDecimal, 128})
+                    .ok());
+    ASSERT_TRUE(catalog->CreateStructuralIndex({"structure", ""}).ok());
+    Random docs(7);
+    for (int i = 0; i < 4; i++)
+      ASSERT_TRUE(catalog
+                      ->InsertDocument(nullptr, workload::GenCatalogXml(
+                                                    &docs, {}))
+                      .ok());
+    CollectionOptions mvcc;
+    mvcc.mvcc = true;
+    Collection* versioned = engine->CreateCollection("versioned", mvcc).value();
+    ASSERT_TRUE(
+        versioned->CreateValueIndex({"k", "//k", ValueType::kString, 64}).ok());
+    for (int i = 0; i < 4; i++)
+      ASSERT_TRUE(versioned
+                      ->InsertDocument(nullptr, "<r><k>v" + std::to_string(i) +
+                                                    "</k></r>")
+                      .ok());
+    ASSERT_TRUE(engine->Checkpoint().ok());
+  }
+  const std::string bytes = ReadFileBytes(pristine + "/catalog.xdb");
+  ASSERT_GT(bytes.size(), 16u);
+  const uint32_t body_len = DecodeFixed32(bytes.data() + 8);
+  ASSERT_LE(16u + body_len, bytes.size());
+  const std::string body = bytes.substr(12, body_len);
+  const std::string section = bytes.substr(16 + body_len);
+  auto reseal = [&](const std::string& b, const std::string& sec) {
+    std::string out = bytes.substr(0, 4);  // the magic
+    PutFixed32(&out, Crc32(b.data(), b.size()));
+    PutFixed32(&out, static_cast<uint32_t>(b.size()));
+    out += b;
+    PutFixed32(&out, Crc32(sec.data(), sec.size()));
+    return out + sec;
+  };
+  auto mutate = [&](std::string s) {
+    for (uint64_t n = 1 + rng.Uniform(3); n > 0 && !s.empty(); n--) {
+      const size_t at = rng.Uniform(s.size());
+      switch (rng.Uniform(3)) {
+        case 0:
+          s[at] = static_cast<char>(s[at] ^ (1 << rng.Uniform(8)));
+          break;
+        case 1:
+          s[at] = static_cast<char>(rng.Uniform(256));
+          break;
+        default:
+          s.resize(at);
+      }
+    }
+    return s;
+  };
+  auto mutant = [&] {
+    return rng.Uniform(2) == 0 ? reseal(mutate(body), section)
+                               : reseal(body, mutate(section));
+  };
+  ASSERT_TRUE(CatalogData::Deserialize(reseal(body, section)).ok());
+  // The magic is 2+ bits from every older one: no one-bit flip of it opens.
+  for (int bit = 0; bit < 32; bit++) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_TRUE(CatalogData::Deserialize(flipped).status().IsCorruption())
+        << "magic bit " << bit;
+  }
+
+  size_t decoded = 0;
+  for (int i = 0; i < 20000; i++)
+    decoded += CatalogData::Deserialize(mutant()).ok() ? 1 : 0;
+
+  size_t opened = 0;
+  for (int i = 0; i < 300 && !HasFatalFailure(); i++) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(pristine, dir,
+                          std::filesystem::copy_options::recursive);
+    const std::string m = mutant();
+    ASSERT_TRUE(WriteBytes(dir + "/catalog.xdb", m));
+    EngineOptions opts;
+    opts.dir = dir;
+    auto engine = Engine::Open(opts);
+    if (!engine.ok()) continue;
+    opened++;
+    const CatalogData cat = CatalogData::Deserialize(m).MoveValue();
+    for (const auto& [name, meta] : cat.collections) {
+      auto coll = engine.value()->GetCollection(name);
+      if (!coll.ok()) continue;
+      (void)coll.value()->ListDocIds();
+      (void)coll.value()->Query(nullptr, meta.mvcc_enabled
+                                             ? "/r[k = \"v2\"]"
+                                             : "//Product[RegPrice > 10]");
+    }
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(pristine);
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(opened, 0u);
 }
 
 // An index type byte outside kString..kDate names no key encoding: such an
@@ -1629,9 +1887,11 @@ TEST_F(EngineFaultTest, ScrubCountsMatchInjectedFaults) {
     Collection* coll = crashed->CreateCollection("docs").value();
     ASSERT_TRUE(crashed->Checkpoint().ok());
     doc = coll->InsertDocument(nullptr, "<d>payload</d>").value();
+    // Enough filler for two data pages after the NodeID root, so pages 1-3
+    // all hold data.
     for (int i = 0; i < 40; i++)
-      coll->InsertDocument(nullptr, "<filler>" + std::to_string(i) +
-                                        "</filler>")
+      coll->InsertDocument(nullptr, "<filler>" + std::string(100, 'f') +
+                                        std::to_string(i) + "</filler>")
           .value();
     ASSERT_TRUE(coll->buffer_manager()->FlushAll().ok());
   }
@@ -1652,6 +1912,226 @@ TEST_F(EngineFaultTest, ScrubCountsMatchInjectedFaults) {
   Collection* coll = engine->GetCollection("docs").value();
   EXPECT_EQ(coll->GetDocumentText(nullptr, doc).value(), "<d>payload</d>");
   EXPECT_EQ(coll->DocCount().value(), 41u);
+}
+
+// The NodeID index is the document list, so a failed insert must leave no
+// NodeID entry of its document. A writeback error part way through a
+// 200-element insert into a full 8-page pool fails it after some of its
+// records were stored and indexed; the insert frees them again, and the
+// listing, the count and the statistics all agree on the five documents
+// stored before it.
+TEST_F(EngineFaultTest, FailedInsertIsNeverListed) {
+  auto engine = Engine::Open(FileOptions()).MoveValue();
+  CollectionOptions co;
+  co.buffer_pages = 8;
+  co.record_budget = 64;
+  Collection* coll = engine->CreateCollection("docs", co).value();
+  auto doc = [](int elements) {
+    std::string xml = "<doc>";
+    for (int i = 0; i < elements; i++)
+      xml += "<e>" + std::string(80, 'x') + std::to_string(i) + "</e>";
+    return xml + "</doc>";
+  };
+  std::vector<uint64_t> docs;
+  for (int d = 0; d < 5; d++)
+    docs.push_back(coll->InsertDocument(nullptr, doc(40)).value());
+  const uint64_t live_records = coll->records()->stats().live_records;
+  {
+    ScopedFaultInjector fi;
+    fi->Arm(FaultPoint::kBufferWriteback, 1, FaultKind::kError);
+    auto failed = coll->InsertDocument(nullptr, doc(200));
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  }
+  const uint64_t failed_doc = docs.back() + 1;
+  EXPECT_EQ(coll->ListDocIds().value(), docs);
+  EXPECT_EQ(coll->DocCount().value(), 5u);
+  EXPECT_EQ(coll->stats()->Snapshot().doc_count, 5u);
+  EXPECT_TRUE(
+      coll->node_index()->Lookup(failed_doc, Slice()).status().IsNotFound());
+  NodeIdEntries entries;
+  ASSERT_TRUE(
+      coll->node_index()->ListDocEntries(failed_doc, Slice(), &entries).ok());
+  EXPECT_TRUE(entries.empty());
+  EXPECT_EQ(coll->records()->stats().live_records, live_records);
+  EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
+}
+
+// A document of `elements` <e> elements, each with a short <k> key (for a
+// value index) and filler, so it spans many records at a small budget.
+std::string KeyedDocument(int elements) {
+  std::string xml = "<doc>";
+  for (int i = 0; i < elements; i++)
+    xml += "<e><k>k" + std::to_string(i % 7) + "</k>" + std::string(60, 'x') +
+           "</e>";
+  return xml + "</doc>";
+}
+
+// The failed insert with a value and a structural index, its writeback
+// fault moved through every writeback of the insert in turn, so it lands in
+// the build, in index maintenance and in the build's undo. Whatever it hit,
+// the document is never listed: a failed build is undone, and a failure in
+// index maintenance (whose postings cannot be undone with certainty) or in
+// the undo quarantines the collection. Scrub then rebuilds it from the WAL,
+// where the failed insert is followed by a delete, so it stays gone.
+TEST_F(EngineFaultTest, FailedInsertWithIndexesIsNeverListed) {
+  const std::string big = KeyedDocument(120);
+  // Per faulted writeback: the records the failed build had stored, and
+  // whether the collection was quarantined.
+  std::vector<std::pair<uint64_t, bool>> outcomes;
+  uint64_t full = 0;  // records the whole document takes
+  for (uint64_t n = 1; full == 0 && n <= 1000 && !HasFatalFailure(); n++) {
+    SCOPED_TRACE("writeback " + std::to_string(n));
+    SetUp();
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    CollectionOptions co;
+    co.buffer_pages = 8;
+    co.record_budget = 64;
+    Collection* coll = engine->CreateCollection("docs", co).value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "/doc/e/k", ValueType::kString, 16}).ok());
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    std::vector<uint64_t> docs;
+    for (int d = 0; d < 5; d++)
+      docs.push_back(coll->InsertDocument(nullptr, KeyedDocument(20)).value());
+    const uint64_t inserts = coll->records()->stats().inserts;
+    auto failed = [&] {
+      ScopedFaultInjector fi;
+      fi->Arm(FaultPoint::kBufferWriteback, n, FaultKind::kError);
+      return coll->InsertDocument(nullptr, big);
+    }();
+    const uint64_t stored = coll->records()->stats().inserts - inserts;
+    if (failed.ok()) {
+      full = stored;
+    } else {
+      EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+      outcomes.emplace_back(stored, coll->needs_repair());
+      if (coll->needs_repair()) {
+        EXPECT_FALSE(coll->ListDocIds().ok());
+        ASSERT_TRUE(engine->Scrub().ok());
+        ASSERT_FALSE(coll->needs_repair());
+      }
+      EXPECT_EQ(coll->ListDocIds().value(), docs);
+      EXPECT_EQ(coll->DocCount().value(), docs.size());
+      EXPECT_EQ(coll->stats()->Snapshot().doc_count, docs.size());
+      EXPECT_TRUE(coll->node_index()
+                      ->Lookup(docs.back() + 1, Slice())
+                      .status()
+                      .IsNotFound());
+      EXPECT_EQ(testing::CheckIndexesMatchBackfill(coll), "");
+    }
+    engine.reset();
+    TearDown();
+  }
+  ASSERT_GT(full, 0u) << "the insert never got past its faults";
+  uint64_t undone = 0, in_indexing = 0;
+  for (const auto& [stored, quarantined] : outcomes) {
+    undone += !quarantined;
+    // A fault after the build stored every record hit index maintenance.
+    if (stored == full) {
+      in_indexing++;
+      EXPECT_TRUE(quarantined);
+    }
+  }
+  EXPECT_GT(undone, 0u);
+  EXPECT_GT(in_indexing, 0u);
+}
+
+// The failed insert under a crash: once the fault fires every write fails,
+// the undo's and those of any eviction a later read needs, at each
+// writeback of the insert in turn. Until the crash the document is never
+// listed: its build is undone, or the collection is quarantined, and a
+// listing either fails or names the other documents. (Recovery then redoes
+// the insert its WAL record logged: the delete that follows a failed
+// insert cannot be logged after the crash.)
+TEST_F(EngineFaultTest, FailedInsertUnderCrashIsNeverListed) {
+  const std::string big = KeyedDocument(120);
+  uint64_t quarantined = 0, undone = 0;
+  bool finished = false;
+  for (uint64_t n = 1; !finished && n <= 1000 && !HasFatalFailure(); n++) {
+    SCOPED_TRACE("writeback " + std::to_string(n));
+    SetUp();
+    Engine* crashed = IntentionallyLeaked(
+        Engine::Open(FileOptions()).MoveValue().release());
+    CollectionOptions co;
+    co.buffer_pages = 8;
+    co.record_budget = 64;
+    Collection* coll = crashed->CreateCollection("docs", co).value();
+    ASSERT_TRUE(
+        coll->CreateValueIndex({"k", "/doc/e/k", ValueType::kString, 16}).ok());
+    ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
+    std::vector<uint64_t> docs;
+    for (int d = 0; d < 5; d++)
+      docs.push_back(coll->InsertDocument(nullptr, KeyedDocument(20)).value());
+    ScopedFaultInjector fi;
+    fi->set_crash_after_fire(true);
+    fi->Arm(FaultPoint::kBufferWriteback, n, FaultKind::kError);
+    auto failed = coll->InsertDocument(nullptr, big);
+    if (failed.ok()) {
+      finished = true;
+    } else if (coll->needs_repair()) {
+      quarantined++;
+      EXPECT_FALSE(coll->ListDocIds().ok());
+      EXPECT_FALSE(coll->DocCount().ok());
+    } else {
+      undone++;
+      auto ids = coll->ListDocIds();
+      if (ids.ok()) {
+        EXPECT_EQ(ids.value(), docs);
+      } else {
+        EXPECT_TRUE(ids.status().IsIOError()) << ids.status().ToString();
+      }
+    }
+    TearDown();
+  }
+  EXPECT_TRUE(finished);
+  EXPECT_GT(quarantined, 0u);
+  EXPECT_GT(undone, 0u);
+}
+
+// Scrub salvage probes every allocated DocID in the NodeID index, so a
+// damaged page costs the documents it holds and no more, and the report
+// accounts for every document: salvaged or lost. Here the WAL is empty, so
+// salvage is the only way back, and the NodeID index has two leaves; a
+// walk over them would stop at a damaged one and account for nothing.
+TEST_F(EngineFaultTest, ScrubAccountsForEveryDocument) {
+  constexpr uint64_t kDocs = 60;
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    CollectionOptions co;
+    co.record_budget = 128;
+    Collection* coll = engine->CreateCollection("docs", co).value();
+    for (uint64_t i = 0; i < kDocs; i++) {
+      std::string xml = "<doc>";
+      for (const char* part : {"a", "b", "c"})
+        xml += std::string("<") + part + ">" + std::string(70, 'x') +
+               std::to_string(i) + "</" + part + ">";
+      ASSERT_TRUE(coll->InsertDocument(nullptr, xml + "</doc>").ok());
+    }
+    const BtreeStats index = coll->node_index()->tree()->ComputeStats().value();
+    ASSERT_EQ(index.entries, 3 * kDocs);
+    ASSERT_EQ(index.leaf_pages, 2u);
+    ASSERT_TRUE(engine->Checkpoint().ok());
+  }
+  const std::string space = dir_ + "/docs.xts";
+  const uint64_t pages =
+      std::filesystem::file_size(space) / kDefaultPageSize;
+  uint64_t partial = 0;  // damaged pages that cost some documents, not all
+  SweepPageBitFlips(space, pages, [&] {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    Collection* coll = engine->GetCollection("docs").value();
+    if (coll->needs_repair()) return;  // quarantined: no salvage to check
+    auto rep = engine->Scrub();
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    ASSERT_EQ(rep.value().collections.size(), 1u);
+    const CollectionScrubReport& c = rep.value().collections[0];
+    EXPECT_TRUE(c.rebuilt);
+    EXPECT_EQ(c.docs_recovered_from_wal, 0u);
+    EXPECT_EQ(c.docs_salvaged + c.docs_lost, kDocs);
+    EXPECT_EQ(coll->DocCount().value(), c.docs_salvaged);
+    if (c.docs_lost > 0 && c.docs_salvaged > 0) partial++;
+  });
+  EXPECT_GT(partial, 0u);
 }
 
 // The tentpole acceptance test: flip one byte in *every* page of a populated
@@ -1676,7 +2156,7 @@ TEST_F(EngineFaultTest, BitFlipSweepNeverWrongNeverLost) {
       expected[id] = xml;
     }
     // One document big enough to span overflow chains.
-    std::string big = "<big>" + std::string(20000, 'x') + "</big>";
+    std::string big = "<big>" + std::string(24000, 'x') + "</big>";
     uint64_t big_id = coll->InsertDocument(nullptr, big).value();
     expected[big_id] = big;
     ASSERT_TRUE(coll->buffer_manager()->FlushAll().ok());
