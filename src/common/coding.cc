@@ -4,6 +4,11 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define XDB_CRC32_FOLD 1
+#include <immintrin.h>
+#endif
+
 namespace xdb {
 
 void EncodeFixed16(char* dst, uint16_t v) { std::memcpy(dst, &v, 2); }
@@ -185,14 +190,11 @@ constexpr CrcTables kCrcTables = MakeCrcTables();
 // which must yield the little-endian value the reflected CRC consumes.
 static_assert(std::endian::native == std::endian::little,
               "slicing-by-8 Crc32 and DecodeFixed32 assume little-endian");
-}  // namespace
 
-uint32_t Crc32(const char* data, size_t n) { return Crc32Extend(0, data, n); }
-
-uint32_t Crc32Extend(uint32_t crc, const char* data, size_t n) {
+// Both paths below take and return the raw CRC state (pre- and
+// post-inversion are Crc32Extend's).
+uint32_t TableCrc(uint32_t c, const char* p, size_t n) {
   const auto& t = kCrcTables;
-  const char* p = data;
-  uint32_t c = crc ^ 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
     const uint32_t lo = DecodeFixed32(p) ^ c;
     const uint32_t hi = DecodeFixed32(p + 4);
@@ -202,7 +204,101 @@ uint32_t Crc32Extend(uint32_t crc, const char* data, size_t n) {
   }
   for (; n > 0; p++, n--)
     c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xFF] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+#ifdef XDB_CRC32_FOLD
+// Carry-less multiply folding (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), with the
+// constants for the reflected polynomial that Linux's crc32-pclmul uses:
+// four 128-bit lanes each move 512 bits forward per 64 input bytes (k1,
+// k2), fold into one lane that moves 128 bits per 16 bytes (k3, k4), then
+// shrink 128 -> 64 -> 32 bits (k4, k5) and end in a Barrett reduction (P',
+// mu). Only these functions are built for pclmul and sse4.1, so the rest
+// of the program keeps the build's baseline instruction set.
+#define XDB_CLMUL __attribute__((target("pclmul,sse4.1")))
+
+XDB_CLMUL inline __m128i Load128(const char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// x.lo * k.lo ^ x.hi * k.hi: the lane moved `k`'s distance forward.
+XDB_CLMUL inline __m128i Fold128(__m128i x, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+// `n` is a multiple of 16 and at least 64.
+XDB_CLMUL uint32_t FoldCrc(uint32_t c, const char* p, size_t n) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_set_epi32(0, 0, 0, -1);
+
+  __m128i x0 =
+      _mm_xor_si128(Load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = Load128(p + 16);
+  __m128i x2 = Load128(p + 32);
+  __m128i x3 = Load128(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x0 = _mm_xor_si128(Fold128(x0, k1k2), Load128(p));
+    x1 = _mm_xor_si128(Fold128(x1, k1k2), Load128(p + 16));
+    x2 = _mm_xor_si128(Fold128(x2, k1k2), Load128(p + 32));
+    x3 = _mm_xor_si128(Fold128(x3, k1k2), Load128(p + 48));
+  }
+  x0 = _mm_xor_si128(Fold128(x0, k3k4), x1);
+  x0 = _mm_xor_si128(Fold128(x0, k3k4), x2);
+  x0 = _mm_xor_si128(Fold128(x0, k3k4), x3);
+  for (; n >= 16; p += 16, n -= 16)
+    x0 = _mm_xor_si128(Fold128(x0, k3k4), Load128(p));
+
+  // 128 -> 64 bits (x.lo * k4), then 64 -> 32 (the low word * k5).
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00));
+  // Barrett: T1 = (x mod x^32) * mu, T2 = (T1 mod x^32) * P'; the CRC is
+  // the second word of x ^ T2.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+#endif
+}  // namespace
+
+namespace internal {
+uint32_t Crc32ExtendTables(uint32_t crc, const char* data, size_t n) {
+  return TableCrc(crc ^ 0xFFFFFFFFu, data, n) ^ 0xFFFFFFFFu;
+}
+
+bool Crc32Folds() {
+#ifdef XDB_CRC32_FOLD
+  static const bool folds = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul") &&
+           __builtin_cpu_supports("sse4.1");
+  }();
+  return folds;
+#else
+  return false;
+#endif
+}
+}  // namespace internal
+
+uint32_t Crc32(const char* data, size_t n) { return Crc32Extend(0, data, n); }
+
+uint32_t Crc32Extend(uint32_t crc, const char* data, size_t n) {
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+#ifdef XDB_CRC32_FOLD
+  if (n >= 64 && internal::Crc32Folds()) {
+    const size_t m = n & ~size_t{15};
+    c = FoldCrc(c, data, m);
+    data += m;
+    n -= m;
+  }
+#endif
+  return TableCrc(c, data, n) ^ 0xFFFFFFFFu;
 }
 
 }  // namespace xdb

@@ -51,13 +51,23 @@ void PutOrderedDouble(std::string* dst, double v);
 double DecodeOrderedDouble(const char* p);
 
 /// CRC-32 (reflected polynomial 0xEDB88320) over `n` bytes — shared by page
-/// checksums, WAL records, shipped segments and the stats file. Computed
-/// slicing-by-8; the values are those of the byte-at-a-time definition.
+/// checksums, WAL records, shipped segments and the catalog. On x86-64
+/// hosts with PCLMULQDQ and SSE4.1 runs of 64 bytes or more are folded with
+/// carry-less multiplies; elsewhere, and for the tail, it is computed
+/// slicing-by-8. Both give the values of the byte-at-a-time definition.
 uint32_t Crc32(const char* data, size_t n);
 
 /// Continues `crc` (a Crc32 result) over `n` more bytes:
 /// Crc32Extend(Crc32(a), b) == Crc32(a followed by b).
 uint32_t Crc32Extend(uint32_t crc, const char* data, size_t n);
+
+namespace internal {
+/// Crc32Extend on the slicing-by-8 tables alone (the path of hosts without
+/// carry-less multiply), and whether Crc32Extend folds on this host; for
+/// tests.
+uint32_t Crc32ExtendTables(uint32_t crc, const char* data, size_t n);
+bool Crc32Folds();
+}  // namespace internal
 
 }  // namespace xdb
 

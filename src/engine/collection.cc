@@ -1625,14 +1625,16 @@ Status Collection::ScrubAndRepair(CollectionScrubReport* report,
   // token stream (independent of the storage about to be rebuilt). Each
   // allocated DocID is probed, as a walk over the NodeID leaves would stop
   // at a damaged one; a failed probe counts the ID lost, even one deleted
-  // before the damage. The IDs lost the same way share one note.
+  // before the damage. The IDs lost the same way share one note. Structural
+  // damage leaves nothing to probe: every allocated ID counts lost, and
+  // the post-replay accounting takes out those the WAL brings back.
   std::vector<std::pair<uint64_t, std::string>> salvage;
+  uint64_t next_doc_id;
+  {
+    MutexLock lock(docid_mu_);
+    next_doc_id = meta_.next_doc_id;
+  }
   if (!structural) {
-    uint64_t next_doc_id;
-    {
-      MutexLock lock(docid_mu_);
-      next_doc_id = meta_.next_doc_id;
-    }
     std::map<std::string, std::vector<uint64_t>> lost;  // by failure
     for (uint64_t doc = 1; doc < next_doc_id; doc++) {
       Status exists = CheckExists(doc);
@@ -1653,6 +1655,7 @@ Status Collection::ScrubAndRepair(CollectionScrubReport* report,
                               " unreadable: " + why);
     }
   } else {
+    for (uint64_t doc = 1; doc < next_doc_id; doc++) lost_ids->insert(doc);
     report->notes.push_back("structural corruption (" + repair_reason_ +
                             "); salvage limited to WAL replay");
   }

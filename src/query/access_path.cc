@@ -1,8 +1,10 @@
 #include "query/access_path.h"
 
 #include <algorithm>
+#include <charconv>
 #include <set>
 
+#include "xdm/item.h"
 #include "xml/node_id.h"
 
 namespace xdb {
@@ -278,27 +280,23 @@ Status StructuralAnchorJoin(const std::vector<Posting>& values,
   return Status::OK();
 }
 
+std::string ProbeLiteral(const CandidatePredicate& pred) {
+  if (!pred.literal_is_number && pred.op == xpath::CompOp::kEq)
+    return pred.string;
+  const double v =
+      pred.literal_is_number ? pred.number : StringToNumber(pred.string);
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
 Status ProbeBounds(const ValueIndex& index, const CandidatePredicate& pred,
                    std::optional<KeyBound>* lo, std::optional<KeyBound>* hi,
                    bool* not_equal) {
   lo->reset();
   hi->reset();
   *not_equal = false;
-  std::string literal =
-      pred.literal_is_number
-          ? [&] {
-              // Render the number the way values print (integral stays
-              // integral so string/decimal indexes line up with doubles).
-              double v = pred.number;
-              if (v == static_cast<int64_t>(v))
-                return std::to_string(static_cast<int64_t>(v));
-              char buf[32];
-              std::snprintf(buf, sizeof(buf), "%.17g", v);
-              return std::string(buf);
-            }()
-          : pred.string;
   std::string key;
-  Status st = index.EncodeKey(literal, &key);
+  Status st = index.EncodeKey(ProbeLiteral(pred), &key);
   if (!st.ok()) return st;
   switch (pred.op) {
     case xpath::CompOp::kEq:

@@ -153,6 +153,14 @@ Status StructuralAnchorJoin(const std::vector<Posting>& values,
                             const std::vector<Posting>& anchors,
                             std::vector<Posting>* out);
 
+/// The string an index encodes to probe for the comparison's literal. XPath
+/// 1.0 (section 3.4) compares <, <=, >, >= as numbers, and = as numbers
+/// against a number literal; such a literal is the number in its shortest
+/// round-trip form ("0.46", not "0.46000000000000002"), so a decimal index
+/// is probed for the value the query names. A string literal under = is
+/// the string itself.
+std::string ProbeLiteral(const CandidatePredicate& pred);
+
 /// Converts a comparison into index key range bounds for a probe.
 Status ProbeBounds(const ValueIndex& index, const CandidatePredicate& pred,
                    std::optional<KeyBound>* lo, std::optional<KeyBound>* hi,

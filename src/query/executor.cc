@@ -12,22 +12,23 @@ namespace query {
 namespace {
 
 // Best usable index for one candidate: exact match preferred over
-// containment; the literal must be encodable with the index's type.
+// containment; the literal must be encodable with the index's type. A
+// string index is ordered by bytes, so it serves only = against a string
+// literal: every other comparison is numeric.
 PlannedProbe MatchIndexes(const CandidatePredicate& cand,
                           const std::vector<ValueIndex*>& indexes) {
   PlannedProbe best;
+  const bool numeric =
+      cand.literal_is_number || cand.op != xpath::CompOp::kEq;
   for (ValueIndex* idx : indexes) {
+    if (numeric && idx->def().type == ValueType::kString) continue;
     auto path_res = xpath::ParsePath(idx->def().path);
     if (!path_res.ok()) continue;
     xpath::IndexMatch match =
         xpath::ClassifyIndexMatch(path_res.value(), cand.full_path);
     if (match == xpath::IndexMatch::kNone) continue;
-    // Type check: the literal must encode.
     std::string probe_key;
-    std::string literal = cand.literal_is_number
-                              ? std::to_string(cand.number)
-                              : cand.string;
-    if (!idx->EncodeKey(literal, &probe_key).ok()) continue;
+    if (!idx->EncodeKey(ProbeLiteral(cand), &probe_key).ok()) continue;
     if (best.index == nullptr ||
         (best.match == xpath::IndexMatch::kContains &&
          match == xpath::IndexMatch::kExact)) {

@@ -46,7 +46,7 @@ size_t FloorPow2(size_t n) {
 }  // namespace
 
 size_t BufferManager::DefaultShardCount(size_t capacity) {
-  size_t want = std::min<size_t>(8, capacity / 64);
+  size_t want = std::min<size_t>(8, capacity / 16);
   return want < 1 ? 1 : FloorPow2(want);
 }
 

@@ -127,9 +127,10 @@ class BufferManager {
   BufferManager(const BufferManager&) = delete;
   BufferManager& operator=(const BufferManager&) = delete;
 
-  /// Sizing policy for `shards = 0`: one shard per 64 frames, capped at 8,
-  /// rounded down to a power of two. Small pools (tests, tiny collections)
-  /// stay single-shard and behave exactly like the unsharded manager.
+  /// Sizing policy for `shards = 0`: one shard per 16 frames, capped at 8,
+  /// rounded down to a power of two (a 64-frame pool gets 4). Pools under
+  /// 32 frames (tests, tiny collections) stay single-shard and behave
+  /// exactly like the unsharded manager.
   static size_t DefaultShardCount(size_t capacity);
 
   /// Pins page `id`, reading it from the table space on a miss. Returns

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <exception>
+#include <iterator>
 #include <map>
 #include <vector>
 
+#include "common/random.h"
 #include "engine/collection.h"
 #include "engine/engine.h"
 #include "query/access_path.h"
@@ -29,21 +31,16 @@ std::string RenderSeq(const NodeSequence& seq) {
   std::string out = "{";
   for (size_t i = 0; i < seq.size(); i++) {
     if (i > 0) out += ", ";
-    out += seq[i].node_id.empty() ? "root" : nodeid::ToString(seq[i].node_id);
+    out += std::to_string(seq[i].doc_id) + ":" +
+           (seq[i].node_id.empty() ? "root" : nodeid::ToString(seq[i].node_id));
   }
   out += "}";
   return out;
 }
 
-/// Node-identity comparison ignoring doc ids (every engine runs over one
-/// document, but the stored engine may assign a different doc id).
-bool SameNodes(const NodeSequence& a, const NodeSequence& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); i++) {
-    if (a[i].node_id != b[i].node_id) return false;
-  }
-  return true;
-}
+/// Node identity is (document, node ID). A single-document leg numbers its
+/// document 1, as a fresh collection does its first insert.
+bool SameNodes(const NodeSequence& a, const NodeSequence& b) { return a == b; }
 
 std::string Diverged(const std::string& engine, const NodeSequence& got,
                      const NodeSequence& want,
@@ -529,6 +526,122 @@ std::string MinimizeQuery(
     if (!reduced) break;
   }
   return cur.ToString();
+}
+
+namespace {
+
+// The comparison sweep's values: integers, fractions with one or two
+// digits, strings that read as numbers only once trimmed or compared as
+// numbers, a negative number (no XPath literal spells it) and a word.
+const char* const kComparisonPool[] = {
+    "0",    "5",    "7",    "9",   "10",   "60",  "500", "700", "-2", "0.3",
+    "0.46", "0.47", "2.5", "9.75", "0.05", "5.0", "060", " 7 ", "0.30", "ab"};
+
+// `v` without surrounding spaces when that is an XPath number literal
+// (digits with at most one point), else "".
+std::string AsNumberLiteral(const std::string& v) {
+  size_t b = v.find_first_not_of(' ');
+  size_t e = v.find_last_not_of(' ');
+  if (b == std::string::npos) return "";
+  std::string t = v.substr(b, e - b + 1);
+  if (t.find_first_not_of("0123456789.") != std::string::npos ||
+      std::count(t.begin(), t.end(), '.') > 1 || t == ".")
+    return "";
+  return t;
+}
+
+}  // namespace
+
+std::string ComparisonCase::ToString() const {
+  std::string out = std::string(ValueTypeName(index_type)) + " index on " +
+                    index_path + (index_first ? " (before" : " (after") +
+                    " the inserts), query " + query + ", documents";
+  for (const std::string& d : docs) out += " " + d;
+  return out;
+}
+
+ComparisonCase GenComparisonCase(uint64_t seed) {
+  static const ValueType kTypes[] = {ValueType::kString, ValueType::kDouble,
+                                     ValueType::kDecimal};
+  static const char* const kOps[] = {"=", "!=", "<", "<=", ">", ">="};
+  // The operator that states the same comparison with its sides swapped.
+  static const char* const kMirrored[] = {"=", "!=", ">", ">=", "<", "<="};
+  Random rng(seed);
+  auto pick = [&] {
+    return std::string(
+        kComparisonPool[rng.Uniform(std::size(kComparisonPool))]);
+  };
+  ComparisonCase c;
+  c.index_type = kTypes[rng.Uniform(std::size(kTypes))];
+  const bool attribute = rng.OneIn(2);
+  c.index_path = attribute ? "/r/@k" : "/r/k";
+  c.index_first = !rng.OneIn(4);
+  const size_t docs = 6 + rng.Uniform(5);
+  for (size_t i = 0; i < docs; i++) {
+    std::string doc = "<r k=\"" + pick() + "\">";
+    for (size_t k = 1 + rng.Uniform(2); k > 0; k--)
+      doc += "<k>" + pick() + "</k>";
+    c.docs.push_back(doc + "</r>");
+  }
+  const size_t op = rng.Uniform(std::size(kOps));
+  const std::string value = pick();
+  std::string literal = AsNumberLiteral(value);
+  if (literal.empty() || rng.OneIn(2)) literal = "\"" + value + "\"";
+  const std::string lhs = attribute ? "@k" : "k";
+  c.query = rng.OneIn(4)
+                ? "/r[" + literal + " " + kMirrored[op] + " " + lhs + "]"
+                : "/r[" + lhs + " " + kOps[op] + " " + literal + "]";
+  return c;
+}
+
+std::string CheckComparisonCase(const ComparisonCase& c) {
+  auto path_r = xpath::ParsePath(c.query);
+  if (!path_r.ok())
+    return "query does not parse: " + path_r.status().ToString();
+  EngineOptions eo;
+  eo.in_memory = true;
+  eo.enable_wal = false;
+  auto engine_r = Engine::Open(eo);
+  if (!engine_r.ok())
+    return "engine open failed: " + engine_r.status().ToString();
+  auto engine = engine_r.MoveValue();
+  auto coll_r = engine->CreateCollection("comparisons");
+  if (!coll_r.ok())
+    return "collection create failed: " + coll_r.status().ToString();
+  Collection* coll = coll_r.value();
+  ValueIndexDef def;
+  def.name = "k";
+  def.path = c.index_path;
+  def.type = c.index_type;
+  if (c.index_first) {
+    Status st = coll->CreateValueIndex(def);
+    if (!st.ok()) return "index create failed: " + st.ToString();
+  }
+
+  // The reference: each document's DOM evaluation under its stored DocID.
+  NodeSequence ref;
+  for (const std::string& doc : c.docs) {
+    auto id = coll->InsertDocument(nullptr, doc);
+    if (!id.ok()) return "insert failed: " + id.status().ToString();
+    NameDictionary dict;
+    Parser parser(&dict);
+    TokenWriter tokens;
+    Status st = parser.Parse(doc, &tokens);
+    if (!st.ok()) return "document does not parse: " + st.ToString();
+    auto tree = DomTree::FromTokens(tokens.data());
+    if (!tree.ok()) return "DOM build failed: " + tree.status().ToString();
+    auto got = xpath::DomEvaluator(tree.value().get(), &dict, id.value())
+                   .Evaluate(path_r.value(), false);
+    if (!got.ok())
+      return "DOM evaluation failed: " + got.status().ToString();
+    ref.insert(ref.end(), got.value().begin(), got.value().end());
+  }
+  NormalizeSequence(&ref);
+  if (!c.index_first) {
+    Status st = coll->CreateValueIndex(def);
+    if (!st.ok()) return "index create failed: " + st.ToString();
+  }
+  return CheckFlavors(coll, c.query, ref, "the DOM reference", "", nullptr);
 }
 
 DiffCase GenCase(uint64_t seed, const DiffOptions& options) {

@@ -31,7 +31,9 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "index/key_codec.h"
 #include "util/workload.h"
 
 namespace xdb {
@@ -91,6 +93,30 @@ struct SweepResult {
 /// `log` (optional) gets a progress line every 200 cases.
 SweepResult RunSweep(uint64_t base_seed, uint64_t iters,
                      const DiffOptions& options, std::ostream* log = nullptr);
+
+/// One indexed-comparison case: about eight documents
+/// `<r k="V"><k>V</k>...</r>` whose values V come from a small pool
+/// (integers, fractions with one or two digits, numeric-looking strings
+/// such as "5.0", "060" and " 7 ", and a word), a value index of
+/// `index_type` (string, double or decimal) on `index_path` (/r/k or
+/// /r/@k), and a query comparing the same path with a literal from the
+/// pool, as a number where it is one, or quoted.
+struct ComparisonCase {
+  std::vector<std::string> docs;
+  ValueType index_type = ValueType::kString;
+  std::string index_path;
+  std::string query;
+  bool index_first = true;  // create the index before the inserts
+
+  /// The case spelled out, for failure messages.
+  std::string ToString() const;
+};
+ComparisonCase GenComparisonCase(uint64_t seed);
+
+/// Stores the case's documents under its index and requires every planner
+/// flavor to return the DOM reference's (document, node) set. Returns ""
+/// when all agree, else the first divergence.
+std::string CheckComparisonCase(const ComparisonCase& c);
 
 /// Checks each value and structural index of `coll` against a twin with
 /// its definition, backfilled from the stored records: equal raw B+tree

@@ -167,10 +167,35 @@ TEST(DifferentialTest, HandPickedAdversarialCases) {
       {"<a><b v=\"7\"/></a>", "//@v"},
       {"<c><d>9</d></c>", "/c[d = 9 or d = 10]"},
       {"<a><a/><b><a/></b></a>", "/a//a"},
+      // A quoted literal under < compares as a number: a string index,
+      // ordered by bytes, must not serve it.
+      {"<a v=\"60\">7</a>", "/a[@v < \"500\"]"},
   };
   for (const auto& c : kCases) {
     EXPECT_EQ(CompareEngines(c.doc, c.query, true), "")
         << "doc=" << c.doc << " query=" << c.query;
+  }
+}
+
+// --- value comparisons over every index type ---
+
+// A comparison may only be served by an index whose key order answers it
+// as XPath 1.0 does (relational operators and number literals compare as
+// numbers), and its probe key must be the literal's own value. The single
+// document sweep above never builds a decimal index and draws only
+// integers, so it cannot see either rule broken; this sweep draws a value
+// index of every comparable type, documents from a pool of integers,
+// short fractions and numeric-looking strings, and literals from the same
+// pool. Seeded from gtest's random seed (0 unless shuffling); a failure
+// names the seed and the case (replay with --gtest_shuffle
+// --gtest_random_seed=<seed>).
+TEST(DifferentialTest, IndexedComparisonsAgreeWithScan) {
+  const uint32_t seed = ::testing::UnitTest::GetInstance()->random_seed();
+  for (uint64_t i = 0; i < 500; i++) {
+    const ComparisonCase c = GenComparisonCase((uint64_t{seed} << 32) | i);
+    const std::string err = CheckComparisonCase(c);
+    ASSERT_EQ(err, "") << "gtest random seed " << seed << ", case " << i
+                       << ": " << c.ToString();
   }
 }
 

@@ -418,6 +418,80 @@ TEST(EngineTest, AttributeAxisNodeTestUnderEveryPlan) {
   }
 }
 
+// Every index plan returns exactly what a forced scan returns, and the
+// scan returns `want` nodes, so a scan that went wrong too cannot make the
+// plans agree with it.
+void ExpectPlansMatchScan(Collection* coll, const std::string& expr,
+                          size_t want) {
+  QueryOptions scan;
+  scan.force = ForceMethod::kScan;
+  auto base = coll->Query(nullptr, expr, scan);
+  ASSERT_TRUE(base.ok()) << expr << ": " << base.status().ToString();
+  EXPECT_EQ(base.value().nodes.size(), want) << expr << " under a scan";
+  for (ForceMethod force : {ForceMethod::kDocIdList, ForceMethod::kNodeIdList,
+                            ForceMethod::kAuto}) {
+    QueryOptions opts;
+    opts.force = force;
+    auto res = coll->Query(nullptr, expr, opts);
+    ASSERT_TRUE(res.ok()) << expr << ": " << res.status().ToString();
+    EXPECT_EQ(RenderIds(res.value().nodes), RenderIds(base.value().nodes))
+        << expr << " as "
+        << query::AccessMethodName(res.value().stats.method);
+  }
+}
+
+// A decimal index is probed for the literal the query names. Rendered with
+// %.17g, 0.46 was probed as 0.46000000000000002 and 0.3 as
+// 0.29999999999999999, and every index plan dropped the equal key.
+TEST(EngineTest, DecimalProbesFindTheirEqualKeys) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(
+      coll->CreateValueIndex({"v", "/a/v", ValueType::kDecimal, 128}).ok());
+  for (const char* v : {"0.46", "0.3", "0.47", "2", "9"})
+    ASSERT_TRUE(
+        coll->InsertDocument(nullptr, std::string("<a><v>") + v + "</v></a>")
+            .ok());
+  for (const auto& [expr, want] : {std::pair<std::string, size_t>{
+                                       "/a[v = 0.46]", 1},
+                                   {"/a[v >= 0.46]", 4},
+                                   {"/a[v <= 0.46]", 2},
+                                   {"/a[v < 0.46]", 1},
+                                   {"/a[v > 0.46]", 3},
+                                   {"/a[v = 0.3]", 1},
+                                   {"/a[v >= 0.3]", 5},
+                                   {"/a[v <= 0.3]", 1},
+                                   {"/a[v < 0.3]", 0},
+                                   {"/a[v > 0.3]", 4}})
+    ExpectPlansMatchScan(coll, expr, want);
+}
+
+// XPath 1.0 compares <, <=, >, >= as numbers, and = against a number as
+// numbers; a string index, ordered by bytes, answers neither, so the
+// planner leaves those comparisons to the scan.
+TEST(EngineTest, StringIndexNeverAnswersNumericComparison) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(
+      coll->CreateValueIndex({"n", "/a/n", ValueType::kString, 128}).ok());
+  for (const char* n : {"5", "5.0", "9", "apple", "pear"})
+    ASSERT_TRUE(
+        coll->InsertDocument(nullptr, std::string("<a><n>") + n + "</n></a>")
+            .ok());
+  ExpectPlansMatchScan(coll, "/a[n < 10]", 3);
+  ExpectPlansMatchScan(coll, "/a[n = 5]", 2);
+  ExpectPlansMatchScan(coll, "/a[n = \"5.0\"]", 1);  // string equality
+
+  Collection* other = engine->CreateCollection("other").value();
+  ASSERT_TRUE(
+      other->CreateValueIndex({"n", "/a/n", ValueType::kString, 128}).ok());
+  for (const char* n : {"60", "700", "5.0"})
+    ASSERT_TRUE(
+        other->InsertDocument(nullptr, std::string("<a><n>") + n + "</n></a>")
+            .ok());
+  ExpectPlansMatchScan(other, "/a[n < \"500\"]", 2);
+}
+
 TEST(EngineTxnTest, LockingWritersExcludeEachOther) {
   auto engine = MemEngine();
   Collection* coll = engine->CreateCollection("docs").value();

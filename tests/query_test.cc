@@ -2,6 +2,8 @@
 // selection (Table 2), anchoring, and posting-list algebra.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "btree/btree.h"
 #include "engine/engine.h"
 #include "obs/event_log.h"
@@ -303,6 +305,61 @@ TEST_F(PlannerFixture, TypeMismatchSkipsIndex) {
       Plan("/Catalog/Categories/Product[ProductName = \"gizmo\"]",
            ForceMethod::kDocIdList);
   EXPECT_EQ(plan.method, AccessMethod::kFullScan);
+
+  // A string index is ordered by bytes; XPath compares <, <=, >, >= and =
+  // against a number as numbers, so it serves only = with a string.
+  AddIndex("n", "/a/n", ValueType::kString);
+  for (const char* q : {"/a[n < 10]", "/a[n <= 10]", "/a[n > 10]",
+                        "/a[n >= 10]", "/a[n = 5]", "/a[n < \"500\"]",
+                        "/a[n >= \"5\"]", "/a[10 > n]"}) {
+    EXPECT_EQ(Plan(q, ForceMethod::kDocIdList).method, AccessMethod::kFullScan)
+        << q;
+    EXPECT_EQ(Plan(q, ForceMethod::kNodeIdList).method,
+              AccessMethod::kFullScan)
+        << q;
+  }
+  plan = Plan("/a[n = \"5\"]", ForceMethod::kDocIdList);
+  EXPECT_EQ(plan.method, AccessMethod::kDocIdList);
+  ASSERT_EQ(plan.probes.size(), 1u);
+  EXPECT_EQ(plan.probes[0].index->def().name, "n");
+
+  // With a numeric index on the same path, the numeric comparisons go to
+  // it instead of to the scan.
+  AddIndex("n_num", "/a/n", ValueType::kDecimal);
+  for (const char* q : {"/a[n < 10]", "/a[n = 5]", "/a[n < \"500\"]"}) {
+    plan = Plan(q, ForceMethod::kDocIdList);
+    EXPECT_EQ(plan.method, AccessMethod::kDocIdList) << q;
+    ASSERT_EQ(plan.probes.size(), 1u) << q;
+    EXPECT_EQ(plan.probes[0].index->def().name, "n_num") << q;
+  }
+}
+
+// The probe key is the literal the query names: a number in its shortest
+// round-trip form, a string under = as written, and a string under a
+// relational operator as the number XPath compares with.
+TEST(ProbeLiteralTest, ShortestRoundTripForNumbers) {
+  auto literal = [](const std::string& query) {
+    auto path = ParsePath(query).MoveValue();
+    std::vector<CandidatePredicate> cands;
+    bool leftover;
+    EXPECT_TRUE(ExtractCandidates(path, &cands, &leftover).ok());
+    EXPECT_EQ(cands.size(), 1u) << query;
+    return cands.empty() ? std::string() : ProbeLiteral(cands[0]);
+  };
+  EXPECT_EQ(literal("/a[v = 0.46]"), "0.46");
+  EXPECT_EQ(literal("/a[v <= 0.3]"), "0.3");
+  EXPECT_EQ(literal("/a[v = 5]"), "5");
+  EXPECT_EQ(literal("/a[v = 5.0]"), "5");
+  EXPECT_EQ(literal("/a[v > 060]"), "60");
+  // 2^63 and beyond: no integer cast, and the form still parses back to
+  // the literal's double.
+  EXPECT_EQ(std::strtod(literal("/a[v > 9223372036854775808]").c_str(),
+                        nullptr),
+            9223372036854775808.0);
+  EXPECT_EQ(literal("/a[v < 100000000000000000000000]"), "1e+23");
+  EXPECT_EQ(literal("/a[v = \"5.0\"]"), "5.0");
+  EXPECT_EQ(literal("/a[v < \" 7 \"]"), "7");
+  EXPECT_EQ(literal("/a[v >= \"0.46\"]"), "0.46");
 }
 
 TEST_F(PlannerFixture, ProbeBoundsFromOperators) {

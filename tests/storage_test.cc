@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "storage/buffer_manager.h"
 #include "storage/page.h"
@@ -312,6 +313,26 @@ TEST(BufferManagerTest, AllPinnedReportsBusy) {
   auto res = bm.FixPage(p3);
   EXPECT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsBusy());
+}
+
+// One shard per 16 frames, a power of two capped at 8: scan_large's
+// 64-frame pool gets 4 shards for its 4 query threads, and pools under 32
+// frames stay single-shard.
+TEST(BufferManagerTest, DefaultShardCountPolicy) {
+  for (size_t frames : {1, 2, 8, 16, 31})
+    EXPECT_EQ(BufferManager::DefaultShardCount(frames), 1u) << frames;
+  for (size_t frames : {32, 48, 63})
+    EXPECT_EQ(BufferManager::DefaultShardCount(frames), 2u) << frames;
+  for (size_t frames : {64, 100, 127})
+    EXPECT_EQ(BufferManager::DefaultShardCount(frames), 4u) << frames;
+  for (size_t frames : {128, 512, 4096})
+    EXPECT_EQ(BufferManager::DefaultShardCount(frames), 8u) << frames;
+
+  TableSpaceOptions opts;
+  opts.in_memory = true;
+  auto ts = TableSpace::Create("", opts).MoveValue();
+  EXPECT_EQ(BufferManager(ts.get(), 64).shard_count(), 4u);
+  EXPECT_EQ(BufferManager(ts.get(), 16).shard_count(), 1u);
 }
 
 TEST(BufferManagerTest, SkewedPinsBorrowFramesAcrossShards) {
@@ -630,10 +651,11 @@ TEST(WalLogTest, CommitSupersededByResetReturnsInsteadOfLivelocking) {
 }
 
 // Byte-at-a-time CRC-32 over the reflected polynomial 0xEDB88320, bit by
-// bit: the reference the table-driven Crc32 must match value for value, so
-// page headers, WAL records, segments and stats files keep their format.
-uint32_t ReferenceCrc32(const char* data, size_t n) {
-  uint32_t c = 0xFFFFFFFFu;
+// bit, continuing `crc`: the reference both Crc32 paths (carry-less
+// multiply folding and slicing-by-8) must match value for value, so page
+// headers, WAL records, segments and the catalog keep their format.
+uint32_t ReferenceCrc32Extend(uint32_t crc, const char* data, size_t n) {
+  uint32_t c = crc ^ 0xFFFFFFFFu;
   for (size_t i = 0; i < n; i++) {
     c ^= static_cast<unsigned char>(data[i]);
     for (int k = 0; k < 8; k++) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
@@ -652,19 +674,61 @@ TEST(Crc32Test, KnownValueAndSensitivity) {
 
 TEST(Crc32Test, MatchesByteAtATimeReference) {
   Random rng(0xC3C32);
-  std::string buf(kDefaultPageSize + 8, '\0');
+  std::string buf(64 * 1024 + 16, '\0');
   for (char& c : buf) c = static_cast<char>(rng.Next());
-  // Every length up to 64 at every alignment: the 8-byte steps, the byte
-  // tail, and their seams.
-  for (size_t offset = 0; offset < 8; offset++) {
-    for (size_t len = 0; len <= 64; len++) {
-      EXPECT_EQ(Crc32(buf.data() + offset, len),
-                ReferenceCrc32(buf.data() + offset, len))
+  // Every length up to 1,100 at every offset mod 16, from a different
+  // starting CRC per offset: the 64-byte folds, the 16-byte folds, the
+  // 8-byte table steps, the byte tail, and their seams. The reference
+  // extends one byte per length.
+  for (size_t offset = 0; offset < 16; offset++) {
+    const char* p = buf.data() + offset;
+    const uint32_t init = offset == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    uint32_t want = init;
+    for (size_t len = 0; len <= 1100; len++) {
+      if (len > 0) want = ReferenceCrc32Extend(want, p + len - 1, 1);
+      ASSERT_EQ(Crc32Extend(init, p, len), want)
           << "offset " << offset << " length " << len;
+      ASSERT_EQ(internal::Crc32ExtendTables(init, p, len), want)
+          << "tables: offset " << offset << " length " << len;
     }
   }
+  const uint32_t want = ReferenceCrc32Extend(0, buf.data(), 64 * 1024);
+  EXPECT_EQ(Crc32(buf.data(), 64 * 1024), want);
+  EXPECT_EQ(internal::Crc32ExtendTables(0, buf.data(), 64 * 1024), want);
   EXPECT_EQ(Crc32(buf.data(), kDefaultPageSize),
-            ReferenceCrc32(buf.data(), kDefaultPageSize));
+            ReferenceCrc32Extend(0, buf.data(), kDefaultPageSize));
+}
+
+// Crc32Extend continues a CRC wherever the input is split, including
+// splits that leave a fold's 64-byte minimum on one side only. The WAL
+// checksums a record's header and payload this way.
+TEST(Crc32Test, ExtendAtRandomSplitsEqualsWholeBuffer) {
+  const uint32_t seed = ::testing::UnitTest::GetInstance()->random_seed();
+  SCOPED_TRACE("gtest random seed " + std::to_string(seed));
+  Random rng(seed);
+  for (int round = 0; round < 2000; round++) {
+    std::string whole(rng.Uniform(3000), '\0');
+    for (char& c : whole) c = static_cast<char>(rng.Next());
+    const size_t split = rng.Uniform(whole.size() + 1);
+    const uint32_t head = Crc32(whole.data(), split);
+    ASSERT_EQ(Crc32Extend(head, whole.data() + split, whole.size() - split),
+              Crc32(whole.data(), whole.size()))
+        << "length " << whole.size() << " split " << split;
+  }
+}
+
+// The dispatch is checked on its own: every value test above would pass on
+// the table path alone, so a dispatch that never chose the folding path on
+// a host that has it would otherwise go unseen.
+TEST(Crc32Test, HostWithCarryLessMultiplyRunsTheFold) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("pclmul") || !__builtin_cpu_supports("sse4.1"))
+    GTEST_SKIP() << "this x86-64 host has no PCLMULQDQ or SSE4.1";
+  EXPECT_TRUE(internal::Crc32Folds());
+#else
+  EXPECT_FALSE(internal::Crc32Folds());
+#endif
 }
 
 }  // namespace
