@@ -36,7 +36,7 @@
 //                                                     log in application order)
 //   kWalNames             Engine::wal_names_mu_       held across wal_->Append
 //                                                     and dict_.Name in
-//                                                     LogNewNames; taken under
+//                                                     LogRecord; taken under
 //                                                     Engine::mu_ in Checkpoint
 //   kWalAppend            WalLog::mu_                 held across replay
 //                                                     visitors (which re-enter

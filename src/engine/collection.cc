@@ -133,11 +133,6 @@ Collection::ReadView Collection::OpenReadView(Transaction* txn) {
   return view;
 }
 
-Status Collection::WriteLockDoc(Transaction* txn, uint64_t doc_id) {
-  return engine_->locks()->LockDocument(txn->id, lock_space_, doc_id,
-                                        LockMode::kX);
-}
-
 Result<uint64_t> Collection::InsertDocument(Transaction* txn, Slice xml) {
   Parser parser = engine_->MakeParser();
   TokenWriter tokens;
@@ -161,21 +156,29 @@ Result<uint64_t> Collection::InsertTokens(Transaction* txn, Slice tokens) {
     MutexLock lock(docid_mu_);
     doc_id = meta_.next_doc_id++;
   }
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(WriteLockDoc(at.get(), doc_id));
-    XDB_RETURN_NOT_OK(engine_->LogInsert(meta_.name, doc_id, tokens));
-    Status inserted = InsertTokensLocked(at.get(), tokens, doc_id).status();
-    // The failed insert is undone (or its collection quarantined); a logged
-    // delete keeps a later replay from redoing it.
-    if (!inserted.ok()) (void)engine_->LogDelete(meta_.name, doc_id);
-    return inserted;
-  }();
+  const WalRecord rec{.type = WalRecordType::kInsertDocument,
+                      .collection = meta_.name, .doc_id = doc_id,
+                      .body = tokens};
+  Status st = ApplyInsert(at.get(), doc_id, tokens, &rec);
+  // The failed insert is undone (or its collection quarantined); a logged
+  // delete keeps a later replay from redoing it. (DocIDs are never reused,
+  // so one logged for an insert that failed before its record is a no-op.)
+  if (!st.ok())
+    (void)engine_->LogRecord({.type = WalRecordType::kDeleteDocument,
+                              .collection = meta_.name, .doc_id = doc_id});
   XDB_RETURN_NOT_OK(at.Finish(st));
   return doc_id;
 }
 
-Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
-                                                uint64_t doc_id) {
+Status Collection::ApplyInsert(Transaction* txn, uint64_t doc_id,
+                               Slice tokens, const WalRecord* rec) {
+  {
+    MutexLock lock(docid_mu_);
+    if (doc_id >= meta_.next_doc_id) meta_.next_doc_id = doc_id + 1;
+  }
+  XDB_RETURN_NOT_OK(engine_->locks()->LockDocument(txn->id, lock_space_,
+                                                   doc_id, LockMode::kX));
+  if (rec) XDB_RETURN_NOT_OK(engine_->LogRecord(*rec));
   WriterMutexLock latch(latch_);
   uint64_t version = 0;
   if (meta_.mvcc_enabled) {
@@ -221,11 +224,11 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
     }
     return st;
   }
-  // Statistics last, so a failed insert never counts. Runs for every insert
-  // path — client writes, WAL replay, scrub salvage — which is what keeps
-  // the incremental counters in step with the data.
+  // Statistics last, so a failed insert never counts. Every insert path —
+  // client writes, WAL replay, scrub salvage — runs this body, which is
+  // what keeps the incremental counters in step with the data.
   stats_.NoteDocumentInserted(builder.stat_nodes());
-  return doc_id;
+  return Status::OK();
 }
 
 Result<const xpath::QueryTree*> Collection::IndexPathTree(
@@ -353,27 +356,32 @@ Result<std::string> Collection::GetDocumentText(Transaction* txn,
 Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
   XDB_RETURN_NOT_OK(GuardWrite());
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(WriteLockDoc(at.get(), doc_id));
-    // The X doc lock pins existence. WAL append happens outside the latch
-    // (replay holds the WAL lock while taking collection latches, so the
-    // reverse nesting would be an inversion).
-    XDB_RETURN_NOT_OK(CheckExists(doc_id));
-    XDB_RETURN_NOT_OK(engine_->LogDelete(meta_.name, doc_id));
-    // Index-entry removal and record deletion happen under one exclusive
-    // latch section so queries never observe postings pointing at freed
-    // records. One listing of the document's NodeID entries serves all
-    // three: the stored walk, the records to free and the entries.
-    WriterMutexLock latch(latch_);
-    NodeIdEntries entries;
-    XDB_RETURN_NOT_OK(node_index_->ListDocEntries(doc_id, Slice(), &entries));
-    DocEntriesLocator locator(doc_id, &entries);
-    XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/true, &locator));
-    XDB_RETURN_NOT_OK(DeleteDocumentLocked(doc_id, entries));
-    stats_.NoteDocumentDeleted();
-    return Status::OK();
-  }();
-  return at.Finish(st);
+  const WalRecord rec{.type = WalRecordType::kDeleteDocument,
+                      .collection = meta_.name, .doc_id = doc_id};
+  return at.Finish(ApplyDelete(at.get(), doc_id, &rec));
+}
+
+Status Collection::ApplyDelete(Transaction* txn, uint64_t doc_id,
+                               const WalRecord* rec) {
+  XDB_RETURN_NOT_OK(engine_->locks()->LockDocument(txn->id, lock_space_,
+                                                   doc_id, LockMode::kX));
+  // The X doc lock pins existence. WAL append happens outside the latch
+  // (replay holds the WAL lock while taking collection latches, so the
+  // reverse nesting would be an inversion).
+  XDB_RETURN_NOT_OK(CheckExists(doc_id));
+  if (rec) XDB_RETURN_NOT_OK(engine_->LogRecord(*rec));
+  // Index-entry removal and record deletion happen under one exclusive
+  // latch section so queries never observe postings pointing at freed
+  // records. One listing of the document's NodeID entries serves all
+  // three: the stored walk, the records to free and the entries.
+  WriterMutexLock latch(latch_);
+  NodeIdEntries entries;
+  XDB_RETURN_NOT_OK(node_index_->ListDocEntries(doc_id, Slice(), &entries));
+  DocEntriesLocator locator(doc_id, &entries);
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, {}, /*remove=*/true, &locator));
+  XDB_RETURN_NOT_OK(DeleteDocumentLocked(doc_id, entries));
+  stats_.NoteDocumentDeleted();
+  return Status::OK();
 }
 
 Status Collection::CheckExists(uint64_t doc_id) {
@@ -423,58 +431,62 @@ Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
                                   Slice node_id, Slice new_text) {
   XDB_RETURN_NOT_OK(GuardWrite());
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  Status st = [&]() -> Status {
-    // Subdocument protocol: X on the updated subtree, which a document S or
-    // X of another transaction excludes by the prefix rule.
-    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(
-        at.get()->id, lock_space_, doc_id, node_id, LockMode::kX));
-    XDB_RETURN_NOT_OK(
-        engine_->LogUpdate(meta_.name, doc_id, node_id, new_text));
+  const WalRecord rec{.type = WalRecordType::kUpdateNode,
+                      .collection = meta_.name, .doc_id = doc_id,
+                      .node_id = node_id, .body = new_text};
+  return at.Finish(ApplyTextUpdate(at.get(), doc_id, node_id, new_text, &rec));
+}
 
-    WriterMutexLock latch(latch_);
-    XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, node_id));
-    std::string old_record;
-    XDB_RETURN_NOT_OK(records_->Get(rid, &old_record));
-    XDB_ASSIGN_OR_RETURN(std::string new_record,
-                         ReplaceTextValue(old_record, node_id, new_text));
+Status Collection::ApplyTextUpdate(Transaction* txn, uint64_t doc_id,
+                                   Slice node_id, Slice new_text,
+                                   const WalRecord* rec) {
+  // Subdocument protocol: X on the updated subtree, which a document S or
+  // X of another transaction excludes by the prefix rule.
+  XDB_RETURN_NOT_OK(engine_->locks()->LockNode(txn->id, lock_space_, doc_id,
+                                               node_id, LockMode::kX));
+  if (rec) XDB_RETURN_NOT_OK(engine_->LogRecord(*rec));
 
-    // The update changes the string values of the text node's ancestors
-    // only, in place or by copy-on-write: postings name nodes, which keep
-    // their IDs when their record moves.
-    const EditRegion region{node_id.ToString(), /*subtree=*/false};
-    XDB_RETURN_NOT_OK(IndexDocument(doc_id, region, /*remove=*/true));
-    if (!meta_.mvcc_enabled) {
-      XDB_RETURN_NOT_OK(records_->Update(rid, new_record));
-      XDB_RETURN_NOT_OK(IndexDocument(doc_id, region, /*remove=*/false));
-      stats_.NoteDocumentMutated();
-      return Status::OK();
-    }
+  WriterMutexLock latch(latch_);
+  XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, node_id));
+  std::string old_record;
+  XDB_RETURN_NOT_OK(records_->Get(rid, &old_record));
+  XDB_ASSIGN_OR_RETURN(std::string new_record,
+                       ReplaceTextValue(old_record, node_id, new_text));
 
-    // MVCC: copy-on-write of the changed record under a new version.
-    XDB_ASSIGN_OR_RETURN(
-        uint64_t version,
-        engine_->txns()->WriteVersion(at.get(), versions_.get()));
-    XDB_ASSIGN_OR_RETURN(Rid new_rid, records_->Insert(new_record));
-    // New version's entries: previous effective entries, with the changed
-    // record's entries re-pointed at the new RID.
-    XDB_ASSIGN_OR_RETURN(
-        uint64_t prev_ver,
-        versions_->EffectiveVersion(doc_id,
-                                    std::numeric_limits<uint64_t>::max() - 1));
-    std::vector<std::pair<std::string, Rid>> entries;
-    XDB_RETURN_NOT_OK(versions_->ListVersionEntries(doc_id, prev_ver, &entries));
-    for (auto& [upper, entry_rid] : entries) {
-      Rid target = (entry_rid == rid) ? new_rid : entry_rid;
-      XDB_RETURN_NOT_OK(versions_->AddEntry(doc_id, version, upper, target));
-    }
-    // The unversioned NodeID index tracks the newest version.
-    XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, old_record, rid));
-    XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, new_record, new_rid));
+  // The update changes the string values of the text node's ancestors
+  // only, in place or by copy-on-write: postings name nodes, which keep
+  // their IDs when their record moves.
+  const EditRegion region{node_id.ToString(), /*subtree=*/false};
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, region, /*remove=*/true));
+  if (!meta_.mvcc_enabled) {
+    XDB_RETURN_NOT_OK(records_->Update(rid, new_record));
     XDB_RETURN_NOT_OK(IndexDocument(doc_id, region, /*remove=*/false));
     stats_.NoteDocumentMutated();
     return Status::OK();
-  }();
-  return at.Finish(st);
+  }
+
+  // MVCC: copy-on-write of the changed record under a new version.
+  XDB_ASSIGN_OR_RETURN(uint64_t version,
+                       engine_->txns()->WriteVersion(txn, versions_.get()));
+  XDB_ASSIGN_OR_RETURN(Rid new_rid, records_->Insert(new_record));
+  // New version's entries: previous effective entries, with the changed
+  // record's entries re-pointed at the new RID.
+  XDB_ASSIGN_OR_RETURN(
+      uint64_t prev_ver,
+      versions_->EffectiveVersion(doc_id,
+                                  std::numeric_limits<uint64_t>::max() - 1));
+  std::vector<std::pair<std::string, Rid>> entries;
+  XDB_RETURN_NOT_OK(versions_->ListVersionEntries(doc_id, prev_ver, &entries));
+  for (auto& [upper, entry_rid] : entries) {
+    Rid target = (entry_rid == rid) ? new_rid : entry_rid;
+    XDB_RETURN_NOT_OK(versions_->AddEntry(doc_id, version, upper, target));
+  }
+  // The unversioned NodeID index tracks the newest version.
+  XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, old_record, rid));
+  XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, new_record, new_rid));
+  XDB_RETURN_NOT_OK(IndexDocument(doc_id, region, /*remove=*/false));
+  stats_.NoteDocumentMutated();
+  return Status::OK();
 }
 
 Status Collection::EditRecord(uint64_t doc_id, Rid rid,
@@ -506,26 +518,23 @@ Result<std::string> Collection::InsertSubtree(Transaction* txn,
   XDB_RETURN_NOT_OK(parser.Parse(fragment, &tokens));
 
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  std::string new_id;
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(
-        at.get()->id, lock_space_, doc_id, parent_id, LockMode::kX));
-    XDB_RETURN_NOT_OK(engine_->LogInsertSubtree(
-        meta_.name, doc_id, parent_id, after_sibling_id, tokens.data()));
-    WriterMutexLock latch(latch_);
-    XDB_ASSIGN_OR_RETURN(new_id, InsertSubtreeLocked(doc_id, parent_id,
-                                                     after_sibling_id,
-                                                     tokens.data()));
-    return Status::OK();
-  }();
-  XDB_RETURN_NOT_OK(at.Finish(st));
+  const WalRecord rec{.type = WalRecordType::kInsertSubtree,
+                      .collection = meta_.name, .doc_id = doc_id,
+                      .node_id = parent_id, .after_id = after_sibling_id,
+                      .body = tokens.data()};
+  Result<std::string> new_id = ApplySubtreeInsert(
+      at.get(), doc_id, parent_id, after_sibling_id, tokens.data(), &rec);
+  XDB_RETURN_NOT_OK(at.Finish(new_id.status()));
   return new_id;
 }
 
-Result<std::string> Collection::InsertSubtreeLocked(uint64_t doc_id,
-                                                    Slice parent_id,
-                                                    Slice after_sibling_id,
-                                                    Slice fragment_tokens) {
+Result<std::string> Collection::ApplySubtreeInsert(
+    Transaction* txn, uint64_t doc_id, Slice parent_id,
+    Slice after_sibling_id, Slice fragment_tokens, const WalRecord* rec) {
+  XDB_RETURN_NOT_OK(engine_->locks()->LockNode(txn->id, lock_space_, doc_id,
+                                               parent_id, LockMode::kX));
+  if (rec) XDB_RETURN_NOT_OK(engine_->LogRecord(*rec));
+  WriterMutexLock latch(latch_);
   // Direct children of the parent (inline entries and proxies) in order.
   StoredTreeNavigator nav(records_.get(), node_index_.get(), doc_id);
   std::vector<std::string> child_ids;
@@ -631,21 +640,22 @@ Status Collection::DeleteSubtree(Transaction* txn, uint64_t doc_id,
   if (node_id.empty())
     return Status::InvalidArgument("cannot delete the document node");
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(
-        at.get()->id, lock_space_, doc_id, node_id, LockMode::kX));
-    XDB_RETURN_NOT_OK(
-        engine_->LogDeleteSubtree(meta_.name, doc_id, node_id));
-    WriterMutexLock latch(latch_);
-    return DeleteSubtreeLocked(doc_id, node_id);
-  }();
-  return at.Finish(st);
+  const WalRecord rec{.type = WalRecordType::kDeleteSubtree,
+                      .collection = meta_.name, .doc_id = doc_id,
+                      .node_id = node_id};
+  return at.Finish(ApplySubtreeDelete(at.get(), doc_id, node_id, &rec));
 }
 
-Status Collection::DeleteSubtreeLocked(uint64_t doc_id, Slice node_id) {
+Status Collection::ApplySubtreeDelete(Transaction* txn, uint64_t doc_id,
+                                      Slice node_id, const WalRecord* rec) {
+  // Refused before the record is logged: replay would refuse it again.
   XDB_ASSIGN_OR_RETURN(Slice parent_id, nodeid::Parent(node_id));
   if (parent_id.empty())
     return Status::InvalidArgument("cannot delete the root element");
+  XDB_RETURN_NOT_OK(engine_->locks()->LockNode(txn->id, lock_space_, doc_id,
+                                               node_id, LockMode::kX));
+  if (rec) XDB_RETURN_NOT_OK(engine_->LogRecord(*rec));
+  WriterMutexLock latch(latch_);
   // The subtree's entries go, and so do the postings of the parent's chain,
   // whose string values lose the subtree's text; the chain is re-posted
   // once the records no longer hold the subtree.
@@ -679,17 +689,20 @@ Status Collection::DeleteSubtreeLocked(uint64_t doc_id, Slice node_id) {
 }
 
 Status Collection::CreateValueIndex(const ValueIndexDef& def) {
+  XDB_RETURN_NOT_OK(GuardWrite());
   // ddl_mu_ spans the mutation AND its WAL record: a concurrent drop of the
   // same index cannot slip its record into the log between them, so the log
   // order always matches the application order (replay/replica convergence
   // depends on it).
   MutexLock ddl(ddl_mu_);
   XDB_RETURN_NOT_OK(ApplyCreateValueIndex(def));
-  return engine_->LogCreateIndex(meta_.name, def);
+  return engine_->LogRecord(
+      {.type = WalRecordType::kCreateValueIndex, .collection = meta_.name,
+       .index_name = def.name, .index_path = def.path, .value_type = def.type,
+       .max_string_len = def.max_string_len});
 }
 
 Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
-  XDB_RETURN_NOT_OK(GuardWrite());
   if (!IsValueType(static_cast<uint8_t>(def.type)))
     return Status::InvalidArgument("unknown value index type");
   XDB_ASSIGN_OR_RETURN(xpath::Path path, xpath::ParsePath(def.path));
@@ -722,21 +735,19 @@ Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
     index_version_.fetch_add(1, std::memory_order_acq_rel);
     plan_cache_.Invalidate("index created");
   }
-  // No WAL append here: the logging wrapper (CreateValueIndex) does it,
-  // outside the latch — replay holds the WAL lock while taking collection
-  // latches, so appending under the latch would deadlock.
   return Status::OK();
 }
 
 Status Collection::DropValueIndex(const std::string& name) {
+  XDB_RETURN_NOT_OK(GuardWrite());
   // Same atomicity as CreateValueIndex: mutation + WAL record under ddl_mu_.
   MutexLock ddl(ddl_mu_);
   XDB_RETURN_NOT_OK(ApplyDropValueIndex(name));
-  return engine_->LogDropIndex(meta_.name, name);
+  return engine_->LogRecord({.type = WalRecordType::kDropValueIndex,
+                             .collection = meta_.name, .index_name = name});
 }
 
 Status Collection::ApplyDropValueIndex(const std::string& name) {
-  XDB_RETURN_NOT_OK(GuardWrite());
   {
     WriterMutexLock latch(latch_);
     size_t pos = value_indexes_.size();
@@ -774,15 +785,17 @@ ValueIndex* Collection::FindValueIndex(const std::string& name) {
 }
 
 Status Collection::CreateStructuralIndex(const StructuralIndexDef& def) {
+  XDB_RETURN_NOT_OK(GuardWrite());
   // Same DDL atomicity as CreateValueIndex: mutation + WAL record under
   // ddl_mu_ so log order always matches application order.
   MutexLock ddl(ddl_mu_);
   XDB_RETURN_NOT_OK(ApplyCreateStructuralIndex(def));
-  return engine_->LogCreateStructuralIndex(meta_.name, def);
+  return engine_->LogRecord(
+      {.type = WalRecordType::kCreateStructuralIndex, .collection = meta_.name,
+       .index_name = def.name, .index_path = def.element_name});
 }
 
 Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
-  XDB_RETURN_NOT_OK(GuardWrite());
   if (def.name.empty())
     return Status::InvalidArgument("structural index needs a name");
   {
@@ -809,19 +822,18 @@ Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
     index_version_.fetch_add(1, std::memory_order_acq_rel);
     plan_cache_.Invalidate("structural index created");
   }
-  // No WAL append here: the logging wrapper does it outside the latch (see
-  // ApplyCreateValueIndex).
   return Status::OK();
 }
 
 Status Collection::DropStructuralIndex(const std::string& name) {
+  XDB_RETURN_NOT_OK(GuardWrite());
   MutexLock ddl(ddl_mu_);
   XDB_RETURN_NOT_OK(ApplyDropStructuralIndex(name));
-  return engine_->LogDropStructuralIndex(meta_.name, name);
+  return engine_->LogRecord({.type = WalRecordType::kDropStructuralIndex,
+                             .collection = meta_.name, .index_name = name});
 }
 
 Status Collection::ApplyDropStructuralIndex(const std::string& name) {
-  XDB_RETURN_NOT_OK(GuardWrite());
   {
     WriterMutexLock latch(latch_);
     size_t pos = structural_indexes_.size();
@@ -1666,14 +1678,8 @@ Status Collection::ScrubAndRepair(CollectionScrubReport* report,
   repair_reason_.clear();
 
   for (auto& [doc, tokens] : salvage) {
-    Transaction txn = engine_->Begin(IsolationMode::kLocking);
-    Status st = WriteLockDoc(&txn, doc);
-    if (st.ok()) {
-      auto res = InsertTokensLocked(&txn, Slice(tokens), doc);
-      st = res.ok() ? Status::OK() : res.status();
-    }
-    if (st.ok()) st = engine_->Commit(&txn);
-    else (void)engine_->Abort(&txn);
+    AutoTxn at(engine_, nullptr, IsolationMode::kLocking);
+    Status st = at.Finish(ApplyInsert(at.get(), doc, Slice(tokens), nullptr));
     if (st.ok()) {
       salvaged_ids->insert(doc);
       report->docs_salvaged++;
@@ -1681,10 +1687,6 @@ Status Collection::ScrubAndRepair(CollectionScrubReport* report,
       lost_ids->insert(doc);
       report->notes.push_back("doc " + std::to_string(doc) +
                               " lost during re-insert: " + st.ToString());
-    }
-    {
-      MutexLock lock(docid_mu_);
-      if (doc >= meta_.next_doc_id) meta_.next_doc_id = doc + 1;
     }
   }
   return Status::OK();

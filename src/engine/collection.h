@@ -43,6 +43,7 @@ class QuickXScan;
 }  // namespace xpath
 
 class Engine;
+struct WalRecord;
 
 struct CollectionOptions {
   bool mvcc = false;              // enable document-level multiversioning
@@ -248,10 +249,6 @@ class Collection {
   friend class Engine;
   Collection() = default;
 
-  // X-locks a document for a write; autocommit transactions are
-  // created/finished by the public methods.
-  Status WriteLockDoc(Transaction* txn, uint64_t doc_id);
-
   /// One read's two choices (see OpenReadView): the locator its node IDs
   /// resolve through, and whether it S-locks each document it reads.
   struct ReadView {
@@ -267,9 +264,30 @@ class Collection {
   /// the documents it reads. Called once per read.
   ReadView OpenReadView(Transaction* txn);
 
-  Result<uint64_t> InsertTokensLocked(Transaction* txn, Slice tokens,
-                                      uint64_t forced_doc_id)
+  /// The document writes' one body each, run by the public mutation (with
+  /// its guard and its WAL record) and by replay, replica apply and scrub
+  /// salvage (with neither: `rec` is null, so they never log): the X lock
+  /// (the document's for an insert or a delete, the node's for a text update
+  /// or a subtree edit), then the append of `rec` when set, then the
+  /// exclusive latch and the record, index and statistics work. An insert
+  /// also raises next_doc_id past `doc_id`.
+  Status ApplyInsert(Transaction* txn, uint64_t doc_id, Slice tokens,
+                     const WalRecord* rec) XDB_EXCLUDES(latch_)
+      XDB_EXCLUDES(docid_mu_);
+  Status ApplyDelete(Transaction* txn, uint64_t doc_id, const WalRecord* rec)
       XDB_EXCLUDES(latch_);
+  Status ApplyTextUpdate(Transaction* txn, uint64_t doc_id, Slice node_id,
+                         Slice new_text, const WalRecord* rec)
+      XDB_EXCLUDES(latch_);
+  /// Returns the new subtree root's absolute node ID.
+  Result<std::string> ApplySubtreeInsert(Transaction* txn, uint64_t doc_id,
+                                         Slice parent_id,
+                                         Slice after_sibling_id,
+                                         Slice fragment_tokens,
+                                         const WalRecord* rec)
+      XDB_EXCLUDES(latch_);
+  Status ApplySubtreeDelete(Transaction* txn, uint64_t doc_id, Slice node_id,
+                            const WalRecord* rec) XDB_EXCLUDES(latch_);
   /// OK when the document is stored, NotFound when not: a document exists
   /// exactly when it has NodeID entries.
   Status CheckExists(uint64_t doc_id) XDB_EXCLUDES(latch_);
@@ -302,12 +320,6 @@ class Collection {
   /// DDL backfill of the one index `scope` names from every stored document.
   Status Backfill(IndexScope scope) XDB_REQUIRES(latch_);
 
-  Result<std::string> InsertSubtreeLocked(uint64_t doc_id, Slice parent_id,
-                                          Slice after_sibling_id,
-                                          Slice fragment_tokens)
-      XDB_REQUIRES(latch_);
-  Status DeleteSubtreeLocked(uint64_t doc_id, Slice node_id)
-      XDB_REQUIRES(latch_);
   /// One record surgery in place: rewrites the record at `rid` with `edit`
   /// and moves its NodeID entries along; an edit that reports the record
   /// empty deletes it.
@@ -380,8 +392,8 @@ class Collection {
                     StoredDocSource* source, xpath::QuickXScan* scan,
                     QueryResult* result) XDB_REQUIRES_SHARED(latch_);
 
-  /// Bodies of CreateValueIndex/DropValueIndex without the DDL mutex and
-  /// without logging — the form WAL replay and the replica apply path call
+  /// Bodies of CreateValueIndex/DropValueIndex without the guard, the DDL
+  /// mutex and logging — the form WAL replay and the replica apply path call
   /// (replay must not take ddl_mu_: it already holds the WAL mutex, which a
   /// client DDL acquires only AFTER ddl_mu_, so the reverse nesting would
   /// deadlock; replay applies records in log order single-threaded and
@@ -398,8 +410,8 @@ class Collection {
   /// kCorruption when the collection is quarantined; call at the top of every
   /// public data operation.
   Status GuardRepair() const;
-  /// GuardRepair plus the replica read-only gate (kNotSupported on a replica
-  /// outside the apply path); call at the top of every public mutation.
+  /// GuardRepair plus the replica read-only gate (kNotSupported on a
+  /// replica); call at the top of every public mutation.
   Status GuardWrite() const;
 
   /// Sweeps every page of the table space (checksum + record-envelope

@@ -11,35 +11,6 @@
 
 namespace xdb {
 
-namespace {
-/// Which engine the current thread is replaying into (null = none). Replay
-/// permission must be per-thread: GuardWritable() consults it so that ONLY
-/// the thread driving WAL replay / replicated-segment apply may mutate a
-/// read-only replica — with an engine-wide flag, any client mutation racing
-/// a mid-flight apply would slip through the gate (TOCTOU) and append local
-/// writes to the replica's WAL, corrupting the stream accounting. The Log*
-/// skip uses it for the same reason in reverse: a primary client write
-/// concurrent with a Scrub replay must still log itself.
-thread_local const Engine* t_replaying_engine = nullptr;
-
-/// RAII replay scope, nestable and restoring the previous value (a replica
-/// apply never nests today, but restoring is free and future-proof).
-class ReplayScope {
- public:
-  explicit ReplayScope(const Engine* e) : prev_(t_replaying_engine) {
-    t_replaying_engine = e;
-  }
-  ~ReplayScope() { t_replaying_engine = prev_; }
-  ReplayScope(const ReplayScope&) = delete;
-  ReplayScope& operator=(const ReplayScope&) = delete;
-
- private:
-  const Engine* prev_;
-};
-}  // namespace
-
-bool Engine::InReplay() const { return t_replaying_engine == this; }
-
 Engine::~Engine() {
   // Best-effort flush on clean shutdown; a failure here is what recovery
   // exists for. An engine whose Open failed saves nothing: its catalog and
@@ -260,7 +231,7 @@ Status Engine::RestoreStats(Collection* coll) {
 }
 
 Status Engine::GuardWritable() const {
-  if (replica_.load(std::memory_order_acquire) && !InReplay())
+  if (replica_.load(std::memory_order_acquire))
     return Status::NotSupported("replica is read-only (promote it to write)");
   return Status::OK();
 }
@@ -270,7 +241,9 @@ Result<Collection*> Engine::CreateCollection(const std::string& name,
   XDB_RETURN_NOT_OK(GuardWritable());
   MutexLock lock(mu_);
   XDB_ASSIGN_OR_RETURN(Collection * raw, CreateCollectionLocked(name, options));
-  XDB_RETURN_NOT_OK(LogCreateCollection(name, options));
+  XDB_RETURN_NOT_OK(LogRecord({.type = WalRecordType::kCreateCollection,
+                               .collection = name, .mvcc = options.mvcc,
+                               .schema = options.schema}));
   return raw;
 }
 
@@ -306,7 +279,8 @@ Status Engine::DropCollection(const std::string& name) {
   XDB_RETURN_NOT_OK(GuardWritable());
   MutexLock lock(mu_);
   XDB_RETURN_NOT_OK(DropCollectionLocked(name));
-  return LogDropCollection(name);
+  return LogRecord(
+      {.type = WalRecordType::kDropCollection, .collection = name});
 }
 
 Status Engine::DropCollectionLocked(const std::string& name) {
@@ -328,10 +302,9 @@ Status Engine::RegisterSchema(const std::string& name, Slice schema_text) {
   std::string binary;
   cs.Serialize(&binary);
   MutexLock lock(mu_);
-  schemas_[name] = std::move(cs);
-  XDB_RETURN_NOT_OK(LogRegisterSchema(name, binary));
-  catalog_.schemas[name] = std::move(binary);
-  return Status::OK();
+  XDB_RETURN_NOT_OK(RegisterSchemaBinaryLocked(name, binary));
+  return LogRecord(
+      {.type = WalRecordType::kRegisterSchema, .body = binary, .schema = name});
 }
 
 Status Engine::RegisterSchemaBinaryLocked(const std::string& name,
@@ -433,147 +406,28 @@ Status Engine::Checkpoint() {
   return Status::OK();
 }
 
-Status Engine::LogNewNames() {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  MutexLock lock(wal_names_mu_);
-  while (wal_names_logged_ < dict_.size()) {
-    NameId id = static_cast<NameId>(wal_names_logged_);
-    XDB_ASSIGN_OR_RETURN(std::string name, dict_.Name(id));
-    std::string payload;
-    PutFixed32(&payload, id);
-    payload.append(name);
-    XDB_RETURN_NOT_OK(
-        wal_->Append(WalRecordType::kDefineName, payload).status());
-    wal_names_logged_ = id + 1;
+Status Engine::LogRecord(const WalRecord& rec) {
+  if (wal_ == nullptr) return Status::OK();
+  // A token stream names dictionary entries: the new ones are logged first.
+  if (rec.type == WalRecordType::kInsertDocument ||
+      rec.type == WalRecordType::kInsertSubtree) {
+    MutexLock lock(wal_names_mu_);
+    while (wal_names_logged_ < dict_.size()) {
+      NameId id = static_cast<NameId>(wal_names_logged_);
+      XDB_ASSIGN_OR_RETURN(std::string name, dict_.Name(id));
+      XDB_RETURN_NOT_OK(
+          wal_->Append(WalRecordType::kDefineName,
+                       EncodeWalRecord({.type = WalRecordType::kDefineName,
+                                        .body = name, .name_id = id}))
+              .status());
+      wal_names_logged_ = id + 1;
+    }
   }
-  return Status::OK();
-}
-
-Status Engine::AppendWal(WalRecordType type, Slice payload) {
-  XDB_RETURN_NOT_OK(wal_->Append(type, payload).status());
+  XDB_RETURN_NOT_OK(wal_->Append(rec.type, EncodeWalRecord(rec)).status());
   // Group commit: under sync_commits every logged operation becomes durable
   // before it returns, but concurrent committers share one fdatasync.
   if (options_.sync_commits) return wal_->Commit();
   return Status::OK();
-}
-
-Status Engine::LogInsert(const std::string& collection, uint64_t doc_id,
-                         Slice tokens) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  XDB_RETURN_NOT_OK(LogNewNames());
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  payload.append(tokens.data(), tokens.size());
-  return AppendWal(WalRecordType::kInsertDocument, payload);
-}
-
-Status Engine::LogDelete(const std::string& collection, uint64_t doc_id) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  return AppendWal(WalRecordType::kDeleteDocument, payload);
-}
-
-Status Engine::LogUpdate(const std::string& collection, uint64_t doc_id,
-                         Slice node_id, Slice new_text) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  PutLengthPrefixed(&payload, node_id);
-  payload.append(new_text.data(), new_text.size());
-  return AppendWal(WalRecordType::kUpdateNode, payload);
-}
-
-Status Engine::LogInsertSubtree(const std::string& collection,
-                                uint64_t doc_id, Slice parent_id,
-                                Slice after_id, Slice tokens) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  XDB_RETURN_NOT_OK(LogNewNames());
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  PutLengthPrefixed(&payload, parent_id);
-  PutLengthPrefixed(&payload, after_id);
-  payload.append(tokens.data(), tokens.size());
-  return AppendWal(WalRecordType::kInsertSubtree, payload);
-}
-
-Status Engine::LogDeleteSubtree(const std::string& collection,
-                                uint64_t doc_id, Slice node_id) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  payload.append(node_id.data(), node_id.size());
-  return AppendWal(WalRecordType::kDeleteSubtree, payload);
-}
-
-Status Engine::LogCreateCollection(const std::string& name,
-                                   const CollectionOptions& options) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, name);
-  payload.push_back(options.mvcc ? 1 : 0);
-  PutLengthPrefixed(&payload, options.schema);
-  return AppendWal(WalRecordType::kCreateCollection, payload);
-}
-
-Status Engine::LogDropCollection(const std::string& name) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, name);
-  return AppendWal(WalRecordType::kDropCollection, payload);
-}
-
-Status Engine::LogCreateIndex(const std::string& collection,
-                              const ValueIndexDef& def) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutLengthPrefixed(&payload, def.name);
-  PutLengthPrefixed(&payload, def.path);
-  payload.push_back(static_cast<char>(def.type));
-  PutFixed32(&payload, def.max_string_len);
-  return AppendWal(WalRecordType::kCreateValueIndex, payload);
-}
-
-Status Engine::LogDropIndex(const std::string& collection,
-                            const std::string& index_name) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutLengthPrefixed(&payload, index_name);
-  return AppendWal(WalRecordType::kDropValueIndex, payload);
-}
-
-Status Engine::LogCreateStructuralIndex(const std::string& collection,
-                                        const StructuralIndexDef& def) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutLengthPrefixed(&payload, def.name);
-  PutLengthPrefixed(&payload, def.element_name);
-  return AppendWal(WalRecordType::kCreateStructuralIndex, payload);
-}
-
-Status Engine::LogDropStructuralIndex(const std::string& collection,
-                                      const std::string& index_name) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutLengthPrefixed(&payload, index_name);
-  return AppendWal(WalRecordType::kDropStructuralIndex, payload);
-}
-
-Status Engine::LogRegisterSchema(const std::string& name, Slice binary) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, name);
-  payload.append(binary.data(), binary.size());
-  return AppendWal(WalRecordType::kRegisterSchema, payload);
 }
 
 Status Engine::ReplayWal(const ReplayFilter& filter, WalReplayInfo* info) {
@@ -581,19 +435,7 @@ Status Engine::ReplayWal(const ReplayFilter& filter, WalReplayInfo* info) {
   // the visitor), so it runs under mu_. The visitor is a separate function
   // to the analysis and cannot see the lock held here, hence the opt-out.
   MutexLock lock(mu_);
-  ReplayScope replay(this);
   return wal_->Replay(
-      [&](uint64_t lsn, WalRecordType type,
-          Slice payload) XDB_NO_THREAD_SAFETY_ANALYSIS -> Status {
-        return ApplyWalRecordLocked(lsn, type, payload, filter);
-      },
-      info);
-}
-
-Status Engine::ApplyWalRange(Slice records, uint64_t base_lsn,
-                             const ReplayFilter& filter, WalReplayInfo* info) {
-  return ScanWalRecords(
-      records, base_lsn,
       [&](uint64_t lsn, WalRecordType type,
           Slice payload) XDB_NO_THREAD_SAFETY_ANALYSIS -> Status {
         return ApplyWalRecordLocked(lsn, type, payload, filter);
@@ -604,216 +446,129 @@ Status Engine::ApplyWalRange(Slice records, uint64_t base_lsn,
 Status Engine::ApplyWalRecordLocked(uint64_t lsn, WalRecordType type,
                                     Slice payload,
                                     const ReplayFilter& filter) {
-    // Every field is decoded before anything applies. A record that passed
-    // its CRC yet does not decode comes from a writer bug or version skew,
-    // not media damage, and skipping it could drop a collection or an index
-    // and everything logged after it; so it fails the replay (Open, or the
-    // replica's segment apply) with Corruption naming the record.
-    auto undecodable = [&](const char* what) {
-      return Status::Corruption(
-          "wal record at lsn " + std::to_string(lsn) + " (type " +
-          std::to_string(static_cast<int>(type)) + ") does not decode: " +
-          what);
-    };
-    // The collection a decoded record names; null when it is dropped later
-    // in the log, or quarantined: it cannot take replay until Scrub() has
-    // rebuilt its storage, and Scrub then re-runs the replay with a filter.
-    auto live = [&](Slice cname) XDB_NO_THREAD_SAFETY_ANALYSIS -> Collection* {
-      auto cit = collections_.find(cname.ToString());
-      if (cit == collections_.end() || cit->second->needs_repair())
-        return nullptr;
-      return cit->second.get();
-    };
-    if (type == WalRecordType::kDefineName) {
-      if (payload.size() < 4) return undecodable("bad name record");
-      NameId id = DecodeFixed32(payload.data());
-      payload.RemovePrefix(4);
-      if (id < dict_.size()) return Status::OK();  // already in the catalog
-      if (id != dict_.size())
+  // Every field is decoded before anything applies. A record that passed
+  // its CRC yet does not decode comes from a writer bug or version skew,
+  // not media damage, and skipping it could drop a collection or an index
+  // and everything logged after it; so it fails the replay (Open, or the
+  // replica's segment apply) with Corruption naming the record.
+  Result<WalRecord> decoded = DecodeWalRecord(type, payload);
+  if (!decoded.ok())
+    return Status::Corruption("wal record at lsn " + std::to_string(lsn) +
+                              " (type " +
+                              std::to_string(static_cast<int>(type)) +
+                              ") does not decode: " +
+                              decoded.status().message());
+  const WalRecord& rec = decoded.value();
+  const std::string name = rec.collection.ToString();
+  // DDL records always apply (the filter is a per-document concept). Each
+  // is idempotent: re-applying after a crash, or applying a re-shipped
+  // segment on a replica, finds the object already in (or already out of)
+  // the catalog and succeeds.
+  switch (type) {
+    case WalRecordType::kDefineName:
+      if (rec.name_id < dict_.size()) return Status::OK();  // in the catalog
+      if (rec.name_id != dict_.size())
         return Status::Corruption("wal name record out of order");
-      dict_.Intern(payload);
+      dict_.Intern(rec.body);
       return Status::OK();
+    case WalRecordType::kCreateCollection: {
+      if (collections_.count(name) > 0) return Status::OK();  // redone
+      CollectionOptions copts;
+      copts.mvcc = rec.mvcc;
+      copts.schema = rec.schema.ToString();
+      return CreateCollectionLocked(name, copts).status();
     }
-    // DDL records carry their own payload shapes and always apply (the
-    // filter is a per-document concept). Each is idempotent: re-applying
-    // after a crash, or applying a re-shipped segment on a replica, finds
-    // the object already in (or already out of) the catalog and succeeds.
-    switch (type) {
-      case WalRecordType::kCreateCollection: {
-        Slice cname;
-        if (!GetLengthPrefixed(&payload, &cname) || payload.empty())
-          return undecodable("bad create-collection record");
-        CollectionOptions copts;
-        copts.mvcc = payload[0] != 0;
-        payload.RemovePrefix(1);
-        Slice schema;
-        if (!GetLengthPrefixed(&payload, &schema))
-          return undecodable("bad create-collection record");
-        copts.schema = schema.ToString();
-        if (collections_.find(cname.ToString()) != collections_.end())
-          return Status::OK();  // redone
-        return CreateCollectionLocked(cname.ToString(), copts).status();
-      }
-      case WalRecordType::kDropCollection: {
-        Slice cname;
-        if (!GetLengthPrefixed(&payload, &cname))
-          return undecodable("bad drop-collection record");
-        Status st = DropCollectionLocked(cname.ToString());
-        if (st.IsNotFound()) return Status::OK();  // already gone
-        return st;
-      }
-      case WalRecordType::kCreateValueIndex: {
-        Slice cname;
-        ValueIndexDef def;
-        Slice iname, ipath;
-        if (!GetLengthPrefixed(&payload, &cname) ||
-            !GetLengthPrefixed(&payload, &iname) ||
-            !GetLengthPrefixed(&payload, &ipath) || payload.size() < 5)
-          return undecodable("bad create-index record");
-        def.name = iname.ToString();
-        def.path = ipath.ToString();
-        if (!IsValueType(static_cast<uint8_t>(payload[0])))
-          return undecodable("bad create-index value type");
-        def.type = static_cast<ValueType>(payload[0]);
-        def.max_string_len = DecodeFixed32(payload.data() + 1);
-        Collection* c = live(cname);
-        if (c == nullptr || c->FindValueIndex(def.name) != nullptr)
-          return Status::OK();
-        // The Apply* form: no ddl_mu_ (crash replay holds the WAL mutex,
-        // which client DDL takes after ddl_mu_ — nesting the other way
-        // would deadlock) and no re-logging.
-        return c->ApplyCreateValueIndex(def);
-      }
-      case WalRecordType::kDropValueIndex: {
-        Slice cname, iname;
-        if (!GetLengthPrefixed(&payload, &cname) ||
-            !GetLengthPrefixed(&payload, &iname))
-          return undecodable("bad drop-index record");
-        Collection* c = live(cname);
-        if (c == nullptr) return Status::OK();
-        Status st = c->ApplyDropValueIndex(iname.ToString());
-        return st.IsNotFound() ? Status::OK() : st;
-      }
-      case WalRecordType::kCreateStructuralIndex: {
-        Slice cname, iname, ename;
-        if (!GetLengthPrefixed(&payload, &cname) ||
-            !GetLengthPrefixed(&payload, &iname) ||
-            !GetLengthPrefixed(&payload, &ename))
-          return undecodable("bad create-structural record");
-        StructuralIndexDef def;
-        def.name = iname.ToString();
-        def.element_name = ename.ToString();
-        Collection* c = live(cname);
-        if (c == nullptr || c->FindStructuralIndex(def.name) != nullptr)
-          return Status::OK();
-        return c->ApplyCreateStructuralIndex(def);
-      }
-      case WalRecordType::kDropStructuralIndex: {
-        Slice cname, iname;
-        if (!GetLengthPrefixed(&payload, &cname) ||
-            !GetLengthPrefixed(&payload, &iname))
-          return undecodable("bad drop-structural record");
-        Collection* c = live(cname);
-        if (c == nullptr) return Status::OK();
-        Status st = c->ApplyDropStructuralIndex(iname.ToString());
-        return st.IsNotFound() ? Status::OK() : st;
-      }
-      case WalRecordType::kRegisterSchema: {
-        Slice sname;
-        if (!GetLengthPrefixed(&payload, &sname))
-          return undecodable("bad register-schema record");
-        return RegisterSchemaBinaryLocked(sname.ToString(), payload);
-      }
-      case WalRecordType::kInsertDocument:
-      case WalRecordType::kDeleteDocument:
-      case WalRecordType::kUpdateNode:
-      case WalRecordType::kInsertSubtree:
-      case WalRecordType::kDeleteSubtree:
-        break;  // document records: the common parse below
-      default:
-        // A type the writer never emits (kCommit, kAbort, kCheckpoint, or
-        // none at all): read as a document record it would apply as
-        // nothing.
-        return undecodable("a record type the writer never emits");
+    case WalRecordType::kDropCollection: {
+      Status st = DropCollectionLocked(name);
+      return st.IsNotFound() ? Status::OK() : st;  // already gone
     }
-    Slice name_slice;
-    if (!GetLengthPrefixed(&payload, &name_slice) || payload.size() < 8)
-      return undecodable("bad document record");
-    std::string name = name_slice.ToString();
-    uint64_t doc_id = DecodeFixed64(payload.data());
-    payload.RemovePrefix(8);
-    // The updated text node's or the insert's parent and after-sibling
-    // IDs. What remains of `payload` is the body: the new text, a token
-    // stream, or the deleted subtree's ID.
-    Slice node_id, after_id;
-    if ((type == WalRecordType::kUpdateNode ||
-         type == WalRecordType::kInsertSubtree) &&
-        !GetLengthPrefixed(&payload, &node_id))
-      return undecodable("bad node id");
-    if (type == WalRecordType::kInsertSubtree &&
-        !GetLengthPrefixed(&payload, &after_id))
-      return undecodable("bad after-sibling id");
-    Collection* coll = live(name_slice);
-    if (coll == nullptr || (filter && !filter(name, doc_id)))
-      return Status::OK();
-    Status op_status = [&]() -> Status {
-    switch (type) {
-      case WalRecordType::kInsertDocument: {
-        Status exists = coll->CheckExists(doc_id);
-        if (exists.ok()) return Status::OK();  // redone
-        if (!exists.IsNotFound()) return exists;
-        Transaction txn = Begin(IsolationMode::kLocking);
-        auto res = coll->InsertTokensLocked(&txn, payload, doc_id);
-        Status st = res.ok() ? Status::OK() : res.status();
-        if (st.ok()) st = Commit(&txn);
-        else (void)Abort(&txn);
-        {
-          MutexLock dlock(coll->docid_mu_);
-          if (doc_id >= coll->meta_.next_doc_id)
-            coll->meta_.next_doc_id = doc_id + 1;
-        }
-        return st;
-      }
-      case WalRecordType::kDeleteDocument: {
-        Status st = coll->DeleteDocument(nullptr, doc_id);
-        if (st.IsNotFound()) return Status::OK();  // already gone / redone
-        return st;
-      }
-      case WalRecordType::kUpdateNode: {
-        Status st = coll->UpdateTextNode(nullptr, doc_id, node_id, payload);
-        if (st.IsNotFound()) return Status::OK();
-        return st;
-      }
-      case WalRecordType::kInsertSubtree: {
-        // Idempotency: if the subtree is already present (the operation hit
-        // the data pages before the crash), the Between() ID may collide —
-        // re-running is still safe because replay starts from the last
-        // checkpointed image, which cannot contain post-checkpoint work.
-        WriterMutexLock latch(coll->latch_);
-        Status st = coll->InsertSubtreeLocked(doc_id, node_id, after_id,
-                                              payload)
-                        .status();
-        if (st.IsNotFound()) return Status::OK();
-        return st;
-      }
-      case WalRecordType::kDeleteSubtree: {
-        Status st = coll->DeleteSubtree(nullptr, doc_id, payload);
-        if (st.IsNotFound()) return Status::OK();
-        return st;
-      }
-      default:
-        return Status::OK();
+    case WalRecordType::kRegisterSchema:
+      return RegisterSchemaBinaryLocked(rec.schema.ToString(), rec.body);
+    default:
+      break;
+  }
+  // The collection the record names. A dropped one (later in the log) or a
+  // quarantined one takes no records: the latter cannot take replay until
+  // Scrub() has rebuilt its storage, and Scrub then re-runs the replay with
+  // a filter.
+  auto cit = collections_.find(name);
+  if (cit == collections_.end() || cit->second->needs_repair())
+    return Status::OK();
+  Collection* coll = cit->second.get();
+  // Index DDL runs the Apply* bodies: no ddl_mu_ (crash replay holds the WAL
+  // mutex, which client DDL takes after ddl_mu_, so nesting the other way
+  // would deadlock), no guard and no WAL record.
+  switch (type) {
+    case WalRecordType::kCreateValueIndex: {
+      const ValueIndexDef def{rec.index_name.ToString(),
+                              rec.index_path.ToString(), rec.value_type,
+                              rec.max_string_len};
+      if (coll->FindValueIndex(def.name) != nullptr) return Status::OK();
+      return coll->ApplyCreateValueIndex(def);
     }
-    }();
-    if (op_status.IsCorruption() || op_status.IsIOError()) {
-      // Replay ran into damaged storage. Failing Open() here would take the
-      // whole database down; instead quarantine the collection (skipping its
-      // remaining records — the WAL survives until Scrub() repairs it).
-      coll->needs_repair_ = true;
-      coll->repair_reason_ = "wal replay: " + op_status.ToString();
-      return Status::OK();
+    case WalRecordType::kDropValueIndex: {
+      Status st = coll->ApplyDropValueIndex(rec.index_name.ToString());
+      return st.IsNotFound() ? Status::OK() : st;
     }
-    return op_status;
+    case WalRecordType::kCreateStructuralIndex: {
+      const StructuralIndexDef def{rec.index_name.ToString(),
+                                   rec.index_path.ToString()};
+      if (coll->FindStructuralIndex(def.name) != nullptr) return Status::OK();
+      return coll->ApplyCreateStructuralIndex(def);
+    }
+    case WalRecordType::kDropStructuralIndex: {
+      Status st = coll->ApplyDropStructuralIndex(rec.index_name.ToString());
+      return st.IsNotFound() ? Status::OK() : st;
+    }
+    default:
+      break;
+  }
+  // A document record runs the client write's body in a transaction of its
+  // own: the same X lock, latch and record, index and statistics work. It
+  // re-runs onto whatever image the table space holds, which need not be
+  // the last checkpoint's (ROADMAP item 9), so two guesses stand in for
+  // knowing what was done: an insert whose document exists is redone, and
+  // an edit that finds nothing to change is already done.
+  if (filter && !filter(name, rec.doc_id)) return Status::OK();
+  Transaction txn = Begin(IsolationMode::kLocking);
+  Status st;
+  switch (type) {
+    case WalRecordType::kInsertDocument:
+      st = coll->CheckExists(rec.doc_id);
+      if (st.IsNotFound())
+        st = coll->ApplyInsert(&txn, rec.doc_id, rec.body, nullptr);
+      break;
+    case WalRecordType::kDeleteDocument:
+      st = coll->ApplyDelete(&txn, rec.doc_id, nullptr);
+      break;
+    case WalRecordType::kUpdateNode:
+      st = coll->ApplyTextUpdate(&txn, rec.doc_id, rec.node_id, rec.body,
+                                 nullptr);
+      break;
+    case WalRecordType::kInsertSubtree:
+      st = coll->ApplySubtreeInsert(&txn, rec.doc_id, rec.node_id,
+                                    rec.after_id, rec.body, nullptr)
+               .status();
+      break;
+    default:
+      st = coll->ApplySubtreeDelete(&txn, rec.doc_id, rec.node_id, nullptr);
+  }
+  if (st.ok()) {
+    st = Commit(&txn);
+  } else {
+    (void)Abort(&txn);
+  }
+  if (st.IsNotFound() && type != WalRecordType::kInsertDocument)
+    return Status::OK();
+  if (st.IsCorruption() || st.IsIOError()) {
+    // Replay ran into damaged storage. Failing Open() here would take the
+    // whole database down; instead quarantine the collection (skipping its
+    // remaining records — the WAL survives until Scrub() repairs it).
+    coll->needs_repair_ = true;
+    coll->repair_reason_ = "wal replay: " + st.ToString();
+    return Status::OK();
+  }
+  return st;
 }
 
 Status Engine::ApplyReplicatedRecords(Slice framed_records,
@@ -834,28 +589,39 @@ Status Engine::ApplyReplicatedRecords(Slice framed_records,
   // Durability first: land the shipped bytes in the local log, then apply.
   // A crash after the append replays these records from the local WAL at
   // reopen; a crash during it leaves a torn tail that reopen truncates. The
-  // watermark is published only after a successful apply, so an
+  // watermark is published only over records that applied, so an
   // acknowledged CSN is always a durably *applied* CSN.
   XDB_ASSIGN_OR_RETURN(const uint64_t append_lsn,
                        wal_->AppendRaw(framed_records));
   if (options_.sync_commits) XDB_RETURN_NOT_OK(wal_->Commit());
-  Status s;
-  {
-    ReplayScope replay(this);
-    s = ApplyWalRange(framed_records, publish_csn - framed_records.size(), {},
-                      info);
-  }
+  const uint64_t base_csn = publish_csn - framed_records.size();
+  uint64_t failed_csn = base_csn;  // the record the apply stopped at
+  Status s = ScanWalRecords(
+      framed_records, base_csn,
+      [&](uint64_t lsn, WalRecordType type,
+          Slice payload) XDB_NO_THREAD_SAFETY_ANALYSIS -> Status {
+        failed_csn = lsn;
+        return ApplyWalRecordLocked(lsn, type, payload, {});
+      },
+      info);
   if (!s.ok()) {
-    // The segment failed to apply (e.g. a corrupt DDL payload) and will
-    // never be acknowledged, so its bytes must not stay in the local log:
-    // the watermark is reconstructed at reopen as base + WAL length, and the
-    // resync path re-ships these exact stream bytes — leaving them appended
-    // would double-count them and make the replica skip real segments.
-    Status trunc = wal_->TruncateTo(append_lsn);
-    if (!trunc.ok())
-      events_.Emit(obs::EventKind::kReplicaStalled, append_lsn, 0,
+    // A record failed to apply (e.g. a corrupt DDL payload, or a lock wait
+    // behind a replica reader that timed out). The records before it did
+    // apply: their bytes stay in the local log and the watermark moves to
+    // the failed record, so the resync re-ships from there and no record
+    // runs twice (a re-run subtree insert would add a second subtree). The
+    // rest is never acknowledged and must not stay in the local log: the
+    // watermark is reconstructed at reopen as base + WAL length, and
+    // leaving those bytes appended would double-count the re-shipped ones.
+    const uint64_t kept = failed_csn - base_csn;
+    Status trunc = wal_->TruncateTo(append_lsn + kept);
+    if (!trunc.ok()) {
+      events_.Emit(obs::EventKind::kReplicaStalled, append_lsn + kept, 0,
                    "repl: failed-apply rollback truncate failed: " +
                        trunc.ToString());
+    } else if (kept > 0) {
+      PublishAppliedCsn(failed_csn);
+    }
     return s;
   }
   PublishAppliedCsn(publish_csn);

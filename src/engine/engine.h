@@ -18,6 +18,7 @@
 #include "common/thread_annotations.h"
 #include "engine/catalog.h"
 #include "engine/collection.h"
+#include "engine/wal_record.h"
 #include "obs/debug_snapshot.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -160,6 +161,9 @@ class Engine {
   /// across restarts. Records are applied idempotently (a re-shipped
   /// duplicate segment is the applier's job to drop; record-level re-apply
   /// after a crash is tolerated the same way crash recovery tolerates it).
+  /// When a record fails to apply, the records before it stay applied and
+  /// logged and the watermark moves to the failed record, where the resync
+  /// resumes; the failed record and the rest of the segment are dropped.
   Status ApplyReplicatedRecords(Slice framed_records, uint64_t publish_csn,
                                 WalReplayInfo* info = nullptr)
       XDB_EXCLUDES(mu_);
@@ -255,75 +259,38 @@ class Engine {
                    WalReplayInfo* info = nullptr) XDB_EXCLUDES(mu_);
   /// The one redo-application switch: applies a single WAL record to engine
   /// state. Crash recovery (ReplayWal), scrub's filtered replay, and the
-  /// replica applier (ApplyWalRange) all funnel through here so the paths
-  /// cannot drift. Every field is decoded before anything applies: a
-  /// record at `lsn` that does not decode fails with Corruption naming its
-  /// LSN and type. Storage damage during apply quarantines the collection
-  /// and returns OK (the record is skipped, the WAL survives for Scrub).
+  /// replica applier (ApplyReplicatedRecords) all funnel through here so
+  /// the paths cannot drift. Every field is decoded (DecodeWalRecord)
+  /// before anything applies: a record at `lsn` that does not decode fails
+  /// with Corruption naming its LSN and type. A write runs the client's own
+  /// body, without its guard or WAL record. Storage damage during apply
+  /// quarantines the collection and returns OK (the record is skipped, the
+  /// WAL survives).
   Status ApplyWalRecordLocked(uint64_t lsn, WalRecordType type, Slice payload,
                               const ReplayFilter& filter) XDB_REQUIRES(mu_);
-  /// Applies every intact record in `records` (framed WAL bytes whose first
-  /// byte sits at `base_lsn`) via ApplyWalRecordLocked — the replay loop for
-  /// byte ranges that are not the engine's own WAL file. Callers hold mu_
-  /// and run inside a ReplayScope.
-  Status ApplyWalRange(Slice records, uint64_t base_lsn,
-                       const ReplayFilter& filter, WalReplayInfo* info)
-      XDB_REQUIRES(mu_);
-  /// kNotSupported while the engine is a read-only replica (and the calling
-  /// thread is not the one inside the replay/apply path); checked by every
-  /// mutation entry point.
+  /// kNotSupported while the engine is a read-only replica; checked by every
+  /// public mutation. Replay and replica apply never pass it: they run the
+  /// write bodies, which do not guard.
   Status GuardWritable() const;
-  /// True when the calling thread is inside this engine's WAL replay or
-  /// replicated-segment apply (a ReplayScope is active). Thread-scoped on
-  /// purpose: an engine-wide flag would let unrelated client threads slip
-  /// past the replica read-only gate — or skip WAL logging on a primary —
-  /// whenever a replay happens to be in flight.
-  bool InReplay() const;
   /// Body of CreateCollection/DropCollection without the lock, shared with
   /// DDL replay. Neither logs; the public wrappers do.
   Result<Collection*> CreateCollectionLocked(const std::string& name,
                                              const CollectionOptions& options)
       XDB_REQUIRES(mu_);
   Status DropCollectionLocked(const std::string& name) XDB_REQUIRES(mu_);
-  /// Installs an already-compiled schema binary (the form DDL replay and
-  /// the WAL record carry).
+  /// Installs a compiled schema binary, the form the catalog and the WAL
+  /// record carry; RegisterSchema and DDL replay both install with it.
   Status RegisterSchemaBinaryLocked(const std::string& name, Slice binary)
       XDB_REQUIRES(mu_);
   /// Publishes a new applied-CSN watermark and wakes freshness waiters.
   void PublishAppliedCsn(uint64_t csn) XDB_EXCLUDES(fresh_mu_);
-  /// Appends a kDefineName record for every dictionary entry interned since
-  /// the last checkpoint (or the last call). Must run before logging any
-  /// record whose token payload references those names.
-  Status LogNewNames() XDB_EXCLUDES(wal_names_mu_);
-  /// Appends one redo record and, when sync_commits is on, group-commits it.
-  Status AppendWal(WalRecordType type, Slice payload);
-  Status LogInsert(const std::string& collection, uint64_t doc_id,
-                   Slice tokens);
-  Status LogDelete(const std::string& collection, uint64_t doc_id);
-  Status LogUpdate(const std::string& collection, uint64_t doc_id,
-                   Slice node_id, Slice new_text);
-  Status LogInsertSubtree(const std::string& collection, uint64_t doc_id,
-                          Slice parent_id, Slice after_id, Slice tokens);
-  Status LogDeleteSubtree(const std::string& collection, uint64_t doc_id,
-                          Slice node_id);
-  /// DDL redo records (see WalRecordType). Logged after the operation
-  /// succeeds locally: a failed DDL must never replicate, and the crash
-  /// window (applied but unlogged) only orphans a table-space file that the
-  /// next create truncates. The catalog still persists DDL at checkpoint;
-  /// these records cover the gap since the last checkpoint and carry DDL to
-  /// replicas.
-  Status LogCreateCollection(const std::string& name,
-                             const CollectionOptions& options);
-  Status LogDropCollection(const std::string& name);
-  Status LogCreateIndex(const std::string& collection,
-                        const ValueIndexDef& def);
-  Status LogDropIndex(const std::string& collection,
-                      const std::string& index_name);
-  Status LogCreateStructuralIndex(const std::string& collection,
-                                  const StructuralIndexDef& def);
-  Status LogDropStructuralIndex(const std::string& collection,
-                                const std::string& index_name);
-  Status LogRegisterSchema(const std::string& name, Slice binary);
+  /// The one WAL append (a no-op without a WAL): encodes `rec`, after a
+  /// kDefineName record for each name interned since the last one logged
+  /// when `rec` carries tokens, then group-commits under sync_commits. A
+  /// client write logs between its X lock and its latch; DDL logs once it
+  /// succeeded locally, since a failed DDL must never replicate (the crash
+  /// window only orphans a table-space file the next create truncates).
+  Status LogRecord(const WalRecord& rec) XDB_EXCLUDES(wal_names_mu_);
 
   /// Aggregates per-component stats into one snapshot; registered as a
   /// registry collector at Open (takes mu_, then each component's own lock).
@@ -369,7 +336,6 @@ class Engine {
   /// tasks reference are still alive.
   std::unique_ptr<util::ThreadPool> query_pool_;
   RecoveryInfo recovery_;
-  // (Replay permission is thread-scoped, not engine state: see InReplay().)
   // Dictionary entries with id < wal_names_logged_ are durable (in the
   // checkpointed catalog or already in the WAL).
   Mutex wal_names_mu_{LockRank::kWalNames};

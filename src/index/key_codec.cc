@@ -93,6 +93,10 @@ Status EncodeTypedKey(ValueType type, Slice value, uint32_t max_string_len,
       return Status::OK();
     }
     case ValueType::kDecimal: {
+      // Only what a comparison reads as a number: "+5" or "1e3" would be
+      // keys that no XPath comparison can match.
+      if (std::isnan(StringToNumber(value)))
+        return Status::InvalidArgument("value is not a number");
       auto res = Decimal::FromString(value);
       if (!res.ok()) return res.status();
       res.value().EncodeKey(out);

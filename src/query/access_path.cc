@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <set>
+#include <string>
 
 #include "xdm/item.h"
 #include "xml/node_id.h"
@@ -285,8 +287,30 @@ std::string ProbeLiteral(const CandidatePredicate& pred) {
     return pred.string;
   const double v =
       pred.literal_is_number ? pred.number : StringToNumber(pred.string);
+  // The shortest digits that read back as `v`, written out in fixed
+  // notation, the only one XPath's number grammar reads: 1e23 probes as "1"
+  // and 23 zeros, not as its double's exact 99999999999999991611392.
   char buf[32];
-  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::scientific)
+          .ptr;
+  if (!std::isfinite(v)) return std::string(buf, end);
+  char* e = std::find(buf, end, 'e');
+  const bool minus = buf[0] == '-';
+  std::string digits(buf + minus, e);
+  if (digits.size() > 1) digits.erase(1, 1);  // "d.ddd" -> "dddd"
+  // The exponent ends at `end`: nothing after it is written.
+  int exponent = 0;
+  std::from_chars(e + 1 + (e[1] == '+'), end, exponent);
+  const int point = 1 + exponent;  // integer digits
+  if (point < 1) digits.insert(0, static_cast<size_t>(1 - point), '0');
+  const size_t n = static_cast<size_t>(std::max(point, 1));
+  if (n < digits.size()) {
+    digits.insert(n, 1, '.');
+  } else {
+    digits.resize(n, '0');
+  }
+  return minus ? "-" + digits : digits;
 }
 
 Status ProbeBounds(const ValueIndex& index, const CandidatePredicate& pred,
@@ -295,19 +319,24 @@ Status ProbeBounds(const ValueIndex& index, const CandidatePredicate& pred,
   lo->reset();
   hi->reset();
   *not_equal = false;
-  std::string key;
-  Status st = index.EncodeKey(ProbeLiteral(pred), &key);
-  if (!st.ok()) return st;
+  const std::string literal = ProbeLiteral(pred);
+  // -0 = 0 in a comparison, but a double index keys "-0" apart, just below
+  // 0's key: a bound at zero spans both keys, `low` to `key`.
+  const bool zero = index.def().type == ValueType::kDouble &&
+                    StringToNumber(literal) == 0;
+  std::string key, low;
+  XDB_RETURN_NOT_OK(index.EncodeKey(zero ? "0" : literal, &key));
+  XDB_RETURN_NOT_OK(index.EncodeKey(zero ? "-0" : literal, &low));
   switch (pred.op) {
     case xpath::CompOp::kEq:
-      *lo = KeyBound{key, true};
+      *lo = KeyBound{low, true};
       *hi = KeyBound{key, true};
       break;
     case xpath::CompOp::kNe:
       *not_equal = true;  // full range, drop equal keys during recheck
       break;
     case xpath::CompOp::kLt:
-      *hi = KeyBound{key, false};
+      *hi = KeyBound{low, false};
       break;
     case xpath::CompOp::kLe:
       *hi = KeyBound{key, true};
@@ -316,7 +345,7 @@ Status ProbeBounds(const ValueIndex& index, const CandidatePredicate& pred,
       *lo = KeyBound{key, false};
       break;
     case xpath::CompOp::kGe:
-      *lo = KeyBound{key, true};
+      *lo = KeyBound{low, true};
       break;
   }
   return Status::OK();

@@ -157,8 +157,9 @@ Status StructuralAnchorJoin(const std::vector<Posting>& values,
 /// 1.0 (section 3.4) compares <, <=, >, >= as numbers, and = as numbers
 /// against a number literal; such a literal is the number in its shortest
 /// round-trip form ("0.46", not "0.46000000000000002"), so a decimal index
-/// is probed for the value the query names. A string literal under = is
-/// the string itself.
+/// is probed for the value the query names, in fixed notation ("100000",
+/// not "1e+05"), which XPath's number grammar reads. A string literal under
+/// = is the string itself.
 std::string ProbeLiteral(const CandidatePredicate& pred);
 
 /// Converts a comparison into index key range bounds for a probe.

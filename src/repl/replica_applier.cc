@@ -87,8 +87,12 @@ Result<bool> ReplicaApplier::ApplyOnce() {
   // here as real errors — those are *this* node's problems, not the
   // stream's.
   WalReplayInfo info;
-  XDB_RETURN_NOT_OK(
-      engine_->ApplyReplicatedRecords(seg.payload, seg.end_csn(), &info));
+  Status st =
+      engine_->ApplyReplicatedRecords(seg.payload, seg.end_csn(), &info);
+  // A failed apply drops the segment from the record that failed, where the
+  // watermark now is: re-request the stream from there.
+  if (!st.ok()) transport_->RequestResync(engine_->applied_csn());
+  XDB_RETURN_NOT_OK(st);
 
   segments_->Add(1);
   records_->Add(info.records_replayed);

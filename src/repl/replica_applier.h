@@ -53,7 +53,10 @@ class ReplicaApplier {
   /// resync-request — all count as consuming). Returns false when the
   /// transport has nothing pending. Transport-level damage is healed
   /// internally and is NOT an error; only local failures (replica media
-  /// damage, applying to a promoted engine) surface as statuses.
+  /// damage, a lock wait behind a replica reader that timed out, applying
+  /// to a promoted engine) surface as statuses. After one, the applier
+  /// re-requests the stream from its watermark, which has moved past the
+  /// segment's records that did apply.
   Result<bool> ApplyOnce();
 
   /// Drains every pending segment.

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/decimal.h"
@@ -32,8 +34,17 @@ Result<bool> ValidatorVm::CheckSimpleValue(SimpleType type, Slice value) {
     case SimpleType::kUntyped:
     case SimpleType::kString:
       return true;
-    case SimpleType::kDouble:
-      return !std::isnan(StringToNumber(value));
+    case SimpleType::kDouble: {
+      // An xs:double as strtod reads one (an exponent, a sign, "INF"), not
+      // by XPath's narrower number grammar; trailing whitespace is allowed.
+      const std::string t = value.ToString();
+      const char* limit = t.c_str() + t.size();
+      char* end = nullptr;
+      const double d = std::strtod(t.c_str(), &end);
+      while (end < limit && std::isspace(static_cast<unsigned char>(*end)))
+        end++;
+      return end != t.c_str() && end == limit && !std::isnan(d);
+    }
     case SimpleType::kDecimal:
       return Decimal::FromString(value).ok();
     case SimpleType::kInteger: {

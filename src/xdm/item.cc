@@ -1,45 +1,10 @@
 #include "xdm/item.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 
 namespace xdb {
-
-bool AtomicValue::EffectiveBoolean() const {
-  switch (type) {
-    case Type::kString: return !str.empty();
-    case Type::kNumber: return num != 0 && !std::isnan(num);
-    case Type::kBoolean: return boolean;
-  }
-  return false;
-}
-
-double AtomicValue::ToNumber() const {
-  switch (type) {
-    case Type::kString: return StringToNumber(str);
-    case Type::kNumber: return num;
-    case Type::kBoolean: return boolean ? 1.0 : 0.0;
-  }
-  return std::nan("");
-}
-
-std::string AtomicValue::ToString() const {
-  switch (type) {
-    case Type::kString: return str;
-    case Type::kBoolean: return boolean ? "true" : "false";
-    case Type::kNumber: {
-      if (std::isnan(num)) return "NaN";
-      if (num == static_cast<int64_t>(num) && std::abs(num) < 1e15)
-        return std::to_string(static_cast<int64_t>(num));
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", num);
-      return buf;
-    }
-  }
-  return "";
-}
 
 void NormalizeSequence(NodeSequence* seq) {
   std::sort(seq->begin(), seq->end());
@@ -47,16 +12,27 @@ void NormalizeSequence(NodeSequence* seq) {
 }
 
 double StringToNumber(Slice s) {
-  // Trim whitespace, then require a full numeric parse.
+  // XPath 1.0 section 4.4: optional whitespace, an optional minus sign,
+  // then Digits ('.' Digits?)? | '.' Digits, then optional whitespace.
+  // Anything else (a plus sign, an exponent, "inf", hex) is NaN.
+  auto space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+  };
   size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) b++;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) e--;
-  if (b == e) return std::nan("");
-  std::string t(s.data() + b, e - b);
-  char* endp = nullptr;
-  double v = std::strtod(t.c_str(), &endp);
-  if (endp != t.c_str() + t.size()) return std::nan("");
-  return v;
+  while (b < e && space(s[b])) b++;
+  while (e > b && space(s[e - 1])) e--;
+  bool digit = false, point = false;
+  for (size_t i = b + (b < e && s[b] == '-' ? 1 : 0); i < e; i++) {
+    if (s[i] >= '0' && s[i] <= '9') {
+      digit = true;
+    } else if (s[i] == '.' && !point) {
+      point = true;
+    } else {
+      return std::nan("");
+    }
+  }
+  if (!digit) return std::nan("");
+  return std::strtod(std::string(s.data() + b, e - b).c_str(), nullptr);
 }
 
 }  // namespace xdb

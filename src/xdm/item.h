@@ -12,41 +12,6 @@
 
 namespace xdb {
 
-/// An atomic value as produced by atomization or literals.
-struct AtomicValue {
-  enum class Type { kString, kNumber, kBoolean };
-
-  Type type = Type::kString;
-  std::string str;
-  double num = 0;
-  bool boolean = false;
-
-  static AtomicValue String(std::string s) {
-    AtomicValue v;
-    v.type = Type::kString;
-    v.str = std::move(s);
-    return v;
-  }
-  static AtomicValue Number(double d) {
-    AtomicValue v;
-    v.type = Type::kNumber;
-    v.num = d;
-    return v;
-  }
-  static AtomicValue Boolean(bool b) {
-    AtomicValue v;
-    v.type = Type::kBoolean;
-    v.boolean = b;
-    return v;
-  }
-
-  /// XPath effective boolean value.
-  bool EffectiveBoolean() const;
-  /// xs:double value (NaN if not numeric).
-  double ToNumber() const;
-  std::string ToString() const;
-};
-
 /// A node in an XPath result sequence, identified database-style: by its
 /// document and prefix-encoded node ID rather than a pointer.
 struct ResultNode {
@@ -70,7 +35,9 @@ using NodeSequence = std::vector<ResultNode>;
 /// (doc_id, node_id)).
 void NormalizeSequence(NodeSequence* seq);
 
-/// XPath string -> number conversion ("" and garbage -> NaN).
+/// XPath string -> number conversion by XPath 1.0's Number grammar, with
+/// an optional minus sign and surrounding whitespace ("", "+5", "1e3",
+/// "inf" and other garbage -> NaN).
 double StringToNumber(Slice s);
 
 }  // namespace xdb

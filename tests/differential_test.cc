@@ -199,6 +199,47 @@ TEST(DifferentialTest, IndexedComparisonsAgreeWithScan) {
   }
 }
 
+// XPath 1.0 reads a number only by its Number grammar (section 4.4):
+// "0x10", "inf", "1e300", "+5" and "1e3" are NaN, so no relational
+// comparison holds for them, while ".5", "5.", "-0" and " 7 " are numbers.
+// A string, double or decimal index on an element or an attribute must
+// not change what any operator, with a number or a quoted literal, selects:
+// every planner flavor equals the DOM reference. A literal past 2^53 probes
+// by its shortest digits: 1e23, whose double is 99999999999999991611392,
+// probes a decimal index as 1 and 23 zeros, the key a stored 1e23 has.
+TEST(DifferentialTest, IndexedComparisonsReadNumbersByXPathGrammar) {
+  const std::string e23 = "1" + std::string(23, '0');
+  const std::string e25 = "1" + std::string(25, '0');
+  const std::vector<std::string> values = {"0x10", "inf", "1e300", "+5",
+                                           "1e3",  ".5",  "5.",    "-0",
+                                           " 7 ",  "16",  "1000",  "0",
+                                           e23,    e25};
+  std::vector<std::string> docs;
+  for (const std::string& v : values)
+    docs.push_back("<r k=\"" + v + "\"><k>" + v + "</k></r>");
+  const char* const ops[] = {"=", "!=", "<", "<=", ">", ">="};
+  const std::string literals[] = {"5",        "0",       "\"-1\"",
+                                  "1000",     "\"1e3\"", "\"0x10\"",
+                                  "\" 7 \"",  "\".5\"",  e23,
+                                  e25,        "\"" + e23 + "\""};
+  for (ValueType type :
+       {ValueType::kString, ValueType::kDouble, ValueType::kDecimal}) {
+    for (const char* lhs : {"k", "@k"}) {
+      for (const char* op : ops) {
+        for (const std::string& literal : literals) {
+          ComparisonCase c;
+          c.docs = docs;
+          c.index_type = type;
+          c.index_path = std::string("/r/") + lhs;
+          c.query = std::string("/r[") + lhs + " " + op + " " + literal + "]";
+          const std::string err = CheckComparisonCase(c);
+          EXPECT_EQ(err, "") << c.ToString();
+        }
+      }
+    }
+  }
+}
+
 // --- parallel execution determinism: the fan-out must be invisible ---
 
 // True when `m` is the plan `force` asks for (kAuto accepts any), so a

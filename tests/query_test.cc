@@ -356,10 +356,40 @@ TEST(ProbeLiteralTest, ShortestRoundTripForNumbers) {
   EXPECT_EQ(std::strtod(literal("/a[v > 9223372036854775808]").c_str(),
                         nullptr),
             9223372036854775808.0);
-  EXPECT_EQ(literal("/a[v < 100000000000000000000000]"), "1e+23");
+  // The shortest digits in fixed notation, which XPath's number grammar
+  // reads: 1e23's, not its double's exact 99999999999999991611392.
+  EXPECT_EQ(literal("/a[v < 100000000000000000000000]"),
+            "100000000000000000000000");
+  EXPECT_EQ(literal("/a[v = 100000]"), "100000");
+  EXPECT_EQ(literal("/a[v = 123456789012345678901234567]"),
+            "123456789012345680000000000");
+  EXPECT_EQ(literal("/a[v > 0.0000001]"), "0.0000001");
+  EXPECT_EQ(literal("/a[v > 1.5]"), "1.5");
   EXPECT_EQ(literal("/a[v = \"5.0\"]"), "5.0");
   EXPECT_EQ(literal("/a[v < \" 7 \"]"), "7");
   EXPECT_EQ(literal("/a[v >= \"0.46\"]"), "0.46");
+}
+
+// Fills stack below the caller with digits, where a later call's
+// uninitialised locals will sit.
+[[gnu::noinline]] void FillStackWithDigits() {
+  volatile char junk[8192];
+  for (size_t i = 0; i < sizeof(junk); i++) junk[i] = '7';
+}
+
+// The exponent is read only from the characters to_chars wrote: digits left
+// on the stack past them must not extend it (982.6 once probed as 982.6
+// times a power of ten in the thousands).
+TEST(ProbeLiteralTest, ReadsOnlyTheWrittenExponent) {
+  auto path = ParsePath("/a[v > 982.60]").MoveValue();
+  std::vector<CandidatePredicate> cands;
+  bool leftover;
+  ASSERT_TRUE(ExtractCandidates(path, &cands, &leftover).ok());
+  ASSERT_EQ(cands.size(), 1u);
+  for (int i = 0; i < 100; i++) {
+    FillStackWithDigits();
+    ASSERT_EQ(ProbeLiteral(cands[0]), "982.6");
+  }
 }
 
 TEST_F(PlannerFixture, ProbeBoundsFromOperators) {

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -266,6 +268,10 @@ TEST_F(ReplTest, ReplicaRejectsEveryLocalMutation) {
   EXPECT_TRUE(rcoll->DeleteDocument(nullptr, 1).IsNotSupported());
   EXPECT_TRUE(rcoll->UpdateTextNode(nullptr, 1, "\x01", "y")
                   .IsNotSupported());
+  EXPECT_TRUE(rcoll->InsertSubtree(nullptr, 1, "\x02", "", "<c/>")
+                  .status()
+                  .IsNotSupported());
+  EXPECT_TRUE(rcoll->DeleteSubtree(nullptr, 1, "\x02\x02").IsNotSupported());
   EXPECT_TRUE(
       rcoll->CreateValueIndex({"i", "/a/b", ValueType::kString, 64})
           .IsNotSupported());
@@ -280,6 +286,129 @@ TEST_F(ReplTest, ReplicaRejectsEveryLocalMutation) {
       replica->RegisterSchema("s", "<schema/>").IsNotSupported());
   // Reads still fine.
   EXPECT_EQ(rcoll->DocCount().value(), 1u);
+}
+
+// A kLocking reader on a replica holds its document S lock to commit, and
+// every shipped write takes the same X lock as on the primary, so the
+// write waits for the reader: the reader's second read equals its first,
+// and the write shows once the reader commits. One case per write kind;
+// the apply runs on a second thread and is given 300 ms before the second
+// read.
+TEST_F(ReplTest, ReplicaReadersKeepLockingPromiseForEveryShippedWrite) {
+  auto primary = Engine::Open(PrimaryOptions()).MoveValue();
+  auto replica = Engine::Open(ReplicaOptions()).MoveValue();
+  InProcessTransport transport;
+  WalShipper shipper(primary.get(), &transport);
+  auto applier =
+      ReplicaApplier::Attach(replica.get(), &transport).MoveValue();
+  Collection* coll = primary->CreateCollection("docs").value();
+  std::vector<uint64_t> docs;
+  for (int i = 0; i < 4; i++)
+    docs.push_back(coll->InsertDocument(nullptr, "<a><b>1</b></a>").value());
+  Pump(&shipper, applier.get());
+  Collection* rcoll = replica->GetCollection("docs").value();
+  auto node = [&](uint64_t doc, const char* path) {
+    QueryResult r = coll->Query(nullptr, path).MoveValue();
+    for (const ResultNode& n : r.nodes)
+      if (n.doc_id == doc) return n.node_id;
+    ADD_FAILURE() << "no " << path << " in document " << doc;
+    return std::string();
+  };
+  auto text = [](Result<std::string> r) {
+    return r.ok() ? r.value() : r.status().ToString();
+  };
+
+  struct Case {
+    const char* write;
+    uint64_t doc;
+    std::function<Status()> run;
+  };
+  const uint64_t absent = docs.back() + 1;  // the primary's next DocID
+  const std::vector<Case> cases = {
+      {"subtree insert", docs[0],
+       [&] {
+         return coll->InsertSubtree(nullptr, docs[0], node(docs[0], "/a"), "",
+                                    "<n/>")
+             .status();
+       }},
+      {"subtree delete", docs[1],
+       [&] {
+         return coll->DeleteSubtree(nullptr, docs[1], node(docs[1], "/a/b"));
+       }},
+      {"text update", docs[2],
+       [&] {
+         return coll->UpdateTextNode(nullptr, docs[2],
+                                     node(docs[2], "/a/b/text()"), "2");
+       }},
+      {"document delete", docs[3],
+       [&] { return coll->DeleteDocument(nullptr, docs[3]); }},
+      {"insert at the DocID read as absent", absent,
+       [&] {
+         return coll->InsertDocument(nullptr, "<a>2</a>").status();
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.write);
+    Transaction reader = replica->Begin(IsolationMode::kLocking);
+    const std::string first = text(rcoll->GetDocumentText(&reader, c.doc));
+    ASSERT_TRUE(c.run().ok());
+    ASSERT_TRUE(shipper.ShipAll().ok());
+    Status apply_status;
+    std::thread apply([&] { apply_status = applier->CatchUp(); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+    while (replica->applied_csn() < shipper.shipped_csn() &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(text(rcoll->GetDocumentText(&reader, c.doc)), first)
+        << "the shipped write applied under the reader's lock";
+    ASSERT_TRUE(replica->Commit(&reader).ok());
+    apply.join();
+    ASSERT_TRUE(apply_status.ok()) << apply_status.ToString();
+    EXPECT_EQ(replica->applied_csn(), shipper.shipped_csn());
+    const std::string after = text(rcoll->GetDocumentText(nullptr, c.doc));
+    EXPECT_NE(after, first);
+    EXPECT_EQ(after, text(coll->GetDocumentText(nullptr, c.doc)));
+  }
+}
+
+// A segment whose apply fails partway resumes at the failed record: the
+// records before it applied once and are not re-run by the re-ship. Here
+// the segment holds a subtree insert into D1, then a delete of D2 that
+// waits for a replica reader's S lock until the lock manager times it out.
+// Re-running the insert would give the replica a second <n/> in D1, which
+// the primary does not have.
+TEST_F(ReplTest, FailedSegmentApplyResumesAtTheFailedRecord) {
+  auto primary = Engine::Open(PrimaryOptions()).MoveValue();
+  auto replica = Engine::Open(ReplicaOptions()).MoveValue();
+  InProcessTransport transport;
+  WalShipper shipper(primary.get(), &transport);
+  auto applier =
+      ReplicaApplier::Attach(replica.get(), &transport).MoveValue();
+  Collection* coll = primary->CreateCollection("docs").value();
+  const uint64_t d1 = coll->InsertDocument(nullptr, "<a/>").value();
+  const uint64_t d2 = coll->InsertDocument(nullptr, "<b>1</b>").value();
+  Pump(&shipper, applier.get());
+  Collection* rcoll = replica->GetCollection("docs").value();
+
+  Transaction reader = replica->Begin(IsolationMode::kLocking);
+  ASSERT_TRUE(rcoll->GetDocumentText(&reader, d2).ok());
+  const std::string root = coll->Query(nullptr, "/a").value().nodes[0].node_id;
+  ASSERT_TRUE(coll->InsertSubtree(nullptr, d1, root, "", "<n/>").ok());
+  ASSERT_TRUE(coll->DeleteDocument(nullptr, d2).ok());
+  ASSERT_TRUE(shipper.ShipAll().ok());
+  const uint64_t before = replica->applied_csn();
+  EXPECT_FALSE(applier->CatchUp().ok()) << "the delete did not wait";
+  EXPECT_GT(replica->applied_csn(), before)
+      << "the applied subtree insert was not acknowledged";
+  EXPECT_LT(replica->applied_csn(), shipper.shipped_csn());
+  ASSERT_TRUE(replica->Commit(&reader).ok());
+
+  Pump(&shipper, applier.get());
+  EXPECT_EQ(replica->applied_csn(), shipper.shipped_csn());
+  EXPECT_EQ(rcoll->GetDocumentText(nullptr, d1).value(),
+            coll->GetDocumentText(nullptr, d1).value());
+  EXPECT_TRUE(rcoll->GetDocumentText(nullptr, d2).status().IsNotFound());
 }
 
 // --- WAL retention vs checkpoints, and the stream-base fold ---

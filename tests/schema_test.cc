@@ -3,12 +3,15 @@
 // simple types, annotations).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/coding.h"
 #include "schema/schema_compiler.h"
 #include "schema/schema_parser.h"
 #include "schema/validator_vm.h"
 #include "util/workload.h"
 #include "xml/parser.h"
+#include "xdm/item.h"
 
 namespace xdb {
 namespace schema {
@@ -220,6 +223,27 @@ TEST_F(ValidatorTest, BinaryRoundTripValidatesIdentically) {
     ValidatorVm vm(&reloaded.value(), &dict_);
     EXPECT_EQ(vm.Validate(tokens.data(), &out).ok(), expect_ok);
   }
+}
+
+// An xs:double has an exponent and a sign in its lexical space, which
+// XPath's number grammar (StringToNumber) lacks: the validator keeps
+// reading doubles as XML Schema does.
+TEST(ValidatorDoubleTest, AcceptsSchemaDoublesXPathReadsAsNaN) {
+  CompiledSchema cs =
+      CompileSchemaText("root V; element V { text: double; }").MoveValue();
+  NameDictionary dict;
+  Parser parser(&dict);
+  auto valid = [&](const std::string& text) {
+    TokenWriter tokens, out;
+    EXPECT_TRUE(parser.Parse("<V>" + text + "</V>", &tokens).ok());
+    ValidatorVm vm(&cs, &dict);
+    return vm.Validate(tokens.data(), &out).ok();
+  };
+  for (const char* v : {"1e5", "+5", "-2.5E-3", " 7 ", ".5", "5."})
+    EXPECT_TRUE(valid(v)) << v;
+  for (const char* v : {"five", "1e", "NaN", "0x"}) EXPECT_FALSE(valid(v)) << v;
+  EXPECT_TRUE(std::isnan(StringToNumber("1e5")));
+  EXPECT_TRUE(std::isnan(StringToNumber("+5")));
 }
 
 // A damaged name length of 2^64-1 must read as Corruption, not as a name

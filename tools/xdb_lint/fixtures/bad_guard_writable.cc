@@ -11,7 +11,7 @@ Result<uint64_t> Collection::InsertTokens(Transaction* txn, Slice tokens) {
 
 // Calls it, but only AFTER the first state change.
 Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
-  engine_->LogDelete(meta_.name, doc_id);  // LINT-EXPECT[guard-writable]
+  engine_->LogRecord(Record(doc_id));  // LINT-EXPECT[guard-writable]
   XDB_RETURN_NOT_OK(GuardWrite());
   return Status::OK();
 }
@@ -23,13 +23,21 @@ Status Engine::RegisterSchema(const std::string& name, Slice text) {  // LINT-EX
   return Status::OK();
 }
 
-// Structural-index replay variant that installs before checking the guard:
-// a replica would mutate local state before discovering it is read-only.
-Status Collection::ApplyDropStructuralIndex(const std::string& name) {
-  WriterMutexLock latch(latch_);  // LINT-EXPECT[guard-writable]
-  Remove(name);
+// A DDL wrapper that leaves the guard to its Apply* body: the body runs
+// ungated for replay, so a replica would drop its index and log the drop.
+Status Collection::DropStructuralIndex(const std::string& name) {
+  MutexLock ddl(ddl_mu_);
+  XDB_RETURN_NOT_OK(ApplyDropStructuralIndex(name));  // LINT-EXPECT[guard-writable]
+  return engine_->LogRecord(Record(name));
+}
+
+// A DDL wrapper that guards only after its Apply* body ran: a replica
+// drops the index before the guard refuses the write.
+Status Collection::DropValueIndex(const std::string& name) {
+  MutexLock ddl(ddl_mu_);
+  XDB_RETURN_NOT_OK(ApplyDropValueIndex(name));  // LINT-EXPECT[guard-writable]
   XDB_RETURN_NOT_OK(GuardWrite());
-  return Status::OK();
+  return engine_->LogRecord(Record(name));
 }
 
 }  // namespace xdb

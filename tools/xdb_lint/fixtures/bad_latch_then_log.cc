@@ -6,7 +6,7 @@ namespace xdb {
 
 Status Collection::BadDirectAppend(Transaction* txn, Slice tokens) {
   WriterMutexLock latch(latch_);
-  return engine_->LogInsert(meta_.name, 1, tokens);  // LINT-EXPECT[latch-then-log]
+  return engine_->LogRecord(Record(tokens));  // LINT-EXPECT[latch-then-log]
 }
 
 Status Collection::BadWalHandle(Transaction* txn) {
@@ -22,6 +22,14 @@ Status Collection::BadWalHandle(Transaction* txn) {
 // XDB_REQUIRES(latch_) in the signature means the whole body runs latched.
 Status Collection::BadUnderRequires(Transaction* txn) XDB_REQUIRES(latch_) {
   return wal_->Append(Slice());  // LINT-EXPECT[latch-then-log]
+}
+
+// A write body that appends the record it was passed under the latch.
+Status Collection::BadRecordUnderLatch(Transaction* txn,
+                                       const WalRecord* rec) {
+  WriterMutexLock latch(latch_);
+  if (rec) XDB_RETURN_NOT_OK(engine_->LogRecord(*rec));  // LINT-EXPECT[latch-then-log]
+  return Status::OK();
 }
 
 }  // namespace xdb

@@ -3,10 +3,11 @@
 
 namespace xdb {
 
+// The public mutation guards, then runs the write's body with its record.
 Result<uint64_t> Collection::InsertTokens(Transaction* txn, Slice tokens) {
   XDB_RETURN_NOT_OK(GuardWrite());
-  XDB_RETURN_NOT_OK(engine_->LogInsert(meta_.name, 1, tokens));
-  return InsertTokensLocked(txn, tokens, 1);
+  const WalRecord rec = Record(tokens);
+  return ApplyInsert(txn, 1, tokens, &rec);
 }
 
 // Delegation counts: InsertDocument's only path runs through InsertTokens,
@@ -23,17 +24,17 @@ Status Engine::CreateCollection(const std::string& name) {
   return catalog_.Create(name);
 }
 
-// Structural-index DDL mirrors value-index DDL: the logging entry point
-// delegates to its Apply* variant (which guards first itself) before
-// writing the WAL record.
+// Structural-index DDL mirrors value-index DDL: the public wrapper guards,
+// then runs its Apply* body (which replay runs ungated) and logs.
 Status Collection::CreateStructuralIndex(const StructuralIndexDef& def) {
+  XDB_RETURN_NOT_OK(GuardWrite());
   MutexLock ddl(ddl_mu_);
   XDB_RETURN_NOT_OK(ApplyCreateStructuralIndex(def));
-  return engine_->LogCreateStructuralIndex(meta_.name, def);
+  return engine_->LogRecord(Record(def));
 }
 
+// Not an entry point: the body installs without a guard.
 Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
-  XDB_RETURN_NOT_OK(GuardWrite());
   WriterMutexLock latch(latch_);
   return Install(def);
 }

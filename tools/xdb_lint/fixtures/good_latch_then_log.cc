@@ -5,7 +5,7 @@ namespace xdb {
 
 Status Collection::GoodLogThenLatch(Transaction* txn, Slice tokens) {
   // WAL record first, at its own rank...
-  XDB_RETURN_NOT_OK(engine_->LogInsert(meta_.name, 1, tokens));
+  XDB_RETURN_NOT_OK(engine_->LogRecord(Record(tokens)));
   // ...then the structure latch for the in-memory mutation.
   WriterMutexLock latch(latch_);
   return ApplyTokens(tokens);
@@ -25,6 +25,14 @@ Status Collection::GoodOtherLockIsNotALatch(Transaction* txn) {
   // business (the rank checker's), not latch-then-log's.
   MutexLock lock(docid_mu_);
   return wal_->Append(Slice());
+}
+
+// A write body appends the record it was passed before the latch.
+Status Collection::GoodRecordBeforeLatch(Transaction* txn,
+                                         const WalRecord* rec) {
+  if (rec) XDB_RETURN_NOT_OK(engine_->LogRecord(*rec));
+  WriterMutexLock latch(latch_);
+  return Mutate();
 }
 
 }  // namespace xdb

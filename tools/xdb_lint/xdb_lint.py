@@ -4,15 +4,27 @@
 The static half of xdb-check (the dynamic half is the LockRank enforcer in
 src/common/lock_order.h). Rules:
 
-  latch-then-log      (a) no WalLog append/commit reachable while a
-                          Collection::latch_ scope is open in the same
-                          function: the engine's log-before-latch rule.
+  latch-then-log      (a) no WalLog append/commit or engine Log* append
+                          reachable while a Collection::latch_ scope is
+                          open in the same function: the engine's
+                          log-before-latch rule.
   guard-writable      (b) every public Engine/Collection mutating entry
                           point calls GuardWritable/GuardWrite (directly or
                           via its designated guarded delegate) before its
-                          first state change.
-  replay-apply        (c) replay-only Apply* variants never call the logging
-                          variants (Log*/AppendWal) and never name ddl_mu_.
+                          first state change (a write latch, a Log* append,
+                          a *Locked call or an Apply* body).
+  replay-apply        (c) nothing replay runs calls the engine's WAL append
+                          (Log*), calls GuardWrite/GuardWritable or names
+                          ddl_mu_. "What replay runs" is every function
+                          reachable by name from the replay roots: the
+                          REPLAY_ROOTS and every Apply* function (a callee
+                          resolves to the definitions in the caller's own
+                          file when there are any, else to every file's).
+                          A write body's append of the record its caller
+                          passes (`if (rec) ... LogRecord(*rec)`) is not a
+                          re-log, provided every call to that body from
+                          what replay runs passes nullptr as its last
+                          argument.
   raw-std-sync        (d) no raw std::mutex / std::shared_mutex /
                           std::lock_guard / std::unique_lock /
                           std::condition_variable outside common/mutex.h.
@@ -101,17 +113,20 @@ ENTRY_GUARDS = {
     "Collection::UpdateTextNode": ["GuardWrite"],
     "Collection::DeleteSubtree": ["GuardWrite"],
     "Collection::InsertSubtree": ["GuardWrite"],
-    "Collection::CreateValueIndex": ["GuardWrite", "ApplyCreateValueIndex"],
-    "Collection::DropValueIndex": ["GuardWrite", "ApplyDropValueIndex"],
-    "Collection::ApplyCreateValueIndex": ["GuardWrite"],
-    "Collection::ApplyDropValueIndex": ["GuardWrite"],
-    "Collection::CreateStructuralIndex": ["GuardWrite",
-                                          "ApplyCreateStructuralIndex"],
-    "Collection::DropStructuralIndex": ["GuardWrite",
-                                        "ApplyDropStructuralIndex"],
-    "Collection::ApplyCreateStructuralIndex": ["GuardWrite"],
-    "Collection::ApplyDropStructuralIndex": ["GuardWrite"],
+    # The DDL Apply* bodies are not entry points: replay runs them ungated,
+    # so each public wrapper guards itself.
+    "Collection::CreateValueIndex": ["GuardWrite"],
+    "Collection::DropValueIndex": ["GuardWrite"],
+    "Collection::CreateStructuralIndex": ["GuardWrite"],
+    "Collection::DropStructuralIndex": ["GuardWrite"],
 }
+
+# Rule (c) configuration: the replay paths that are not named Apply*. Open
+# replays the WAL at startup; Scrub runs the filtered replay and the salvage
+# re-insert (Collection::ScrubAndRepair). ApplyReplicatedRecords, the
+# replica's segment apply, is an Apply* root already.
+REPLAY_ROOTS = {"Engine::Open", "Engine::Scrub"}
+REPLAY_FORBIDDEN_CALLS = {"GuardWrite", "GuardWritable"}
 
 RAW_SYNC_TYPES = {
     "mutex",
@@ -528,8 +543,6 @@ def _latch_scopes(unit):
 def _is_wal_call(body, i):
     """Token index i starts a WAL append/commit call."""
     t = body[i].text
-    if t == "AppendWal" and _call_matches(body, i):
-        return "AppendWal"
     if (t in ("Append", "AppendRaw", "Commit") and _call_matches(body, i)
             and i >= 2 and body[i - 1].text in ("->", ".")
             and "wal" in body[i - 2].text):
@@ -670,7 +683,7 @@ def rule_wait_span_rank(path, units, diags):
             i += 1
 
 
-MUTATION_MARKERS = ("AppendWal", "WriterMutexLock")
+MUTATION_MARKERS = ("WriterMutexLock",)
 
 
 def _is_mutation_marker(body, i):
@@ -680,6 +693,9 @@ def _is_mutation_marker(body, i):
     if LOG_CALL_RE.fullmatch(t) and _call_matches(body, i):
         return True
     if t.endswith("Locked") and _call_matches(body, i):
+        return True
+    # A write or DDL body (replay runs them ungated).
+    if re.fullmatch(r"Apply[A-Z]\w*", t) and _call_matches(body, i):
         return True
     return False
 
@@ -710,29 +726,94 @@ def rule_guard_writable(path, units, diags):
                 f"{' or '.join(guards)}"))
 
 
-def rule_replay_apply(path, units, diags):
-    for unit in units:
-        if not re.fullmatch(r"Apply[A-Z]\w*", unit.name):
+def _passed_record_append(body, i):
+    """Token i starts a Log* call that appends the record its function was
+    passed, `if (rec) ... LogRecord(*rec)`: a write body logs only when its
+    caller hands it a record."""
+    if not (i + 4 < len(body) and body[i + 2].text == "*"
+            and is_ident(body[i + 3].text) and body[i + 4].text == ")"):
+        return False
+    cond = ["if", "(", body[i + 3].text, ")"]
+    return any([t.text for t in body[k:k + 4]] == cond
+               for k in range(max(0, i - 12), i - 3))
+
+
+def _last_argument_is_null(body, i):
+    """The call whose name is token i passes nullptr as its last argument."""
+    depth = 0
+    for k in range(i + 1, len(body)):
+        if body[k].text == "(":
+            depth += 1
+        elif body[k].text == ")":
+            depth -= 1
+            if depth == 0:
+                return body[k - 1].text == "nullptr" and body[k - 2].text == ","
+    return False
+
+
+def rule_replay_apply(units_by_path, diags):
+    """Walks the call graph from the replay roots (by name, across files)
+    and flags every WAL append, guard call or ddl_mu_ in what it reaches,
+    and every call in it that hands a write body a record to append."""
+    local = {}   # path -> name -> [unit]
+    every = {}   # name -> [(path, unit)]
+    appenders = set()  # names of bodies that append a record they are passed
+    for path, units in units_by_path:
+        for unit in units:
+            local.setdefault(path, {}).setdefault(unit.name, []).append(unit)
+            every.setdefault(unit.name, []).append((path, unit))
+            body = unit.body_tokens
+            if any(LOG_CALL_RE.fullmatch(t.text) and _call_matches(body, i)
+                   and _passed_record_append(body, i)
+                   for i, t in enumerate(body)):
+                appenders.add(unit.name)
+    work = [(path, unit) for path, units in units_by_path for unit in units
+            if unit.qualified in REPLAY_ROOTS
+            or re.fullmatch(r"Apply[A-Z]\w*", unit.name)]
+    seen = set()
+    while work:
+        path, unit = work.pop()
+        if id(unit) in seen:
             continue
+        seen.add(id(unit))
         body = unit.body_tokens
         for i, t in enumerate(body):
             if t.text == "ddl_mu_":
                 diags.append(Diagnostic(
                     path, t.line, RULE_REPLAY,
-                    f"{unit.qualified}: replay-only Apply* variant names "
-                    f"ddl_mu_ — replay already holds the WAL ordering, "
-                    f"taking the DDL mutex here deadlocks against clients"))
-            elif t.text == "AppendWal" and _call_matches(body, i):
+                    f"{unit.qualified} (run by replay) names ddl_mu_ — "
+                    f"replay already holds the WAL ordering, taking the DDL "
+                    f"mutex here deadlocks against clients"))
+                continue
+            if not (is_ident(t.text) and _call_matches(body, i)):
+                continue
+            if i >= 1 and body[i - 1].text == "::":
+                continue
+            if LOG_CALL_RE.fullmatch(t.text):
+                if not _passed_record_append(body, i):
+                    diags.append(Diagnostic(
+                        path, t.line, RULE_REPLAY,
+                        f"{unit.qualified} (run by replay) calls the WAL "
+                        f"append {t.text} — replay must never re-log"))
+                continue
+            if t.text in REPLAY_FORBIDDEN_CALLS:
                 diags.append(Diagnostic(
                     path, t.line, RULE_REPLAY,
-                    f"{unit.qualified}: Apply* variant appends to the WAL — "
-                    f"replay must never re-log"))
-            elif (LOG_CALL_RE.fullmatch(t.text) and _call_matches(body, i)
-                  and i >= 1 and body[i - 1].text in ("->", ".")):
+                    f"{unit.qualified} (run by replay) calls {t.text} — "
+                    f"replay runs the write bodies, never a guarded public "
+                    f"mutation"))
+                continue
+            if t.text in appenders and not _last_argument_is_null(body, i):
                 diags.append(Diagnostic(
                     path, t.line, RULE_REPLAY,
-                    f"{unit.qualified}: Apply* variant calls logging "
-                    f"variant {t.text} — replay must never re-log"))
+                    f"{unit.qualified} (run by replay) hands {t.text} a WAL "
+                    f"record to append — replay passes nullptr and never "
+                    f"re-logs"))
+            callees = local.get(path, {}).get(t.text)
+            if callees:
+                work.extend((path, u) for u in callees)
+            else:
+                work.extend(every.get(t.text, []))
 
 
 def rule_raw_std_sync(path, toks, diags):
@@ -993,6 +1074,7 @@ def run(paths, backend, compile_args_by_file, rules):
             use_clang = True
         except ImportError:
             use_clang = False
+    units_by_path = []  # rule (c) walks calls across files
     for path in paths:
         with open(path, encoding="utf-8", errors="replace") as f:
             text = f.read()
@@ -1021,12 +1103,13 @@ def run(paths, backend, compile_args_by_file, rules):
                 rule_wait_span_rank(rel, units, diags)
             if RULE_GUARD in rules:
                 rule_guard_writable(rel, units, diags)
-            if RULE_REPLAY in rules:
-                rule_replay_apply(rel, units, diags)
+            units_by_path.append((rel, units))
         if path.endswith(".h"):
             if lex_toks is None:
                 lex_toks = tokenize(strip_noncode(text))
             audit_header(rel, lex_toks, diags, rules)
+    if RULE_REPLAY in rules:
+        rule_replay_apply(units_by_path, diags)
     return diags
 
 
